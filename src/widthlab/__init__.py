@@ -24,6 +24,7 @@ from .errors import (
     DegreeCap,
     DimensionMismatch,
     EmptyFeatureList,
+    InvalidCapSetting,
     NegativeIndex,
     NotUnitNorm,
     OutOfSupport,

@@ -7,6 +7,8 @@ be overridden with the ``WIDTHLAB_CAP`` environment variable or per call.
 
 import os
 
+from .errors import InvalidCapSetting
+
 DEFAULT_CAP = 10_000_000
 
 
@@ -15,6 +17,10 @@ def active_cap(override=None) -> int:
     if override is not None:
         return int(override)
     env = os.environ.get("WIDTHLAB_CAP")
-    if env is not None:
-        return int(env)
-    return DEFAULT_CAP
+    try:
+        cap = DEFAULT_CAP if env is None else int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise InvalidCapSetting(f"WIDTHLAB_CAP must be a positive integer, got {env!r}")
+    return cap

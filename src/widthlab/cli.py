@@ -6,8 +6,11 @@ config and seed — per-trial seeds derive from ``(seed, trial)``, so thread
 count never changes results and rerunning a config rewrites byte-identical
 CSV files.
 
-Exit codes: 0 success; 2 invalid configuration; 3 a size/degree cap was hit;
-4 numerical failure during an otherwise valid run.
+Each kind declares its parameters in one table (``_KINDS``); ``validate`` and
+``run`` both check a config against it with :func:`_parse` before any work.
+
+Exit codes: 0 success; 2 invalid configuration (or ``WIDTHLAB_CAP``); 3 a
+size/degree cap was hit; 4 numerical failure during an otherwise valid run.
 """
 
 from __future__ import annotations
@@ -19,16 +22,21 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .approx import reflect_and_truncate, sobolev_norm_from_coeffs, truncate_periodic, truncate_sobolev
+from .caps import active_cap
 from .errors import (
     CapExceeded,
     DegreeCap,
     DimensionMismatch,
     EmptyFeatureList,
+    InvalidCapSetting,
     NegativeIndex,
     NotUnitNorm,
     OutOfSupport,
@@ -41,7 +49,7 @@ from .errors import (
 )
 from .fitter import success_probability, estimate_minwidth, wilson_interval
 from .hermite import HermitePolynomial, hermite_truncate
-from .lattice import count_ball, enumerate_ball
+from .lattice import check_ball_cap, count_ball, enumerate_ball
 from .lowerbound import (
     explicit_hard_function,
     gaussian_hard_family,
@@ -66,17 +74,15 @@ class ConfigError(Exception):
     """The configuration document is malformed or violates a precondition."""
 
 
-_CONFIG_ERRORS = (
-    ConfigError, ParameterOutOfRange, DimensionMismatch, WrongMeasure,
-    UnsupportedCombination, ScaleNotUnit, NegativeIndex,
+_EXITS = (  # (exit code, stderr label, the errors reported with them)
+    (2, "error", (ConfigError, ParameterOutOfRange, DimensionMismatch, WrongMeasure,
+                  UnsupportedCombination, ScaleNotUnit, NegativeIndex, InvalidCapSetting)),
+    (3, "cap exceeded", (CapExceeded, DegreeCap)),
+    (4, "numerical failure", (PackingFailed, OutOfSupport, WeightNotInSupport, NotUnitNorm,
+                              EmptyFeatureList, np.linalg.LinAlgError, FloatingPointError,
+                              OverflowError, OSError)),
 )
-_CAP_ERRORS = (CapExceeded, DegreeCap)
-_NUMERICAL_ERRORS = (
-    PackingFailed, OutOfSupport, WeightNotInSupport, NotUnitNorm,
-    EmptyFeatureList, np.linalg.LinAlgError, FloatingPointError, OSError,
-)
-
-STOCHASTIC_KINDS = {"fit_curve", "minwidth", "lb_projection", "lb_explicit"}
+_HANDLED = tuple(error for _, _, errors in _EXITS for error in errors)
 
 # Default tensor-grid resolutions keeping node counts workable per dimension.
 _DEFAULT_NODES = {UNIFORM_CUBE: {1: 24, 2: 24, 3: 24, 4: 12, 5: 8, 6: 6},
@@ -114,119 +120,193 @@ def read_curve(path: str) -> list[tuple[float, float, float, float]]:
     return [tuple(float(tok) for tok in ln.split(",")) for ln in lines[1:]]
 
 
-def _need(params: dict, key: str):
-    if key not in params:
-        raise ConfigError(f"missing required parameter {key!r}")
-    return params[key]
+_RANGES = {
+    ">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1, ">= 2": lambda v: v >= 2,
+    "> 0": lambda v: v > 0, "in (0, 1)": lambda v: 0 < v < 1,
+    "in (0, 1]": lambda v: 0 < v <= 1,
+}
 
 
-def _as_int(params: dict, key: str, minimum=None, default=None) -> int:
-    raw = params.get(key, default)
-    if raw is None:
-        raise ConfigError(f"missing required parameter {key!r}")
-    if isinstance(raw, bool) or int(raw) != raw:
-        raise ConfigError(f"parameter {key!r} must be an integer, got {raw!r}")
-    value = int(raw)
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"parameter {key!r} must be >= {minimum}, got {value}")
+class _P(NamedTuple):
+    """One parameter of a table.
+
+    ``type`` is "int", "real" (read as a float), "num" (an int or float kept
+    as written), a tuple of allowed strings, or, for a JSON object, a table or
+    a function ``(raw, key, p, params)`` given the parameters read so far and
+    the object the value came from.  ``default`` is ``...`` for a required
+    parameter and ``None`` for an optional one; ``many`` names the list form;
+    ``cap`` checks the value against the cap as a "size" or as the radius of
+    a lattice "ball" in ``d`` dimensions.
+    """
+
+    type: object
+    range: str | None = None
+    default: object = ...
+    many: str | None = None
+    cap: str | None = None
+
+
+def _convert(key: str, spec: _P, raw, p, params):
+    if callable(spec.type) or isinstance(spec.type, dict):
+        if not isinstance(raw, dict):
+            raise ConfigError(f"parameter {key!r} must be an object, got {raw!r}")
+        if isinstance(spec.type, dict):
+            return _read(raw, spec.type, p, key + ".")
+        return spec.type(raw, key, p, params)
+    if isinstance(spec.type, tuple):
+        ok, want = isinstance(raw, str) and raw in spec.type, f"one of {list(spec.type)}"
+    else:
+        want = "an integer" if spec.type == "int" else "a finite number"
+        try:  # booleans are not numbers; ints past the float range are not finite
+            ok = (not isinstance(raw, bool) and math.isfinite(raw)
+                  and (spec.type != "int" or raw == int(raw)))
+        except (TypeError, OverflowError):
+            ok = False
+    if not ok:
+        raise ConfigError(f"parameter {key!r} must be {want}, got {raw!r}")
+    value = int(raw) if spec.type == "int" else float(raw) if spec.type == "real" else raw
+    if spec.range and not _RANGES[spec.range](value):
+        raise ConfigError(f"parameter {key!r} must be {spec.range}, got {value}")
+    if spec.cap == "ball":
+        check_ball_cap(value, p.d)
+    elif spec.cap:
+        _cap(f"{key} = {value}", value)
     return value
 
 
-def _as_real(params: dict, key: str, positive=False, default=None) -> float:
-    raw = params.get(key, default)
-    if raw is None:
-        raise ConfigError(f"missing required parameter {key!r}")
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"parameter {key!r} must be a number, got {raw!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"parameter {key!r} must be finite, got {value}")
-    if positive and value <= 0:
-        raise ConfigError(f"parameter {key!r} must be positive, got {value}")
-    return value
+def _value(params: dict, name: str, spec: _P, p, where: str = ""):
+    if spec.many in params:
+        key, raw = where + spec.many, params[spec.many]
+        if not isinstance(raw, list) or not raw:
+            raise ConfigError(f"parameter {key!r} must be a nonempty list, got {raw!r}")
+        return [_convert(key, spec, v, p, params) for v in raw]
+    if name not in params and spec.default is ...:
+        raise ConfigError(f"missing required parameter {where + name!r}")
+    raw = params.get(name, spec.default)
+    if raw is None and spec.default is None:
+        return None
+    value = _convert(where + name, spec, raw, p, params)
+    return [value] if spec.many else value
 
 
-def _as_list(params: dict, scalar_key: str, list_key: str, default=None) -> list:
-    if list_key in params:
-        values = params[list_key]
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"parameter {list_key!r} must be a nonempty list")
-        return values
-    if scalar_key in params:
-        return [params[scalar_key]]
-    if default is not None:
-        return default
-    raise ConfigError(f"missing parameter {scalar_key!r} (or {list_key!r})")
+def _read(params: dict, table: dict, p=None, where: str = "") -> SimpleNamespace:
+    """Read every parameter of ``table`` from ``params``, in table order."""
+    out = SimpleNamespace()
+    for name, spec in table.items():
+        setattr(out, name, _value(params, name, spec, out if p is None else p, where))
+    return out
 
 
-def _grid(params: dict, d: int, measure: str, seed=None):
-    spec = dict(params.get("grid", {}))
-    scheme = spec.get("scheme", TENSOR_GAUSS)
-    if scheme == TENSOR_GAUSS:
-        nodes = spec.get("nodes_per_dim")
-        if nodes is None:
-            nodes = _DEFAULT_NODES[measure].get(d)
-            if nodes is None:
-                raise ConfigError(
-                    f"no default tensor grid for dimension {d}; supply a grid spec"
-                )
-        return make_grid(QuadratureSpec(measure, TENSOR_GAUSS, d,
-                                        nodes_per_dim=int(nodes)))
-    if scheme == MONTE_CARLO:
-        count = spec.get("sample_count", 20000)
-        grid_seed = spec.get("seed")
-        if grid_seed is None:
-            if seed is None:
-                raise ConfigError("monte_carlo grid needs a seed")
-            grid_seed = (int(seed), 10007)  # derived, disjoint from trial seeds
-        else:
-            grid_seed = int(grid_seed)
-        return make_grid(QuadratureSpec(measure, MONTE_CARLO, d,
-                                        sample_count=int(count), seed=grid_seed))
-    raise ConfigError(f"unknown grid scheme {scheme!r}")
+def _cap(what: str, size: int) -> None:
+    limit = active_cap()
+    if size > limit:
+        raise CapExceeded(f"{what} exceeds the cap {limit}")
 
 
-def _distribution(params: dict, d: int) -> DkDistribution:
-    spec = dict(params.get("dist", {"kind": "dk", "k": 2}))
-    if spec.get("kind", "dk") != "dk":
-        raise ConfigError(f"unsupported distribution kind {spec.get('kind')!r}")
-    k = spec.get("k", 2)
-    if not isinstance(k, (int, float)) or k < 0:
-        raise ConfigError(f"distribution radius k must be nonnegative, got {k!r}")
-    return DkDistribution(k=float(k), dimension=d)
+_TERMS = _P({"K": _P("int", many="K"), "beta": _P("real")}, many="terms")
+_TARGETS = {
+    "abs": {},
+    "trig_poly": {"polynomial": _P({"scale": _P("real", "in (0, 1]", 1.0), "terms": _TERMS})},
+    "hermite_poly": {"polynomial": _P({"basis": _P(("hermite",)), "terms": _TERMS})},
+    "explicit_hard": {"epsilon": _P("real", "> 0"), "ell": _P("int", ">= 1")},
+}
 
 
-def _target(params: dict, d: int):
-    """Resolve the target function handle; returns (callable, description)."""
-    spec = params.get("target", params.get("f"))
-    if spec is None:
-        raise ConfigError("missing target function (parameter 'target' or 'f')")
-    if isinstance(spec, str):
-        spec = {"type": spec}
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ConfigError(f"target must be a type name or object with 'type', got {spec!r}")
-    kind = spec["type"]
+def _target(raw, key, p, params):
+    """Resolve the target to ``(callable, description)``."""
+    # explicit_hard reads epsilon and ell from the outer parameters by default
+    spec = {n: params[n] for n in ("epsilon", "ell") if n in params}
+    spec.update(raw)
+    kind = _value(spec, "type", _P(tuple(_TARGETS)), p, key + ".")
+    t = _read(spec, _TARGETS[kind], p, key + ".")
     if kind == "abs":
-        return (lambda nodes: np.abs(np.asarray(nodes, dtype=float)[:, 0]), {"type": "abs"})
-    if kind == "trig_poly":
-        poly = TrigPolynomial.from_json_dict(_need(spec, "polynomial"))
-        if poly.dimension != d:
-            raise ConfigError(f"target dimension {poly.dimension} != experiment dimension {d}")
-        return poly.evaluate, {"type": "trig_poly", "terms": len(poly.terms)}
-    if kind == "hermite_poly":
-        poly = HermitePolynomial.from_json_dict(_need(spec, "polynomial"))
-        if poly.dimension != d:
-            raise ConfigError(f"target dimension {poly.dimension} != experiment dimension {d}")
-        return poly.evaluate, {"type": "hermite_poly", "terms": len(poly.terms)}
+        return (lambda nodes: np.abs(np.asarray(nodes, dtype=float)[:, 0])), {"type": "abs"}
     if kind == "explicit_hard":
-        epsilon = _as_real(spec, "epsilon", positive=True,
-                           default=params.get("epsilon"))
-        ell = _as_int(spec, "ell", minimum=1, default=params.get("ell"))
-        hard = explicit_hard_function(epsilon, ell, d)
-        return hard.evaluate, {"type": "explicit_hard", "ell": ell, "epsilon": epsilon,
+        hard = explicit_hard_function(t.epsilon, t.ell, p.d)
+        return hard.evaluate, {"type": kind, "ell": t.ell, "epsilon": t.epsilon,
                                "lip_bound": hard.lip_bound}
-    raise ConfigError(f"unknown target type {kind!r}")
+    cls = TrigPolynomial if kind == "trig_poly" else HermitePolynomial
+    poly = cls.from_json_dict(spec["polynomial"])  # its types are checked above
+    if poly.dimension != p.d:
+        raise ConfigError(f"target dimension {poly.dimension} != experiment dimension {p.d}")
+    return poly.evaluate, {"type": kind, "terms": len(poly.terms)}
+
+
+_GRIDS = {
+    TENSOR_GAUSS: {"nodes_per_dim": _P("int", ">= 1", None)},
+    MONTE_CARLO: {"sample_count": _P("int", ">= 1", 20000), "seed": _P("int", ">= 0", None)},
+}
+
+
+def _grid(raw, key, p, params, measure=UNIFORM_CUBE) -> QuadratureSpec:
+    """The grid's spec, checked against the cap; the runner builds the grid."""
+    if measure is None:  # lb_projection: a gaussian family lives in Gaussian space
+        measure = GAUSSIAN if p.family["type"] == "gaussian" else UNIFORM_CUBE
+    scheme = _value(raw, "scheme", _P(tuple(_GRIDS), default=TENSOR_GAUSS), p, key + ".")
+    g = _read(raw, _GRIDS[scheme], p, key + ".")
+    if scheme == MONTE_CARLO:
+        if g.seed is None and p.seed is None:
+            raise ConfigError("monte_carlo grid needs a seed")
+        _cap(f"monte_carlo grid of {g.sample_count} samples", g.sample_count)
+        # a derived seed stays disjoint from the trial seeds
+        seed = (p.seed, 10007) if g.seed is None else g.seed
+        return QuadratureSpec(measure, MONTE_CARLO, p.d, sample_count=g.sample_count,
+                              seed=seed)
+    nodes = g.nodes_per_dim or _DEFAULT_NODES[measure].get(p.d)
+    if nodes is None:
+        raise ConfigError(f"no default tensor grid for dimension {p.d}; supply a grid spec")
+    # nodes >= 2 gives nodes^e > cap once e reaches the cap's bit length
+    _cap(f"tensor grid {nodes}^{p.d}", nodes ** min(p.d, active_cap().bit_length()))
+    return QuadratureSpec(measure, TENSOR_GAUSS, p.d, nodes_per_dim=nodes)
+
+
+_FAMILIES = {
+    "symmetric": {"ell": _P("int", ">= 1")},
+    "ball": {"k": _P("num", ">= 0", cap="ball")},
+    "gaussian": {"L": _P("real", "> 0"), "N": _P("int", ">= 1")},
+}
+
+
+def _family(raw, key, p, params) -> dict:
+    """The hard family's description: its type and size parameters."""
+    # the family's parameters may also be given beside it, as in {"ell": 2}
+    spec = {n: params[n] for n in ("ell", "k", "L", "N") if n in params}
+    spec.update(raw)
+    kind = _value(spec, "type", _P(tuple(_FAMILIES), default="symmetric" if "ell" in spec
+                                   else "ball"), p, key + ".")
+    f = _read(spec, _FAMILIES[kind], p, key + ".")
+    if kind == "symmetric":
+        if f.ell > p.d:
+            raise ConfigError(f"need 1 <= ell <= d, got ell={f.ell}, d={p.d}")
+        _cap(f"symmetric family C({p.d}, {f.ell})", math.comb(p.d, f.ell))
+    return {"type": kind, **vars(f)}
+
+
+def _check_sampling(p) -> None:
+    widest = p.r_max if hasattr(p, "r_max") else max(p.r)
+    _cap(f"trials x max(r) = {p.trials} x {widest}", p.trials * widest)
+    nodes = p.grid.sample_count or p.grid.nodes_per_dim ** p.d
+    _cap(f"design matrix of {nodes} grid nodes x {widest} features", nodes * widest)
+
+
+def _check_truncation(p) -> None:
+    ratio, least = p.L / p.epsilon, (2.0 if p.mode == "periodic" else 1.0)
+    if ratio < least:
+        raise ConfigError(f"{p.mode} truncation needs L/epsilon >= {least:g}, got {ratio}")
+
+
+def _check_explicit(p) -> None:
+    """Plan ``ell`` from ``L`` unless it is given, and build the hard function."""
+    p.planned = None
+    if p.ell is None:
+        if p.L is None:
+            raise ConfigError("missing required parameter 'L' (or 'ell')")
+        p.planned = lb_parameters(p.L, p.epsilon, p.d)
+        if p.planned.degenerate:
+            raise ConfigError(f"L={p.L}, epsilon={p.epsilon} give a degenerate instance (ell = 0)")
+        p.ell = p.planned.ell
+    p.hard = explicit_hard_function(p.epsilon, p.ell, p.d)
+    _check_sampling(p)
 
 
 def _label_str(label) -> str:
@@ -236,12 +316,11 @@ def _label_str(label) -> str:
 
 
 class _Run:
-    """Shared state for one experiment run (paths, seed, thread budget)."""
+    """Shared state for one experiment run (paths, thread budget)."""
 
-    def __init__(self, out_dir: str, prefix: str, seed, threads: int):
+    def __init__(self, out_dir: str, prefix: str, threads: int):
         self.out_dir = out_dir
         self.prefix = prefix
-        self.seed = seed
         self.threads = threads
         self.csv_files: list[str] = []
 
@@ -252,15 +331,10 @@ class _Run:
         return full
 
 
-def _run_count_lattice(params: dict, run: _Run) -> dict:
-    ks = [(_as_real({"k": v}, "k") if not isinstance(v, int) else v)
-          for v in _as_list(params, "k", "k_list")]
-    ds = [_as_int({"d": v}, "d", minimum=1) for v in _as_list(params, "d", "d_list")]
+def _run_count_lattice(p, run: _Run) -> dict:
     rows, counts = [], []
-    for k in ks:
-        if k < 0:
-            raise ConfigError(f"radius k must be nonnegative, got {k}")
-        for d in ds:
+    for k in p.k:
+        for d in p.d:
             q = count_ball(k, d)
             rows.append(f"{_fmt(k) if isinstance(k, float) else k},{d},{q}")
             counts.append({"k": k, "d": d, "count": q})
@@ -268,134 +342,92 @@ def _run_count_lattice(params: dict, run: _Run) -> dict:
     return {"counts": counts}
 
 
-def _coeff_csv(run: _Run, doc: dict, d: int) -> None:
-    header = ",".join(f"k{i + 1}" for i in range(d)) + ",beta"
+def _coefficients(report, p, run: _Run) -> dict:
+    """A truncation's result document; its coefficients go to a CSV."""
+    doc = report.to_json_dict()
+    header = ",".join(f"k{i + 1}" for i in range(p.d)) + ",beta"
     rows = [",".join(str(c) for c in term["K"]) + "," + _fmt(term["beta"])
-            for term in doc["terms"]]
+            for term in doc["polynomial"]["terms"]]
     _write_lines(run.path("coefficients.csv"), [header] + rows)
-
-
-def _run_approx_trig(params: dict, run: _Run) -> dict:
-    d = _as_int(params, "d", minimum=1)
-    L = _as_real(params, "L", positive=True)
-    epsilon = _as_real(params, "epsilon", positive=True)
-    mode = params.get("mode", "reflect")
-    if mode not in ("reflect", "periodic"):
-        raise ConfigError(f"mode must be 'reflect' or 'periodic', got {mode!r}")
-    ratio = L / epsilon
-    if mode == "periodic" and ratio < 2.0:
-        raise ConfigError(f"periodic truncation needs L/epsilon >= 2, got {ratio}")
-    if mode == "reflect" and ratio < 1.0:
-        raise ConfigError(f"reflection truncation needs L/epsilon >= 1, got {ratio}")
-    f, target_desc = _target(params, d)
-    grid = _grid(params, d, UNIFORM_CUBE, run.seed)
-    if mode == "periodic":
-        report = truncate_periodic(f, L, epsilon, grid)
-    else:
-        report = reflect_and_truncate(f, L, epsilon, grid)
-    doc = report.to_json_dict()
-    _coeff_csv(run, doc["polynomial"], d)
-    doc["target"] = target_desc
-    doc["mode"] = mode
+    doc["target"] = p.target[1]
     return doc
 
 
-def _run_approx_sobolev(params: dict, run: _Run) -> dict:
-    d = _as_int(params, "d", minimum=1)
-    s = _as_int(params, "s", minimum=1)
-    gamma = _as_real(params, "gamma", positive=True)
-    epsilon = _as_real(params, "epsilon", positive=True)
-    f, target_desc = _target(params, d)
-    grid = _grid(params, d, UNIFORM_CUBE, run.seed)
-    report = truncate_sobolev(f, s, gamma, epsilon, grid)
-    doc = report.to_json_dict()
-    _coeff_csv(run, doc["polynomial"], d)
-    doc["target"] = target_desc
-    doc["s"] = s
-    doc["kept_sobolev_norm"] = sobolev_norm_from_coeffs(report.polynomial, s)
+def _run_approx_trig(p, run: _Run) -> dict:
+    truncate = truncate_periodic if p.mode == "periodic" else reflect_and_truncate
+    doc = _coefficients(truncate(p.target[0], p.L, p.epsilon, make_grid(p.grid)), p, run)
+    doc["mode"] = p.mode
     return doc
 
 
-def _run_fit_curve(params: dict, run: _Run) -> dict:
-    d = _as_int(params, "d", minimum=1)
-    epsilon = _as_real(params, "epsilon", positive=True)
-    trials = _as_int(params, "trials", minimum=1, default=200)
-    rs = [_as_int({"r": v}, "r", minimum=1) for v in _as_list(params, "r", "r_list")]
-    f, target_desc = _target(params, d)
-    dist = _distribution(params, d)
-    grid = _grid(params, d, UNIFORM_CUBE, run.seed)
+def _run_approx_sobolev(p, run: _Run) -> dict:
+    report = truncate_sobolev(p.target[0], p.s, p.gamma, p.epsilon, make_grid(p.grid))
+    doc = _coefficients(report, p, run)
+    doc["s"] = p.s
+    doc["kept_sobolev_norm"] = sobolev_norm_from_coeffs(report.polynomial, p.s)
+    return doc
+
+
+def _run_hermite_check(p, run: _Run) -> dict:
+    return _coefficients(hermite_truncate(p.target[0], p.L, p.epsilon, make_grid(p.grid)),
+                         p, run)
+
+
+def _success_curve(f, p, run: _Run) -> list[dict]:
+    """Success probability at each width of ``p.r``; writes the curve CSV."""
+    dist = DkDistribution(k=p.dist.k, dimension=p.d)
+    grid = make_grid(p.grid)
     points, curve = [], []
-    for r in rs:
-        est = success_probability(f, epsilon, dist, r, trials, grid, run.seed,
+    for r in p.r:
+        est = success_probability(f, p.epsilon, dist, r, p.trials, grid, p.seed,
                                   threads=run.threads)
         points.append((r, est.probability, est.ci_lo, est.ci_hi))
         curve.append(est.to_json_dict())
     emit_curve(points, run.path("curve.csv"))
-    return {"target": target_desc, "epsilon": epsilon, "trials": trials,
-            "dist_k": dist.k, "curve": curve}
+    return curve
 
 
-def _run_minwidth(params: dict, run: _Run) -> dict:
-    d = _as_int(params, "d", minimum=1)
-    epsilon = _as_real(params, "epsilon", positive=True)
-    delta = _as_real(params, "delta", positive=True)
-    if not delta < 1.0:
-        raise ConfigError(f"delta must be in (0, 1), got {delta}")
-    trials = _as_int(params, "trials", minimum=1, default=200)
-    r_max = _as_int(params, "r_max", minimum=1, default=4096)
-    f, target_desc = _target(params, d)
-    dist = _distribution(params, d)
-    grid = _grid(params, d, UNIFORM_CUBE, run.seed)
-    est = estimate_minwidth(f, epsilon, delta, dist, grid, trials, r_max, run.seed,
-                            threads=run.threads)
-    points = [(r, p, *wilson_interval(round(p * trials), trials))
-              for r, p in est.search_trace]
+def _run_fit_curve(p, run: _Run) -> dict:
+    curve = _success_curve(p.target[0], p, run)
+    return {"target": p.target[1], "epsilon": p.epsilon, "trials": p.trials,
+            "dist_k": p.dist.k, "curve": curve}
+
+
+def _run_minwidth(p, run: _Run) -> dict:
+    dist = DkDistribution(k=p.dist.k, dimension=p.d)
+    est = estimate_minwidth(p.target[0], p.epsilon, p.delta, dist, make_grid(p.grid),
+                            p.trials, p.r_max, p.seed, threads=run.threads)
+    points = [(r, prob, *wilson_interval(round(prob * p.trials), p.trials))
+              for r, prob in est.search_trace]
     emit_curve(points, run.path("trace.csv"))
     doc = est.to_json_dict()
-    doc["target"] = target_desc
-    doc["dist_k"] = dist.k
+    doc["target"] = p.target[1]
+    doc["dist_k"] = p.dist.k
     return doc
 
 
-def _family(params: dict, d: int, run: _Run):
-    spec = dict(params.get("family", {}))
-    kind = spec.get("type", "symmetric" if "ell" in params or "ell" in spec else "ball")
-    if kind == "symmetric":
-        ell = _as_int(spec, "ell", minimum=1, default=params.get("ell"))
-        return hard_family_symmetric(ell, d), {"type": "symmetric", "ell": ell}
-    if kind == "ball":
-        k = spec.get("k", params.get("k"))
-        if k is None:
-            raise ConfigError("ball family needs a radius parameter 'k'")
-        return hard_family_ball(float(k), d), {"type": "ball", "k": k}
-    if kind == "gaussian":
-        L = _as_real(spec, "L", positive=True, default=params.get("L"))
-        N = _as_int(spec, "N", minimum=1, default=params.get("N"))
-        grid = _grid(params, d, GAUSSIAN, run.seed)
-        fam = gaussian_hard_family(L, N, d, run.seed, grid)
-        return fam, {"type": "gaussian", "L": L, "N": N, "kappa": fam.coherence}
-    raise ConfigError(f"unknown family type {kind!r}")
-
-
-def _run_lb_projection(params: dict, run: _Run) -> dict:
-    d = _as_int(params, "d", minimum=1)
-    trials = _as_int(params, "trials", minimum=1, default=200)
-    rs = [_as_int({"r": v}, "r", minimum=0) for v in _as_list(params, "r", "r_list")]
-    family, family_desc = _family(params, d, run)
-    dist = _distribution(params, d)
-    measure = GAUSSIAN if family_desc["type"] == "gaussian" else UNIFORM_CUBE
-    grid = _grid(params, d, measure, run.seed)
+def _run_lb_projection(p, run: _Run) -> dict:
+    grid = make_grid(p.grid)
+    family_desc = p.family
+    if family_desc["type"] == "symmetric":
+        family = hard_family_symmetric(family_desc["ell"], p.d)
+    elif family_desc["type"] == "ball":
+        family = hard_family_ball(float(family_desc["k"]), p.d)
+    else:
+        family = gaussian_hard_family(family_desc["L"], family_desc["N"], p.d, p.seed, grid)
+        family_desc = {**family_desc, "kappa": family.coherence}
+    dist = DkDistribution(k=p.dist.k, dimension=p.d)
     per_r = []
-    for r in rs:
+    for r in p.r:
         def one_trial(t: int):
-            rng = np.random.default_rng([int(run.seed), t])
+            rng = np.random.default_rng([p.seed, t])
             features = [dist.sample_feature(rng) for _ in range(r)]
             return projection_residuals(features, family, grid)
         if run.threads > 1:
             with ThreadPoolExecutor(max_workers=run.threads) as pool:
-                reports = list(pool.map(one_trial, range(trials)))
+                reports = list(pool.map(one_trial, range(p.trials)))
         else:
-            reports = [one_trial(t) for t in range(trials)]
+            reports = [one_trial(t) for t in range(p.trials)]
         rows = ["trial,member,residual"]
         for t, rep in enumerate(reports):
             for label, res in zip(rep.labels, rep.residuals):
@@ -411,92 +443,82 @@ def _run_lb_projection(params: dict, run: _Run) -> dict:
                 for i, label in enumerate(family.labels)
             },
         })
-    return {"family": family_desc, "N": len(family), "trials": trials,
-            "dist_k": dist.k, "per_r": per_r}
+    return {"family": family_desc, "N": len(family), "trials": p.trials,
+            "dist_k": p.dist.k, "per_r": per_r}
 
 
-def _run_lb_explicit(params: dict, run: _Run) -> dict:
-    d = _as_int(params, "d", minimum=1)
-    epsilon = _as_real(params, "epsilon", positive=True)
-    trials = _as_int(params, "trials", minimum=1, default=200)
-    if "ell" in params:
-        ell = _as_int(params, "ell", minimum=1)
-        planned = None
-    else:
-        L = _as_real(params, "L", positive=True)
-        planned = lb_parameters(L, epsilon, d)
-        if planned.degenerate:
-            raise ConfigError(
-                f"L={L}, epsilon={epsilon} give a degenerate instance (ell = 0)"
-            )
-        ell = planned.ell
-    hard = explicit_hard_function(epsilon, ell, d)
-    rs = [_as_int({"r": v}, "r", minimum=1) for v in _as_list(params, "r", "r_list", [1])]
-    dist = _distribution(params, d)
-    grid = _grid(params, d, UNIFORM_CUBE, run.seed)
-    points, curve = [], []
-    for r in rs:
-        est = success_probability(hard.evaluate, epsilon, dist, r, trials, grid,
-                                  run.seed, threads=run.threads)
-        points.append((r, est.probability, est.ci_lo, est.ci_hi))
-        curve.append(est.to_json_dict())
-    emit_curve(points, run.path("curve.csv"))
-    family_size = math.comb(d, ell)
-    doc = {"ell": ell, "epsilon": epsilon, "lip_bound": hard.lip_bound,
+def _run_lb_explicit(p, run: _Run) -> dict:
+    curve = _success_curve(p.hard.evaluate, p, run)
+    family_size = math.comb(p.d, p.ell)
+    doc = {"ell": p.ell, "epsilon": p.epsilon, "lip_bound": p.hard.lip_bound,
            "family_size": family_size, "quarter_family": family_size / 4.0,
-           "dist_k": dist.k, "trials": trials, "curve": curve}
-    if planned is not None:
-        doc["k_nonexplicit"] = planned.k_nonexplicit
+           "dist_k": p.dist.k, "trials": p.trials, "curve": curve}
+    if p.planned is not None:
+        doc["k_nonexplicit"] = p.planned.k_nonexplicit
     return doc
 
 
-def _run_hermite_check(params: dict, run: _Run) -> dict:
-    d = _as_int(params, "d", minimum=1)
-    L = _as_real(params, "L", positive=True)
-    epsilon = _as_real(params, "epsilon", positive=True)
-    f, target_desc = _target(params, d)
-    grid = _grid(params, d, GAUSSIAN, run.seed)
-    report = hermite_truncate(f, L, epsilon, grid)
-    doc = report.to_json_dict()
-    _coeff_csv(run, doc["polynomial"], d)
-    doc["target"] = target_desc
-    return doc
-
-
-def _run_mixture_check(params: dict, run: _Run) -> dict:
-    d = _as_int(params, "d", minimum=1)
-    k = _as_real(params, "k")
-    if k < 0:
-        raise ConfigError(f"radius k must be nonnegative, got {k}")
-    rho = _as_real(params, "rho", positive=True, default=0.5)
-    if rho > 1.0:
-        raise ConfigError(f"argument scale rho must be in (0, 1], got {rho}")
-    z_count = _as_int(params, "z_count", minimum=2, default=41)
-    root = math.sqrt(d)
-    zs = np.linspace(-root, root, z_count)
-    header = ",".join(f"k{i + 1}" for i in range(d)) + ",max_err"
+def _run_mixture_check(p, run: _Run) -> dict:
+    root = math.sqrt(p.d)
+    zs = np.linspace(-root, root, p.z_count)
+    header = ",".join(f"k{i + 1}" for i in range(p.d)) + ",max_err"
     rows, worst, worst_K = [header], -1.0, None
-    for K in enumerate_ball(k, d):
-        reference = phi_K(K, rho, zs)
-        err = max(abs(mixture_expectation(K, rho, d, float(z)) - float(ref))
+    for K in enumerate_ball(p.k, p.d):
+        reference = phi_K(K, p.rho, zs)
+        err = max(abs(mixture_expectation(K, p.rho, p.d, float(z)) - float(ref))
                   for z, ref in zip(zs, reference))
         rows.append(",".join(str(c) for c in K) + "," + _fmt(err))
         if err > worst:
             worst, worst_K = err, K
     _write_lines(run.path("mixture_errors.csv"), rows)
-    return {"rho": rho, "k": k, "d": d, "max_error": worst, "worst_K": list(worst_K)}
+    return {"rho": p.rho, "k": p.k, "d": p.d, "max_error": worst, "worst_K": list(worst_K)}
 
 
-_RUNNERS = {
-    "count_lattice": _run_count_lattice,
-    "approx_trig": _run_approx_trig,
-    "approx_sobolev": _run_approx_sobolev,
-    "fit_curve": _run_fit_curve,
-    "minwidth": _run_minwidth,
-    "lb_projection": _run_lb_projection,
-    "lb_explicit": _run_lb_explicit,
-    "hermite_check": _run_hermite_check,
-    "mixture_check": _run_mixture_check,
+_D = _P("int", ">= 1")
+_POSITIVE = _P("real", "> 0")
+_SEED = _P("int", ">= 0")
+_NO_SEED = _P("int", ">= 0", None)  # optional: kinds that draw nothing at random
+_TARGET = _P(_target)
+_CUBE_GRID = _P(_grid, default={})
+# Monte Carlo over random features; the grid comes last, after what it depends on.
+_SAMPLED = {"trials": _P("int", ">= 1", 200),
+            "dist": _P({"kind": _P(("dk",), default="dk"), "k": _P("real", ">= 0", 2, cap="ball")},
+                       default={}),
+            "grid": _CUBE_GRID}
+
+# kind: (runner, parameter table, check across parameters or None)
+_KINDS = {
+    "count_lattice": (_run_count_lattice, {
+        "seed": _NO_SEED, "k": _P("num", ">= 0", many="k_list"),
+        "d": _P("int", ">= 1", many="d_list")}, None),
+    "approx_trig": (_run_approx_trig, {
+        "seed": _NO_SEED, "d": _D, "L": _POSITIVE, "epsilon": _POSITIVE,
+        "mode": _P(("reflect", "periodic"), default="reflect"), "target": _TARGET,
+        "grid": _CUBE_GRID}, _check_truncation),
+    "approx_sobolev": (_run_approx_sobolev, {
+        "seed": _NO_SEED, "d": _D, "s": _P("int", ">= 1"), "gamma": _POSITIVE,
+        "epsilon": _POSITIVE, "target": _TARGET, "grid": _CUBE_GRID}, None),
+    "fit_curve": (_run_fit_curve, {
+        "seed": _SEED, "d": _D, "epsilon": _POSITIVE, "r": _P("int", ">= 1", many="r_list"),
+        "target": _TARGET, **_SAMPLED}, _check_sampling),
+    "minwidth": (_run_minwidth, {
+        "seed": _SEED, "d": _D, "epsilon": _POSITIVE, "delta": _P("real", "in (0, 1)"),
+        "r_max": _P("int", ">= 1", 4096), "target": _TARGET, **_SAMPLED}, _check_sampling),
+    "lb_projection": (_run_lb_projection, {
+        "seed": _SEED, "d": _D, "r": _P("int", ">= 0", many="r_list"),
+        "family": _P(_family, default={}), **_SAMPLED,
+        "grid": _P(partial(_grid, measure=None), default={})}, _check_sampling),
+    "lb_explicit": (_run_lb_explicit, {
+        "seed": _SEED, "d": _D, "epsilon": _POSITIVE, "ell": _P("int", ">= 1", None),
+        "L": _P("real", "> 0", None), "r": _P("int", ">= 1", 1, many="r_list"), **_SAMPLED},
+        _check_explicit),
+    "hermite_check": (_run_hermite_check, {
+        "seed": _NO_SEED, "d": _D, "L": _POSITIVE, "epsilon": _POSITIVE, "target": _TARGET,
+        "grid": _P(partial(_grid, measure=GAUSSIAN), default={})}, None),
+    "mixture_check": (_run_mixture_check, {
+        "seed": _NO_SEED, "d": _D, "k": _P("real", ">= 0", cap="ball"),
+        "rho": _P("real", "in (0, 1]", 0.5), "z_count": _P("int", ">= 2", 41, cap="size")},
+        None),
 }
 
 
@@ -504,35 +526,44 @@ def _load_config(path: str) -> tuple[str, dict]:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
         cfg = json.loads(raw)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    kind = cfg.get("kind")
-    if kind not in _RUNNERS:
-        raise ConfigError(f"unknown kind {kind!r}; choose one of {sorted(_RUNNERS)}")
-    params = cfg.get("parameters", {})
-    if not isinstance(params, dict):
-        raise ConfigError("'parameters' must be a JSON object")
     return raw, cfg
 
 
-def _effective_seed(cfg: dict, override) -> int | None:
+def _parse(cfg: dict, seed_override=None) -> SimpleNamespace:
+    """Check a config against its kind's table; builds no grid, ball or family,
+    so ``validate`` makes every check ``run`` makes before its work starts."""
+    active_cap()  # a malformed WIDTHLAB_CAP fails every kind, capped or not
+    if not isinstance(cfg.get("kind"), str) or cfg["kind"] not in _KINDS:
+        raise ConfigError(f"unknown kind {cfg.get('kind')!r}; choose one of {sorted(_KINDS)}")
     params = cfg.get("parameters", {})
-    seed = override if override is not None else params.get("seed")
-    if cfg["kind"] in STOCHASTIC_KINDS:
-        if seed is None:
-            raise ConfigError(f"kind {cfg['kind']!r} is stochastic and needs a seed")
-        if isinstance(seed, bool) or int(seed) != seed:
-            raise ConfigError(f"seed must be an integer, got {seed!r}")
-        return int(seed)
-    if seed is not None and (isinstance(seed, bool) or int(seed) != seed):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    return None if seed is None else int(seed)
+    if not isinstance(params, dict):
+        raise ConfigError("'parameters' must be a JSON object")
+    params = dict(params)
+    if "f" in params:  # 'f' is an alias of 'target'
+        params.setdefault("target", params["f"])
+    if isinstance(params.get("target"), str):  # a target type's name alone
+        params["target"] = {"type": params["target"]}
+    if seed_override is not None:
+        params["seed"] = seed_override
+    _, table, check = _KINDS[cfg["kind"]]
+    p = _read(params, table)
+    if check is not None:
+        check(p)
+    return p
+
+
+def _report(exc: Exception) -> int:
+    """Print the one-line message for a handled error; returns its exit code."""
+    code, label = next((c, lab) for c, lab, errors in _EXITS if isinstance(exc, errors))
+    print(f"{label}: {exc}", file=sys.stderr)
+    return code
 
 
 def run_config(config_path: str, out_dir: str = ".", threads: int | None = None,
@@ -541,29 +572,18 @@ def run_config(config_path: str, out_dir: str = ".", threads: int | None = None,
     start = time.monotonic()
     try:
         raw, cfg = _load_config(config_path)
-        seed = _effective_seed(cfg, seed_override)
-    except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2, None
-    prefix = cfg.get("output_path") or cfg["kind"]
-    threads = threads if threads else (os.cpu_count() or 1)
-    run = _Run(out_dir=out_dir, prefix=str(prefix), seed=seed, threads=int(threads))
-    try:
+        p = _parse(cfg, seed_override)
+        prefix = cfg.get("output_path") or cfg["kind"]
+        threads = threads if threads else (os.cpu_count() or 1)
+        run = _Run(out_dir=out_dir, prefix=str(prefix), threads=int(threads))
         os.makedirs(out_dir, exist_ok=True)
-        results = _RUNNERS[cfg["kind"]](dict(cfg.get("parameters", {})), run)
-    except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2, None
-    except _CAP_ERRORS as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        return 3, None
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 4, None
+        results = _KINDS[cfg["kind"]][0](p, run)
+    except _HANDLED as exc:
+        return _report(exc), None
     doc = {
         "kind": cfg["kind"],
         "config_text": raw,
-        "seed": seed,
+        "seed": p.seed,
         "threads": run.threads,
         "versions": {
             "widthlab": __version__,
@@ -583,13 +603,12 @@ def run_config(config_path: str, out_dir: str = ".", threads: int | None = None,
 
 
 def validate_config(config_path: str) -> int:
-    """Parse and sanity-check a config without running it."""
+    """Run every check ``run`` makes before its work, without doing the work."""
     try:
         _, cfg = _load_config(config_path)
-        _effective_seed(cfg, None)
-    except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        _parse(cfg)
+    except _HANDLED as exc:
+        return _report(exc)
     print(f"ok: {cfg['kind']}")
     return 0
 

@@ -13,6 +13,10 @@ class CapExceeded(WidthlabError):
     """A requested enumeration or grid would exceed the configured cap."""
 
 
+class InvalidCapSetting(WidthlabError):
+    """The ``WIDTHLAB_CAP`` environment variable is not a positive integer."""
+
+
 class DimensionMismatch(WidthlabError):
     """Operands disagree on the ambient dimension d."""
 

@@ -92,6 +92,22 @@ def count_ball(k: float, d: int) -> int:
     return _ball_count(radius_sq_bound(k), d)
 
 
+def check_ball_cap(k: float, d: int, cap: int | None = None) -> None:
+    """Raise :class:`CapExceeded` if ``Q_{k,d}`` exceeds the active cap.
+
+    The exact count costs about 10x more per doubling of ``k``, so the cube
+    ``|K_i| <= m`` with ``d m^2 <= k^2``, which lies inside the ball, is
+    compared with the cap first.
+    """
+    if d < 1:
+        raise ParameterOutOfRange(f"dimension must be >= 1, got {d}")
+    bound, limit = radius_sq_bound(k), active_cap(cap)
+    side = 2 * math.isqrt(bound // d) + 1
+    # side >= 3 gives side^e > cap once e reaches the cap's bit length
+    if side ** min(d, limit.bit_length()) > limit or _ball_count(bound, d) > limit:
+        raise CapExceeded(f"ball k={k}, d={d} holds more than the cap of {limit} indices")
+
+
 def enumerate_ball(k: float, d: int, cap: int | None = None) -> list[MultiIndex]:
     """All ``K in Z^d`` with ``||K||_2 <= k``, in lexicographic order.
 
@@ -101,15 +117,8 @@ def enumerate_ball(k: float, d: int, cap: int | None = None) -> list[MultiIndex]
         If the exact count (checked first, without materializing) exceeds the
         active cap.
     """
-    if d < 1:
-        raise ParameterOutOfRange(f"dimension must be >= 1, got {d}")
+    check_ball_cap(k, d, cap)
     bound = radius_sq_bound(k)
-    predicted = _ball_count(bound, d)
-    limit = active_cap(cap)
-    if predicted > limit:
-        raise CapExceeded(
-            f"ball k={k}, d={d} holds {predicted} indices, over the cap {limit}"
-        )
     out: list[MultiIndex] = []
 
     def descend(prefix: tuple[int, ...], budget: int) -> None:

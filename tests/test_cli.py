@@ -12,7 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import widthlab
-from widthlab import ParameterOutOfRange
+from widthlab import InvalidCapSetting, ParameterOutOfRange, active_cap
 from widthlab.cli import emit_curve, main, read_curve, run_config, validate_config
 
 
@@ -344,6 +344,130 @@ class TestExitCodes:
                            "r": 0, "trials": 1, "seed": 4},
         })
         assert code == 4 and result is None
+
+
+_FIT = {"kind": "fit_curve",
+        "parameters": {"d": 1, "epsilon": 0.25, "trials": 4, "r_list": [1, 2],
+                       "target": "abs", "seed": 1}}
+_TRIG = {"kind": "approx_trig",
+         "parameters": {"d": 1, "L": 1.0, "epsilon": 0.25, "target": "abs"}}
+_LBP = {"kind": "lb_projection",
+        "parameters": {"d": 2, "ell": 1, "r": 1, "trials": 2, "seed": 3}}
+_MIX = {"kind": "mixture_check", "parameters": {"d": 1, "k": 1}}
+
+
+def _with(base, **changes):
+    return dict(base, parameters=dict(base["parameters"], **changes))
+
+
+def _both_commands(tmp_path, capsys, doc, text=None):
+    """Exit codes and stderr of ``validate`` then ``run`` on one config."""
+    cfg = tmp_path / "probe.json"
+    cfg.write_text(text if text is not None else json.dumps(doc), encoding="utf-8")
+    out = []
+    for argv in (["validate", "--config", str(cfg)],
+                 ["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]):
+        code = main(argv)
+        out.append((code, capsys.readouterr().err))
+    return out
+
+
+def _assert_one_line(err, prefix):
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    assert err.startswith(prefix) and "Traceback" not in err, err
+
+
+class TestConfigSchema:
+    """``validate`` and ``run`` share one parse: same exit code, one stderr line."""
+
+    @pytest.mark.parametrize("doc, text", [
+        (_with(_FIT, seed="abc"), None),
+        (None, json.dumps(_with(_FIT, seed="@")).replace('"@"', "1e400")),
+        (_with(_FIT, d="x"), None),
+        (_with(_TRIG, grid={"nodes_per_dim": "many"}), None),
+        (_with(_TRIG, grid="x"), None),
+        (_with(_TRIG, target={"type": "trig_poly", "polynomial": {"scale": 1.0}}), None),
+        (_with(_LBP, family={"type": "ball", "k": "x"}), None),
+        (_with(_FIT, r_list=[1, "a"]), None),
+        (_with(_TRIG, mode="zzz"), None),
+        (_with(_FIT, trials=2.5), None),
+        (_with(_FIT, dist={"k": "2"}), None),
+        (_with(_TRIG, L=True), None),
+        (_with(_FIT, seed=-1), None),
+        (_with(_LBP, ell=3), None),
+        (_with(_MIX, rho=1.5), None),
+        ({"kind": ["fit_curve"], "parameters": {}}, None),
+    ], ids=["seed_str", "seed_1e400", "d_str", "grid_nodes_str", "grid_str",
+            "trig_poly_no_terms", "family_k_str", "r_list_str_entry", "mode_unknown",
+            "trials_fractional", "dist_k_str", "L_bool", "seed_negative",
+            "ell_over_d", "rho_over_1", "kind_list"])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, doc, text):
+        for code, err in _both_commands(tmp_path, capsys, doc, text):
+            assert code == 2
+            _assert_one_line(err, "error: ")
+            assert "nonnegative" not in err
+        assert not (tmp_path / "o").exists()  # run stopped before any work
+
+    @pytest.mark.parametrize("doc, cap, fragment", [
+        (_with(_MIX, z_count=1_000_000_000), 1000, "z_count"),
+        (_with(_FIT, trials=50, r_list=[50]), 1000, "trials x max(r)"),
+        (_with(_FIT, r_list=[100], grid={"nodes_per_dim": 20}), 1000, "design matrix"),
+        (_with(_LBP, d=12, ell=6), 100, "C(12, 6)"),
+        (_with(_LBP, family={"type": "ball", "k": 4000}, d=3), None, "ball"),
+        (_with(_FIT, d=3, dist={"k": 4000}), None, "ball"),
+        (_with(_MIX, k=10, z_count=5), 10, "ball"),
+        (_with(_TRIG, d=3, grid={"nodes_per_dim": 100}), 1000, "tensor grid"),
+    ], ids=["z_count", "trials_x_r", "design", "symmetric_family", "ball_family",
+            "dist_ball", "mixture_ball", "grid"])
+    def test_size_caps_exit_3(self, tmp_path, capsys, monkeypatch, doc, cap, fragment):
+        if cap is not None:
+            monkeypatch.setenv("WIDTHLAB_CAP", str(cap))
+        for code, err in _both_commands(tmp_path, capsys, doc):
+            assert code == 3
+            _assert_one_line(err, "cap exceeded: ")
+            assert fragment in err
+
+    @pytest.mark.parametrize("value", ["lots", "1.5", "0", "-4", ""])
+    @pytest.mark.parametrize("doc", [_TRIG, {"kind": "count_lattice",
+                                             "parameters": {"k": 1, "d": 1}}],
+                             ids=["capped_kind", "uncapped_kind"])
+    def test_bad_cap_setting_exits_2(self, tmp_path, capsys, monkeypatch, value, doc):
+        monkeypatch.setenv("WIDTHLAB_CAP", value)
+        with pytest.raises(InvalidCapSetting, match="WIDTHLAB_CAP"):
+            active_cap()
+        for code, err in _both_commands(tmp_path, capsys, doc):
+            assert code == 2
+            _assert_one_line(err, "error: WIDTHLAB_CAP")
+
+    def test_valid_cap_setting(self, monkeypatch):
+        monkeypatch.setenv("WIDTHLAB_CAP", "12")
+        assert active_cap() == 12
+        assert active_cap(5) == 5
+
+    def test_validate_accepts_what_run_runs(self, tmp_path, capsys):
+        (validated, _), (ran, _) = _both_commands(tmp_path, capsys, _with(_FIT, d=1.0))
+        assert validated == ran == 0
+
+    def test_count_lattice_keeps_written_number_types(self, tmp_path):
+        code, result, out_dir = _run(tmp_path, {
+            "kind": "count_lattice", "parameters": {"k_list": [2, 2.0, 2.5], "d": 2.0},
+        })
+        assert code == 0
+        rows = (out_dir / "count_lattice_counts.csv").read_text().splitlines()
+        assert rows[1:] == ["2,2,13", "2,2,13", "2.5,2,21"]
+        assert [c["k"] for c in result["results"]["counts"]] == [2, 2.0, 2.5]
+        assert isinstance(result["results"]["counts"][1]["k"], float)
+
+    def test_shorthands(self, tmp_path):
+        """``f`` for ``target``; outer ``ell`` and ``epsilon`` for explicit_hard."""
+        code, result, _ = _run(tmp_path, {
+            "kind": "fit_curve",
+            "parameters": {"d": 2, "epsilon": 0.5, "ell": 2, "trials": 3, "r": 2,
+                           "f": {"type": "explicit_hard"}, "seed": 3},
+        })
+        assert code == 0
+        assert result["results"]["target"]["ell"] == 2
+        assert result["results"]["target"]["epsilon"] == 0.5
 
 
 class TestEntryPoints:

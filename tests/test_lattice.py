@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from widthlab import (
     negate,
     radius_sq_bound,
 )
+from widthlab.lattice import check_ball_cap
 
 from oracles import brute_counts, brute_enumerate
 
@@ -88,6 +90,19 @@ class TestEnumerateBall:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             enumerate_ball(5, 6, cap=1000)
+
+    def test_far_over_cap_fails_before_exact_count(self):
+        # the exact count alone takes seconds at k = 400, d = 3
+        start = time.monotonic()
+        with pytest.raises(CapExceeded):
+            enumerate_ball(4000, 3)
+        assert time.monotonic() - start < 1.0
+
+    def test_check_ball_cap_is_exact(self):
+        # 13 points: the inscribed 3x3 cube passes, the exact count decides
+        check_ball_cap(2, 2, cap=13)
+        with pytest.raises(CapExceeded):
+            check_ball_cap(2, 2, cap=12)
 
     def test_zero_index_present(self):
         assert (0, 0, 0) in enumerate_ball(1, 3)
