@@ -110,7 +110,6 @@ from .relu import (
     psi_K,
     ray_members,
     ridge_profile_of_index,
-    sample,
     sample_average_network,
     unit_direction,
     width_bound,
@@ -120,7 +119,6 @@ from .trig import (
     TrigPolynomial,
     deriv_inner_product,
     eval_T,
-    eval_poly,
     lipschitz_bound,
     parseval_norm,
     partial_derivative,

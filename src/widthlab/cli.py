@@ -21,7 +21,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -47,16 +46,17 @@ from .errors import (
     WeightNotInSupport,
     WrongMeasure,
 )
-from .fitter import success_probability, estimate_minwidth, wilson_interval
+from .fitter import estimate_minwidth, success_probability, trial_residuals, wilson_interval
 from .hermite import HermitePolynomial, hermite_truncate
-from .lattice import check_ball_cap, count_ball, enumerate_ball
+from .lattice import check_ball_cap, count_ball, enumerate_ball, radius_sq_bound
 from .lowerbound import (
+    _value_matrix,
     explicit_hard_function,
     gaussian_hard_family,
     hard_family_ball,
     hard_family_symmetric,
     lb_parameters,
-    projection_residuals,
+    randict_bound,
 )
 from .quadrature import (
     GAUSSIAN,
@@ -278,8 +278,24 @@ def _family(raw, key, p, params) -> dict:
     if kind == "symmetric":
         if f.ell > p.d:
             raise ConfigError(f"need 1 <= ell <= d, got ell={f.ell}, d={p.d}")
-        _cap(f"symmetric family C({p.d}, {f.ell})", math.comb(p.d, f.ell))
+        # C(d, m) >= 2^m for m <= d/2, which passes the cap once m reaches its bit length
+        m = min(f.ell, p.d - f.ell, active_cap().bit_length())
+        _cap(f"symmetric family C({p.d}, {f.ell})", math.comb(p.d, m))
+    elif kind == "gaussian":
+        # the packing holds a pool of directions in R^d and their separations from all N chosen
+        pool = max(32 * f.N, 64)
+        _cap(f"gaussian family pool of {pool} directions x max(N, d) = {max(f.N, p.d)}",
+             pool * max(f.N, p.d))
     return {"type": kind, **vars(f)}
+
+
+def _check_count(p) -> None:
+    """The exact count of each ball takes about ``d floor(k^2) floor(k)`` steps."""
+    for k in p.k:
+        budget = radius_sq_bound(k)
+        for d in p.d:
+            _cap(f"count of ball k={k}, d={d} (d floor(k^2) floor(k) steps)",
+                 d * budget * math.isqrt(budget))
 
 
 def _check_sampling(p) -> None:
@@ -287,6 +303,14 @@ def _check_sampling(p) -> None:
     _cap(f"trials x max(r) = {p.trials} x {widest}", p.trials * widest)
     nodes = p.grid.sample_count or p.grid.nodes_per_dim ** p.d
     _cap(f"design matrix of {nodes} grid nodes x {widest} features", nodes * widest)
+
+
+def _check_projection(p) -> None:
+    _check_sampling(p)
+    if p.family["type"] == "gaussian":
+        nodes = p.grid.sample_count or p.grid.nodes_per_dim ** p.d
+        _cap(f"value matrix of {p.family['N']} members x {nodes} grid nodes",
+             p.family["N"] * nodes)
 
 
 def _check_truncation(p) -> None:
@@ -417,26 +441,23 @@ def _run_lb_projection(p, run: _Run) -> dict:
         family = gaussian_hard_family(family_desc["L"], family_desc["N"], p.d, p.seed, grid)
         family_desc = {**family_desc, "kappa": family.coherence}
     dist = DkDistribution(k=p.dist.k, dimension=p.d)
+    values = _value_matrix(family, grid)
     per_r = []
     for r in p.r:
-        def one_trial(t: int):
-            rng = np.random.default_rng([p.seed, t])
-            features = [dist.sample_feature(rng) for _ in range(r)]
-            return projection_residuals(features, family, grid)
-        if run.threads > 1:
-            with ThreadPoolExecutor(max_workers=run.threads) as pool:
-                reports = list(pool.map(one_trial, range(p.trials)))
+        if r == 0:  # the squared member norms, the same for every trial
+            norms_sq = np.sum(grid.weights[:, None] * values**2, axis=0)
+            stacked = np.tile(np.maximum(norms_sq, 0.0), (p.trials, 1))
         else:
-            reports = [one_trial(t) for t in range(p.trials)]
+            norms = trial_residuals(values, grid, dist, r, p.seed, p.trials, run.threads)
+            stacked = np.maximum(norms**2, 0.0)
         rows = ["trial,member,residual"]
-        for t, rep in enumerate(reports):
-            for label, res in zip(rep.labels, rep.residuals):
+        for t, residuals in enumerate(stacked):
+            for label, res in zip(family.labels, residuals):
                 rows.append(f"{t},{_label_str(label)},{_fmt(res)}")
         _write_lines(run.path(f"r{r}_residuals.csv"), rows)
-        stacked = np.stack([rep.residuals for rep in reports])
         per_r.append({
             "r": r,
-            "bound": reports[0].bound,
+            "bound": randict_bound(r, len(family), family.coherence),
             "mean_residual": float(np.mean(stacked)),
             "member_means": {
                 _label_str(label): float(np.mean(stacked[:, i]))
@@ -490,7 +511,7 @@ _SAMPLED = {"trials": _P("int", ">= 1", 200),
 _KINDS = {
     "count_lattice": (_run_count_lattice, {
         "seed": _NO_SEED, "k": _P("num", ">= 0", many="k_list"),
-        "d": _P("int", ">= 1", many="d_list")}, None),
+        "d": _P("int", ">= 1", many="d_list")}, _check_count),
     "approx_trig": (_run_approx_trig, {
         "seed": _NO_SEED, "d": _D, "L": _POSITIVE, "epsilon": _POSITIVE,
         "mode": _P(("reflect", "periodic"), default="reflect"), "target": _TARGET,
@@ -507,7 +528,7 @@ _KINDS = {
     "lb_projection": (_run_lb_projection, {
         "seed": _SEED, "d": _D, "r": _P("int", ">= 0", many="r_list"),
         "family": _P(_family, default={}), **_SAMPLED,
-        "grid": _P(partial(_grid, measure=None), default={})}, _check_sampling),
+        "grid": _P(partial(_grid, measure=None), default={})}, _check_projection),
     "lb_explicit": (_run_lb_explicit, {
         "seed": _SEED, "d": _D, "epsilon": _POSITIVE, "ell": _P("int", ">= 1", None),
         "L": _P("real", "> 0", None), "r": _P("int", ">= 1", 1, many="r_list"), **_SAMPLED},

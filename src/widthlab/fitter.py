@@ -16,7 +16,7 @@ widths: trial ``t`` at width ``r+1`` extends the same draw used at width
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,9 +43,7 @@ class FittedSpan:
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         pts = x[None, :] if single else x
-        vals = np.zeros(pts.shape[0])
-        for c, feat in zip(self.coefficients, self.features):
-            vals += c * feat.evaluate(pts)
+        vals = _design_matrix(self.features, pts) @ self.coefficients
         return float(vals[0]) if single else vals
 
     def to_json_dict(self) -> dict:
@@ -125,14 +123,25 @@ class SuccessEstimate:
         }
 
 
-def _trial_residual(targets: np.ndarray, weights: np.ndarray, nodes: np.ndarray,
-                    dist: ReluParamDist, r: int, seed, trial: int,
-                    rcond: float) -> float:
-    rng = np.random.default_rng([*np.atleast_1d(seed).tolist(), trial])
-    features = [dist.sample_feature(rng) for _ in range(r)]
-    design = _design_matrix(features, nodes)
-    _, residual = _weighted_lstsq(design, targets, weights, rcond)
-    return float(residual)
+def trial_residuals(targets: np.ndarray, grid: Grid, dist: ReluParamDist, r: int, seed,
+                    trials: int, threads: int = 1, rcond: float = 1e-10) -> np.ndarray:
+    """Residual norms of ``targets`` against the span of ``r`` random features, per trial.
+
+    Trial ``t`` draws its features from ``default_rng([seed, t])`` and solves
+    one weighted least squares; ``targets`` of shape ``(n,)`` give one norm per
+    trial, shape ``(n, m)`` one row of ``m`` norms per trial.  Trials run on
+    ``threads`` workers without changing any result.
+    """
+    def residual(trial: int) -> np.ndarray:
+        rng = np.random.default_rng([*np.atleast_1d(seed).tolist(), trial])
+        features = [dist.sample_feature(rng) for _ in range(r)]
+        design = _design_matrix(features, grid.nodes)
+        return _weighted_lstsq(design, targets, grid.weights, rcond)[1]
+
+    if threads > 1:
+        with futures.ThreadPoolExecutor(max_workers=threads) as pool:
+            return np.array(list(pool.map(residual, range(trials))))
+    return np.array([residual(t) for t in range(trials)])
 
 
 def success_probability(f, epsilon: float, dist: ReluParamDist, r: int, trials: int,
@@ -145,18 +154,9 @@ def success_probability(f, epsilon: float, dist: ReluParamDist, r: int, trials: 
         raise ParameterOutOfRange(f"width must be >= 1, got {r}")
     if epsilon <= 0:
         raise ParameterOutOfRange(f"epsilon must be positive, got {epsilon}")
-    targets = evaluate_on(f, grid.nodes)
-
-    def residual(trial: int) -> float:
-        return _trial_residual(targets, grid.weights, grid.nodes, dist, r, seed,
-                               trial, rcond)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            residuals = list(pool.map(residual, range(trials)))
-    else:
-        residuals = [residual(t) for t in range(trials)]
-    successes = sum(1 for res in residuals if res <= epsilon)
+    residuals = trial_residuals(evaluate_on(f, grid.nodes), grid, dist, r, seed, trials,
+                                threads, rcond)
+    successes = int(np.count_nonzero(residuals <= epsilon))
     lo, hi = wilson_interval(successes, trials)
     return SuccessEstimate(probability=successes / trials, ci_lo=lo, ci_hi=hi,
                            trials=trials, r=r, epsilon=epsilon)

@@ -70,22 +70,37 @@ def radius_sq_bound(k: float) -> int:
 
 @lru_cache(maxsize=None)
 def _ball_count(budget: int, n: int) -> int:
-    """Number of K in Z^n with sum of squares <= budget (coordinate recursion)."""
+    """Number of K in Z^n with sum of squares <= budget.
+
+    Counts by the number ``m`` of nonzero coordinates: ``C(n, m) 2^m`` sign
+    and position choices times the positive ``m``-tuples within the budget.
+    ``level`` maps each budget left over to the number of positive tuples of
+    the current length that leave it, so the loop runs at most
+    ``min(n, budget)`` times whatever ``n`` is.
+    """
     if budget < 0:
         return 0
-    if n == 0:
-        return 1
-    total = _ball_count(budget, n - 1)
-    for i in range(1, math.isqrt(budget) + 1):
-        total += 2 * _ball_count(budget - i * i, n - 1)
+    total, level = 1, {budget: 1}
+    for m in range(1, n + 1):
+        # tuples of length m: extend each shorter one by a last coordinate i >= 1
+        total += math.comb(n, m) * 2**m * sum(count * math.isqrt(left)
+                                               for left, count in level.items())
+        if m == n:
+            break
+        grown: dict[int, int] = {}
+        for left, count in level.items():
+            for i in range(1, math.isqrt(left) + 1):
+                grown[left - i * i] = grown.get(left - i * i, 0) + count
+        level = {left: count for left, count in grown.items() if left > 0}
+        if not level:
+            break
     return total
 
 
 def count_ball(k: float, d: int) -> int:
     """Exact ``Q_{k,d}``, the number of integer points with ``||K||_2 <= k``.
 
-    Uses a cached coordinate recursion, so no points are materialized and
-    large counts are fine.
+    Counts without materializing any point, so large counts are fine.
     """
     if d < 1:
         raise ParameterOutOfRange(f"dimension must be >= 1, got {d}")
@@ -95,16 +110,19 @@ def count_ball(k: float, d: int) -> int:
 def check_ball_cap(k: float, d: int, cap: int | None = None) -> None:
     """Raise :class:`CapExceeded` if ``Q_{k,d}`` exceeds the active cap.
 
-    The exact count costs about 10x more per doubling of ``k``, so the cube
-    ``|K_i| <= m`` with ``d m^2 <= k^2``, which lies inside the ball, is
-    compared with the cap first.
+    The exact count costs about 10x more per doubling of ``k``, and grows
+    with ``d`` too, so two sets inside the ball are compared with the cap
+    first: the cube ``|K_i| <= m`` with ``d m^2 <= k^2``, and the points with
+    ``j = min(floor(k^2), d)`` coordinates equal to +-1 and the rest 0.
     """
     if d < 1:
         raise ParameterOutOfRange(f"dimension must be >= 1, got {d}")
     bound, limit = radius_sq_bound(k), active_cap(cap)
-    side = 2 * math.isqrt(bound // d) + 1
-    # side >= 3 gives side^e > cap once e reaches the cap's bit length
-    if side ** min(d, limit.bit_length()) > limit or _ball_count(bound, d) > limit:
+    side, bits = 2 * math.isqrt(bound // d) + 1, limit.bit_length()
+    # side^e (side >= 3) and 2^j C(d, j) both pass the cap once e or j reaches its bit length
+    ones = min(bound, d, bits)
+    if (side ** min(d, bits) > limit or 2**ones * math.comb(d, ones) > limit
+            or _ball_count(bound, d) > limit):
         raise CapExceeded(f"ball k={k}, d={d} holds more than the cap of {limit} indices")
 
 
@@ -118,18 +136,18 @@ def enumerate_ball(k: float, d: int, cap: int | None = None) -> list[MultiIndex]
         active cap.
     """
     check_ball_cap(k, d, cap)
-    bound = radius_sq_bound(k)
     out: list[MultiIndex] = []
-
-    def descend(prefix: tuple[int, ...], budget: int) -> None:
-        if len(prefix) == d:
-            out.append(prefix)
-            return
-        r = math.isqrt(budget)
-        for c in range(-r, r + 1):
-            descend(prefix + (c,), budget - c * c)
-
-    descend((), bound)
+    zeros = (0,) * d
+    # Depth-first over prefixes and the budget they leave, smallest next
+    # coordinate on top; a spent budget completes its prefix with zeros at once.
+    stack: list[tuple[MultiIndex, int]] = [((), radius_sq_bound(k))]
+    while stack:
+        prefix, left = stack.pop()
+        if left == 0 or len(prefix) == d:
+            out.append(prefix + zeros[len(prefix):])
+            continue
+        r = math.isqrt(left)
+        stack.extend((prefix + (c,), left - c * c) for c in range(r, -r - 1, -1))
     return out
 
 

@@ -136,13 +136,15 @@ def evaluate_on(f, nodes: np.ndarray) -> np.ndarray:
     """Evaluate a function handle on an ``(n, d)`` node array.
 
     Tries the vectorized calling convention first and falls back to a row
-    loop for scalar-only callables (including constants).
+    loop for scalar-only callables (including constants).  Only the errors a
+    scalar-only callable raises on a batch trigger the fallback; any other
+    error propagates from the first call.
     """
     nodes = np.asarray(nodes, dtype=float)
     n = nodes.shape[0]
     try:
         vals = np.asarray(f(nodes), dtype=float)
-    except Exception:
+    except (TypeError, ValueError, IndexError):
         vals = None
     if vals is not None and vals.shape == (n,):
         return vals

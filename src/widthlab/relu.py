@@ -228,11 +228,6 @@ class CustomDistribution(ReluParamDist):
         return ReluFeature(float(self.bias_sampler(rng)), self.weight_sampler(rng))
 
 
-def sample(dist: ReluParamDist, rng: np.random.Generator) -> ReluFeature:
-    """Draw one feature from a parameter distribution."""
-    return dist.sample_feature(rng)
-
-
 def ray_members(w: np.ndarray, k: float, d: int, atol: float = 1e-8) -> list[MultiIndex]:
     """Ball indices that are nonnegative multiples of the direction ``w``.
 
@@ -310,7 +305,7 @@ def sample_average_network(P: TrigPolynomial, r: int, dist: DkDistribution,
     divided by ``r``, and reports the measured L2 error against ``P`` on the
     grid.  Error decays like ``1/sqrt(r)``.
     """
-    from .fitter import FittedSpan  # deferred: fitter imports ReluFeature from here
+    from .fitter import FittedSpan, _design_matrix  # deferred: fitter imports from here
 
     if not isinstance(dist, DkDistribution):
         raise UnsupportedCombination("sample-average networks require a D_k distribution")
@@ -322,7 +317,7 @@ def sample_average_network(P: TrigPolynomial, r: int, dist: DkDistribution,
         feat = dist.sample_feature(rng)
         features.append(feat)
         coeffs[i] = h_weight(feat.bias, feat.weight, P, dist.k, dist.dimension) / r
-    design = np.column_stack([feat.evaluate(grid.nodes) for feat in features])
+    design = _design_matrix(features, grid.nodes)
     approx = design @ coeffs
     err = l2_error(P.evaluate, lambda nodes: approx, grid)
     return FittedSpan(features=features, coefficients=coeffs, l2_error=err,

@@ -196,11 +196,6 @@ class TrigPolynomial:
         return cls(terms, scale=float(doc.get("scale", 1.0)), dimension=dimension)
 
 
-def eval_poly(P: TrigPolynomial, x) -> np.ndarray | float:
-    """Evaluate a polynomial at one point or a batch of points."""
-    return P.evaluate(x)
-
-
 def parseval_norm(P: TrigPolynomial) -> float:
     """Uniform-cube L2 norm of a unit-scale polynomial, from coefficients."""
     return P.parseval_norm()

@@ -8,11 +8,22 @@ import sys
 import sysconfig
 from pathlib import Path
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import widthlab
-from widthlab import InvalidCapSetting, ParameterOutOfRange, active_cap
+from widthlab import (
+    UNIFORM_CUBE,
+    DkDistribution,
+    InvalidCapSetting,
+    ParameterOutOfRange,
+    active_cap,
+    hard_family_symmetric,
+    projection_residuals,
+    tensor_gauss_grid,
+)
+from widthlab import cli, lowerbound
 from widthlab.cli import emit_curve, main, read_curve, run_config, validate_config
 
 
@@ -317,6 +328,49 @@ class TestStochasticKinds:
         assert code == 2 and result is None
 
 
+class TestTrialEngine:
+    """``lb_projection`` draws and solves every trial through ``fitter.trial_residuals``."""
+
+    _DOC = {"kind": "lb_projection",
+            "parameters": {"d": 3, "ell": 2, "r_list": [0, 1, 4], "trials": 3, "seed": 5,
+                           "dist": {"k": 2}, "grid": {"nodes_per_dim": 8}},
+            "output_path": "p"}
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_rows_equal_projection_residuals_bit_for_bit(self, tmp_path, threads):
+        code, _, out_dir = _run(tmp_path, self._DOC, threads=threads)
+        assert code == 0
+        grid = tensor_gauss_grid(UNIFORM_CUBE, 3, 8)
+        family = hard_family_symmetric(2, 3)
+        dist = DkDistribution(k=2, dimension=3)
+        for r in (0, 1, 4):
+            lines = (out_dir / f"p_r{r}_residuals.csv").read_text().splitlines()
+            rows = [line.split(",") for line in lines[1:]]
+            assert len(rows) == 3 * len(family)
+            for t in range(3):
+                rng = np.random.default_rng([5, t])
+                features = [dist.sample_feature(rng) for _ in range(r)]
+                expected = projection_residuals(features, family, grid).residuals
+                mine = rows[t * len(family):(t + 1) * len(family)]
+                assert [row[0] for row in mine] == [str(t)] * len(family)
+                assert [row[1] for row in mine] == [" ".join(map(str, S)) for S in family.labels]
+                assert [float(row[2]) for row in mine] == expected.tolist()
+
+    def test_family_is_evaluated_once_per_run(self, tmp_path, monkeypatch):
+        calls = []
+        original = lowerbound._value_matrix
+
+        def counting(family, grid):
+            calls.append(len(family))
+            return original(family, grid)
+
+        monkeypatch.setattr(cli, "_value_matrix", counting)
+        monkeypatch.setattr(lowerbound, "_value_matrix", counting)
+        code, _, _ = _run(tmp_path, self._DOC, threads=1)
+        assert code == 0
+        assert calls == [3]
+
+
 class TestExitCodes:
     def test_unknown_kind(self, tmp_path):
         code, result, _ = _run(tmp_path, {"kind": "words", "parameters": {}})
@@ -426,6 +480,40 @@ class TestConfigSchema:
             assert code == 3
             _assert_one_line(err, "cap exceeded: ")
             assert fragment in err
+
+    @pytest.mark.parametrize("doc, cap, fragment", [
+        ({"kind": "count_lattice", "parameters": {"k": 10, "d": 2}}, 1000,
+         "count of ball k=10, d=2"),
+        ({"kind": "count_lattice", "parameters": {"k_list": [1, 10], "d_list": [1, 2]}}, 1000,
+         "count of ball k=10, d=2"),
+        ({"kind": "count_lattice", "parameters": {"k": 400, "d": 3}}, None, "k=400, d=3"),
+        (_with(_LBP, family={"type": "gaussian", "L": 2.0, "N": 1e8}), 1000,
+         "gaussian family pool"),
+        (_with(_LBP, family={"type": "gaussian", "L": 2.0, "N": 100}), 1000,
+         "gaussian family pool"),
+        (_with(_LBP, family={"type": "gaussian", "L": 2.0, "N": 2},
+               grid={"nodes_per_dim": 12}), 200, "value matrix of 2 members x 144"),
+        (_with(_LBP, d=10**6, ell=500000, grid={"scheme": "monte_carlo", "sample_count": 1}),
+         None, "C(1000000, 500000)"),
+    ], ids=["count", "count_list", "count_default_cap", "gaussian_N_1e8", "gaussian_pool",
+            "gaussian_values", "symmetric_family_huge_d"])
+    def test_count_and_family_caps_exit_3(self, tmp_path, capsys, monkeypatch, doc, cap,
+                                          fragment):
+        if cap is not None:
+            monkeypatch.setenv("WIDTHLAB_CAP", str(cap))
+        for code, err in _both_commands(tmp_path, capsys, doc):
+            assert code == 3
+            _assert_one_line(err, "cap exceeded: ")
+            assert fragment in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "count_lattice", "parameters": {"k": 1, "d": 5000}},
+        {"kind": "mixture_check", "parameters": {"d": 5000, "k": 0.5, "z_count": 2}},
+    ], ids=["count_lattice", "mixture_check"])
+    def test_thousands_of_dimensions_run(self, tmp_path, capsys, doc):
+        for code, err in _both_commands(tmp_path, capsys, doc):
+            assert code == 0, err
 
     @pytest.mark.parametrize("value", ["lots", "1.5", "0", "-4", ""])
     @pytest.mark.parametrize("doc", [_TRIG, {"kind": "count_lattice",

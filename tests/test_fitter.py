@@ -16,6 +16,7 @@ from widthlab import (
     success_probability,
     wilson_interval,
 )
+from widthlab.fitter import trial_residuals
 
 
 def _features(rng, n, d):
@@ -182,6 +183,24 @@ class TestSuccessProbability:
         with pytest.raises(ParameterOutOfRange):
             success_probability(lambda X: X[:, 0], -0.1, dist, r=1, trials=5,
                                 grid=cube_grid_1d, seed=1)
+
+
+class TestTrialResiduals:
+    """The one trial engine: seeds, shapes and threads."""
+
+    def test_one_row_per_trial_matching_fit_span(self, cube_grid_1d):
+        a = np.abs(cube_grid_1d.nodes[:, 0])
+        b = np.cos(3.0 * cube_grid_1d.nodes[:, 0])
+        dist = DkDistribution(k=2, dimension=1)
+        single = trial_residuals(a, cube_grid_1d, dist, 3, 9, trials=4)
+        many = trial_residuals(np.column_stack([a, b]), cube_grid_1d, dist, 3, 9, trials=4,
+                               threads=2)
+        assert single.shape == (4,) and many.shape == (4, 2)
+        assert_allclose(many[:, 0], single, rtol=1e-12)
+        for t in range(4):
+            feats = _features(np.random.default_rng([9, t]), 3, 1)
+            span = fit_span(feats, lambda X: np.cos(3.0 * X[:, 0]), cube_grid_1d)
+            assert_allclose(many[t, 1], span.l2_error, rtol=1e-12)
 
 
 class TestEstimateMinwidth:

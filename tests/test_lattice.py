@@ -66,6 +66,13 @@ class TestCountBall:
         assert count_ball(0.5, 2) == 1
         assert enumerate_ball(0.99, 4) == [(0, 0, 0, 0)]
 
+    def test_thousands_of_dimensions(self):
+        """Counting loops over nonzero coordinates, so no recursion d deep."""
+        assert count_ball(1, 5000) == 1 + 2 * 5000
+        d = 10**6  # |K|^2 <= 4: one coordinate of size 1 or 2, or two to four of size 1
+        assert count_ball(2, d) == (1 + 4 * d + 4 * math.comb(d, 2) + 8 * math.comb(d, 3)
+                                    + 16 * math.comb(d, 4))
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ParameterOutOfRange):
             count_ball(-0.1, 2)
@@ -98,11 +105,24 @@ class TestEnumerateBall:
             enumerate_ball(4000, 3)
         assert time.monotonic() - start < 1.0
 
+    def test_far_over_cap_in_many_dimensions_fails_fast(self):
+        start = time.perf_counter()
+        for k, d in [(900, 10**6), (30, 5000), (2, 10**6)]:
+            with pytest.raises(CapExceeded):
+                check_ball_cap(k, d)
+        assert time.perf_counter() - start < 1.0
+
     def test_check_ball_cap_is_exact(self):
         # 13 points: the inscribed 3x3 cube passes, the exact count decides
         check_ball_cap(2, 2, cap=13)
         with pytest.raises(CapExceeded):
             check_ball_cap(2, 2, cap=12)
+
+    def test_thousands_of_dimensions(self):
+        ball = enumerate_ball(1, 1500)
+        assert len(ball) == 3001 and ball == sorted(ball)
+        assert ball[0] == (-1,) + (0,) * 1499 and ball[-1] == (1,) + (0,) * 1499
+        assert enumerate_ball(0.5, 5000) == [(0,) * 5000]
 
     def test_zero_index_present(self):
         assert (0, 0, 0) in enumerate_ball(1, 3)

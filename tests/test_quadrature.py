@@ -120,6 +120,18 @@ class TestFunctionals:
         scalar = evaluate_on(scalar_only, cube_grid_1d.nodes)
         assert_allclose(scalar, vectorized, rtol=1e-15)
 
+    def test_evaluate_on_propagates_a_bug_in_a_vectorized_callable(self, cube_grid_1d):
+        """An error no scalar-only callable raises on a batch is not retried row by row."""
+        calls = []
+
+        def buggy(X):
+            calls.append(X.shape)
+            return {"wrong": X[:, 0]}["key"]
+
+        with pytest.raises(KeyError):
+            evaluate_on(buggy, cube_grid_1d.nodes)
+        assert calls == [cube_grid_1d.nodes.shape]
+
     def test_evaluate_on_constant_callable(self, cube_grid_1d):
         vals = evaluate_on(lambda p: 3.0, cube_grid_1d.nodes)
         assert_allclose(vals, np.full(cube_grid_1d.nodes.shape[0], 3.0))

@@ -26,7 +26,6 @@ from widthlab import (
     psi_K,
     ray_members,
     ridge_profile_of_index,
-    sample,
     sample_average_network,
     unit_direction,
     width_bound,
@@ -175,14 +174,14 @@ class TestDkDistribution:
     def test_k_zero_gives_diagonal(self):
         rng = np.random.default_rng(42)
         dist = DkDistribution(k=0, dimension=4)
-        feat = sample(dist, rng)
+        feat = dist.sample_feature(rng)
         assert_allclose(feat.weight, np.full(4, 0.5))
         assert -4.0 <= feat.bias <= 4.0
 
     def test_bias_range(self):
         rng = np.random.default_rng(42)
         dist = DkDistribution(k=2, dimension=2)
-        biases = [sample(dist, rng).bias for _ in range(500)]
+        biases = [dist.sample_feature(rng).bias for _ in range(500)]
         root2 = 2.0 * math.sqrt(2.0)
         assert min(biases) >= -root2 and max(biases) <= root2
         assert min(biases) < -0.8 * root2 and max(biases) > 0.8 * root2
@@ -200,7 +199,7 @@ class TestDkDistribution:
         n = 2600
         counts = dict.fromkeys(dirs, 0)
         for _ in range(n):
-            w = sample(dist, rng).weight
+            w = dist.sample_feature(rng).weight
             counts[tuple(np.round(w, 12))] += 1
         chi2 = sum(
             (counts[key] - n * m / len(ball)) ** 2 / (n * m / len(ball))
@@ -215,7 +214,7 @@ class TestDkDistribution:
             bias_sampler=lambda r: float(r.uniform(-1, 1)),
             weight_sampler=lambda r: np.array([1.0, 0.0]),
         )
-        feat = sample(dist, rng)
+        feat = dist.sample_feature(rng)
         assert_allclose(feat.weight, [1.0, 0.0])
 
     def test_rejects_bad_parameters(self):
