@@ -33,6 +33,7 @@ from .errors import (
     ScaleNotUnit,
     UnsupportedCombination,
     WeightNotInSupport,
+    WeightsNotNormalized,
     WidthlabError,
     WrongMeasure,
 )

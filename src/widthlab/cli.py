@@ -44,6 +44,7 @@ from .errors import (
     ScaleNotUnit,
     UnsupportedCombination,
     WeightNotInSupport,
+    WeightsNotNormalized,
     WrongMeasure,
 )
 from .fitter import estimate_minwidth, success_probability, trial_residuals, wilson_interval
@@ -79,8 +80,8 @@ _EXITS = (  # (exit code, stderr label, the errors reported with them)
                   UnsupportedCombination, ScaleNotUnit, NegativeIndex, InvalidCapSetting)),
     (3, "cap exceeded", (CapExceeded, DegreeCap)),
     (4, "numerical failure", (PackingFailed, OutOfSupport, WeightNotInSupport, NotUnitNorm,
-                              EmptyFeatureList, np.linalg.LinAlgError, FloatingPointError,
-                              OverflowError, OSError)),
+                              WeightsNotNormalized, EmptyFeatureList, np.linalg.LinAlgError,
+                              FloatingPointError, OverflowError, OSError)),
 )
 _HANDLED = tuple(error for _, _, errors in _EXITS for error in errors)
 
@@ -167,8 +168,10 @@ def _convert(key: str, spec: _P, raw, p, params):
     value = int(raw) if spec.type == "int" else float(raw) if spec.type == "real" else raw
     if spec.range and not _RANGES[spec.range](value):
         raise ConfigError(f"parameter {key!r} must be {spec.range}, got {value}")
-    if spec.cap == "ball":
+    if spec.cap == "ball":  # its indices, and a distribution's directions, hold Q d entries
         check_ball_cap(value, p.d)
+        q = count_ball(value, p.d)
+        _cap(f"ball k={value}, d={p.d} of {q} indices x {p.d} coordinates", q * p.d)
     elif spec.cap:
         _cap(f"{key} = {value}", value)
     return value
@@ -319,6 +322,9 @@ def _check_truncation(p) -> None:
         raise ConfigError(f"{p.mode} truncation needs L/epsilon >= {least:g}, got {ratio}")
 
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 def _check_explicit(p) -> None:
     """Plan ``ell`` from ``L`` unless it is given, and build the hard function."""
     p.planned = None
@@ -330,6 +336,12 @@ def _check_explicit(p) -> None:
             raise ConfigError(f"L={p.L}, epsilon={p.epsilon} give a degenerate instance (ell = 0)")
         p.ell = p.planned.ell
     p.hard = explicit_hard_function(p.epsilon, p.ell, p.d)
+    # quarter_family = C(d, ell) / 4 must be a float; lgamma spares the exact
+    # binomial unless it lies near the float limit
+    log_size = math.lgamma(p.d + 1) - math.lgamma(p.ell + 1) - math.lgamma(p.d - p.ell + 1)
+    if log_size > _LOG_FLOAT_MAX + 1 or (
+            log_size > _LOG_FLOAT_MAX - 1 and math.comb(p.d, p.ell) > sys.float_info.max):
+        raise CapExceeded(f"family size C({p.d}, {p.ell}) exceeds the float range")
     _check_sampling(p)
 
 

@@ -45,6 +45,10 @@ class WeightNotInSupport(WidthlabError):
     """Weight vector is not a normalized lattice direction of the ball."""
 
 
+class WeightsNotNormalized(WidthlabError):
+    """Quadrature weights do not sum to 1 within rounding."""
+
+
 class NotUnitNorm(WidthlabError):
     """Family member fails the unit-norm requirement."""
 

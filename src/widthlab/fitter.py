@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import CapExceeded, EmptyFeatureList, ParameterOutOfRange
 from .quadrature import Grid, evaluate_on
-from .relu import ReluFeature, ReluParamDist
+from .relu import ReluFeature, ReluParamDist, feature_arrays
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class FittedSpan:
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         pts = x[None, :] if single else x
-        vals = _design_matrix(self.features, pts) @ self.coefficients
+        vals = _design_matrix(*feature_arrays(self.features), pts) @ self.coefficients
         return float(vals[0]) if single else vals
 
     def to_json_dict(self) -> dict:
@@ -57,8 +57,12 @@ class FittedSpan:
         }
 
 
-def _design_matrix(features, nodes: np.ndarray) -> np.ndarray:
-    return np.column_stack([feat.evaluate(nodes) for feat in features])
+def _design_matrix(W: np.ndarray, b: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """``relu(<w_i, x> - b_i)`` at every node, one column per feature, in one buffer."""
+    z = nodes @ W.T
+    z -= b
+    np.maximum(z, 0.0, out=z)
+    return z
 
 
 def _weighted_lstsq(design: np.ndarray, targets: np.ndarray, weights: np.ndarray,
@@ -88,7 +92,7 @@ def fit_span(features: list[ReluFeature], f, grid: Grid, rcond: float = 1e-10) -
     if not features:
         raise EmptyFeatureList("cannot fit over an empty feature list")
     targets = evaluate_on(f, grid.nodes)
-    design = _design_matrix(features, grid.nodes)
+    design = _design_matrix(*feature_arrays(features), grid.nodes)
     coeffs, residual = _weighted_lstsq(design, targets, grid.weights, rcond)
     return FittedSpan(features=list(features), coefficients=coeffs,
                       l2_error=float(residual), grid_id=grid.spec.label())
@@ -134,8 +138,7 @@ def trial_residuals(targets: np.ndarray, grid: Grid, dist: ReluParamDist, r: int
     """
     def residual(trial: int) -> np.ndarray:
         rng = np.random.default_rng([*np.atleast_1d(seed).tolist(), trial])
-        features = [dist.sample_feature(rng) for _ in range(r)]
-        design = _design_matrix(features, grid.nodes)
+        design = _design_matrix(*dist.sample_batch(rng, r), grid.nodes)
         return _weighted_lstsq(design, targets, grid.weights, rcond)[1]
 
     if threads > 1:

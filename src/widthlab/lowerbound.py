@@ -29,6 +29,7 @@ from .approx import c_ks
 from .fitter import _design_matrix, _weighted_lstsq
 from .lattice import MultiIndex, enumerate_ball
 from .quadrature import GAUSSIAN, Grid, evaluate_on
+from .relu import feature_arrays
 from .trig import SQRT2, eval_T
 
 
@@ -116,7 +117,7 @@ def projection_residuals(features, family: FunctionFamily, grid: Grid,
     if len(features) == 0:
         residuals = np.sum(grid.weights[:, None] * targets**2, axis=0)
     else:
-        design = _design_matrix(features, grid.nodes)
+        design = _design_matrix(*feature_arrays(features), grid.nodes)
         _, norms = _weighted_lstsq(design, targets, grid.weights, rcond)
         residuals = norms**2
     residuals = np.maximum(residuals, 0.0)
@@ -296,8 +297,8 @@ def gaussian_hard_family(L: float, N: int, d: int, seed, grid: Grid,
     pool = rng.standard_normal((max(N * pool_factor, 64), d))
     pool /= np.linalg.norm(pool, axis=1, keepdims=True)
     chosen = [pool[0]]
+    separation = 1.0 - np.abs(pool @ pool[0])  # from the nearest chosen direction
     for _ in range(1, N):
-        separation = np.min(1.0 - np.abs(pool @ np.array(chosen).T), axis=1)
         best = int(np.argmax(separation))
         if separation[best] < min_separation:
             raise PackingFailed(
@@ -305,6 +306,7 @@ def gaussian_hard_family(L: float, N: int, d: int, seed, grid: Grid,
                 f"separation >= {min_separation} in dimension {d}"
             )
         chosen.append(pool[best])
+        np.minimum(separation, 1.0 - np.abs(pool @ pool[best]), out=separation)
 
     labels, members = [], []
     for i, v in enumerate(chosen):

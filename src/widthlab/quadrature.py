@@ -24,6 +24,7 @@ from .errors import (
     DimensionMismatch,
     ParameterOutOfRange,
     UnsupportedCombination,
+    WeightsNotNormalized,
     WrongMeasure,
 )
 from .lattice import MultiIndex
@@ -83,6 +84,8 @@ def make_grid(spec: QuadratureSpec, cap: int | None = None) -> Grid:
         Unknown measure/scheme names or missing scheme parameters.
     CapExceeded
         Tensor grids with ``nodes_per_dim^d`` beyond the active cap.
+    WeightsNotNormalized
+        The realized weights do not sum to 1 within ``1e-12``.
     """
     if spec.measure not in (UNIFORM_CUBE, GAUSSIAN):
         raise UnsupportedCombination(f"unknown measure {spec.measure!r}")
@@ -119,9 +122,10 @@ def make_grid(spec: QuadratureSpec, cap: int | None = None) -> Grid:
     else:
         raise UnsupportedCombination(f"unknown scheme {spec.scheme!r}")
 
+    if not abs(weights.sum() - 1.0) <= 1e-12:
+        raise WeightsNotNormalized(f"{spec.label()} weights sum to {weights.sum()!r}, not 1")
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    assert abs(weights.sum() - 1.0) <= 1e-12
     return Grid(spec=spec, nodes=nodes, weights=weights)
 
 

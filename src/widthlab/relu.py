@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -66,6 +67,12 @@ class ReluFeature:
         return float(out) if out.ndim == 0 else out
 
 
+def feature_arrays(features) -> tuple[np.ndarray, np.ndarray]:
+    """The weights ``W (r, d)`` and biases ``b (r,)`` of a feature list."""
+    return (np.array([feat.weight for feat in features]),
+            np.array([feat.bias for feat in features], dtype=float))
+
+
 @dataclass(frozen=True)
 class RidgeProfile:
     """Boundary data and curvature of a ridge function on [-sqrt(d), sqrt(d)]."""
@@ -102,9 +109,16 @@ def psi(profile: RidgeProfile, d: int, b) -> float | np.ndarray:
     if d < 1:
         raise ParameterOutOfRange(f"dimension must be >= 1, got {d}")
     root = math.sqrt(d)
+    if np.ndim(b) == 0:  # the same pieces without array boxing
+        x = float(b)
+        if x < -2.0 * root or x > 2.0 * root:
+            raise OutOfSupport(f"bias outside [-2 sqrt(d), 2 sqrt(d)] = [{-2*root}, {2*root}]")
+        if x < -1.5 * root:
+            return (16.0 / root) * profile.value_left - 4.0 * profile.slope_left
+        if x < -root:
+            return -(16.0 / root) * profile.value_left + 12.0 * profile.slope_left
+        return 4.0 * root * float(profile.curvature(x)) if x <= root else 0.0
     arr = np.asarray(b, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
     if np.any(arr < -2.0 * root) or np.any(arr > 2.0 * root):
         raise OutOfSupport(f"bias outside [-2 sqrt(d), 2 sqrt(d)] = [{-2*root}, {2*root}]")
     out = np.zeros_like(arr)
@@ -115,7 +129,7 @@ def psi(profile: RidgeProfile, d: int, b) -> float | np.ndarray:
     out[mid_lo] = -(16.0 / root) * profile.value_left + 12.0 * profile.slope_left
     if np.any(core):
         out[core] = 4.0 * root * _call_curvature(profile.curvature, arr[core])
-    return float(out[0]) if scalar else out
+    return out
 
 
 def ridge_profile_of_index(K: MultiIndex, rho: float, d: int) -> RidgeProfile:
@@ -145,9 +159,12 @@ def ridge_profile_of_index(K: MultiIndex, rho: float, d: int) -> RidgeProfile:
     )
 
 
+_index_profile = lru_cache(maxsize=4096)(ridge_profile_of_index)
+
+
 def psi_K(K: MultiIndex, rho: float, d: int, b) -> float | np.ndarray:
     """Mixture density reconstructing the basis ridge ``T_K(rho x)``."""
-    return psi(ridge_profile_of_index(K, rho, d), d, b)
+    return psi(_index_profile(tuple(K), rho, d), d, b)
 
 
 def phi_K(K: MultiIndex, rho: float, z) -> float | np.ndarray:
@@ -182,6 +199,12 @@ class ReluParamDist:
     def sample_feature(self, rng: np.random.Generator) -> ReluFeature:
         raise NotImplementedError
 
+    def sample_batch(self, rng: np.random.Generator, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """``r`` features as ``(W (r, d), b (r,))``, drawn as ``r`` successive
+        :meth:`sample_feature` calls draw them.
+        """
+        return feature_arrays([self.sample_feature(rng) for _ in range(r)])
+
 
 @dataclass
 class DkDistribution(ReluParamDist):
@@ -190,12 +213,14 @@ class DkDistribution(ReluParamDist):
     The weight is ``K/|K|`` for ``K`` drawn index-uniformly from the lattice
     ball of radius ``k`` (the zero index mapping to the diagonal direction).
     The distribution is permutation-symmetric because the ball is.
+    ``directions`` holds the direction of every ball index, one row each.
     """
 
     k: float
     dimension: int
     cap: int | None = None
     _ball: list[MultiIndex] = field(init=False, repr=False)
+    directions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 0:
@@ -203,12 +228,66 @@ class DkDistribution(ReluParamDist):
         if self.dimension < 1:
             raise ParameterOutOfRange(f"dimension must be >= 1, got {self.dimension}")
         self._ball = enumerate_ball(self.k, self.dimension, self.cap)
+        self.directions = np.array([unit_direction(K, self.dimension) for K in self._ball])
+        self.directions.setflags(write=False)
+
+    def sample_indices(self, rng: np.random.Generator, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ball indices (rows of ``directions``) and biases of ``r`` features.
+
+        Each feature takes one scalar index draw and then one scalar bias
+        draw, as :meth:`sample_feature` does, so the width-``r`` batch is the
+        prefix of every wider batch from the same generator state.
+        """
+        integers, uniform = rng.integers, rng.uniform
+        Q, half = len(self._ball), 2.0 * math.sqrt(self.dimension)
+        idx, b = np.empty(r, dtype=np.intp), np.empty(r)
+        for i in range(r):
+            idx[i] = integers(Q)
+            b[i] = uniform(-half, half)
+        return idx, b
+
+    def sample_batch(self, rng: np.random.Generator, r: int) -> tuple[np.ndarray, np.ndarray]:
+        idx, b = self.sample_indices(rng, r)
+        return self.directions[idx], b
 
     def sample_feature(self, rng: np.random.Generator) -> ReluFeature:
-        K = self._ball[int(rng.integers(len(self._ball)))]
-        root = math.sqrt(self.dimension)
-        bias = float(rng.uniform(-2.0 * root, 2.0 * root))
-        return ReluFeature(bias, unit_direction(K, self.dimension))
+        W, b = self.sample_batch(rng, 1)
+        return ReluFeature(float(b[0]), W[0])
+
+    @cached_property
+    def rays(self) -> tuple[np.ndarray, list[list[MultiIndex]]]:
+        """The ray of every ball index, and each ray's members as :func:`ray_members` lists them.
+
+        A ray is keyed by its primitive lattice vector ``K / gcd(K)``; the zero
+        index joins the diagonal ray, first, and the other members follow in
+        increasing multiple.
+        """
+        ids: dict[MultiIndex, int] = {}
+        ray_of = np.empty(len(self._ball), dtype=np.intp)
+        rays: list[list[tuple[int, MultiIndex]]] = []
+        for q, K in enumerate(self._ball):
+            g = math.gcd(*K)
+            key = tuple(c // g for c in K) if g else (1,) * self.dimension
+            ray = ids.setdefault(key, len(rays))
+            if ray == len(rays):
+                rays.append([])
+            rays[ray].append((g, K))
+            ray_of[q] = ray
+        return ray_of, [[K for _, K in sorted(members)] for members in rays]
+
+    def importance_weights(self, P: TrigPolynomial, idx: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``h(b_i, w_i)`` of features given by ball index and bias, as :func:`h_weight`
+        computes it; the rays, ``Q`` and the check of ``P`` serve every feature.
+        """
+        _check_terms(P, self.k, self.dimension)
+        ray_of, rays = self.rays
+        ray_ids = ray_of[idx]
+        out = np.empty(len(b))
+        for ray in np.unique(ray_ids):
+            members, sel = rays[ray], ray_ids == ray
+            out[sel] = len(self._ball) / len(members) * _ray_sum(members, P, self.dimension,
+                                                                 b[sel])
+        return out
 
 
 @dataclass
@@ -256,27 +335,36 @@ def ray_members(w: np.ndarray, k: float, d: int, atol: float = 1e-8) -> list[Mul
     return members
 
 
-def h_weight(b: float, w: np.ndarray, P: TrigPolynomial, k: float, d: int) -> float:
-    """Importance weight making ``E[h(b,w) relu(<w,x> - b)] = P(x)`` under D_k.
-
-    ``h(b, w) = (Q_{k,d} / |ray(w)|) * sum_{K in ray(w)} beta_K psi_K(b)``,
-    where ``ray(w)`` collects the ball indices whose direction is ``w``.
-    """
+def _check_terms(P: TrigPolynomial, k: float, d: int) -> None:
     if P.dimension != d:
         raise ParameterOutOfRange(f"polynomial dimension {P.dimension} != {d}")
     bound_sq = radius_sq_bound(k)
     for K in P.terms:
         if l2_norm_sq(K) > bound_sq:
             raise ParameterOutOfRange(f"coefficient index {K} lies outside the radius-{k} ball")
-    members = ray_members(w, k, d)
-    if not members:
-        raise WeightNotInSupport(f"direction {w!r} matches no lattice ray of radius {k}")
+
+
+def _ray_sum(members: list[MultiIndex], P: TrigPolynomial, d: int, b):
+    """``sum_{K in members} beta_K psi_K(b)`` in member order, for a scalar or array ``b``."""
     total = 0.0
     for K in members:
         beta = P.terms.get(K, 0.0)
         if beta != 0.0:
             total += beta * psi_K(K, P.scale, d, b)
-    return count_ball(k, d) / len(members) * total
+    return total
+
+
+def h_weight(b: float, w: np.ndarray, P: TrigPolynomial, k: float, d: int) -> float:
+    """Importance weight making ``E[h(b,w) relu(<w,x> - b)] = P(x)`` under D_k.
+
+    ``h(b, w) = (Q_{k,d} / |ray(w)|) * sum_{K in ray(w)} beta_K psi_K(b)``,
+    where ``ray(w)`` collects the ball indices whose direction is ``w``.
+    """
+    _check_terms(P, k, d)
+    members = ray_members(w, k, d)
+    if not members:
+        raise WeightNotInSupport(f"direction {w!r} matches no lattice ray of radius {k}")
+    return count_ball(k, d) / len(members) * _ray_sum(members, P, d, b)
 
 
 def width_bound(beta_bar: float, d: int, k: float, Q: int, epsilon: float, delta: float) -> int:
@@ -311,23 +399,27 @@ def sample_average_network(P: TrigPolynomial, r: int, dist: DkDistribution,
         raise UnsupportedCombination("sample-average networks require a D_k distribution")
     if r < 1:
         raise ParameterOutOfRange(f"width must be a positive integer, got {r}")
-    rng = np.random.default_rng(seed)
-    features, coeffs = [], np.empty(r)
-    for i in range(r):
-        feat = dist.sample_feature(rng)
-        features.append(feat)
-        coeffs[i] = h_weight(feat.bias, feat.weight, P, dist.k, dist.dimension) / r
-    design = _design_matrix(features, grid.nodes)
-    approx = design @ coeffs
+    idx, b = dist.sample_indices(np.random.default_rng(seed), r)
+    W = dist.directions[idx]
+    coeffs = dist.importance_weights(P, idx, b) / r
+    approx = _design_matrix(W, b, grid.nodes) @ coeffs
     err = l2_error(P.evaluate, lambda nodes: approx, grid)
-    return FittedSpan(features=features, coefficients=coeffs, l2_error=err,
-                      grid_id=grid.spec.label())
+    return FittedSpan(features=[ReluFeature(float(bias), w) for bias, w in zip(b, W)],
+                      coefficients=coeffs, l2_error=err, grid_id=grid.spec.label())
+
+
+@lru_cache(maxsize=None)
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    t, u = np.polynomial.legendre.leggauss(order)
+    t.setflags(write=False)
+    u.setflags(write=False)
+    return t, u
 
 
 def _gauss_legendre_piece(f, lo: float, hi: float, order: int = 64) -> float:
     if hi <= lo:
         return 0.0
-    t, u = np.polynomial.legendre.leggauss(order)
+    t, u = _legendre_rule(order)
     mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
     return float(half * np.sum(u * f(mid + half * t)))
 

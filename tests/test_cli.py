@@ -408,6 +408,9 @@ _TRIG = {"kind": "approx_trig",
 _LBP = {"kind": "lb_projection",
         "parameters": {"d": 2, "ell": 1, "r": 1, "trials": 2, "seed": 3}}
 _MIX = {"kind": "mixture_check", "parameters": {"d": 1, "k": 1}}
+_EXPLICIT = {"kind": "lb_explicit",  # sized so that only the family size matters
+             "parameters": {"epsilon": 0.1, "r": 1, "trials": 1, "seed": 1, "dist": {"k": 0.5},
+                            "grid": {"scheme": "monte_carlo", "sample_count": 2}}}
 
 
 def _with(base, **changes):
@@ -471,8 +474,10 @@ class TestConfigSchema:
         (_with(_FIT, d=3, dist={"k": 4000}), None, "ball"),
         (_with(_MIX, k=10, z_count=5), 10, "ball"),
         (_with(_TRIG, d=3, grid={"nodes_per_dim": 100}), 1000, "tensor grid"),
+        (_with(_FIT, d=5000, dist={"k": 1}, grid={"scheme": "monte_carlo", "sample_count": 1}),
+         None, "10001 indices x 5000 coordinates"),
     ], ids=["z_count", "trials_x_r", "design", "symmetric_family", "ball_family",
-            "dist_ball", "mixture_ball", "grid"])
+            "dist_ball", "mixture_ball", "grid", "dist_direction_table"])
     def test_size_caps_exit_3(self, tmp_path, capsys, monkeypatch, doc, cap, fragment):
         if cap is not None:
             monkeypatch.setenv("WIDTHLAB_CAP", str(cap))
@@ -495,8 +500,12 @@ class TestConfigSchema:
                grid={"nodes_per_dim": 12}), 200, "value matrix of 2 members x 144"),
         (_with(_LBP, d=10**6, ell=500000, grid={"scheme": "monte_carlo", "sample_count": 1}),
          None, "C(1000000, 500000)"),
+        (_with(_EXPLICIT, d=10**6, ell=500000), None,
+         "family size C(1000000, 500000) exceeds the float range"),
+        (_with(_EXPLICIT, d=1030, ell=515), None, "family size C(1030, 515)"),
     ], ids=["count", "count_list", "count_default_cap", "gaussian_N_1e8", "gaussian_pool",
-            "gaussian_values", "symmetric_family_huge_d"])
+            "gaussian_values", "symmetric_family_huge_d", "explicit_family_huge_d",
+            "explicit_family_just_past_float"])
     def test_count_and_family_caps_exit_3(self, tmp_path, capsys, monkeypatch, doc, cap,
                                           fragment):
         if cap is not None:
@@ -506,6 +515,15 @@ class TestConfigSchema:
             _assert_one_line(err, "cap exceeded: ")
             assert fragment in err
         assert not (tmp_path / "o").exists()
+
+    def test_explicit_family_just_inside_float_runs(self, tmp_path, capsys):
+        doc = _with(_EXPLICIT, d=1029, ell=514)
+        for code, err in _both_commands(tmp_path, capsys, doc):
+            assert code == 0, err
+        code, result, _ = _run(tmp_path, doc)
+        assert code == 0
+        assert result["results"]["family_size"] == math.comb(1029, 514)
+        assert result["results"]["quarter_family"] == math.comb(1029, 514) / 4.0
 
     @pytest.mark.parametrize("doc", [
         {"kind": "count_lattice", "parameters": {"k": 1, "d": 5000}},

@@ -16,7 +16,8 @@ from widthlab import (
     success_probability,
     wilson_interval,
 )
-from widthlab.fitter import trial_residuals
+from widthlab.fitter import _design_matrix, trial_residuals
+from widthlab.relu import feature_arrays
 
 
 def _features(rng, n, d):
@@ -201,6 +202,17 @@ class TestTrialResiduals:
             feats = _features(np.random.default_rng([9, t]), 3, 1)
             span = fit_span(feats, lambda X: np.cos(3.0 * X[:, 0]), cube_grid_1d)
             assert_allclose(many[t, 1], span.l2_error, rtol=1e-12)
+
+    def test_design_of_feature_list_equals_design_of_arrays(self, cube_grid_2d):
+        dist = DkDistribution(k=2, dimension=2)
+        feats = _features(np.random.default_rng([4, 1]), 30, 2)
+        W, b = dist.sample_batch(np.random.default_rng([4, 1]), 30)
+        nodes = cube_grid_2d.nodes
+        design = _design_matrix(W, b, nodes)
+        assert np.array_equal(_design_matrix(*feature_arrays(feats), nodes), design)
+        assert design.shape == (len(nodes), 30)
+        columns = np.column_stack([feat.evaluate(nodes) for feat in feats])
+        assert_allclose(design, columns, rtol=0.0, atol=1e-15)
 
 
 class TestEstimateMinwidth:

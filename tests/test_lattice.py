@@ -99,7 +99,7 @@ class TestEnumerateBall:
             enumerate_ball(5, 6, cap=1000)
 
     def test_far_over_cap_fails_before_exact_count(self):
-        # the exact count alone takes seconds at k = 400, d = 3
+        # the exact count alone (0.04 s at k = 400, d = 3) grows about as k^3
         start = time.monotonic()
         with pytest.raises(CapExceeded):
             enumerate_ball(4000, 3)

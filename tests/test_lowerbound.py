@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from widthlab import (
+    GAUSSIAN,
     DkDistribution,
     FunctionFamily,
     NotUnitNorm,
@@ -26,6 +27,7 @@ from widthlab import (
     projection_residuals,
     randict_bound,
     sobolev_lb_parameters,
+    tensor_gauss_grid,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -321,6 +323,23 @@ class TestGaussianFamily:
             members.append(lambda nodes, _r=raw, _n=norm: _r(nodes) / _n)
         fam = FunctionFamily(labels=[0, 1], members=members, dimension=2)
         assert coherence(fam, gauss_grid_2d) <= 1e-6
+
+    @pytest.mark.parametrize("d, N, seed", [(2, 6, 42), (3, 20, 1), (3, 40, 7), (5, 25, 3)])
+    def test_running_minimum_picks_the_quadratic_rule_directions(self, d, N, seed):
+        """The greedy packing with all separations recomputed at every step."""
+        grid = tensor_gauss_grid(GAUSSIAN, d, 3)
+        rng = np.random.default_rng(seed)
+        pool = rng.standard_normal((max(N * 32, 64), d))
+        pool /= np.linalg.norm(pool, axis=1, keepdims=True)
+        chosen = [pool[0]]
+        for _ in range(1, N):
+            separation = np.min(1.0 - np.abs(pool @ np.array(chosen).T), axis=1)
+            chosen.append(pool[int(np.argmax(separation))])
+        fam = gaussian_hard_family(2.0, N, d, seed, grid)
+        for v, member in zip(chosen, fam.members):
+            raw = np.sin(2.0 * (grid.nodes @ v))
+            norm = math.sqrt(float(np.sum(grid.weights * raw**2)))
+            assert np.array_equal(member(grid.nodes), raw / norm)
 
     def test_packing_failure_in_one_dimension(self, gauss_grid_1d):
         """d = 1 admits a single axial direction; asking for two fails."""

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from widthlab import (
     TENSOR_GAUSS,
     UNIFORM_CUBE,
     UnsupportedCombination,
+    WeightsNotNormalized,
     WrongMeasure,
     eval_T,
     evaluate_on,
@@ -32,6 +37,28 @@ class TestTensorGauss:
         for measure in (UNIFORM_CUBE, GAUSSIAN):
             g = tensor_gauss_grid(measure, 2, 7)
             assert_allclose(np.sum(g.weights), 1.0, rtol=1e-14)
+
+    def test_weights_off_one_raise_a_typed_error_under_optimization(self, monkeypatch):
+        """The weight-sum check is a raise, not an assert, so ``python -O`` keeps it."""
+        from widthlab import quadrature
+
+        def skewed(measure, n):
+            x, w = np.polynomial.legendre.leggauss(n)
+            return x, w / 2.0 * 1.01
+
+        monkeypatch.setattr(quadrature, "_gauss_1d", skewed)
+        with pytest.raises(WeightsNotNormalized, match="sum to"):
+            tensor_gauss_grid(UNIFORM_CUBE, 2, 5)
+        code = ("import numpy as np; from widthlab import quadrature as q\n"
+                "q._gauss_1d = lambda m, n: (np.zeros(n), np.full(n, 1.01 / n))\n"
+                "try:\n    q.tensor_gauss_grid(q.UNIFORM_CUBE, 1, 4)\n"
+                "except q.WeightsNotNormalized:\n    print('raised')\n")
+        src = str(Path(quadrature.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.stdout.strip() == "raised", out.stderr
 
     def test_two_point_gaussian_rule(self):
         """n = 2 Gauss-Hermite nodes for unit-variance weight are +-1."""

@@ -14,6 +14,7 @@ from widthlab import (
     ReluFeature,
     RidgeProfile,
     TrigPolynomial,
+    UNIFORM_CUBE,
     UnsupportedCombination,
     WeightNotInSupport,
     count_ball,
@@ -27,6 +28,7 @@ from widthlab import (
     ray_members,
     ridge_profile_of_index,
     sample_average_network,
+    tensor_gauss_grid,
     unit_direction,
     width_bound,
 )
@@ -146,6 +148,30 @@ class TestPsiK:
             ref = mixture_quad(lambda b: psi_K(K, 1.0, d, float(b)), d, z)
             assert_allclose(got, ref, atol=1e-10)
 
+    def test_scalar_path_matches_vector_path(self):
+        """A scalar bias takes its own path; it agrees with the array path to 1e-15."""
+        for d in (1, 2, 3):
+            root = math.sqrt(d)
+            b = np.concatenate([np.linspace(-2.0 * root, 2.0 * root, 41),
+                                [-1.5 * root, -root, root]])
+            for K in enumerate_ball(2, d):
+                for rho in (0.5, 1.0):
+                    vector = psi_K(K, rho, d, b)
+                    scalar = [psi_K(K, rho, d, float(v)) for v in b]
+                    assert all(isinstance(v, float) for v in scalar)
+                    assert_allclose(scalar, vector, rtol=1e-15, atol=0.0)
+        with pytest.raises(OutOfSupport):
+            psi_K((1,), 1.0, 1, 2.5)
+
+    def test_mixture_expectation_reuses_its_gauss_rule(self, monkeypatch):
+        before = mixture_expectation((1, 0), 0.5, 2, 0.3)
+
+        def rebuilt(order):
+            raise AssertionError("the Gauss-Legendre rule was rebuilt")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", rebuilt)
+        assert mixture_expectation((1, 0), 0.5, 2, 0.3) == before
+
 
 class TestFeatureAlgebra:
     """ReLU features and direction helpers."""
@@ -207,6 +233,21 @@ class TestDkDistribution:
         )
         assert chi2 <= stats.chi2.ppf(0.9999, df=len(dirs) - 1)
 
+    def test_batch_is_sequential_draws_and_prefix_of_wider_batch(self):
+        for k, d in [(2, 2), (2.5, 3), (0, 4)]:
+            dist = DkDistribution(k=k, dimension=d)
+            for K, row in zip(enumerate_ball(k, d), dist.directions):
+                assert np.array_equal(row, unit_direction(K, d))
+            for seed, t in [(7, 0), (7, 3), (123, 1)]:
+                W_max, b_max = dist.sample_batch(np.random.default_rng([seed, t]), 50)
+                for r in (1, 5, 50):
+                    rng = np.random.default_rng([seed, t])
+                    feats = [dist.sample_feature(rng) for _ in range(r)]
+                    W, b = dist.sample_batch(np.random.default_rng([seed, t]), r)
+                    assert np.array_equal(W, np.array([f.weight for f in feats]))
+                    assert np.array_equal(b, np.array([f.bias for f in feats]))
+                    assert np.array_equal(W, W_max[:r]) and np.array_equal(b, b_max[:r])
+
     def test_custom_distribution_sampling(self):
         rng = np.random.default_rng(42)
         dist = CustomDistribution(
@@ -257,6 +298,16 @@ class TestRayMembers:
                 for K in members:
                     assert tuple(np.round(unit_direction(K, d), 12)) == key
             assert total == count_ball(k, d)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 2.5, 4])
+    def test_compiled_rays_equal_ray_members(self, k, d):
+        dist = DkDistribution(k=k, dimension=d)
+        ray_of, rays = dist.rays
+        assert sum(len(members) for members in rays) == count_ball(k, d)
+        for K, w, ray in zip(enumerate_ball(k, d), dist.directions, ray_of):
+            assert K in rays[ray]
+            assert rays[ray] == ray_members(w, k, d)
 
 
 class TestHWeight:
@@ -379,6 +430,30 @@ class TestSampleAverageNetwork:
         assert len(span.features) == 8
         assert span.coefficients.shape == (8,)
         assert span.grid_id == cube_grid_1d.spec.label()
+
+    @pytest.mark.parametrize("d, k, terms", [
+        (1, 2, {(0,): 0.3, (1,): 0.7, (2,): -0.4, (-1,): 0.2}),
+        (2, 2, {(0, 0): 0.5, (1, 1): -0.3, (1, 0): 0.8, (2, 0): 0.6, (0, -1): -0.5,
+                (-1, 1): 0.4}),
+    ])
+    def test_coefficients_match_per_feature_h_weight(self, d, k, terms):
+        """Rays compiled once give the weights h_weight gives feature by feature."""
+        P = TrigPolynomial(terms, dimension=d)
+        dist = DkDistribution(k=k, dimension=d)
+        grid = tensor_gauss_grid(UNIFORM_CUBE, d, 8)
+        r = 400
+        span = sample_average_network(P, r, dist, seed=[5, d], grid=grid)
+        oracle = [h_weight(f.bias, f.weight, P, k, d) / r for f in span.features]
+        assert_allclose(span.coefficients, oracle, rtol=1e-12, atol=0.0)
+        rng = np.random.default_rng([5, d])
+        assert [f.bias for f in span.features] == [dist.sample_feature(rng).bias
+                                                   for _ in range(r)]
+
+    def test_polynomial_outside_ball_rejected(self, cube_grid_1d):
+        P = TrigPolynomial({(3,): 1.0})
+        with pytest.raises(ParameterOutOfRange):
+            sample_average_network(P, 4, DkDistribution(k=2, dimension=1), seed=1,
+                                   grid=cube_grid_1d)
 
     def test_requires_dk_distribution(self, cube_grid_1d):
         P = TrigPolynomial({(1,): 0.7})
