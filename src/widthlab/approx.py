@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, ParameterOutOfRange, ScaleNotUnit
+from .errors import CapExceeded, ParameterOutOfRange, ScaleNotUnit, WrongMeasure
 from .lattice import IndexClass, MultiIndex, classify, enumerate_ball, negate
-from .quadrature import Grid, evaluate_on, l2_error, trig_coefficient
-from .trig import TrigPolynomial
+from .quadrature import UNIFORM_CUBE, Grid, evaluate_on
+from .trig import TrigPolynomial, eval_T
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,35 @@ class TruncationReport:
         }
 
 
-def _coefficients_on_ball(f, k: float, grid: Grid, cap=None) -> dict[MultiIndex, float]:
-    return {K: trig_coefficient(f, K, grid) for K in enumerate_ball(k, grid.dimension, cap)}
+def _residual(f_vals: np.ndarray, approx: np.ndarray, grid: Grid) -> float:
+    """``||f - approx||_mu`` on the grid, as :func:`l2_error` forms it."""
+    diff = f_vals - approx
+    return float(np.sqrt(np.sum(grid.weights * diff * diff)))
+
+
+def _truncate_on_ball(f, k: float, grid: Grid, cap=None) -> tuple[TrigPolynomial, float]:
+    """Coefficients of ``f`` on the radius-``k`` ball and the measured residual.
+
+    One pass over the ball with one evaluation of ``f``: each coefficient is
+    ``sum(w f T_K)`` as :func:`trig_coefficient` forms it, and the truncation
+    is summed in ball order as ``TrigPolynomial.evaluate`` sums it, so both
+    agree bit for bit with the per-index route.
+    """
+    if grid.spec.measure != UNIFORM_CUBE:
+        raise WrongMeasure("trig coefficients require the uniform cube measure")
+    ball = enumerate_ball(k, grid.dimension, cap)
+    f_vals = evaluate_on(f, grid.nodes)
+    fw = grid.weights * f_vals
+    terms: dict[MultiIndex, float] = {}
+    approx = np.zeros(grid.nodes.shape[0])
+    for K in ball:
+        t = eval_T(K, grid.nodes)
+        beta = float(np.sum(fw * t))
+        terms[K] = beta
+        if beta != 0.0:
+            approx += beta * t
+    poly = TrigPolynomial(terms, scale=1.0, dimension=grid.dimension)
+    return poly, _residual(f_vals, approx, grid)
 
 
 def truncate_periodic(f, lipschitz: float, epsilon: float, grid: Grid, cap=None) -> TruncationReport:
@@ -69,9 +96,7 @@ def truncate_periodic(f, lipschitz: float, epsilon: float, grid: Grid, cap=None)
             f"periodic truncation needs L/eps >= 2, got {lipschitz / epsilon}"
         )
     k = lipschitz / (2.0 * epsilon)
-    poly = TrigPolynomial(_coefficients_on_ball(f, k, grid, cap), scale=1.0,
-                          dimension=grid.dimension)
-    residual = l2_error(f, poly.evaluate, grid)
+    poly, residual = _truncate_on_ball(f, k, grid, cap)
     return TruncationReport(poly, k, residual, poly.max_coefficient())
 
 
@@ -162,7 +187,7 @@ def reflect_and_truncate(f, lipschitz: float, epsilon: float, grid: Grid,
             best_nu, best_err = nu, err
 
     poly = shift_polynomial_to_half_scale(ptilde, best_nu)
-    residual = l2_error(f, poly.evaluate, grid)
+    residual = _residual(f_vals, poly.evaluate(grid.nodes), grid)
     return TruncationReport(poly, inner.degree_radius, residual,
                             poly.max_coefficient(), orthant=best_nu)
 
@@ -178,9 +203,7 @@ def truncate_sobolev(f, s: int, gamma: float, epsilon: float, grid: Grid, cap=No
     if gamma <= 0 or epsilon <= 0:
         raise ParameterOutOfRange("gamma and epsilon must be positive")
     k = math.sqrt(s) * gamma ** (1.0 / s) / (2.0 * epsilon) ** (1.0 / s)
-    poly = TrigPolynomial(_coefficients_on_ball(f, k, grid, cap), scale=1.0,
-                          dimension=grid.dimension)
-    residual = l2_error(f, poly.evaluate, grid)
+    poly, residual = _truncate_on_ball(f, k, grid, cap)
     return TruncationReport(poly, k, residual, poly.max_coefficient())
 
 

@@ -55,6 +55,7 @@ def classify(K: MultiIndex) -> IndexClass:
     return IndexClass.ZERO
 
 
+@lru_cache(maxsize=256)
 def radius_sq_bound(k: float) -> int:
     """Largest integer ``n`` with ``n <= k^2``, computed exactly.
 

@@ -385,13 +385,24 @@ def width_bound(beta_bar: float, d: int, k: float, Q: int, epsilon: float, delta
     return max(1, math.ceil(raw))
 
 
+# Bytes of design matrix that ``sample_average_network`` holds at once: the
+# network is evaluated in row blocks of about this size, not in one (n, r)
+# buffer.  Blocks hold a multiple of 8 rows, so a BLAS that takes rows in
+# groups (of 4 in OpenBLAS's gemv) groups them as it does in one buffer and
+# gives the same bits on one thread.
+_BLOCK_BYTES = 2 * 2**20
+_BLOCK_ALIGN = 8
+
+
 def sample_average_network(P: TrigPolynomial, r: int, dist: DkDistribution,
                            seed, grid: Grid):
     """Monte Carlo network ``(1/r) sum_i h(b_i, w_i) relu(<w_i, x> - b_i)``.
 
     Draws ``r`` features from ``dist``, attaches the importance weight of each
     divided by ``r``, and reports the measured L2 error against ``P`` on the
-    grid.  Error decays like ``1/sqrt(r)``.
+    grid.  Error decays like ``1/sqrt(r)``.  The network is evaluated a block
+    of grid rows at a time, so its design matrix takes about ``_BLOCK_BYTES``
+    (at least 8 rows) whatever the grid size.
     """
     from .fitter import FittedSpan, _design_matrix  # deferred: fitter imports from here
 
@@ -402,7 +413,11 @@ def sample_average_network(P: TrigPolynomial, r: int, dist: DkDistribution,
     idx, b = dist.sample_indices(np.random.default_rng(seed), r)
     W = dist.directions[idx]
     coeffs = dist.importance_weights(P, idx, b) / r
-    approx = _design_matrix(W, b, grid.nodes) @ coeffs
+    approx = np.empty(len(grid.nodes))
+    rows = max(1, _BLOCK_BYTES // (8 * r * _BLOCK_ALIGN)) * _BLOCK_ALIGN
+    for start in range(0, len(grid.nodes), rows):
+        block = slice(start, start + rows)
+        approx[block] = _design_matrix(W, b, grid.nodes[block]) @ coeffs
     err = l2_error(P.evaluate, lambda nodes: approx, grid)
     return FittedSpan(features=[ReluFeature(float(bias), w) for bias, w in zip(b, W)],
                       coefficients=coeffs, l2_error=err, grid_id=grid.spec.label())

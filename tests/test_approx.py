@@ -6,18 +6,25 @@ import pytest
 from numpy.testing import assert_allclose
 
 from widthlab import (
+    MONTE_CARLO,
+    UNIFORM_CUBE,
     CapExceeded,
     ParameterOutOfRange,
+    QuadratureSpec,
     ScaleNotUnit,
     TrigPolynomial,
+    WrongMeasure,
     c_ks,
     enumerate_ball,
     eval_T,
+    l2_error,
+    make_grid,
     partial_derivative,
     reflect_and_truncate,
     shift_polynomial_to_half_scale,
     sobolev_norm_from_coeffs,
     tensor_gauss_grid,
+    trig_coefficient,
     truncate_periodic,
     truncate_sobolev,
 )
@@ -173,6 +180,79 @@ class TestTruncateSobolev:
     def test_invalid_order(self, cube_grid_1d):
         with pytest.raises(ParameterOutOfRange):
             truncate_sobolev(lambda X: X[:, 0], 0, 8.0, 1.0, cube_grid_1d)
+
+
+class CountingTarget:
+    """A target that records the nodes of every call it gets."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, []
+
+    def __call__(self, X):
+        self.calls.append(np.array(X, dtype=float))
+        return self.f(X)
+
+
+def _vector_target(X):
+    return np.sin(1.5 * X[:, 0]) * np.cos(X[:, -1]) + 0.3 * np.abs(X[:, 0])
+
+
+def _scalar_target(p):
+    # math.cos of a row fails on a batch, which sends evaluate_on to its row loop
+    return math.cos(p[0]) * abs(p[1]) + 0.25 * p[0]
+
+
+_MC_GRID = make_grid(QuadratureSpec(UNIFORM_CUBE, MONTE_CARLO, 2, sample_count=500, seed=3))
+# (truncation, its arguments between f and the grid); both keep the radius-3 ball
+_TRUNCATIONS = [(truncate_periodic, (6.0, 1.0)), (truncate_sobolev, (1, 6.0, 1.0))]
+
+
+class TestOnePassTruncation:
+    """One evaluation of the target serves every coefficient and the residual."""
+
+    @pytest.mark.parametrize("truncate, args", _TRUNCATIONS)
+    def test_target_evaluated_once(self, truncate, args, cube_grid_2d):
+        target = CountingTarget(_vector_target)
+        report = truncate(target, *args, cube_grid_2d)
+        assert report.degree_radius == 3.0
+        assert len(target.calls) == 1
+
+    def test_reflection_evaluates_folded_nodes_then_nodes(self, cube_grid_2d):
+        target = CountingTarget(_vector_target)
+        reflect_and_truncate(target, 2.0, 0.5, cube_grid_2d)
+        assert len(target.calls) == 2
+        folded, nodes = target.calls
+        assert np.array_equal(folded, 2.0 * np.abs(cube_grid_2d.nodes) - 1.0)
+        assert np.array_equal(nodes, cube_grid_2d.nodes)
+
+    @pytest.mark.parametrize("truncate, args", _TRUNCATIONS)
+    @pytest.mark.parametrize("f, grid_name", [
+        (_vector_target, "tensor"), (_scalar_target, "tensor"), (_vector_target, "mc"),
+    ], ids=["vectorized", "scalar_only", "monte_carlo"])
+    def test_bitwise_equal_to_per_index_coefficients(self, truncate, args, f, grid_name,
+                                                    cube_grid_2d):
+        grid = cube_grid_2d if grid_name == "tensor" else _MC_GRID
+        report = truncate(f, *args, grid)
+        terms = report.polynomial.terms
+        ball = enumerate_ball(report.degree_radius, 2)
+        expected = {K: trig_coefficient(f, K, grid) for K in ball}
+        assert terms == {K: beta for K, beta in expected.items() if beta != 0.0}
+        assert list(terms) == [K for K in ball if K in terms]
+        assert report.residual_estimate == l2_error(f, report.polynomial.evaluate, grid)
+
+    @pytest.mark.parametrize("f", [_vector_target, _scalar_target],
+                             ids=["vectorized", "scalar_only"])
+    def test_reflection_residual_bitwise_equal_to_l2_error(self, f, cube_grid_2d):
+        report = reflect_and_truncate(f, 2.0, 0.5, cube_grid_2d)
+        assert report.residual_estimate == l2_error(f, report.polynomial.evaluate,
+                                                    cube_grid_2d)
+
+    @pytest.mark.parametrize("truncate, args", _TRUNCATIONS)
+    def test_gaussian_grid_is_the_wrong_measure(self, truncate, args, gauss_grid_2d):
+        target = CountingTarget(_vector_target)
+        with pytest.raises(WrongMeasure):
+            truncate(target, *args, gauss_grid_2d)
+        assert target.calls == []
 
 
 class TestDerivativeEnergy:

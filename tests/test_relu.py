@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,9 @@ from widthlab import (
     unit_direction,
     width_bound,
 )
+from widthlab import relu
+from widthlab.fitter import _design_matrix
+from widthlab.quadrature import l2_error
 
 from oracles import dk_expectation, mixture_quad
 
@@ -448,6 +452,34 @@ class TestSampleAverageNetwork:
         rng = np.random.default_rng([5, d])
         assert [f.bias for f in span.features] == [dist.sample_feature(rng).bias
                                                    for _ in range(r)]
+
+    @pytest.mark.parametrize("r, nodes_per_dim", [(4096, 25), (64, 24)],
+                             ids=["ragged_last_block", "one_short_block"])
+    def test_blocks_equal_one_buffer(self, r, nodes_per_dim):
+        """Row blocks give the network values one (n, r) design matrix gives, bit for bit."""
+        grid = tensor_gauss_grid(UNIFORM_CUBE, 2, nodes_per_dim)
+        align = relu._BLOCK_ALIGN
+        rows, n = align * max(1, relu._BLOCK_BYTES // (8 * r * align)), len(grid.nodes)
+        assert (rows < n and n % rows != 0) if r == 4096 else n < rows
+        P = TrigPolynomial({(0, 0): 0.3, (1, 2): 0.5, (-2, 1): -0.4, (0, -4): 0.1})
+        span = sample_average_network(P, r, DkDistribution(k=4, dimension=2), seed=9,
+                                      grid=grid)
+        W = np.array([f.weight for f in span.features])
+        b = np.array([f.bias for f in span.features])
+        reference = _design_matrix(W, b, grid.nodes) @ span.coefficients
+        assert span.l2_error == l2_error(P.evaluate, lambda nodes: reference, grid)
+
+    def test_traced_peak_stays_small(self, cube_grid_2d):
+        """At r = 4096 on a 24^2 grid one design buffer alone would take 18.9 MB."""
+        P = TrigPolynomial({(0, 0): 0.3, (1, 2): 0.5, (-2, 1): -0.4, (0, -4): 0.1})
+        dist = DkDistribution(k=4, dimension=2)
+        tracemalloc.start()
+        try:
+            sample_average_network(P, 4096, dist, seed=9, grid=cube_grid_2d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
     def test_polynomial_outside_ball_rejected(self, cube_grid_1d):
         P = TrigPolynomial({(3,): 1.0})
