@@ -97,9 +97,21 @@ def _fmt(value) -> str:
     return "%.17g" % x
 
 
+def _write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then move it over ``path``,
+    so a reader never sees a partly written file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def _write_lines(path: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def emit_curve(points, path: str) -> None:
@@ -410,17 +422,15 @@ def _run_hermite_check(p, run: _Run) -> dict:
 
 
 def _success_curve(f, p, run: _Run) -> list[dict]:
-    """Success probability at each width of ``p.r``; writes the curve CSV."""
+    """Success probability at each width of ``p.r``, from one factorization per
+    trial at the widest; writes the curve CSV."""
     dist = DkDistribution(k=p.dist.k, dimension=p.d)
     grid = make_grid(p.grid)
-    points, curve = [], []
-    for r in p.r:
-        est = success_probability(f, p.epsilon, dist, r, p.trials, grid, p.seed,
-                                  threads=run.threads)
-        points.append((r, est.probability, est.ci_lo, est.ci_hi))
-        curve.append(est.to_json_dict())
-    emit_curve(points, run.path("curve.csv"))
-    return curve
+    estimates = success_probability(f, p.epsilon, dist, p.r, p.trials, grid, p.seed,
+                                    threads=run.threads)
+    emit_curve([(est.r, est.probability, est.ci_lo, est.ci_hi) for est in estimates],
+               run.path("curve.csv"))
+    return [est.to_json_dict() for est in estimates]
 
 
 def _run_fit_curve(p, run: _Run) -> dict:
@@ -607,7 +617,7 @@ def run_config(config_path: str, out_dir: str = ".", threads: int | None = None,
         raw, cfg = _load_config(config_path)
         p = _parse(cfg, seed_override)
         prefix = cfg.get("output_path") or cfg["kind"]
-        threads = threads if threads else (os.cpu_count() or 1)
+        threads = threads or 1  # a pool pays only on tall multi-target solves
         run = _Run(out_dir=out_dir, prefix=str(prefix), threads=int(threads))
         os.makedirs(out_dir, exist_ok=True)
         results = _KINDS[cfg["kind"]][0](p, run)
@@ -628,9 +638,7 @@ def run_config(config_path: str, out_dir: str = ".", threads: int | None = None,
         "results": results,
     }
     result_path = os.path.join(out_dir, f"{prefix}_result.json")
-    with open(result_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_atomic(result_path, json.dumps(doc, indent=2) + "\n")
     print(result_path)
     return 0, doc
 
@@ -656,7 +664,7 @@ def main(argv=None) -> int:
     run_p.add_argument("--config", required=True, help="path to a JSON experiment config")
     run_p.add_argument("--out-dir", default=".", help="directory for CSV/JSON artifacts")
     run_p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for trial loops (default: all cores)")
+                       help="worker threads for chunks of trials (default: 1)")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
     val_p = sub.add_parser("validate", help="check a config without running it")
     val_p.add_argument("--config", required=True, help="path to a JSON experiment config")

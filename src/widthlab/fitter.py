@@ -1,16 +1,19 @@
 """Least-squares fitting over random ReLU spans and empirical width search.
 
 The L2 projection of a target onto the span of ``r`` sampled features is
-realized as weighted least squares on a quadrature grid (SVD pseudo-inverse,
-relative cutoff ``rcond``).  On top of that sit Monte Carlo estimates of the
+realized as weighted least squares on a quadrature grid: one Householder QR
+of the weighted design, then the SVD of a leading block of ``R`` with the
+rank cut of ``np.linalg.lstsq`` (singular values at most ``rcond`` times the
+largest count as zero).  On top of that sit Monte Carlo estimates of the
 success probability ``P[inf-over-span error <= eps]`` and a doubling-plus-
 bisection search for the smallest width reaching a target success rate.
 
 All randomness flows through ``numpy`` generators seeded per trial as
-``default_rng([seed, trial])``, so results are independent of thread count
-and of the order trials complete, and feature draws are *coupled* across
-widths: trial ``t`` at width ``r+1`` extends the same draw used at width
-``r`` by one more feature, making residuals monotone per trial.
+``default_rng([seed, trial])``, so results do not depend on how trials are
+grouped, and feature draws are *coupled* across widths: trial ``t`` at width
+``r+1`` extends the same draw used at width ``r`` by one more feature, making
+residuals monotone per trial.  So one factorization per trial, at the widest
+width a run asks for, gives the residual at every narrower width.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import math
 from concurrent import futures
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -65,29 +69,97 @@ def _design_matrix(W: np.ndarray, b: np.ndarray, nodes: np.ndarray) -> np.ndarra
     return z
 
 
+# Bytes of stacked weighted designs that ``trial_residuals`` factors at once,
+# as ``relu._BLOCK_BYTES`` bounds the network's row blocks.
+_CHUNK_BYTES = 2 * 2**20
+
+
+def _weighted(targets: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The square roots of the weights, and the targets scaled by them as ``(n, m)``."""
+    root_w = np.sqrt(weights)
+    return root_w, targets.reshape(len(targets), -1) * root_w[:, None]
+
+
+def _factor(designs, count: int, w: int, root_w: np.ndarray,
+            rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One Householder QR per design ``A`` of ``designs``, ``count`` of them of shape ``(n, w)``.
+
+    The designs are weighted by ``root_w`` into one stacked buffer.  Returns
+    ``R`` of shape ``(count, min(n, w), w)`` with ``A = Q R``, and ``C`` of
+    shape ``(count, q, m)``: its first ``min(n, w)`` rows are ``Q^T rhs`` and
+    the rest hold the targets' part orthogonal to every column of ``Q``, so
+    the part of ``rhs`` outside the span of ``Q``'s first ``k`` columns has
+    the norm of ``C[:, k:]``.  With fewer targets than columns the targets
+    join the factorization as ``[A | rhs]`` and ``C`` is read off its ``R``;
+    otherwise ``Q`` is formed and the misfit ``rhs - Q Q^T rhs`` becomes one
+    row of norms, which costs less for many targets.
+    """
+    n, m = rhs.shape
+    joined = m < w
+    stack = np.empty((count, n, w + m if joined else w))
+    for i, design in enumerate(designs):
+        np.multiply(design, root_w[:, None], out=stack[i, :, :w])
+    if joined:
+        stack[:, :, w:] = rhs
+        full = np.linalg.qr(stack, mode="r")
+        return full[:, :min(n, w), :w], full[:, :, w:]
+    Q, R = np.linalg.qr(stack)
+    C = Q.mT @ rhs
+    misfit = Q @ C
+    np.subtract(rhs, misfit, out=misfit)
+    np.square(misfit, out=misfit)
+    return R, np.concatenate([C, np.sqrt(np.sum(misfit, axis=1, keepdims=True))], axis=1)
+
+
+def _solve_prefix(R: np.ndarray, C: np.ndarray, r: int, rcond: float,
+                  coefficients: bool = False):
+    """Residual norms ``(c, m)`` of the targets against the first ``r`` columns.
+
+    The part outside the span of ``Q``'s first ``k = min(r, n)`` columns is
+    the norm of ``C[:, k:]``.  The part inside comes from the SVD of the
+    leading block ``R[:k, :r]``, whose singular values are those of the
+    first ``r`` design columns: the targets' components along the left
+    singular vectors whose singular values ``np.linalg.lstsq`` would treat as
+    zero (at most ``rcond`` times the largest) stay in the residual.  So this
+    is the residual of ``lstsq`` on those columns, with its rank cut, for
+    ``r > n`` too.  With ``coefficients`` it also returns lstsq's minimum-norm
+    coefficients ``(c, r, m)``.
+    """
+    k = min(r, R.shape[1])
+    U, s, Vt = np.linalg.svd(R[:, :k, :r], full_matrices=False)
+    kept = (s > rcond * s[:, :1])[:, :, None]
+    along = U.mT @ C[:, :k]
+    norms = np.sqrt(np.sum(C[:, k:] ** 2, axis=1)
+                    + np.sum(np.where(kept, 0.0, along) ** 2, axis=1))
+    if not coefficients:
+        return norms
+    scaled = np.divide(along, s[:, :, None], out=np.zeros_like(along), where=kept)
+    return norms, Vt.mT @ scaled
+
+
 def _weighted_lstsq(design: np.ndarray, targets: np.ndarray, weights: np.ndarray,
                     rcond: float) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize sum_i w_i (design_i . c - targets_i)^2; targets may be (n, m).
+    """Minimize sum_i w_i (design_i . c - targets_i)^2 for one design; targets may be (n, m).
 
-    Returns (coefficients, residual norms) with residuals recomputed from the
-    product so rank-deficient systems report correctly.
+    Returns (coefficients, residual norms) through the factorization the
+    trial engine uses, so a list of features gives the bits a trial with the
+    same draws gives.
     """
-    root_w = np.sqrt(weights)
-    scaled = design * root_w[:, None]
-    rhs = targets * (root_w[:, None] if targets.ndim == 2 else root_w)
-    coeffs = np.linalg.lstsq(scaled, rhs, rcond=rcond)[0]
-    misfit = scaled @ coeffs - rhs
+    root_w, rhs = _weighted(targets, weights)
+    w = design.shape[1]
+    R, C = _factor([design], 1, w, root_w, rhs)
+    norms, coeffs = _solve_prefix(R, C, w, rcond, coefficients=True)
     if targets.ndim == 2:
-        return coeffs, np.sqrt(np.sum(misfit**2, axis=0))
-    return coeffs, np.sqrt(np.sum(misfit**2))
+        return coeffs[0], norms[0]
+    return coeffs[0, :, 0], norms[0, 0]
 
 
 def fit_span(features: list[ReluFeature], f, grid: Grid, rcond: float = 1e-10) -> FittedSpan:
     """Project ``f`` onto the span of the features, in the grid's L2 norm.
 
-    Duplicate or nearly parallel features are handled by the SVD cutoff; the
-    residual is invariant to feature order and duplication because the span
-    is.
+    Duplicate or nearly parallel features are handled by the rank cut at
+    ``rcond``; the residual is invariant to feature order and duplication
+    because the span is.
     """
     if not features:
         raise EmptyFeatureList("cannot fit over an empty feature list")
@@ -127,42 +199,87 @@ class SuccessEstimate:
         }
 
 
-def trial_residuals(targets: np.ndarray, grid: Grid, dist: ReluParamDist, r: int, seed,
+def _draw(dist: ReluParamDist, w: int, seed, trial: int) -> tuple[np.ndarray, np.ndarray]:
+    """Trial ``trial``'s first ``w`` features, from ``default_rng([seed, trial])``."""
+    return dist.sample_batch(np.random.default_rng([*np.atleast_1d(seed).tolist(), trial]), w)
+
+
+def _each_chunk(work, rhs: np.ndarray, root_w: np.ndarray, grid: Grid, dist: ReluParamDist,
+                w: int, seed, trials, threads: int) -> None:
+    """Call ``work(ids, R, C)`` with :func:`_factor` of the width-``w`` draws of ``trials``.
+
+    Trials are factored a chunk at a time: the chunk's stacked designs, with
+    its targets or its misfits beside them, take about ``_CHUNK_BYTES``.
+    With ``threads > 1`` the chunks run on a pool of that many threads;
+    ``work`` stores its results by trial id, so no result depends on the
+    order the chunks finish in.
+    """
+    n, m = rhs.shape
+    per_chunk = max(1, _CHUNK_BYTES // (8 * n * (w + m)))
+
+    def chunk(start: int) -> None:
+        ids = trials[start:start + per_chunk]
+        designs = (_design_matrix(*_draw(dist, w, seed, t), grid.nodes) for t in ids)
+        work(ids, *_factor(designs, len(ids), w, root_w, rhs))
+
+    starts = range(0, len(trials), per_chunk)
+    if threads > 1 and len(starts) > 1:
+        with futures.ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(chunk, starts))
+    else:
+        for start in starts:
+            chunk(start)
+
+
+def trial_residuals(targets: np.ndarray, grid: Grid, dist: ReluParamDist, r, seed,
                     trials: int, threads: int = 1, rcond: float = 1e-10) -> np.ndarray:
     """Residual norms of ``targets`` against the span of ``r`` random features, per trial.
 
-    Trial ``t`` draws its features from ``default_rng([seed, t])`` and solves
-    one weighted least squares; ``targets`` of shape ``(n,)`` give one norm per
-    trial, shape ``(n, m)`` one row of ``m`` norms per trial.  Trials run on
-    ``threads`` workers without changing any result.
+    Trial ``t`` draws its features from ``default_rng([seed, t])``.  ``r`` is
+    one width or a list of widths; the draws are coupled, so each trial is
+    drawn and factored once, at the widest, and every width reads its
+    residual from a leading block of that factor (:func:`_solve_prefix`).
+    ``targets`` of shape ``(n,)`` give one norm per trial and width, shape
+    ``(n, m)`` a row of ``m`` norms; a list ``r`` adds a width axis after the
+    trial axis.  Trials run in stacked chunks, on ``threads`` workers when
+    that is more than one, without changing any result.
     """
-    def residual(trial: int) -> np.ndarray:
-        rng = np.random.default_rng([*np.atleast_1d(seed).tolist(), trial])
-        design = _design_matrix(*dist.sample_batch(rng, r), grid.nodes)
-        return _weighted_lstsq(design, targets, grid.weights, rcond)[1]
+    widths = [int(v) for v in np.atleast_1d(r)]
+    root_w, rhs = _weighted(targets, grid.weights)
+    out = np.empty((trials, len(widths), rhs.shape[1]))
 
-    if threads > 1:
-        with futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            return np.array(list(pool.map(residual, range(trials))))
-    return np.array([residual(t) for t in range(trials)])
+    def solve(ids, R, C):
+        for j, width in enumerate(widths):
+            out[ids, j] = _solve_prefix(R, C, width, rcond)
+
+    _each_chunk(solve, rhs, root_w, grid, dist, max(widths), seed, np.arange(trials), threads)
+    if np.ndim(r) == 0:
+        out = out[:, 0]
+    return out if targets.ndim == 2 else out[..., 0]
 
 
-def success_probability(f, epsilon: float, dist: ReluParamDist, r: int, trials: int,
-                        grid: Grid, seed, threads: int = 1,
-                        rcond: float = 1e-10) -> SuccessEstimate:
-    """Fraction of independent trials whose fitted span reaches error <= eps."""
+def success_probability(f, epsilon: float, dist: ReluParamDist, r, trials: int,
+                        grid: Grid, seed, threads: int = 1, rcond: float = 1e-10):
+    """Fraction of independent trials whose fitted span reaches error <= eps.
+
+    ``r`` is one width, giving one :class:`SuccessEstimate`, or a list of
+    widths, giving one estimate per width from one factorization per trial.
+    """
     if trials < 1:
         raise ParameterOutOfRange(f"trials must be >= 1, got {trials}")
-    if r < 1:
-        raise ParameterOutOfRange(f"width must be >= 1, got {r}")
+    if np.ndim(r) not in (0, 1) or np.size(r) < 1 or np.min(r) < 1:
+        raise ParameterOutOfRange(f"widths must be >= 1, got {r}")
     if epsilon <= 0:
         raise ParameterOutOfRange(f"epsilon must be positive, got {epsilon}")
     residuals = trial_residuals(evaluate_on(f, grid.nodes), grid, dist, r, seed, trials,
                                 threads, rcond)
-    successes = int(np.count_nonzero(residuals <= epsilon))
-    lo, hi = wilson_interval(successes, trials)
-    return SuccessEstimate(probability=successes / trials, ci_lo=lo, ci_hi=hi,
-                           trials=trials, r=r, epsilon=epsilon)
+    estimates = []
+    for width, passed in zip(np.atleast_1d(r), np.atleast_2d(residuals.T <= epsilon)):
+        successes = int(np.count_nonzero(passed))
+        lo, hi = wilson_interval(successes, trials)
+        estimates.append(SuccessEstimate(probability=successes / trials, ci_lo=lo, ci_hi=hi,
+                                         trials=trials, r=int(width), epsilon=epsilon))
+    return estimates[0] if np.ndim(r) == 0 else estimates
 
 
 @dataclass(frozen=True)
@@ -185,37 +302,79 @@ class MinWidthEstimate:
         }
 
 
+def _first_passing(R: np.ndarray, C: np.ndarray, lo: int, hi: int, epsilon: float,
+                   rcond: float) -> np.ndarray:
+    """Per trial, the first width in ``(lo, hi]`` whose residual is <= ``epsilon``.
+
+    Every trial's residual passes at ``hi`` and fails at ``lo`` (``lo = 0``
+    fails by definition); residuals never rise with the width, so bisection
+    on the leading blocks of the width-``hi`` factor finds the width.  Trials
+    at the same step of the bisection share one stacked solve.
+    """
+    lo, hi = np.full(len(R), lo), np.full(len(R), hi)
+    while np.any(open_ := hi - lo > 1):
+        mid = (lo + hi) // 2
+        for width in np.unique(mid[open_]):
+            sel = np.flatnonzero(open_ & (mid == width))
+            passed = _solve_prefix(R[sel], C[sel], int(width), rcond)[:, 0] <= epsilon
+            hi[sel[passed]] = width
+            lo[sel[~passed]] = width
+    return hi
+
+
 def estimate_minwidth(f, epsilon: float, delta: float, dist: ReluParamDist,
                       grid: Grid, trials: int, r_max: int, seed,
                       threads: int = 1) -> MinWidthEstimate:
     """Doubling then bisection for the smallest width with success >= 1 - delta.
 
     Per-trial seeds depend only on (seed, trial), so the feature draws are
-    nested across widths and the empirical success curve is monotone up to
-    MC noise; bisection against it returns the smallest tested passing width.
+    nested across widths and each trial's residual never rises with the
+    width: success at width ``r`` is ``#{t : r*_t <= r} / trials``, with
+    ``r*_t`` the first width at which trial ``t`` reaches ``epsilon``.  At
+    each doubling width the trials that have not yet passed are drawn and
+    factored once; those that pass find their ``r*_t`` by bisection on
+    leading blocks of that factor, which is then dropped.  The doubling and
+    the bisection over success probabilities are replayed from the ``r*_t``
+    alone, so ``search_trace`` lists the probes a search solving every
+    trial at every probed width makes.
     """
     if not 0.0 < delta < 1.0:
         raise ParameterOutOfRange(f"delta must be in (0, 1), got {delta}")
     if r_max < 1:
         raise ParameterOutOfRange(f"r_max must be >= 1, got {r_max}")
-    threshold = 1.0 - delta
+    if trials < 1:
+        raise ParameterOutOfRange(f"trials must be >= 1, got {trials}")
+    if epsilon <= 0:
+        raise ParameterOutOfRange(f"epsilon must be positive, got {epsilon}")
+    threshold, rcond = 1.0 - delta, 1e-10  # success_probability's rank cut
+    root_w, rhs = _weighted(evaluate_on(f, grid.nodes), grid.weights)
+    first = np.zeros(trials, dtype=np.intp)  # r*_t, or 0 while trial t has not passed
     trace: list[tuple[int, float]] = []
 
     def probe(r: int) -> float:
-        est = success_probability(f, epsilon, dist, r, trials, grid, seed, threads)
-        trace.append((r, est.probability))
-        return est.probability
+        prob = int(np.count_nonzero((first > 0) & (first <= r))) / trials
+        trace.append((r, prob))
+        return prob
+
+    def find_first(r: int, last_fail: int, ids, R, C) -> None:
+        passed = _solve_prefix(R, C, r, rcond)[:, 0] <= epsilon
+        if np.any(passed):
+            first[ids[passed]] = _first_passing(R[passed], C[passed], last_fail, r, epsilon,
+                                                rcond)
 
     r, last_fail = 1, 0
-    prob = probe(r)
-    while prob < threshold:
+    while True:
+        _each_chunk(partial(find_first, r, last_fail), rhs, root_w, grid, dist, r, seed,
+                    np.flatnonzero(first == 0), threads)
+        prob = probe(r)
+        if prob >= threshold:
+            break
         if r >= r_max:
             raise CapExceeded(
                 f"no width <= {r_max} reached success probability {threshold}"
             )
         last_fail = r
         r = min(2 * r, r_max)
-        prob = probe(r)
 
     lo = last_fail
     hi, hi_prob = r, prob
