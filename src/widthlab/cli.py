@@ -617,7 +617,7 @@ def run_config(config_path: str, out_dir: str = ".", threads: int | None = None,
         raw, cfg = _load_config(config_path)
         p = _parse(cfg, seed_override)
         prefix = cfg.get("output_path") or cfg["kind"]
-        threads = threads or 1  # a pool pays only on tall multi-target solves
+        threads = threads or 1  # recorded only: trials run on the calling thread
         run = _Run(out_dir=out_dir, prefix=str(prefix), threads=int(threads))
         os.makedirs(out_dir, exist_ok=True)
         results = _KINDS[cfg["kind"]][0](p, run)
@@ -664,7 +664,7 @@ def main(argv=None) -> int:
     run_p.add_argument("--config", required=True, help="path to a JSON experiment config")
     run_p.add_argument("--out-dir", default=".", help="directory for CSV/JSON artifacts")
     run_p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for chunks of trials (default: 1)")
+                       help="recorded in the result JSON; changes no work (default: 1)")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
     val_p = sub.add_parser("validate", help="check a config without running it")
     val_p.add_argument("--config", required=True, help="path to a JSON experiment config")

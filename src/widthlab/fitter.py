@@ -19,7 +19,6 @@ width a run asks for, gives the residual at every narrower width.
 from __future__ import annotations
 
 import math
-from concurrent import futures
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -69,9 +68,13 @@ def _design_matrix(W: np.ndarray, b: np.ndarray, nodes: np.ndarray) -> np.ndarra
     return z
 
 
-# Bytes of stacked weighted designs that ``trial_residuals`` factors at once,
+# Bytes of stacked weighted designs that ``width_residuals`` factors at once,
 # as ``relu._BLOCK_BYTES`` bounds the network's row blocks.
 _CHUNK_BYTES = 2 * 2**20
+
+# Rank cut of every solve: singular values at most ``_RCOND`` times the
+# largest count as zero, as in ``np.linalg.lstsq(..., rcond=_RCOND)``.
+_RCOND = 1e-10
 
 
 def _weighted(targets: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,7 +107,7 @@ def _factor(designs, count: int, w: int, root_w: np.ndarray,
         full = np.linalg.qr(stack, mode="r")
         return full[:, :min(n, w), :w], full[:, :, w:]
     Q, R = np.linalg.qr(stack)
-    C = Q.mT @ rhs
+    C = np.swapaxes(Q, -1, -2) @ rhs
     misfit = Q @ C
     np.subtract(rhs, misfit, out=misfit)
     np.square(misfit, out=misfit)
@@ -128,13 +131,13 @@ def _solve_prefix(R: np.ndarray, C: np.ndarray, r: int, rcond: float,
     k = min(r, R.shape[1])
     U, s, Vt = np.linalg.svd(R[:, :k, :r], full_matrices=False)
     kept = (s > rcond * s[:, :1])[:, :, None]
-    along = U.mT @ C[:, :k]
+    along = np.swapaxes(U, -1, -2) @ C[:, :k]
     norms = np.sqrt(np.sum(C[:, k:] ** 2, axis=1)
                     + np.sum(np.where(kept, 0.0, along) ** 2, axis=1))
     if not coefficients:
         return norms
     scaled = np.divide(along, s[:, :, None], out=np.zeros_like(along), where=kept)
-    return norms, Vt.mT @ scaled
+    return norms, np.swapaxes(Vt, -1, -2) @ scaled
 
 
 def _weighted_lstsq(design: np.ndarray, targets: np.ndarray, weights: np.ndarray,
@@ -154,7 +157,7 @@ def _weighted_lstsq(design: np.ndarray, targets: np.ndarray, weights: np.ndarray
     return coeffs[0, :, 0], norms[0, 0]
 
 
-def fit_span(features: list[ReluFeature], f, grid: Grid, rcond: float = 1e-10) -> FittedSpan:
+def fit_span(features: list[ReluFeature], f, grid: Grid, rcond: float = _RCOND) -> FittedSpan:
     """Project ``f`` onto the span of the features, in the grid's L2 norm.
 
     Duplicate or nearly parallel features are handled by the rank cut at
@@ -205,46 +208,34 @@ def _draw(dist: ReluParamDist, w: int, seed, trial: int) -> tuple[np.ndarray, np
 
 
 def _each_chunk(work, rhs: np.ndarray, root_w: np.ndarray, grid: Grid, dist: ReluParamDist,
-                w: int, seed, trials, threads: int) -> None:
+                w: int, seed, trials) -> None:
     """Call ``work(ids, R, C)`` with :func:`_factor` of the width-``w`` draws of ``trials``.
 
-    Trials are factored a chunk at a time: the chunk's stacked designs, with
-    its targets or its misfits beside them, take about ``_CHUNK_BYTES``.
-    With ``threads > 1`` the chunks run on a pool of that many threads;
-    ``work`` stores its results by trial id, so no result depends on the
-    order the chunks finish in.
+    Trials are factored a chunk at a time, in order: the chunk's stacked
+    designs, with its targets or its misfits beside them, take about
+    ``_CHUNK_BYTES``.
     """
     n, m = rhs.shape
     per_chunk = max(1, _CHUNK_BYTES // (8 * n * (w + m)))
-
-    def chunk(start: int) -> None:
+    for start in range(0, len(trials), per_chunk):
         ids = trials[start:start + per_chunk]
         designs = (_design_matrix(*_draw(dist, w, seed, t), grid.nodes) for t in ids)
         work(ids, *_factor(designs, len(ids), w, root_w, rhs))
 
-    starts = range(0, len(trials), per_chunk)
-    if threads > 1 and len(starts) > 1:
-        with futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(chunk, starts))
-    else:
-        for start in starts:
-            chunk(start)
 
+def width_residuals(targets: np.ndarray, grid: Grid, dist: ReluParamDist, widths, seed,
+                    trials: int, rcond: float = _RCOND) -> np.ndarray:
+    """Residual norms of ``targets`` against the span of the first ``r`` random
+    features of each trial, for every ``r`` of ``widths``.
 
-def trial_residuals(targets: np.ndarray, grid: Grid, dist: ReluParamDist, r, seed,
-                    trials: int, threads: int = 1, rcond: float = 1e-10) -> np.ndarray:
-    """Residual norms of ``targets`` against the span of ``r`` random features, per trial.
-
-    Trial ``t`` draws its features from ``default_rng([seed, t])``.  ``r`` is
-    one width or a list of widths; the draws are coupled, so each trial is
-    drawn and factored once, at the widest, and every width reads its
-    residual from a leading block of that factor (:func:`_solve_prefix`).
-    ``targets`` of shape ``(n,)`` give one norm per trial and width, shape
-    ``(n, m)`` a row of ``m`` norms; a list ``r`` adds a width axis after the
-    trial axis.  Trials run in stacked chunks, on ``threads`` workers when
-    that is more than one, without changing any result.
+    Trial ``t`` draws its features from ``default_rng([seed, t])``.  The draws
+    are coupled, so each trial is drawn and factored once, at the widest
+    width, and every width reads its residual from a leading block of that
+    factor (:func:`_solve_prefix`).  Returns shape ``(trials, len(widths))``
+    for targets of shape ``(n,)`` and ``(trials, len(widths), m)`` for
+    targets of shape ``(n, m)``.
     """
-    widths = [int(v) for v in np.atleast_1d(r)]
+    widths = [int(v) for v in widths]
     root_w, rhs = _weighted(targets, grid.weights)
     out = np.empty((trials, len(widths), rhs.shape[1]))
 
@@ -252,34 +243,48 @@ def trial_residuals(targets: np.ndarray, grid: Grid, dist: ReluParamDist, r, see
         for j, width in enumerate(widths):
             out[ids, j] = _solve_prefix(R, C, width, rcond)
 
-    _each_chunk(solve, rhs, root_w, grid, dist, max(widths), seed, np.arange(trials), threads)
-    if np.ndim(r) == 0:
-        out = out[:, 0]
+    _each_chunk(solve, rhs, root_w, grid, dist, max(widths), seed, np.arange(trials))
     return out if targets.ndim == 2 else out[..., 0]
 
 
+def trial_residuals(targets: np.ndarray, grid: Grid, dist: ReluParamDist, r: int, seed,
+                    trials: int, threads: int = 1, rcond: float = _RCOND) -> np.ndarray:
+    """Residual norms of ``targets`` against the span of ``r`` random features, per trial.
+
+    :func:`width_residuals` at the one width ``r``: ``targets`` of shape
+    ``(n,)`` give one norm per trial, shape ``(n, m)`` one row of ``m`` norms
+    per trial.  ``threads`` is accepted for callers that pass it; trials
+    run in order on the calling thread.
+    """
+    return width_residuals(targets, grid, dist, [r], seed, trials, rcond)[:, 0]
+
+
 def success_probability(f, epsilon: float, dist: ReluParamDist, r, trials: int,
-                        grid: Grid, seed, threads: int = 1, rcond: float = 1e-10):
+                        grid: Grid, seed, threads: int = 1, rcond: float = _RCOND):
     """Fraction of independent trials whose fitted span reaches error <= eps.
 
     ``r`` is one width, giving one :class:`SuccessEstimate`, or a list of
-    widths, giving one estimate per width from one factorization per trial.
+    widths, giving one estimate per width from one factorization per trial
+    (:func:`width_residuals`).  ``threads`` changes nothing, as in
+    :func:`trial_residuals`.
     """
+    single = np.ndim(r) == 0
+    widths = [r] if single else list(r)
     if trials < 1:
         raise ParameterOutOfRange(f"trials must be >= 1, got {trials}")
-    if np.ndim(r) not in (0, 1) or np.size(r) < 1 or np.min(r) < 1:
+    if not widths or min(widths) < 1:
         raise ParameterOutOfRange(f"widths must be >= 1, got {r}")
     if epsilon <= 0:
         raise ParameterOutOfRange(f"epsilon must be positive, got {epsilon}")
-    residuals = trial_residuals(evaluate_on(f, grid.nodes), grid, dist, r, seed, trials,
-                                threads, rcond)
+    residuals = width_residuals(evaluate_on(f, grid.nodes), grid, dist, widths, seed, trials,
+                                rcond)
     estimates = []
-    for width, passed in zip(np.atleast_1d(r), np.atleast_2d(residuals.T <= epsilon)):
+    for width, passed in zip(widths, (residuals <= epsilon).T):
         successes = int(np.count_nonzero(passed))
         lo, hi = wilson_interval(successes, trials)
         estimates.append(SuccessEstimate(probability=successes / trials, ci_lo=lo, ci_hi=hi,
                                          trials=trials, r=int(width), epsilon=epsilon))
-    return estimates[0] if np.ndim(r) == 0 else estimates
+    return estimates[0] if single else estimates
 
 
 @dataclass(frozen=True)
@@ -302,8 +307,8 @@ class MinWidthEstimate:
         }
 
 
-def _first_passing(R: np.ndarray, C: np.ndarray, lo: int, hi: int, epsilon: float,
-                   rcond: float) -> np.ndarray:
+def _first_passing(R: np.ndarray, C: np.ndarray, lo: int, hi: int,
+                   epsilon: float) -> np.ndarray:
     """Per trial, the first width in ``(lo, hi]`` whose residual is <= ``epsilon``.
 
     Every trial's residual passes at ``hi`` and fails at ``lo`` (``lo = 0``
@@ -316,7 +321,7 @@ def _first_passing(R: np.ndarray, C: np.ndarray, lo: int, hi: int, epsilon: floa
         mid = (lo + hi) // 2
         for width in np.unique(mid[open_]):
             sel = np.flatnonzero(open_ & (mid == width))
-            passed = _solve_prefix(R[sel], C[sel], int(width), rcond)[:, 0] <= epsilon
+            passed = _solve_prefix(R[sel], C[sel], int(width), _RCOND)[:, 0] <= epsilon
             hi[sel[passed]] = width
             lo[sel[~passed]] = width
     return hi
@@ -336,7 +341,8 @@ def estimate_minwidth(f, epsilon: float, delta: float, dist: ReluParamDist,
     leading blocks of that factor, which is then dropped.  The doubling and
     the bisection over success probabilities are replayed from the ``r*_t``
     alone, so ``search_trace`` lists the probes a search solving every
-    trial at every probed width makes.
+    trial at every probed width makes.  ``threads`` changes nothing, as in
+    :func:`trial_residuals`.
     """
     if not 0.0 < delta < 1.0:
         raise ParameterOutOfRange(f"delta must be in (0, 1), got {delta}")
@@ -346,7 +352,7 @@ def estimate_minwidth(f, epsilon: float, delta: float, dist: ReluParamDist,
         raise ParameterOutOfRange(f"trials must be >= 1, got {trials}")
     if epsilon <= 0:
         raise ParameterOutOfRange(f"epsilon must be positive, got {epsilon}")
-    threshold, rcond = 1.0 - delta, 1e-10  # success_probability's rank cut
+    threshold = 1.0 - delta
     root_w, rhs = _weighted(evaluate_on(f, grid.nodes), grid.weights)
     first = np.zeros(trials, dtype=np.intp)  # r*_t, or 0 while trial t has not passed
     trace: list[tuple[int, float]] = []
@@ -357,15 +363,14 @@ def estimate_minwidth(f, epsilon: float, delta: float, dist: ReluParamDist,
         return prob
 
     def find_first(r: int, last_fail: int, ids, R, C) -> None:
-        passed = _solve_prefix(R, C, r, rcond)[:, 0] <= epsilon
+        passed = _solve_prefix(R, C, r, _RCOND)[:, 0] <= epsilon
         if np.any(passed):
-            first[ids[passed]] = _first_passing(R[passed], C[passed], last_fail, r, epsilon,
-                                                rcond)
+            first[ids[passed]] = _first_passing(R[passed], C[passed], last_fail, r, epsilon)
 
     r, last_fail = 1, 0
     while True:
         _each_chunk(partial(find_first, r, last_fail), rhs, root_w, grid, dist, r, seed,
-                    np.flatnonzero(first == 0), threads)
+                    np.flatnonzero(first == 0))
         prob = probe(r)
         if prob >= threshold:
             break

@@ -26,7 +26,7 @@ from .errors import (
     WrongMeasure,
 )
 from .approx import c_ks
-from .fitter import _design_matrix, _weighted_lstsq
+from .fitter import _RCOND, _design_matrix, _weighted_lstsq
 from .lattice import MultiIndex, enumerate_ball
 from .quadrature import GAUSSIAN, Grid, evaluate_on
 from .relu import feature_arrays
@@ -105,7 +105,7 @@ class ProjectionReport:
 
 
 def projection_residuals(features, family: FunctionFamily, grid: Grid,
-                         rcond: float = 1e-10) -> ProjectionReport:
+                         rcond: float = _RCOND) -> ProjectionReport:
     """Residuals ``|phi_i|^2 - |Pi phi_i|^2`` for every member at once.
 
     One multi-right-hand-side least squares against the feature design matrix

@@ -33,6 +33,7 @@ from .lattice import (
     IndexClass,
     MultiIndex,
     classify,
+    count_ball,
     enumerate_ball,
     l2_norm_sq,
     radius_sq_bound,
@@ -274,22 +275,6 @@ class DkDistribution(ReluParamDist):
             ray_of[q] = ray
         return ray_of, [[K for _, K in sorted(members)] for members in rays]
 
-    def ray_of(self, w: np.ndarray) -> list[MultiIndex]:
-        """Members of the ray with direction ``w / |w|``, as :attr:`rays` lists them.
-
-        Empty when no ball index has that direction (to ``1e-8`` in every
-        coordinate) or ``w`` is not a nonzero vector of the distribution's
-        dimension.
-        """
-        w = np.asarray(w, dtype=float)
-        norm = math.sqrt(w @ w) if w.shape == (self.dimension,) else 0.0
-        if not norm > 0.0:
-            return []
-        gap = np.abs(self.directions - w / norm).max(axis=1)
-        q = int(gap.argmin())
-        ray_of, rays = self.rays
-        return rays[ray_of[q]] if gap[q] <= 1e-8 else []
-
     def importance_weights(self, P: TrigPolynomial, idx: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``h(b_i, w_i)`` of features given by ball index and bias, as :func:`h_weight`
         computes it; the rays, ``Q`` and the check of ``P`` serve every feature.
@@ -373,18 +358,13 @@ def h_weight(b: float, w: np.ndarray, P: TrigPolynomial, k: float, d: int) -> fl
     """Importance weight making ``E[h(b,w) relu(<w,x> - b)] = P(x)`` under D_k.
 
     ``h(b, w) = (Q_{k,d} / |ray(w)|) * sum_{K in ray(w)} beta_K psi_K(b)``,
-    where ``ray(w)`` collects the ball indices whose direction is ``w``.  The
-    rays and ``Q`` come from a ``DkDistribution`` cached per ``(k, d)``.
+    where ``ray(w)`` collects the ball indices whose direction is ``w``.
     """
     _check_terms(P, k, d)
-    dist = _distribution(k, d)
-    members = dist.ray_of(w)
+    members = ray_members(w, k, d)
     if not members:
         raise WeightNotInSupport(f"direction {w!r} matches no lattice ray of radius {k}")
-    return len(dist.directions) / len(members) * _ray_sum(members, P, d, b)
-
-
-_distribution = lru_cache(maxsize=64)(DkDistribution)
+    return count_ball(k, d) / len(members) * _ray_sum(members, P, d, b)
 
 
 def width_bound(beta_bar: float, d: int, k: float, Q: int, epsilon: float, delta: float) -> int:

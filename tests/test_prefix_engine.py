@@ -1,6 +1,6 @@
 """The trial engine's one factorization per trial, against independent solves.
 
-``fitter.trial_residuals`` factors each trial's widest design once and reads
+``fitter.width_residuals`` factors each trial's widest design once and reads
 the residual at every narrower width from a leading block of that factor;
 ``estimate_minwidth`` replays its doubling and bisection from each trial's
 first passing width.  These tests hold both to what a solve per width gives:
@@ -11,7 +11,6 @@ first passing width.  These tests hold both to what a solve per width gives:
 from __future__ import annotations
 
 import json
-import sys
 
 import numpy as np
 import pytest
@@ -29,7 +28,8 @@ from widthlab import (
     wilson_interval,
 )
 from widthlab.cli import emit_curve, run_config
-from widthlab.fitter import trial_residuals
+from widthlab import fitter
+from widthlab.fitter import trial_residuals, width_residuals
 from widthlab.lowerbound import explicit_hard_function
 from widthlab.relu import ReluFeature, ReluParamDist
 
@@ -80,7 +80,7 @@ def test_prefix_residuals_match_lstsq_at_every_width(d, nodes, w, m, seed):
     targets = _targets(grid.nodes, m)
     trials = 5
     widths = list(range(1, w + 1))
-    got = trial_residuals(targets, grid, dist, widths, seed, trials)
+    got = width_residuals(targets, grid, dist, widths, seed, trials)
     assert got.shape == (trials, w, m)
     for t, (W, b) in enumerate(_draws(dist, w, seed, trials)):
         for j, r in enumerate(widths):
@@ -106,7 +106,7 @@ def test_duplicated_features_match_lstsq(seed):
     grid = tensor_gauss_grid(UNIFORM_CUBE, 2, 12)
     dist = _Doubled(DkDistribution(k=2, dimension=2))
     targets = _targets(grid.nodes, 3)
-    got = trial_residuals(targets, grid, dist, list(range(1, 21)), seed, trials=4)
+    got = width_residuals(targets, grid, dist, list(range(1, 21)), seed, trials=4)
     for t, (W, b) in enumerate(_draws(dist, 20, seed, 4)):
         for r in range(1, 21):
             assert_allclose(got[t, r - 1], _lstsq_residuals(W, b, grid, targets, r),
@@ -236,7 +236,7 @@ def test_residual_never_rises_and_stays_within_target_norm(d, k, seed, mix):
     grid = _GRIDS[d]
     target = _targets(grid.nodes, 3) @ np.asarray(mix)
     norm = float(np.sqrt(np.sum(grid.weights * target**2)))
-    res = trial_residuals(target, grid, DkDistribution(k=k, dimension=d), list(range(1, 41)),
+    res = width_residuals(target, grid, DkDistribution(k=k, dimension=d), list(range(1, 41)),
                           seed, trials=3)
     slack = 1e-9 * max(norm, 1.0)
     assert np.all(res >= 0.0)
@@ -244,22 +244,20 @@ def test_residual_never_rises_and_stays_within_target_norm(d, k, seed, mix):
     assert np.all(np.diff(res, axis=1) <= slack)
 
 
-def test_threads_change_no_bit():
-    """Chunks of trials on more threads than cores, switching often, give the
-    serial run's results exactly: each chunk writes only its own trials."""
+def test_chunks_and_threads_change_no_bit(monkeypatch):
+    """Trials stacked in one chunk give the bits of one chunk per trial, and
+    ``threads`` is accepted without changing any result."""
     grid = tensor_gauss_grid(UNIFORM_CUBE, 2, 24)
     dist = DkDistribution(k=2, dimension=2)
     targets = _targets(grid.nodes, 2)
     f, mw_dist, mw_grid = _problem(_MINWIDTH["two_dims"])
     mw_args = (f, 0.4, 0.2, mw_dist, mw_grid, 20, 1024, 5)
-    serial = trial_residuals(targets, grid, dist, [4, 16, 64], 9, trials=40)
-    serial_mw = estimate_minwidth(*mw_args, threads=1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        pooled = trial_residuals(targets, grid, dist, [4, 16, 64], 9, trials=40, threads=8)
-        pooled_mw = estimate_minwidth(*mw_args, threads=8)
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.array_equal(serial, pooled)
-    assert pooled_mw == serial_mw
+    stacked = width_residuals(targets, grid, dist, [4, 16, 64], 9, trials=40)
+    stacked_mw = estimate_minwidth(*mw_args)
+    assert np.array_equal(trial_residuals(targets, grid, dist, 64, 9, trials=40, threads=8),
+                          stacked[:, 2])
+    assert estimate_minwidth(*mw_args, threads=8) == stacked_mw
+    monkeypatch.setattr(fitter, "_CHUNK_BYTES", 1)  # one trial per chunk
+    assert np.array_equal(width_residuals(targets, grid, dist, [4, 16, 64], 9, trials=40),
+                          stacked)
+    assert estimate_minwidth(*mw_args) == stacked_mw

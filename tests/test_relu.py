@@ -344,6 +344,12 @@ class TestHWeight:
         with pytest.raises(WeightNotInSupport):
             h_weight(0.0, np.array([0.6, 0.8]), P, 2, 2)
 
+    def test_ball_past_the_cap_is_counted_not_built(self, monkeypatch):
+        P = TrigPolynomial({(2, 0): 0.7})
+        expected = h_weight(-0.9, np.array([1.0, 0.0]), P, 2, 2)
+        monkeypatch.setenv("WIDTHLAB_CAP", "5")  # the radius-2 ball in d = 2 has 13 indices
+        assert h_weight(-0.9, np.array([1.0, 0.0]), P, 2, 2) == expected
+
     def test_polynomial_outside_ball(self):
         P = TrigPolynomial({(3, 0): 1.0})
         with pytest.raises(ParameterOutOfRange):
