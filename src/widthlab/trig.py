@@ -18,6 +18,7 @@ single argument scale ``rho`` (1/2 after the reflection construction,
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -168,9 +169,14 @@ class TrigPolynomial:
         """``max |beta_K|`` over stored terms (0 for the zero polynomial)."""
         return max((abs(b) for b in self.terms.values()), default=0.0)
 
+    @cached_property
+    def max_norm_sq(self) -> int:
+        """Largest ``||K||_2^2`` over stored terms (0 for the zero polynomial)."""
+        return max((l2_norm_sq(K) for K in self.terms), default=0)
+
     def support_radius(self) -> float:
         """Largest ``||K||_2`` over stored terms."""
-        return max((math.sqrt(l2_norm_sq(K)) for K in self.terms), default=0.0)
+        return math.sqrt(self.max_norm_sq)
 
     def parseval_norm(self) -> float:
         """L2 norm ``sqrt(sum beta_K^2)`` via Parseval; requires unit scale.

@@ -19,6 +19,7 @@ from numpy.testing import assert_allclose
 from widthlab import (
     UNIFORM_CUBE,
     CapExceeded,
+    CustomDistribution,
     DkDistribution,
     TrigPolynomial,
     estimate_minwidth,
@@ -31,6 +32,7 @@ from widthlab.cli import emit_curve, run_config
 from widthlab import fitter
 from widthlab.fitter import trial_residuals, width_residuals
 from widthlab.lowerbound import explicit_hard_function
+from widthlab.quadrature import MONTE_CARLO, QuadratureSpec, make_grid
 from widthlab.relu import ReluFeature, ReluParamDist
 
 
@@ -66,16 +68,26 @@ def _draws(dist, w, seed, trials):
     return [dist.sample_batch(np.random.default_rng([seed, t]), w) for t in range(trials)]
 
 
+def _grid(d, nodes):
+    """A tensor Gauss grid with ``nodes`` per dimension, or ``"mc<n>"`` Monte Carlo nodes."""
+    if isinstance(nodes, int):
+        return tensor_gauss_grid(UNIFORM_CUBE, d, nodes)
+    return make_grid(QuadratureSpec(UNIFORM_CUBE, MONTE_CARLO, d,
+                                    sample_count=int(nodes[2:]), seed=d))
+
+
 # (d, nodes per dimension, widest width, targets, seeds): the d = 1 case has
 # more features (32) than grid nodes (24); the d = 2 case with six targets and
-# four features takes the many-targets factorization.
+# four features takes the many-targets factorization.  On the Monte Carlo
+# grids no node reaches the corner bound that decides which features are
+# live, so some live features are zero at every node.
 _CASES = [(1, 24, 32, 3, 1), (1, 24, 32, 1, 2), (2, 24, 40, 3, 3), (2, 24, 4, 6, 4),
-          (2, 10, 48, 2, 5), (3, 8, 24, 3, 6)]
+          (2, 10, 48, 2, 5), (3, 8, 24, 3, 6), (2, "mc150", 40, 2, 11), (3, "mc200", 24, 3, 12)]
 
 
 @pytest.mark.parametrize("d,nodes,w,m,seed", _CASES)
 def test_prefix_residuals_match_lstsq_at_every_width(d, nodes, w, m, seed):
-    grid = tensor_gauss_grid(UNIFORM_CUBE, d, nodes)
+    grid = _grid(d, nodes)
     dist = DkDistribution(k=2, dimension=d)
     targets = _targets(grid.nodes, m)
     trials = 5
@@ -89,16 +101,20 @@ def test_prefix_residuals_match_lstsq_at_every_width(d, nodes, w, m, seed):
 
 
 def test_cases_cover_dead_affine_and_wide_designs():
-    """Dead columns (zero on the grid) and more than d + 1 affine columns occur."""
-    dead = affine = 0
+    """Dead columns (zero on the grid) and more than d + 1 affine columns occur,
+    and on Monte Carlo grids so do columns that are zero yet kept as live."""
+    dead = affine = kept_zero = 0
     for d, nodes, w, _, seed in _CASES:
-        grid = tensor_gauss_grid(UNIFORM_CUBE, d, nodes)
+        grid = _grid(d, nodes)
         for W, b in _draws(DkDistribution(k=2, dimension=d), w, seed, 5):
             z = grid.nodes @ W.T - b
-            dead += int(np.any(np.all(z <= 0.0, axis=0)))
+            zero = np.all(z <= 0.0, axis=0)
+            dead += int(np.any(zero))
             affine += int(np.count_nonzero(np.all(z >= 0.0, axis=0)) > d + 1)
-    assert dead > 0 and affine > 0
-    assert any(w > nodes**d for d, nodes, w, _, _ in _CASES)
+            live = fitter._live(W, b, fitter._reach(grid.nodes))
+            kept_zero += int(np.count_nonzero(zero & live))
+    assert dead > 0 and affine > 0 and kept_zero > 0
+    assert any(w > len(_grid(d, nodes).nodes) for d, nodes, w, _, _ in _CASES)
 
 
 @pytest.mark.parametrize("seed", [7, 8])
@@ -125,6 +141,35 @@ def test_fit_span_fitted_values_match_lstsq():
     coeffs = np.linalg.lstsq(design * root_w[:, None], f(grid.nodes) * root_w, rcond=1e-10)[0]
     assert_allclose(design @ span.coefficients, design @ coeffs, rtol=0.0, atol=1e-9)
     assert_allclose(span.l2_error, _lstsq_residuals(W, b, grid, f(grid.nodes)[:, None], 30)[0],
+                    rtol=0.0, atol=1e-12)
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+def test_dead_features_are_dropped_exactly():
+    """A feature zero at every node adds nothing: a trial of dead features leaves the
+    targets' norm at every width, and ``fit_span`` gives each dead feature 0."""
+    grid = tensor_gauss_grid(UNIFORM_CUBE, 2, 12)
+    targets = _targets(grid.nodes, 2)
+    norms = np.sqrt(grid.weights @ targets**2)
+    dead = CustomDistribution(2, lambda rng: rng.uniform(1.5, 2.0),  # b >= |w|_1 on the cube
+                              lambda rng: _unit(rng.normal(size=2)))
+    got = width_residuals(targets, grid, dead, [1, 5, 9], seed=3, trials=4)
+    assert_allclose(got, np.broadcast_to(norms, got.shape), rtol=1e-14, atol=0.0)
+    f = lambda X: _targets(X, 1)[:, 0]
+    W, b = dead.sample_batch(np.random.default_rng(1), 6)
+    span = fit_span([ReluFeature(float(bias), w) for bias, w in zip(b, W)], f, grid)
+    assert np.array_equal(span.coefficients, np.zeros(6))
+    assert_allclose(span.l2_error, norms[0], rtol=1e-14)
+
+    W, b = DkDistribution(k=2, dimension=2).sample_batch(np.random.default_rng(5), 40)
+    span = fit_span([ReluFeature(float(bias), w) for bias, w in zip(b, W)], f, grid)
+    zero = np.all(grid.nodes @ W.T - b <= 0.0, axis=0)
+    assert 0 < np.count_nonzero(zero) < 40
+    assert np.all(span.coefficients[zero] == 0.0)
+    assert_allclose(span.l2_error, _lstsq_residuals(W, b, grid, f(grid.nodes)[:, None], 40)[0],
                     rtol=0.0, atol=1e-12)
 
 

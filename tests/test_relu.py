@@ -269,6 +269,80 @@ class TestDkDistribution:
             DkDistribution(k=1, dimension=0)
 
 
+def _scalar_draws(rng, Q, half, r):
+    """The reference stream: one ``integers(Q)`` then one ``uniform`` per feature."""
+    idx, b = [], []
+    for _ in range(r):
+        idx.append(int(rng.integers(Q)))
+        b.append(float(rng.uniform(-half, half)))
+    return np.array(idx, dtype=np.intp), np.array(b)
+
+
+def _same_stream(draw, make_rng, Q, half, r):
+    """``draw`` gives the reference's indices, biases and following draws, bit for bit."""
+    mine, ref = make_rng(), make_rng()
+    idx, b = draw(mine, r)
+    ref_idx, ref_b = _scalar_draws(ref, Q, half, r)
+    assert idx.dtype == np.intp and b.dtype == np.float64
+    assert np.array_equal(idx, ref_idx) and np.array_equal(b, ref_b)
+    after = [[int(g.integers(Q)), int(g.integers(2**20)), *g.random(3).tolist(),
+              int(g.integers(2**40))] for g in (mine, ref)]
+    assert after[0] == after[1]  # a buffered half-word goes first, then fresh words
+
+
+class TestVectorDraw:
+    """``relu._draw_features`` repeats the scalar draw loop bit for bit, fallbacks included."""
+
+    @pytest.fixture
+    def loop_widths(self, monkeypatch):
+        widths = []
+        loop = relu._draw_loop
+
+        def spy(rng, Q, half, r):
+            widths.append(r)
+            return loop(rng, Q, half, r)
+
+        monkeypatch.setattr(relu, "_draw_loop", spy)
+        return widths
+
+    @pytest.mark.parametrize("r", [1, 7, 8, 9, 64, 65, 4096])
+    @pytest.mark.parametrize("k,d", [(0, 3), (2, 2), (6, 3)])
+    def test_distribution_draw_is_the_scalar_stream(self, k, d, r, loop_widths):
+        dist = DkDistribution(k=k, dimension=d)
+        Q, half = count_ball(k, d), 2.0 * math.sqrt(d)
+        for seed in (0, 17, 2**40 + 3):
+            _same_stream(dist.sample_indices, lambda: np.random.default_rng([seed, r]), Q,
+                         half, r)
+        if Q >= 2 and r >= relu._VECTOR_FROM:
+            assert set(loop_widths) <= {1}  # only an odd last feature ran the loop
+
+    @pytest.mark.parametrize("Q", [2, 99991, 2**31 + 11, 2**32 - 1])
+    @pytest.mark.parametrize("r", [8, 65])
+    def test_large_and_small_ranges(self, Q, r):
+        draw = lambda rng, n: relu._draw_features(rng, Q, 1.5, n)
+        for seed in range(5):
+            _same_stream(draw, lambda: np.random.default_rng(seed), Q, 1.5, r)
+
+    def test_rejected_lemire_draw_restores_and_runs_the_loop(self, loop_widths):
+        # Q = 3 * 2**30 rejects a quarter of all half-words, so 64 draws reject.
+        Q = 3 * 2**30
+        draw = lambda rng, n: relu._draw_features(rng, Q, 2.0, n)
+        _same_stream(draw, lambda: np.random.default_rng(4), Q, 2.0, 64)
+        assert loop_widths == [64]
+
+    def test_other_generators_and_a_buffered_half_run_the_loop(self, loop_widths):
+        draw = lambda rng, n: relu._draw_features(rng, 13, 2.0, n)
+        _same_stream(draw, lambda: np.random.Generator(np.random.MT19937(5)), 13, 2.0, 64)
+
+        def buffered():
+            rng = np.random.default_rng(6)
+            rng.integers(13)  # leaves the high half of a word buffered
+            return rng
+
+        _same_stream(draw, buffered, 13, 2.0, 64)
+        assert loop_widths == [64, 64]
+
+
 class TestRayMembers:
     """Lattice rays: ball indices sharing one direction."""
 
