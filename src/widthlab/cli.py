@@ -2,9 +2,9 @@
 
 Every experiment is one JSON document with a ``kind``, a ``parameters`` map,
 and an optional ``output_path`` prefix.  Runs are deterministic given the
-config and seed — per-trial seeds derive from ``(seed, trial)``, so thread
-count never changes results and rerunning a config rewrites byte-identical
-CSV files.
+config and seed — per-trial seeds derive from ``(seed, trial)`` and trials
+run in order on one thread, so rerunning a config rewrites byte-identical CSV
+files.
 
 Each kind declares its parameters in one table (``_KINDS``); ``validate`` and
 ``run`` both check a config against it with :func:`_parse` before any work.
@@ -47,10 +47,11 @@ from .errors import (
     WeightsNotNormalized,
     WrongMeasure,
 )
-from .fitter import estimate_minwidth, success_probability, trial_residuals, wilson_interval
+from .fitter import estimate_minwidth, success_probability, width_residuals, wilson_interval
 from .hermite import HermitePolynomial, hermite_truncate
 from .lattice import check_ball_cap, count_ball, enumerate_ball, radius_sq_bound
 from .lowerbound import (
+    _pool_size,
     _value_matrix,
     explicit_hard_function,
     gaussian_hard_family,
@@ -298,7 +299,7 @@ def _family(raw, key, p, params) -> dict:
         _cap(f"symmetric family C({p.d}, {f.ell})", math.comb(p.d, m))
     elif kind == "gaussian":
         # the packing holds a pool of directions in R^d and their separations from all N chosen
-        pool = max(32 * f.N, 64)
+        pool = _pool_size(f.N)
         _cap(f"gaussian family pool of {pool} directions x max(N, d) = {max(f.N, p.d)}",
              pool * max(f.N, p.d))
     return {"type": kind, **vars(f)}
@@ -364,12 +365,11 @@ def _label_str(label) -> str:
 
 
 class _Run:
-    """Shared state for one experiment run (paths, thread budget)."""
+    """Shared state for one experiment run: where its files go, and their names."""
 
-    def __init__(self, out_dir: str, prefix: str, threads: int):
+    def __init__(self, out_dir: str, prefix: str):
         self.out_dir = out_dir
         self.prefix = prefix
-        self.threads = threads
         self.csv_files: list[str] = []
 
     def path(self, suffix: str) -> str:
@@ -426,8 +426,7 @@ def _success_curve(f, p, run: _Run) -> list[dict]:
     trial at the widest; writes the curve CSV."""
     dist = DkDistribution(k=p.dist.k, dimension=p.d)
     grid = make_grid(p.grid)
-    estimates = success_probability(f, p.epsilon, dist, p.r, p.trials, grid, p.seed,
-                                    threads=run.threads)
+    estimates = success_probability(f, p.epsilon, dist, p.r, p.trials, grid, p.seed)
     emit_curve([(est.r, est.probability, est.ci_lo, est.ci_hi) for est in estimates],
                run.path("curve.csv"))
     return [est.to_json_dict() for est in estimates]
@@ -442,7 +441,7 @@ def _run_fit_curve(p, run: _Run) -> dict:
 def _run_minwidth(p, run: _Run) -> dict:
     dist = DkDistribution(k=p.dist.k, dimension=p.d)
     est = estimate_minwidth(p.target[0], p.epsilon, p.delta, dist, make_grid(p.grid),
-                            p.trials, p.r_max, p.seed, threads=run.threads)
+                            p.trials, p.r_max, p.seed)
     points = [(r, prob, *wilson_interval(round(prob * p.trials), p.trials))
               for r, prob in est.search_trace]
     emit_curve(points, run.path("trace.csv"))
@@ -470,7 +469,7 @@ def _run_lb_projection(p, run: _Run) -> dict:
             norms_sq = np.sum(grid.weights[:, None] * values**2, axis=0)
             stacked = np.tile(np.maximum(norms_sq, 0.0), (p.trials, 1))
         else:
-            norms = trial_residuals(values, grid, dist, r, p.seed, p.trials, run.threads)
+            norms = width_residuals(values, grid, dist, [r], p.seed, p.trials)[:, 0]
             stacked = np.maximum(norms**2, 0.0)
         rows = ["trial,member,residual"]
         for t, residuals in enumerate(stacked):
@@ -609,7 +608,7 @@ def _report(exc: Exception) -> int:
     return code
 
 
-def run_config(config_path: str, out_dir: str = ".", threads: int | None = None,
+def run_config(config_path: str, out_dir: str = ".",
                seed_override=None) -> tuple[int, dict | None]:
     """Execute one config; returns (exit_code, result document or None)."""
     start = time.monotonic()
@@ -617,8 +616,7 @@ def run_config(config_path: str, out_dir: str = ".", threads: int | None = None,
         raw, cfg = _load_config(config_path)
         p = _parse(cfg, seed_override)
         prefix = cfg.get("output_path") or cfg["kind"]
-        threads = threads or 1  # recorded only: trials run on the calling thread
-        run = _Run(out_dir=out_dir, prefix=str(prefix), threads=int(threads))
+        run = _Run(out_dir=out_dir, prefix=str(prefix))
         os.makedirs(out_dir, exist_ok=True)
         results = _KINDS[cfg["kind"]][0](p, run)
     except _HANDLED as exc:
@@ -627,7 +625,7 @@ def run_config(config_path: str, out_dir: str = ".", threads: int | None = None,
         "kind": cfg["kind"],
         "config_text": raw,
         "seed": p.seed,
-        "threads": run.threads,
+        "threads": 1,  # trials run in order on the calling thread
         "versions": {
             "widthlab": __version__,
             "numpy": np.__version__,
@@ -663,16 +661,13 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="execute one experiment config")
     run_p.add_argument("--config", required=True, help="path to a JSON experiment config")
     run_p.add_argument("--out-dir", default=".", help="directory for CSV/JSON artifacts")
-    run_p.add_argument("--threads", type=int, default=None,
-                       help="recorded in the result JSON; changes no work (default: 1)")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
     val_p = sub.add_parser("validate", help="check a config without running it")
     val_p.add_argument("--config", required=True, help="path to a JSON experiment config")
     args = parser.parse_args(argv)
     if args.command == "validate":
         return validate_config(args.config)
-    code, _ = run_config(args.config, out_dir=args.out_dir, threads=args.threads,
-                         seed_override=args.seed)
+    code, _ = run_config(args.config, out_dir=args.out_dir, seed_override=args.seed)
     return code
 
 

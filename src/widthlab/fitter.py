@@ -3,7 +3,7 @@
 The L2 projection of a target onto the span of ``r`` sampled features is
 realized as weighted least squares on a quadrature grid: one Householder QR
 of the weighted design, then the SVD of a leading block of ``R`` with the
-rank cut of ``np.linalg.lstsq`` (singular values at most ``rcond`` times the
+rank cut of ``np.linalg.lstsq`` (singular values at most ``_RCOND`` times the
 largest count as zero).  On top of that sit Monte Carlo estimates of the
 success probability ``P[inf-over-span error <= eps]`` and a doubling-plus-
 bisection search for the smallest width reaching a target success rate.
@@ -100,7 +100,7 @@ _CHUNK_BYTES = 2 * 2**20
 _BATCH_BYTES = 16 * 2**20
 
 # Rank cut of every solve: singular values at most ``_RCOND`` times the
-# largest count as zero, as in ``np.linalg.lstsq(..., rcond=_RCOND)``.
+# largest count as zero, the cut ``np.linalg.lstsq`` makes given this cutoff.
 _RCOND = 1e-10
 
 
@@ -141,7 +141,7 @@ def _factor(designs, count: int, w: int, root_w: np.ndarray,
     return R, np.concatenate([C, np.sqrt(np.sum(misfit, axis=1, keepdims=True))], axis=1)
 
 
-def _solve_block(R: np.ndarray, head: np.ndarray, tail: np.ndarray, rcond: float,
+def _solve_block(R: np.ndarray, head: np.ndarray, tail: np.ndarray,
                  coefficients: bool = False):
     """Residual norms ``(c, m)`` of the targets against the columns of a leading block.
 
@@ -151,14 +151,14 @@ def _solve_block(R: np.ndarray, head: np.ndarray, tail: np.ndarray, rcond: float
     columns.  The part inside comes from the SVD of the block, whose
     singular values are those of the first ``L`` design columns: the
     targets' components along the left singular vectors whose singular
-    values ``np.linalg.lstsq`` would treat as zero (at most ``rcond`` times
+    values ``np.linalg.lstsq`` would treat as zero (at most ``_RCOND`` times
     the largest) stay in the residual.  So this is the residual of
     ``lstsq`` on those columns, with its rank cut, for ``L > n`` too.  With
     ``coefficients`` it also returns lstsq's minimum-norm coefficients
     ``(c, L, m)``.
     """
     U, s, Vt = np.linalg.svd(R, full_matrices=False)
-    kept = (s > rcond * s[:, :1])[:, :, None]
+    kept = (s > _RCOND * s[:, :1])[:, :, None]
     along = np.swapaxes(U, -1, -2) @ head
     norms = np.sqrt(tail + np.sum(np.where(kept, 0.0, along) ** 2, axis=1))
     if not coefficients:
@@ -197,7 +197,7 @@ class _Factors:
         k = min(count, self.R.shape[1])
         return self.R[ids, :k, :count], self.C[ids, :k], self.tails[ids, k]
 
-    def norms(self, ids: np.ndarray, counts: np.ndarray, rcond: float) -> np.ndarray:
+    def norms(self, ids: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """Residual norms ``(len(ids), m)`` of trials ``ids`` against their first
         ``counts`` live columns; trials at one count share one stacked SVD, and
         a count of 0 gives the targets' norms.
@@ -206,12 +206,12 @@ class _Factors:
         for count in np.flatnonzero(np.bincount(counts)):
             at = counts == count
             out[at] = (self.target_norms if count == 0
-                       else _solve_block(*self.block(ids[at], int(count)), rcond))
+                       else _solve_block(*self.block(ids[at], int(count))))
         return out
 
 
-def _weighted_lstsq(design: np.ndarray, targets: np.ndarray, weights: np.ndarray,
-                    rcond: float) -> tuple[np.ndarray, np.ndarray]:
+def _weighted_lstsq(design: np.ndarray, targets: np.ndarray,
+                    weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimize sum_i w_i (design_i . c - targets_i)^2 for one design; targets may be (n, m).
 
     Returns (coefficients, residual norms) through the factorization the
@@ -226,18 +226,18 @@ def _weighted_lstsq(design: np.ndarray, targets: np.ndarray, weights: np.ndarray
         coeffs, norms = np.zeros((1, 0, rhs.shape[1])), factors.target_norms[None]
     else:
         factors.add([0], [design], w, root_w, rhs)
-        norms, coeffs = _solve_block(*factors.block(np.zeros(1, dtype=np.intp), w), rcond,
+        norms, coeffs = _solve_block(*factors.block(np.zeros(1, dtype=np.intp), w),
                                      coefficients=True)
     if targets.ndim == 2:
         return coeffs[0], norms[0]
     return coeffs[0, :, 0], norms[0, 0]
 
 
-def fit_span(features: list[ReluFeature], f, grid: Grid, rcond: float = _RCOND) -> FittedSpan:
+def fit_span(features: list[ReluFeature], f, grid: Grid) -> FittedSpan:
     """Project ``f`` onto the span of the features, in the grid's L2 norm.
 
     Duplicate or nearly parallel features are handled by the rank cut at
-    ``rcond``; the residual is invariant to feature order and duplication
+    ``_RCOND``; the residual is invariant to feature order and duplication
     because the span is.  Features that are zero at every node (see
     :func:`_live`) are left out of the solve and get coefficient 0.
     """
@@ -246,7 +246,7 @@ def fit_span(features: list[ReluFeature], f, grid: Grid, rcond: float = _RCOND) 
     targets = evaluate_on(f, grid.nodes)
     design, live = _live_design(*feature_arrays(features), grid.nodes)
     coeffs = np.zeros(len(features))
-    coeffs[live], residual = _weighted_lstsq(design, targets, grid.weights, rcond)
+    coeffs[live], residual = _weighted_lstsq(design, targets, grid.weights)
     return FittedSpan(features=list(features), coefficients=coeffs,
                       l2_error=float(residual), grid_id=grid.spec.label())
 
@@ -322,7 +322,7 @@ def _factored(rhs: np.ndarray, root_w: np.ndarray, grid: Grid, dist: ReluParamDi
 
 
 def width_residuals(targets: np.ndarray, grid: Grid, dist: ReluParamDist, widths, seed,
-                    trials: int, rcond: float = _RCOND) -> np.ndarray:
+                    trials: int) -> np.ndarray:
     """Residual norms of ``targets`` against the span of the first ``r`` random
     features of each trial, for every ``r`` of ``widths``.
 
@@ -341,30 +341,17 @@ def width_residuals(targets: np.ndarray, grid: Grid, dist: ReluParamDist, widths
                                         np.arange(trials)):
         every = np.arange(len(ids))
         for j, width in enumerate(widths):
-            out[ids, j] = factors.norms(every, live[:, width], rcond)
+            out[ids, j] = factors.norms(every, live[:, width])
     return out if targets.ndim == 2 else out[..., 0]
 
 
-def trial_residuals(targets: np.ndarray, grid: Grid, dist: ReluParamDist, r: int, seed,
-                    trials: int, threads: int = 1, rcond: float = _RCOND) -> np.ndarray:
-    """Residual norms of ``targets`` against the span of ``r`` random features, per trial.
-
-    :func:`width_residuals` at the one width ``r``: ``targets`` of shape
-    ``(n,)`` give one norm per trial, shape ``(n, m)`` one row of ``m`` norms
-    per trial.  ``threads`` is accepted for callers that pass it; trials
-    run in order on the calling thread.
-    """
-    return width_residuals(targets, grid, dist, [r], seed, trials, rcond)[:, 0]
-
-
 def success_probability(f, epsilon: float, dist: ReluParamDist, r, trials: int,
-                        grid: Grid, seed, threads: int = 1, rcond: float = _RCOND):
+                        grid: Grid, seed):
     """Fraction of independent trials whose fitted span reaches error <= eps.
 
     ``r`` is one width, giving one :class:`SuccessEstimate`, or a list of
     widths, giving one estimate per width from one factorization per trial
-    (:func:`width_residuals`).  ``threads`` changes nothing, as in
-    :func:`trial_residuals`.
+    (:func:`width_residuals`).
     """
     single = np.ndim(r) == 0
     widths = [r] if single else list(r)
@@ -374,8 +361,7 @@ def success_probability(f, epsilon: float, dist: ReluParamDist, r, trials: int,
         raise ParameterOutOfRange(f"widths must be >= 1, got {r}")
     if epsilon <= 0:
         raise ParameterOutOfRange(f"epsilon must be positive, got {epsilon}")
-    residuals = width_residuals(evaluate_on(f, grid.nodes), grid, dist, widths, seed, trials,
-                                rcond)
+    residuals = width_residuals(evaluate_on(f, grid.nodes), grid, dist, widths, seed, trials)
     estimates = []
     for width, passed in zip(widths, (residuals <= epsilon).T):
         successes = int(np.count_nonzero(passed))
@@ -420,15 +406,14 @@ def _first_passing(factors: _Factors, live: np.ndarray, sel: np.ndarray, lo: int
     while np.any(open_ := hi_count - lo_count > 1):
         at = np.flatnonzero(open_)
         mid = (lo_count[at] + hi_count[at]) // 2
-        passed = factors.norms(sel[at], mid, _RCOND)[:, 0] <= epsilon
+        passed = factors.norms(sel[at], mid)[:, 0] <= epsilon
         hi_count[at[passed]] = mid[passed]
         lo_count[at[~passed]] = mid[~passed]
     return np.maximum(np.count_nonzero(live[sel] < hi_count[:, None], axis=1), lo + 1)
 
 
 def estimate_minwidth(f, epsilon: float, delta: float, dist: ReluParamDist,
-                      grid: Grid, trials: int, r_max: int, seed,
-                      threads: int = 1) -> MinWidthEstimate:
+                      grid: Grid, trials: int, r_max: int, seed) -> MinWidthEstimate:
     """Doubling then bisection for the smallest width with success >= 1 - delta.
 
     Per-trial seeds depend only on (seed, trial), so the feature draws are
@@ -440,8 +425,7 @@ def estimate_minwidth(f, epsilon: float, delta: float, dist: ReluParamDist,
     live counts on leading blocks of that factor, which is then dropped.
     The doubling and the bisection over success probabilities are replayed
     from the ``r*_t`` alone, so ``search_trace`` lists the probes a search
-    solving every trial at every probed width makes.  ``threads`` changes nothing, as in
-    :func:`trial_residuals`.
+    solving every trial at every probed width makes.
     """
     if not 0.0 < delta < 1.0:
         raise ParameterOutOfRange(f"delta must be in (0, 1), got {delta}")
@@ -465,7 +449,7 @@ def estimate_minwidth(f, epsilon: float, delta: float, dist: ReluParamDist,
     while True:
         for ids, live, factors in _factored(rhs, root_w, grid, dist, r, seed,
                                             np.flatnonzero(first == 0)):
-            widest = factors.norms(np.arange(len(ids)), live[:, r], _RCOND)[:, 0]
+            widest = factors.norms(np.arange(len(ids)), live[:, r])[:, 0]
             passed = np.flatnonzero(widest <= epsilon)
             first[ids[passed]] = _first_passing(factors, live, passed, last_fail, r, epsilon)
         prob = probe(r)

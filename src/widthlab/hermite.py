@@ -219,17 +219,22 @@ def hermite_truncate(f, lipschitz: float, epsilon: float, grid: Grid,
 
     terms: dict[MultiIndex, float] = {}
     approx = np.zeros(grid.nodes.shape[0])
-
-    def descend(j: int, budget: int, prefix: tuple[int, ...], prod: np.ndarray):
-        if j == d:
+    zeros = (0,) * d
+    # Depth-first over prefixes in lexicographic order, smallest next degree on
+    # top; an entry holds the product of every factor but its last coordinate's,
+    # which siblings share.  A spent budget completes its prefix with zeros at
+    # once: ``h_0 = 1``, so the skipped factors leave the product as it is.
+    stack: list[tuple[MultiIndex, int, np.ndarray]] = [((), k, np.ones(grid.nodes.shape[0]))]
+    while stack:
+        prefix, left, prod = stack.pop()
+        if prefix:
+            prod = prod * tables[len(prefix) - 1][prefix[-1]]
+        if left == 0 or len(prefix) == d:
             alpha = float(np.sum(weighted * prod))
-            terms[prefix] = alpha
+            terms[prefix + zeros[len(prefix):]] = alpha
             np.add(approx, alpha * prod, out=approx)
-            return
-        for deg in range(budget + 1):
-            descend(j + 1, budget - deg, prefix + (deg,), prod * tables[j][deg])
-
-    descend(0, k, (), np.ones(grid.nodes.shape[0]))
+            continue
+        stack.extend((prefix + (deg,), left - deg, prod) for deg in range(left, -1, -1))
     residual = math.sqrt(max(float(np.sum(grid.weights * (f_vals - approx) ** 2)), 0.0))
     poly = HermitePolynomial(terms, dimension=d)
     return HermiteTruncationReport(polynomial=poly, degree_budget=k,

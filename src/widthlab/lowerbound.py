@@ -26,7 +26,7 @@ from .errors import (
     WrongMeasure,
 )
 from .approx import c_ks
-from .fitter import _RCOND, _live_design, _weighted_lstsq
+from .fitter import _live_design, _weighted_lstsq
 from .fitter import _design_matrix  # noqa: F401  the benchmark's tracer test reads it here
 from .lattice import MultiIndex, enumerate_ball
 from .quadrature import GAUSSIAN, Grid, evaluate_on
@@ -105,8 +105,7 @@ class ProjectionReport:
         }
 
 
-def projection_residuals(features, family: FunctionFamily, grid: Grid,
-                         rcond: float = _RCOND) -> ProjectionReport:
+def projection_residuals(features, family: FunctionFamily, grid: Grid) -> ProjectionReport:
     """Residuals ``|phi_i|^2 - |Pi phi_i|^2`` for every member at once.
 
     One multi-right-hand-side least squares against the live columns of the
@@ -119,7 +118,7 @@ def projection_residuals(features, family: FunctionFamily, grid: Grid,
         residuals = np.sum(grid.weights[:, None] * targets**2, axis=0)
     else:
         design, _ = _live_design(*feature_arrays(features), grid.nodes)
-        _, norms = _weighted_lstsq(design, targets, grid.weights, rcond)
+        _, norms = _weighted_lstsq(design, targets, grid.weights)
         residuals = norms**2
     residuals = np.maximum(residuals, 0.0)
     kappa = family.coherence
@@ -279,9 +278,17 @@ def sobolev_lb_parameters(gamma: float, epsilon: float, s: int, d: int,
     return SobolevLbParameters(k=k, ell=ell, max_scaled_norm_sq=worst)
 
 
-def gaussian_hard_family(L: float, N: int, d: int, seed, grid: Grid,
-                         min_separation: float = 1e-6,
-                         pool_factor: int = 32) -> FunctionFamily:
+# The packing gives up once the farthest pool direction lies closer than this
+# to a chosen one in the axial metric.
+_MIN_SEPARATION = 1e-6
+
+
+def _pool_size(N: int) -> int:
+    """The number of sphere points :func:`gaussian_hard_family` packs ``N`` directions from."""
+    return max(32 * N, 64)
+
+
+def gaussian_hard_family(L: float, N: int, d: int, seed, grid: Grid) -> FunctionFamily:
     """Greedily packed ridge sines ``sin(L <v, x>)`` in Gaussian space.
 
     Directions come from a seeded pool of uniform sphere points, grown one at
@@ -295,16 +302,16 @@ def gaussian_hard_family(L: float, N: int, d: int, seed, grid: Grid,
     if N < 1 or d < 1 or L <= 0:
         raise ParameterOutOfRange("need N >= 1, d >= 1, L > 0")
     rng = np.random.default_rng(seed)
-    pool = rng.standard_normal((max(N * pool_factor, 64), d))
+    pool = rng.standard_normal((_pool_size(N), d))
     pool /= np.linalg.norm(pool, axis=1, keepdims=True)
     chosen = [pool[0]]
     separation = 1.0 - np.abs(pool @ pool[0])  # from the nearest chosen direction
     for _ in range(1, N):
         best = int(np.argmax(separation))
-        if separation[best] < min_separation:
+        if separation[best] < _MIN_SEPARATION:
             raise PackingFailed(
                 f"could not place {len(chosen) + 1} directions with axial "
-                f"separation >= {min_separation} in dimension {d}"
+                f"separation >= {_MIN_SEPARATION} in dimension {d}"
             )
         chosen.append(pool[best])
         np.minimum(separation, 1.0 - np.abs(pool @ pool[best]), out=separation)

@@ -335,7 +335,7 @@ class DkDistribution(ReluParamDist):
         ray_of, rays = self.rays
         ray_ids = ray_of[idx]
         out = np.empty(len(b))
-        for ray in np.unique(ray_ids):
+        for ray in np.flatnonzero(np.bincount(ray_ids)):  # each ray present, in order
             members, sel = rays[ray], ray_ids == ray
             out[sel] = len(self._ball) / len(members) * _ray_sum(members, P, self.dimension,
                                                                  b[sel])

@@ -119,7 +119,7 @@ class TrigPolynomial:
     """Sparse trigonometric polynomial ``P(x) = sum_K beta_K T_K(rho x)``.
 
     Zero coefficients are dropped on construction; instances are treated as
-    immutable (share freely across threads).
+    immutable and may be shared freely.
     """
 
     def __init__(

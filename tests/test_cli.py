@@ -1,4 +1,5 @@
 import importlib.metadata
+import itertools
 import json
 import math
 import os
@@ -227,19 +228,6 @@ class TestStochasticKinds:
         rows = read_curve(str(out_a / "fit_curve.csv"))
         assert [r[0] for r in rows] == [1.0, 4.0]
 
-    def test_thread_count_invariance(self, tmp_path):
-        doc = {
-            "kind": "fit_curve",
-            "parameters": {"d": 1, "epsilon": 0.25, "trials": 10, "r": 3,
-                           "target": {"type": "trig_poly", "polynomial":
-                                      {"scale": 1.0, "terms": [{"K": [1], "beta": 0.7}]}},
-                           "dist": {"kind": "dk", "k": 1}, "seed": 7},
-            "output_path": "fit",
-        }
-        _, _, out_a = _run(tmp_path, doc, out="t1", threads=1)
-        _, _, out_b = _run(tmp_path, doc, out="t3", threads=3)
-        assert (out_a / "fit_curve.csv").read_bytes() == (out_b / "fit_curve.csv").read_bytes()
-
     def test_seed_override_beats_config_seed(self, tmp_path):
         base = {
             "kind": "lb_projection",
@@ -329,21 +317,25 @@ class TestStochasticKinds:
 
 
 class TestTrialEngine:
-    """``lb_projection`` draws and solves every trial through ``fitter.trial_residuals``."""
+    """``lb_projection`` draws and solves every trial through ``fitter.width_residuals``."""
 
     _DOC = {"kind": "lb_projection",
             "parameters": {"d": 3, "ell": 2, "r_list": [0, 1, 4], "trials": 3, "seed": 5,
                            "dist": {"k": 2}, "grid": {"nodes_per_dim": 8}},
             "output_path": "p"}
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_rows_equal_projection_residuals_bit_for_bit(self, tmp_path, threads):
-        code, _, out_dir = _run(tmp_path, self._DOC, threads=threads)
-        assert code == 0
+    @pytest.mark.parametrize("runs", [1, 2])
+    def test_rows_equal_projection_residuals_bit_for_bit(self, tmp_path, runs):
+        # A second run in the same process must not see state left by the first.
+        out_dirs = []
+        for run in range(runs):
+            code, _, out_dir = _run(tmp_path, self._DOC, out=f"out{run}")
+            assert code == 0
+            out_dirs.append(out_dir)
         grid = tensor_gauss_grid(UNIFORM_CUBE, 3, 8)
         family = hard_family_symmetric(2, 3)
         dist = DkDistribution(k=2, dimension=3)
-        for r in (0, 1, 4):
+        for out_dir, r in itertools.product(out_dirs, (0, 1, 4)):
             lines = (out_dir / f"p_r{r}_residuals.csv").read_text().splitlines()
             rows = [line.split(",") for line in lines[1:]]
             assert len(rows) == 3 * len(family)
@@ -366,7 +358,7 @@ class TestTrialEngine:
 
         monkeypatch.setattr(cli, "_value_matrix", counting)
         monkeypatch.setattr(lowerbound, "_value_matrix", counting)
-        code, _, _ = _run(tmp_path, self._DOC, threads=1)
+        code, _, _ = _run(tmp_path, self._DOC)
         assert code == 0
         assert calls == [3]
 
@@ -528,7 +520,11 @@ class TestConfigSchema:
     @pytest.mark.parametrize("doc", [
         {"kind": "count_lattice", "parameters": {"k": 1, "d": 5000}},
         {"kind": "mixture_check", "parameters": {"d": 5000, "k": 0.5, "z_count": 2}},
-    ], ids=["count_lattice", "mixture_check"])
+        {"kind": "hermite_check",
+         "parameters": {"d": sys.getrecursionlimit() + 200, "L": 1.0, "epsilon": 1.0,
+                        "target": "abs",
+                        "grid": {"scheme": "monte_carlo", "sample_count": 50, "seed": 3}}},
+    ], ids=["count_lattice", "mixture_check", "hermite_check"])
     def test_thousands_of_dimensions_run(self, tmp_path, capsys, doc):
         for code, err in _both_commands(tmp_path, capsys, doc):
             assert code == 0, err
@@ -583,6 +579,17 @@ class TestEntryPoints:
         assert main(["validate", "--config", cfg]) == 0
         assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 0
         assert (tmp_path / "o" / "count_lattice_counts.csv").exists()
+        doc = json.loads((tmp_path / "o" / "count_lattice_result.json").read_text())
+        assert doc["threads"] == 1  # a fixed record: trials run in order on one thread
+
+    def test_run_has_no_threads_flag(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {"kind": "count_lattice",
+                                       "parameters": {"k": 2, "d": 2}})
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--threads", "2", "--config", cfg, "--out-dir", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_validate_rejects_bad_config(self, tmp_path):
         cfg = _write_config(tmp_path, {"kind": "nope", "parameters": {}})

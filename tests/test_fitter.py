@@ -16,7 +16,7 @@ from widthlab import (
     success_probability,
     wilson_interval,
 )
-from widthlab.fitter import _design_matrix, trial_residuals
+from widthlab.fitter import _design_matrix, width_residuals
 from widthlab.relu import feature_arrays
 
 
@@ -146,16 +146,6 @@ class TestSuccessProbability:
                                   r=2, trials=20, grid=cube_grid_1d, seed=42)
         assert est.probability == 0.0
 
-    def test_thread_count_does_not_change_result(self, cube_grid_1d):
-        P = TrigPolynomial({(1,): 0.7, (-1,): 0.2})
-        dist = DkDistribution(k=1, dimension=1)
-        serial = success_probability(P.evaluate, 0.3, dist, r=6, trials=30,
-                                     grid=cube_grid_1d, seed=11, threads=1)
-        parallel = success_probability(P.evaluate, 0.3, dist, r=6, trials=30,
-                                       grid=cube_grid_1d, seed=11, threads=3)
-        assert serial.probability == parallel.probability
-        assert serial.ci_lo == parallel.ci_lo
-
     def test_coupled_monotone_in_width(self, cube_grid_1d):
         """Success never drops as width grows: trial draws are nested."""
         P = TrigPolynomial({(1,): 0.7})
@@ -187,15 +177,15 @@ class TestSuccessProbability:
 
 
 class TestTrialResiduals:
-    """The one trial engine: seeds, shapes and threads."""
+    """The one trial engine at one width: seeds and shapes."""
 
     def test_one_row_per_trial_matching_fit_span(self, cube_grid_1d):
         a = np.abs(cube_grid_1d.nodes[:, 0])
         b = np.cos(3.0 * cube_grid_1d.nodes[:, 0])
         dist = DkDistribution(k=2, dimension=1)
-        single = trial_residuals(a, cube_grid_1d, dist, 3, 9, trials=4)
-        many = trial_residuals(np.column_stack([a, b]), cube_grid_1d, dist, 3, 9, trials=4,
-                               threads=2)
+        single = width_residuals(a, cube_grid_1d, dist, [3], 9, trials=4)[:, 0]
+        many = width_residuals(np.column_stack([a, b]), cube_grid_1d, dist, [3], 9,
+                               trials=4)[:, 0]
         assert single.shape == (4,) and many.shape == (4, 2)
         assert_allclose(many[:, 0], single, rtol=1e-12)
         for t in range(4):

@@ -1,23 +1,29 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from widthlab import (
+    GAUSSIAN,
+    MONTE_CARLO,
     CapExceeded,
     DegreeCap,
     DimensionMismatch,
     HermitePolynomial,
     NegativeIndex,
     ParameterOutOfRange,
+    QuadratureSpec,
     WrongMeasure,
     h_univariate,
     H_multivariate,
     hermite_partial,
     hermite_truncate,
+    make_grid,
     term_by_term_coeffs,
 )
+from widthlab.hermite import _univariate_table
 
 SQRT2 = math.sqrt(2.0)
 
@@ -261,3 +267,42 @@ class TestHermiteTruncate:
     def test_simplex_cap(self, gauss_grid_3d):
         with pytest.raises(CapExceeded):
             hermite_truncate(lambda X: X[:, 0], 3.0, 1.0, gauss_grid_3d, cap=10)
+
+    def test_walk_matches_recursion_over_coordinates_bit_for_bit(self, gauss_grid_3d):
+        """The index simplex in lexicographic order, one product per coordinate."""
+        f = lambda X: np.sin(X[:, 0] + 0.5 * X[:, 1]) * np.cos(X[:, 2])
+        report = hermite_truncate(f, 2.0, 1.0, gauss_grid_3d)
+        nodes, w = gauss_grid_3d.nodes, gauss_grid_3d.weights
+        weighted = w * f(nodes)
+        tables = [_univariate_table(4, nodes[:, j]) for j in range(3)]
+        terms, approx = {}, np.zeros(len(nodes))
+
+        def descend(j, budget, prefix, prod):
+            if j == 3:
+                terms[prefix] = alpha = float(np.sum(weighted * prod))
+                np.add(approx, alpha * prod, out=approx)
+                return
+            for deg in range(budget + 1):
+                descend(j + 1, budget - deg, prefix + (deg,), prod * tables[j][deg])
+
+        descend(0, 4, (), np.ones(len(nodes)))
+        assert list(report.polynomial.terms.items()) == [
+            (K, a) for K, a in terms.items() if a != 0.0]
+        assert report.residual_estimate == math.sqrt(float(np.sum(w * (f(nodes) - approx) ** 2)))
+
+    def test_dimension_past_the_recursion_limit(self):
+        """Budget 1 in more dimensions than Python frames: the constant and every
+        ``x_j``, with the residual of those ``1 + d`` terms."""
+        d = sys.getrecursionlimit() + 200
+        grid = make_grid(QuadratureSpec(GAUSSIAN, MONTE_CARLO, d, sample_count=50, seed=3))
+        f = lambda X: np.abs(X[:, 0]) + np.sum(X[:, :3], axis=1)
+        report = hermite_truncate(f, 1.0, 1.0, grid)
+        assert report.degree_budget == 1
+        assert len(report.polynomial.terms) == 1 + d
+        X, w = grid.nodes, grid.weights
+        constant, linear = float(np.sum(w * f(X))), (w * f(X)) @ X
+        assert_allclose(report.polynomial.terms[(0,) * d], constant, rtol=1e-13)
+        assert_allclose([report.polynomial.terms[tuple(np.eye(d, dtype=int)[j])]
+                         for j in range(d)], linear, rtol=1e-12)
+        direct = math.sqrt(float(np.sum(w * (f(X) - constant - X @ linear) ** 2)))
+        assert_allclose(report.residual_estimate, direct, rtol=1e-10)

@@ -30,7 +30,7 @@ from widthlab import (
 )
 from widthlab.cli import emit_curve, run_config
 from widthlab import fitter
-from widthlab.fitter import trial_residuals, width_residuals
+from widthlab.fitter import width_residuals
 from widthlab.lowerbound import explicit_hard_function
 from widthlab.quadrature import MONTE_CARLO, QuadratureSpec, make_grid
 from widthlab.relu import ReluFeature, ReluParamDist
@@ -289,9 +289,8 @@ def test_residual_never_rises_and_stays_within_target_norm(d, k, seed, mix):
     assert np.all(np.diff(res, axis=1) <= slack)
 
 
-def test_chunks_and_threads_change_no_bit(monkeypatch):
-    """Trials stacked in one chunk give the bits of one chunk per trial, and
-    ``threads`` is accepted without changing any result."""
+def test_chunks_change_no_bit(monkeypatch):
+    """Trials stacked in one chunk give the bits of one chunk per trial."""
     grid = tensor_gauss_grid(UNIFORM_CUBE, 2, 24)
     dist = DkDistribution(k=2, dimension=2)
     targets = _targets(grid.nodes, 2)
@@ -299,9 +298,6 @@ def test_chunks_and_threads_change_no_bit(monkeypatch):
     mw_args = (f, 0.4, 0.2, mw_dist, mw_grid, 20, 1024, 5)
     stacked = width_residuals(targets, grid, dist, [4, 16, 64], 9, trials=40)
     stacked_mw = estimate_minwidth(*mw_args)
-    assert np.array_equal(trial_residuals(targets, grid, dist, 64, 9, trials=40, threads=8),
-                          stacked[:, 2])
-    assert estimate_minwidth(*mw_args, threads=8) == stacked_mw
     monkeypatch.setattr(fitter, "_CHUNK_BYTES", 1)  # one trial per chunk
     assert np.array_equal(width_residuals(targets, grid, dist, [4, 16, 64], 9, trials=40),
                           stacked)

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -506,6 +510,29 @@ class TestSampleAverageNetwork:
         b = sample_average_network(P, 32, dist, seed=7, grid=cube_grid_1d)
         assert a.l2_error == b.l2_error
         assert_allclose(a.coefficients, b.coefficients)
+
+    def test_does_not_import_numpy_ma(self):
+        """Grouping features by ray needs no ``np.unique``, whose first call
+        imports ``numpy.ma`` (about 15 ms of every process's set-up)."""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(relu.__file__).resolve().parents[1]),
+             *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+        def ma_loaded(code):
+            out = subprocess.run([sys.executable, "-c", code + "\nimport sys\n"
+                                  "print('numpy.ma' in sys.modules)"],
+                                 env=env, capture_output=True, text=True, timeout=60)
+            assert out.returncode == 0, out.stderr
+            return out.stdout.strip() == "True"
+
+        if ma_loaded("import numpy"):
+            pytest.skip("this numpy imports numpy.ma with numpy itself")
+        assert not ma_loaded(
+            "from widthlab import DkDistribution, TrigPolynomial, UNIFORM_CUBE, "
+            "sample_average_network, tensor_gauss_grid\n"
+            "P = TrigPolynomial({(1, 0): 0.5, (0, 1): -0.25, (1, 1): 0.125})\n"
+            "sample_average_network(P, 64, DkDistribution(k=2, dimension=2), 3,"
+            " tensor_gauss_grid(UNIFORM_CUBE, 2, 8))")
 
     def test_span_metadata(self, cube_grid_1d):
         P = TrigPolynomial({(1,): 0.7})
