@@ -463,27 +463,27 @@ def _run_lb_projection(p, run: _Run) -> dict:
         family_desc = {**family_desc, "kappa": family.coherence}
     dist = DkDistribution(k=p.dist.k, dimension=p.d)
     values = _value_matrix(family, grid)
+    # One draw and one factor per trial, at the widest r, for every r > 0.
+    widths = [r for r in p.r if r > 0]
+    norms = width_residuals(values, grid, dist, widths, p.seed, p.trials) if widths else None
+    labels = [_label_str(label) for label in family.labels]
     per_r = []
     for r in p.r:
         if r == 0:  # the squared member norms, the same for every trial
             norms_sq = np.sum(grid.weights[:, None] * values**2, axis=0)
             stacked = np.tile(np.maximum(norms_sq, 0.0), (p.trials, 1))
         else:
-            norms = width_residuals(values, grid, dist, [r], p.seed, p.trials)[:, 0]
-            stacked = np.maximum(norms**2, 0.0)
+            stacked = np.maximum(norms[:, widths.index(r)]**2, 0.0)
         rows = ["trial,member,residual"]
         for t, residuals in enumerate(stacked):
-            for label, res in zip(family.labels, residuals):
-                rows.append(f"{t},{_label_str(label)},{_fmt(res)}")
+            rows.extend(f"{t},{label},{_fmt(res)}" for label, res in zip(labels, residuals))
         _write_lines(run.path(f"r{r}_residuals.csv"), rows)
         per_r.append({
             "r": r,
             "bound": randict_bound(r, len(family), family.coherence),
             "mean_residual": float(np.mean(stacked)),
-            "member_means": {
-                _label_str(label): float(np.mean(stacked[:, i]))
-                for i, label in enumerate(family.labels)
-            },
+            "member_means": {label: float(np.mean(stacked[:, i]))
+                             for i, label in enumerate(labels)},
         })
     return {"family": family_desc, "N": len(family), "trials": p.trials,
             "dist_k": p.dist.k, "per_r": per_r}
