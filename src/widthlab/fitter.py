@@ -27,34 +27,36 @@ import numpy as np
 
 from .errors import CapExceeded, EmptyFeatureList, ParameterOutOfRange
 from .quadrature import Grid, evaluate_on
-from .relu import ReluFeature, ReluParamDist, feature_arrays
+from .relu import ReluFeature, ReluParamDist, _check_unit_norm, feature_arrays
 
 
 @dataclass(frozen=True)
 class FittedSpan:
-    """Optimal coefficients over a fixed feature list, with the grid residual."""
+    """``sum_i coefficients_i relu(<W_i, x> - b_i)`` over unit rows ``W (r, d)`` and
+    biases ``b (r,)``, with its residual ``l2_error`` on the grid ``grid_id``."""
 
-    features: list[ReluFeature]
+    W: np.ndarray
+    b: np.ndarray
     coefficients: np.ndarray
     l2_error: float
     grid_id: str
 
     def __post_init__(self):
-        if len(self.coefficients) != len(self.features):
-            raise ParameterOutOfRange("one coefficient per feature required")
+        _check_unit_norm(self.W)
+        if not len(self.W) == len(self.b) == len(self.coefficients):
+            raise ParameterOutOfRange("one bias and one coefficient per weight row required")
 
     def evaluate(self, x) -> np.ndarray | float:
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         pts = x[None, :] if single else x
-        vals = _design_matrix(*feature_arrays(self.features), pts) @ self.coefficients
+        vals = _design_matrix(self.W, self.b, pts) @ self.coefficients
         return float(vals[0]) if single else vals
 
     def to_json_dict(self) -> dict:
         return {
-            "features": [
-                {"bias": feat.bias, "weight": feat.weight.tolist()} for feat in self.features
-            ],
+            "features": [{"bias": bias, "weight": w}
+                         for bias, w in zip(self.b.tolist(), self.W.tolist())],
             "coefficients": [float(c) for c in self.coefficients],
             "l2_error": self.l2_error,
             "grid_id": self.grid_id,
@@ -244,22 +246,26 @@ def fit_span(features: list[ReluFeature], f, grid: Grid) -> FittedSpan:
     if not features:
         raise EmptyFeatureList("cannot fit over an empty feature list")
     targets = evaluate_on(f, grid.nodes)
-    design, live = _live_design(*feature_arrays(features), grid.nodes)
+    W, b = feature_arrays(features)
+    design, live = _live_design(W, b, grid.nodes)
     coeffs = np.zeros(len(features))
     coeffs[live], residual = _weighted_lstsq(design, targets, grid.weights)
-    return FittedSpan(features=list(features), coefficients=coeffs,
-                      l2_error=float(residual), grid_id=grid.spec.label())
+    return FittedSpan(W=W, b=b, coefficients=coeffs, l2_error=float(residual),
+                      grid_id=grid.spec.label())
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score 95% interval (default z) for a binomial proportion."""
+    """Wilson score 95% interval (default z) for a binomial proportion; exactly 0 at
+    ``successes == 0`` and 1 at ``successes == trials``, where the formula misses by a rounding."""
     if trials < 1 or not 0 <= successes <= trials:
         raise ParameterOutOfRange(f"need 0 <= successes <= trials, got {successes}/{trials}")
     p = successes / trials
     denom = 1.0 + z**2 / trials
     center = (p + z**2 / (2 * trials)) / denom
     half = z * math.sqrt(p * (1 - p) / trials + z**2 / (4 * trials**2)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    lo = max(0.0, center - half) if successes > 0 else 0.0
+    hi = min(1.0, center + half) if successes < trials else 1.0
+    return lo, hi
 
 
 @dataclass(frozen=True)

@@ -52,12 +52,7 @@ class ReluFeature:
     def __post_init__(self):
         w = np.asarray(self.weight, dtype=float)
         object.__setattr__(self, "weight", w)
-        if abs(float(np.linalg.norm(w)) - 1.0) > 1e-12:
-            raise NotUnitNorm(f"feature weight has norm {np.linalg.norm(w)!r}, expected 1")
-
-    @property
-    def dimension(self) -> int:
-        return self.weight.shape[0]
+        _check_unit_norm(w)
 
     def evaluate(self, x) -> np.ndarray | float:
         """ReLU response at one point (d,) or a batch of points (n, d)."""
@@ -65,6 +60,14 @@ class ReluFeature:
         z = x @ self.weight - self.bias
         out = np.maximum(z, 0.0)
         return float(out) if out.ndim == 0 else out
+
+
+def _check_unit_norm(W: np.ndarray) -> None:
+    """Raise :class:`NotUnitNorm` unless each row of ``W`` (a 1-D ``W`` is one row) has norm 1."""
+    norms = np.linalg.norm(np.atleast_2d(W), axis=1)
+    off = np.flatnonzero(np.abs(norms - 1.0) > 1e-12)
+    if len(off):
+        raise NotUnitNorm(f"feature weight has norm {norms[off[0]]!r}, expected 1")
 
 
 def feature_arrays(features) -> tuple[np.ndarray, np.ndarray]:
@@ -96,7 +99,7 @@ def _call_curvature(curvature: Callable, b: np.ndarray) -> np.ndarray:
 
 
 def psi(profile: RidgeProfile, d: int, b) -> float | np.ndarray:
-    """Mixture density at bias ``b`` for the given ridge profile.
+    """Mixture density at bias ``b`` (a float for a scalar ``b``) for the given ridge profile.
 
     Piecewise on the four bias intervals: with ``a = phi(-sqrt(d))`` and
     ``s = phi'(-sqrt(d))``,
@@ -109,27 +112,18 @@ def psi(profile: RidgeProfile, d: int, b) -> float | np.ndarray:
     if d < 1:
         raise ParameterOutOfRange(f"dimension must be >= 1, got {d}")
     root = math.sqrt(d)
-    if np.ndim(b) == 0:  # the same pieces without array boxing
-        x = float(b)
-        if x < -2.0 * root or x > 2.0 * root:
-            raise OutOfSupport(f"bias outside [-2 sqrt(d), 2 sqrt(d)] = [{-2*root}, {2*root}]")
-        if x < -1.5 * root:
-            return (16.0 / root) * profile.value_left - 4.0 * profile.slope_left
-        if x < -root:
-            return -(16.0 / root) * profile.value_left + 12.0 * profile.slope_left
-        return 4.0 * root * float(profile.curvature(x)) if x <= root else 0.0
     arr = np.asarray(b, dtype=float)
-    if np.any(arr < -2.0 * root) or np.any(arr > 2.0 * root):
+    # Few numpy calls and count_nonzero, not any: quadrature calls psi per scalar bias.
+    size = np.abs(arr)
+    if np.count_nonzero(size > 2.0 * root):
         raise OutOfSupport(f"bias outside [-2 sqrt(d), 2 sqrt(d)] = [{-2*root}, {2*root}]")
-    out = np.zeros_like(arr)
-    lo = arr < -1.5 * root
-    mid_lo = (arr >= -1.5 * root) & (arr < -root)
-    core = (arr >= -root) & (arr <= root)
-    out[lo] = (16.0 / root) * profile.value_left - 4.0 * profile.slope_left
-    out[mid_lo] = -(16.0 / root) * profile.value_left + 12.0 * profile.slope_left
-    if np.any(core):
+    out = np.zeros(arr.shape)
+    out[arr < -root] = -(16.0 / root) * profile.value_left + 12.0 * profile.slope_left
+    out[arr < -1.5 * root] = (16.0 / root) * profile.value_left - 4.0 * profile.slope_left
+    core = size <= root
+    if np.count_nonzero(core):
         out[core] = 4.0 * root * _call_curvature(profile.curvature, arr[core])
-    return out
+    return float(out) if arr.ndim == 0 else out
 
 
 def ridge_profile_of_index(K: MultiIndex, rho: float, d: int) -> RidgeProfile:
@@ -448,11 +442,11 @@ def sample_average_network(P: TrigPolynomial, r: int, dist: DkDistribution,
                            seed, grid: Grid):
     """Monte Carlo network ``(1/r) sum_i h(b_i, w_i) relu(<w_i, x> - b_i)``.
 
-    Draws ``r`` features from ``dist``, attaches the importance weight of each
-    divided by ``r``, and reports the measured L2 error against ``P`` on the
-    grid.  Error decays like ``1/sqrt(r)``.  The network is evaluated a block
-    of grid rows at a time, so its design matrix takes about ``_BLOCK_BYTES``
-    (at least 8 rows) whatever the grid size.
+    Draws ``r`` features from ``dist`` as ``W (r, d)`` and ``b (r,)``, attaches
+    the importance weight of each divided by ``r``, and returns the span with
+    its measured L2 error against ``P`` on the grid.  Error decays like
+    ``1/sqrt(r)``.  The network is evaluated a block of grid rows at a time,
+    so its design matrix takes about ``_BLOCK_BYTES`` whatever the grid size.
     """
     from .fitter import FittedSpan, _design_matrix  # deferred: fitter imports from here
 
@@ -469,8 +463,7 @@ def sample_average_network(P: TrigPolynomial, r: int, dist: DkDistribution,
         block = slice(start, start + rows)
         approx[block] = _design_matrix(W, b, grid.nodes[block]) @ coeffs
     err = l2_error(P.evaluate, lambda nodes: approx, grid)
-    return FittedSpan(features=[ReluFeature(float(bias), w) for bias, w in zip(b, W)],
-                      coefficients=coeffs, l2_error=err, grid_id=grid.spec.label())
+    return FittedSpan(W=W, b=b, coefficients=coeffs, l2_error=err, grid_id=grid.spec.label())
 
 
 @lru_cache(maxsize=None)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate
@@ -33,9 +34,12 @@ def brute_counts(kmax: int, dmax: int) -> dict[tuple[int, int], int]:
 
 
 def brute_enumerate(k: float, d: int) -> list[tuple[int, ...]]:
-    """All ball members by scanning the bounding box (small cases only)."""
+    """All ball members by scanning the bounding box (small cases only).
+
+    ``|K|^2`` is compared with the exact square of the binary value of ``k``.
+    """
     m = int(math.floor(k))
-    bound = math.floor(k * k * (1 + 1e-15))
+    bound = Fraction(k) ** 2
     out = []
     for K in itertools.product(range(-m, m + 1), repeat=d):
         if sum(c * c for c in K) <= bound:

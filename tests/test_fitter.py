@@ -7,8 +7,8 @@ from widthlab import (
     DkDistribution,
     EmptyFeatureList,
     FittedSpan,
+    NotUnitNorm,
     ParameterOutOfRange,
-    ReluFeature,
     TrigPolynomial,
     estimate_minwidth,
     fit_span,
@@ -78,16 +78,37 @@ class TestFitSpan:
             fit_span([], lambda X: X[:, 0], cube_grid_1d)
 
     def test_coefficient_count_enforced(self):
-        with pytest.raises(ParameterOutOfRange):
-            FittedSpan(features=[ReluFeature(0.0, np.array([1.0]))],
-                       coefficients=np.zeros(2), l2_error=0.0, grid_id="g")
+        """``W``, ``b`` and the coefficients must have one entry per feature."""
+        for rows, biases, coefficients in [(1, 1, 2), (2, 1, 2), (2, 2, 1)]:
+            with pytest.raises(ParameterOutOfRange):
+                FittedSpan(W=np.ones((rows, 1)), b=np.zeros(biases),
+                           coefficients=np.zeros(coefficients), l2_error=0.0, grid_id="g")
+
+    def test_unit_rows_enforced(self):
+        W = np.array([[0.6, 0.8], [0.6, 0.8 + 1e-11], [1.0, 0.0]])
+        with pytest.raises(NotUnitNorm, match="1.0000000000"):
+            FittedSpan(W=W, b=np.zeros(3), coefficients=np.zeros(3), l2_error=0.0,
+                       grid_id="g")
+        FittedSpan(W=W[[0, 2]], b=np.zeros(2), coefficients=np.zeros(2), l2_error=0.0,
+                   grid_id="g")
+
+    def test_holds_the_features_as_arrays(self, cube_grid_1d):
+        feats = _features(np.random.default_rng(42), 5, 1)
+        span = fit_span(feats, lambda X: np.sin(2.0 * X[:, 0]), cube_grid_1d)
+        assert np.array_equal(span.W, [feat.weight for feat in feats])
+        assert np.array_equal(span.b, [feat.bias for feat in feats])
+        X = cube_grid_1d.nodes
+        columns = np.column_stack([feat.evaluate(X) for feat in feats])
+        assert_allclose(span.evaluate(X), columns @ span.coefficients, rtol=0.0, atol=1e-14)
+        assert span.evaluate(X[3]) == span.evaluate(X)[3]
 
     def test_json_round_trippable_fields(self, cube_grid_1d):
         rng = np.random.default_rng(42)
         feats = _features(rng, 2, 1)
         span = fit_span(feats, lambda X: X[:, 0], cube_grid_1d)
         doc = span.to_json_dict()
-        assert len(doc["features"]) == 2
+        assert doc["features"] == [{"bias": feat.bias, "weight": feat.weight.tolist()}
+                                   for feat in feats]
         assert len(doc["coefficients"]) == 2
         assert doc["grid_id"] == cube_grid_1d.spec.label()
 

@@ -35,13 +35,9 @@ def test_wilson_interval_contains_an_inner_rate(counts):
     assert lo <= s / n <= hi
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "at s = 0 or s = n the interval misses the rate by one rounding: the clamps "
-    "max(0, .) and min(1, .) do not catch center - half = 2.8e-17 at (0, 11) or "
-    "center + half = 1 - 1.1e-16 at (100, 100)"))
 @given(_counts(edge=True))
-@example((0, 11))
-@example((100, 100))
+@example((0, 11))  # center - half computes to 2.8e-17
+@example((100, 100))  # center + half computes to 1 - 1.1e-16
 @settings(max_examples=200, deadline=None)
 def test_wilson_interval_contains_an_edge_rate(counts):
     s, n = counts
@@ -51,6 +47,7 @@ def test_wilson_interval_contains_an_edge_rate(counts):
 
 @given(k=st.floats(0.0, 4.0), d=st.integers(1, 3))
 @example(k=math.sqrt(2), d=2)  # the points with |K|^2 = 2 lie on the sphere
+@example(k=math.sqrt(3), d=3)  # the float's exact square is below 3: 19 points, not 27
 @settings(max_examples=200, deadline=None)
 def test_count_ball_matches_a_scan_of_the_box(k, d):
     assert count_ball(k, d) == len(brute_enumerate(k, d))

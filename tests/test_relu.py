@@ -538,7 +538,7 @@ class TestSampleAverageNetwork:
         P = TrigPolynomial({(1,): 0.7})
         span = sample_average_network(P, 8, DkDistribution(k=1, dimension=1),
                                       seed=3, grid=cube_grid_1d)
-        assert len(span.features) == 8
+        assert span.W.shape == (8, 1) and span.b.shape == (8,)
         assert span.coefficients.shape == (8,)
         assert span.grid_id == cube_grid_1d.spec.label()
 
@@ -554,11 +554,12 @@ class TestSampleAverageNetwork:
         grid = tensor_gauss_grid(UNIFORM_CUBE, d, 8)
         r = 400
         span = sample_average_network(P, r, dist, seed=[5, d], grid=grid)
-        oracle = [h_weight(f.bias, f.weight, P, k, d) / r for f in span.features]
+        oracle = [h_weight(bias, w, P, k, d) / r for bias, w in zip(span.b, span.W)]
         assert_allclose(span.coefficients, oracle, rtol=1e-12, atol=0.0)
         rng = np.random.default_rng([5, d])
-        assert [f.bias for f in span.features] == [dist.sample_feature(rng).bias
-                                                   for _ in range(r)]
+        feats = [dist.sample_feature(rng) for _ in range(r)]
+        assert span.b.tolist() == [f.bias for f in feats]
+        assert np.array_equal(span.W, [f.weight for f in feats])
 
     @pytest.mark.parametrize("r, nodes_per_dim", [(4096, 25), (64, 24)],
                              ids=["ragged_last_block", "one_short_block"])
@@ -571,9 +572,7 @@ class TestSampleAverageNetwork:
         P = TrigPolynomial({(0, 0): 0.3, (1, 2): 0.5, (-2, 1): -0.4, (0, -4): 0.1})
         span = sample_average_network(P, r, DkDistribution(k=4, dimension=2), seed=9,
                                       grid=grid)
-        W = np.array([f.weight for f in span.features])
-        b = np.array([f.bias for f in span.features])
-        reference = _design_matrix(W, b, grid.nodes) @ span.coefficients
+        reference = _design_matrix(span.W, span.b, grid.nodes) @ span.coefficients
         assert span.l2_error == l2_error(P.evaluate, lambda nodes: reference, grid)
 
     def test_traced_peak_stays_small(self, cube_grid_2d):
