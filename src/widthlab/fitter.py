@@ -11,11 +11,16 @@ bisection search for the smallest width reaching a target success rate.
 All randomness flows through ``numpy`` generators seeded per trial as
 ``default_rng([seed, trial])``, so results do not depend on how trials are
 grouped, and feature draws are *coupled* across widths: trial ``t`` at width
-``r+1`` extends the same draw used at width ``r`` by one more feature, making
-residuals monotone per trial.  So one factorization per trial, at the widest
-width a run asks for, gives the residual at every narrower width.  Only the
-live columns are factored: a feature whose bias is at least the largest
-value ``<w, x>`` can reach on the grid's bounding box is zero at every node.
+``r+1`` extends the same draw used at width ``r`` by one more feature, so
+residuals never rise per trial while no width loses a singular value to the
+rank cut.  So one factorization per trial, at the widest width a run asks
+for, gives the residual at every narrower width.  Only the live columns are
+factored: a feature whose bias is at least the largest value ``<w, x>`` can
+reach on the grid's bounding box is zero at every node.  Each trial's
+weighted design is written from its live ``(W, b)`` straight into a stack
+with one contiguous row per column, whose transpose is the column-major
+layout LAPACK factors; ``fit_span`` and ``projection_residuals`` build and
+factor theirs the same way.
 """
 
 from __future__ import annotations
@@ -87,12 +92,6 @@ def _live(W: np.ndarray, b: np.ndarray, reach: np.ndarray) -> np.ndarray:
     return b < np.abs(W) @ reach
 
 
-def _live_design(W: np.ndarray, b: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The design columns of the live features, and the mask of which are live."""
-    live = _live(W, b, _reach(nodes))
-    return _design_matrix(W[live], b[live], nodes), live
-
-
 # Bytes of stacked weighted designs that ``width_residuals`` factors at once,
 # as ``relu._BLOCK_BYTES`` bounds the network's row blocks.
 _CHUNK_BYTES = 2 * 2**20
@@ -112,34 +111,43 @@ def _weighted(targets: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.
     return root_w, targets.reshape(len(targets), -1) * root_w[:, None]
 
 
-def _factor(designs, count: int, w: int, root_w: np.ndarray,
+def _factor(params, count: int, w: int, nodes: np.ndarray, root_w: np.ndarray,
             rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One Householder QR per design ``A`` of ``designs``, ``count`` of them of shape ``(n, w)``.
+    """One Householder QR per design ``A`` of the features ``(W, b)`` of ``params``,
+    ``count`` pairs of ``w`` rows each, at ``nodes``.
 
-    The designs are weighted by ``root_w`` into one stacked buffer.  Returns
-    ``R`` of shape ``(count, min(n, w), w)`` with ``A = Q R``, and ``C`` of
-    shape ``(count, q, m)``: its first ``min(n, w)`` rows are ``Q^T rhs`` and
-    the rest hold the targets' part orthogonal to every column of ``Q``, so
-    the part of ``rhs`` outside the span of ``Q``'s first ``k`` columns has
-    the norm of ``C[:, k:]``.  With fewer targets than columns the targets
-    join the factorization as ``[A | rhs]`` and ``C`` is read off its ``R``;
-    otherwise ``Q`` is formed and the misfit ``rhs - Q Q^T rhs`` becomes one
-    row of norms, which costs less for many targets.
+    Each weighted design is written column by column into one stack of
+    shape ``(count, columns, n)``, so its transpose is the column-major
+    layout LAPACK factors.  Returns ``R`` of shape ``(count, min(n, w), w)``
+    with ``A = Q R``, and ``C`` of shape ``(count, q, m)``: its first
+    ``min(n, w)`` rows are ``Q^T rhs`` and the rest hold the targets' part
+    orthogonal to every column of ``Q``, so the part of ``rhs`` outside the
+    span of ``Q``'s first ``k`` columns has the norm of ``C[:, k:]``.  With
+    fewer targets than columns the targets join the factorization as
+    ``[A | rhs]`` and ``C`` is read off its ``R``; otherwise ``Q`` is formed
+    and the misfit ``rhs - Q Q^T rhs`` becomes one row of norms, which costs
+    less for many targets.
     """
     n, m = rhs.shape
     joined = m < w
-    stack = np.empty((count, n, w + m if joined else w))
-    for i, design in enumerate(designs):
-        np.multiply(design, root_w[:, None], out=stack[i, :, :w])
+    stack = np.empty((count, w + m if joined else w, n))
+    for columns, (W, b) in zip(stack[:, :w], params):
+        # _design_matrix's op order, with nodes.T a view: the bits FittedSpan.evaluate and the
+        # network compute (a contiguous copy moves a one-feature product by an ulp).
+        np.matmul(W, nodes.T, out=columns)
+        columns -= b[:, None]
+        np.maximum(columns, 0.0, out=columns)
+        columns *= root_w
+    A = np.swapaxes(stack, -1, -2)
     if joined:
-        stack[:, :, w:] = rhs
-        full = np.linalg.qr(stack, mode="r")
+        stack[:, w:] = rhs.T
+        full = np.linalg.qr(A, mode="r")
         return full[:, :min(n, w), :w], full[:, :, w:]
-    Q, R = np.linalg.qr(stack)
+    Q, R = np.linalg.qr(A)
     C = np.swapaxes(Q, -1, -2) @ rhs
     misfit = Q @ C
     np.subtract(rhs, misfit, out=misfit)
-    np.square(misfit, out=misfit)
+    np.square(misfit, out=misfit)  # not einsum: its one-target sum varies with ``count``
     return R, np.concatenate([C, np.sqrt(np.sum(misfit, axis=1, keepdims=True))], axis=1)
 
 
@@ -172,7 +180,9 @@ def _solve_block(R: np.ndarray, head: np.ndarray, tail: np.ndarray,
 class _Factors:
     """QR factors of the live design columns of ``count`` trials, read at any live count.
 
-    Trial ``t``'s weighted live design (``L`` columns, at most ``w``) has its
+    :func:`_factor` builds each trial's weighted live design from its live
+    ``(W, b)`` in a column-major stack and factors it there.  Trial ``t``'s
+    design (``L`` columns, at most ``w``) has its
     ``R`` in the top-left ``min(n, L) x L`` corner of ``R[t]`` and its ``C``
     from :func:`_factor` in the top rows of ``C[t]``; the rest is zero.
     ``tails[t, k]`` holds the squared norms of ``C[t, k:]``.  So trials of
@@ -187,9 +197,10 @@ class _Factors:
         self.tails = np.zeros_like(self.C)
         self.target_norms = np.sqrt(np.sum(rhs**2, axis=0))
 
-    def add(self, sel, designs, w: int, root_w: np.ndarray, rhs: np.ndarray) -> None:
-        """Factor ``designs``, of ``w`` columns each, as the trials ``sel``."""
-        R, C = _factor(designs, len(sel), w, root_w, rhs)
+    def add(self, sel, params, w: int, nodes: np.ndarray, root_w: np.ndarray,
+            rhs: np.ndarray) -> None:
+        """Factor the designs of ``params``, ``w`` live features each, as the trials ``sel``."""
+        R, C = _factor(params, len(sel), w, nodes, root_w, rhs)
         self.R[sel, :R.shape[1], :w] = R
         self.C[sel, :C.shape[1]] = C
         self.tails[sel, :C.shape[1]] = np.cumsum((C**2)[:, ::-1], axis=1)[:, ::-1]
@@ -212,27 +223,29 @@ class _Factors:
         return out
 
 
-def _weighted_lstsq(design: np.ndarray, targets: np.ndarray,
-                    weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize sum_i w_i (design_i . c - targets_i)^2 for one design; targets may be (n, m).
+def _weighted_lstsq(W: np.ndarray, b: np.ndarray, grid: Grid,
+                    targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Project ``targets`` ``(n,)`` or ``(n, m)`` onto the span of the features ``(W, b)``
+    in the grid's weighted L2 norm; returns (coefficients, residual norms).
 
-    Returns (coefficients, residual norms) through the factorization the
-    trial engine uses, so the live columns of a list of features give the
-    bits a trial with the same draws gives.  A design with no columns leaves
-    the targets' norms.
+    Only the live features (:func:`_live`) are factored, by the builder and
+    factorization the trial engine uses, so a list of features gives the
+    bits a trial with the same draws gives; every other feature gets
+    coefficient 0.  With no live feature the residuals are the targets' norms.
     """
-    root_w, rhs = _weighted(targets, weights)
-    n, w = design.shape
-    factors = _Factors(1, n, w, rhs)
-    if w == 0:
-        coeffs, norms = np.zeros((1, 0, rhs.shape[1])), factors.target_norms[None]
-    else:
-        factors.add([0], [design], w, root_w, rhs)
-        norms, coeffs = _solve_block(*factors.block(np.zeros(1, dtype=np.intp), w),
+    root_w, rhs = _weighted(targets, grid.weights)
+    live = _live(W, b, _reach(grid.nodes))
+    w = int(np.count_nonzero(live))
+    factors = _Factors(1, len(rhs), w, rhs)
+    coeffs, norms = np.zeros((len(W), rhs.shape[1])), factors.target_norms
+    if w:
+        factors.add([0], [(W[live], b[live])], w, grid.nodes, root_w, rhs)
+        norms, solved = _solve_block(*factors.block(np.zeros(1, dtype=np.intp), w),
                                      coefficients=True)
+        norms, coeffs[live] = norms[0], solved[0]
     if targets.ndim == 2:
-        return coeffs[0], norms[0]
-    return coeffs[0, :, 0], norms[0, 0]
+        return coeffs, norms
+    return coeffs[:, 0], norms[0]
 
 
 def fit_span(features: list[ReluFeature], f, grid: Grid) -> FittedSpan:
@@ -245,11 +258,8 @@ def fit_span(features: list[ReluFeature], f, grid: Grid) -> FittedSpan:
     """
     if not features:
         raise EmptyFeatureList("cannot fit over an empty feature list")
-    targets = evaluate_on(f, grid.nodes)
     W, b = feature_arrays(features)
-    design, live = _live_design(W, b, grid.nodes)
-    coeffs = np.zeros(len(features))
-    coeffs[live], residual = _weighted_lstsq(design, targets, grid.weights)
+    coeffs, residual = _weighted_lstsq(W, b, grid, evaluate_on(f, grid.nodes))
     return FittedSpan(W=W, b=b, coefficients=coeffs, l2_error=float(residual),
                       grid_id=grid.spec.label())
 
@@ -321,9 +331,8 @@ def _factored(rhs: np.ndarray, root_w: np.ndarray, grid: Grid, dist: ReluParamDi
             per_chunk = max(1, _CHUNK_BYTES // (8 * n * (count + m)))
             for first in range(0, len(group), per_chunk):
                 sel = group[first:first + per_chunk]
-                designs = (_design_matrix(draws[i][0][mask[i]], draws[i][1][mask[i]], grid.nodes)
-                           for i in sel)
-                factors.add(sel, designs, int(count), root_w, rhs)
+                params = ((draws[i][0][mask[i]], draws[i][1][mask[i]]) for i in sel)
+                factors.add(sel, params, int(count), grid.nodes, root_w, rhs)
         yield ids, live, factors
 
 

@@ -26,7 +26,7 @@ from .errors import (
     WrongMeasure,
 )
 from .approx import c_ks
-from .fitter import _live_design, _weighted_lstsq
+from .fitter import _weighted_lstsq
 from .fitter import _design_matrix  # noqa: F401  the benchmark's tracer test reads it here
 from .lattice import MultiIndex, enumerate_ball
 from .quadrature import GAUSSIAN, Grid, evaluate_on
@@ -117,8 +117,7 @@ def projection_residuals(features, family: FunctionFamily, grid: Grid) -> Projec
     if len(features) == 0:
         residuals = np.sum(grid.weights[:, None] * targets**2, axis=0)
     else:
-        design, _ = _live_design(*feature_arrays(features), grid.nodes)
-        _, norms = _weighted_lstsq(design, targets, grid.weights)
+        _, norms = _weighted_lstsq(*feature_arrays(features), grid, targets)
         residuals = norms**2
     residuals = np.maximum(residuals, 0.0)
     kappa = family.coherence

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -73,22 +72,25 @@ def finite_difference(f, x: np.ndarray, order: tuple[int, ...], h: float = 1e-5)
     raise ValueError("finite differences implemented for total order <= 2")
 
 
-def mixture_quad(psi_of_b, d: int, z: float) -> float:
-    """Adaptive-quadrature mixture value E_b[psi(b) relu(z - b)], b uniform."""
+def mixture_quad(psi_of_b, d: int, z):
+    """Adaptive-quadrature mixture values E_b[psi(b) relu(z - b)], b uniform.
+
+    ``z`` is a float, giving a float, or an array, giving one value per
+    entry.  All entries are integrated at once by scipy's vector-valued
+    adaptive Gauss-Kronrod rule, with the density breakpoints and every
+    kink ``b = z`` as interval ends, so each piece is smooth.
+    """
     root = math.sqrt(d)
-    hi = min(z, 2.0 * root)
-    if hi <= -2.0 * root:
-        return 0.0
-    breakpoints = [p for p in (-1.5 * root, -root, root) if -2.0 * root < p < hi]
-    with warnings.catch_warnings():
-        # The kink sits exactly on the endpoint, which quad flags but
-        # integrates fine; agreement is asserted by the caller anyway.
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, _ = integrate.quad(
-            lambda b: psi_of_b(b) * (z - b), -2.0 * root, hi,
-            points=breakpoints or None, limit=300,
-        )
-    return val / (4.0 * root)
+    zs = np.atleast_1d(np.asarray(z, dtype=float))
+    lo, hi = -2.0 * root, min(float(np.max(zs)), 2.0 * root)
+    out = np.zeros(zs.shape)
+    if hi > lo:
+        kinks = [p for p in (-1.5 * root, -root, root, *np.unique(zs)) if lo < p < hi]
+        val, _ = integrate.quad_vec(lambda b: psi_of_b(b) * np.maximum(zs - b, 0.0), lo, hi,
+                                    epsabs=1e-12, norm="max", quadrature="gk15",
+                                    points=kinks or None)
+        out = val / (4.0 * root)
+    return float(out[0]) if np.ndim(z) == 0 else out
 
 
 def dk_expectation(h_of_bw, rays: list[tuple[np.ndarray, int]], Q: int, d: int,
