@@ -463,17 +463,13 @@ def _run_lb_projection(p, run: _Run) -> dict:
         family_desc = {**family_desc, "kappa": family.coherence}
     dist = DkDistribution(k=p.dist.k, dimension=p.d)
     values = _value_matrix(family, grid)
-    # One draw and one factor per trial, at the widest r, for every r > 0.
-    widths = [r for r in p.r if r > 0]
-    norms = width_residuals(values, grid, dist, widths, p.seed, p.trials) if widths else None
+    # One draw and one factor per trial, at the widest r, for every r; r = 0 reads the
+    # member norms, as a trial with no live feature does.
+    norms = width_residuals(values, grid, dist, p.r, p.seed, p.trials)
     labels = [_label_str(label) for label in family.labels]
     per_r = []
-    for r in p.r:
-        if r == 0:  # the squared member norms, the same for every trial
-            norms_sq = np.sum(grid.weights[:, None] * values**2, axis=0)
-            stacked = np.tile(np.maximum(norms_sq, 0.0), (p.trials, 1))
-        else:
-            stacked = np.maximum(norms[:, widths.index(r)]**2, 0.0)
+    for r, column in zip(p.r, np.moveaxis(norms, 1, 0)):
+        stacked = np.maximum(column**2, 0.0)
         rows = ["trial,member,residual"]
         for t, residuals in enumerate(stacked):
             rows.extend(f"{t},{label},{_fmt(res)}" for label, res in zip(labels, residuals))

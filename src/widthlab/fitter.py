@@ -4,9 +4,11 @@ The L2 projection of a target onto the span of ``r`` sampled features is
 realized as weighted least squares on a quadrature grid: one Householder QR
 of the weighted design, then the SVD of a leading block of ``R`` with the
 rank cut of ``np.linalg.lstsq`` (singular values at most ``_RCOND`` times the
-largest count as zero).  On top of that sit Monte Carlo estimates of the
-success probability ``P[inf-over-span error <= eps]`` and a doubling-plus-
-bisection search for the smallest width reaching a target success rate.
+largest count as zero).  The targets' part outside the span is read off the
+QR of ``[A | rhs]`` or, for many targets, downdated from their norms.  On
+top of that sit Monte Carlo estimates of the success probability
+``P[inf-over-span error <= eps]`` and a doubling-plus-bisection search for
+the smallest width reaching a target success rate.
 
 All randomness flows through ``numpy`` generators seeded per trial as
 ``default_rng([seed, trial])``, so results do not depend on how trials are
@@ -104,6 +106,12 @@ _BATCH_BYTES = 16 * 2**20
 # largest count as zero, the cut ``np.linalg.lstsq`` makes given this cutoff.
 _RCOND = 1e-10
 
+# The part of a target outside the span is downdated as ``|rhs|^2 - |Q^T rhs|^2``
+# where that keeps at least this share of ``|rhs|^2``, so the rounding of both
+# terms (a small multiple of the unit roundoff times ``|rhs|^2``) grows at most
+# 16-fold relative to it; below, it is recomputed from ``rhs - Q Q^T rhs``.
+_DOWNDATE = 1 / 16
+
 
 def _weighted(targets: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The square roots of the weights, and the targets scaled by them as ``(n, m)``."""
@@ -112,7 +120,7 @@ def _weighted(targets: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _factor(params, count: int, w: int, nodes: np.ndarray, root_w: np.ndarray,
-            rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            rhs: np.ndarray, norm_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One Householder QR per design ``A`` of the features ``(W, b)`` of ``params``,
     ``count`` pairs of ``w`` rows each, at ``nodes``.
 
@@ -124,9 +132,11 @@ def _factor(params, count: int, w: int, nodes: np.ndarray, root_w: np.ndarray,
     orthogonal to every column of ``Q``, so the part of ``rhs`` outside the
     span of ``Q``'s first ``k`` columns has the norm of ``C[:, k:]``.  With
     fewer targets than columns the targets join the factorization as
-    ``[A | rhs]`` and ``C`` is read off its ``R``; otherwise ``Q`` is formed
-    and the misfit ``rhs - Q Q^T rhs`` becomes one row of norms, which costs
-    less for many targets.
+    ``[A | rhs]`` and ``C`` is read off its ``R``.  Otherwise ``Q`` is formed
+    and the part outside is downdated from the targets' squared norms
+    ``norm_sq`` as ``norm_sq - |Q^T rhs|^2``, the column-norm downdate of
+    LAPACK's xGEQP3; where that falls below ``_DOWNDATE`` times ``norm_sq``
+    it is recomputed as ``|rhs - Q Q^T rhs|^2`` for that trial and target.
     """
     n, m = rhs.shape
     joined = m < w
@@ -145,10 +155,12 @@ def _factor(params, count: int, w: int, nodes: np.ndarray, root_w: np.ndarray,
         return full[:, :min(n, w), :w], full[:, :, w:]
     Q, R = np.linalg.qr(A)
     C = np.swapaxes(Q, -1, -2) @ rhs
-    misfit = Q @ C
-    np.subtract(rhs, misfit, out=misfit)
-    np.square(misfit, out=misfit)  # not einsum: its one-target sum varies with ``count``
-    return R, np.concatenate([C, np.sqrt(np.sum(misfit, axis=1, keepdims=True))], axis=1)
+    # not einsum: its one-target sum varies with ``count``
+    outside = norm_sq - np.sum(C * C, axis=1)
+    for t, j in zip(*np.nonzero(outside < _DOWNDATE * norm_sq)):
+        gap = rhs[:, j] - Q[t] @ C[t, :, j]
+        outside[t, j] = gap @ gap
+    return R, np.concatenate([C, np.sqrt(outside)[:, None]], axis=1)
 
 
 def _solve_block(R: np.ndarray, head: np.ndarray, tail: np.ndarray,
@@ -187,7 +199,7 @@ class _Factors:
     from :func:`_factor` in the top rows of ``C[t]``; the rest is zero.
     ``tails[t, k]`` holds the squared norms of ``C[t, k:]``.  So trials of
     any live count at the factored width stack into one solve at a common
-    smaller count.
+    smaller count.  A count of 0 reads the targets' norms, from ``norm_sq``.
     """
 
     def __init__(self, count: int, n: int, w: int, rhs: np.ndarray):
@@ -195,12 +207,13 @@ class _Factors:
         self.R = np.zeros((count, rows, w))
         self.C = np.zeros((count, rows + m + 1, m))
         self.tails = np.zeros_like(self.C)
-        self.target_norms = np.sqrt(np.sum(rhs**2, axis=0))
+        self.norm_sq = np.array([col @ col for col in rhs.T])
+        self.target_norms = np.sqrt(self.norm_sq)
 
     def add(self, sel, params, w: int, nodes: np.ndarray, root_w: np.ndarray,
             rhs: np.ndarray) -> None:
         """Factor the designs of ``params``, ``w`` live features each, as the trials ``sel``."""
-        R, C = _factor(params, len(sel), w, nodes, root_w, rhs)
+        R, C = _factor(params, len(sel), w, nodes, root_w, rhs, self.norm_sq)
         self.R[sel, :R.shape[1], :w] = R
         self.C[sel, :C.shape[1]] = C
         self.tails[sel, :C.shape[1]] = np.cumsum((C**2)[:, ::-1], axis=1)[:, ::-1]
@@ -308,7 +321,7 @@ def _factored(rhs: np.ndarray, root_w: np.ndarray, grid: Grid, dist: ReluParamDi
     ``live[i, r]`` counts the live features (:func:`_live`) among the first
     ``r`` of trial ``ids[i]``, and ``factors`` (:class:`_Factors`) holds the
     factor of each trial's live columns.  Trials with the same live count
-    are factored in stacks whose designs, with the targets or misfits beside
+    are factored in stacks whose designs, counted with the targets beside
     them, take about ``_CHUNK_BYTES``; a batch's draws and factors take
     about ``_BATCH_BYTES``.
     """
@@ -319,7 +332,7 @@ def _factored(rhs: np.ndarray, root_w: np.ndarray, grid: Grid, dist: ReluParamDi
     per_batch = max(1, _BATCH_BYTES // per_trial)
     for start in range(0, len(trials), per_batch):
         ids = trials[start:start + per_batch]
-        draws = [_draw(dist, w, seed, t) for t in ids]
+        draws = [_draw(dist, w, seed, t) for t in ids] if w else []
         mask = np.array([_live(W, b, reach) for W, b in draws]).reshape(len(ids), w)
         live = np.zeros((len(ids), w + 1), dtype=np.intp)
         np.cumsum(mask, axis=1, out=live[:, 1:])
@@ -345,7 +358,9 @@ def width_residuals(targets: np.ndarray, grid: Grid, dist: ReluParamDist, widths
     are coupled, so each trial is drawn and factored once, at the widest
     width, on its live columns only, and every width reads its residual from
     a leading block of that factor: its live count among its first ``r``
-    features gives the block (:meth:`_Factors.norms`).  Returns shape
+    features gives the block (:meth:`_Factors.norms`).  A width of 0 gives
+    the targets' norms, the bits of a trial with no live feature, and a run
+    of only such widths draws nothing.  Returns shape
     ``(trials, len(widths))`` for targets of shape ``(n,)`` and
     ``(trials, len(widths), m)`` for targets of shape ``(n, m)``.
     """

@@ -111,15 +111,13 @@ def projection_residuals(features, family: FunctionFamily, grid: Grid) -> Projec
     One multi-right-hand-side least squares against the live columns of the
     feature design matrix gives exactly the per-member ``fit_span``
     residuals; tiny negative values from grid noise are clipped to zero.
-    ``r = 0`` returns the squared member norms.
+    ``r = 0``, like a span of features dead on the grid, returns the squared
+    member norms.
     """
-    targets = _value_matrix(family, grid)
-    if len(features) == 0:
-        residuals = np.sum(grid.weights[:, None] * targets**2, axis=0)
-    else:
-        _, norms = _weighted_lstsq(*feature_arrays(features), grid, targets)
-        residuals = norms**2
-    residuals = np.maximum(residuals, 0.0)
+    W, b = feature_arrays(features)
+    W = W.reshape(len(b), grid.nodes.shape[1])  # (0, d) for no features
+    _, norms = _weighted_lstsq(W, b, grid, _value_matrix(family, grid))
+    residuals = np.maximum(norms**2, 0.0)
     kappa = family.coherence
     if kappa is None:
         kappa = coherence(family, grid)

@@ -352,6 +352,28 @@ class TestTrialEngine:
                 else:  # a leading block of the widest factor: equal up to rounding
                     assert_allclose(got, expected, rtol=0, atol=1e-12)
 
+    def test_dead_draws_report_the_r0_rows(self, tmp_path):
+        """A trial whose feature is zero at every node reports the ``r = 0`` rows bit
+        for bit: both read the one squared norm per member."""
+        doc = {"kind": "lb_projection",
+               "parameters": {"d": 3, "family": {"type": "ball", "k": 2}, "r_list": [0, 1],
+                              "trials": 12, "seed": 5, "dist": {"k": 2},
+                              "grid": {"nodes_per_dim": 8}},
+               "output_path": "p"}
+        code, _, out_dir = _run(tmp_path, doc)
+        assert code == 0
+        grid = tensor_gauss_grid(UNIFORM_CUBE, 3, 8)
+        dist = DkDistribution(k=2, dimension=3)
+        dead = [t for t in range(12)
+                if not fitter._live(*fitter._draw(dist, 1, 5, t), fitter._reach(grid.nodes))[0]]
+        assert 0 < len(dead) < 12
+        rows = {r: (out_dir / f"p_r{r}_residuals.csv").read_text().splitlines()[1:]
+                for r in (0, 1)}
+        members = len(rows[0]) // 12
+        for t in dead:
+            block = slice(t * members, (t + 1) * members)
+            assert rows[1][block] == rows[0][block], t
+
     def test_each_trial_is_drawn_once_per_run(self, tmp_path, monkeypatch):
         draws = []
         original = fitter._draw

@@ -371,15 +371,73 @@ def test_residual_never_rises_and_stays_within_target_norm(d, k, seed, mix):
 
 
 def test_chunks_change_no_bit(monkeypatch):
-    """Trials stacked in one chunk give the bits of one chunk per trial."""
+    """Trials stacked in one chunk give the bits of one chunk per trial: with the
+    targets joined to the designs, and with at least as many targets as columns,
+    where the part outside the span is downdated or, below ``_DOWNDATE``,
+    recomputed (a threshold of 1 recomputes every target)."""
     grid = tensor_gauss_grid(UNIFORM_CUBE, 2, 24)
     dist = DkDistribution(k=2, dimension=2)
-    targets = _targets(grid.nodes, 2)
+    few, many = _targets(grid.nodes, 2), _targets(grid.nodes, 6)
+    assert fitter._CHUNK_BYTES // (8 * len(many) * (6 + 6)) > 1  # several trials per chunk
     f, mw_dist, mw_grid = _problem(_MINWIDTH["two_dims"])
     mw_args = (f, 0.4, 0.2, mw_dist, mw_grid, 20, 1024, 5)
-    stacked = width_residuals(targets, grid, dist, [4, 16, 64], 9, trials=40)
-    stacked_mw = estimate_minwidth(*mw_args)
+    downdates = (fitter._DOWNDATE, 1.0)
+
+    def residuals():
+        out = [width_residuals(few, grid, dist, [4, 16, 64], 9, trials=40)]
+        for downdate in downdates:
+            monkeypatch.setattr(fitter, "_DOWNDATE", downdate)
+            out.append(width_residuals(many, grid, dist, [1, 3, 6], 9, trials=40))
+        return out
+
+    stacked, stacked_mw = residuals(), estimate_minwidth(*mw_args)
     monkeypatch.setattr(fitter, "_CHUNK_BYTES", 1)  # one trial per chunk
-    assert np.array_equal(width_residuals(targets, grid, dist, [4, 16, 64], 9, trials=40),
-                          stacked)
+    for got, want in zip(residuals(), stacked):
+        assert np.array_equal(got, want)
     assert estimate_minwidth(*mw_args) == stacked_mw
+
+
+class _Fixed(ReluParamDist):
+    """The same features ``(W, b)`` on every trial."""
+
+    def __init__(self, W, b):
+        self.W, self.b, self.dimension = W, b, W.shape[1]
+
+    def sample_batch(self, rng, r):
+        return self.W[:r], self.b[:r]
+
+
+def test_downdate_recomputes_targets_near_the_span(monkeypatch):
+    """With as many targets as columns the part outside the span is downdated as
+    ``|rhs|^2 - |Q^T rhs|^2``.  A target inside the span falls under ``_DOWNDATE``
+    and is recomputed to lstsq's residual; one just above it keeps the downdate,
+    which matches lstsq's residual to 1e-13."""
+    grid = tensor_gauss_grid(UNIFORM_CUBE, 3, 8)
+    # Two features with one direction, positive at every node: affine on the grid,
+    # so their span holds the constant member of the ball family.
+    W, b = np.tile(_unit(np.array([1.0, 2.0, 2.0])), (2, 1)), np.array([-2.0, -3.0])
+    family = hard_family_ball(2.0, 3)
+    constant = _value_matrix(family, grid)[:, list(family.labels).index((0, 0, 0))]
+    root_w = np.sqrt(grid.weights)
+    design = np.maximum(grid.nodes @ W.T - b, 0.0) * root_w[:, None]
+    assert np.all(design > 0.0)
+    bump = grid.nodes[:, 0] ** 2 * root_w
+    bump -= design @ np.linalg.lstsq(design, bump, rcond=None)[0]  # outside the span
+    share = 1.01 * fitter._DOWNDATE  # the part outside, as a share of |target|^2
+    scale = np.sqrt(share / (1.0 - share)) * np.linalg.norm(constant * root_w)
+    targets = np.column_stack([constant, constant + scale * bump / np.linalg.norm(bump) / root_w])
+
+    rhs = targets * root_w[:, None]
+    norm_sq = np.sum(rhs**2, axis=0)
+    downdated = norm_sq - np.sum((np.linalg.qr(design)[0].T @ rhs) ** 2, axis=0)
+    assert downdated[0] < fitter._DOWNDATE * norm_sq[0]
+    assert fitter._DOWNDATE * norm_sq[1] < downdated[1] < 1.1 * fitter._DOWNDATE * norm_sq[1]
+
+    got = width_residuals(targets, grid, _Fixed(W, b), [2], seed=0, trials=1)[0, 0]
+    want = _lstsq_residuals(W, b, grid, targets, 2)
+    assert_allclose(got[0], want[0], rtol=0.0, atol=1e-12)
+    assert_allclose(got[1], want[1], rtol=1e-13, atol=0.0)
+    monkeypatch.setattr(fitter, "_DOWNDATE", 0.0)  # the downdate alone misses the first
+    alone = width_residuals(targets, grid, _Fixed(W, b), [2], seed=0, trials=1)[0, 0]
+    assert not abs(alone[0] - want[0]) <= 1e-12
+    assert alone[1] == got[1]
