@@ -56,13 +56,38 @@ def _residual(f_vals: np.ndarray, approx: np.ndarray, grid: Grid) -> float:
     return float(np.sqrt(np.sum(grid.weights * diff * diff)))
 
 
+def _basis_column(K: MultiIndex, grid: Grid) -> np.ndarray:
+    """``eval_T(K, grid.nodes)``, evaluated on the first ``grid.h`` nodes only.
+
+    On a centrally symmetric grid row ``n-1-i`` is at ``-node i``, where
+    ``T_K`` is the negated value for a sin-class ``K`` and the same value
+    otherwise.  The negation is ``0.0 - t``: where the phase is zero the
+    direct sine is ``+0``, which ``0.0 - (+0)`` keeps and ``-t`` would flip.
+    """
+    n, h = grid.nodes.shape[0], grid.h
+    if h == n:
+        return eval_T(K, grid.nodes)
+    t = np.empty(n)
+    t[:h] = eval_T(K, grid.nodes[:h])
+    mirror = t[:n - h][::-1]
+    if classify(K) is IndexClass.SIN:
+        np.subtract(0.0, mirror, out=t[h:])
+    else:
+        t[h:] = mirror
+    return t
+
+
 def _truncate_on_ball(f, k: float, grid: Grid, cap=None) -> tuple[TrigPolynomial, float]:
     """Coefficients of ``f`` on the radius-``k`` ball and the measured residual.
 
     One pass over the ball with one evaluation of ``f``: each coefficient is
     ``sum(w f T_K)`` as :func:`trig_coefficient` forms it, and the truncation
     is summed in ball order as ``TrigPolynomial.evaluate`` sums it, so both
-    agree bit for bit with the per-index route.
+    agree bit for bit with the per-index route.  Each ``T_K`` column is
+    computed on half of a centrally symmetric grid and mirrored; the phase
+    ``x @ K`` at ``-x`` is the exact negation of the one at ``x``, sine is odd
+    and cosine even, so the column has the bits of ``eval_T(K, grid.nodes)``
+    and every sum after it runs on that full column unchanged.
     """
     if grid.spec.measure != UNIFORM_CUBE:
         raise WrongMeasure("trig coefficients require the uniform cube measure")
@@ -72,7 +97,7 @@ def _truncate_on_ball(f, k: float, grid: Grid, cap=None) -> tuple[TrigPolynomial
     terms: dict[MultiIndex, float] = {}
     approx = np.zeros(grid.nodes.shape[0])
     for K in ball:
-        t = eval_T(K, grid.nodes)
+        t = _basis_column(K, grid)
         beta = float(np.sum(fw * t))
         terms[K] = beta
         if beta != 0.0:

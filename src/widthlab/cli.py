@@ -314,19 +314,31 @@ def _check_count(p) -> None:
                  d * budget * math.isqrt(budget))
 
 
+def _node_count(p) -> int:
+    return p.grid.sample_count or p.grid.nodes_per_dim ** p.d
+
+
 def _check_sampling(p) -> None:
     widest = p.r_max if hasattr(p, "r_max") else max(p.r)
     _cap(f"trials x max(r) = {p.trials} x {widest}", p.trials * widest)
-    nodes = p.grid.sample_count or p.grid.nodes_per_dim ** p.d
+    nodes = _node_count(p)
     _cap(f"design matrix of {nodes} grid nodes x {widest} features", nodes * widest)
 
 
 def _check_projection(p) -> None:
+    """The family's values on the grid, and one residual per trial, width and member."""
     _check_sampling(p)
-    if p.family["type"] == "gaussian":
-        nodes = p.grid.sample_count or p.grid.nodes_per_dim ** p.d
-        _cap(f"value matrix of {p.family['N']} members x {nodes} grid nodes",
-             p.family["N"] * nodes)
+    family = p.family
+    if family["type"] == "symmetric":  # _family capped C(d, ell) itself
+        members = math.comb(p.d, family["ell"])
+    elif family["type"] == "ball":
+        members = count_ball(family["k"], p.d)
+    else:
+        members = family["N"]
+    nodes = _node_count(p)
+    _cap(f"value matrix of {members} members x {nodes} grid nodes", members * nodes)
+    _cap(f"residuals of {p.trials} trials x {len(p.r)} widths x {members} members",
+         p.trials * len(p.r) * members)
 
 
 def _check_truncation(p) -> None:
@@ -632,7 +644,8 @@ def run_config(config_path: str, out_dir: str = ".",
         "results": results,
     }
     result_path = os.path.join(out_dir, f"{prefix}_result.json")
-    _write_atomic(result_path, json.dumps(doc, indent=2) + "\n")
+    # compact, so that json takes its C encoder
+    _write_atomic(result_path, json.dumps(doc, separators=(",", ":")) + "\n")
     print(result_path)
     return 0, doc
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,16 @@ class Grid:
     @property
     def dimension(self) -> int:
         return self.spec.dimension
+
+    @cached_property
+    def h(self) -> int:
+        """The number of leading nodes that determine the rest.
+
+        ``ceil(n/2)`` when node ``n-1-i`` is exactly ``-node i`` (every tensor
+        Gauss grid, since numpy symmetrizes its Gauss rules), else ``n``.
+        """
+        n = self.nodes.shape[0]
+        return (n + 1) // 2 if np.array_equal(self.nodes[::-1], -self.nodes) else n
 
 
 def _gauss_1d(measure: str, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -6,9 +6,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from widthlab import (
+    GAUSSIAN,
     MONTE_CARLO,
     UNIFORM_CUBE,
     CapExceeded,
+    Grid,
     ParameterOutOfRange,
     QuadratureSpec,
     ScaleNotUnit,
@@ -28,6 +30,7 @@ from widthlab import (
     truncate_periodic,
     truncate_sobolev,
 )
+from widthlab.approx import _basis_column
 
 SQRT2 = math.sqrt(2.0)
 
@@ -203,6 +206,9 @@ def _scalar_target(p):
 
 
 _MC_GRID = make_grid(QuadratureSpec(UNIFORM_CUBE, MONTE_CARLO, 2, sample_count=500, seed=3))
+# d = 3 tensor grids; the odd count puts a node at the origin
+_D3_GRIDS = {"d3_even": tensor_gauss_grid(UNIFORM_CUBE, 3, 6),
+             "d3_odd": tensor_gauss_grid(UNIFORM_CUBE, 3, 5)}
 # (truncation, its arguments between f and the grid); both keep the radius-3 ball
 _TRUNCATIONS = [(truncate_periodic, (6.0, 1.0)), (truncate_sobolev, (1, 6.0, 1.0))]
 
@@ -228,17 +234,46 @@ class TestOnePassTruncation:
     @pytest.mark.parametrize("truncate, args", _TRUNCATIONS)
     @pytest.mark.parametrize("f, grid_name", [
         (_vector_target, "tensor"), (_scalar_target, "tensor"), (_vector_target, "mc"),
-    ], ids=["vectorized", "scalar_only", "monte_carlo"])
+        (_vector_target, "d3_even"), (_vector_target, "d3_odd"),
+    ], ids=["vectorized", "scalar_only", "monte_carlo", "d3_even_nodes", "d3_odd_nodes"])
     def test_bitwise_equal_to_per_index_coefficients(self, truncate, args, f, grid_name,
                                                     cube_grid_2d):
-        grid = cube_grid_2d if grid_name == "tensor" else _MC_GRID
+        grid = {"tensor": cube_grid_2d, "mc": _MC_GRID, **_D3_GRIDS}[grid_name]
         report = truncate(f, *args, grid)
         terms = report.polynomial.terms
-        ball = enumerate_ball(report.degree_radius, 2)
+        ball = enumerate_ball(report.degree_radius, grid.dimension)
         expected = {K: trig_coefficient(f, K, grid) for K in ball}
         assert terms == {K: beta for K, beta in expected.items() if beta != 0.0}
         assert list(terms) == [K for K in ball if K in terms]
         assert report.residual_estimate == l2_error(f, report.polynomial.evaluate, grid)
+
+    @pytest.mark.parametrize("measure, d, nodes_per_dim", [
+        (UNIFORM_CUBE, 1, 1), (UNIFORM_CUBE, 1, 7), (UNIFORM_CUBE, 2, 12),
+        (UNIFORM_CUBE, 3, 5), (UNIFORM_CUBE, 3, 6), (UNIFORM_CUBE, 4, 4),
+        (GAUSSIAN, 2, 7), (GAUSSIAN, 3, 6),
+    ])
+    def test_mirrored_columns_have_the_bits_of_eval_T(self, measure, d, nodes_per_dim):
+        """Signed zeros included: a uint64 view tells +0 from -0."""
+        grid = tensor_gauss_grid(measure, d, nodes_per_dim)
+        assert grid.h == (grid.nodes.shape[0] + 1) // 2
+        for K in enumerate_ball(3 if d >= 3 else 4, d):
+            direct = np.asarray(eval_T(K, grid.nodes), dtype=float)
+            assert np.array_equal(_basis_column(K, grid).view(np.uint64),
+                                  direct.view(np.uint64)), K
+
+    @pytest.mark.parametrize("truncate, args", _TRUNCATIONS)
+    def test_grid_off_symmetry_by_one_ulp_uses_every_node(self, truncate, args):
+        symmetric = _D3_GRIDS["d3_odd"]
+        nodes = symmetric.nodes.copy()
+        nodes[7, 1] = np.nextafter(nodes[7, 1], 2.0)
+        grid = Grid(spec=symmetric.spec, nodes=nodes, weights=symmetric.weights)
+        assert grid.h == nodes.shape[0]
+        report = truncate(_vector_target, *args, grid)
+        expected = {K: trig_coefficient(_vector_target, K, grid)
+                    for K in enumerate_ball(report.degree_radius, 3)}
+        assert report.polynomial.terms == {K: b for K, b in expected.items() if b != 0.0}
+        assert report.residual_estimate == l2_error(_vector_target,
+                                                    report.polynomial.evaluate, grid)
 
     @pytest.mark.parametrize("f", [_vector_target, _scalar_target],
                              ids=["vectorized", "scalar_only"])

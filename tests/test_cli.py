@@ -151,6 +151,18 @@ class TestApproxKinds:
         header = (out_dir / "abs_coefficients.csv").read_text().splitlines()[0]
         assert header == "k1,beta"
 
+    def test_result_file_is_compact_json(self, tmp_path):
+        code, result, out_dir = _run(tmp_path, {
+            "kind": "approx_trig",
+            "parameters": {"d": 1, "L": 1.0, "epsilon": 0.25, "target": "abs"},
+            "output_path": "abs",
+        })
+        assert code == 0
+        text = (out_dir / "abs_result.json").read_text(encoding="utf-8")
+        doc = json.loads(text)
+        assert text == json.dumps(doc, separators=(",", ":")) + "\n"
+        assert doc == json.loads(json.dumps(result))
+
     def test_trig_periodic_polynomial(self, tmp_path):
         poly = {"scale": 1.0, "terms": [{"K": [1], "beta": 0.7}]}
         code, result, _ = _run(tmp_path, {
@@ -533,13 +545,18 @@ class TestConfigSchema:
          "gaussian family pool"),
         (_with(_LBP, family={"type": "gaussian", "L": 2.0, "N": 2},
                grid={"nodes_per_dim": 12}), 200, "value matrix of 2 members x 144"),
+        (_with(_LBP, family={"type": "ball", "k": 12}, d=3), None,
+         "value matrix of 7153 members x 13824 grid nodes"),
+        (_with(_LBP, r_list=[0], trials=10**9), None,
+         "residuals of 1000000000 trials x 1 widths x 2 members"),
         (_with(_LBP, d=10**6, ell=500000, grid={"scheme": "monte_carlo", "sample_count": 1}),
          None, "C(1000000, 500000)"),
         (_with(_EXPLICIT, d=10**6, ell=500000), None,
          "family size C(1000000, 500000) exceeds the float range"),
         (_with(_EXPLICIT, d=1030, ell=515), None, "family size C(1030, 515)"),
     ], ids=["count", "count_list", "count_default_cap", "gaussian_N_1e8", "gaussian_pool",
-            "gaussian_values", "symmetric_family_huge_d", "explicit_family_huge_d",
+            "gaussian_values", "ball_family_values", "projection_residuals",
+            "symmetric_family_huge_d", "explicit_family_huge_d",
             "explicit_family_just_past_float"])
     def test_count_and_family_caps_exit_3(self, tmp_path, capsys, monkeypatch, doc, cap,
                                           fragment):
