@@ -101,7 +101,6 @@ from .quadrature import (
 from .relu import (
     CustomDistribution,
     DkDistribution,
-    ReluFeature,
     ReluParamDist,
     RidgeProfile,
     h_weight,

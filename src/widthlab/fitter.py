@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import CapExceeded, EmptyFeatureList, ParameterOutOfRange
 from .quadrature import Grid, evaluate_on
-from .relu import ReluFeature, ReluParamDist, _check_unit_norm, feature_arrays
+from .relu import ReluParamDist, _check_features
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,9 @@ class FittedSpan:
     grid_id: str
 
     def __post_init__(self):
-        _check_unit_norm(self.W)
         if not len(self.W) == len(self.b) == len(self.coefficients):
             raise ParameterOutOfRange("one bias and one coefficient per weight row required")
+        _check_features(self.W, self.b, np.shape(self.W)[-1])
 
     def evaluate(self, x) -> np.ndarray | float:
         x = np.asarray(x, dtype=float)
@@ -242,8 +242,8 @@ def _weighted_lstsq(W: np.ndarray, b: np.ndarray, grid: Grid,
     in the grid's weighted L2 norm; returns (coefficients, residual norms).
 
     Only the live features (:func:`_live`) are factored, by the builder and
-    factorization the trial engine uses, so a list of features gives the
-    bits a trial with the same draws gives; every other feature gets
+    factorization the trial engine uses, so ``(W, b)`` gives the bits a
+    trial with the same draws gives; every other feature gets
     coefficient 0.  With no live feature the residuals are the targets' norms.
     """
     root_w, rhs = _weighted(targets, grid.weights)
@@ -261,17 +261,19 @@ def _weighted_lstsq(W: np.ndarray, b: np.ndarray, grid: Grid,
     return coeffs[:, 0], norms[0]
 
 
-def fit_span(features: list[ReluFeature], f, grid: Grid) -> FittedSpan:
-    """Project ``f`` onto the span of the features, in the grid's L2 norm.
+def fit_span(W: np.ndarray, b: np.ndarray, f, grid: Grid) -> FittedSpan:
+    """Project ``f`` onto the span of the features ``W (r, d)``, ``b (r,)``, in the
+    grid's L2 norm.
 
     Duplicate or nearly parallel features are handled by the rank cut at
     ``_RCOND``; the residual is invariant to feature order and duplication
     because the span is.  Features that are zero at every node (see
     :func:`_live`) are left out of the solve and get coefficient 0.
     """
-    if not features:
+    if not len(b):
         raise EmptyFeatureList("cannot fit over an empty feature list")
-    W, b = feature_arrays(features)
+    W, b = np.asarray(W, dtype=float), np.asarray(b, dtype=float)
+    _check_features(W, b, grid.nodes.shape[1])
     coeffs, residual = _weighted_lstsq(W, b, grid, evaluate_on(f, grid.nodes))
     return FittedSpan(W=W, b=b, coefficients=coeffs, l2_error=float(residual),
                       grid_id=grid.spec.label())

@@ -30,7 +30,7 @@ from .fitter import _weighted_lstsq
 from .fitter import _design_matrix  # noqa: F401  the benchmark's tracer test reads it here
 from .lattice import MultiIndex, enumerate_ball
 from .quadrature import GAUSSIAN, Grid, evaluate_on
-from .relu import feature_arrays
+from .relu import _check_features
 from .trig import SQRT2, eval_T
 
 
@@ -105,17 +105,19 @@ class ProjectionReport:
         }
 
 
-def projection_residuals(features, family: FunctionFamily, grid: Grid) -> ProjectionReport:
-    """Residuals ``|phi_i|^2 - |Pi phi_i|^2`` for every member at once.
+def projection_residuals(W: np.ndarray, b: np.ndarray, family: FunctionFamily,
+                         grid: Grid) -> ProjectionReport:
+    """Residuals ``|phi_i|^2 - |Pi phi_i|^2`` for every member at once, against the
+    span of the features ``W (r, d)``, ``b (r,)``.
 
     One multi-right-hand-side least squares against the live columns of the
     feature design matrix gives exactly the per-member ``fit_span``
     residuals; tiny negative values from grid noise are clipped to zero.
-    ``r = 0``, like a span of features dead on the grid, returns the squared
-    member norms.
+    ``r = 0`` (``W`` of shape ``(0, d)``), like a span of features dead on the
+    grid, returns the squared member norms.
     """
-    W, b = feature_arrays(features)
-    W = W.reshape(len(b), grid.nodes.shape[1])  # (0, d) for no features
+    W, b = np.asarray(W, dtype=float), np.asarray(b, dtype=float)
+    _check_features(W, b, grid.nodes.shape[1])
     _, norms = _weighted_lstsq(W, b, grid, _value_matrix(family, grid))
     residuals = np.maximum(norms**2, 0.0)
     kappa = family.coherence
@@ -123,8 +125,8 @@ def projection_residuals(features, family: FunctionFamily, grid: Grid) -> Projec
         kappa = coherence(family, grid)
     return ProjectionReport(
         labels=list(family.labels), residuals=residuals,
-        mean_residual=float(np.mean(residuals)), r=len(features), N=len(family),
-        bound=randict_bound(len(features), len(family), kappa),
+        mean_residual=float(np.mean(residuals)), r=len(b), N=len(family),
+        bound=randict_bound(len(b), len(family), kappa),
     )
 
 

@@ -119,3 +119,10 @@ def dk_expectation(h_of_bw, rays: list[tuple[np.ndarray, int]], Q: int, d: int,
             integral += half * float(np.sum(u * vals))
         total += (count / Q) * integral / (4.0 * root)
     return total
+
+
+def relu_columns(W, b, X) -> np.ndarray:
+    """``relu(<w_i, x> - b_i)`` at the points ``X (n, d)``, one column per feature,
+    computed feature by feature."""
+    X = np.asarray(X, dtype=float)
+    return np.column_stack([np.maximum(X @ w - bias, 0.0) for w, bias in zip(W, b)])

@@ -248,8 +248,8 @@ def test_criterion_08_projection_lower_bound():
         per_member = np.zeros((trials, len(family)))
         for t in range(trials):
             rng = np.random.default_rng([23, r, t])
-            features = [dist.sample_feature(rng) for _ in range(r)]
-            per_member[t] = projection_residuals(features, family, grid).residuals
+            W, b = dist.sample_batch(rng, r)
+            per_member[t] = projection_residuals(W, b, family, grid).residuals
         assert float(np.mean(per_member)) >= 1.0 - r / 6.0 - 0.02
         means = per_member.mean(axis=0)
         errors = per_member.std(axis=0, ddof=1) / math.sqrt(trials)

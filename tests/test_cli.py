@@ -353,8 +353,8 @@ class TestTrialEngine:
             assert len(rows) == 3 * len(family)
             for t in range(3):
                 rng = np.random.default_rng([5, t])
-                features = [dist.sample_feature(rng) for _ in range(r)]
-                expected = projection_residuals(features, family, grid).residuals
+                W, b = dist.sample_batch(rng, r)
+                expected = projection_residuals(W, b, family, grid).residuals
                 mine = rows[t * len(family):(t + 1) * len(family)]
                 assert [row[0] for row in mine] == [str(t)] * len(family)
                 assert [row[1] for row in mine] == [" ".join(map(str, S)) for S in family.labels]

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from widthlab import (
     CapExceeded,
+    DimensionMismatch,
     DkDistribution,
     EmptyFeatureList,
     FittedSpan,
@@ -17,12 +18,12 @@ from widthlab import (
     wilson_interval,
 )
 from widthlab.fitter import _design_matrix, width_residuals
-from widthlab.relu import feature_arrays
+
+from oracles import relu_columns
 
 
 def _features(rng, n, d):
-    dist = DkDistribution(k=2, dimension=d)
-    return [dist.sample_feature(rng) for _ in range(n)]
+    return DkDistribution(k=2, dimension=d).sample_batch(rng, n)
 
 
 class TestFitSpan:
@@ -31,51 +32,52 @@ class TestFitSpan:
     def test_fits_own_span_exactly(self, cube_grid_1d):
         """A function already in the span has residual ~ 0."""
         rng = np.random.default_rng(42)
-        feats = _features(rng, 5, 1)
+        W, b = _features(rng, 5, 1)
         truth = np.array([1.0, -2.0, 0.5, 0.0, 3.0])
-        f = lambda X: sum(c * ft.evaluate(X) for c, ft in zip(truth, feats))
-        span = fit_span(feats, f, cube_grid_1d)
+        f = lambda X: relu_columns(W, b, X) @ truth
+        span = fit_span(W, b, f, cube_grid_1d)
         assert span.l2_error <= 1e-10
 
     def test_projection_never_exceeds_norm(self, cube_grid_1d):
         rng = np.random.default_rng(42)
-        feats = _features(rng, 3, 1)
+        W, b = _features(rng, 3, 1)
         f = lambda X: np.sin(2.0 * X[:, 0])
-        span = fit_span(feats, f, cube_grid_1d)
+        span = fit_span(W, b, f, cube_grid_1d)
         assert span.l2_error <= l2_norm(f, cube_grid_1d) + 1e-12
 
     def test_pythagoras(self, cube_grid_1d):
         """||f||^2 = ||fit||^2 + residual^2 for an L2 projection."""
         rng = np.random.default_rng(42)
-        feats = _features(rng, 4, 1)
+        W, b = _features(rng, 4, 1)
         f = lambda X: np.cos(X[:, 0])
-        span = fit_span(feats, f, cube_grid_1d)
+        span = fit_span(W, b, f, cube_grid_1d)
         fit_norm = l2_norm(lambda X: span.evaluate(X), cube_grid_1d)
         assert_allclose(fit_norm**2 + span.l2_error**2,
                         l2_norm(f, cube_grid_1d) ** 2, rtol=1e-10)
 
     def test_residual_invariant_to_order_and_duplicates(self, cube_grid_1d):
         rng = np.random.default_rng(42)
-        feats = _features(rng, 4, 1)
+        W, b = _features(rng, 4, 1)
         f = lambda X: np.abs(X[:, 0]) - 0.5
-        base = fit_span(feats, f, cube_grid_1d).l2_error
-        shuffled = fit_span(feats[::-1], f, cube_grid_1d).l2_error
-        doubled = fit_span(feats + feats[:2], f, cube_grid_1d).l2_error
+        base = fit_span(W, b, f, cube_grid_1d).l2_error
+        shuffled = fit_span(W[::-1], b[::-1], f, cube_grid_1d).l2_error
+        doubled = fit_span(np.vstack([W, W[:2]]), np.concatenate([b, b[:2]]), f,
+                           cube_grid_1d).l2_error
         assert_allclose(shuffled, base, atol=1e-10)
         assert_allclose(doubled, base, atol=1e-10)
 
     def test_scaling_equivariance(self, cube_grid_1d):
         """Scaling the target scales the residual by the same factor."""
         rng = np.random.default_rng(42)
-        feats = _features(rng, 3, 1)
+        W, b = _features(rng, 3, 1)
         f = lambda X: np.sin(3.0 * X[:, 0])
         g = lambda X: 4.0 * np.sin(3.0 * X[:, 0])
-        assert_allclose(fit_span(feats, g, cube_grid_1d).l2_error,
-                        4.0 * fit_span(feats, f, cube_grid_1d).l2_error, rtol=1e-9)
+        assert_allclose(fit_span(W, b, g, cube_grid_1d).l2_error,
+                        4.0 * fit_span(W, b, f, cube_grid_1d).l2_error, rtol=1e-9)
 
     def test_empty_feature_list(self, cube_grid_1d):
         with pytest.raises(EmptyFeatureList):
-            fit_span([], lambda X: X[:, 0], cube_grid_1d)
+            fit_span(np.empty((0, 1)), np.empty(0), lambda X: X[:, 0], cube_grid_1d)
 
     def test_coefficient_count_enforced(self):
         """``W``, ``b`` and the coefficients must have one entry per feature."""
@@ -83,6 +85,9 @@ class TestFitSpan:
             with pytest.raises(ParameterOutOfRange):
                 FittedSpan(W=np.ones((rows, 1)), b=np.zeros(biases),
                            coefficients=np.zeros(coefficients), l2_error=0.0, grid_id="g")
+        with pytest.raises(DimensionMismatch):  # one weight row per feature, not a vector
+            FittedSpan(W=np.ones(2), b=np.zeros(2), coefficients=np.zeros(2), l2_error=0.0,
+                       grid_id="g")
 
     def test_unit_rows_enforced(self):
         W = np.array([[0.6, 0.8], [0.6, 0.8 + 1e-11], [1.0, 0.0]])
@@ -93,22 +98,22 @@ class TestFitSpan:
                    grid_id="g")
 
     def test_holds_the_features_as_arrays(self, cube_grid_1d):
-        feats = _features(np.random.default_rng(42), 5, 1)
-        span = fit_span(feats, lambda X: np.sin(2.0 * X[:, 0]), cube_grid_1d)
-        assert np.array_equal(span.W, [feat.weight for feat in feats])
-        assert np.array_equal(span.b, [feat.bias for feat in feats])
+        W, b = _features(np.random.default_rng(42), 5, 1)
+        span = fit_span(W, b, lambda X: np.sin(2.0 * X[:, 0]), cube_grid_1d)
+        assert np.array_equal(span.W, W)
+        assert np.array_equal(span.b, b)
         X = cube_grid_1d.nodes
-        columns = np.column_stack([feat.evaluate(X) for feat in feats])
+        columns = relu_columns(W, b, X)
         assert_allclose(span.evaluate(X), columns @ span.coefficients, rtol=0.0, atol=1e-14)
         assert span.evaluate(X[3]) == span.evaluate(X)[3]
 
     def test_json_round_trippable_fields(self, cube_grid_1d):
         rng = np.random.default_rng(42)
-        feats = _features(rng, 2, 1)
-        span = fit_span(feats, lambda X: X[:, 0], cube_grid_1d)
+        W, b = _features(rng, 2, 1)
+        span = fit_span(W, b, lambda X: X[:, 0], cube_grid_1d)
         doc = span.to_json_dict()
-        assert doc["features"] == [{"bias": feat.bias, "weight": feat.weight.tolist()}
-                                   for feat in feats]
+        assert doc["features"] == [{"bias": float(bias), "weight": w.tolist()}
+                                   for w, bias in zip(W, b)]
         assert len(doc["coefficients"]) == 2
         assert doc["grid_id"] == cube_grid_1d.spec.label()
 
@@ -210,19 +215,16 @@ class TestTrialResiduals:
         assert single.shape == (4,) and many.shape == (4, 2)
         assert_allclose(many[:, 0], single, rtol=1e-12)
         for t in range(4):
-            feats = _features(np.random.default_rng([9, t]), 3, 1)
-            span = fit_span(feats, lambda X: np.cos(3.0 * X[:, 0]), cube_grid_1d)
+            W, b = _features(np.random.default_rng([9, t]), 3, 1)
+            span = fit_span(W, b, lambda X: np.cos(3.0 * X[:, 0]), cube_grid_1d)
             assert_allclose(many[t, 1], span.l2_error, rtol=1e-12)
 
-    def test_design_of_feature_list_equals_design_of_arrays(self, cube_grid_2d):
-        dist = DkDistribution(k=2, dimension=2)
-        feats = _features(np.random.default_rng([4, 1]), 30, 2)
-        W, b = dist.sample_batch(np.random.default_rng([4, 1]), 30)
+    def test_design_matrix_matches_feature_by_feature_columns(self, cube_grid_2d):
+        W, b = _features(np.random.default_rng([4, 1]), 30, 2)
         nodes = cube_grid_2d.nodes
         design = _design_matrix(W, b, nodes)
-        assert np.array_equal(_design_matrix(*feature_arrays(feats), nodes), design)
         assert design.shape == (len(nodes), 30)
-        columns = np.column_stack([feat.evaluate(nodes) for feat in feats])
+        columns = relu_columns(W, b, nodes)
         assert_allclose(design, columns, rtol=0.0, atol=1e-15)
 
 

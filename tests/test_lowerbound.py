@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from widthlab import (
     GAUSSIAN,
+    UNIFORM_CUBE,
     DkDistribution,
     FunctionFamily,
     NotUnitNorm,
@@ -13,6 +14,7 @@ from widthlab import (
     ParameterOutOfRange,
     WrongMeasure,
     check_boas_bellman,
+    classify,
     coherence,
     count_ball,
     enumerate_ball,
@@ -29,13 +31,17 @@ from widthlab import (
     sobolev_lb_parameters,
     tensor_gauss_grid,
 )
+from widthlab.fitter import width_residuals
+from widthlab.lowerbound import _value_matrix
+from widthlab.relu import ReluParamDist
+
+from oracles import relu_columns
 
 SQRT2 = math.sqrt(2.0)
 
 
 def _relu_features(rng, n, d):
-    dist = DkDistribution(k=2, dimension=d)
-    return [dist.sample_feature(rng) for _ in range(n)]
+    return DkDistribution(k=2, dimension=d).sample_batch(rng, n)
 
 
 class TestCoherence:
@@ -84,7 +90,7 @@ class TestProjectionResiduals:
 
     def test_empty_span_gives_norms(self, cube_grid_2d):
         fam = hard_family_ball(2, 2)
-        report = projection_residuals([], fam, cube_grid_2d)
+        report = projection_residuals(np.empty((0, 2)), np.empty(0), fam, cube_grid_2d)
         assert report.r == 0 and report.N == 13
         assert_allclose(report.residuals, np.ones(13), atol=1e-12)
         assert_allclose(report.mean_residual, 1.0, atol=1e-12)
@@ -93,11 +99,11 @@ class TestProjectionResiduals:
     def test_matches_per_member_fits(self, cube_grid_2d):
         """Multi-target least squares equals member-by-member fit_span."""
         rng = np.random.default_rng(42)
-        feats = _relu_features(rng, 3, 2)
+        W, b = _relu_features(rng, 3, 2)
         fam = hard_family_ball(2, 2)
-        report = projection_residuals(feats, fam, cube_grid_2d)
+        report = projection_residuals(W, b, fam, cube_grid_2d)
         for i, member in enumerate(fam.members):
-            single = fit_span(feats, member, cube_grid_2d)
+            single = fit_span(W, b, member, cube_grid_2d)
             assert_allclose(report.residuals[i], single.l2_error**2, atol=1e-10)
 
     def test_mean_residual_respects_bound(self, cube_grid_2d):
@@ -106,25 +112,102 @@ class TestProjectionResiduals:
         rng = np.random.default_rng(42)
         fam = hard_family_ball(2, 2)
         for r in (1, 3, 6):
-            feats = _relu_features(rng, r, 2)
-            report = projection_residuals(feats, fam, cube_grid_2d)
+            report = projection_residuals(*_relu_features(rng, r, 2), fam, cube_grid_2d)
             assert report.mean_residual >= report.bound - 1e-9
 
-    def test_captured_energy_rank_bound(self, cube_grid_2d):
-        """sum_i |Pi phi_i|^2 <= r (1 + kappa) for an orthonormal family."""
+    @pytest.mark.parametrize("d, widths", [(2, (1, 2, 5, 12)), (3, (4, 20))])
+    def test_captured_energy_rank_bound(self, d, widths, request):
+        """Bessel's inequality per draw: an orthonormal family (kappa = 0) has
+        ``sum_i |Pi phi_i|^2 <= rank <= r``, with ``rank`` that of the weighted
+        design (its dead columns are zero and add nothing).  Some draws lose
+        rank to dead or affine features, so the bound is sharper than ``r``."""
+        grid = request.getfixturevalue(f"cube_grid_{d}d")
         rng = np.random.default_rng(42)
-        fam = hard_family_ball(2, 2)
-        for r in (1, 2, 5):
-            feats = _relu_features(rng, r, 2)
-            report = projection_residuals(feats, fam, cube_grid_2d)
+        fam = hard_family_ball(2, d)
+        root_w = np.sqrt(grid.weights)[:, None]
+        ranks = []
+        for r in widths:
+            W, b = _relu_features(rng, r, d)
+            report = projection_residuals(W, b, fam, grid)
+            rank = np.linalg.matrix_rank(relu_columns(W, b, grid.nodes) * root_w)
             captured = float(np.sum(1.0 - report.residuals))
-            assert captured <= r * (1.0 + 1e-6)
+            assert captured <= rank + 1e-6 and rank <= r, (r, rank, captured)
+            ranks.append(rank)
+        assert any(rank < r for rank, r in zip(ranks, widths))
 
     def test_report_serializes(self, cube_grid_2d):
         fam = hard_family_ball(1, 2)
-        doc = projection_residuals([], fam, cube_grid_2d).to_json_dict()
+        doc = projection_residuals(np.empty((0, 2)), np.empty(0), fam,
+                                   cube_grid_2d).to_json_dict()
         assert doc["N"] == 5 and doc["r"] == 0
         assert isinstance(doc["labels"][0], list)
+
+
+class _Moved(ReluParamDist):
+    """D_k features with every weight row moved by ``G``: ``W @ G``."""
+
+    def __init__(self, base: DkDistribution, G: np.ndarray):
+        self.base, self.G = base, G
+        self.dimension = base.dimension
+
+    def sample_batch(self, rng, r):
+        W, b = self.base.sample_batch(rng, r)
+        return W @ self.G, b
+
+
+class TestSignedPermutationSymmetry:
+    """A signed permutation ``G`` of the coordinates maps the tensor Gauss grid and
+    the ball family onto themselves, so moving the features by ``G`` moves each
+    member's residual to its image: ``J = G^T K``, or ``-J`` where ``J`` changes
+    class (sine and cosine members of the ball carry ``K`` and ``-K``).
+    """
+
+    d, trials = 3, 20
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        grid = tensor_gauss_grid(UNIFORM_CUBE, self.d, 12)
+        fam = hard_family_ball(2, self.d)
+        rng = np.random.default_rng(0)
+        moves = [np.eye(self.d)[rng.permutation(self.d)] * rng.choice([-1.0, 1.0], size=self.d)
+                 for _ in range(self.trials)]
+        return grid, fam, moves
+
+    @staticmethod
+    def _image(fam, G, K):
+        J = tuple(int(c) for c in G.T @ np.array(K))
+        return fam.labels.index(J if classify(J) == classify(K) else tuple(-c for c in J))
+
+    def _mismatch(self, fam, base, moved, image_of):
+        perm = [self._image(fam, image_of, K) for K in fam.labels]
+        return float(np.max(np.abs(moved[..., perm] - base)))
+
+    def test_projection_residuals(self, setting):
+        grid, fam, moves = setting
+        dist = DkDistribution(k=2, dimension=self.d)
+        rng = np.random.default_rng(1)
+        worst = mutant = 0.0
+        for G in moves:
+            W, b = dist.sample_batch(rng, 10)
+            base = projection_residuals(W, b, fam, grid).residuals
+            moved = projection_residuals(W @ G, b, fam, grid).residuals
+            worst = max(worst, self._mismatch(fam, base, moved, G))
+            mutant = max(mutant, self._mismatch(fam, base, moved, G.T))  # maps by G^-1
+        assert worst <= 1e-12
+        assert mutant > 1e-2
+
+    def test_width_residuals(self, setting):
+        grid, fam, moves = setting
+        targets = _value_matrix(fam, grid)
+        base_dist = DkDistribution(k=2, dimension=self.d)
+        base = width_residuals(targets, grid, base_dist, [1, 4, 10], 5, trials=3)
+        worst = mutant = 0.0
+        for G in moves[:5]:
+            moved = width_residuals(targets, grid, _Moved(base_dist, G), [1, 4, 10], 5, trials=3)
+            worst = max(worst, self._mismatch(fam, base, moved, G))
+            mutant = max(mutant, self._mismatch(fam, base, moved, G.T))
+        assert worst <= 1e-12
+        assert mutant > 1e-2
 
 
 class TestBoasBellman:
@@ -148,8 +231,9 @@ class TestBoasBellman:
     def test_holds_for_random_functions(self, cube_grid_2d):
         rng = np.random.default_rng(42)
         fam = hard_family_ball(2, 2)
-        for feat in _relu_features(rng, 5, 2):
-            lhs, rhs = check_boas_bellman(lambda n, _f=feat: _f.evaluate(n),
+        W, b = _relu_features(rng, 5, 2)
+        for i in range(5):
+            lhs, rhs = check_boas_bellman(lambda n, _i=i: relu_columns(W, b, n)[:, _i],
                                           fam, cube_grid_2d)
             assert lhs <= rhs + 1e-12
 

@@ -39,7 +39,7 @@ from widthlab.lowerbound import (
     projection_residuals,
 )
 from widthlab.quadrature import MONTE_CARLO, QuadratureSpec, make_grid
-from widthlab.relu import ReluFeature, ReluParamDist
+from widthlab.relu import ReluParamDist
 
 
 def _lstsq_residuals(W, b, grid, targets, r, rcond=1e-10):
@@ -139,9 +139,8 @@ def test_fit_span_fitted_values_match_lstsq():
     grid = tensor_gauss_grid(UNIFORM_CUBE, 2, 12)
     dist = _Doubled(DkDistribution(k=2, dimension=2))
     W, b = dist.sample_batch(np.random.default_rng(3), 30)
-    features = [ReluFeature(float(bias), w) for bias, w in zip(b, W)]
     f = lambda X: np.cos(np.pi * X[:, 0]) * X[:, 1]
-    span = fit_span(features, f, grid)
+    span = fit_span(W, b, f, grid)
     root_w = np.sqrt(grid.weights)
     design = np.maximum(grid.nodes @ W.T - b, 0.0)
     coeffs = np.linalg.lstsq(design * root_w[:, None], f(grid.nodes) * root_w, rcond=1e-10)[0]
@@ -182,17 +181,16 @@ def test_one_builder_gives_the_bits_of_every_entry_point(d, w, monkeypatch):
     draws = _draws(dist, w, 13, 2)
     reach = fitter._reach(grid.nodes)
     assert all(np.all(fitter._live(W, b, reach)) for W, b in draws)
-    spans = [[ReluFeature(float(bias), row) for bias, row in zip(b, W)] for W, b in draws]
     kinds = {1 < w}
     for family in (hard_family_symmetric(1, d), hard_family_ball(1.5, d)):
         targets = _value_matrix(family, grid)
         kinds.add(len(family) < w)
         together = width_residuals(targets, grid, dist, [w], 13, trials=2)[:, 0]
         alone = width_residuals(targets[:, 0], grid, dist, [w], 13, trials=2)[:, 0]
-        for t, features in enumerate(spans):
-            report = projection_residuals(features, family, grid)
+        for t, (W, b) in enumerate(draws):
+            report = projection_residuals(W, b, family, grid)
             assert np.array_equal(report.residuals, together[t] ** 2), (t, len(family))
-            span = fit_span(features, family.members[0], grid)
+            span = fit_span(W, b, family.members[0], grid)
             assert np.array_equal(span.l2_error, alone[t]), t
     assert kinds == ({True, False} if w > 1 else {False})
 
@@ -200,8 +198,8 @@ def test_one_builder_gives_the_bits_of_every_entry_point(d, w, monkeypatch):
     # products that FittedSpan.evaluate and the sampled network make.
     factored, qr = [], np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", lambda a, **kw: factored.append(a.copy()) or qr(a, **kw))
-    fit_span(spans[0], family.members[0], grid)
     W, b = draws[0]
+    fit_span(W, b, family.members[0], grid)
     design = fitter._design_matrix(W, b, grid.nodes) * np.sqrt(grid.weights)[:, None]
     assert np.array_equal(factored[0][0, :, :w], design)
 
@@ -222,12 +220,12 @@ def test_dead_features_are_dropped_exactly():
     assert_allclose(got, np.broadcast_to(norms, got.shape), rtol=1e-14, atol=0.0)
     f = lambda X: _targets(X, 1)[:, 0]
     W, b = dead.sample_batch(np.random.default_rng(1), 6)
-    span = fit_span([ReluFeature(float(bias), w) for bias, w in zip(b, W)], f, grid)
+    span = fit_span(W, b, f, grid)
     assert np.array_equal(span.coefficients, np.zeros(6))
     assert_allclose(span.l2_error, norms[0], rtol=1e-14)
 
     W, b = DkDistribution(k=2, dimension=2).sample_batch(np.random.default_rng(5), 40)
-    span = fit_span([ReluFeature(float(bias), w) for bias, w in zip(b, W)], f, grid)
+    span = fit_span(W, b, f, grid)
     zero = np.all(grid.nodes @ W.T - b <= 0.0, axis=0)
     assert 0 < np.count_nonzero(zero) < 40
     assert np.all(span.coefficients[zero] == 0.0)

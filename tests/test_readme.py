@@ -1,0 +1,23 @@
+"""The README's Python session runs as written and shows what its comments say."""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+SESSIONS = (re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+            if README.is_file() else [])
+
+
+@pytest.mark.skipif(not README.is_file(), reason=f"no README.md beside the tests: {README}")
+def test_python_session_runs():
+    assert len(SESSIONS) == 1
+    scope: dict = {}
+    exec(compile(SESSIONS[0], str(README), "exec"), scope)
+    assert scope["count_ball"](2, 2) == 13
+    report = scope["report"]
+    assert report.r == 1 and report.N == 6
+    assert report.mean_residual >= report.bound

@@ -12,11 +12,11 @@ from scipy import integrate, stats
 
 from widthlab import (
     CustomDistribution,
+    DimensionMismatch,
     DkDistribution,
     NotUnitNorm,
     OutOfSupport,
     ParameterOutOfRange,
-    ReluFeature,
     RidgeProfile,
     TrigPolynomial,
     UNIFORM_CUBE,
@@ -25,9 +25,12 @@ from widthlab import (
     count_ball,
     enumerate_ball,
     eval_T,
+    fit_span,
     h_weight,
+    hard_family_ball,
     mixture_expectation,
     phi_K,
+    projection_residuals,
     psi,
     psi_K,
     ray_members,
@@ -49,13 +52,18 @@ SQRT2 = math.sqrt(2.0)
 class TestPsi:
     """Piecewise mixture density for a generic ridge profile."""
 
-    def test_linear_profile_pieces(self):
-        """phi(z) = z in d = 1: pieces are -20, 28, 0, 0."""
-        profile = RidgeProfile(-1.0, 1.0, lambda z: np.zeros_like(z))
+    @pytest.mark.parametrize("curvature", [lambda z: np.zeros_like(z), lambda z: 0.0],
+                             ids=["array", "constant"])
+    def test_linear_profile_pieces(self, curvature):
+        """phi(z) = z in d = 1: pieces are -20, 28, 0, 0; a constant curvature
+        broadcasts over the core."""
+        profile = RidgeProfile(-1.0, 1.0, curvature)
         assert_allclose(psi(profile, 1, -1.8), -20.0, rtol=1e-14)
         assert_allclose(psi(profile, 1, -1.2), 28.0, rtol=1e-14)
         assert psi(profile, 1, 0.5) == 0.0
         assert psi(profile, 1, 1.5) == 0.0
+        vals = psi(profile, 1, np.array([-1.8, -1.2, -0.3, 0.0, 0.5, 1.5]))
+        assert vals.tolist() == [psi(profile, 1, v) for v in (-1.8, -1.2, -0.3, 0.0, 0.5, 1.5)]
 
     def test_piece_boundaries_half_open(self):
         """Intervals close on the right of -1.5 sqrt(d) and -sqrt(d)."""
@@ -182,16 +190,39 @@ class TestPsiK:
 
 
 class TestFeatureAlgebra:
-    """ReLU features and direction helpers."""
+    """Feature arrays where they enter, and direction helpers."""
 
-    def test_relu_feature_evaluate(self):
-        feat = ReluFeature(0.5, np.array([1.0, 0.0]))
-        X = np.array([[0.75, 0.3], [0.25, 0.9]])
-        assert_allclose(feat.evaluate(X), [0.25, 0.0])
+    @staticmethod
+    def _entry_points(W, b, grid):
+        """Every way a ``(W, b)`` pair enters the package, at dimension 2."""
+        rows = iter(W)
+        dist = CustomDistribution(2, lambda rng: 0.0, lambda rng: next(rows))
+        return {
+            "fit_span": lambda: fit_span(W, b, lambda X: X[:, 0], grid),
+            "projection_residuals": lambda: projection_residuals(W, b, hard_family_ball(1, 2),
+                                                                 grid),
+            "CustomDistribution": lambda: dist.sample_batch(np.random.default_rng(0), len(b)),
+        }
 
-    def test_unit_norm_enforced(self):
-        with pytest.raises(NotUnitNorm):
-            ReluFeature(0.0, np.array([1.0, 1.0]))
+    @pytest.mark.parametrize("entry", ["fit_span", "projection_residuals", "CustomDistribution"])
+    def test_unit_norm_enforced(self, entry, cube_grid_2d):
+        W = np.array([[1.0, 0.0], [0.6, 0.8 + 1e-11]])
+        with pytest.raises(NotUnitNorm, match="1.0000000000"):
+            self._entry_points(W, np.zeros(2), cube_grid_2d)[entry]()
+        self._entry_points(W[:1], np.zeros(1), cube_grid_2d)[entry]()
+
+    @pytest.mark.parametrize("entry", ["fit_span", "projection_residuals", "CustomDistribution"])
+    def test_weight_dimension_enforced(self, entry, cube_grid_2d):
+        """A 3-long unit weight at d = 2 is refused before any product is formed."""
+        W = np.array([[1.0, 0.0, 0.0]] * 3)
+        with pytest.raises(DimensionMismatch, match=r"\(3, 3\), expected \(3, 2\)"):
+            self._entry_points(W, np.zeros(3), cube_grid_2d)[entry]()
+
+    def test_one_weight_row_per_bias(self, cube_grid_2d):
+        W = np.array([[1.0, 0.0], [0.0, 1.0]])
+        for entry in ("fit_span", "projection_residuals"):
+            with pytest.raises(DimensionMismatch):
+                self._entry_points(W, np.zeros(3), cube_grid_2d)[entry]()
 
     def test_unit_direction_values(self):
         assert_allclose(unit_direction((3, 4), 2), [0.6, 0.8])
@@ -208,14 +239,14 @@ class TestDkDistribution:
     def test_k_zero_gives_diagonal(self):
         rng = np.random.default_rng(42)
         dist = DkDistribution(k=0, dimension=4)
-        feat = dist.sample_feature(rng)
-        assert_allclose(feat.weight, np.full(4, 0.5))
-        assert -4.0 <= feat.bias <= 4.0
+        w, bias = dist.sample_feature(rng)
+        assert_allclose(w, np.full(4, 0.5))
+        assert -4.0 <= bias <= 4.0
 
     def test_bias_range(self):
         rng = np.random.default_rng(42)
         dist = DkDistribution(k=2, dimension=2)
-        biases = [dist.sample_feature(rng).bias for _ in range(500)]
+        biases = dist.sample_batch(rng, 500)[1]
         root2 = 2.0 * math.sqrt(2.0)
         assert min(biases) >= -root2 and max(biases) <= root2
         assert min(biases) < -0.8 * root2 and max(biases) > 0.8 * root2
@@ -232,8 +263,7 @@ class TestDkDistribution:
         dist = DkDistribution(k=k, dimension=d)
         n = 2600
         counts = dict.fromkeys(dirs, 0)
-        for _ in range(n):
-            w = dist.sample_feature(rng).weight
+        for w in dist.sample_batch(rng, n)[0]:
             counts[tuple(np.round(w, 12))] += 1
         chi2 = sum(
             (counts[key] - n * m / len(ball)) ** 2 / (n * m / len(ball))
@@ -252,19 +282,26 @@ class TestDkDistribution:
                     rng = np.random.default_rng([seed, t])
                     feats = [dist.sample_feature(rng) for _ in range(r)]
                     W, b = dist.sample_batch(np.random.default_rng([seed, t]), r)
-                    assert np.array_equal(W, np.array([f.weight for f in feats]))
-                    assert np.array_equal(b, np.array([f.bias for f in feats]))
+                    assert np.array_equal(W, np.array([w for w, _ in feats]))
+                    assert np.array_equal(b, np.array([bias for _, bias in feats]))
                     assert np.array_equal(W, W_max[:r]) and np.array_equal(b, b_max[:r])
 
     def test_custom_distribution_sampling(self):
-        rng = np.random.default_rng(42)
+        """Each feature draws its bias, then its weight, from the one generator."""
+        unit = lambda v: v / np.linalg.norm(v)
         dist = CustomDistribution(
-            dimension=2,
-            bias_sampler=lambda r: float(r.uniform(-1, 1)),
-            weight_sampler=lambda r: np.array([1.0, 0.0]),
+            dimension=3,
+            bias_sampler=lambda r: r.uniform(-1, 1),
+            weight_sampler=lambda r: unit(r.normal(size=3)),
         )
-        feat = dist.sample_feature(rng)
-        assert_allclose(feat.weight, [1.0, 0.0])
+        W, b = dist.sample_batch(np.random.default_rng(42), 5)
+        rng = np.random.default_rng(42)
+        for w, bias in zip(W, b):
+            assert bias == rng.uniform(-1, 1)
+            assert np.array_equal(w, unit(rng.normal(size=3)))
+        assert W.shape == (5, 3) and b.shape == (5,)
+        W0, b0 = dist.sample_batch(np.random.default_rng(42), 0)
+        assert W0.shape == (0, 3) and b0.shape == (0,)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ParameterOutOfRange):
@@ -556,10 +593,8 @@ class TestSampleAverageNetwork:
         span = sample_average_network(P, r, dist, seed=[5, d], grid=grid)
         oracle = [h_weight(bias, w, P, k, d) / r for bias, w in zip(span.b, span.W)]
         assert_allclose(span.coefficients, oracle, rtol=1e-12, atol=0.0)
-        rng = np.random.default_rng([5, d])
-        feats = [dist.sample_feature(rng) for _ in range(r)]
-        assert span.b.tolist() == [f.bias for f in feats]
-        assert np.array_equal(span.W, [f.weight for f in feats])
+        W, b = dist.sample_batch(np.random.default_rng([5, d]), r)
+        assert np.array_equal(span.b, b) and np.array_equal(span.W, W)
 
     @pytest.mark.parametrize("r, nodes_per_dim", [(4096, 25), (64, 24)],
                              ids=["ragged_last_block", "one_short_block"])
