@@ -213,10 +213,13 @@ def _read(params: dict, table: dict, p=None, where: str = "") -> SimpleNamespace
     return out
 
 
-def _cap(what: str, size: int) -> None:
+def _cap(what: str, size: int, per_width: int | None = None) -> None:
+    """Refuse ``size`` past the active cap; a size of ``per_width`` times a width
+    names the widest width that fits."""
     limit = active_cap()
     if size > limit:
-        raise CapExceeded(f"{what} exceeds the cap {limit}")
+        fits = "" if per_width is None else f"; the widest width that fits is {limit // per_width}"
+        raise CapExceeded(f"{what} exceeds the cap {limit}{fits}")
 
 
 _TERMS = _P({"K": _P("int", many="K"), "beta": _P("real")}, many="terms")
@@ -320,9 +323,9 @@ def _node_count(p) -> int:
 
 def _check_sampling(p) -> None:
     widest = p.r_max if hasattr(p, "r_max") else max(p.r)
-    _cap(f"trials x max(r) = {p.trials} x {widest}", p.trials * widest)
+    _cap(f"trials x max(r) = {p.trials} x {widest}", p.trials * widest, p.trials)
     nodes = _node_count(p)
-    _cap(f"design matrix of {nodes} grid nodes x {widest} features", nodes * widest)
+    _cap(f"design matrix of {nodes} grid nodes x {widest} features", nodes * widest, nodes)
 
 
 def _check_projection(p) -> None:

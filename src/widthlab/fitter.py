@@ -17,8 +17,14 @@ grouped, and feature draws are *coupled* across widths: trial ``t`` at width
 residuals never rise per trial while no width loses a singular value to the
 rank cut.  So one factorization per trial, at the widest width a run asks
 for, gives the residual at every narrower width.  Only the live columns are
-factored: a feature whose bias is at least the largest value ``<w, x>`` can
-reach on the grid's bounding box is zero at every node.  Each trial's
+factored (:func:`_live`, the one column mask of every solve): a feature
+whose bias is at least the largest value ``<w, x>`` can reach on the grid's
+bounding box is zero at every node, and one whose bias is at most minus
+that is active at every node, so its column is affine in ``x``.  Such
+columns span at most ``d + 1`` dimensions, so beyond a draw's first
+``d + 1`` (when their rows ``[b, w]`` are well conditioned) they add
+nothing and are left out.  Both rules are exact at every width, because a
+column left out lies in the span of columns drawn before it.  Each trial's
 weighted design is written from its live ``(W, b)`` straight into a stack
 with one contiguous row per column, whose transpose is the column-major
 layout LAPACK factors; ``fit_span`` and ``projection_residuals`` build and
@@ -84,14 +90,38 @@ def _reach(nodes: np.ndarray) -> np.ndarray:
 
 
 def _live(W: np.ndarray, b: np.ndarray, reach: np.ndarray) -> np.ndarray:
-    """Which features can be nonzero at a node: ``b_i < sum_j |W_ij| reach_j``.
+    """Which of the features ``W (..., r, d)``, ``b (..., r)`` a solve factors, per draw.
 
-    Every other feature has ``<w_i, x> <= b_i`` at each node ``x``, so its
-    design column is zero.  Dropping it is exact: it adds only a zero
-    singular value, which the rank cut drops, and its minimum-norm
-    coefficient is 0.
+    Two rules drop a column, and each is exact: every leading block of a
+    draw spans what it spans with the column.
+
+    - Dead: a feature with ``b_i >= sum_j |W_ij| reach_j`` has
+      ``<w_i, x> <= b_i`` at each node, so its column is zero.  It adds
+      only a zero singular value, which the rank cut drops.
+    - Surplus affine: a live feature with ``b_i <= -sum_j |W_ij| reach_j``
+      is active at each node, so its column is the affine function
+      ``<w_i, x> - b_i``, that is ``diag(root_w) [-1 | X] [b_i; w_i]``.
+      When a draw has more than ``d + 1`` such features and the rows
+      ``[b_i, W_i]`` of its first ``d + 1`` are well conditioned (see
+      ``_AFFINE_TAU``), those rows span every later one's, so each later
+      column lies in the span of ``d + 1`` kept columns drawn before it.
+      With an ill-conditioned head the draw keeps all of them.
+
+    A dropped feature's minimum-norm coefficient is taken as 0.
     """
-    return b < np.abs(W) @ reach
+    bound = np.abs(W) @ reach
+    live = b < bound
+    always = live & (b <= -bound)
+    d = W.shape[-1]
+    order = np.cumsum(always, axis=-1)
+    surplus = always & (order > d + 1)
+    many = np.any(surplus, axis=-1)
+    if np.any(many):
+        head = np.concatenate([b[many][..., None], W[many]], axis=-1)
+        head = head[always[many] & (order[many] <= d + 1)].reshape(-1, d + 1, d + 1)
+        s = np.linalg.svd(head, compute_uv=False)
+        live[many] &= ~(surplus[many] & (s[:, -1] > _AFFINE_TAU * s[:, 0])[:, None])
+    return live
 
 
 # Bytes of stacked weighted designs that ``width_residuals`` factors at once,
@@ -105,6 +135,17 @@ _BATCH_BYTES = 16 * 2**20
 # Rank cut of every solve: singular values at most ``_RCOND`` times the
 # largest count as zero, the cut ``np.linalg.lstsq`` makes given this cutoff.
 _RCOND = 1e-10
+
+# A draw's surplus always-active columns are dropped only when the rows
+# ``[b_i, W_i]`` of its first d + 1 always-active features have their smallest
+# singular value above this share of their largest.  A dropped column is then
+# a combination of those d + 1 kept columns whose coefficients are at most
+# about ``1 / _AFFINE_TAU`` times its size, so in floating point it lies within
+# about ``eps / _AFFINE_TAU`` (2e-13) of their span, far inside the rank cut
+# ``_RCOND``: the drop removes only what the cut would, and the kept affine
+# block never loses a direction to the cut on its own.  Heads this close to
+# singular are rare in D_k draws, and keeping their columns costs only time.
+_AFFINE_TAU = 1e-3
 
 # The part of a target outside the span is downdated as ``|rhs|^2 - |Q^T rhs|^2``
 # where that keeps at least this share of ``|rhs|^2``, so the rounding of both
@@ -241,8 +282,8 @@ def _weighted_lstsq(W: np.ndarray, b: np.ndarray, grid: Grid,
     """Project ``targets`` ``(n,)`` or ``(n, m)`` onto the span of the features ``(W, b)``
     in the grid's weighted L2 norm; returns (coefficients, residual norms).
 
-    Only the live features (:func:`_live`) are factored, by the builder and
-    factorization the trial engine uses, so ``(W, b)`` gives the bits a
+    Only the features :func:`_live` keeps are factored, by the mask, builder
+    and factorization the trial engine uses, so ``(W, b)`` gives the bits a
     trial with the same draws gives; every other feature gets
     coefficient 0.  With no live feature the residuals are the targets' norms.
     """
@@ -267,8 +308,12 @@ def fit_span(W: np.ndarray, b: np.ndarray, f, grid: Grid) -> FittedSpan:
 
     Duplicate or nearly parallel features are handled by the rank cut at
     ``_RCOND``; the residual is invariant to feature order and duplication
-    because the span is.  Features that are zero at every node (see
-    :func:`_live`) are left out of the solve and get coefficient 0.
+    because the span is.  Features that are zero at every node, and
+    always-active features past the first ``d + 1`` (see :func:`_live`), are
+    left out of the solve and get coefficient 0.  The span, the fitted
+    values and the residual are those over every feature, but the other
+    coefficients are the minimum-norm ones over the features kept, not over
+    the full set.
     """
     if not len(b):
         raise EmptyFeatureList("cannot fit over an empty feature list")
@@ -320,9 +365,10 @@ def _factored(rhs: np.ndarray, root_w: np.ndarray, grid: Grid, dist: ReluParamDi
               seed, trials):
     """Yield ``(ids, live, factors)`` for the width-``w`` draws of ``trials``, a batch at a time.
 
-    ``live[i, r]`` counts the live features (:func:`_live`) among the first
-    ``r`` of trial ``ids[i]``, and ``factors`` (:class:`_Factors`) holds the
-    factor of each trial's live columns.  Trials with the same live count
+    ``live[i, r]`` counts the live features (:func:`_live`, one call on the
+    batch's stacked draws) among the first ``r`` of trial ``ids[i]``, and
+    ``factors`` (:class:`_Factors`) holds the factor of each trial's live
+    columns.  Trials with the same live count
     are factored in stacks whose designs, counted with the targets beside
     them, take about ``_CHUNK_BYTES``; a batch's draws and factors take
     about ``_BATCH_BYTES``.
@@ -334,8 +380,10 @@ def _factored(rhs: np.ndarray, root_w: np.ndarray, grid: Grid, dist: ReluParamDi
     per_batch = max(1, _BATCH_BYTES // per_trial)
     for start in range(0, len(trials), per_batch):
         ids = trials[start:start + per_batch]
-        draws = [_draw(dist, w, seed, t) for t in ids] if w else []
-        mask = np.array([_live(W, b, reach) for W, b in draws]).reshape(len(ids), w)
+        W, b = np.empty((len(ids), w, grid.nodes.shape[1])), np.empty((len(ids), w))
+        for i, t in enumerate(ids if w else ()):
+            W[i], b[i] = _draw(dist, w, seed, t)
+        mask = _live(W, b, reach)
         live = np.zeros((len(ids), w + 1), dtype=np.intp)
         np.cumsum(mask, axis=1, out=live[:, 1:])
         factors = _Factors(len(ids), n, w, rhs)
@@ -346,7 +394,7 @@ def _factored(rhs: np.ndarray, root_w: np.ndarray, grid: Grid, dist: ReluParamDi
             per_chunk = max(1, _CHUNK_BYTES // (8 * n * (count + m)))
             for first in range(0, len(group), per_chunk):
                 sel = group[first:first + per_chunk]
-                params = ((draws[i][0][mask[i]], draws[i][1][mask[i]]) for i in sel)
+                params = ((W[i, mask[i]], b[i, mask[i]]) for i in sel)
                 factors.add(sel, params, int(count), grid.nodes, root_w, rhs)
         yield ids, live, factors
 

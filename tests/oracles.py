@@ -126,3 +126,29 @@ def relu_columns(W, b, X) -> np.ndarray:
     computed feature by feature."""
     X = np.asarray(X, dtype=float)
     return np.column_stack([np.maximum(X @ w - bias, 0.0) for w, bias in zip(W, b)])
+
+
+def factored_features(W, b, reach, tau) -> np.ndarray:
+    """Which features a solve factors, decided feature by feature.
+
+    A feature is dead when its bias is at least ``sum_j |w_j| reach_j``, the
+    largest value ``<w, x>`` takes on the box ``|x_j| <= reach_j``, and
+    always active when it is live and its bias is at most minus that.  If
+    more than ``d + 1`` features are always active and the rows ``[b, w]``
+    of the first ``d + 1`` have their smallest singular value above ``tau``
+    times their largest, every later always-active feature is left out too.
+    ``tau = inf`` leaves out only the dead features.
+    """
+    d = len(reach)
+    keep, always = np.zeros(len(b), dtype=bool), []
+    for i, (w, bias) in enumerate(zip(W, b)):
+        bound = sum(abs(float(wj)) * float(rj) for wj, rj in zip(w, reach))
+        keep[i] = bias < bound
+        if keep[i] and bias <= -bound:
+            always.append(i)
+    if len(always) > d + 1:
+        head = np.array([[b[i], *W[i]] for i in always[:d + 1]])
+        s = np.linalg.svd(head, compute_uv=False)
+        if s[-1] > tau * s[0]:
+            keep[always[d + 1:]] = False
+    return keep

@@ -514,8 +514,18 @@ class TestConfigSchema:
 
     @pytest.mark.parametrize("doc, cap, fragment", [
         (_with(_MIX, z_count=1_000_000_000), 1000, "z_count"),
-        (_with(_FIT, trials=50, r_list=[50]), 1000, "trials x max(r)"),
-        (_with(_FIT, r_list=[100], grid={"nodes_per_dim": 20}), 1000, "design matrix"),
+        (_with(_FIT, trials=50, r_list=[50]), 1000,
+         "trials x max(r) = 50 x 50 exceeds the cap 1000; the widest width that fits is 20\n"),
+        (_with(_FIT, r_list=[100], grid={"nodes_per_dim": 20}), 1000,
+         "design matrix of 20 grid nodes x 100 features exceeds the cap 1000; "
+         "the widest width that fits is 50\n"),
+        (_with(_FIT, d=3, r_list=[4096]), None,
+         "design matrix of 13824 grid nodes x 4096 features exceeds the cap 10000000; "
+         "the widest width that fits is 723\n"),
+        ({"kind": "minwidth", "parameters": {"d": 3, "epsilon": 0.5, "delta": 0.25, "trials": 4,
+                                             "target": "abs", "seed": 1}}, None,
+         "design matrix of 13824 grid nodes x 4096 features exceeds the cap 10000000; "
+         "the widest width that fits is 723\n"),
         (_with(_LBP, d=12, ell=6), 100, "C(12, 6)"),
         (_with(_LBP, family={"type": "ball", "k": 4000}, d=3), None, "ball"),
         (_with(_FIT, d=3, dist={"k": 4000}), None, "ball"),
@@ -523,8 +533,9 @@ class TestConfigSchema:
         (_with(_TRIG, d=3, grid={"nodes_per_dim": 100}), 1000, "tensor grid"),
         (_with(_FIT, d=5000, dist={"k": 1}, grid={"scheme": "monte_carlo", "sample_count": 1}),
          None, "10001 indices x 5000 coordinates"),
-    ], ids=["z_count", "trials_x_r", "design", "symmetric_family", "ball_family",
-            "dist_ball", "mixture_ball", "grid", "dist_direction_table"])
+    ], ids=["z_count", "trials_x_r", "design", "design_default_cap", "minwidth_r_max",
+            "symmetric_family", "ball_family", "dist_ball", "mixture_ball", "grid",
+            "dist_direction_table"])
     def test_size_caps_exit_3(self, tmp_path, capsys, monkeypatch, doc, cap, fragment):
         if cap is not None:
             monkeypatch.setenv("WIDTHLAB_CAP", str(cap))

@@ -10,6 +10,7 @@ first passing width.  These tests hold both to what a solve per width gives:
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
@@ -41,9 +42,12 @@ from widthlab.lowerbound import (
 from widthlab.quadrature import MONTE_CARLO, QuadratureSpec, make_grid
 from widthlab.relu import ReluParamDist
 
+from oracles import factored_features
 
-def _lstsq_residuals(W, b, grid, targets, r, rcond=1e-10):
-    """Oracle: weighted lstsq on the first ``r`` features, one norm per target."""
+
+def _lstsq_residuals(W, b, grid, targets, r=None, rcond=1e-10):
+    """Oracle: weighted lstsq on the first ``r`` features (all by default), one norm
+    per target."""
     root_w = np.sqrt(grid.weights)
     design = np.maximum(grid.nodes @ W[:r].T - b[:r], 0.0) * root_w[:, None]
     rhs = targets * root_w[:, None]
@@ -74,6 +78,12 @@ def _draws(dist, w, seed, trials):
     return [dist.sample_batch(np.random.default_rng([seed, t]), w) for t in range(trials)]
 
 
+def _factored(W, b, grid, tau=fitter._AFFINE_TAU):
+    """The oracle's mask of the features a solve factors; ``tau = inf`` applies
+    only the dead rule."""
+    return factored_features(W, b, np.max(np.abs(grid.nodes), axis=0), tau)
+
+
 def _grid(d, nodes):
     """A tensor Gauss grid with ``nodes`` per dimension, or ``"mc<n>"`` Monte Carlo nodes."""
     if isinstance(nodes, int):
@@ -82,19 +92,31 @@ def _grid(d, nodes):
                                     sample_count=int(nodes[2:]), seed=d))
 
 
-# (d, nodes per dimension, widest width, targets, seeds): the d = 1 case has
-# more features (32) than grid nodes (24); the d = 2 case with six targets and
-# four features takes the many-targets factorization.  On the Monte Carlo
-# grids no node reaches the corner bound that decides which features are
-# live, so some live features are zero at every node.
-_CASES = [(1, 24, 32, 3, 1), (1, 24, 32, 1, 2), (2, 24, 40, 3, 3), (2, 24, 4, 6, 4),
-          (2, 10, 48, 2, 5), (3, 8, 24, 3, 6), (2, "mc150", 40, 2, 11), (3, "mc200", 24, 3, 12)]
+# (d, nodes per dimension, widest width, targets, seeds, doubled): the d = 1
+# case has more features (32) than grid nodes (24); the d = 2 case with six
+# targets and four features takes the many-targets factorization.  On the
+# Monte Carlo grids no node reaches the corner bound that decides which
+# features are live, so some live features are zero at every node.  The
+# doubled cases draw each D_k feature twice in a row (_Doubled), so the
+# first d + 1 always-active features of a draw repeat one and the surplus
+# affine rule declines; in the others it drops columns.
+_CASES = [(1, 24, 32, 3, 1, False), (1, 24, 32, 1, 2, False), (2, 24, 40, 3, 3, False),
+          (2, 24, 4, 6, 4, False), (2, 10, 48, 2, 5, False), (3, 8, 24, 3, 6, False),
+          (2, "mc150", 40, 2, 11, False), (3, "mc200", 24, 3, 12, False),
+          (2, 24, 40, 3, 13, True), (3, "mc200", 24, 2, 14, True)]
 
 
-@pytest.mark.parametrize("d,nodes,w,m,seed", _CASES)
-def test_prefix_residuals_match_lstsq_at_every_width(d, nodes, w, m, seed):
-    grid = _grid(d, nodes)
+def _case_dist(d, doubled):
     dist = DkDistribution(k=2, dimension=d)
+    return _Doubled(dist) if doubled else dist
+
+
+@pytest.mark.parametrize("d,nodes,w,m,seed,doubled", _CASES,
+                         ids=["-".join(map(str, case[:5])) + "-doubled" * case[5]
+                              for case in _CASES])
+def test_prefix_residuals_match_lstsq_at_every_width(d, nodes, w, m, seed, doubled):
+    grid = _grid(d, nodes)
+    dist = _case_dist(d, doubled)
     targets = _targets(grid.nodes, m)
     trials = 5
     widths = list(range(1, w + 1))
@@ -107,20 +129,27 @@ def test_prefix_residuals_match_lstsq_at_every_width(d, nodes, w, m, seed):
 
 
 def test_cases_cover_dead_affine_and_wide_designs():
-    """Dead columns (zero on the grid) and more than d + 1 affine columns occur,
-    and on Monte Carlo grids so do columns that are zero yet kept as live."""
-    dead = affine = kept_zero = 0
-    for d, nodes, w, _, seed in _CASES:
+    """Dead columns (zero on the grid) and more than d + 1 affine columns occur;
+    the surplus affine rule drops columns in some draws and declines in others
+    that have more than d + 1 always-active features; and on Monte Carlo grids
+    some columns are zero yet kept as live."""
+    dead = affine = kept_zero = dropped = declined = 0
+    for d, nodes, w, _, seed, doubled in _CASES:
         grid = _grid(d, nodes)
-        for W, b in _draws(DkDistribution(k=2, dimension=d), w, seed, 5):
+        reach = fitter._reach(grid.nodes)
+        for W, b in _draws(_case_dist(d, doubled), w, seed, 5):
             z = grid.nodes @ W.T - b
             zero = np.all(z <= 0.0, axis=0)
             dead += int(np.any(zero))
             affine += int(np.count_nonzero(np.all(z >= 0.0, axis=0)) > d + 1)
-            live = fitter._live(W, b, fitter._reach(grid.nodes))
+            live = fitter._live(W, b, reach)
             kept_zero += int(np.count_nonzero(zero & live))
-    assert dead > 0 and affine > 0 and kept_zero > 0
-    assert any(w > len(_grid(d, nodes).nodes) for d, nodes, w, _, _ in _CASES)
+            alive = _factored(W, b, grid, tau=np.inf)
+            always = np.count_nonzero(alive & (b <= -(np.abs(W) @ reach)))
+            dropped += int(np.any(alive & ~live))
+            declined += int(always > d + 1 and np.array_equal(alive, live))
+    assert dead > 0 and affine > 0 and kept_zero > 0 and dropped > 0 and declined > 0
+    assert any(w > len(_grid(d, nodes).nodes) for d, nodes, w, *_ in _CASES)
 
 
 @pytest.mark.parametrize("seed", [7, 8])
@@ -233,6 +262,61 @@ def test_dead_features_are_dropped_exactly():
                     rtol=0.0, atol=1e-12)
 
 
+def test_fit_span_gives_dropped_features_zero():
+    """Surplus always-active features get coefficient 0, as dead ones do; the fitted
+    values and the residual are lstsq's over all features."""
+    grid = tensor_gauss_grid(UNIFORM_CUBE, 2, 12)
+    W, b = DkDistribution(k=2, dimension=2).sample_batch(np.random.default_rng(11), 30)
+    kept = _factored(W, b, grid)
+    assert np.count_nonzero(_factored(W, b, grid, tau=np.inf) & ~kept) > 0
+    f = lambda X: np.cos(np.pi * X[:, 0]) * X[:, 1]
+    span = fit_span(W, b, f, grid)
+    assert np.all(span.coefficients[~kept] == 0.0)
+    root_w = np.sqrt(grid.weights)
+    design = np.maximum(grid.nodes @ W.T - b, 0.0)
+    coeffs = np.linalg.lstsq(design * root_w[:, None], f(grid.nodes) * root_w, rcond=1e-10)[0]
+    assert_allclose(span.evaluate(grid.nodes), design @ coeffs, rtol=0.0, atol=1e-12)
+    assert_allclose(span.l2_error, _lstsq_residuals(W, b, grid, f(grid.nodes)[:, None])[0],
+                    rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("gap, drops", [(1e-1, True), (1e-3, False)])
+def test_surplus_rule_needs_a_well_conditioned_head(gap, drops):
+    """Three always-active features at d = 1: the third's row ``[b, w]`` is a
+    combination of the first two, which differ by ``gap`` in the bias.  The rule
+    drops it only when the head's smallest singular value exceeds ``_AFFINE_TAU``
+    times its largest; either way the residuals are lstsq's on all three."""
+    grid = tensor_gauss_grid(UNIFORM_CUBE, 1, 24)
+    W, b = np.array([[1.0], [1.0], [-1.0]]), np.array([-2.0, -2.0 - gap, -1.5])
+    s = np.linalg.svd(np.column_stack([b[:2], W[:2]]), compute_uv=False)
+    assert (s[-1] > fitter._AFFINE_TAU * s[0]) == drops
+    assert np.array_equal(fitter._live(W, b, fitter._reach(grid.nodes)), [True, True, not drops])
+    targets = _targets(grid.nodes, 3)
+    got = width_residuals(targets, grid, _Fixed(W, b), [1, 2, 3], seed=0, trials=1)[0]
+    for r in (1, 2, 3):
+        assert_allclose(got[r - 1], _lstsq_residuals(W, b, grid, targets, r), rtol=0.0,
+                        atol=1e-12)
+
+
+def test_surplus_rule_declines_a_repeated_feature():
+    """A distribution that repeats one always-active feature has a head of rank 1,
+    so the rule declines and the mask is the dead rule alone, also in a stack
+    beside a draw the rule drops columns from."""
+    grid = tensor_gauss_grid(UNIFORM_CUBE, 2, 12)
+    reach = fitter._reach(grid.nodes)
+    w = _unit(np.array([1.0, -2.0]))
+    same = CustomDistribution(2, lambda rng: -3.0, lambda rng: w)
+    W, b = same.sample_batch(np.random.default_rng(0), 8)
+    assert np.all(b <= -(np.abs(W) @ reach))
+    assert np.all(fitter._live(W, b, reach))
+    W2, b2 = DkDistribution(k=2, dimension=2).sample_batch(np.random.default_rng(11), 30)
+    kept = _factored(W2, b2, grid)
+    assert not np.all(kept[_factored(W2, b2, grid, tau=np.inf)])
+    stacked = fitter._live(np.stack([W[:1].repeat(30, axis=0), W2]),
+                           np.stack([np.full(30, -3.0), b2]), reach)
+    assert np.all(stacked[0]) and np.array_equal(stacked[1], kept)
+
+
 def _probe_by_probe(f, epsilon, delta, dist, grid, trials, r_max, seed):
     """The doubling and bisection search, solving every trial at every probe."""
     threshold = 1.0 - delta
@@ -333,24 +417,25 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 _GRIDS = {1: tensor_gauss_grid(UNIFORM_CUBE, 1, 24), 2: tensor_gauss_grid(UNIFORM_CUBE, 2, 10)}
 
 
-def _uncut(W, b, grid, r):
-    """Whether the weighted design of the first ``r`` features loses no singular
-    value to the rank cut: all ``min(n, r)`` exceed ``_RCOND`` times the largest."""
-    design = np.maximum(grid.nodes @ W[:r].T - b[:r], 0.0) * np.sqrt(grid.weights)[:, None]
+def _uncut(W, b, grid):
+    """Whether the weighted design of the features ``(W, b)`` loses no singular value
+    to the rank cut: all ``min(n, len(b))`` exceed ``_RCOND`` times the largest."""
+    design = np.maximum(grid.nodes @ W.T - b, 0.0) * np.sqrt(grid.weights)[:, None]
     s = np.linalg.svd(design, compute_uv=False)
-    return bool(s[-1] > fitter._RCOND * s[0])
+    return bool(s.size == 0 or s[-1] > fitter._RCOND * s[0])
 
 
 # The stored draw: trial 2's residual rises by 9.14e-8 from width 37 to 38,
-# past a rank cut, and lstsq's rises by as much.
+# past a rank cut, and lstsq's on the factored columns rises by as much.
 @example(d=1, k=2, seed=10_000_000, mix=[0.0, 1.0, 0.0])
 @given(d=st.sampled_from([1, 2]), k=st.sampled_from([1, 2]), seed=st.integers(0, 2**31 - 1),
        mix=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
 @settings(max_examples=30, deadline=None)
 def test_residual_never_rises_and_stays_within_target_norm(d, k, seed, mix):
-    """The residual never rises between widths whose designs lose no singular value
-    to the rank cut.  Past a cut ``np.linalg.lstsq`` itself can rise; wherever the
-    residual rises, it rises as lstsq's does."""
+    """The residual never rises between widths whose factored designs lose no
+    singular value to the rank cut.  Past a cut ``np.linalg.lstsq`` itself can
+    rise; wherever the residual rises, it rises as lstsq's on the factored
+    columns does (the columns of the oracle's mask)."""
     grid = _GRIDS[d]
     target = _targets(grid.nodes, 3) @ np.asarray(mix)
     norm = float(np.sqrt(np.sum(grid.weights * target**2)))
@@ -359,24 +444,86 @@ def test_residual_never_rises_and_stays_within_target_norm(d, k, seed, mix):
     slack = 1e-9 * max(norm, 1.0)
     assert np.all(res >= 0.0)
     assert np.all(res <= norm + slack)
+    dropped = 0
     for t, (W, b) in enumerate(_draws(dist, 40, seed, 3)):
-        uncut = np.array([_uncut(W, b, grid, r) for r in range(1, 41)])
+        kept = _factored(W, b, grid)
+        dropped += np.count_nonzero(_factored(W, b, grid, tau=np.inf) & ~kept)
+        prefixes = [(W[:r][kept[:r]], b[:r][kept[:r]]) for r in range(1, 41)]
+        uncut = np.array([_uncut(*prefix, grid) for prefix in prefixes])
         steps = np.diff(res[t])
         assert np.all(steps[uncut[:-1] & uncut[1:]] <= slack), t
         for r in np.flatnonzero(steps > slack) + 1:  # a rise from width r to r + 1
-            lstsq = [_lstsq_residuals(W, b, grid, target[:, None], v)[0] for v in (r, r + 1)]
+            lstsq = [_lstsq_residuals(*prefixes[v - 1], grid, target[:, None])[0]
+                     for v in (r, r + 1)]
             assert abs(steps[r - 1] - (lstsq[1] - lstsq[0])) <= 1e-12, (t, r)
+    if (d, k, seed) == (1, 2, 10_000_000):
+        assert dropped > 0  # the stored draw exercises the surplus affine rule
+
+
+def _rank(design):
+    """``np.linalg.lstsq``'s numerical rank at the cut ``_RCOND``."""
+    s = np.linalg.svd(design, compute_uv=False)
+    return int(np.count_nonzero(s > fitter._RCOND * s[0])) if s.size else 0
+
+
+_RULE_GRIDS = {(1, False): 24, (2, False): 10, (3, False): 6, (4, False): 5,
+               (1, True): "mc60", (2, True): "mc150", (3, True): "mc200", (4, True): "mc300"}
+
+
+@functools.cache
+def _rule_grid(d, monte_carlo):
+    return _grid(d, _RULE_GRIDS[d, monte_carlo])
+
+
+@given(d=st.integers(1, 4), k=st.integers(1, 3), monte_carlo=st.booleans(),
+       seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=25, deadline=None)
+def test_surplus_affine_columns_are_dropped_exactly(d, k, monte_carlo, seed):
+    """``_live`` on a stack of draws is the oracle's mask on each draw.  Each column
+    it drops lies within 1e-12 of its norm of the span of the kept columns drawn
+    before it, so every prefix block keeps its numerical rank.  Where the kept
+    block is well conditioned, the residuals over it and over all live columns
+    agree within 1e-12; below that, rounding in the dropped columns moves the
+    span by about eps times the block's condition number, and the two
+    residuals can differ by more."""
+    grid = _rule_grid(d, monte_carlo)
+    draws = _draws(DkDistribution(k=k, dimension=d), 40, seed, 2)
+    stacked = fitter._live(np.stack([W for W, _ in draws]), np.stack([b for _, b in draws]),
+                           fitter._reach(grid.nodes))
+    root_w = np.sqrt(grid.weights)
+    targets = _targets(grid.nodes, 3)
+    for (W, b), mask in zip(draws, stacked):
+        kept, alive = _factored(W, b, grid), _factored(W, b, grid, tau=np.inf)
+        assert np.array_equal(mask, kept)
+        design = np.maximum(grid.nodes @ W.T - b, 0.0) * root_w[:, None]
+        for j in np.flatnonzero(alive & ~kept):
+            before = design[:, :j][:, kept[:j]]
+            gap = design[:, j] - before @ np.linalg.lstsq(before, design[:, j], rcond=None)[0]
+            assert np.linalg.norm(gap) <= 1e-12 * np.linalg.norm(design[:, j]), j
+        for r in range(1, 41):
+            ours, every = design[:, :r][:, kept[:r]], design[:, :r]
+            assert _rank(ours) == _rank(every), r
+            s = np.linalg.svd(ours, compute_uv=False)
+            if s.size and s[-1] > 1e-4 * s[0]:
+                assert_allclose(_lstsq_residuals(W[:r][kept[:r]], b[:r][kept[:r]], grid, targets),
+                                _lstsq_residuals(W[:r][alive[:r]], b[:r][alive[:r]], grid,
+                                                 targets),
+                                rtol=0.0, atol=1e-12, err_msg=str(r))
 
 
 def test_chunks_change_no_bit(monkeypatch):
-    """Trials stacked in one chunk give the bits of one chunk per trial: with the
-    targets joined to the designs, and with at least as many targets as columns,
-    where the part outside the span is downdated or, below ``_DOWNDATE``,
-    recomputed (a threshold of 1 recomputes every target)."""
+    """Trials stacked in one chunk and one batch give the bits of one trial per chunk
+    and per batch: with the targets joined to the designs, and with at least as
+    many targets as columns, where the part outside the span is downdated or,
+    below ``_DOWNDATE``, recomputed (a threshold of 1 recomputes every target).
+    The surplus affine rule drops columns in these draws, so its mask, made once
+    per batch, does not depend on how many draws share the batch."""
     grid = tensor_gauss_grid(UNIFORM_CUBE, 2, 24)
     dist = DkDistribution(k=2, dimension=2)
     few, many = _targets(grid.nodes, 2), _targets(grid.nodes, 6)
     assert fitter._CHUNK_BYTES // (8 * len(many) * (6 + 6)) > 1  # several trials per chunk
+    assert any(np.any(_factored(W, b, grid, tau=np.inf) & ~_factored(W, b, grid))
+               for W, b in _draws(dist, 64, 9, 40))
     f, mw_dist, mw_grid = _problem(_MINWIDTH["two_dims"])
     mw_args = (f, 0.4, 0.2, mw_dist, mw_grid, 20, 1024, 5)
     downdates = (fitter._DOWNDATE, 1.0)
@@ -390,6 +537,7 @@ def test_chunks_change_no_bit(monkeypatch):
 
     stacked, stacked_mw = residuals(), estimate_minwidth(*mw_args)
     monkeypatch.setattr(fitter, "_CHUNK_BYTES", 1)  # one trial per chunk
+    monkeypatch.setattr(fitter, "_BATCH_BYTES", 1)  # and per batch
     for got, want in zip(residuals(), stacked):
         assert np.array_equal(got, want)
     assert estimate_minwidth(*mw_args) == stacked_mw
