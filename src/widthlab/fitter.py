@@ -4,11 +4,14 @@ The L2 projection of a target onto the span of ``r`` sampled features is
 realized as weighted least squares on a quadrature grid: one Householder QR
 of the weighted design, then the SVD of a leading block of ``R`` with the
 rank cut of ``np.linalg.lstsq`` (singular values at most ``_RCOND`` times the
-largest count as zero).  The targets' part outside the span is read off the
-QR of ``[A | rhs]`` or, for many targets, downdated from their norms.  On
-top of that sit Monte Carlo estimates of the success probability
-``P[inf-over-span error <= eps]`` and a doubling-plus-bisection search for
-the smallest width reaching a target success rate.
+largest count as zero).  The QR runs in place through LAPACK
+(:func:`_qr_in_place`), on the buffer the design is written into, with the
+bits of ``np.linalg.qr``.  The targets' part outside the span is read off the
+QR of ``[A | rhs]`` or, for many targets, downdated from their norms with
+``Q^T rhs``, ``Q^T`` being left in that buffer.  On top of that sit Monte
+Carlo estimates of the success probability ``P[inf-over-span error <= eps]``
+and a doubling-plus-bisection search for the smallest width reaching a
+target success rate.
 
 All randomness flows through ``numpy`` generators seeded per trial as
 ``default_rng([seed, trial])``, so results do not depend on how trials are
@@ -37,6 +40,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .errors import CapExceeded, EmptyFeatureList, ParameterOutOfRange
 from .quadrature import Grid, evaluate_on
@@ -154,10 +158,73 @@ _AFFINE_TAU = 1e-3
 _DOWNDATE = 1 / 16
 
 
-def _weighted(targets: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The square roots of the weights, and the targets scaled by them as ``(n, m)``."""
+def _weighted(targets: np.ndarray,
+              weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The square roots of the weights, the targets scaled by them as ``(n, m)``, and
+    the squared norms ``(m,)`` of those columns.
+
+    Every solve enters here, so non-finite targets stop here: a sum of squares
+    is finite only if each term is, so one check on the squared norms covers
+    the weighted targets too.  Raises ``FloatingPointError`` otherwise.
+    """
     root_w = np.sqrt(weights)
-    return root_w, targets.reshape(len(targets), -1) * root_w[:, None]
+    rhs = targets.reshape(len(targets), -1) * root_w[:, None]
+    with np.errstate(over="ignore"):  # an overflow is reported by the check below
+        norm_sq = np.array([col @ col for col in rhs.T])
+    if not np.all(np.isfinite(norm_sq)):
+        raise FloatingPointError("the weighted targets on the grid, or their squared norms, "
+                                 "are not finite")
+    return root_w, rhs, norm_sq
+
+
+def _lapack(routine: str, *args) -> None:
+    """Call the ``lapack_lite`` binding named ``routine`` with ``info`` appended; a
+    nonzero ``info`` raises ``LinAlgError``."""
+    info = getattr(lapack_lite, routine)(*args, 0)["info"]
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} returned info = {info}")
+
+
+def _work(*calls) -> np.ndarray:
+    """One work array for the LAPACK ``calls``, each ``(routine, *args)`` up to ``work``.
+
+    Each call's ``lwork = -1`` query sizes it, as ``np.linalg.qr`` sizes its
+    own.  LAPACK cuts its block size only when ``lwork`` falls short of the
+    query, so the blocking, and with it the bits, are ``np.linalg.qr``'s.
+    """
+    size, lwork = np.ones(1), 1
+    for routine, *args in calls:
+        _lapack(routine, *args, size, -1)
+        lwork = max(lwork, int(size[0]))
+    return np.empty(lwork)
+
+
+def _qr_in_place(stack: np.ndarray, form_q: bool) -> np.ndarray:
+    """Householder QR of each slot of ``stack``, in place, with no copy.
+
+    ``stack`` has shape ``(count, columns, n)``, so each slot ``stack[t]`` is
+    the column-major ``n x columns`` matrix ``A`` LAPACK factors, with
+    ``lda = n``; ``dgeqrf`` factors it there.  Returns ``R`` of shape
+    ``(count, min(n, columns), columns)``, read before anything overwrites
+    it.  With ``form_q``, ``dorgqr`` then overwrites each slot's first
+    ``min(n, columns)`` rows with ``Q^T``, the reduced ``Q`` of ``A = Q R``.
+    These are the bits of ``np.linalg.qr``; ``lapack_lite`` is private to
+    numpy, so ``tests/test_fitter.py::TestInPlaceQR`` pins them to it.
+    """
+    count, cols, n = stack.shape
+    k = min(n, cols)
+    tau = np.empty((count, k))
+    calls = [("dgeqrf", n, cols, stack[0], n, tau[0])]
+    if form_q:
+        calls.append(("dorgqr", n, k, k, stack[0], n, tau[0]))
+    work = _work(*calls)
+    for slot, scalars in zip(stack, tau):
+        _lapack("dgeqrf", n, cols, slot, n, scalars, work, len(work))
+    R = np.triu(np.swapaxes(stack, -1, -2)[:, :k])
+    if form_q:
+        for slot, scalars in zip(stack, tau):
+            _lapack("dorgqr", n, k, k, slot, n, scalars, work, len(work))
+    return R
 
 
 def _factor(params, count: int, w: int, nodes: np.ndarray, root_w: np.ndarray,
@@ -166,18 +233,19 @@ def _factor(params, count: int, w: int, nodes: np.ndarray, root_w: np.ndarray,
     ``count`` pairs of ``w`` rows each, at ``nodes``.
 
     Each weighted design is written column by column into one stack of
-    shape ``(count, columns, n)``, so its transpose is the column-major
-    layout LAPACK factors.  Returns ``R`` of shape ``(count, min(n, w), w)``
-    with ``A = Q R``, and ``C`` of shape ``(count, q, m)``: its first
+    shape ``(count, columns, n)``, the layout :func:`_qr_in_place` factors
+    in place.  Returns ``R`` of shape ``(count, min(n, w), w)`` with
+    ``A = Q R``, and ``C`` of shape ``(count, q, m)``: its first
     ``min(n, w)`` rows are ``Q^T rhs`` and the rest hold the targets' part
     orthogonal to every column of ``Q``, so the part of ``rhs`` outside the
     span of ``Q``'s first ``k`` columns has the norm of ``C[:, k:]``.  With
     fewer targets than columns the targets join the factorization as
-    ``[A | rhs]`` and ``C`` is read off its ``R``.  Otherwise ``Q`` is formed
-    and the part outside is downdated from the targets' squared norms
-    ``norm_sq`` as ``norm_sq - |Q^T rhs|^2``, the column-norm downdate of
-    LAPACK's xGEQP3; where that falls below ``_DOWNDATE`` times ``norm_sq``
-    it is recomputed as ``|rhs - Q Q^T rhs|^2`` for that trial and target.
+    ``[A | rhs]`` and ``C`` is read off its ``R``.  Otherwise each slot then
+    holds ``Q^T``, ``C`` is one stacked product with ``rhs``, and the part
+    outside is downdated from the targets' squared norms ``norm_sq`` as
+    ``norm_sq - |Q^T rhs|^2``, the column-norm downdate of LAPACK's xGEQP3;
+    where that falls below ``_DOWNDATE`` times ``norm_sq`` it is recomputed
+    as ``|rhs - Q Q^T rhs|^2`` for that trial and target.
     """
     n, m = rhs.shape
     joined = m < w
@@ -189,17 +257,17 @@ def _factor(params, count: int, w: int, nodes: np.ndarray, root_w: np.ndarray,
         columns -= b[:, None]
         np.maximum(columns, 0.0, out=columns)
         columns *= root_w
-    A = np.swapaxes(stack, -1, -2)
     if joined:
         stack[:, w:] = rhs.T
-        full = np.linalg.qr(A, mode="r")
+        full = _qr_in_place(stack, form_q=False)
         return full[:, :min(n, w), :w], full[:, :, w:]
-    Q, R = np.linalg.qr(A)
-    C = np.swapaxes(Q, -1, -2) @ rhs
+    R = _qr_in_place(stack, form_q=True)
+    Qt = stack[:, :R.shape[1]]
+    C = Qt @ rhs
     # not einsum: its one-target sum varies with ``count``
     outside = norm_sq - np.sum(C * C, axis=1)
     for t, j in zip(*np.nonzero(outside < _DOWNDATE * norm_sq)):
-        gap = rhs[:, j] - Q[t] @ C[t, :, j]
+        gap = rhs[:, j] - C[t, :, j] @ Qt[t]
         outside[t, j] = gap @ gap
     return R, np.concatenate([C, np.sqrt(outside)[:, None]], axis=1)
 
@@ -243,13 +311,13 @@ class _Factors:
     smaller count.  A count of 0 reads the targets' norms, from ``norm_sq``.
     """
 
-    def __init__(self, count: int, n: int, w: int, rhs: np.ndarray):
-        rows, m = min(n, w), rhs.shape[1]
+    def __init__(self, count: int, n: int, w: int, norm_sq: np.ndarray):
+        rows, m = min(n, w), len(norm_sq)
         self.R = np.zeros((count, rows, w))
         self.C = np.zeros((count, rows + m + 1, m))
         self.tails = np.zeros_like(self.C)
-        self.norm_sq = np.array([col @ col for col in rhs.T])
-        self.target_norms = np.sqrt(self.norm_sq)
+        self.norm_sq = norm_sq
+        self.target_norms = np.sqrt(norm_sq)
 
     def add(self, sel, params, w: int, nodes: np.ndarray, root_w: np.ndarray,
             rhs: np.ndarray) -> None:
@@ -287,10 +355,10 @@ def _weighted_lstsq(W: np.ndarray, b: np.ndarray, grid: Grid,
     trial with the same draws gives; every other feature gets
     coefficient 0.  With no live feature the residuals are the targets' norms.
     """
-    root_w, rhs = _weighted(targets, grid.weights)
+    root_w, rhs, norm_sq = _weighted(targets, grid.weights)
     live = _live(W, b, _reach(grid.nodes))
     w = int(np.count_nonzero(live))
-    factors = _Factors(1, len(rhs), w, rhs)
+    factors = _Factors(1, len(rhs), w, norm_sq)
     coeffs, norms = np.zeros((len(W), rhs.shape[1])), factors.target_norms
     if w:
         factors.add([0], [(W[live], b[live])], w, grid.nodes, root_w, rhs)
@@ -361,8 +429,8 @@ def _draw(dist: ReluParamDist, w: int, seed, trial: int) -> tuple[np.ndarray, np
     return dist.sample_batch(np.random.default_rng([*np.atleast_1d(seed).tolist(), trial]), w)
 
 
-def _factored(rhs: np.ndarray, root_w: np.ndarray, grid: Grid, dist: ReluParamDist, w: int,
-              seed, trials):
+def _factored(rhs: np.ndarray, root_w: np.ndarray, norm_sq: np.ndarray, grid: Grid,
+              dist: ReluParamDist, w: int, seed, trials):
     """Yield ``(ids, live, factors)`` for the width-``w`` draws of ``trials``, a batch at a time.
 
     ``live[i, r]`` counts the live features (:func:`_live`, one call on the
@@ -386,7 +454,7 @@ def _factored(rhs: np.ndarray, root_w: np.ndarray, grid: Grid, dist: ReluParamDi
         mask = _live(W, b, reach)
         live = np.zeros((len(ids), w + 1), dtype=np.intp)
         np.cumsum(mask, axis=1, out=live[:, 1:])
-        factors = _Factors(len(ids), n, w, rhs)
+        factors = _Factors(len(ids), n, w, norm_sq)
         for count in np.flatnonzero(np.bincount(live[:, w])):  # each live count present
             if count == 0:
                 continue
@@ -415,9 +483,9 @@ def width_residuals(targets: np.ndarray, grid: Grid, dist: ReluParamDist, widths
     ``(trials, len(widths), m)`` for targets of shape ``(n, m)``.
     """
     widths = [int(v) for v in widths]
-    root_w, rhs = _weighted(targets, grid.weights)
+    root_w, rhs, norm_sq = _weighted(targets, grid.weights)
     out = np.empty((trials, len(widths), rhs.shape[1]))
-    for ids, live, factors in _factored(rhs, root_w, grid, dist, max(widths), seed,
+    for ids, live, factors in _factored(rhs, root_w, norm_sq, grid, dist, max(widths), seed,
                                         np.arange(trials)):
         every = np.arange(len(ids))
         for j, width in enumerate(widths):
@@ -516,7 +584,7 @@ def estimate_minwidth(f, epsilon: float, delta: float, dist: ReluParamDist,
     if epsilon <= 0:
         raise ParameterOutOfRange(f"epsilon must be positive, got {epsilon}")
     threshold = 1.0 - delta
-    root_w, rhs = _weighted(evaluate_on(f, grid.nodes), grid.weights)
+    root_w, rhs, norm_sq = _weighted(evaluate_on(f, grid.nodes), grid.weights)
     first = np.zeros(trials, dtype=np.intp)  # r*_t, or 0 while trial t has not passed
     trace: list[tuple[int, float]] = []
 
@@ -527,7 +595,7 @@ def estimate_minwidth(f, epsilon: float, delta: float, dist: ReluParamDist,
 
     r, last_fail = 1, 0
     while True:
-        for ids, live, factors in _factored(rhs, root_w, grid, dist, r, seed,
+        for ids, live, factors in _factored(rhs, root_w, norm_sq, grid, dist, r, seed,
                                             np.flatnonzero(first == 0)):
             widest = factors.norms(np.arange(len(ids)), live[:, r])[:, 0]
             passed = np.flatnonzero(widest <= epsilon)

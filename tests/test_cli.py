@@ -589,6 +589,27 @@ class TestConfigSchema:
         assert result["results"]["quarter_family"] == math.comb(1029, 514) / 4.0
 
     @pytest.mark.parametrize("doc", [
+        _with(_FIT, trials=3, r_list=[2, 4], target={
+            "type": "trig_poly", "polynomial": {"scale": 1.0, "terms": [
+                {"K": [1], "beta": 1e308}, {"K": [-1], "beta": 1e308}]}}),
+        {"kind": "lb_projection",
+         "parameters": {"d": 2, "family": {"type": "gaussian", "L": 1e308, "N": 2},
+                        "r_list": [0, 2], "trials": 2, "seed": 3}},
+    ], ids=["fit_curve", "lb_projection"])
+    def test_non_finite_targets_exit_4(self, tmp_path, capsys, doc):
+        """Targets that overflow on the grid stop the solve: exit 4, one line, no CSV."""
+        cfg = _write_config(tmp_path, doc)
+        # numpy warns while evaluating the target; the solve itself must not
+        with pytest.warns(RuntimeWarning, match="overflow|invalid") as caught:
+            code = main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")])
+        assert code == 4
+        err = capsys.readouterr().err
+        _assert_one_line(err, "numerical failure: ")
+        assert "not finite" in err
+        assert not list((tmp_path / "o").glob("*.csv"))
+        assert not [w for w in caught if w.filename == fitter.__file__]
+
+    @pytest.mark.parametrize("doc", [
         {"kind": "count_lattice", "parameters": {"k": 1, "d": 5000}},
         {"kind": "mixture_check", "parameters": {"d": 5000, "k": 0.5, "z_count": 2}},
         {"kind": "hermite_check",

@@ -17,6 +17,7 @@ from widthlab import (
     success_probability,
     wilson_interval,
 )
+from widthlab import fitter
 from widthlab.fitter import _design_matrix, width_residuals
 
 from oracles import relu_columns
@@ -78,6 +79,18 @@ class TestFitSpan:
     def test_empty_feature_list(self, cube_grid_1d):
         with pytest.raises(EmptyFeatureList):
             fit_span(np.empty((0, 1)), np.empty(0), lambda X: X[:, 0], cube_grid_1d)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])  # 1e200: its square overflows
+    def test_non_finite_targets_raise(self, value, cube_grid_1d):
+        f = lambda X: np.where(X[:, 0] > 0.5, value, 1.0)
+        W, b = _features(np.random.default_rng(2), 3, 1)
+        with pytest.raises(FloatingPointError, match="not finite"):
+            fit_span(W, b, f, cube_grid_1d)
+        dist = DkDistribution(k=2, dimension=1)
+        with pytest.raises(FloatingPointError, match="not finite"):
+            width_residuals(f(cube_grid_1d.nodes), cube_grid_1d, dist, [2], 1, trials=2)
+        with pytest.raises(FloatingPointError, match="not finite"):
+            estimate_minwidth(f, 0.1, 0.5, dist, cube_grid_1d, trials=2, r_max=4, seed=1)
 
     def test_coefficient_count_enforced(self):
         """``W``, ``b`` and the coefficients must have one entry per feature."""
@@ -226,6 +239,52 @@ class TestTrialResiduals:
         assert design.shape == (len(nodes), 30)
         columns = relu_columns(W, b, nodes)
         assert_allclose(design, columns, rtol=0.0, atol=1e-15)
+
+
+class TestInPlaceQR:
+    """``fitter._qr_in_place`` calls numpy's ``lapack_lite`` bindings, a private API;
+    these pin it to ``np.linalg.qr`` bit for bit on the shapes the solves factor."""
+
+    @pytest.mark.parametrize("n, w, m", [
+        (20_736, 4, 1),   # targets joined, tall
+        (13_824, 8, 33),  # many targets, tall
+        (24, 32, 1),      # wide: more columns than nodes
+        (24, 32, 40),
+        (500, 1, 1),      # one column, the BLAS vector edge
+        (6, 4, 3),        # joined, with fewer nodes than columns
+        (576, 200, 1),    # past LAPACK's crossover of 128: blocked, so lwork matters
+    ], ids=["joined_tall", "many_tall", "wide_joined", "wide_many", "one_column",
+            "n_below_w_plus_m", "blocked"])
+    @pytest.mark.parametrize("form_q", [False, True], ids=["r", "q"])
+    def test_bits_of_numpy_qr(self, n, w, m, form_q):
+        cols = w + m if m < w else w  # the columns _factor's branch factors
+        rng = np.random.default_rng([n, cols])
+        A = rng.standard_normal((3, n, cols))
+        A[:, :, -1] = A[:, :, 0]  # a dependent column, as duplicate draws give
+        stack = np.swapaxes(A, -1, -2).copy()  # each slot column-major
+        R = fitter._qr_in_place(stack, form_q)
+        assert np.array_equal(R, np.linalg.qr(A, mode="r"))
+        if form_q:
+            k = min(n, cols)
+            Q = np.linalg.qr(A)[0]
+            assert np.array_equal(stack[:, :k], np.swapaxes(Q, -1, -2))
+
+    @pytest.mark.parametrize("routine", ["dgeqrf", "dorgqr"])
+    def test_nonzero_info_raises(self, routine, monkeypatch, cube_grid_1d):
+        binding = getattr(fitter.lapack_lite, routine)
+
+        def failing(*args):
+            if args[-2] == -1:  # the workspace query
+                return binding(*args)
+            return {"info": -1}
+
+        monkeypatch.setattr(fitter.lapack_lite, routine, failing)
+        with pytest.raises(np.linalg.LinAlgError, match=routine):
+            fitter._qr_in_place(np.ones((2, 3, 10)), form_q=True)
+        # one feature and one target take the branch that forms Q
+        W, b = _features(np.random.default_rng(3), 1, 1)
+        with pytest.raises(np.linalg.LinAlgError, match=routine):
+            fit_span(W, b, lambda X: X[:, 0], cube_grid_1d)
 
 
 class TestEstimateMinwidth:

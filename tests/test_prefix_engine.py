@@ -224,13 +224,21 @@ def test_one_builder_gives_the_bits_of_every_entry_point(d, w, monkeypatch):
     assert kinds == ({True, False} if w > 1 else {False})
 
     # The factored columns are the bits of _design_matrix, weighted: the
-    # products that FittedSpan.evaluate and the sampled network make.
-    factored, qr = [], np.linalg.qr
-    monkeypatch.setattr(np.linalg, "qr", lambda a, **kw: factored.append(a.copy()) or qr(a, **kw))
+    # products that FittedSpan.evaluate and the sampled network make.  The
+    # slot LAPACK factors in place is the column-major design, so its rows
+    # are the design's columns.
+    factored, geqrf = [], fitter.lapack_lite.dgeqrf
+
+    def capture(m, n, a, *args):
+        if args[-2] != -1:  # not the workspace query
+            factored.append(a.copy())
+        return geqrf(m, n, a, *args)
+
+    monkeypatch.setattr(fitter.lapack_lite, "dgeqrf", capture)
     W, b = draws[0]
     fit_span(W, b, family.members[0], grid)
     design = fitter._design_matrix(W, b, grid.nodes) * np.sqrt(grid.weights)[:, None]
-    assert np.array_equal(factored[0][0, :, :w], design)
+    assert np.array_equal(factored[0][:w].T, design)
 
 
 def _unit(v):
