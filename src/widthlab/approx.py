@@ -25,9 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, ParameterOutOfRange, ScaleNotUnit, WrongMeasure
-from .lattice import IndexClass, MultiIndex, classify, enumerate_ball, negate
-from .quadrature import UNIFORM_CUBE, Grid, evaluate_on
-from .trig import TrigPolynomial, eval_T
+from .lattice import (
+    IndexClass,
+    MultiIndex,
+    classify,
+    enumerate_ball,
+    negate,
+    radius_sq_bound,
+)
+from .quadrature import UNIFORM_CUBE, Grid, along_axes, evaluate_on
+from .trig import SQRT2, TrigPolynomial, eval_T
 
 
 @dataclass(frozen=True)
@@ -77,24 +84,48 @@ def _basis_column(K: MultiIndex, grid: Grid) -> np.ndarray:
     return t
 
 
-def _truncate_on_ball(f, k: float, grid: Grid, cap=None) -> tuple[TrigPolynomial, float]:
-    """Coefficients of ``f`` on the radius-``k`` ball and the measured residual.
+def _truncate_on_axes(fw: np.ndarray, ball: list[MultiIndex], top: int,
+                      axes) -> tuple[dict[MultiIndex, float], np.ndarray]:
+    """Ball coefficients and the truncation on a product grid, one axis at a time.
 
-    One pass over the ball with one evaluation of ``f``: each coefficient is
-    ``sum(w f T_K)`` as :func:`trig_coefficient` forms it, and the truncation
-    is summed in ball order as ``TrigPolynomial.evaluate`` sums it, so both
-    agree bit for bit with the per-index route.  Each ``T_K`` column is
-    computed on half of a centrally symmetric grid and mirrored; the phase
-    ``x @ K`` at ``-x`` is the exact negation of the one at ``x``, sine is odd
-    and cosine even, so the column has the bits of ``eval_T(K, grid.nodes)``
-    and every sum after it runs on that full column unchanged.
+    With ``E_j[r, a] = exp(i pi (r - top) x_ja)``, contracting ``w f`` with
+    every ``E_j`` gives ``F_K = sum(w f exp(i pi <K, x>))`` on the box
+    ``|K_j| <= top``, so ``beta_K`` is ``sqrt(2) Im F_K`` for a sin-class
+    ``K``, ``sqrt(2) Re F_K`` for a cos-class one and ``Re F_0`` at zero.  The
+    truncation is the real part of the box of ``-i sqrt(2) beta_K``,
+    ``sqrt(2) beta_K`` and ``beta_0`` contracted back with the same tables.
+    The sums run in another order than ``sum(w f T_K)``, so the results agree
+    with the per-index route to rounding, not bit for bit.
     """
-    if grid.spec.measure != UNIFORM_CUBE:
-        raise WrongMeasure("trig coefficients require the uniform cube measure")
-    ball = enumerate_ball(k, grid.dimension, cap)
-    f_vals = evaluate_on(f, grid.nodes)
-    fw = grid.weights * f_vals
-    terms: dict[MultiIndex, float] = {}
+    orders = np.arange(-top, top + 1, dtype=float)
+    tables = [np.exp(1j * math.pi * np.multiply.outer(orders, axis)) for axis in axes]
+    box = along_axes(fw.reshape([axis.size for axis in axes]), tables)
+    index = np.asarray(ball)
+    # the sign of each index's first nonzero coordinate: its sin/cos class
+    lead = index[np.arange(len(ball)), np.argmax(index != 0, axis=1)]
+    at = tuple((index + top).T)
+    F = box[at]
+    beta = np.where(lead > 0, SQRT2 * F.imag, np.where(lead < 0, SQRT2 * F.real, F.real))
+    coefficients = np.zeros_like(box)
+    coefficients[at] = np.where(lead > 0, -1j * SQRT2 * beta,
+                                np.where(lead < 0, SQRT2 * beta, beta))
+    approx = along_axes(coefficients, [table.T for table in tables]).real
+    return dict(zip(ball, beta.tolist())), approx.reshape(-1)
+
+
+def _truncate_by_loop(fw: np.ndarray, ball: list[MultiIndex],
+                      grid: Grid) -> tuple[dict[MultiIndex, float], np.ndarray]:
+    """Ball coefficients and the truncation, one basis column per index.
+
+    Each coefficient is ``sum(w f T_K)`` as :func:`trig_coefficient` forms it,
+    and the truncation is summed in ball order as ``TrigPolynomial.evaluate``
+    sums it, so both agree bit for bit with the per-index route.  Each ``T_K``
+    column is computed on half of a centrally symmetric grid and mirrored;
+    the phase ``x @ K`` at ``-x`` is the exact negation of the one at ``x``,
+    sine is odd and cosine even, so the column has the bits of
+    ``eval_T(K, grid.nodes)``.
+    """
+    terms = {}
     approx = np.zeros(grid.nodes.shape[0])
     for K in ball:
         t = _basis_column(K, grid)
@@ -102,6 +133,29 @@ def _truncate_on_ball(f, k: float, grid: Grid, cap=None) -> tuple[TrigPolynomial
         terms[K] = beta
         if beta != 0.0:
             approx += beta * t
+    return terms, approx
+
+
+def _truncate_on_ball(f, k: float, grid: Grid, cap=None) -> tuple[TrigPolynomial, float]:
+    """Coefficients of ``f`` on the radius-``k`` ball and the measured residual.
+
+    One evaluation of ``f`` serves every coefficient and the residual.  On a
+    grid with :attr:`Grid.axes` of at least ``2 top + 1`` nodes each (``top``
+    the largest ``|K_j|`` in the ball, so no table is larger than its axis)
+    they come from contractions one axis at a time; on any other grid from
+    one pass over the ball.
+    """
+    if grid.spec.measure != UNIFORM_CUBE:
+        raise WrongMeasure("trig coefficients require the uniform cube measure")
+    ball = enumerate_ball(k, grid.dimension, cap)
+    f_vals = evaluate_on(f, grid.nodes)
+    fw = grid.weights * f_vals
+    top = math.isqrt(radius_sq_bound(k))
+    axes = grid.axes
+    if axes is not None and all(axis.size > 2 * top for axis in axes):
+        terms, approx = _truncate_on_axes(fw, ball, top, axes)
+    else:
+        terms, approx = _truncate_by_loop(fw, ball, grid)
     poly = TrigPolynomial(terms, scale=1.0, dimension=grid.dimension)
     return poly, _residual(f_vals, approx, grid)
 

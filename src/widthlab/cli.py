@@ -406,11 +406,11 @@ def _run_count_lattice(p, run: _Run) -> dict:
 
 
 def _coefficients(report, p, run: _Run) -> dict:
-    """A truncation's result document; its coefficients go to a CSV."""
+    """A truncation's result document; its coefficients go to a CSV, not into it."""
     doc = report.to_json_dict()
     header = ",".join(f"k{i + 1}" for i in range(p.d)) + ",beta"
     rows = [",".join(str(c) for c in term["K"]) + "," + _fmt(term["beta"])
-            for term in doc["polynomial"]["terms"]]
+            for term in doc["polynomial"].pop("terms")]
     _write_lines(run.path("coefficients.csv"), [header] + rows)
     doc["target"] = p.target[1]
     return doc
@@ -418,7 +418,10 @@ def _coefficients(report, p, run: _Run) -> dict:
 
 def _run_approx_trig(p, run: _Run) -> dict:
     truncate = truncate_periodic if p.mode == "periodic" else reflect_and_truncate
-    doc = _coefficients(truncate(p.target[0], p.L, p.epsilon, make_grid(p.grid)), p, run)
+    report = truncate(p.target[0], p.L, p.epsilon, make_grid(p.grid))
+    doc = _coefficients(report, p, run)
+    # whole, terms too: in reflect mode its scale of 1/2 is not in the CSV
+    doc["polynomial"] = report.polynomial.to_json_dict()
     doc["mode"] = p.mode
     return doc
 

@@ -11,6 +11,7 @@ simplex of indices with ``|K|_1 <= ceil(L^2 / eps^2)``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ from .errors import (
     WrongMeasure,
 )
 from .lattice import MultiIndex
-from .quadrature import GAUSSIAN, Grid, evaluate_on
+from .quadrature import GAUSSIAN, Grid, along_axes, evaluate_on
 from .trig import DerivedTerm
 
 MAX_DEGREE = 200
@@ -190,6 +191,53 @@ def _simplex_count(k: int, d: int) -> int:
     return math.comb(k + d, d)
 
 
+def _truncate_on_axes(weighted: np.ndarray, k: int,
+                      axes) -> tuple[dict[MultiIndex, float], np.ndarray]:
+    """Simplex coefficients and the truncation on a product grid, one axis at a time.
+
+    Contracting ``w f`` with the tables ``h_0 .. h_k`` of every axis gives
+    ``sum(w f H_K)`` on the box ``K_j <= k``; the simplex keeps the entries
+    with ``|K|_1 <= k`` in lexicographic order, and the box with the rest set
+    to zero, contracted back with the same tables, is the truncation.
+    """
+    tables = [_univariate_table(k, axis) for axis in axes]
+    box = along_axes(weighted.reshape([axis.size for axis in axes]), tables)
+    degree = functools.reduce(np.add, np.ix_(*[np.arange(k + 1)] * len(axes)))
+    kept = degree <= k
+    alphas = box[kept]
+    terms = dict(zip(map(tuple, np.argwhere(kept).tolist()), alphas.tolist()))
+    approx = along_axes(np.where(kept, box, 0.0), [table.T for table in tables])
+    return terms, approx.reshape(-1)
+
+
+def _truncate_by_walk(weighted: np.ndarray, k: int,
+                      nodes: np.ndarray) -> tuple[dict[MultiIndex, float], np.ndarray]:
+    """Simplex coefficients and the truncation from per-dimension value tables.
+
+    Depth-first over prefixes in lexicographic order, smallest next degree on
+    top; an entry holds the product of every factor but its last coordinate's,
+    which siblings share.  A spent budget completes its prefix with zeros at
+    once: ``h_0 = 1``, so the skipped factors leave the product as it is.
+    """
+    n, d = nodes.shape
+    tables = [_univariate_table(k, nodes[:, j]) for j in range(d)]
+    terms: dict[MultiIndex, float] = {}
+    approx = np.zeros(n)
+    zeros = (0,) * d
+    stack: list[tuple[MultiIndex, int, np.ndarray]] = [((), k, np.ones(n))]
+    while stack:
+        prefix, left, prod = stack.pop()
+        if prefix:
+            prod = prod * tables[len(prefix) - 1][prefix[-1]]
+        if left == 0 or len(prefix) == d:
+            alpha = float(np.sum(weighted * prod))
+            terms[prefix + zeros[len(prefix):]] = alpha
+            np.add(approx, alpha * prod, out=approx)
+            continue
+        stack.extend((prefix + (deg,), left - deg, prod) for deg in range(left, -1, -1))
+    return terms, approx
+
+
 def hermite_truncate(f, lipschitz: float, epsilon: float, grid: Grid,
                      cap=None) -> HermiteTruncationReport:
     """Project onto Hermite indices with ``|K|_1 <= ceil(L^2/eps^2)``.
@@ -198,8 +246,10 @@ def hermite_truncate(f, lipschitz: float, epsilon: float, grid: Grid,
     ``|E f| <= lipschitz``, the dropped tail is at most ``epsilon`` and every
     coefficient is at most ``lipschitz`` in magnitude (both measured, not
     assumed).  Coefficients come from quadrature on the supplied Gaussian
-    grid, evaluated via per-dimension value tables and one pass over the
-    index simplex.
+    grid: on a grid with :attr:`Grid.axes` of more than ``k`` nodes each,
+    from contractions one axis at a time, agreeing with the per-index sums
+    to rounding; elsewhere from per-dimension value tables and one walk over
+    the index simplex.
     """
     if grid.spec.measure != GAUSSIAN:
         raise WrongMeasure("Hermite truncation needs a Gaussian-measure grid")
@@ -215,26 +265,11 @@ def hermite_truncate(f, lipschitz: float, epsilon: float, grid: Grid,
         )
     f_vals = evaluate_on(f, grid.nodes)
     weighted = grid.weights * f_vals
-    tables = [_univariate_table(k, grid.nodes[:, j]) for j in range(d)]
-
-    terms: dict[MultiIndex, float] = {}
-    approx = np.zeros(grid.nodes.shape[0])
-    zeros = (0,) * d
-    # Depth-first over prefixes in lexicographic order, smallest next degree on
-    # top; an entry holds the product of every factor but its last coordinate's,
-    # which siblings share.  A spent budget completes its prefix with zeros at
-    # once: ``h_0 = 1``, so the skipped factors leave the product as it is.
-    stack: list[tuple[MultiIndex, int, np.ndarray]] = [((), k, np.ones(grid.nodes.shape[0]))]
-    while stack:
-        prefix, left, prod = stack.pop()
-        if prefix:
-            prod = prod * tables[len(prefix) - 1][prefix[-1]]
-        if left == 0 or len(prefix) == d:
-            alpha = float(np.sum(weighted * prod))
-            terms[prefix + zeros[len(prefix):]] = alpha
-            np.add(approx, alpha * prod, out=approx)
-            continue
-        stack.extend((prefix + (deg,), left - deg, prod) for deg in range(left, -1, -1))
+    axes = grid.axes
+    if axes is not None and all(axis.size > k for axis in axes):
+        terms, approx = _truncate_on_axes(weighted, k, axes)
+    else:
+        terms, approx = _truncate_by_walk(weighted, k, grid.nodes)
     residual = math.sqrt(max(float(np.sum(grid.weights * (f_vals - approx) ** 2)), 0.0))
     poly = HermitePolynomial(terms, dimension=d)
     return HermiteTruncationReport(polynomial=poly, degree_budget=k,

@@ -69,7 +69,7 @@ def coherence(family: FunctionFamily, grid: Grid) -> float:
     Zero for orthogonal families; requires unit-norm members (within 1e-6).
     """
     gram = _gram(family, grid)
-    if np.max(np.abs(np.diag(gram) - 1.0)) > 1e-6:
+    if not np.max(np.abs(np.diag(gram) - 1.0)) <= 1e-6:  # NaN fails too
         raise NotUnitNorm("family members must have unit grid norm for coherence")
     off = gram - np.diag(np.diag(gram))
     return float(np.sqrt(np.sum(off**2)))
@@ -319,8 +319,8 @@ def gaussian_hard_family(L: float, N: int, d: int, seed, grid: Grid) -> Function
     for i, v in enumerate(chosen):
         raw = lambda nodes, _v=v: np.sin(L * (np.asarray(nodes, dtype=float) @ _v))
         norm = math.sqrt(float(np.sum(grid.weights * raw(grid.nodes) ** 2)))
-        if norm <= 1e-12:
-            raise PackingFailed(f"degenerate member norm {norm} for direction {v}")
+        if not norm > 1e-12:  # NaN fails too
+            raise PackingFailed(f"member {i} has grid norm {norm}: degenerate or not finite")
         labels.append(i)
         members.append(lambda nodes, _raw=raw, _n=norm: _raw(nodes) / _n)
     family = FunctionFamily(labels=labels, members=members, dimension=d,

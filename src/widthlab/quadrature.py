@@ -76,6 +76,56 @@ class Grid:
         n = self.nodes.shape[0]
         return (n + 1) // 2 if np.array_equal(self.nodes[::-1], -self.nodes) else n
 
+    @cached_property
+    def axes(self) -> tuple[np.ndarray, ...] | None:
+        """The 1-D coordinate arrays whose ``ij`` product is exactly the nodes, or None.
+
+        Read from the nodes, not the spec: every tensor Gauss grid and every
+        ``d = 1`` grid has them, a Monte Carlo grid at ``d >= 2`` does not.
+        The last axis varies fastest, so axis ``j`` is column ``j`` read at
+        the stride of the axes after it, up to the first repeat of its first
+        value; the candidate is kept only if every column equals its axis
+        broadcast over the others.
+        """
+        n, d = self.nodes.shape
+        sizes, stride = [1] * d, 1
+        for j in range(d - 1, 0, -1):
+            if stride == n:
+                break
+            column = self.nodes[::stride, j]
+            again = np.flatnonzero(column[1:] == column[0])
+            sizes[j] = int(again[0]) + 1 if again.size else column.size
+            stride *= sizes[j]
+        if n % stride:
+            return None
+        sizes[0] = n // stride
+        axes, before = [], 1
+        for j, size in enumerate(sizes):
+            values = self.nodes[:, j].reshape(before, size, -1)
+            axis = values[0, :, 0].copy()
+            if not np.all(values == axis[:, None]):
+                return None
+            axis.setflags(write=False)
+            axes.append(axis)
+            before *= size
+        return tuple(axes)
+
+
+def along_axes(values: np.ndarray, tables) -> np.ndarray:
+    """Apply ``tables[j]``, shape ``(rows_j, m_j)``, along axis ``j`` of ``values``.
+
+    ``values`` has shape ``(m_0, ..., m_{d-1})`` and the result
+    ``(rows_0, ..., rows_{d-1})``, with entry ``r`` equal to
+    ``sum_a values[a] prod_j tables[j][r_j, a_j]``: one matrix product per
+    axis in place of ``prod_j rows_j`` sums over every node.
+    """
+    out = values
+    for table in tables:
+        # contracting the leading axis appends the new one, so after d steps
+        # the axes are back in order
+        out = np.tensordot(out, table, axes=([0], [1]))
+    return out
+
 
 def _gauss_1d(measure: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     if measure == UNIFORM_CUBE:

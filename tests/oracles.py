@@ -15,6 +15,8 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate
 
+from widthlab import MONTE_CARLO, UNIFORM_CUBE, Grid, QuadratureSpec
+
 
 def brute_counts(kmax: int, dmax: int) -> dict[tuple[int, int], int]:
     """Lattice-ball sizes |{K in Z^d : |K|_2 <= k}| by convolving squares."""
@@ -152,3 +154,24 @@ def factored_features(W, b, reach, tau) -> np.ndarray:
         if s[-1] > tau * s[0]:
             keep[always[d + 1:]] = False
     return keep
+
+
+def sum_rounding(axes, products: np.ndarray, factor_ulps: float = 0.0) -> float:
+    """How far two summation orders of ``products`` on a product grid may round apart.
+
+    First-order bounds, in units of ``eps * sum |products|``: a contraction
+    one axis at a time chains at most ``m_j`` additions on the axis of
+    ``m_j`` nodes, numpy's pairwise sum at most ``8 + log2 n``, and
+    ``factor_ulps`` is what the factors of each product may differ by
+    between the two routes.
+    """
+    chain = sum(axis.size for axis in axes) + 8 + math.log2(products.size)
+    return (chain + factor_ulps) * np.finfo(float).eps * float(np.sum(np.abs(products)))
+
+
+def product_grid(axes) -> Grid:
+    """A hand-built grid on the ``ij`` product of ``axes``, with equal weights."""
+    nodes = np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    n = nodes.shape[0]
+    spec = QuadratureSpec(UNIFORM_CUBE, MONTE_CARLO, len(axes), sample_count=n, seed=0)
+    return Grid(spec=spec, nodes=nodes, weights=np.full(n, 1.0 / n))

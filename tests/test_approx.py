@@ -19,6 +19,7 @@ from widthlab import (
     c_ks,
     enumerate_ball,
     eval_T,
+    evaluate_on,
     l2_error,
     make_grid,
     partial_derivative,
@@ -32,7 +33,10 @@ from widthlab import (
 )
 from widthlab.approx import _basis_column
 
+from oracles import product_grid, sum_rounding
+
 SQRT2 = math.sqrt(2.0)
+_EPS = np.finfo(float).eps
 
 
 def brute_c_ks(K, s):
@@ -206,6 +210,8 @@ def _scalar_target(p):
 
 
 _MC_GRID = make_grid(QuadratureSpec(UNIFORM_CUBE, MONTE_CARLO, 2, sample_count=500, seed=3))
+_MC_GRID_1D = make_grid(QuadratureSpec(UNIFORM_CUBE, MONTE_CARLO, 1, sample_count=300, seed=4))
+_UNEQUAL_GRID = product_grid((np.linspace(-0.9, 0.95, 9), np.linspace(-1.0, 1.0, 12)))
 # d = 3 tensor grids; the odd count puts a node at the origin
 _D3_GRIDS = {"d3_even": tensor_gauss_grid(UNIFORM_CUBE, 3, 6),
              "d3_odd": tensor_gauss_grid(UNIFORM_CUBE, 3, 5)}
@@ -233,12 +239,15 @@ class TestOnePassTruncation:
 
     @pytest.mark.parametrize("truncate, args", _TRUNCATIONS)
     @pytest.mark.parametrize("f, grid_name", [
-        (_vector_target, "tensor"), (_scalar_target, "tensor"), (_vector_target, "mc"),
+        (_vector_target, "mc"), (_scalar_target, "mc"),
         (_vector_target, "d3_even"), (_vector_target, "d3_odd"),
-    ], ids=["vectorized", "scalar_only", "monte_carlo", "d3_even_nodes", "d3_odd_nodes"])
-    def test_bitwise_equal_to_per_index_coefficients(self, truncate, args, f, grid_name,
-                                                    cube_grid_2d):
-        grid = {"tensor": cube_grid_2d, "mc": _MC_GRID, **_D3_GRIDS}[grid_name]
+    ], ids=["monte_carlo", "monte_carlo_scalar_only", "d3_even_nodes", "d3_odd_nodes"])
+    def test_bitwise_equal_to_per_index_coefficients(self, truncate, args, f, grid_name):
+        """Where the per-index loop runs: on a grid without axes, and on tensor
+        grids whose 5 or 6 nodes per axis are fewer than the 2 * 3 + 1 rows a
+        radius-3 table would have."""
+        grid = {"mc": _MC_GRID, **_D3_GRIDS}[grid_name]
+        assert grid.axes is None or grid.axes[0].size < 7
         report = truncate(f, *args, grid)
         terms = report.polynomial.terms
         ball = enumerate_ball(report.degree_radius, grid.dimension)
@@ -246,6 +255,38 @@ class TestOnePassTruncation:
         assert terms == {K: beta for K, beta in expected.items() if beta != 0.0}
         assert list(terms) == [K for K in ball if K in terms]
         assert report.residual_estimate == l2_error(f, report.polynomial.evaluate, grid)
+
+    @pytest.mark.parametrize("truncate, args", _TRUNCATIONS)
+    @pytest.mark.parametrize("f, grid_name", [
+        (_vector_target, "d2"), (_scalar_target, "d2"), (_vector_target, "d3"),
+        (_vector_target, "d1_monte_carlo"), (_vector_target, "unequal_axes"),
+    ])
+    def test_contraction_matches_per_index_coefficients(self, truncate, args, f, grid_name,
+                                                        cube_grid_2d, cube_grid_3d):
+        """Every ball coefficient within the rounding of its n-term sum of the
+        per-index route, the terms in ball order, and the residual within what
+        those differences and the rounding of the truncation's values allow."""
+        grid = {"d2": cube_grid_2d, "d3": cube_grid_3d, "d1_monte_carlo": _MC_GRID_1D,
+                "unequal_axes": _UNEQUAL_GRID}[grid_name]
+        report = truncate(f, *args, grid)
+        terms = report.polynomial.terms
+        ball = enumerate_ball(report.degree_radius, grid.dimension)
+        assert list(terms) == [K for K in ball if K in terms]
+        fw = grid.weights * evaluate_on(f, grid.nodes)
+        # |K_j| <= 3 and |x_j| <= 1: each route's phase is off by at most about
+        # 3 pi ulps per axis
+        phase_ulps = 2 * 3 * math.pi * grid.dimension
+        chain = len(ball) + sum(axis.size for axis in grid.axes) + phase_ulps
+        slack = np.zeros(grid.nodes.shape[0])
+        for K in ball:
+            column = eval_T(K, grid.nodes)
+            tol = sum_rounding(grid.axes, fw * column, phase_ulps)
+            beta = terms.get(K, 0.0)
+            assert abs(beta - trig_coefficient(f, K, grid)) <= tol, K
+            slack += (tol + chain * _EPS * abs(beta)) * np.abs(column)
+        direct = l2_error(f, report.polynomial.evaluate, grid)
+        assert abs(report.residual_estimate - direct) <= math.sqrt(
+            float(np.sum(grid.weights * slack**2)))
 
     @pytest.mark.parametrize("measure, d, nodes_per_dim", [
         (UNIFORM_CUBE, 1, 1), (UNIFORM_CUBE, 1, 7), (UNIFORM_CUBE, 2, 12),
@@ -274,6 +315,29 @@ class TestOnePassTruncation:
         assert report.polynomial.terms == {K: b for K, b in expected.items() if b != 0.0}
         assert report.residual_estimate == l2_error(_vector_target,
                                                     report.polynomial.evaluate, grid)
+
+    def test_every_orthant_shifts_the_per_index_polynomial_up_to_rounding(self, cube_grid_2d):
+        """All four orthants tie on a symmetric grid, so which one the scan keeps
+        rests on rounding; each shifts the contraction's truncation of the folded
+        target to the per-index one's shift, coefficient by coefficient, within
+        the rounding of their sums."""
+        grid = cube_grid_2d
+        ftilde = lambda X: _vector_target(2.0 * np.abs(X) - 1.0)
+        report = reflect_and_truncate(_vector_target, 2.0, 0.5, grid)
+        inner = truncate_periodic(ftilde, 4.0, 0.5, grid).polynomial
+        ball = enumerate_ball(report.degree_radius, 2)
+        per_index = TrigPolynomial({K: trig_coefficient(ftilde, K, grid) for K in ball})
+        fw = grid.weights * ftilde(grid.nodes)
+        # |K_j| <= 4: each route's phase is off by at most about 4 pi ulps per axis
+        tol = max(sum_rounding(grid.axes, fw * eval_T(K, grid.nodes), 2 * 4 * math.pi * 2)
+                  for K in ball)
+        for nu in itertools.product((-1, 1), repeat=2):
+            got = shift_polynomial_to_half_scale(inner, nu).terms
+            want = shift_polynomial_to_half_scale(per_index, nu).terms
+            for K in set(got) | set(want):
+                assert abs(got.get(K, 0.0) - want.get(K, 0.0)) <= tol, (nu, K)
+        assert report.polynomial.terms == shift_polynomial_to_half_scale(
+            inner, report.orthant).terms
 
     @pytest.mark.parametrize("f", [_vector_target, _scalar_target],
                              ids=["vectorized", "scalar_only"])

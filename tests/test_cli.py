@@ -606,6 +606,7 @@ class TestConfigSchema:
         err = capsys.readouterr().err
         _assert_one_line(err, "numerical failure: ")
         assert "not finite" in err
+        assert ("grid norm nan" in err) == (doc["kind"] == "lb_projection")
         assert not list((tmp_path / "o").glob("*.csv"))
         assert not [w for w in caught if w.filename == fitter.__file__]
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 
@@ -21,11 +22,17 @@ from widthlab import (
     hermite_partial,
     hermite_truncate,
     make_grid,
+    tensor_gauss_grid,
     term_by_term_coeffs,
 )
 from widthlab.hermite import _univariate_table
 
+from oracles import sum_rounding
+
 SQRT2 = math.sqrt(2.0)
+_MC_GRID_1D = make_grid(QuadratureSpec(GAUSSIAN, MONTE_CARLO, 1, sample_count=300, seed=4))
+_MC_GRID_3D = make_grid(QuadratureSpec(GAUSSIAN, MONTE_CARLO, 3, sample_count=500, seed=5))
+_FEW_NODES_3D = tensor_gauss_grid(GAUSSIAN, 3, 4)
 
 
 class TestUnivariate:
@@ -268,11 +275,17 @@ class TestHermiteTruncate:
         with pytest.raises(CapExceeded):
             hermite_truncate(lambda X: X[:, 0], 3.0, 1.0, gauss_grid_3d, cap=10)
 
-    def test_walk_matches_recursion_over_coordinates_bit_for_bit(self, gauss_grid_3d):
-        """The index simplex in lexicographic order, one product per coordinate."""
+    @pytest.mark.parametrize("grid", [_MC_GRID_3D, _FEW_NODES_3D],
+                             ids=["monte_carlo", "tensor_fewer_nodes_than_degrees"])
+    def test_walk_matches_recursion_over_coordinates_bit_for_bit(self, grid):
+        """The index simplex in lexicographic order, one product per coordinate,
+        where the walk runs: on a grid without axes, and on a tensor grid whose
+        4 nodes per axis are fewer than the 5 table rows of degree budget 4."""
         f = lambda X: np.sin(X[:, 0] + 0.5 * X[:, 1]) * np.cos(X[:, 2])
-        report = hermite_truncate(f, 2.0, 1.0, gauss_grid_3d)
-        nodes, w = gauss_grid_3d.nodes, gauss_grid_3d.weights
+        report = hermite_truncate(f, 2.0, 1.0, grid)
+        assert report.degree_budget == 4
+        assert grid.axes is None or grid.axes[0].size < 5
+        nodes, w = grid.nodes, grid.weights
         weighted = w * f(nodes)
         tables = [_univariate_table(4, nodes[:, j]) for j in range(3)]
         terms, approx = {}, np.zeros(len(nodes))
@@ -289,6 +302,39 @@ class TestHermiteTruncate:
         assert list(report.polynomial.terms.items()) == [
             (K, a) for K, a in terms.items() if a != 0.0]
         assert report.residual_estimate == math.sqrt(float(np.sum(w * (f(nodes) - approx) ** 2)))
+
+    @pytest.mark.parametrize("grid_name", ["d1", "d2", "d3", "d1_monte_carlo"])
+    def test_contraction_matches_per_index_quadrature(self, grid_name, gauss_grid_1d,
+                                                      gauss_grid_2d, gauss_grid_3d):
+        """On grids with axes of more than ``k`` nodes: every simplex coefficient
+        within the rounding of its n-term sum of ``w f H_K``, the simplex in
+        lexicographic order, and the residual within what those differences and
+        the rounding of the truncation's values allow."""
+        grid = {"d1": gauss_grid_1d, "d2": gauss_grid_2d, "d3": gauss_grid_3d,
+                "d1_monte_carlo": _MC_GRID_1D}[grid_name]
+        d = grid.dimension
+        f = lambda X: np.sin(X[:, 0] + 0.5 * X[:, -1]) * np.cos(X[:, -1]) + np.abs(X[:, 0])
+        report = hermite_truncate(f, 2.0, 0.7, grid)
+        k = report.degree_budget
+        assert k == 9 and all(axis.size > k for axis in grid.axes)
+        simplex = [K for K in itertools.product(range(k + 1), repeat=d) if sum(K) <= k]
+        terms = report.polynomial.terms
+        assert list(terms) == [K for K in simplex if K in terms]
+        weighted = grid.weights * f(grid.nodes)
+        # the same tables on the same coordinates: only the d-fold products and
+        # the order of the sums differ
+        chain = len(simplex) + sum(axis.size for axis in grid.axes) + 2 * d
+        approx, slack = np.zeros(grid.nodes.shape[0]), np.zeros(grid.nodes.shape[0])
+        for K in simplex:
+            column = H_multivariate(K, grid.nodes)
+            tol = sum_rounding(grid.axes, weighted * column, 2 * d)
+            alpha = terms.get(K, 0.0)
+            assert abs(alpha - float(np.sum(weighted * column))) <= tol, K
+            approx += alpha * column
+            slack += (tol + chain * np.finfo(float).eps * abs(alpha)) * np.abs(column)
+        direct = math.sqrt(float(np.sum(grid.weights * (f(grid.nodes) - approx) ** 2)))
+        assert abs(report.residual_estimate - direct) <= math.sqrt(
+            float(np.sum(grid.weights * slack**2)))
 
     def test_dimension_past_the_recursion_limit(self):
         """Budget 1 in more dimensions than Python frames: the constant and every

@@ -63,6 +63,13 @@ class TestCoherence:
         with pytest.raises(NotUnitNorm):
             coherence(fam, cube_grid_1d)
 
+    def test_nan_gram_is_not_unit_norm(self, cube_grid_1d):
+        fam = FunctionFamily(labels=[0], members=[
+            lambda nodes: np.where(nodes[:, 0] > 0.5, np.nan, np.asarray(eval_T((1,), nodes)))
+        ], dimension=1)
+        with pytest.raises(NotUnitNorm):
+            coherence(fam, cube_grid_1d)
+
 
 class TestRandictBound:
     """1 - r (1 + kappa) / N."""
@@ -387,6 +394,12 @@ class TestGaussianFamily:
         fam = gaussian_hard_family(2.0, 4, 2, seed=42, grid=gauss_grid_2d)
         assert fam.coherence is not None and fam.coherence >= 0.0
         assert_allclose(fam.coherence, coherence(fam, gauss_grid_2d), rtol=1e-12)
+
+    def test_members_not_finite_on_the_grid_fail_the_packing(self, gauss_grid_2d):
+        """At L = 1e308, L <v, x> overflows and its sine is NaN at most nodes."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(PackingFailed, match="not finite"):
+                gaussian_hard_family(1e308, 2, 2, 3, gauss_grid_2d)
 
     def test_deterministic_in_seed(self, gauss_grid_2d):
         a = gaussian_hard_family(2.0, 3, 2, seed=7, grid=gauss_grid_2d)

@@ -13,6 +13,7 @@ from widthlab import (
     DimensionMismatch,
     GAUSSIAN,
     MONTE_CARLO,
+    Grid,
     QuadratureSpec,
     TENSOR_GAUSS,
     UNIFORM_CUBE,
@@ -28,6 +29,9 @@ from widthlab import (
     tensor_gauss_grid,
     trig_coefficient,
 )
+from widthlab.quadrature import along_axes
+
+from oracles import product_grid
 
 
 class TestTensorGauss:
@@ -99,6 +103,54 @@ class TestTensorGauss:
         with pytest.raises(UnsupportedCombination):
             make_grid(QuadratureSpec(measure="lebesgue", scheme=TENSOR_GAUSS,
                                      dimension=1, nodes_per_dim=4))
+
+
+class TestAxes:
+    """The 1-D factors of a product grid, read from its nodes."""
+
+    @pytest.mark.parametrize("measure, d, nodes_per_dim", [
+        (UNIFORM_CUBE, 1, 7), (UNIFORM_CUBE, 2, 1), (UNIFORM_CUBE, 3, 5),
+        (UNIFORM_CUBE, 4, 4), (GAUSSIAN, 2, 40), (GAUSSIAN, 3, 6),
+    ])
+    def test_tensor_grid_is_the_product_of_its_axes(self, measure, d, nodes_per_dim):
+        grid = tensor_gauss_grid(measure, d, nodes_per_dim)
+        first = np.unique(grid.nodes[:, 0])
+        assert len(grid.axes) == d
+        for axis in grid.axes:
+            assert np.array_equal(axis, first)
+            assert not axis.flags.writeable
+        assert np.array_equal(product_grid(grid.axes).nodes, grid.nodes)
+
+    def test_axes_of_unequal_lengths_and_a_single_node(self):
+        axes = (np.array([-0.5, 0.25, 0.75]), np.array([0.125]), np.linspace(-1.0, 1.0, 4))
+        found = product_grid(axes).axes
+        assert [a.tolist() for a in found] == [a.tolist() for a in axes]
+
+    def test_monte_carlo_grid_has_none(self):
+        grid = make_grid(QuadratureSpec(UNIFORM_CUBE, MONTE_CARLO, 2, sample_count=100,
+                                        seed=5))
+        assert grid.axes is None
+
+    def test_permuted_product_nodes_have_none(self):
+        tensor = tensor_gauss_grid(UNIFORM_CUBE, 2, 5)
+        order = np.random.default_rng(0).permutation(25)
+        grid = Grid(spec=tensor.spec, nodes=tensor.nodes[order], weights=tensor.weights[order])
+        assert grid.axes is None
+
+    def test_one_dimensional_monte_carlo_grid_is_its_own_axis(self):
+        grid = make_grid(QuadratureSpec(GAUSSIAN, MONTE_CARLO, 1, sample_count=50, seed=3))
+        (axis,) = grid.axes
+        assert np.array_equal(axis, grid.nodes[:, 0])
+
+    def test_along_axes_is_the_sum_over_every_node(self):
+        rng = np.random.default_rng(1)
+        values = rng.normal(size=(3, 4, 5))
+        tables = [rng.normal(size=(2, 3)), rng.normal(size=(6, 4)), rng.normal(size=(1, 5))]
+        expected = np.einsum("abc,ia,jb,kc->ijk", values, *tables)
+        magnitude = np.einsum("abc,ia,jb,kc->ijk", np.abs(values), *map(np.abs, tables))
+        # each entry sums 60 products of 4 factors: at most 60 + 3 roundings in each route
+        slack = 2 * (values.size + 3) * np.finfo(float).eps * magnitude
+        assert np.all(np.abs(along_axes(values, tables) - expected) <= slack)
 
 
 class TestMonteCarlo:
