@@ -271,6 +271,11 @@ def reflect_and_truncate(f, lipschitz: float, epsilon: float, grid: Grid,
                             poly.max_coefficient(), orthant=best_nu)
 
 
+def _sobolev_radius(s: int, gamma: float, epsilon: float) -> float:
+    """The ball radius :func:`truncate_sobolev` keeps."""
+    return math.sqrt(s) * gamma ** (1.0 / s) / (2.0 * epsilon) ** (1.0 / s)
+
+
 def truncate_sobolev(f, s: int, gamma: float, epsilon: float, grid: Grid, cap=None) -> TruncationReport:
     """Truncate a function of ``s``-order Sobolev norm at most ``gamma``.
 
@@ -281,7 +286,7 @@ def truncate_sobolev(f, s: int, gamma: float, epsilon: float, grid: Grid, cap=No
         raise ParameterOutOfRange(f"Sobolev order must be a positive integer, got {s}")
     if gamma <= 0 or epsilon <= 0:
         raise ParameterOutOfRange("gamma and epsilon must be positive")
-    k = math.sqrt(s) * gamma ** (1.0 / s) / (2.0 * epsilon) ** (1.0 / s)
+    k = _sobolev_radius(s, gamma, epsilon)
     poly, residual = _truncate_on_ball(f, k, grid, cap)
     return TruncationReport(poly, k, residual, poly.max_coefficient())
 

@@ -28,7 +28,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .approx import reflect_and_truncate, sobolev_norm_from_coeffs, truncate_periodic, truncate_sobolev
+from .approx import (
+    _sobolev_radius,
+    reflect_and_truncate,
+    sobolev_norm_from_coeffs,
+    truncate_periodic,
+    truncate_sobolev,
+)
 from .caps import active_cap
 from .errors import (
     CapExceeded,
@@ -48,7 +54,7 @@ from .errors import (
     WrongMeasure,
 )
 from .fitter import estimate_minwidth, success_probability, width_residuals, wilson_interval
-from .hermite import HermitePolynomial, hermite_truncate
+from .hermite import HermitePolynomial, _degree_budget, _simplex_count, hermite_truncate
 from .lattice import check_ball_cap, count_ball, enumerate_ball, radius_sq_bound
 from .lowerbound import (
     _pool_size,
@@ -344,10 +350,38 @@ def _check_projection(p) -> None:
          p.trials * len(p.r) * members)
 
 
+def _check_indices(indices: int, kind: str, p) -> None:
+    """A truncation's per-index loop evaluates each basis index at every grid node."""
+    nodes = _node_count(p)
+    _cap(f"truncation onto {indices} {kind} indices x {nodes} grid nodes", indices * nodes)
+
+
+def _check_ball(p, k: float) -> int:
+    """Cap the truncation onto the radius-``k`` ball; returns its index count."""
+    check_ball_cap(k, p.d)  # before the exact count, whose cost grows with the ball
+    indices = count_ball(k, p.d)
+    _check_indices(indices, "ball", p)
+    return indices
+
+
 def _check_truncation(p) -> None:
     ratio, least = p.L / p.epsilon, (2.0 if p.mode == "periodic" else 1.0)
     if ratio < least:
         raise ConfigError(f"{p.mode} truncation needs L/epsilon >= {least:g}, got {ratio}")
+    # reflection truncates a 2L-Lipschitz extension periodically, at (2L) / (2 epsilon)
+    _check_ball(p, (p.L if p.mode == "periodic" else 2.0 * p.L) / (2.0 * p.epsilon))
+
+
+def _check_sobolev(p) -> None:
+    """The truncation, then the kept norm: each index's ``c_{K,s}`` takes ``d s^2`` steps."""
+    indices = _check_ball(p, _sobolev_radius(p.s, p.gamma, p.epsilon))
+    _cap(f"Sobolev norm of {indices} indices x d s^2 = {p.d * p.s**2} steps",
+         indices * p.d * p.s**2)
+
+
+def _check_hermite(p) -> None:
+    k = _degree_budget(p.L, p.epsilon, p.d)
+    _check_indices(_simplex_count(k, p.d), "simplex", p)
 
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -553,7 +587,7 @@ _KINDS = {
         "grid": _CUBE_GRID}, _check_truncation),
     "approx_sobolev": (_run_approx_sobolev, {
         "seed": _NO_SEED, "d": _D, "s": _P("int", ">= 1"), "gamma": _POSITIVE,
-        "epsilon": _POSITIVE, "target": _TARGET, "grid": _CUBE_GRID}, None),
+        "epsilon": _POSITIVE, "target": _TARGET, "grid": _CUBE_GRID}, _check_sobolev),
     "fit_curve": (_run_fit_curve, {
         "seed": _SEED, "d": _D, "epsilon": _POSITIVE, "r": _P("int", ">= 1", many="r_list"),
         "target": _TARGET, **_SAMPLED}, _check_sampling),
@@ -570,7 +604,7 @@ _KINDS = {
         _check_explicit),
     "hermite_check": (_run_hermite_check, {
         "seed": _NO_SEED, "d": _D, "L": _POSITIVE, "epsilon": _POSITIVE, "target": _TARGET,
-        "grid": _P(partial(_grid, measure=GAUSSIAN), default={})}, None),
+        "grid": _P(partial(_grid, measure=GAUSSIAN), default={})}, _check_hermite),
     "mixture_check": (_run_mixture_check, {
         "seed": _NO_SEED, "d": _D, "k": _P("real", ">= 0", cap="ball"),
         "rho": _P("real", "in (0, 1]", 0.5), "z_count": _P("int", ">= 2", 41, cap="size")},
@@ -650,8 +684,11 @@ def run_config(config_path: str, out_dir: str = ".",
         "results": results,
     }
     result_path = os.path.join(out_dir, f"{prefix}_result.json")
-    # compact, so that json takes its C encoder
-    _write_atomic(result_path, json.dumps(doc, separators=(",", ":")) + "\n")
+    try:  # compact, so that json takes its C encoder; NaN and infinity are not JSON
+        text = json.dumps(doc, separators=(",", ":"), allow_nan=False)
+    except ValueError:
+        return _report(FloatingPointError("non-finite value in the result document")), None
+    _write_atomic(result_path, text + "\n")
     print(result_path)
     return 0, doc
 

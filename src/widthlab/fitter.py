@@ -1,4 +1,4 @@
-"""Least-squares fitting over random ReLU spans and empirical width search.
+"""Least-squares fitting over random feature spans and empirical width search.
 
 The L2 projection of a target onto the span of ``r`` sampled features is
 realized as weighted least squares on a quadrature grid: one Householder QR
@@ -19,19 +19,16 @@ grouped, and feature draws are *coupled* across widths: trial ``t`` at width
 ``r+1`` extends the same draw used at width ``r`` by one more feature, so
 residuals never rise per trial while no width loses a singular value to the
 rank cut.  So one factorization per trial, at the widest width a run asks
-for, gives the residual at every narrower width.  Only the live columns are
-factored (:func:`_live`, the one column mask of every solve): a feature
-whose bias is at least the largest value ``<w, x>`` can reach on the grid's
-bounding box is zero at every node, and one whose bias is at most minus
-that is active at every node, so its column is affine in ``x``.  Such
-columns span at most ``d + 1`` dimensions, so beyond a draw's first
-``d + 1`` (when their rows ``[b, w]`` are well conditioned) they add
-nothing and are left out.  Both rules are exact at every width, because a
-column left out lies in the span of columns drawn before it.  Each trial's
-weighted design is written from its live ``(W, b)`` straight into a stack
-with one contiguous row per column, whose transpose is the column-major
-layout LAPACK factors; ``fit_span`` and ``projection_residuals`` build and
-factor theirs the same way.
+for, gives the residual at every narrower width.
+
+The engine knows features only through three methods of the distribution,
+which ``relu.ReluParamDist`` implements for ReLU features:
+``sample_batch(rng, r)`` draws a tuple of arrays with one row per feature,
+each a prefix of every wider draw; ``live(draws, nodes)`` maps draws stacked
+by trial to a ``(trials, r)`` mask of the columns to factor, each column
+left out lying in the span of kept ones drawn before it; and
+``columns(draw, nodes, out)`` writes feature ``i``'s values at the nodes
+into row ``out[i]``, which the engine then weights.
 """
 
 from __future__ import annotations
@@ -44,88 +41,8 @@ from numpy.linalg import lapack_lite
 
 from .errors import CapExceeded, EmptyFeatureList, ParameterOutOfRange
 from .quadrature import Grid, evaluate_on
-from .relu import ReluParamDist, _check_features
-
-
-@dataclass(frozen=True)
-class FittedSpan:
-    """``sum_i coefficients_i relu(<W_i, x> - b_i)`` over unit rows ``W (r, d)`` and
-    biases ``b (r,)``, with its residual ``l2_error`` on the grid ``grid_id``."""
-
-    W: np.ndarray
-    b: np.ndarray
-    coefficients: np.ndarray
-    l2_error: float
-    grid_id: str
-
-    def __post_init__(self):
-        if not len(self.W) == len(self.b) == len(self.coefficients):
-            raise ParameterOutOfRange("one bias and one coefficient per weight row required")
-        _check_features(self.W, self.b, np.shape(self.W)[-1])
-
-    def evaluate(self, x) -> np.ndarray | float:
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = x[None, :] if single else x
-        vals = _design_matrix(self.W, self.b, pts) @ self.coefficients
-        return float(vals[0]) if single else vals
-
-    def to_json_dict(self) -> dict:
-        return {
-            "features": [{"bias": bias, "weight": w}
-                         for bias, w in zip(self.b.tolist(), self.W.tolist())],
-            "coefficients": [float(c) for c in self.coefficients],
-            "l2_error": self.l2_error,
-            "grid_id": self.grid_id,
-        }
-
-
-def _design_matrix(W: np.ndarray, b: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """``relu(<w_i, x> - b_i)`` at every node, one column per feature, in one buffer."""
-    z = nodes @ W.T
-    z -= b
-    np.maximum(z, 0.0, out=z)
-    return z
-
-
-def _reach(nodes: np.ndarray) -> np.ndarray:
-    """The largest ``|x_j|`` over the nodes, per coordinate ``j``."""
-    return np.max(np.abs(nodes), axis=0)
-
-
-def _live(W: np.ndarray, b: np.ndarray, reach: np.ndarray) -> np.ndarray:
-    """Which of the features ``W (..., r, d)``, ``b (..., r)`` a solve factors, per draw.
-
-    Two rules drop a column, and each is exact: every leading block of a
-    draw spans what it spans with the column.
-
-    - Dead: a feature with ``b_i >= sum_j |W_ij| reach_j`` has
-      ``<w_i, x> <= b_i`` at each node, so its column is zero.  It adds
-      only a zero singular value, which the rank cut drops.
-    - Surplus affine: a live feature with ``b_i <= -sum_j |W_ij| reach_j``
-      is active at each node, so its column is the affine function
-      ``<w_i, x> - b_i``, that is ``diag(root_w) [-1 | X] [b_i; w_i]``.
-      When a draw has more than ``d + 1`` such features and the rows
-      ``[b_i, W_i]`` of its first ``d + 1`` are well conditioned (see
-      ``_AFFINE_TAU``), those rows span every later one's, so each later
-      column lies in the span of ``d + 1`` kept columns drawn before it.
-      With an ill-conditioned head the draw keeps all of them.
-
-    A dropped feature's minimum-norm coefficient is taken as 0.
-    """
-    bound = np.abs(W) @ reach
-    live = b < bound
-    always = live & (b <= -bound)
-    d = W.shape[-1]
-    order = np.cumsum(always, axis=-1)
-    surplus = always & (order > d + 1)
-    many = np.any(surplus, axis=-1)
-    if np.any(many):
-        head = np.concatenate([b[many][..., None], W[many]], axis=-1)
-        head = head[always[many] & (order[many] <= d + 1)].reshape(-1, d + 1, d + 1)
-        s = np.linalg.svd(head, compute_uv=False)
-        live[many] &= ~(surplus[many] & (s[:, -1] > _AFFINE_TAU * s[:, 0])[:, None])
-    return live
+from .relu import FittedSpan, ReluParamDist, _check_features
+from .relu import _design_matrix  # noqa: F401  the benchmark's tracer patches it here
 
 
 # Bytes of stacked weighted designs that ``width_residuals`` factors at once,
@@ -139,17 +56,6 @@ _BATCH_BYTES = 16 * 2**20
 # Rank cut of every solve: singular values at most ``_RCOND`` times the
 # largest count as zero, the cut ``np.linalg.lstsq`` makes given this cutoff.
 _RCOND = 1e-10
-
-# A draw's surplus always-active columns are dropped only when the rows
-# ``[b_i, W_i]`` of its first d + 1 always-active features have their smallest
-# singular value above this share of their largest.  A dropped column is then
-# a combination of those d + 1 kept columns whose coefficients are at most
-# about ``1 / _AFFINE_TAU`` times its size, so in floating point it lies within
-# about ``eps / _AFFINE_TAU`` (2e-13) of their span, far inside the rank cut
-# ``_RCOND``: the drop removes only what the cut would, and the kept affine
-# block never loses a direction to the cut on its own.  Heads this close to
-# singular are rare in D_k draws, and keeping their columns costs only time.
-_AFFINE_TAU = 1e-3
 
 # The part of a target outside the span is downdated as ``|rhs|^2 - |Q^T rhs|^2``
 # where that keeps at least this share of ``|rhs|^2``, so the rounding of both
@@ -227,36 +133,33 @@ def _qr_in_place(stack: np.ndarray, form_q: bool) -> np.ndarray:
     return R
 
 
-def _factor(params, count: int, w: int, nodes: np.ndarray, root_w: np.ndarray,
+def _factor(columns, draws, count: int, w: int, nodes: np.ndarray, root_w: np.ndarray,
             rhs: np.ndarray, norm_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One Householder QR per design ``A`` of the features ``(W, b)`` of ``params``,
-    ``count`` pairs of ``w`` rows each, at ``nodes``.
+    """One Householder QR per design ``A`` of the ``count`` draws ``draws``, ``w``
+    features each, at ``nodes``.
 
-    Each weighted design is written column by column into one stack of
-    shape ``(count, columns, n)``, the layout :func:`_qr_in_place` factors
-    in place.  Returns ``R`` of shape ``(count, min(n, w), w)`` with
-    ``A = Q R``, and ``C`` of shape ``(count, q, m)``: its first
-    ``min(n, w)`` rows are ``Q^T rhs`` and the rest hold the targets' part
-    orthogonal to every column of ``Q``, so the part of ``rhs`` outside the
-    span of ``Q``'s first ``k`` columns has the norm of ``C[:, k:]``.  With
-    fewer targets than columns the targets join the factorization as
-    ``[A | rhs]`` and ``C`` is read off its ``R``.  Otherwise each slot then
-    holds ``Q^T``, ``C`` is one stacked product with ``rhs``, and the part
-    outside is downdated from the targets' squared norms ``norm_sq`` as
-    ``norm_sq - |Q^T rhs|^2``, the column-norm downdate of LAPACK's xGEQP3;
-    where that falls below ``_DOWNDATE`` times ``norm_sq`` it is recomputed
-    as ``|rhs - Q Q^T rhs|^2`` for that trial and target.
+    ``columns(draw, nodes, out)`` writes each design, one row per column,
+    into its slot of one stack of ``n``-long rows, the layout
+    :func:`_qr_in_place` factors in place, and the rows are weighted there.
+    Returns ``R`` of shape ``(count, min(n, w), w)`` with ``A = Q R``, and
+    ``C`` of shape ``(count, q, m)``: its first ``min(n, w)`` rows are
+    ``Q^T rhs`` and the rest hold the targets' part orthogonal to every
+    column of ``Q``, so the part of ``rhs`` outside the span of ``Q``'s first
+    ``k`` columns has the norm of ``C[:, k:]``.  With fewer targets than
+    columns the targets join the factorization as ``[A | rhs]`` and ``C`` is
+    read off its ``R``.  Otherwise each slot then holds ``Q^T``, ``C`` is one
+    stacked product with ``rhs``, and the part outside is downdated from the
+    targets' squared norms ``norm_sq`` as ``norm_sq - |Q^T rhs|^2``, the
+    column-norm downdate of LAPACK's xGEQP3; where that falls below
+    ``_DOWNDATE`` times ``norm_sq`` it is recomputed as ``|rhs - Q Q^T rhs|^2``
+    for that trial and target.
     """
     n, m = rhs.shape
     joined = m < w
     stack = np.empty((count, w + m if joined else w, n))
-    for columns, (W, b) in zip(stack[:, :w], params):
-        # _design_matrix's op order, with nodes.T a view: the bits FittedSpan.evaluate and the
-        # network compute (a contiguous copy moves a one-feature product by an ulp).
-        np.matmul(W, nodes.T, out=columns)
-        columns -= b[:, None]
-        np.maximum(columns, 0.0, out=columns)
-        columns *= root_w
+    for rows, draw in zip(stack[:, :w], draws):
+        columns(draw, nodes, rows)
+        rows *= root_w
     if joined:
         stack[:, w:] = rhs.T
         full = _qr_in_place(stack, form_q=False)
@@ -299,33 +202,42 @@ def _solve_block(R: np.ndarray, head: np.ndarray, tail: np.ndarray,
 
 
 class _Factors:
-    """QR factors of the live design columns of ``count`` trials, read at any live count.
+    """QR factors of the live design columns of ``draws``, one draw of ``dist`` per
+    trial, read at any live count.
 
-    :func:`_factor` builds each trial's weighted live design from its live
-    ``(W, b)`` in a column-major stack and factors it there.  Trial ``t``'s
-    design (``L`` columns, at most ``w``) has its
-    ``R`` in the top-left ``min(n, L) x L`` corner of ``R[t]`` and its ``C``
-    from :func:`_factor` in the top rows of ``C[t]``; the rest is zero.
-    ``tails[t, k]`` holds the squared norms of ``C[t, k:]``.  So trials of
-    any live count at the factored width stack into one solve at a common
-    smaller count.  A count of 0 reads the targets' norms, from ``norm_sq``.
+    ``mask`` is ``dist.live`` of the draws stacked by trial, and ``live[t, r]``
+    counts its columns among trial ``t``'s first ``r``.  Trials with one live
+    count are factored (:func:`_factor`) in stacks whose designs, with the
+    targets beside them, take about ``_CHUNK_BYTES``.  Trial ``t``'s design
+    (``L`` columns) has its ``R`` in the top-left ``min(n, L) x L`` corner of
+    ``R[t]`` and its ``C`` in the top rows of ``C[t]``; the rest is zero, and
+    ``tails[t, k]`` holds the squared norms of ``C[t, k:]``.  So trials of any
+    live count stack into one solve at a common smaller count, and a count of
+    0 reads the targets' norms.
     """
 
-    def __init__(self, count: int, n: int, w: int, norm_sq: np.ndarray):
-        rows, m = min(n, w), len(norm_sq)
-        self.R = np.zeros((count, rows, w))
-        self.C = np.zeros((count, rows + m + 1, m))
+    def __init__(self, dist, draws: list, nodes: np.ndarray, root_w: np.ndarray,
+                 rhs: np.ndarray, norm_sq: np.ndarray):
+        stacked = tuple(map(np.stack, zip(*draws)))
+        self.mask = dist.live(stacked, nodes)
+        (trials, w), (n, m) = self.mask.shape, rhs.shape
+        self.live = np.zeros((trials, w + 1), dtype=np.intp)
+        np.cumsum(self.mask, axis=1, out=self.live[:, 1:])
+        self.R = np.zeros((trials, min(n, w), w))
+        self.C = np.zeros((trials, min(n, w) + m + 1, m))
         self.tails = np.zeros_like(self.C)
-        self.norm_sq = norm_sq
         self.target_norms = np.sqrt(norm_sq)
-
-    def add(self, sel, params, w: int, nodes: np.ndarray, root_w: np.ndarray,
-            rhs: np.ndarray) -> None:
-        """Factor the designs of ``params``, ``w`` live features each, as the trials ``sel``."""
-        R, C = _factor(params, len(sel), w, nodes, root_w, rhs, self.norm_sq)
-        self.R[sel, :R.shape[1], :w] = R
-        self.C[sel, :C.shape[1]] = C
-        self.tails[sel, :C.shape[1]] = np.cumsum((C**2)[:, ::-1], axis=1)[:, ::-1]
+        for count in np.flatnonzero(np.bincount(self.live[:, w])[1:]) + 1:
+            group = np.flatnonzero(self.live[:, w] == count)
+            per_chunk = max(1, _CHUNK_BYTES // (8 * n * (count + m)))
+            for first in range(0, len(group), per_chunk):
+                sel = group[first:first + per_chunk]
+                live_draws = (tuple(part[i, self.mask[i]] for part in stacked) for i in sel)
+                R, C = _factor(dist.columns, live_draws, len(sel), count, nodes, root_w, rhs,
+                               norm_sq)
+                self.R[sel, :R.shape[1], :count] = R
+                self.C[sel, :C.shape[1]] = C
+                self.tails[sel, :C.shape[1]] = np.cumsum((C**2)[:, ::-1], axis=1)[:, ::-1]
 
     def block(self, ids: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The arguments of :func:`_solve_block` for trials ``ids`` at ``count`` live columns."""
@@ -350,21 +262,19 @@ def _weighted_lstsq(W: np.ndarray, b: np.ndarray, grid: Grid,
     """Project ``targets`` ``(n,)`` or ``(n, m)`` onto the span of the features ``(W, b)``
     in the grid's weighted L2 norm; returns (coefficients, residual norms).
 
-    Only the features :func:`_live` keeps are factored, by the mask, builder
-    and factorization the trial engine uses, so ``(W, b)`` gives the bits a
-    trial with the same draws gives; every other feature gets
-    coefficient 0.  With no live feature the residuals are the targets' norms.
+    ``(W, b)``, checked against the grid, is factored as a batch of one trial
+    (:class:`_Factors`), so it gives the bits a trial with the same draw gives.
+    Features ``ReluParamDist.live`` leaves out get coefficient 0.
     """
+    _check_features(W, b, grid.nodes.shape[1])
     root_w, rhs, norm_sq = _weighted(targets, grid.weights)
-    live = _live(W, b, _reach(grid.nodes))
-    w = int(np.count_nonzero(live))
-    factors = _Factors(1, len(rhs), w, norm_sq)
+    factors = _Factors(ReluParamDist, [(W, b)], grid.nodes, root_w, rhs, norm_sq)
+    w = int(factors.live[0, -1])
     coeffs, norms = np.zeros((len(W), rhs.shape[1])), factors.target_norms
     if w:
-        factors.add([0], [(W[live], b[live])], w, grid.nodes, root_w, rhs)
         norms, solved = _solve_block(*factors.block(np.zeros(1, dtype=np.intp), w),
                                      coefficients=True)
-        norms, coeffs[live] = norms[0], solved[0]
+        norms, coeffs[factors.mask[0]] = norms[0], solved[0]
     if targets.ndim == 2:
         return coeffs, norms
     return coeffs[:, 0], norms[0]
@@ -377,7 +287,7 @@ def fit_span(W: np.ndarray, b: np.ndarray, f, grid: Grid) -> FittedSpan:
     Duplicate or nearly parallel features are handled by the rank cut at
     ``_RCOND``; the residual is invariant to feature order and duplication
     because the span is.  Features that are zero at every node, and
-    always-active features past the first ``d + 1`` (see :func:`_live`), are
+    always-active features past the first ``d + 1`` (see ``relu._live``), are
     left out of the solve and get coefficient 0.  The span, the fitted
     values and the residual are those over every feature, but the other
     coefficients are the minimum-norm ones over the features kept, not over
@@ -386,7 +296,6 @@ def fit_span(W: np.ndarray, b: np.ndarray, f, grid: Grid) -> FittedSpan:
     if not len(b):
         raise EmptyFeatureList("cannot fit over an empty feature list")
     W, b = np.asarray(W, dtype=float), np.asarray(b, dtype=float)
-    _check_features(W, b, grid.nodes.shape[1])
     coeffs, residual = _weighted_lstsq(W, b, grid, evaluate_on(f, grid.nodes))
     return FittedSpan(W=W, b=b, coefficients=coeffs, l2_error=float(residual),
                       grid_id=grid.spec.label())
@@ -424,50 +333,27 @@ class SuccessEstimate:
         }
 
 
-def _draw(dist: ReluParamDist, w: int, seed, trial: int) -> tuple[np.ndarray, np.ndarray]:
+def _draw(dist, w: int, seed, trial: int) -> tuple:
     """Trial ``trial``'s first ``w`` features, from ``default_rng([seed, trial])``."""
     return dist.sample_batch(np.random.default_rng([*np.atleast_1d(seed).tolist(), trial]), w)
 
 
 def _factored(rhs: np.ndarray, root_w: np.ndarray, norm_sq: np.ndarray, grid: Grid,
-              dist: ReluParamDist, w: int, seed, trials):
-    """Yield ``(ids, live, factors)`` for the width-``w`` draws of ``trials``, a batch at a time.
-
-    ``live[i, r]`` counts the live features (:func:`_live`, one call on the
-    batch's stacked draws) among the first ``r`` of trial ``ids[i]``, and
-    ``factors`` (:class:`_Factors`) holds the factor of each trial's live
-    columns.  Trials with the same live count
-    are factored in stacks whose designs, counted with the targets beside
-    them, take about ``_CHUNK_BYTES``; a batch's draws and factors take
-    about ``_BATCH_BYTES``.
-    """
+              dist, w: int, seed, trials):
+    """Yield ``(ids, factors)`` (:class:`_Factors`) for the width-``w`` draws of ``trials``,
+    in batches whose draws (taken as ``d + 1`` numbers per feature) and factors take
+    about ``_BATCH_BYTES``; nothing for ``w = 0``."""
     n, m = rhs.shape
     rows = min(n, w)
-    reach = _reach(grid.nodes)
     per_trial = 8 * (rows * w + 2 * (rows + m + 1) * m + w * (grid.nodes.shape[1] + 1))
     per_batch = max(1, _BATCH_BYTES // per_trial)
-    for start in range(0, len(trials), per_batch):
+    for start in range(0, len(trials) if w else 0, per_batch):
         ids = trials[start:start + per_batch]
-        W, b = np.empty((len(ids), w, grid.nodes.shape[1])), np.empty((len(ids), w))
-        for i, t in enumerate(ids if w else ()):
-            W[i], b[i] = _draw(dist, w, seed, t)
-        mask = _live(W, b, reach)
-        live = np.zeros((len(ids), w + 1), dtype=np.intp)
-        np.cumsum(mask, axis=1, out=live[:, 1:])
-        factors = _Factors(len(ids), n, w, norm_sq)
-        for count in np.flatnonzero(np.bincount(live[:, w])):  # each live count present
-            if count == 0:
-                continue
-            group = np.flatnonzero(live[:, w] == count)
-            per_chunk = max(1, _CHUNK_BYTES // (8 * n * (count + m)))
-            for first in range(0, len(group), per_chunk):
-                sel = group[first:first + per_chunk]
-                params = ((W[i, mask[i]], b[i, mask[i]]) for i in sel)
-                factors.add(sel, params, int(count), grid.nodes, root_w, rhs)
-        yield ids, live, factors
+        yield ids, _Factors(dist, [_draw(dist, w, seed, t) for t in ids], grid.nodes, root_w,
+                            rhs, norm_sq)
 
 
-def width_residuals(targets: np.ndarray, grid: Grid, dist: ReluParamDist, widths, seed,
+def width_residuals(targets: np.ndarray, grid: Grid, dist, widths, seed,
                     trials: int) -> np.ndarray:
     """Residual norms of ``targets`` against the span of the first ``r`` random
     features of each trial, for every ``r`` of ``widths``.
@@ -485,15 +371,16 @@ def width_residuals(targets: np.ndarray, grid: Grid, dist: ReluParamDist, widths
     widths = [int(v) for v in widths]
     root_w, rhs, norm_sq = _weighted(targets, grid.weights)
     out = np.empty((trials, len(widths), rhs.shape[1]))
-    for ids, live, factors in _factored(rhs, root_w, norm_sq, grid, dist, max(widths), seed,
-                                        np.arange(trials)):
+    out[:] = np.sqrt(norm_sq)
+    for ids, factors in _factored(rhs, root_w, norm_sq, grid, dist, max(widths), seed,
+                                  np.arange(trials)):
         every = np.arange(len(ids))
         for j, width in enumerate(widths):
-            out[ids, j] = factors.norms(every, live[:, width])
+            out[ids, j] = factors.norms(every, factors.live[:, width])
     return out if targets.ndim == 2 else out[..., 0]
 
 
-def success_probability(f, epsilon: float, dist: ReluParamDist, r, trials: int,
+def success_probability(f, epsilon: float, dist, r, trials: int,
                         grid: Grid, seed):
     """Fraction of independent trials whose fitted span reaches error <= eps.
 
@@ -539,28 +426,28 @@ class MinWidthEstimate:
         }
 
 
-def _first_passing(factors: _Factors, live: np.ndarray, sel: np.ndarray, lo: int, hi: int,
+def _first_passing(factors: _Factors, sel: np.ndarray, lo: int, hi: int,
                    epsilon: float) -> np.ndarray:
     """Per trial of ``sel``, the first width in ``(lo, hi]`` whose residual is <= ``epsilon``.
 
     Every trial's residual passes at ``hi`` and fails at ``lo`` (``lo = 0``
     fails by definition).  A residual depends on the width only through the
     live count and never rises with it, so bisection on the live counts
-    between ``live[:, lo]`` and ``live[:, hi]`` finds the first passing
+    between ``factors.live[:, lo]`` and ``factors.live[:, hi]`` finds the first passing
     count, and the width is the first at which the trial reaches it.
     Trials at the same count share one stacked solve.
     """
-    lo_count, hi_count = live[sel, lo], live[sel, hi]
+    lo_count, hi_count = factors.live[sel, lo], factors.live[sel, hi]
     while np.any(open_ := hi_count - lo_count > 1):
         at = np.flatnonzero(open_)
         mid = (lo_count[at] + hi_count[at]) // 2
         passed = factors.norms(sel[at], mid)[:, 0] <= epsilon
         hi_count[at[passed]] = mid[passed]
         lo_count[at[~passed]] = mid[~passed]
-    return np.maximum(np.count_nonzero(live[sel] < hi_count[:, None], axis=1), lo + 1)
+    return np.maximum(np.count_nonzero(factors.live[sel] < hi_count[:, None], axis=1), lo + 1)
 
 
-def estimate_minwidth(f, epsilon: float, delta: float, dist: ReluParamDist,
+def estimate_minwidth(f, epsilon: float, delta: float, dist,
                       grid: Grid, trials: int, r_max: int, seed) -> MinWidthEstimate:
     """Doubling then bisection for the smallest width with success >= 1 - delta.
 
@@ -595,11 +482,11 @@ def estimate_minwidth(f, epsilon: float, delta: float, dist: ReluParamDist,
 
     r, last_fail = 1, 0
     while True:
-        for ids, live, factors in _factored(rhs, root_w, norm_sq, grid, dist, r, seed,
-                                            np.flatnonzero(first == 0)):
-            widest = factors.norms(np.arange(len(ids)), live[:, r])[:, 0]
+        for ids, factors in _factored(rhs, root_w, norm_sq, grid, dist, r, seed,
+                                      np.flatnonzero(first == 0)):
+            widest = factors.norms(np.arange(len(ids)), factors.live[:, r])[:, 0]
             passed = np.flatnonzero(widest <= epsilon)
-            first[ids[passed]] = _first_passing(factors, live, passed, last_fail, r, epsilon)
+            first[ids[passed]] = _first_passing(factors, passed, last_fail, r, epsilon)
         prob = probe(r)
         if prob >= threshold:
             break

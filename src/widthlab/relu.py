@@ -11,6 +11,10 @@ where ``psi`` is an explicit piecewise density built from ``phi(-sqrt(d))``,
 of the trigonometric basis functions this turns any low-degree trig
 polynomial into an expectation of random ReLU features, which a sample
 average then approximates at the usual ``1/sqrt(r)`` Monte Carlo rate.
+
+The module also owns the ReLU feature as ``widthlab.fitter``'s solves see it:
+its column at the grid's nodes (:func:`_design_matrix`) and the exact rules
+that leave dead and surplus affine columns out of a solve (:func:`_live`).
 """
 
 from __future__ import annotations
@@ -53,6 +57,105 @@ def _check_features(W: np.ndarray, b: np.ndarray, d: int) -> None:
     off = np.flatnonzero(np.abs(norms - 1.0) > 1e-12)
     if len(off):
         raise NotUnitNorm(f"feature weight has norm {norms[off[0]]!r}, expected 1")
+
+
+def _relu(a: np.ndarray, c: np.ndarray, bias: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``max(a @ c - bias, 0)`` into ``out``, the one ReLU formula: ``X W^T`` gives one
+    column per feature and ``W X^T``, with ``X^T`` a view, the same bits as rows."""
+    np.matmul(a, c, out=out)
+    out -= bias
+    np.maximum(out, 0.0, out=out)
+    return out
+
+
+def _design_matrix(W: np.ndarray, b: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """``relu(<w_i, x> - b_i)`` at every node, one column per feature, in one buffer."""
+    return _relu(nodes, W.T, b, np.empty((len(nodes), len(b))))
+
+
+def _reach(nodes: np.ndarray) -> np.ndarray:
+    """The largest ``|x_j|`` over the nodes, per coordinate ``j``."""
+    return np.max(np.abs(nodes), axis=0)
+
+
+# A draw's surplus always-active columns are dropped only when the rows
+# ``[b_i, W_i]`` of its first d + 1 always-active features have their smallest
+# singular value above this share of their largest.  A dropped column is then
+# a combination of those d + 1 kept columns whose coefficients are at most
+# about ``1 / _AFFINE_TAU`` times its size, so in floating point it lies within
+# about ``eps / _AFFINE_TAU`` (2e-13) of their span, far inside the rank cut
+# ``fitter._RCOND``: the drop removes only what the cut would, and the kept
+# affine block never loses a direction to the cut on its own.  Heads this close
+# to singular are rare in D_k draws, and keeping their columns costs only time.
+_AFFINE_TAU = 1e-3
+
+
+def _live(W: np.ndarray, b: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """Which of the features ``W (..., r, d)``, ``b (..., r)`` a solve factors, per draw.
+
+    Two rules drop a column, and each is exact: every leading block of a
+    draw spans what it spans with the column.
+
+    - Dead: a feature with ``b_i >= sum_j |W_ij| reach_j`` has
+      ``<w_i, x> <= b_i`` at each node, so its column is zero.  It adds
+      only a zero singular value, which the rank cut drops.
+    - Surplus affine: a live feature with ``b_i <= -sum_j |W_ij| reach_j``
+      is active at each node, so its column is the affine function
+      ``<w_i, x> - b_i``, that is ``diag(root_w) [-1 | X] [b_i; w_i]``.
+      When a draw has more than ``d + 1`` such features and the rows
+      ``[b_i, W_i]`` of its first ``d + 1`` are well conditioned (see
+      ``_AFFINE_TAU``), those rows span every later one's, so each later
+      column lies in the span of ``d + 1`` kept columns drawn before it.
+      With an ill-conditioned head the draw keeps all of them.
+
+    A dropped feature's minimum-norm coefficient is taken as 0.
+    """
+    bound = np.abs(W) @ reach
+    live = b < bound
+    always = live & (b <= -bound)
+    d = W.shape[-1]
+    order = np.cumsum(always, axis=-1)
+    surplus = always & (order > d + 1)
+    many = np.any(surplus, axis=-1)
+    if np.any(many):
+        head = np.concatenate([b[many][..., None], W[many]], axis=-1)
+        head = head[always[many] & (order[many] <= d + 1)].reshape(-1, d + 1, d + 1)
+        s = np.linalg.svd(head, compute_uv=False)
+        live[many] &= ~(surplus[many] & (s[:, -1] > _AFFINE_TAU * s[:, 0])[:, None])
+    return live
+
+
+@dataclass(frozen=True)
+class FittedSpan:
+    """``sum_i coefficients_i relu(<W_i, x> - b_i)`` over unit rows ``W (r, d)`` and
+    biases ``b (r,)``, with its residual ``l2_error`` on the grid ``grid_id``."""
+
+    W: np.ndarray
+    b: np.ndarray
+    coefficients: np.ndarray
+    l2_error: float
+    grid_id: str
+
+    def __post_init__(self):
+        if not len(self.W) == len(self.b) == len(self.coefficients):
+            raise ParameterOutOfRange("one bias and one coefficient per weight row required")
+        _check_features(self.W, self.b, np.shape(self.W)[-1])
+
+    def evaluate(self, x) -> np.ndarray | float:
+        x = np.asarray(x, dtype=float)
+        single = x.ndim == 1
+        pts = x[None, :] if single else x
+        vals = _design_matrix(self.W, self.b, pts) @ self.coefficients
+        return float(vals[0]) if single else vals
+
+    def to_json_dict(self) -> dict:
+        return {
+            "features": [{"bias": bias, "weight": w}
+                         for bias, w in zip(self.b.tolist(), self.W.tolist())],
+            "coefficients": [float(c) for c in self.coefficients],
+            "l2_error": self.l2_error,
+            "grid_id": self.grid_id,
+        }
 
 
 @dataclass(frozen=True)
@@ -214,7 +317,8 @@ def _draw_features(rng: np.random.Generator, Q: int, half: float,
 
 
 class ReluParamDist:
-    """Base class for (bias, weight) distributions of random ReLU features."""
+    """Base class for (bias, weight) distributions of random ReLU features; its three
+    methods are all that ``widthlab.fitter``'s trial engine asks of a distribution."""
 
     dimension: int
 
@@ -223,6 +327,19 @@ class ReluParamDist:
         prefix of every wider batch from the same generator state.
         """
         raise NotImplementedError
+
+    @staticmethod
+    def live(draws: tuple, nodes: np.ndarray) -> np.ndarray:
+        """The mask ``(trials, r)`` of the columns a solve factors (:func:`_live`), for
+        draws ``(W (trials, r, d), b (trials, r))`` stacked by trial."""
+        return _live(*draws, _reach(nodes))
+
+    @staticmethod
+    def columns(draw: tuple, nodes: np.ndarray, out: np.ndarray) -> None:
+        """Write feature ``i`` of ``draw = (W, b)`` at every node into row ``out[i]``,
+        the bits of :func:`_design_matrix`'s column ``i``."""
+        W, b = draw
+        _relu(W, nodes.T, b[:, None], out)
 
 
 @dataclass
@@ -424,8 +541,6 @@ def sample_average_network(P: TrigPolynomial, r: int, dist: DkDistribution,
     ``1/sqrt(r)``.  The network is evaluated a block of grid rows at a time,
     so its design matrix takes about ``_BLOCK_BYTES`` whatever the grid size.
     """
-    from .fitter import FittedSpan, _design_matrix  # deferred: fitter imports from here
-
     if not isinstance(dist, DkDistribution):
         raise UnsupportedCombination("sample-average networks require a D_k distribution")
     if r < 1:

@@ -175,3 +175,36 @@ def product_grid(axes) -> Grid:
     n = nodes.shape[0]
     spec = QuadratureSpec(UNIFORM_CUBE, MONTE_CARLO, len(axes), sample_count=n, seed=0)
     return Grid(spec=spec, nodes=nodes, weights=np.full(n, 1.0 / n))
+
+
+class MemberDistribution:
+    """Features drawn uniformly from the members of ``family``, one index each.
+
+    A feature distribution with no ReLU in it, through the three methods the
+    trial engine asks for: ``sample_batch`` draws member indices as a draw
+    ``(idx,)``, ``live`` keeps the first draw of each member (a repeat adds
+    the same column again), and ``columns`` writes the members' values.  On a
+    grid where the family is orthonormal, a trial's span holds exactly the
+    members it drew, so each member's residual is 0 if drawn and 1 if not.
+    ``written`` records the member indices of every design the engine builds.
+    """
+
+    def __init__(self, family):
+        self.family = family
+        self.written = []
+
+    def sample_batch(self, rng, r):
+        return (rng.integers(len(self.family), size=r),)
+
+    def live(self, draws, nodes):
+        (idx,) = draws
+        mask = np.zeros(idx.shape, dtype=bool)
+        for row, keep in zip(idx, mask):
+            keep[np.unique(row, return_index=True)[1]] = True
+        return mask
+
+    def columns(self, draw, nodes, out):
+        (idx,) = draw
+        self.written.append(idx.tolist())
+        for row, i in zip(out, idx):
+            row[:] = self.family.members[i](nodes)

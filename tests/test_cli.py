@@ -24,7 +24,7 @@ from widthlab import (
     projection_residuals,
     tensor_gauss_grid,
 )
-from widthlab import cli, fitter, lowerbound
+from widthlab import cli, fitter, lowerbound, relu
 from widthlab.cli import emit_curve, main, read_curve, run_config, validate_config
 
 
@@ -377,7 +377,7 @@ class TestTrialEngine:
         grid = tensor_gauss_grid(UNIFORM_CUBE, 3, 8)
         dist = DkDistribution(k=2, dimension=3)
         dead = [t for t in range(12)
-                if not fitter._live(*fitter._draw(dist, 1, 5, t), fitter._reach(grid.nodes))[0]]
+                if not relu._live(*fitter._draw(dist, 1, 5, t), relu._reach(grid.nodes))[0]]
         assert 0 < len(dead) < 12
         rows = {r: (out_dir / f"p_r{r}_residuals.csv").read_text().splitlines()[1:]
                 for r in (0, 1)}
@@ -565,10 +565,28 @@ class TestConfigSchema:
         (_with(_EXPLICIT, d=10**6, ell=500000), None,
          "family size C(1000000, 500000) exceeds the float range"),
         (_with(_EXPLICIT, d=1030, ell=515), None, "family size C(1030, 515)"),
+        (_with(_TRIG, d=2, L=1000, epsilon=1), None,
+         "truncation onto 3141549 ball indices x 576 grid nodes exceeds the cap 10000000\n"),
+        (_with(_TRIG, d=2, L=2000, epsilon=1, mode="periodic"), None,  # radius L / (2 eps)
+         "truncation onto 3141549 ball indices x 576 grid nodes"),
+        ({"kind": "approx_sobolev", "parameters": {"d": 3, "s": 3000, "gamma": 1,
+                                                   "epsilon": 0.5, "target": "abs"}}, None,
+         "truncation onto 688245 ball indices x 13824 grid nodes"),
+        ({"kind": "approx_sobolev", "parameters": {"d": 1, "s": 1000, "gamma": 1,
+                                                   "epsilon": 100, "target": "abs"}}, None,
+         "Sobolev norm of 63 indices x d s^2 = 1000000 steps"),
+        ({"kind": "hermite_check", "parameters": {"d": 3, "L": 14, "epsilon": 1,
+                                                  "target": "abs"}}, None,
+         "truncation onto 1293699 simplex indices x 13824 grid nodes"),
+        ({"kind": "hermite_check", "parameters": {"d": 1, "L": 15, "epsilon": 1,
+                                                  "target": "abs"}}, None,
+         "degree budget 225 exceeds the stability cap 200"),
     ], ids=["count", "count_list", "count_default_cap", "gaussian_N_1e8", "gaussian_pool",
             "gaussian_values", "ball_family_values", "projection_residuals",
             "symmetric_family_huge_d", "explicit_family_huge_d",
-            "explicit_family_just_past_float"])
+            "explicit_family_just_past_float", "trig_ball_x_nodes", "trig_periodic_radius",
+            "sobolev_ball_x_nodes", "sobolev_norm_steps", "hermite_simplex_x_nodes",
+            "hermite_degree"])
     def test_count_and_family_caps_exit_3(self, tmp_path, capsys, monkeypatch, doc, cap,
                                           fragment):
         if cap is not None:
@@ -609,6 +627,19 @@ class TestConfigSchema:
         assert ("grid norm nan" in err) == (doc["kind"] == "lb_projection")
         assert not list((tmp_path / "o").glob("*.csv"))
         assert not [w for w in caught if w.filename == fitter.__file__]
+
+    def test_non_finite_result_exits_4(self, tmp_path, capsys):
+        """A kept Sobolev norm that overflows to infinity is not JSON: exit 4, one line,
+        and no result document."""
+        doc = {"kind": "approx_sobolev", "parameters": {"d": 1, "s": 400, "gamma": 1,
+                                                        "epsilon": 100, "target": "abs"}}
+        code = main(["run", "--config", _write_config(tmp_path, doc),
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 4
+        err = capsys.readouterr().err
+        _assert_one_line(err, "numerical failure: ")
+        assert "non-finite" in err
+        assert not list((tmp_path / "o").glob("*_result.json"))
 
     @pytest.mark.parametrize("doc", [
         {"kind": "count_lattice", "parameters": {"k": 1, "d": 5000}},

@@ -18,7 +18,8 @@ from widthlab import (
     wilson_interval,
 )
 from widthlab import fitter
-from widthlab.fitter import _design_matrix, width_residuals
+from widthlab.fitter import width_residuals
+from widthlab.relu import _design_matrix
 
 from oracles import relu_columns
 

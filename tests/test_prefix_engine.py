@@ -30,7 +30,7 @@ from widthlab import (
     wilson_interval,
 )
 from widthlab.cli import emit_curve, run_config
-from widthlab import fitter
+from widthlab import fitter, relu
 from widthlab.fitter import width_residuals
 from widthlab.lowerbound import (
     _value_matrix,
@@ -78,7 +78,7 @@ def _draws(dist, w, seed, trials):
     return [dist.sample_batch(np.random.default_rng([seed, t]), w) for t in range(trials)]
 
 
-def _factored(W, b, grid, tau=fitter._AFFINE_TAU):
+def _factored(W, b, grid, tau=relu._AFFINE_TAU):
     """The oracle's mask of the features a solve factors; ``tau = inf`` applies
     only the dead rule."""
     return factored_features(W, b, np.max(np.abs(grid.nodes), axis=0), tau)
@@ -136,13 +136,13 @@ def test_cases_cover_dead_affine_and_wide_designs():
     dead = affine = kept_zero = dropped = declined = 0
     for d, nodes, w, _, seed, doubled in _CASES:
         grid = _grid(d, nodes)
-        reach = fitter._reach(grid.nodes)
+        reach = relu._reach(grid.nodes)
         for W, b in _draws(_case_dist(d, doubled), w, seed, 5):
             z = grid.nodes @ W.T - b
             zero = np.all(z <= 0.0, axis=0)
             dead += int(np.any(zero))
             affine += int(np.count_nonzero(np.all(z >= 0.0, axis=0)) > d + 1)
-            live = fitter._live(W, b, reach)
+            live = relu._live(W, b, reach)
             kept_zero += int(np.count_nonzero(zero & live))
             alive = _factored(W, b, grid, tau=np.inf)
             always = np.count_nonzero(alive & (b <= -(np.abs(W) @ reach)))
@@ -208,8 +208,8 @@ def test_one_builder_gives_the_bits_of_every_entry_point(d, w, monkeypatch):
     grid = tensor_gauss_grid(UNIFORM_CUBE, d, _LB_GRIDS[d])
     dist = _Live(DkDistribution(k=2, dimension=d))
     draws = _draws(dist, w, 13, 2)
-    reach = fitter._reach(grid.nodes)
-    assert all(np.all(fitter._live(W, b, reach)) for W, b in draws)
+    reach = relu._reach(grid.nodes)
+    assert all(np.all(relu._live(W, b, reach)) for W, b in draws)
     kinds = {1 < w}
     for family in (hard_family_symmetric(1, d), hard_family_ball(1.5, d)):
         targets = _value_matrix(family, grid)
@@ -297,8 +297,8 @@ def test_surplus_rule_needs_a_well_conditioned_head(gap, drops):
     grid = tensor_gauss_grid(UNIFORM_CUBE, 1, 24)
     W, b = np.array([[1.0], [1.0], [-1.0]]), np.array([-2.0, -2.0 - gap, -1.5])
     s = np.linalg.svd(np.column_stack([b[:2], W[:2]]), compute_uv=False)
-    assert (s[-1] > fitter._AFFINE_TAU * s[0]) == drops
-    assert np.array_equal(fitter._live(W, b, fitter._reach(grid.nodes)), [True, True, not drops])
+    assert (s[-1] > relu._AFFINE_TAU * s[0]) == drops
+    assert np.array_equal(relu._live(W, b, relu._reach(grid.nodes)), [True, True, not drops])
     targets = _targets(grid.nodes, 3)
     got = width_residuals(targets, grid, _Fixed(W, b), [1, 2, 3], seed=0, trials=1)[0]
     for r in (1, 2, 3):
@@ -311,16 +311,16 @@ def test_surplus_rule_declines_a_repeated_feature():
     so the rule declines and the mask is the dead rule alone, also in a stack
     beside a draw the rule drops columns from."""
     grid = tensor_gauss_grid(UNIFORM_CUBE, 2, 12)
-    reach = fitter._reach(grid.nodes)
+    reach = relu._reach(grid.nodes)
     w = _unit(np.array([1.0, -2.0]))
     same = CustomDistribution(2, lambda rng: -3.0, lambda rng: w)
     W, b = same.sample_batch(np.random.default_rng(0), 8)
     assert np.all(b <= -(np.abs(W) @ reach))
-    assert np.all(fitter._live(W, b, reach))
+    assert np.all(relu._live(W, b, reach))
     W2, b2 = DkDistribution(k=2, dimension=2).sample_batch(np.random.default_rng(11), 30)
     kept = _factored(W2, b2, grid)
     assert not np.all(kept[_factored(W2, b2, grid, tau=np.inf)])
-    stacked = fitter._live(np.stack([W[:1].repeat(30, axis=0), W2]),
+    stacked = relu._live(np.stack([W[:1].repeat(30, axis=0), W2]),
                            np.stack([np.full(30, -3.0), b2]), reach)
     assert np.all(stacked[0]) and np.array_equal(stacked[1], kept)
 
@@ -496,8 +496,8 @@ def test_surplus_affine_columns_are_dropped_exactly(d, k, monte_carlo, seed):
     residuals can differ by more."""
     grid = _rule_grid(d, monte_carlo)
     draws = _draws(DkDistribution(k=k, dimension=d), 40, seed, 2)
-    stacked = fitter._live(np.stack([W for W, _ in draws]), np.stack([b for _, b in draws]),
-                           fitter._reach(grid.nodes))
+    stacked = relu._live(np.stack([W for W, _ in draws]), np.stack([b for _, b in draws]),
+                           relu._reach(grid.nodes))
     root_w = np.sqrt(grid.weights)
     targets = _targets(grid.nodes, 3)
     for (W, b), mask in zip(draws, stacked):

@@ -41,7 +41,7 @@ from widthlab import (
     width_bound,
 )
 from widthlab import relu
-from widthlab.fitter import _design_matrix
+from widthlab.relu import _design_matrix
 from widthlab.quadrature import l2_error
 
 from oracles import dk_expectation, mixture_quad
