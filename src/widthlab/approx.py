@@ -24,16 +24,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .caps import active_cap
 from .errors import CapExceeded, ParameterOutOfRange, ScaleNotUnit, WrongMeasure
 from .lattice import (
     IndexClass,
     MultiIndex,
     classify,
+    count_ball,
     enumerate_ball,
     negate,
     radius_sq_bound,
 )
-from .quadrature import UNIFORM_CUBE, Grid, along_axes, evaluate_on
+from .quadrature import UNIFORM_CUBE, Grid, along_axes, evaluate_on, significant
 from .trig import SQRT2, TrigPolynomial, eval_T
 
 
@@ -84,32 +86,46 @@ def _basis_column(K: MultiIndex, grid: Grid) -> np.ndarray:
     return t
 
 
+def _lead(index: np.ndarray) -> np.ndarray:
+    """The sign of each index row's first nonzero coordinate: its sin/cos class."""
+    return index[np.arange(len(index)), np.argmax(index != 0, axis=1)]
+
+
+def _box(index: np.ndarray, beta: np.ndarray, top: int) -> np.ndarray:
+    """The box ``|K_j| <= top`` of ``-i sqrt(2) beta_K`` at sin-class ``K``,
+    ``sqrt(2) beta_K`` at cos-class ``K`` and ``beta_0`` at zero, so that
+    ``sum_K box_K exp(i pi <K, y>)`` has the real part ``sum_K beta_K T_K(y)``."""
+    lead = _lead(index)
+    box = np.zeros((2 * top + 1,) * index.shape[1], dtype=complex)
+    box[tuple((index + top).T)] = np.where(lead > 0, -1j * SQRT2 * beta,
+                                           np.where(lead < 0, SQRT2 * beta, beta))
+    return box
+
+
 def _truncate_on_axes(fw: np.ndarray, ball: list[MultiIndex], top: int,
-                      axes) -> tuple[dict[MultiIndex, float], np.ndarray]:
+                      grid: Grid) -> tuple[dict[MultiIndex, float], np.ndarray]:
     """Ball coefficients and the truncation on a product grid, one axis at a time.
 
     With ``E_j[r, a] = exp(i pi (r - top) x_ja)``, contracting ``w f`` with
     every ``E_j`` gives ``F_K = sum(w f exp(i pi <K, x>))`` on the box
     ``|K_j| <= top``, so ``beta_K`` is ``sqrt(2) Im F_K`` for a sin-class
-    ``K``, ``sqrt(2) Re F_K`` for a cos-class one and ``Re F_0`` at zero.  The
-    truncation is the real part of the box of ``-i sqrt(2) beta_K``,
-    ``sqrt(2) beta_K`` and ``beta_0`` contracted back with the same tables.
+    ``K``, ``sqrt(2) Re F_K`` for a cos-class one and ``Re F_0`` at zero: sums of
+    ``w f`` times factors of modulus ``sqrt(2)`` (1 at zero), so their
+    :func:`significant` magnitude is ``sum |w f|`` times that.  The truncation
+    is the :func:`_box` of the kept ones contracted back with the same tables.
     The sums run in another order than ``sum(w f T_K)``, so the results agree
     with the per-index route to rounding, not bit for bit.
     """
     orders = np.arange(-top, top + 1, dtype=float)
-    tables = [np.exp(1j * math.pi * np.multiply.outer(orders, axis)) for axis in axes]
-    box = along_axes(fw.reshape([axis.size for axis in axes]), tables)
+    tables = [np.exp(1j * math.pi * np.multiply.outer(orders, axis)) for axis in grid.axes]
+    box = along_axes(fw.reshape([axis.size for axis in grid.axes]), tables)
     index = np.asarray(ball)
-    # the sign of each index's first nonzero coordinate: its sin/cos class
-    lead = index[np.arange(len(ball)), np.argmax(index != 0, axis=1)]
-    at = tuple((index + top).T)
-    F = box[at]
+    lead = _lead(index)
+    F = box[tuple((index + top).T)]
     beta = np.where(lead > 0, SQRT2 * F.imag, np.where(lead < 0, SQRT2 * F.real, F.real))
-    coefficients = np.zeros_like(box)
-    coefficients[at] = np.where(lead > 0, -1j * SQRT2 * beta,
-                                np.where(lead < 0, SQRT2 * beta, beta))
-    approx = along_axes(coefficients, [table.T for table in tables]).real
+    size = np.where(lead != 0, SQRT2, 1.0) * float(np.sum(np.abs(fw)))
+    beta = np.where(significant(beta, size, grid), beta, 0.0)
+    approx = along_axes(_box(index, beta, top), [table.T for table in tables]).real
     return dict(zip(ball, beta.tolist())), approx.reshape(-1)
 
 
@@ -118,8 +134,9 @@ def _truncate_by_loop(fw: np.ndarray, ball: list[MultiIndex],
     """Ball coefficients and the truncation, one basis column per index.
 
     Each coefficient is ``sum(w f T_K)`` as :func:`trig_coefficient` forms it,
-    and the truncation is summed in ball order as ``TrigPolynomial.evaluate``
-    sums it, so both agree bit for bit with the per-index route.  Each ``T_K``
+    kept if :func:`significant` against ``sum |w f T_K|``, and the truncation
+    sums the kept terms in ball order as ``TrigPolynomial.evaluate`` sums
+    them, so both agree bit for bit with the per-index route.  Each ``T_K``
     column is computed on half of a centrally symmetric grid and mirrored;
     the phase ``x @ K`` at ``-x`` is the exact negation of the one at ``x``,
     sine is odd and cosine even, so the column has the bits of
@@ -129,21 +146,29 @@ def _truncate_by_loop(fw: np.ndarray, ball: list[MultiIndex],
     approx = np.zeros(grid.nodes.shape[0])
     for K in ball:
         t = _basis_column(K, grid)
-        beta = float(np.sum(fw * t))
-        terms[K] = beta
-        if beta != 0.0:
+        products = fw * t
+        beta = float(np.sum(products))
+        if significant(beta, float(np.sum(np.abs(products))), grid):
+            terms[K] = beta
             approx += beta * t
     return terms, approx
+
+
+def _wide_axes(grid: Grid, top: int):
+    """``grid.axes`` if each has at least ``2 top + 1`` nodes, so that no table of
+    orders ``|K_j| <= top`` is larger than its axis and no box than the grid; else None."""
+    axes = grid.axes
+    return axes if axes is not None and all(axis.size > 2 * top for axis in axes) else None
 
 
 def _truncate_on_ball(f, k: float, grid: Grid, cap=None) -> tuple[TrigPolynomial, float]:
     """Coefficients of ``f`` on the radius-``k`` ball and the measured residual.
 
     One evaluation of ``f`` serves every coefficient and the residual.  On a
-    grid with :attr:`Grid.axes` of at least ``2 top + 1`` nodes each (``top``
-    the largest ``|K_j|`` in the ball, so no table is larger than its axis)
+    grid with :func:`_wide_axes` (``top`` the largest ``|K_j|`` in the ball)
     they come from contractions one axis at a time; on any other grid from
-    one pass over the ball.
+    one pass over the ball.  Either way a coefficient within the rounding of
+    its sum (:func:`significant`) is 0, out of the polynomial and residual.
     """
     if grid.spec.measure != UNIFORM_CUBE:
         raise WrongMeasure("trig coefficients require the uniform cube measure")
@@ -151,9 +176,8 @@ def _truncate_on_ball(f, k: float, grid: Grid, cap=None) -> tuple[TrigPolynomial
     f_vals = evaluate_on(f, grid.nodes)
     fw = grid.weights * f_vals
     top = math.isqrt(radius_sq_bound(k))
-    axes = grid.axes
-    if axes is not None and all(axis.size > 2 * top for axis in axes):
-        terms, approx = _truncate_on_axes(fw, ball, top, axes)
+    if _wide_axes(grid, top) is not None:
+        terms, approx = _truncate_on_axes(fw, ball, top, grid)
     else:
         terms, approx = _truncate_by_loop(fw, ball, grid)
     poly = TrigPolynomial(terms, scale=1.0, dimension=grid.dimension)
@@ -220,6 +244,29 @@ def shift_polynomial_to_half_scale(poly: TrigPolynomial, orthant: tuple[int, ...
     return TrigPolynomial(out, scale=0.5, dimension=poly.dimension)
 
 
+def _check_orthant_scan(d: int, indices: int, nodes: int, cap=None) -> None:
+    """Raise :class:`CapExceeded` when the reflect-mode orthant scan, each of ``2^d``
+    orthants scored over ``indices`` ball indices at ``nodes`` grid nodes, is
+    past the cap; ``validate`` checks configs with the same formula."""
+    limit = active_cap(cap)
+    if 2**d * indices * nodes > limit:
+        raise CapExceeded(f"orthant scan of 2^{d} orthants x {indices} indices x {nodes} "
+                          f"grid nodes exceeds the cap {limit}")
+
+
+def _shifted_on_axes(poly: TrigPolynomial, axes):
+    """``nu -> poly(nu * (x + 1) / 2)`` at every node of the product of ``axes``: the
+    real part of the :func:`_box` contracted with ``exp(i pi K_j nu_j (x_j + 1) / 2)``
+    along each axis ``j``, whose table for ``nu_j = -1`` is the conjugate."""
+    index = np.array(list(poly.terms), dtype=int).reshape(-1, poly.dimension)
+    top = int(np.max(np.abs(index), initial=0))
+    box = _box(index, np.array(list(poly.terms.values())), top)
+    orders = np.arange(-top, top + 1, dtype=float)
+    tables = [np.exp(0.5j * math.pi * np.multiply.outer(axis + 1.0, orders)) for axis in axes]
+    return lambda nu: along_axes(box, [table if s > 0 else table.conj()
+                                       for s, table in zip(nu, tables)]).real.reshape(-1)
+
+
 def reflect_and_truncate(f, lipschitz: float, epsilon: float, grid: Grid,
                          cap=None, orthant_dim_cap: int = 20) -> TruncationReport:
     """Approximate an arbitrary L-Lipschitz function on the cube.
@@ -232,7 +279,8 @@ def reflect_and_truncate(f, lipschitz: float, epsilon: float, grid: Grid,
     3. truncate ``ftilde`` at radius ``k = L/eps`` with the periodic rule;
     4. choose the orthant ``nu`` minimizing the L2 error of the truncation
        against ``fbar`` (the analysis guarantees one good orthant exists; we
-       scan all ``2^d`` and take the argmin);
+       scan all ``2^d`` and take the argmin, each scored by one contraction on
+       a grid with :func:`_wide_axes`, and refuse a scan past the cap);
     5. shift/rescale back, yielding a polynomial at scale ``rho = 1/2``.
 
     The caller asserts ``f`` is ``lipschitz``-Lipschitz with ``|E f| <= lipschitz``.
@@ -254,14 +302,17 @@ def reflect_and_truncate(f, lipschitz: float, epsilon: float, grid: Grid,
         return evaluate_on(f, folded)
 
     inner = truncate_periodic(ftilde, 2.0 * lipschitz, epsilon, grid, cap)
+    _check_orthant_scan(d, count_ball(inner.degree_radius, d), grid.nodes.shape[0], cap)
     ptilde = inner.polynomial
 
     # Orthant chosen by measured error of ptilde(nu * (x+1)/2) against f on the grid.
     f_vals = evaluate_on(f, grid.nodes)
+    axes = _wide_axes(grid, math.isqrt(radius_sq_bound(inner.degree_radius)))
+    shifted = _shifted_on_axes(ptilde, axes) if axes is not None else (
+        lambda nu: ptilde.evaluate(np.asarray(nu, dtype=float) * (grid.nodes + 1.0) / 2.0))
     best_nu, best_err = None, math.inf
     for nu in itertools.product((-1, 1), repeat=d):
-        mapped = np.asarray(nu, dtype=float) * (grid.nodes + 1.0) / 2.0
-        err = float(np.sum(grid.weights * (ptilde.evaluate(mapped) - f_vals) ** 2))
+        err = float(np.sum(grid.weights * (shifted(nu) - f_vals) ** 2))
         if err < best_err:
             best_nu, best_err = nu, err
 

@@ -29,6 +29,7 @@ import numpy as np
 
 from . import __version__
 from .approx import (
+    _check_orthant_scan,
     _sobolev_radius,
     reflect_and_truncate,
     sobolev_norm_from_coeffs,
@@ -104,21 +105,13 @@ def _fmt(value) -> str:
     return "%.17g" % x
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write ``text`` to a temporary file beside ``path``, then move it over ``path``,
-    so a reader never sees a partly written file."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def _write_lines(path: str, lines: list[str]) -> None:
-    _write_atomic(path, "\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def emit_curve(points, path: str) -> None:
@@ -368,8 +361,11 @@ def _check_truncation(p) -> None:
     ratio, least = p.L / p.epsilon, (2.0 if p.mode == "periodic" else 1.0)
     if ratio < least:
         raise ConfigError(f"{p.mode} truncation needs L/epsilon >= {least:g}, got {ratio}")
-    # reflection truncates a 2L-Lipschitz extension periodically, at (2L) / (2 epsilon)
-    _check_ball(p, (p.L if p.mode == "periodic" else 2.0 * p.L) / (2.0 * p.epsilon))
+    if p.mode == "periodic":
+        _check_ball(p, p.L / (2.0 * p.epsilon))
+    else:  # a 2L-Lipschitz extension truncated periodically, then 2^d orthants scored
+        indices = _check_ball(p, (2.0 * p.L) / (2.0 * p.epsilon))
+        _check_orthant_scan(p.d, indices, _node_count(p))
 
 
 def _check_sobolev(p) -> None:
@@ -414,18 +410,38 @@ def _label_str(label) -> str:
 
 
 class _Run:
-    """Shared state for one experiment run: where its files go, and their names."""
+    """Shared state for one experiment run: where its files go, and their names.
+
+    Every output is written under a temporary name beside its own and moved
+    into place only once the whole run has succeeded (:meth:`commit`), the
+    result document last, so a reader sees every output of a run or none.
+    """
 
     def __init__(self, out_dir: str, prefix: str):
         self.out_dir = out_dir
         self.prefix = prefix
         self.csv_files: list[str] = []
+        self.staged: dict[str, str] = {}  # final path: temporary path, in write order
+
+    def stage(self, name: str) -> str:
+        """The temporary path to write the output ``name`` to."""
+        final = os.path.join(self.out_dir, name)
+        return self.staged.setdefault(final, f"{final}.{os.getpid()}.tmp")
 
     def path(self, suffix: str) -> str:
         name = f"{self.prefix}_{suffix}"
-        full = os.path.join(self.out_dir, name)
         self.csv_files.append(name)
-        return full
+        return self.stage(name)
+
+    def commit(self) -> None:
+        for final, tmp in self.staged.items():
+            os.replace(tmp, final)
+        self.staged = {}
+
+    def discard(self) -> None:
+        for tmp in self.staged.values():
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
 def _run_count_lattice(p, run: _Run) -> dict:
@@ -554,9 +570,7 @@ def _run_mixture_check(p, run: _Run) -> dict:
     header = ",".join(f"k{i + 1}" for i in range(p.d)) + ",max_err"
     rows, worst, worst_K = [header], -1.0, None
     for K in enumerate_ball(p.k, p.d):
-        reference = phi_K(K, p.rho, zs)
-        err = max(abs(mixture_expectation(K, p.rho, p.d, float(z)) - float(ref))
-                  for z, ref in zip(zs, reference))
+        err = float(np.max(np.abs(mixture_expectation(K, p.rho, p.d, zs) - phi_K(K, p.rho, zs))))
         rows.append(",".join(str(c) for c in K) + "," + _fmt(err))
         if err > worst:
             worst, worst_K = err, K
@@ -660,6 +674,7 @@ def run_config(config_path: str, out_dir: str = ".",
                seed_override=None) -> tuple[int, dict | None]:
     """Execute one config; returns (exit_code, result document or None)."""
     start = time.monotonic()
+    run = None
     try:
         raw, cfg = _load_config(config_path)
         p = _parse(cfg, seed_override)
@@ -667,29 +682,33 @@ def run_config(config_path: str, out_dir: str = ".",
         run = _Run(out_dir=out_dir, prefix=str(prefix))
         os.makedirs(out_dir, exist_ok=True)
         results = _KINDS[cfg["kind"]][0](p, run)
+        doc = {
+            "kind": cfg["kind"],
+            "config_text": raw,
+            "seed": p.seed,
+            "threads": 1,  # trials run in order on the calling thread
+            "versions": {
+                "widthlab": __version__,
+                "numpy": np.__version__,
+                "python": ".".join(str(v) for v in sys.version_info[:3]),
+            },
+            "wall_time_s": time.monotonic() - start,
+            "csv_files": run.csv_files,
+            "results": results,
+        }
+        try:  # compact, so that json takes its C encoder; NaN and infinity are not JSON
+            text = json.dumps(doc, separators=(",", ":"), allow_nan=False)
+        except ValueError:
+            raise FloatingPointError("non-finite value in the result document") from None
+        result_name = f"{prefix}_result.json"
+        _write_text(run.stage(result_name), text + "\n")
+        run.commit()
     except _HANDLED as exc:
         return _report(exc), None
-    doc = {
-        "kind": cfg["kind"],
-        "config_text": raw,
-        "seed": p.seed,
-        "threads": 1,  # trials run in order on the calling thread
-        "versions": {
-            "widthlab": __version__,
-            "numpy": np.__version__,
-            "python": ".".join(str(v) for v in sys.version_info[:3]),
-        },
-        "wall_time_s": time.monotonic() - start,
-        "csv_files": run.csv_files,
-        "results": results,
-    }
-    result_path = os.path.join(out_dir, f"{prefix}_result.json")
-    try:  # compact, so that json takes its C encoder; NaN and infinity are not JSON
-        text = json.dumps(doc, separators=(",", ":"), allow_nan=False)
-    except ValueError:
-        return _report(FloatingPointError("non-finite value in the result document")), None
-    _write_atomic(result_path, text + "\n")
-    print(result_path)
+    finally:
+        if run is not None:
+            run.discard()
+    print(os.path.join(out_dir, result_name))
     return 0, doc
 
 

@@ -45,8 +45,7 @@ from .relu import FittedSpan, ReluParamDist, _check_features
 from .relu import _design_matrix  # noqa: F401  the benchmark's tracer patches it here
 
 
-# Bytes of stacked weighted designs that ``width_residuals`` factors at once,
-# as ``relu._BLOCK_BYTES`` bounds the network's row blocks.
+# Bytes of stacked weighted designs that ``width_residuals`` factors at once.
 _CHUNK_BYTES = 2 * 2**20
 
 # Bytes of draws and factors kept at once: the trials of a batch this size

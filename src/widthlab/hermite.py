@@ -27,7 +27,7 @@ from .errors import (
     WrongMeasure,
 )
 from .lattice import MultiIndex
-from .quadrature import GAUSSIAN, Grid, along_axes, evaluate_on
+from .quadrature import GAUSSIAN, Grid, along_axes, evaluate_on, significant
 from .trig import DerivedTerm
 
 MAX_DEGREE = 200
@@ -192,33 +192,39 @@ def _simplex_count(k: int, d: int) -> int:
 
 
 def _truncate_on_axes(weighted: np.ndarray, k: int,
-                      axes) -> tuple[dict[MultiIndex, float], np.ndarray]:
+                      grid: Grid) -> tuple[dict[MultiIndex, float], np.ndarray]:
     """Simplex coefficients and the truncation on a product grid, one axis at a time.
 
     Contracting ``w f`` with the tables ``h_0 .. h_k`` of every axis gives
-    ``sum(w f H_K)`` on the box ``K_j <= k``; the simplex keeps the entries
-    with ``|K|_1 <= k`` in lexicographic order, and the box with the rest set
+    ``sum(w f H_K)`` on the box ``K_j <= k``, and ``|w f|`` with their magnitudes
+    ``sum |w f H_K|``; the terms are the :func:`significant` entries with
+    ``|K|_1 <= k`` in lexicographic order, and the box of them, the rest set
     to zero, contracted back with the same tables, is the truncation.
     """
+    axes = grid.axes
     tables = [_univariate_table(k, axis) for axis in axes]
-    box = along_axes(weighted.reshape([axis.size for axis in axes]), tables)
+    shape = [axis.size for axis in axes]
+    box = along_axes(weighted.reshape(shape), tables)
+    sizes = along_axes(np.abs(weighted).reshape(shape), [np.abs(table) for table in tables])
     degree = functools.reduce(np.add, np.ix_(*[np.arange(k + 1)] * len(axes)))
-    kept = degree <= k
-    alphas = box[kept]
-    terms = dict(zip(map(tuple, np.argwhere(kept).tolist()), alphas.tolist()))
-    approx = along_axes(np.where(kept, box, 0.0), [table.T for table in tables])
+    box = np.where((degree <= k) & significant(box, sizes, grid), box, 0.0)
+    kept = np.nonzero(box)  # in lexicographic order
+    terms = dict(zip(map(tuple, np.transpose(kept).tolist()), box[kept].tolist()))
+    approx = along_axes(box, [table.T for table in tables])
     return terms, approx.reshape(-1)
 
 
 def _truncate_by_walk(weighted: np.ndarray, k: int,
-                      nodes: np.ndarray) -> tuple[dict[MultiIndex, float], np.ndarray]:
+                      grid: Grid) -> tuple[dict[MultiIndex, float], np.ndarray]:
     """Simplex coefficients and the truncation from per-dimension value tables.
 
     Depth-first over prefixes in lexicographic order, smallest next degree on
     top; an entry holds the product of every factor but its last coordinate's,
     which siblings share.  A spent budget completes its prefix with zeros at
     once: ``h_0 = 1``, so the skipped factors leave the product as it is.
+    Only :func:`significant` sums enter the terms and the truncation.
     """
+    nodes = grid.nodes
     n, d = nodes.shape
     tables = [_univariate_table(k, nodes[:, j]) for j in range(d)]
     terms: dict[MultiIndex, float] = {}
@@ -230,9 +236,11 @@ def _truncate_by_walk(weighted: np.ndarray, k: int,
         if prefix:
             prod = prod * tables[len(prefix) - 1][prefix[-1]]
         if left == 0 or len(prefix) == d:
-            alpha = float(np.sum(weighted * prod))
-            terms[prefix + zeros[len(prefix):]] = alpha
-            np.add(approx, alpha * prod, out=approx)
+            products = weighted * prod
+            alpha = float(np.sum(products))
+            if significant(alpha, float(np.sum(np.abs(products))), grid):
+                terms[prefix + zeros[len(prefix):]] = alpha
+                np.add(approx, alpha * prod, out=approx)
             continue
         stack.extend((prefix + (deg,), left - deg, prod) for deg in range(left, -1, -1))
     return terms, approx
@@ -262,7 +270,8 @@ def hermite_truncate(f, lipschitz: float, epsilon: float, grid: Grid,
     grid: on a grid with :attr:`Grid.axes` of more than ``k`` nodes each,
     from contractions one axis at a time, agreeing with the per-index sums
     to rounding; elsewhere from per-dimension value tables and one walk over
-    the index simplex.
+    the index simplex.  Either way a coefficient within the rounding of its
+    sum (:func:`significant`) is 0, out of the polynomial and residual.
     """
     if grid.spec.measure != GAUSSIAN:
         raise WrongMeasure("Hermite truncation needs a Gaussian-measure grid")
@@ -274,9 +283,9 @@ def hermite_truncate(f, lipschitz: float, epsilon: float, grid: Grid,
     weighted = grid.weights * f_vals
     axes = grid.axes
     if axes is not None and all(axis.size > k for axis in axes):
-        terms, approx = _truncate_on_axes(weighted, k, axes)
+        terms, approx = _truncate_on_axes(weighted, k, grid)
     else:
-        terms, approx = _truncate_by_walk(weighted, k, grid.nodes)
+        terms, approx = _truncate_by_walk(weighted, k, grid)
     residual = math.sqrt(max(float(np.sum(grid.weights * (f_vals - approx) ** 2)), 0.0))
     poly = HermitePolynomial(terms, dimension=d)
     return HermiteTruncationReport(polynomial=poly, degree_budget=k,

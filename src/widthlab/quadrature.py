@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -127,13 +127,29 @@ def along_axes(values: np.ndarray, tables) -> np.ndarray:
     return out
 
 
+def significant(sums, abs_sums, grid: Grid):
+    """Whether each sum of ``w f B`` over the grid's ``n`` nodes, with ``abs_sums`` the
+    sums of ``|w f B|``, exceeds its first-order rounding bound
+    ``(sum_j m_j + 8 + log2 n) eps abs_sums``: a contraction chains at most
+    ``m_j`` additions on an axis of ``m_j`` nodes, numpy's pairwise sum at most
+    ``8 + log2 n``.  Truncations keep a sum within its bound as exactly 0.
+    """
+    chain = sum(axis.size for axis in grid.axes or ()) + 8 + math.log2(grid.nodes.shape[0])
+    return np.abs(sums) > chain * np.finfo(float).eps * abs_sums
+
+
+# Grids of a few sizes recur in every experiment; building a rule takes about 1 ms.
+@lru_cache(maxsize=32)
 def _gauss_1d(measure: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     if measure == UNIFORM_CUBE:
         x, w = np.polynomial.legendre.leggauss(n)
-        return x, w / 2.0
-    # standard normal: substitute x = sqrt(2) t in the physicists' rule
-    t, w = np.polynomial.hermite.hermgauss(n)
-    return math.sqrt(2.0) * t, w / math.sqrt(math.pi)
+        w = w / 2.0
+    else:  # standard normal: substitute x = sqrt(2) t in the physicists' rule
+        t, w = np.polynomial.hermite.hermgauss(n)
+        x, w = math.sqrt(2.0) * t, w / math.sqrt(math.pi)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def make_grid(spec: QuadratureSpec, cap: int | None = None) -> Grid:

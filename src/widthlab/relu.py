@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Callable
 
 import numpy as np
@@ -522,13 +522,25 @@ def width_bound(beta_bar: float, d: int, k: float, Q: int, epsilon: float, delta
     return max(1, math.ceil(raw))
 
 
-# Bytes of design matrix that ``sample_average_network`` holds at once: the
-# network is evaluated in row blocks of about this size, not in one (n, r)
-# buffer.  Blocks hold a multiple of 8 rows, so a BLAS that takes rows in
-# groups (of 4 in OpenBLAS's gemv) groups them as it does in one buffer and
-# gives the same bits on one thread.
-_BLOCK_BYTES = 2 * 2**20
-_BLOCK_ALIGN = 8
+def _network_values(directions: np.ndarray, idx: np.ndarray, b: np.ndarray,
+                    coefficients: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """``sum_i c_i relu(<w_i, x> - b_i)`` at every node, ``w_i = directions[idx_i]``, in
+    ``O(n + r)`` memory: the features of one ball index share ``t = <w, x>``, those
+    active at ``t`` (``b_i < t``) are a prefix of their sorted biases, and their sum
+    is ``t C - B`` from the prefix sums ``C`` of ``c_i`` and ``B`` of ``c_i b_i``."""
+    order = np.lexsort((b, idx))  # by ball index, then bias
+    counts = np.bincount(idx, minlength=len(directions))
+    ends = np.cumsum(counts)
+    values = np.zeros(len(nodes))
+    for q in np.flatnonzero(counts):
+        group = order[ends[q] - counts[q]:ends[q]]
+        bias, c = b[group], coefficients[group]
+        t = nodes @ directions[q]
+        active = np.searchsorted(bias, t)
+        C = np.concatenate(([0.0], np.cumsum(c)))
+        B = np.concatenate(([0.0], np.cumsum(c * bias)))
+        values += t * C[active] - B[active]
+    return values
 
 
 def sample_average_network(P: TrigPolynomial, r: int, dist: DkDistribution,
@@ -538,23 +550,19 @@ def sample_average_network(P: TrigPolynomial, r: int, dist: DkDistribution,
     Draws ``r`` features from ``dist`` as ``W (r, d)`` and ``b (r,)``, attaches
     the importance weight of each divided by ``r``, and returns the span with
     its measured L2 error against ``P`` on the grid.  Error decays like
-    ``1/sqrt(r)``.  The network is evaluated a block of grid rows at a time,
-    so its design matrix takes about ``_BLOCK_BYTES`` whatever the grid size.
+    ``1/sqrt(r)``.  The network is evaluated one drawn ball index at a time
+    (:func:`_network_values`), with no ``(n, r)`` design matrix.
     """
     if not isinstance(dist, DkDistribution):
         raise UnsupportedCombination("sample-average networks require a D_k distribution")
     if r < 1:
         raise ParameterOutOfRange(f"width must be a positive integer, got {r}")
     idx, b = dist.sample_indices(np.random.default_rng(seed), r)
-    W = dist.directions[idx]
     coeffs = dist.importance_weights(P, idx, b) / r
-    approx = np.empty(len(grid.nodes))
-    rows = max(1, _BLOCK_BYTES // (8 * r * _BLOCK_ALIGN)) * _BLOCK_ALIGN
-    for start in range(0, len(grid.nodes), rows):
-        block = slice(start, start + rows)
-        approx[block] = _design_matrix(W, b, grid.nodes[block]) @ coeffs
+    approx = _network_values(dist.directions, idx, b, coeffs, grid.nodes)
     err = l2_error(P.evaluate, lambda nodes: approx, grid)
-    return FittedSpan(W=W, b=b, coefficients=coeffs, l2_error=err, grid_id=grid.spec.label())
+    return FittedSpan(W=dist.directions[idx], b=b, coefficients=coeffs, l2_error=err,
+                      grid_id=grid.spec.label())
 
 
 @lru_cache(maxsize=None)
@@ -565,27 +573,30 @@ def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return t, u
 
 
-def _gauss_legendre_piece(f, lo: float, hi: float, order: int = 64) -> float:
-    if hi <= lo:
-        return 0.0
-    t, u = _legendre_rule(order)
-    mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-    return float(half * np.sum(u * f(mid + half * t)))
-
-
-def mixture_expectation(K: MultiIndex, rho: float, d: int, z: float) -> float:
-    """Semi-analytic ``E_b[psi_K(b) relu(z - b)]`` with b uniform on the support.
+def mixture_expectation(K: MultiIndex, rho: float, d: int, z) -> float | np.ndarray:
+    """Semi-analytic ``E_b[psi_K(b) relu(z - b)]`` with b uniform on the support,
+    at a scalar ``z`` (a float) or at every entry of a 1-D array ``z``.
 
     The integrand is smooth between the breakpoints of ``psi`` and the kink of
     the ReLU at ``b = z``, so fixed-order Gauss-Legendre on each piece is
-    exact to machine precision.
+    exact to machine precision.  Every piece of every ``z`` is one row of one
+    ``psi_K`` call, summed alone, and each ``z`` adds its pieces in cut order,
+    so each value has the bits of the scalar call.
     """
     root = math.sqrt(d)
-    cuts = sorted({-2.0 * root, -1.5 * root, -root, root, min(z, 2.0 * root)})
-    cuts = [c for c in cuts if c <= min(z, 2.0 * root)]
-    total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        total += _gauss_legendre_piece(
-            lambda b: psi_K(K, rho, d, b) * (z - b), lo, hi
-        )
-    return total / (4.0 * root)
+    zs = np.asarray(z, dtype=float)
+    flat = zs.reshape(-1, 1)
+    cuts = np.array([-2.0 * root, -1.5 * root, -root, root])
+    top = np.minimum(flat, 2.0 * root)
+    live = cuts < top  # piece j of each z, a prefix of its row
+    lo = np.broadcast_to(cuts, live.shape)[live]
+    hi = np.minimum(np.append(cuts[1:], math.inf), top)[live]
+    t, u = _legendre_rule(64)
+    mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+    b = mid[:, None] + half[:, None] * t
+    vals = psi_K(K, rho, d, b) * (np.broadcast_to(flat, live.shape)[live][:, None] - b)
+    pieces = np.zeros(live.shape)
+    pieces[live] = half * np.sum(u * vals, axis=1)
+    total = reduce(np.add, pieces.T, np.zeros(len(flat)))  # 0.0 + p_0 + p_1 + ... in order
+    out = (total / (4.0 * root)).reshape(zs.shape)
+    return float(out) if zs.ndim == 0 else out

@@ -31,7 +31,8 @@ from widthlab import (
     truncate_periodic,
     truncate_sobolev,
 )
-from widthlab.approx import _basis_column
+from widthlab import approx
+from widthlab.approx import _basis_column, _shifted_on_axes
 
 from oracles import product_grid, sum_rounding
 
@@ -219,6 +220,17 @@ _D3_GRIDS = {"d3_even": tensor_gauss_grid(UNIFORM_CUBE, 3, 6),
 _TRUNCATIONS = [(truncate_periodic, (6.0, 1.0)), (truncate_sobolev, (1, 6.0, 1.0))]
 
 
+def _kept_per_index(f, ball, grid) -> dict:
+    """The per-index coefficients above the rounding bound of their sums, in ball order."""
+    fw = grid.weights * evaluate_on(f, grid.nodes)
+    kept = {}
+    for K in ball:
+        beta = trig_coefficient(f, K, grid)
+        if abs(beta) > sum_rounding(grid.axes or (), fw * eval_T(K, grid.nodes)):
+            kept[K] = beta
+    return kept
+
+
 class TestOnePassTruncation:
     """One evaluation of the target serves every coefficient and the residual."""
 
@@ -245,15 +257,14 @@ class TestOnePassTruncation:
     def test_bitwise_equal_to_per_index_coefficients(self, truncate, args, f, grid_name):
         """Where the per-index loop runs: on a grid without axes, and on tensor
         grids whose 5 or 6 nodes per axis are fewer than the 2 * 3 + 1 rows a
-        radius-3 table would have."""
+        radius-3 table would have.  Only the coefficients above the rounding
+        bound of their sums are kept."""
         grid = {"mc": _MC_GRID, **_D3_GRIDS}[grid_name]
         assert grid.axes is None or grid.axes[0].size < 7
         report = truncate(f, *args, grid)
         terms = report.polynomial.terms
         ball = enumerate_ball(report.degree_radius, grid.dimension)
-        expected = {K: trig_coefficient(f, K, grid) for K in ball}
-        assert terms == {K: beta for K, beta in expected.items() if beta != 0.0}
-        assert list(terms) == [K for K in ball if K in terms]
+        assert list(terms.items()) == list(_kept_per_index(f, ball, grid).items())
         assert report.residual_estimate == l2_error(f, report.polynomial.evaluate, grid)
 
     @pytest.mark.parametrize("truncate, args", _TRUNCATIONS)
@@ -310,9 +321,8 @@ class TestOnePassTruncation:
         grid = Grid(spec=symmetric.spec, nodes=nodes, weights=symmetric.weights)
         assert grid.h == nodes.shape[0]
         report = truncate(_vector_target, *args, grid)
-        expected = {K: trig_coefficient(_vector_target, K, grid)
-                    for K in enumerate_ball(report.degree_radius, 3)}
-        assert report.polynomial.terms == {K: b for K, b in expected.items() if b != 0.0}
+        ball = enumerate_ball(report.degree_radius, 3)
+        assert report.polynomial.terms == _kept_per_index(_vector_target, ball, grid)
         assert report.residual_estimate == l2_error(_vector_target,
                                                     report.polynomial.evaluate, grid)
 
@@ -352,6 +362,124 @@ class TestOnePassTruncation:
         with pytest.raises(WrongMeasure):
             truncate(target, *args, gauss_grid_2d)
         assert target.calls == []
+
+
+_BASE_2D = {(1, 0): 0.8, (0, -1): -0.5, (1, 1): 0.3, (-1, 1): 0.4}
+_BASE_3D = {(1, 0, 0): 0.7, (0, 1, -1): -0.5, (-1, 1, 1): 0.4, (0, 0, 2): 0.3, (0, 0, 0): 0.1}
+
+
+class TestSignificance:
+    """A coefficient within the rounding bound of its sum is exactly 0."""
+
+    @pytest.mark.parametrize("truncate, args", _TRUNCATIONS)
+    @pytest.mark.parametrize("terms", [_BASE_2D, _BASE_3D], ids=["d2", "d3"])
+    def test_trig_polynomial_keeps_exactly_its_support(self, truncate, args, terms,
+                                                       cube_grid_2d, cube_grid_3d):
+        P = TrigPolynomial(terms)
+        grid = cube_grid_2d if P.dimension == 2 else cube_grid_3d
+        report = truncate(P.evaluate, *args, grid)
+        assert len(enumerate_ball(report.degree_radius, P.dimension)) > 2 * len(terms)
+        assert set(report.polynomial.terms) == set(terms)
+        assert_allclose([report.polynomial.terms[K] for K in terms], list(terms.values()),
+                        rtol=0, atol=1e-13)
+
+    def test_reflected_abs_keeps_five_terms(self, cube_grid_2d):
+        """|2|x_1| - 1| is even and constant in x_2: of the 49 radius-4
+        indices only (m, 0) with m = 0, -1, .., -4 carry it."""
+        report = reflect_and_truncate(lambda X: np.abs(X[:, 0]), 1.0, 0.25, cube_grid_2d)
+        assert report.degree_radius == 4.0
+        assert len(report.polynomial.terms) == 5
+        inner = truncate_periodic(lambda X: np.abs(2.0 * np.abs(X[:, 0]) - 1.0), 2.0, 0.25,
+                                  cube_grid_2d)
+        assert sorted(inner.polynomial.terms) == [(-m, 0) for m in range(4, -1, -1)]
+
+    @pytest.mark.parametrize("truncate, args", _TRUNCATIONS)
+    @pytest.mark.parametrize("grid_name", ["d2", "d3", "d1_monte_carlo"])
+    def test_dropped_contraction_coefficients_are_within_their_bound(
+            self, truncate, args, grid_name, cube_grid_2d, cube_grid_3d):
+        """On the contraction route each ``beta_K`` sums ``w f`` times a factor
+        of modulus ``sqrt(2)`` (1 at zero), so a dropped one is at most the
+        bound on ``sqrt(2) sum |w f|``; its per-index sum is within that bound
+        and the rounding between the two routes."""
+        grid = {"d2": cube_grid_2d, "d3": cube_grid_3d, "d1_monte_carlo": _MC_GRID_1D}[grid_name]
+        f = lambda X: np.cos(np.pi * X[:, 0]) * (1.0 + X[:, -1] ** 2) + np.abs(X[:, 0])
+        report = truncate(f, *args, grid)
+        ball = enumerate_ball(report.degree_radius, grid.dimension)
+        fw = grid.weights * evaluate_on(f, grid.nodes)
+        phase_ulps = 2 * 3 * math.pi * grid.dimension
+        dropped = [K for K in ball if K not in report.polynomial.terms]
+        if grid_name != "d1_monte_carlo":
+            assert len(dropped) > len(ball) // 2
+        for K in dropped:
+            factor = 1.0 if not any(K) else SQRT2
+            bound = sum_rounding(grid.axes, factor * fw)
+            tol = sum_rounding(grid.axes, fw * eval_T(K, grid.nodes), phase_ulps)
+            assert abs(trig_coefficient(f, K, grid)) <= bound + tol, K
+
+
+class TestOrthantScan:
+    """Each orthant's values come from one contraction on grids with axes."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_orthant_values_match_evaluate_within_rounding(self, d):
+        rng = np.random.default_rng(d)
+        axes = [np.sort(rng.uniform(-1.0, 1.0, size=7 + j)) for j in range(d)]
+        grid = product_grid(axes)
+        ball = enumerate_ball(3, d)
+        poly = TrigPolynomial({K: float(rng.normal()) for K in ball[::2]}, dimension=d)
+        shifted = _shifted_on_axes(poly, grid.axes)
+        top = max(max(abs(c) for c in K) for K in poly.terms)
+        box_axes = [np.arange(-top, top + 1)] * d
+        size = np.array([abs(beta) * (SQRT2 if any(K) else 1.0)
+                         for K, beta in poly.terms.items()])
+        # the direct route adds the terms in order; each phase is off by about
+        # top pi ulps per axis
+        tol = sum_rounding(box_axes, size, len(poly.terms) + 2 * top * math.pi * d)
+        for nu in itertools.product((-1, 1), repeat=d):
+            want = poly.evaluate(np.asarray(nu, dtype=float) * (grid.nodes + 1.0) / 2.0)
+            assert np.max(np.abs(shifted(nu) - want)) <= tol, nu
+
+    @pytest.mark.parametrize("grid_name", ["d2", "unequal_axes"])
+    def test_kept_orthant_is_within_rounding_of_the_best(self, grid_name, cube_grid_2d):
+        grid = {"d2": cube_grid_2d, "unequal_axes": _UNEQUAL_GRID}[grid_name]
+        f = lambda X: np.abs(X[:, 0] - 0.2) + 0.5 * np.sin(X[:, 1]) * X[:, 0]
+        report = reflect_and_truncate(f, 2.0, 0.5, grid)
+        ftilde = lambda X: f(2.0 * np.abs(X) - 1.0)
+        ptilde = truncate_periodic(ftilde, 4.0, 0.5, grid).polynomial
+        f_vals = f(grid.nodes)
+        errors, spread = {}, 0.0
+        for nu in itertools.product((-1, 1), repeat=2):
+            mapped = np.asarray(nu, dtype=float) * (grid.nodes + 1.0) / 2.0
+            diff = ptilde.evaluate(mapped) - f_vals
+            errors[nu] = np.sum(grid.weights * diff**2)
+            spread = max(spread, float(np.sum(grid.weights * np.abs(diff))))
+        # each value within tol of the direct one moves each error by at most
+        # 2 tol sum(w |diff|), to first order; the kept and the best may both move
+        size = [abs(b) * SQRT2 for b in ptilde.terms.values()]
+        tol = sum_rounding([np.arange(-4, 5)] * 2, np.array(size),
+                           len(size) + 2 * 4 * math.pi * 2)
+        assert errors[report.orthant] <= min(errors.values()) + 4.0 * tol * spread
+        assert report.polynomial.terms == shift_polynomial_to_half_scale(
+            ptilde, report.orthant).terms
+
+    def test_axes_shorter_than_the_box_score_by_evaluate(self, monkeypatch):
+        """With 4 nodes per axis and radius 4 a box of 9^d orders would outgrow
+        the grid: the scan evaluates the polynomial, as on grids without axes."""
+        grid = tensor_gauss_grid(UNIFORM_CUBE, 2, 4)
+        f = lambda X: np.abs(X[:, 0])
+
+        def no_box(poly, axes):
+            raise AssertionError("the orthant scan contracted a box larger than the grid")
+
+        monkeypatch.setattr(approx, "_shifted_on_axes", no_box)
+        report = reflect_and_truncate(f, 1.0, 0.25, grid)
+        assert report.residual_estimate == l2_error(f, report.polynomial.evaluate, grid)
+
+    def test_scan_past_the_cap_is_refused(self):
+        grid = tensor_gauss_grid(UNIFORM_CUBE, 2, 4)
+        # 13 radius-2 indices at 16 nodes fit a cap of 500; four orthants of them do not
+        with pytest.raises(CapExceeded, match="orthant scan of 2\\^2 orthants x 13 indices"):
+            reflect_and_truncate(lambda X: np.abs(X[:, 0]), 1.0, 0.5, grid, cap=500)
 
 
 class TestDerivativeEnergy:

@@ -533,9 +533,15 @@ class TestConfigSchema:
         (_with(_TRIG, d=3, grid={"nodes_per_dim": 100}), 1000, "tensor grid"),
         (_with(_FIT, d=5000, dist={"k": 1}, grid={"scheme": "monte_carlo", "sample_count": 1}),
          None, "10001 indices x 5000 coordinates"),
+        (_with(_TRIG, d=16, L=1, epsilon=1,
+               grid={"scheme": "monte_carlo", "sample_count": 20000, "seed": 1}), None,
+         "orthant scan of 2^16 orthants x 33 indices x 20000 grid nodes exceeds the cap "
+         "10000000\n"),
+        (_with(_TRIG, d=2, epsilon=0.5, grid={"nodes_per_dim": 4}), 500,
+         "orthant scan of 2^2 orthants x 13 indices x 16 grid nodes exceeds the cap 500\n"),
     ], ids=["z_count", "trials_x_r", "design", "design_default_cap", "minwidth_r_max",
             "symmetric_family", "ball_family", "dist_ball", "mixture_ball", "grid",
-            "dist_direction_table"])
+            "dist_direction_table", "orthant_scan", "orthant_scan_small_cap"])
     def test_size_caps_exit_3(self, tmp_path, capsys, monkeypatch, doc, cap, fragment):
         if cap is not None:
             monkeypatch.setenv("WIDTHLAB_CAP", str(cap))
@@ -543,6 +549,7 @@ class TestConfigSchema:
             assert code == 3
             _assert_one_line(err, "cap exceeded: ")
             assert fragment in err
+        assert not (tmp_path / "o").exists()  # run stopped before any work
 
     @pytest.mark.parametrize("doc, cap, fragment", [
         ({"kind": "count_lattice", "parameters": {"k": 10, "d": 2}}, 1000,
@@ -639,7 +646,14 @@ class TestConfigSchema:
         err = capsys.readouterr().err
         _assert_one_line(err, "numerical failure: ")
         assert "non-finite" in err
-        assert not list((tmp_path / "o").glob("*_result.json"))
+        # the coefficients CSV was written before the norm overflowed: no file at all
+        assert not list((tmp_path / "o").iterdir())
+
+    def test_an_output_written_twice_is_moved_into_place_once(self, tmp_path):
+        code, result, out_dir = _run(tmp_path, _with(_LBP, r_list=[1, 1]))
+        assert code == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "lb_projection_r1_residuals.csv", "lb_projection_result.json"]
 
     @pytest.mark.parametrize("doc", [
         {"kind": "count_lattice", "parameters": {"k": 1, "d": 5000}},

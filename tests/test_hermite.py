@@ -280,7 +280,8 @@ class TestHermiteTruncate:
     def test_walk_matches_recursion_over_coordinates_bit_for_bit(self, grid):
         """The index simplex in lexicographic order, one product per coordinate,
         where the walk runs: on a grid without axes, and on a tensor grid whose
-        4 nodes per axis are fewer than the 5 table rows of degree budget 4."""
+        4 nodes per axis are fewer than the 5 table rows of degree budget 4.
+        Only the coefficients above the rounding bound of their sums are kept."""
         f = lambda X: np.sin(X[:, 0] + 0.5 * X[:, 1]) * np.cos(X[:, 2])
         report = hermite_truncate(f, 2.0, 1.0, grid)
         assert report.degree_budget == 4
@@ -292,15 +293,16 @@ class TestHermiteTruncate:
 
         def descend(j, budget, prefix, prod):
             if j == 3:
-                terms[prefix] = alpha = float(np.sum(weighted * prod))
-                np.add(approx, alpha * prod, out=approx)
+                alpha = float(np.sum(weighted * prod))
+                if abs(alpha) > sum_rounding(grid.axes or (), weighted * prod):
+                    terms[prefix] = alpha
+                    np.add(approx, alpha * prod, out=approx)
                 return
             for deg in range(budget + 1):
                 descend(j + 1, budget - deg, prefix + (deg,), prod * tables[j][deg])
 
         descend(0, 4, (), np.ones(len(nodes)))
-        assert list(report.polynomial.terms.items()) == [
-            (K, a) for K, a in terms.items() if a != 0.0]
+        assert list(report.polynomial.terms.items()) == list(terms.items())
         assert report.residual_estimate == math.sqrt(float(np.sum(w * (f(nodes) - approx) ** 2)))
 
     @pytest.mark.parametrize("grid_name", ["d1", "d2", "d3", "d1_monte_carlo"])
@@ -335,6 +337,42 @@ class TestHermiteTruncate:
         direct = math.sqrt(float(np.sum(grid.weights * (f(grid.nodes) - approx) ** 2)))
         assert abs(report.residual_estimate - direct) <= math.sqrt(
             float(np.sum(grid.weights * slack**2)))
+
+    @pytest.mark.parametrize("grid_name", ["d2", "d3"])
+    def test_hermite_polynomial_keeps_exactly_its_support(self, grid_name, gauss_grid_2d,
+                                                          gauss_grid_3d):
+        terms = {(1, 0): 1.0, (0, 2): -0.5, (1, 1): 0.25, (0, 0): 0.125}
+        if grid_name == "d3":
+            terms = {K + (j,): a for j, (K, a) in enumerate(terms.items())}
+        grid = {"d2": gauss_grid_2d, "d3": gauss_grid_3d}[grid_name]
+        P = HermitePolynomial(terms)
+        report = hermite_truncate(P.evaluate, 2.0, 1.0, grid)
+        assert report.degree_budget == 4
+        assert set(report.polynomial.terms) == set(terms)
+        assert_allclose([report.polynomial.terms[K] for K in terms], list(terms.values()),
+                        rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("grid_name", ["d2", "d3", "d1_monte_carlo"])
+    def test_dropped_contraction_coefficients_are_within_their_bound(
+            self, grid_name, gauss_grid_2d, gauss_grid_3d):
+        """A dropped ``alpha_K`` is at most the bound on ``sum |w f H_K|``, which
+        the contraction forms from the tables' magnitudes; its per-index sum is
+        within that bound and the rounding between the two routes."""
+        grid = {"d2": gauss_grid_2d, "d3": gauss_grid_3d, "d1_monte_carlo": _MC_GRID_1D}[grid_name]
+        d = grid.dimension
+        f = lambda X: np.cos(X[:, 0]) * (1.0 + X[:, -1] ** 2) + np.abs(X[:, 0])
+        report = hermite_truncate(f, 2.0, 0.7, grid)
+        k = report.degree_budget
+        assert all(axis.size > k for axis in grid.axes)
+        simplex = [K for K in itertools.product(range(k + 1), repeat=d) if sum(K) <= k]
+        dropped = [K for K in simplex if K not in report.polynomial.terms]
+        if grid_name != "d1_monte_carlo":
+            assert len(dropped) > len(simplex) // 2
+        weighted = grid.weights * f(grid.nodes)
+        for K in dropped:
+            products = weighted * H_multivariate(K, grid.nodes)
+            bound = sum_rounding(grid.axes, products, 2 * d)
+            assert abs(float(np.sum(products))) <= 2 * bound, K
 
     def test_dimension_past_the_recursion_limit(self):
         """Budget 1 in more dimensions than Python frames: the constant and every

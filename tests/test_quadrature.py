@@ -29,9 +29,9 @@ from widthlab import (
     tensor_gauss_grid,
     trig_coefficient,
 )
-from widthlab.quadrature import along_axes
+from widthlab.quadrature import _gauss_1d, along_axes, significant
 
-from oracles import product_grid
+from oracles import product_grid, sum_rounding
 
 
 class TestTensorGauss:
@@ -151,6 +151,54 @@ class TestAxes:
         # each entry sums 60 products of 4 factors: at most 60 + 3 roundings in each route
         slack = 2 * (values.size + 3) * np.finfo(float).eps * magnitude
         assert np.all(np.abs(along_axes(values, tables) - expected) <= slack)
+
+
+class TestGaussRules:
+    """The 1-D rules behind tensor grids are built once per measure and size."""
+
+    def test_a_second_grid_reuses_its_rule(self, monkeypatch):
+        specs = [QuadratureSpec(UNIFORM_CUBE, TENSOR_GAUSS, 1, nodes_per_dim=13),
+                 QuadratureSpec(GAUSSIAN, TENSOR_GAUSS, 2, nodes_per_dim=13)]
+        first = [make_grid(spec) for spec in specs]
+        x, w = np.polynomial.legendre.leggauss(13)
+        assert np.array_equal(first[0].nodes[:, 0], x)
+        assert np.array_equal(first[0].weights, w / 2.0)
+
+        def rebuilt(n):
+            raise AssertionError("the Gauss rule was rebuilt")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", rebuilt)
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss", rebuilt)
+        for spec, grid in zip(specs, first):
+            again = make_grid(spec)
+            assert np.array_equal(again.nodes, grid.nodes)
+            assert np.array_equal(again.weights, grid.weights)
+        for measure in (UNIFORM_CUBE, GAUSSIAN):
+            assert not any(a.flags.writeable for a in _gauss_1d(measure, 13))
+
+
+class TestSignificant:
+    """The first-order rounding bound of a quadrature sum, as the oracle states it."""
+
+    @pytest.mark.parametrize("grid_name", ["tensor_2d", "monte_carlo_2d", "monte_carlo_1d"])
+    def test_matches_the_oracle_bound(self, grid_name):
+        grid = {"tensor_2d": tensor_gauss_grid(UNIFORM_CUBE, 2, 9),
+                "monte_carlo_2d": make_grid(QuadratureSpec(UNIFORM_CUBE, MONTE_CARLO, 2,
+                                                           sample_count=64, seed=1)),
+                "monte_carlo_1d": make_grid(QuadratureSpec(UNIFORM_CUBE, MONTE_CARLO, 1,
+                                                           sample_count=64, seed=1))}[grid_name]
+        rng = np.random.default_rng(7)
+        n = grid.nodes.shape[0]
+        for scale in (1.0, 1e-13, 1e-14, 1e-15, 1e-16):
+            products = rng.normal(size=n)
+            products -= np.mean(products)  # a sum of rounding size
+            products[0] += scale
+            total = np.sum(products)
+            bound = sum_rounding(grid.axes or (), products)
+            assert significant(total, np.sum(np.abs(products)), grid) == (abs(total) > bound)
+        assert not significant(0.0, 0.0, grid)
+        assert significant(np.array([1.0, 1e-30]), np.array([1.0, 1.0]), grid).tolist() == [
+            True, False]
 
 
 class TestMonteCarlo:

@@ -130,6 +130,24 @@ class TestRidgeProfiles:
             ridge_profile_of_index((1,), 0.0, 1)
 
 
+_LEGENDRE_64 = np.polynomial.legendre.leggauss(64)
+
+
+def _mixture_piece_by_piece(K, rho, d, z: float) -> float:
+    """The mixture at one ``z``, one 64-node Gauss-Legendre piece and one
+    ``psi_K`` call at a time, the pieces added in cut order."""
+    root = math.sqrt(d)
+    top = min(z, 2.0 * root)
+    cuts = sorted(c for c in {-2.0 * root, -1.5 * root, -root, root, top} if c <= top)
+    t, u = _LEGENDRE_64
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+        b = mid + half * t
+        total += float(half * np.sum(u * (psi_K(K, rho, d, b) * (z - b))))
+    return total / (4.0 * root)
+
+
 class TestPsiK:
     """Densities for basis ridges and their magnitude envelope."""
 
@@ -178,6 +196,27 @@ class TestPsiK:
                     assert_allclose(scalar, vector, rtol=1e-15, atol=0.0)
         with pytest.raises(OutOfSupport):
             psi_K((1,), 1.0, 1, 2.5)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_mixture_over_an_array_has_the_bits_of_scalar_calls(self, d):
+        """Every piece of every z in one psi_K call, each row summed alone and
+        the pieces added in cut order: the bits of one call per z, signed
+        zeros included.  The z run past both ends of the support."""
+        root = math.sqrt(d)
+        ends = [-3.0 * root, -2.0 * root, -1.5 * root, -root, root, 2.0 * root, 3.0 * root]
+        for z_count in (2, 9, 41):
+            zs = np.concatenate([np.linspace(-root, root, z_count), ends])
+            for K in enumerate_ball(2, d):
+                for rho in (0.5, 1.0):
+                    got = mixture_expectation(K, rho, d, zs)
+                    want = np.array([_mixture_piece_by_piece(K, rho, d, float(z)) for z in zs])
+                    assert got.shape == zs.shape
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (K, rho)
+                    assert mixture_expectation(K, rho, d, float(zs[0])) == want[0]
+
+    def test_mixture_of_one_z_is_a_float(self):
+        assert isinstance(mixture_expectation((1, 0), 0.5, 2, 0.3), float)
+        assert mixture_expectation((1,), 0.5, 1, -5.0) == 0.0
 
     def test_mixture_expectation_reuses_its_gauss_rule(self, monkeypatch):
         before = mixture_expectation((1, 0), 0.5, 2, 0.3)
@@ -530,6 +569,20 @@ class TestWidthBound:
             width_bound(-1.0, 1, 1.0, 3, 0.5, 0.5)
 
 
+def _assert_network_within_rounding(got, W, b, c, nodes):
+    """``got`` against ``_design_matrix(W, b, nodes) @ c`` within both routes' rounding.
+
+    Either sums at most ``r`` products ``c_i (t_i - b_i)`` after a ``d``-term
+    ``t_i = <w_i, x>``, so each is off the exact value by at most
+    ``(r + d + 4) eps sum_i |c_i| (|t_i| + |b_i|)`` to first order, and the
+    two by at most twice that.
+    """
+    want = _design_matrix(W, b, nodes) @ c
+    size = (np.abs(nodes @ W.T) + np.abs(b)) @ np.abs(c)
+    bound = 2 * (len(b) + W.shape[1] + 4) * np.finfo(float).eps * size
+    assert np.all(np.abs(got - want) <= bound)
+
+
 class TestSampleAverageNetwork:
     """Monte Carlo width-r networks with importance weights."""
 
@@ -596,22 +649,38 @@ class TestSampleAverageNetwork:
         W, b = dist.sample_batch(np.random.default_rng([5, d]), r)
         assert np.array_equal(span.b, b) and np.array_equal(span.W, W)
 
-    @pytest.mark.parametrize("r, nodes_per_dim", [(4096, 25), (64, 24)],
-                             ids=["ragged_last_block", "one_short_block"])
-    def test_blocks_equal_one_buffer(self, r, nodes_per_dim):
-        """Row blocks give the network values one (n, r) design matrix gives, bit for bit."""
+    @pytest.mark.parametrize("r, nodes_per_dim", [(4096, 25), (64, 24)])
+    def test_grouped_values_match_one_design_matrix(self, r, nodes_per_dim):
+        """One drawn ball index at a time gives the values one (n, r) design
+        matrix gives, within the first-order rounding of the two routes."""
         grid = tensor_gauss_grid(UNIFORM_CUBE, 2, nodes_per_dim)
-        align = relu._BLOCK_ALIGN
-        rows, n = align * max(1, relu._BLOCK_BYTES // (8 * r * align)), len(grid.nodes)
-        assert (rows < n and n % rows != 0) if r == 4096 else n < rows
         P = TrigPolynomial({(0, 0): 0.3, (1, 2): 0.5, (-2, 1): -0.4, (0, -4): 0.1})
-        span = sample_average_network(P, r, DkDistribution(k=4, dimension=2), seed=9,
-                                      grid=grid)
-        reference = _design_matrix(span.W, span.b, grid.nodes) @ span.coefficients
-        assert span.l2_error == l2_error(P.evaluate, lambda nodes: reference, grid)
+        dist = DkDistribution(k=4, dimension=2)
+        span = sample_average_network(P, r, dist, seed=9, grid=grid)
+        idx, b = dist.sample_indices(np.random.default_rng(9), r)
+        assert np.array_equal(span.b, b) and np.array_equal(span.W, dist.directions[idx])
+        got = relu._network_values(dist.directions, idx, b, span.coefficients, grid.nodes)
+        _assert_network_within_rounding(got, span.W, b, span.coefficients, grid.nodes)
+        assert span.l2_error == l2_error(P.evaluate, lambda nodes: got, grid)
+
+    def test_a_bias_tied_with_t_adds_nothing(self):
+        """A bias equal to ``<w, x>`` at a node leaves its feature out there,
+        as ``relu(0) = 0`` does."""
+        nodes = tensor_gauss_grid(UNIFORM_CUBE, 1, 7).nodes
+        dist = DkDistribution(k=1, dimension=1)  # directions -1, +1 (the zero index) and +1
+        assert dist.directions.ravel().tolist() == [-1.0, 1.0, 1.0]
+        x = nodes[:, 0]
+        idx = np.array([2, 2, 0, 1, 2, 0, 1])
+        b = np.array([x[3], x[5], -x[5], 0.0, x[1], -x[1], x[6]])
+        c = np.array([0.7, -1.3, 0.4, 2.0, -0.6, 1.1, 0.9])
+        got = relu._network_values(dist.directions, idx, b, c, nodes)
+        _assert_network_within_rounding(got, dist.directions[idx], b, c, nodes)
+        alone = relu._network_values(dist.directions, idx[:1], b[:1], c[:1], nodes)
+        assert alone[3] == 0.0 and np.all(alone[:4] == 0.0) and np.all(alone[4:] > 0.0)
 
     def test_traced_peak_stays_small(self, cube_grid_2d):
-        """At r = 4096 on a 24^2 grid one design buffer alone would take 18.9 MB."""
+        """At r = 4096 on a 24^2 grid one design buffer alone would take 18.9 MB;
+        one ball index at a time needs arrays of n and r entries."""
         P = TrigPolynomial({(0, 0): 0.3, (1, 2): 0.5, (-2, 1): -0.4, (0, -4): 0.1})
         dist = DkDistribution(k=4, dimension=2)
         tracemalloc.start()
@@ -620,7 +689,7 @@ class TestSampleAverageNetwork:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * 2**20
+        assert peak < 2**20
 
     def test_polynomial_outside_ball_rejected(self, cube_grid_1d):
         P = TrigPolynomial({(3,): 1.0})
