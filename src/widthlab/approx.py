@@ -65,27 +65,6 @@ def _residual(f_vals: np.ndarray, approx: np.ndarray, grid: Grid) -> float:
     return float(np.sqrt(np.sum(grid.weights * diff * diff)))
 
 
-def _basis_column(K: MultiIndex, grid: Grid) -> np.ndarray:
-    """``eval_T(K, grid.nodes)``, evaluated on the first ``grid.h`` nodes only.
-
-    On a centrally symmetric grid row ``n-1-i`` is at ``-node i``, where
-    ``T_K`` is the negated value for a sin-class ``K`` and the same value
-    otherwise.  The negation is ``0.0 - t``: where the phase is zero the
-    direct sine is ``+0``, which ``0.0 - (+0)`` keeps and ``-t`` would flip.
-    """
-    n, h = grid.nodes.shape[0], grid.h
-    if h == n:
-        return eval_T(K, grid.nodes)
-    t = np.empty(n)
-    t[:h] = eval_T(K, grid.nodes[:h])
-    mirror = t[:n - h][::-1]
-    if classify(K) is IndexClass.SIN:
-        np.subtract(0.0, mirror, out=t[h:])
-    else:
-        t[h:] = mirror
-    return t
-
-
 def _lead(index: np.ndarray) -> np.ndarray:
     """The sign of each index row's first nonzero coordinate: its sin/cos class."""
     return index[np.arange(len(index)), np.argmax(index != 0, axis=1)]
@@ -102,6 +81,17 @@ def _box(index: np.ndarray, beta: np.ndarray, top: int) -> np.ndarray:
     return box
 
 
+def _axis_tables(axes, top: int) -> list[np.ndarray]:
+    """``exp(i pi K_j x_ja)`` at every node ``x_ja`` of each axis ``j``, for every order
+    ``|K_j| <= top``: table ``j`` has shape ``(2 top + 1, m_j)``, order ``K_j`` in row
+    ``K_j + top``.  So ``exp(i pi <K, x>)`` at the product nodes is the outer
+    product of rows ``K_j + top``, whose imaginary part times ``sqrt(2)`` is
+    ``T_K`` at a sin-class ``K`` and whose real part is at a cos-class one
+    (times ``sqrt(2)``) and at zero."""
+    orders = np.arange(-top, top + 1, dtype=float)
+    return [np.exp(1j * math.pi * np.multiply.outer(orders, axis)) for axis in axes]
+
+
 def _truncate_on_axes(fw: np.ndarray, ball: list[MultiIndex], top: int,
                       grid: Grid) -> tuple[dict[MultiIndex, float], np.ndarray]:
     """Ball coefficients and the truncation on a product grid, one axis at a time.
@@ -116,8 +106,7 @@ def _truncate_on_axes(fw: np.ndarray, ball: list[MultiIndex], top: int,
     The sums run in another order than ``sum(w f T_K)``, so the results agree
     with the per-index route to rounding, not bit for bit.
     """
-    orders = np.arange(-top, top + 1, dtype=float)
-    tables = [np.exp(1j * math.pi * np.multiply.outer(orders, axis)) for axis in grid.axes]
+    tables = _axis_tables(grid.axes, top)
     box = along_axes(fw.reshape([axis.size for axis in grid.axes]), tables)
     index = np.asarray(ball)
     lead = _lead(index)
@@ -136,16 +125,12 @@ def _truncate_by_loop(fw: np.ndarray, ball: list[MultiIndex],
     Each coefficient is ``sum(w f T_K)`` as :func:`trig_coefficient` forms it,
     kept if :func:`significant` against ``sum |w f T_K|``, and the truncation
     sums the kept terms in ball order as ``TrigPolynomial.evaluate`` sums
-    them, so both agree bit for bit with the per-index route.  Each ``T_K``
-    column is computed on half of a centrally symmetric grid and mirrored;
-    the phase ``x @ K`` at ``-x`` is the exact negation of the one at ``x``,
-    sine is odd and cosine even, so the column has the bits of
-    ``eval_T(K, grid.nodes)``.
+    them, so both agree bit for bit with the per-index route.
     """
     terms = {}
     approx = np.zeros(grid.nodes.shape[0])
     for K in ball:
-        t = _basis_column(K, grid)
+        t = eval_T(K, grid.nodes)
         products = fw * t
         beta = float(np.sum(products))
         if significant(beta, float(np.sum(np.abs(products))), grid):
@@ -244,10 +229,18 @@ def shift_polynomial_to_half_scale(poly: TrigPolynomial, orthant: tuple[int, ...
     return TrigPolynomial(out, scale=0.5, dimension=poly.dimension)
 
 
+# The orthant scan enumerates its 2^d orthants one at a time, in Python.
+_ORTHANT_DIM_CAP = 20
+
+
 def _check_orthant_scan(d: int, indices: int, nodes: int, cap=None) -> None:
     """Raise :class:`CapExceeded` when the reflect-mode orthant scan, each of ``2^d``
     orthants scored over ``indices`` ball indices at ``nodes`` grid nodes, is
-    past the cap; ``validate`` checks configs with the same formula."""
+    past the cap, or ``d`` past ``_ORTHANT_DIM_CAP``; ``validate`` checks configs
+    with the same function."""
+    if d > _ORTHANT_DIM_CAP:
+        raise CapExceeded(f"orthant scan over 2^{d} orthants exceeds the "
+                          f"d <= {_ORTHANT_DIM_CAP} cap")
     limit = active_cap(cap)
     if 2**d * indices * nodes > limit:
         raise CapExceeded(f"orthant scan of 2^{d} orthants x {indices} indices x {nodes} "
@@ -268,7 +261,7 @@ def _shifted_on_axes(poly: TrigPolynomial, axes):
 
 
 def reflect_and_truncate(f, lipschitz: float, epsilon: float, grid: Grid,
-                         cap=None, orthant_dim_cap: int = 20) -> TruncationReport:
+                         cap=None) -> TruncationReport:
     """Approximate an arbitrary L-Lipschitz function on the cube.
 
     Pipeline (all steps constructive):
@@ -294,8 +287,6 @@ def reflect_and_truncate(f, lipschitz: float, epsilon: float, grid: Grid,
             f"reflection truncation needs L/eps >= 1, got {lipschitz / epsilon}"
         )
     d = grid.dimension
-    if d > orthant_dim_cap:
-        raise CapExceeded(f"orthant scan over 2^{d} exceeds the d <= {orthant_dim_cap} cap")
 
     def ftilde(nodes):
         folded = 2.0 * np.abs(np.asarray(nodes, dtype=float)) - 1.0

@@ -434,8 +434,17 @@ class _Run:
         return self.stage(name)
 
     def commit(self) -> None:
-        for final, tmp in self.staged.items():
-            os.replace(tmp, final)
+        """Move every staged output into place; if a move fails, remove the outputs
+        already moved, so that none is left (:meth:`discard` removes the rest)."""
+        moved = []
+        try:
+            for final, tmp in self.staged.items():
+                os.replace(tmp, final)
+                moved.append(final)
+        except BaseException:
+            for final in moved:
+                os.remove(final)
+            raise
         self.staged = {}
 
     def discard(self) -> None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -25,27 +26,34 @@ from .errors import (
     ParameterOutOfRange,
     WrongMeasure,
 )
-from .approx import c_ks
+from .approx import _axis_tables, _lead, c_ks
 from .fitter import _weighted_lstsq
 from .lattice import MultiIndex, enumerate_ball
-from .quadrature import GAUSSIAN, Grid, evaluate_on
+from .quadrature import GAUSSIAN, TENSOR_GAUSS, Grid, evaluate_on
 from .relu import _design_matrix  # noqa: F401  the benchmark's tracer test reads it here
 from .trig import SQRT2, eval_T
 
 
 @dataclass(frozen=True)
 class FunctionFamily:
-    """Labeled function handles with declared/measured orthogonality data."""
+    """Labeled function handles with declared/measured orthogonality data.
+
+    ``indices``, when given, says that member ``i`` is the basis function
+    ``T_{indices[i]}``, so its values can be built from per-axis tables.
+    """
 
     labels: list
     members: list[Callable]
     dimension: int
     declared_orthonormal: bool = False
     coherence: float | None = None
+    indices: list[MultiIndex] | None = None
 
     def __post_init__(self):
         if len(self.labels) != len(self.members):
             raise ParameterOutOfRange("one label per member required")
+        if self.indices is not None and len(self.indices) != len(self.members):
+            raise ParameterOutOfRange("one index per member required")
         if self.coherence is not None and self.coherence < 0:
             raise ParameterOutOfRange(f"coherence must be >= 0, got {self.coherence}")
 
@@ -54,7 +62,39 @@ class FunctionFamily:
 
 
 def _value_matrix(family: FunctionFamily, grid: Grid) -> np.ndarray:
-    return np.column_stack([evaluate_on(m, grid.nodes) for m in family.members])
+    """The members' values at the grid nodes, member ``i`` in column ``i`` of one
+    ``(n, N)`` array.
+
+    On a tensor grid a family with ``indices`` is built from per-axis tables
+    (:func:`approx._axis_tables`): member ``T_K`` is ``sqrt(2) Im``,
+    ``sqrt(2) Re`` or ``Re`` of the outer product of rows ``K_j``, one complex
+    product per node where ``eval_T`` takes a sine of ``<K, x>``, so it agrees
+    with ``eval_T`` to rounding.  That array is column-major, so the solves
+    read each member's values contiguously.  Every other family or grid gets
+    ``evaluate_on``'s values in a row-major array: the BLAS sums over a
+    column depend on its stride, so its projections keep their bits.
+    """
+    shape = (grid.nodes.shape[0], len(family))
+    axes = grid.axes if grid.spec.scheme == TENSOR_GAUSS else None
+    if family.indices is None or axes is None:
+        out = np.empty(shape)
+        for i, member in enumerate(family.members):
+            out[:, i] = evaluate_on(member, grid.nodes)
+        return out
+    out = np.empty(shape, order="F")
+    index = np.array(family.indices, dtype=int).reshape(len(family), len(axes))
+    top = int(np.max(np.abs(index), initial=0))
+    tables = _axis_tables(axes, top)
+    for column, K, lead in zip(out.T, index + top, _lead(index)):
+        rows = [table[row] for table, row in zip(tables, K)]
+        phase = reduce(np.multiply.outer, rows).reshape(-1)
+        if lead > 0:
+            np.multiply(phase.imag, SQRT2, out=column)
+        elif lead < 0:
+            np.multiply(phase.real, SQRT2, out=column)
+        else:
+            column[:] = phase.real
+    return out
 
 
 def _gram(family: FunctionFamily, grid: Grid) -> np.ndarray:
@@ -154,7 +194,8 @@ def hard_family_ball(k: float, d: int, cap=None) -> FunctionFamily:
     """The orthonormal basis slice ``{T_K : |K| <= k}``; N = Q_{k,d}, kappa = 0."""
     ball = enumerate_ball(k, d, cap)
     return FunctionFamily(labels=list(ball), members=[_basis_member(K) for K in ball],
-                          dimension=d, declared_orthonormal=True, coherence=0.0)
+                          dimension=d, declared_orthonormal=True, coherence=0.0,
+                          indices=ball)
 
 
 def hard_family_symmetric(ell: int, d: int) -> FunctionFamily:
@@ -166,13 +207,13 @@ def hard_family_symmetric(ell: int, d: int) -> FunctionFamily:
     """
     if not 1 <= ell <= d:
         raise ParameterOutOfRange(f"need 1 <= ell <= d, got ell={ell}, d={d}")
-    labels, members = [], []
+    labels, indices = [], []
     for S in itertools.combinations(range(d), ell):
-        K = tuple(1 if i in S else 0 for i in range(d))
         labels.append(S)
-        members.append(_basis_member(K))
-    return FunctionFamily(labels=labels, members=members, dimension=d,
-                          declared_orthonormal=True, coherence=0.0)
+        indices.append(tuple(1 if i in S else 0 for i in range(d)))
+    return FunctionFamily(labels=labels, members=[_basis_member(K) for K in indices],
+                          dimension=d, declared_orthonormal=True, coherence=0.0,
+                          indices=indices)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -65,16 +65,6 @@ class Grid:
     @property
     def dimension(self) -> int:
         return self.spec.dimension
-
-    @cached_property
-    def h(self) -> int:
-        """The number of leading nodes that determine the rest.
-
-        ``ceil(n/2)`` when node ``n-1-i`` is exactly ``-node i`` (every tensor
-        Gauss grid, since numpy symmetrizes its Gauss rules), else ``n``.
-        """
-        n = self.nodes.shape[0]
-        return (n + 1) // 2 if np.array_equal(self.nodes[::-1], -self.nodes) else n
 
     @cached_property
     def axes(self) -> tuple[np.ndarray, ...] | None:
@@ -177,12 +167,13 @@ def make_grid(spec: QuadratureSpec, cap: int | None = None) -> Grid:
         if n**d > active_cap(cap):
             raise CapExceeded(f"tensor grid {n}^{d} exceeds cap {active_cap(cap)}")
         x1, w1 = _gauss_1d(spec.measure, n)
-        mesh = np.meshgrid(*([x1] * d), indexing="ij")
-        nodes = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-        wmesh = np.meshgrid(*([w1] * d), indexing="ij")
-        weights = np.ones(n**d)
-        for wm in wmesh:
-            weights = weights * wm.reshape(-1)
+        # the ij product, last axis fastest: coordinate j of node (a_0, ..., a_{d-1})
+        # is x1[a_j], and its weight w1[a_0] * ... * w1[a_{d-1}], multiplied in that order
+        nodes = np.empty((n**d, d))
+        product = nodes.reshape((n,) * d + (d,))
+        for j in range(d):
+            product[..., j] = x1.reshape((n,) + (1,) * (d - 1 - j))
+        weights = reduce(np.multiply.outer, [w1] * d).reshape(-1)
     elif spec.scheme == MONTE_CARLO:
         if spec.sample_count is None or spec.sample_count < 1:
             raise UnsupportedCombination("monte_carlo requires sample_count >= 1")

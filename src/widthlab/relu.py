@@ -364,7 +364,12 @@ class DkDistribution(ReluParamDist):
         if self.dimension < 1:
             raise ParameterOutOfRange(f"dimension must be >= 1, got {self.dimension}")
         self._ball = enumerate_ball(self.k, self.dimension, self.cap)
-        self.directions = np.array([unit_direction(K, self.dimension) for K in self._ball])
+        # :func:`unit_direction` of every row at once: the squared norms are sums of
+        # squared integers, exact, so each row has the bits of its own call
+        ball = np.array(self._ball, dtype=float)
+        norms = np.sqrt(np.sum(ball * ball, axis=1, keepdims=True))
+        diagonal = np.full_like(ball, 1.0 / math.sqrt(self.dimension))
+        self.directions = np.divide(ball, norms, out=diagonal, where=norms > 0.0)
         self.directions.setflags(write=False)
 
     def sample_indices(self, rng: np.random.Generator, r: int) -> tuple[np.ndarray, np.ndarray]:

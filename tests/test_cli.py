@@ -539,9 +539,13 @@ class TestConfigSchema:
          "10000000\n"),
         (_with(_TRIG, d=2, epsilon=0.5, grid={"nodes_per_dim": 4}), 500,
          "orthant scan of 2^2 orthants x 13 indices x 16 grid nodes exceeds the cap 500\n"),
+        # 2^21 orthants x 43 indices x 1 node fit this cap; the dimension does not
+        (_with(_TRIG, d=21, L=1, epsilon=1,
+               grid={"scheme": "monte_carlo", "sample_count": 1, "seed": 1}), 10**9,
+         "orthant scan over 2^21 orthants exceeds the d <= 20 cap\n"),
     ], ids=["z_count", "trials_x_r", "design", "design_default_cap", "minwidth_r_max",
             "symmetric_family", "ball_family", "dist_ball", "mixture_ball", "grid",
-            "dist_direction_table", "orthant_scan", "orthant_scan_small_cap"])
+            "dist_direction_table", "orthant_scan", "orthant_scan_small_cap", "orthant_dim"])
     def test_size_caps_exit_3(self, tmp_path, capsys, monkeypatch, doc, cap, fragment):
         if cap is not None:
             monkeypatch.setenv("WIDTHLAB_CAP", str(cap))
@@ -654,6 +658,25 @@ class TestConfigSchema:
         assert code == 0
         assert sorted(p.name for p in out_dir.iterdir()) == [
             "lb_projection_r1_residuals.csv", "lb_projection_result.json"]
+
+    def test_a_failed_move_leaves_no_output(self, tmp_path, capsys, monkeypatch):
+        """Two CSVs and the result document are moved into place; when the second move
+        fails, the CSV already moved goes too, with every staged file."""
+        replace, targets = os.replace, []
+
+        def failing(src, dst):
+            targets.append(os.path.basename(dst))
+            if len(targets) == 2:
+                raise OSError("no space left on device")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing)
+        code = main(["run", "--config", _write_config(tmp_path, _with(_LBP, r_list=[1, 2])),
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 4
+        _assert_one_line(capsys.readouterr().err, "numerical failure: ")
+        assert targets == ["lb_projection_r1_residuals.csv", "lb_projection_r2_residuals.csv"]
+        assert not list((tmp_path / "o").iterdir())
 
     @pytest.mark.parametrize("doc", [
         {"kind": "count_lattice", "parameters": {"k": 1, "d": 5000}},

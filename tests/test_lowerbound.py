@@ -6,12 +6,14 @@ from numpy.testing import assert_allclose
 
 from widthlab import (
     GAUSSIAN,
+    MONTE_CARLO,
     UNIFORM_CUBE,
     DkDistribution,
     FunctionFamily,
     NotUnitNorm,
     PackingFailed,
     ParameterOutOfRange,
+    QuadratureSpec,
     WrongMeasure,
     check_boas_bellman,
     classify,
@@ -19,6 +21,7 @@ from widthlab import (
     count_ball,
     enumerate_ball,
     eval_T,
+    evaluate_on,
     explicit_hard_function,
     fit_span,
     gaussian_hard_family,
@@ -26,6 +29,7 @@ from widthlab import (
     hard_family_symmetric,
     l2_norm,
     lb_parameters,
+    make_grid,
     projection_residuals,
     randict_bound,
     sobolev_lb_parameters,
@@ -380,6 +384,57 @@ class TestLbParameters:
         # worst-case H^s energy over the ball stays within gamma^2
         assert params.max_scaled_norm_sq <= 100.0**2 * (1 + 1e-12)
         assert params.max_scaled_norm_sq >= 16.0  # at least the K = 0 term
+
+
+# Per dimension, a tensor grid with fewer nodes per axis than the 2k + 1 rows of a
+# radius-k table (k >= 1), and the benchmark-sized one.
+_VALUE_GRIDS = [(d, n) for d, big in {1: 24, 2: 12, 3: 8, 4: 6}.items() for n in (2, big)]
+
+
+def _bits(values):
+    """A uint64 view, so that array_equal tells +0 from -0."""
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+class TestValueMatrix:
+    """One (n, N) array of every member's values; T_K from per-axis tables on tensor grids."""
+
+    @pytest.mark.parametrize("d, nodes_per_dim", _VALUE_GRIDS)
+    def test_tables_match_eval_T(self, d, nodes_per_dim):
+        grid = tensor_gauss_grid(UNIFORM_CUBE, d, nodes_per_dim)
+        families = ([hard_family_ball(k, d) for k in range(4)]
+                    + [hard_family_symmetric(ell, d) for ell in range(1, d + 1)])
+        for family in families:
+            values = _value_matrix(family, grid)
+            assert values.flags.f_contiguous
+            assert values.shape == (grid.nodes.shape[0], len(family))
+            for K, column in zip(family.indices, values.T):
+                assert np.max(np.abs(column - eval_T(K, grid.nodes))) <= 1e-14, K
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_monte_carlo_grids_keep_the_bits_of_evaluate_on(self, d):
+        """A d = 1 grid has axes, but only tensor grids take the tables."""
+        grid = make_grid(QuadratureSpec(UNIFORM_CUBE, MONTE_CARLO, d, sample_count=200, seed=d))
+        assert (grid.axes is not None) == (d == 1)
+        for family in (hard_family_ball(2, d), hard_family_symmetric(1, d)):
+            values = _value_matrix(family, grid)
+            direct = np.column_stack([evaluate_on(m, grid.nodes) for m in family.members])
+            assert np.array_equal(_bits(values), _bits(direct))
+            assert values.flags.c_contiguous
+
+    def test_the_gaussian_family_keeps_the_bits_of_evaluate_on(self, gauss_grid_2d):
+        family = gaussian_hard_family(2.0, 5, 2, seed=3, grid=gauss_grid_2d)
+        assert family.indices is None
+        values = _value_matrix(family, gauss_grid_2d)
+        direct = np.column_stack([evaluate_on(m, gauss_grid_2d.nodes) for m in family.members])
+        assert np.array_equal(_bits(values), _bits(direct))
+        assert values.flags.c_contiguous
+
+    def test_families_name_their_basis_indices(self):
+        assert hard_family_ball(1.5, 2).indices == enumerate_ball(1.5, 2)
+        assert hard_family_symmetric(2, 3).indices == [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
+        with pytest.raises(ParameterOutOfRange, match="one index per member"):
+            FunctionFamily(labels=[0], members=[np.sin], dimension=1, indices=[(1,), (2,)])
 
 
 class TestGaussianFamily:

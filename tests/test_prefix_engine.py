@@ -39,7 +39,7 @@ from widthlab.lowerbound import (
     hard_family_symmetric,
     projection_residuals,
 )
-from widthlab.quadrature import MONTE_CARLO, QuadratureSpec, make_grid
+from widthlab.quadrature import MONTE_CARLO, QuadratureSpec, evaluate_on, make_grid
 from widthlab.relu import ReluParamDist
 
 from oracles import factored_features
@@ -215,7 +215,8 @@ def test_one_builder_gives_the_bits_of_every_entry_point(d, w, monkeypatch):
         targets = _value_matrix(family, grid)
         kinds.add(len(family) < w)
         together = width_residuals(targets, grid, dist, [w], 13, trials=2)[:, 0]
-        alone = width_residuals(targets[:, 0], grid, dist, [w], 13, trials=2)[:, 0]
+        alone = width_residuals(evaluate_on(family.members[0], grid.nodes), grid, dist, [w],
+                                13, trials=2)[:, 0]
         for t, (W, b) in enumerate(draws):
             report = projection_residuals(W, b, family, grid)
             assert np.array_equal(report.residuals, together[t] ** 2), (t, len(family))

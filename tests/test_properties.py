@@ -2,30 +2,19 @@
 
 ``wilson_interval(s, n)`` is a score interval around the observed rate
 ``s / n``, ``count_ball(k, d)`` is the number of integer points with
-``|K|_2 <= k``, which a scan of the bounding box lists directly, and a
-grid's ``h`` is ``ceil(n/2)`` exactly when its nodes are centrally symmetric.
+``|K|_2 <= k``, which a scan of the bounding box lists directly.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from widthlab import (  # noqa: E402
-    GAUSSIAN,
-    MONTE_CARLO,
-    TENSOR_GAUSS,
-    UNIFORM_CUBE,
-    QuadratureSpec,
-    count_ball,
-    make_grid,
-    wilson_interval,
-)
+from widthlab import count_ball, wilson_interval  # noqa: E402
 
 from oracles import brute_enumerate  # noqa: E402
 
@@ -62,25 +51,3 @@ def test_wilson_interval_contains_an_edge_rate(counts):
 @settings(max_examples=200, deadline=None)
 def test_count_ball_matches_a_scan_of_the_box(k, d):
     assert count_ball(k, d) == len(brute_enumerate(k, d))
-
-
-_MEASURES = st.sampled_from([UNIFORM_CUBE, GAUSSIAN])
-
-
-@given(measure=_MEASURES, d=st.integers(1, 4), nodes_per_dim=st.integers(1, 9))
-@example(measure=UNIFORM_CUBE, d=3, nodes_per_dim=1)  # one node, at the origin
-@settings(max_examples=100, deadline=None)
-def test_tensor_grids_are_determined_by_their_first_half(measure, d, nodes_per_dim):
-    grid = make_grid(QuadratureSpec(measure, TENSOR_GAUSS, d, nodes_per_dim=nodes_per_dim))
-    n = nodes_per_dim**d
-    assert grid.h == (n + 1) // 2
-    assert np.array_equal(grid.nodes[::-1], -grid.nodes)
-
-
-@given(measure=_MEASURES, d=st.integers(1, 4), sample_count=st.integers(1, 200),
-       seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=100, deadline=None)
-def test_monte_carlo_grids_use_every_node(measure, d, sample_count, seed):
-    grid = make_grid(QuadratureSpec(measure, MONTE_CARLO, d, sample_count=sample_count,
-                                    seed=seed))
-    assert grid.h == sample_count

@@ -104,6 +104,23 @@ class TestTensorGauss:
             make_grid(QuadratureSpec(measure="lebesgue", scheme=TENSOR_GAUSS,
                                      dimension=1, nodes_per_dim=4))
 
+    @pytest.mark.parametrize("measure", [UNIFORM_CUBE, GAUSSIAN])
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_tensor_grids_keep_the_bits_of_the_meshgrid_construction(self, measure, d):
+        """Nodes as the ``ij`` meshgrid stacks them, and weights multiplied in the
+        meshgrid's order, axis 0 first; a uint64 view tells +0 from -0."""
+        for n in (1, 2, 3, 5, {1: 24, 2: 12, 3: 8, 4: 6, 5: 4, 6: 3}[d]):
+            grid = make_grid(QuadratureSpec(measure, TENSOR_GAUSS, d, nodes_per_dim=n))
+            x, w = _gauss_1d(measure, n)
+            nodes = np.stack([m.reshape(-1) for m in np.meshgrid(*[x] * d, indexing="ij")],
+                             axis=-1)
+            weights = np.ones(n**d)
+            for wm in np.meshgrid(*[w] * d, indexing="ij"):
+                weights = weights * wm.reshape(-1)
+            assert np.array_equal(grid.nodes.view(np.uint64), nodes.view(np.uint64)), n
+            assert np.array_equal(grid.weights.view(np.uint64), weights.view(np.uint64)), n
+            assert grid.nodes.flags.c_contiguous and grid.weights.flags.c_contiguous
+
 
 class TestAxes:
     """The 1-D factors of a product grid, read from its nodes."""

@@ -310,6 +310,13 @@ class TestDkDistribution:
         )
         assert chi2 <= stats.chi2.ppf(0.9999, df=len(dirs) - 1)
 
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_directions_have_the_bits_of_unit_direction(self, d):
+        for k in range(4):
+            dist = DkDistribution(k=k, dimension=d)
+            rows = np.array([unit_direction(K, d) for K in enumerate_ball(k, d)])
+            assert np.array_equal(dist.directions.view(np.uint64), rows.view(np.uint64)), k
+
     def test_batch_is_sequential_draws_and_prefix_of_wider_batch(self):
         for k, d in [(2, 2), (2.5, 3), (0, 4)]:
             dist = DkDistribution(k=k, dimension=d)
