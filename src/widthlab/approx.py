@@ -146,7 +146,7 @@ def _wide_axes(grid: Grid, top: int):
     return axes if axes is not None and all(axis.size > 2 * top for axis in axes) else None
 
 
-def _truncate_on_ball(f, k: float, grid: Grid, cap=None) -> tuple[TrigPolynomial, float]:
+def _truncate_on_ball(f, k: float, grid: Grid) -> tuple[TrigPolynomial, float]:
     """Coefficients of ``f`` on the radius-``k`` ball and the measured residual.
 
     One evaluation of ``f`` serves every coefficient and the residual.  On a
@@ -157,7 +157,7 @@ def _truncate_on_ball(f, k: float, grid: Grid, cap=None) -> tuple[TrigPolynomial
     """
     if grid.spec.measure != UNIFORM_CUBE:
         raise WrongMeasure("trig coefficients require the uniform cube measure")
-    ball = enumerate_ball(k, grid.dimension, cap)
+    ball = enumerate_ball(k, grid.dimension)
     f_vals = evaluate_on(f, grid.nodes)
     fw = grid.weights * f_vals
     top = math.isqrt(radius_sq_bound(k))
@@ -169,7 +169,7 @@ def _truncate_on_ball(f, k: float, grid: Grid, cap=None) -> tuple[TrigPolynomial
     return poly, _residual(f_vals, approx, grid)
 
 
-def truncate_periodic(f, lipschitz: float, epsilon: float, grid: Grid, cap=None) -> TruncationReport:
+def truncate_periodic(f, lipschitz: float, epsilon: float, grid: Grid) -> TruncationReport:
     """Truncate a periodic L-Lipschitz function at radius ``k = L/(2 eps)``.
 
     The caller asserts that ``f`` is ``lipschitz``-Lipschitz with periodic
@@ -184,7 +184,7 @@ def truncate_periodic(f, lipschitz: float, epsilon: float, grid: Grid, cap=None)
             f"periodic truncation needs L/eps >= 2, got {lipschitz / epsilon}"
         )
     k = lipschitz / (2.0 * epsilon)
-    poly, residual = _truncate_on_ball(f, k, grid, cap)
+    poly, residual = _truncate_on_ball(f, k, grid)
     return TruncationReport(poly, k, residual, poly.max_coefficient())
 
 
@@ -233,7 +233,7 @@ def shift_polynomial_to_half_scale(poly: TrigPolynomial, orthant: tuple[int, ...
 _ORTHANT_DIM_CAP = 20
 
 
-def _check_orthant_scan(d: int, indices: int, nodes: int, cap=None) -> None:
+def _check_orthant_scan(d: int, indices: int, nodes: int) -> None:
     """Raise :class:`CapExceeded` when the reflect-mode orthant scan, each of ``2^d``
     orthants scored over ``indices`` ball indices at ``nodes`` grid nodes, is
     past the cap, or ``d`` past ``_ORTHANT_DIM_CAP``; ``validate`` checks configs
@@ -241,7 +241,7 @@ def _check_orthant_scan(d: int, indices: int, nodes: int, cap=None) -> None:
     if d > _ORTHANT_DIM_CAP:
         raise CapExceeded(f"orthant scan over 2^{d} orthants exceeds the "
                           f"d <= {_ORTHANT_DIM_CAP} cap")
-    limit = active_cap(cap)
+    limit = active_cap()
     if 2**d * indices * nodes > limit:
         raise CapExceeded(f"orthant scan of 2^{d} orthants x {indices} indices x {nodes} "
                           f"grid nodes exceeds the cap {limit}")
@@ -260,8 +260,7 @@ def _shifted_on_axes(poly: TrigPolynomial, axes):
                                        for s, table in zip(nu, tables)]).real.reshape(-1)
 
 
-def reflect_and_truncate(f, lipschitz: float, epsilon: float, grid: Grid,
-                         cap=None) -> TruncationReport:
+def reflect_and_truncate(f, lipschitz: float, epsilon: float, grid: Grid) -> TruncationReport:
     """Approximate an arbitrary L-Lipschitz function on the cube.
 
     Pipeline (all steps constructive):
@@ -292,8 +291,8 @@ def reflect_and_truncate(f, lipschitz: float, epsilon: float, grid: Grid,
         folded = 2.0 * np.abs(np.asarray(nodes, dtype=float)) - 1.0
         return evaluate_on(f, folded)
 
-    inner = truncate_periodic(ftilde, 2.0 * lipschitz, epsilon, grid, cap)
-    _check_orthant_scan(d, count_ball(inner.degree_radius, d), grid.nodes.shape[0], cap)
+    inner = truncate_periodic(ftilde, 2.0 * lipschitz, epsilon, grid)
+    _check_orthant_scan(d, count_ball(inner.degree_radius, d), grid.nodes.shape[0])
     ptilde = inner.polynomial
 
     # Orthant chosen by measured error of ptilde(nu * (x+1)/2) against f on the grid.
@@ -318,7 +317,7 @@ def _sobolev_radius(s: int, gamma: float, epsilon: float) -> float:
     return math.sqrt(s) * gamma ** (1.0 / s) / (2.0 * epsilon) ** (1.0 / s)
 
 
-def truncate_sobolev(f, s: int, gamma: float, epsilon: float, grid: Grid, cap=None) -> TruncationReport:
+def truncate_sobolev(f, s: int, gamma: float, epsilon: float, grid: Grid) -> TruncationReport:
     """Truncate a function of ``s``-order Sobolev norm at most ``gamma``.
 
     Keeps the ball of radius ``k = sqrt(s) gamma^(1/s) / (2 eps)^(1/s)``;
@@ -329,7 +328,7 @@ def truncate_sobolev(f, s: int, gamma: float, epsilon: float, grid: Grid, cap=No
     if gamma <= 0 or epsilon <= 0:
         raise ParameterOutOfRange("gamma and epsilon must be positive")
     k = _sobolev_radius(s, gamma, epsilon)
-    poly, residual = _truncate_on_ball(f, k, grid, cap)
+    poly, residual = _truncate_on_ball(f, k, grid)
     return TruncationReport(poly, k, residual, poly.max_coefficient())
 
 

@@ -1,8 +1,8 @@
 """Global size caps for enumerations and grids.
 
 Lattice balls and tensor grids grow exponentially; every operation that
-materializes one checks against a cap.  The default is 10^7 entries and can
-be overridden with the ``WIDTHLAB_CAP`` environment variable or per call.
+materializes one checks against one cap, the CLI's and the library's alike:
+the ``WIDTHLAB_CAP`` environment variable, else 10^7 entries.
 """
 
 import os
@@ -12,10 +12,8 @@ from .errors import InvalidCapSetting
 DEFAULT_CAP = 10_000_000
 
 
-def active_cap(override=None) -> int:
-    """Return the cap to enforce: explicit override > env var > default."""
-    if override is not None:
-        return int(override)
+def active_cap() -> int:
+    """Return the cap to enforce: ``WIDTHLAB_CAP`` if set, else ``DEFAULT_CAP``."""
     env = os.environ.get("WIDTHLAB_CAP")
     try:
         cap = DEFAULT_CAP if env is None else int(env)

@@ -328,7 +328,10 @@ def _check_sampling(p) -> None:
 
 
 def _check_projection(p) -> None:
-    """The family's values on the grid, and one residual per trial, width and member."""
+    """Distinct widths, each with its own CSV; the family's values on the grid, and one
+    residual per trial, width and member."""
+    if len(set(p.r)) < len(p.r):
+        raise ConfigError(f"parameter 'r_list' must not repeat a width, got {p.r}")
     _check_sampling(p)
     family = p.family
     if family["type"] == "symmetric":  # _family capped C(d, ell) itself

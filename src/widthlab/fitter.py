@@ -62,6 +62,9 @@ _RCOND = 1e-10
 # 16-fold relative to it; below, it is recomputed from ``rhs - Q Q^T rhs``.
 _DOWNDATE = 1 / 16
 
+# The two-sided 95% standard normal quantile of every Wilson interval.
+_Z95 = 1.96
+
 
 def _weighted(targets: np.ndarray,
               weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -300,15 +303,15 @@ def fit_span(W: np.ndarray, b: np.ndarray, f, grid: Grid) -> FittedSpan:
                       grid_id=grid.spec.label())
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score 95% interval (default z) for a binomial proportion; exactly 0 at
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score 95% interval for a binomial proportion; exactly 0 at
     ``successes == 0`` and 1 at ``successes == trials``, where the formula misses by a rounding."""
     if trials < 1 or not 0 <= successes <= trials:
         raise ParameterOutOfRange(f"need 0 <= successes <= trials, got {successes}/{trials}")
     p = successes / trials
-    denom = 1.0 + z**2 / trials
-    center = (p + z**2 / (2 * trials)) / denom
-    half = z * math.sqrt(p * (1 - p) / trials + z**2 / (4 * trials**2)) / denom
+    denom = 1.0 + _Z95**2 / trials
+    center = (p + _Z95**2 / (2 * trials)) / denom
+    half = _Z95 * math.sqrt(p * (1 - p) / trials + _Z95**2 / (4 * trials**2)) / denom
     lo = max(0.0, center - half) if successes > 0 else 0.0
     hi = min(1.0, center + half) if successes < trials else 1.0
     return lo, hi

@@ -246,21 +246,18 @@ def _truncate_by_walk(weighted: np.ndarray, k: int,
     return terms, approx
 
 
-def _degree_budget(lipschitz: float, epsilon: float, d: int, cap=None) -> int:
+def _degree_budget(lipschitz: float, epsilon: float, d: int) -> int:
     """The degree budget ``ceil(L^2/eps^2)``, within ``MAX_DEGREE`` and with an index
     simplex within the cap; raises :class:`DegreeCap` or :class:`CapExceeded`."""
     k = math.ceil(lipschitz**2 / epsilon**2)
     if k > MAX_DEGREE:
         raise DegreeCap(f"degree budget {k} exceeds the stability cap {MAX_DEGREE}")
-    if _simplex_count(k, d) > active_cap(cap):
-        raise CapExceeded(
-            f"index simplex has {_simplex_count(k, d)} points, cap is {active_cap(cap)}"
-        )
+    if _simplex_count(k, d) > active_cap():
+        raise CapExceeded(f"index simplex has {_simplex_count(k, d)} points, cap is {active_cap()}")
     return k
 
 
-def hermite_truncate(f, lipschitz: float, epsilon: float, grid: Grid,
-                     cap=None) -> HermiteTruncationReport:
+def hermite_truncate(f, lipschitz: float, epsilon: float, grid: Grid) -> HermiteTruncationReport:
     """Project onto Hermite indices with ``|K|_1 <= ceil(L^2/eps^2)``.
 
     For ``f`` that is genuinely ``lipschitz``-Lipschitz with
@@ -278,7 +275,7 @@ def hermite_truncate(f, lipschitz: float, epsilon: float, grid: Grid,
     if lipschitz <= 0 or epsilon <= 0:
         raise ParameterOutOfRange("lipschitz and epsilon must be positive")
     d = grid.dimension
-    k = _degree_budget(lipschitz, epsilon, d, cap)
+    k = _degree_budget(lipschitz, epsilon, d)
     f_vals = evaluate_on(f, grid.nodes)
     weighted = grid.weights * f_vals
     axes = grid.axes

@@ -108,7 +108,7 @@ def count_ball(k: float, d: int) -> int:
     return _ball_count(radius_sq_bound(k), d)
 
 
-def check_ball_cap(k: float, d: int, cap: int | None = None) -> None:
+def check_ball_cap(k: float, d: int) -> None:
     """Raise :class:`CapExceeded` if ``Q_{k,d}`` exceeds the active cap.
 
     The exact count costs about 10x more per doubling of ``k``, and grows
@@ -118,7 +118,7 @@ def check_ball_cap(k: float, d: int, cap: int | None = None) -> None:
     """
     if d < 1:
         raise ParameterOutOfRange(f"dimension must be >= 1, got {d}")
-    bound, limit = radius_sq_bound(k), active_cap(cap)
+    bound, limit = radius_sq_bound(k), active_cap()
     side, bits = 2 * math.isqrt(bound // d) + 1, limit.bit_length()
     # side^e (side >= 3) and 2^j C(d, j) both pass the cap once e or j reaches its bit length
     ones = min(bound, d, bits)
@@ -127,7 +127,7 @@ def check_ball_cap(k: float, d: int, cap: int | None = None) -> None:
         raise CapExceeded(f"ball k={k}, d={d} holds more than the cap of {limit} indices")
 
 
-def enumerate_ball(k: float, d: int, cap: int | None = None) -> list[MultiIndex]:
+def enumerate_ball(k: float, d: int) -> list[MultiIndex]:
     """All ``K in Z^d`` with ``||K||_2 <= k``, in lexicographic order.
 
     Raises
@@ -136,7 +136,7 @@ def enumerate_ball(k: float, d: int, cap: int | None = None) -> list[MultiIndex]
         If the exact count (checked first, without materializing) exceeds the
         active cap.
     """
-    check_ball_cap(k, d, cap)
+    check_ball_cap(k, d)
     out: list[MultiIndex] = []
     zeros = (0,) * d
     # Depth-first over prefixes and the budget they leave, smallest next

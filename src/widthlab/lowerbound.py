@@ -36,7 +36,7 @@ from .trig import SQRT2, eval_T
 
 @dataclass(frozen=True)
 class FunctionFamily:
-    """Labeled function handles with declared/measured orthogonality data.
+    """Labeled function handles, with their measured coherence when known.
 
     ``indices``, when given, says that member ``i`` is the basis function
     ``T_{indices[i]}``, so its values can be built from per-axis tables.
@@ -45,7 +45,6 @@ class FunctionFamily:
     labels: list
     members: list[Callable]
     dimension: int
-    declared_orthonormal: bool = False
     coherence: float | None = None
     indices: list[MultiIndex] | None = None
 
@@ -190,12 +189,11 @@ def _basis_member(K: MultiIndex) -> Callable:
     return lambda nodes, _K=K: eval_T(_K, nodes)
 
 
-def hard_family_ball(k: float, d: int, cap=None) -> FunctionFamily:
+def hard_family_ball(k: float, d: int) -> FunctionFamily:
     """The orthonormal basis slice ``{T_K : |K| <= k}``; N = Q_{k,d}, kappa = 0."""
-    ball = enumerate_ball(k, d, cap)
+    ball = enumerate_ball(k, d)
     return FunctionFamily(labels=list(ball), members=[_basis_member(K) for K in ball],
-                          dimension=d, declared_orthonormal=True, coherence=0.0,
-                          indices=ball)
+                          dimension=d, coherence=0.0, indices=ball)
 
 
 def hard_family_symmetric(ell: int, d: int) -> FunctionFamily:
@@ -212,8 +210,7 @@ def hard_family_symmetric(ell: int, d: int) -> FunctionFamily:
         labels.append(S)
         indices.append(tuple(1 if i in S else 0 for i in range(d)))
     return FunctionFamily(labels=labels, members=[_basis_member(K) for K in indices],
-                          dimension=d, declared_orthonormal=True, coherence=0.0,
-                          indices=indices)
+                          dimension=d, coherence=0.0, indices=indices)
 
 
 @dataclass(frozen=True)
@@ -286,8 +283,7 @@ class SobolevLbParameters:
     max_scaled_norm_sq: float  # max over the ball of |4 eps T_K|_{H^s}^2
 
 
-def sobolev_lb_parameters(gamma: float, epsilon: float, s: int, d: int,
-                          cap=None) -> SobolevLbParameters:
+def sobolev_lb_parameters(gamma: float, epsilon: float, s: int, d: int) -> SobolevLbParameters:
     """Ball radius and sine-family size for Sobolev-ball hard instances.
 
     Requires ``gamma^2 / eps^2 >= 16 (s+1)``.  Also certifies on the spot
@@ -308,7 +304,7 @@ def sobolev_lb_parameters(gamma: float, epsilon: float, s: int, d: int,
     ell = min(math.ceil(d / 2),
               math.floor(gamma ** (2.0 / s) / (math.pi**2 * 16.0 ** (1.0 / s)
                                                * epsilon ** (2.0 / s) * (s + 1.0) ** (1.0 / s))))
-    worst = max(16.0 * epsilon**2 * c_ks(K, s) for K in enumerate_ball(k, d, cap))
+    worst = max(16.0 * epsilon**2 * c_ks(K, s) for K in enumerate_ball(k, d))
     if worst > gamma**2 * (1.0 + 1e-12):
         raise ParameterOutOfRange(
             f"certification failed: max |4 eps T_K|_{{H^s}}^2 = {worst} > gamma^2 = {gamma**2}"
@@ -362,8 +358,6 @@ def gaussian_hard_family(L: float, N: int, d: int, seed, grid: Grid) -> Function
             raise PackingFailed(f"member {i} has grid norm {norm}: degenerate or not finite")
         labels.append(i)
         members.append(lambda nodes, _raw=raw, _n=norm: _raw(nodes) / _n)
-    family = FunctionFamily(labels=labels, members=members, dimension=d,
-                            declared_orthonormal=False, coherence=None)
+    family = FunctionFamily(labels=labels, members=members, dimension=d)
     kappa = coherence(family, grid)
-    return FunctionFamily(labels=labels, members=members, dimension=d,
-                          declared_orthonormal=False, coherence=kappa)
+    return FunctionFamily(labels=labels, members=members, dimension=d, coherence=kappa)

@@ -142,7 +142,7 @@ def _gauss_1d(measure: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def make_grid(spec: QuadratureSpec, cap: int | None = None) -> Grid:
+def make_grid(spec: QuadratureSpec) -> Grid:
     """Materialize the nodes and weights for ``spec``.
 
     Raises
@@ -164,8 +164,8 @@ def make_grid(spec: QuadratureSpec, cap: int | None = None) -> Grid:
         n = spec.nodes_per_dim
         if n is None or n < 1:
             raise UnsupportedCombination("tensor_gauss requires nodes_per_dim >= 1")
-        if n**d > active_cap(cap):
-            raise CapExceeded(f"tensor grid {n}^{d} exceeds cap {active_cap(cap)}")
+        if n**d > active_cap():
+            raise CapExceeded(f"tensor grid {n}^{d} exceeds cap {active_cap()}")
         x1, w1 = _gauss_1d(spec.measure, n)
         # the ij product, last axis fastest: coordinate j of node (a_0, ..., a_{d-1})
         # is x1[a_j], and its weight w1[a_0] * ... * w1[a_{d-1}], multiplied in that order
@@ -179,7 +179,7 @@ def make_grid(spec: QuadratureSpec, cap: int | None = None) -> Grid:
             raise UnsupportedCombination("monte_carlo requires sample_count >= 1")
         if spec.seed is None:
             raise UnsupportedCombination("monte_carlo requires an explicit seed")
-        if spec.sample_count > active_cap(cap):
+        if spec.sample_count > active_cap():
             raise CapExceeded(f"sample count {spec.sample_count} exceeds cap")
         rng = np.random.default_rng(spec.seed)
         if spec.measure == UNIFORM_CUBE:
@@ -197,11 +197,9 @@ def make_grid(spec: QuadratureSpec, cap: int | None = None) -> Grid:
     return Grid(spec=spec, nodes=nodes, weights=weights)
 
 
-def tensor_gauss_grid(measure: str, d: int, nodes_per_dim: int, cap=None) -> Grid:
+def tensor_gauss_grid(measure: str, d: int, nodes_per_dim: int) -> Grid:
     """Convenience constructor for the common tensor-product case."""
-    return make_grid(
-        QuadratureSpec(measure, TENSOR_GAUSS, d, nodes_per_dim=nodes_per_dim), cap=cap
-    )
+    return make_grid(QuadratureSpec(measure, TENSOR_GAUSS, d, nodes_per_dim=nodes_per_dim))
 
 
 def evaluate_on(f, nodes: np.ndarray) -> np.ndarray:

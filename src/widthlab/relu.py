@@ -186,7 +186,8 @@ def psi(profile: RidgeProfile, d: int, b) -> float | np.ndarray:
         raise ParameterOutOfRange(f"dimension must be >= 1, got {d}")
     root = math.sqrt(d)
     arr = np.asarray(b, dtype=float)
-    # Few numpy calls and count_nonzero, not any: quadrature calls psi per scalar bias.
+    # Few numpy calls and count_nonzero, not any: h_weight calls psi per scalar bias,
+    # through _ray_sum.
     size = np.abs(arr)
     if np.count_nonzero(size > 2.0 * root):
         raise OutOfSupport(f"bias outside [-2 sqrt(d), 2 sqrt(d)] = [{-2*root}, {2*root}]")
@@ -354,7 +355,6 @@ class DkDistribution(ReluParamDist):
 
     k: float
     dimension: int
-    cap: int | None = None
     _ball: list[MultiIndex] = field(init=False, repr=False)
     directions: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -363,7 +363,7 @@ class DkDistribution(ReluParamDist):
             raise ParameterOutOfRange(f"ball radius must be nonnegative, got {self.k}")
         if self.dimension < 1:
             raise ParameterOutOfRange(f"dimension must be >= 1, got {self.dimension}")
-        self._ball = enumerate_ball(self.k, self.dimension, self.cap)
+        self._ball = enumerate_ball(self.k, self.dimension)
         # :func:`unit_direction` of every row at once: the squared norms are sums of
         # squared integers, exact, so each row has the bits of its own call
         ball = np.array(self._ball, dtype=float)
@@ -451,7 +451,12 @@ class CustomDistribution(ReluParamDist):
         return W, b
 
 
-def ray_members(w: np.ndarray, k: float, d: int, atol: float = 1e-8) -> list[MultiIndex]:
+# A multiple of a ray's direction counts as a ball index when every coordinate
+# lies within this of an integer.
+_RAY_ATOL = 1e-8
+
+
+def ray_members(w: np.ndarray, k: float, d: int) -> list[MultiIndex]:
     """Ball indices that are nonnegative multiples of the direction ``w``.
 
     Scans integer values of the largest-magnitude coordinate rather than
@@ -470,7 +475,7 @@ def ray_members(w: np.ndarray, k: float, d: int, atol: float = 1e-8) -> list[Mul
     # Row m - 1 is the multiple with v[i0] = m sign(w[i0]), for m = 1 .. isqrt(bound_sq).
     v = (np.arange(1, math.isqrt(bound_sq) + 1) / abs(w[i0]))[:, None] * w
     rounded = np.rint(v)
-    for row in rounded[np.abs(v - rounded).max(axis=1) <= atol].tolist():
+    for row in rounded[np.abs(v - rounded).max(axis=1) <= _RAY_ATOL].tolist():
         K = tuple(int(c) for c in row)
         if l2_norm_sq(K) <= bound_sq:
             members.append(K)

@@ -74,9 +74,10 @@ class TestTruncatePeriodic:
         with pytest.raises(ParameterOutOfRange):
             truncate_periodic(lambda X: X[:, 0], -1.0, 0.5, cube_grid_1d)
 
-    def test_cap_passthrough(self, cube_grid_2d):
+    def test_cap_passthrough(self, cube_grid_2d, monkeypatch):
+        monkeypatch.setenv("WIDTHLAB_CAP", "10")
         with pytest.raises(CapExceeded):
-            truncate_periodic(lambda X: X[:, 0], 20.0, 1.0, cube_grid_2d, cap=10)
+            truncate_periodic(lambda X: X[:, 0], 20.0, 1.0, cube_grid_2d)
 
 
 class TestShiftPolynomial:
@@ -159,13 +160,14 @@ class TestReflectAndTruncate:
         with pytest.raises(ParameterOutOfRange):
             reflect_and_truncate(lambda X: X[:, 0], 0.5, 1.0, cube_grid_1d)
 
-    def test_orthant_dim_cap(self):
+    def test_orthant_dim_cap(self, monkeypatch):
         """At d = 21 the scan's 2^21 x 43 indices x 1 node pass a cap of 10^9, but
         its dimension does not; ``validate`` refuses it too (tests/test_cli.py)."""
         grid = make_grid(QuadratureSpec(UNIFORM_CUBE, MONTE_CARLO, 21, sample_count=1, seed=1))
+        monkeypatch.setenv("WIDTHLAB_CAP", str(10**9))
         with pytest.raises(CapExceeded, match="orthant scan over 2\\^21 orthants exceeds "
                                               "the d <= 20 cap"):
-            reflect_and_truncate(lambda X: np.abs(X[:, 0]), 1.0, 1.0, grid, cap=10**9)
+            reflect_and_truncate(lambda X: np.abs(X[:, 0]), 1.0, 1.0, grid)
 
 
 class TestTruncateSobolev:
@@ -462,11 +464,12 @@ class TestOrthantScan:
         report = reflect_and_truncate(f, 1.0, 0.25, grid)
         assert report.residual_estimate == l2_error(f, report.polynomial.evaluate, grid)
 
-    def test_scan_past_the_cap_is_refused(self):
+    def test_scan_past_the_cap_is_refused(self, monkeypatch):
         grid = tensor_gauss_grid(UNIFORM_CUBE, 2, 4)
         # 13 radius-2 indices at 16 nodes fit a cap of 500; four orthants of them do not
+        monkeypatch.setenv("WIDTHLAB_CAP", "500")
         with pytest.raises(CapExceeded, match="orthant scan of 2\\^2 orthants x 13 indices"):
-            reflect_and_truncate(lambda X: np.abs(X[:, 0]), 1.0, 0.5, grid, cap=500)
+            reflect_and_truncate(lambda X: np.abs(X[:, 0]), 1.0, 0.5, grid)
 
 
 class TestDerivativeEnergy:

@@ -499,12 +499,13 @@ class TestConfigSchema:
         (_with(_TRIG, L=True), None),
         (_with(_FIT, seed=-1), None),
         (_with(_LBP, ell=3), None),
+        (_with(_LBP, r_list=[1, 0, 1]), None),
         (_with(_MIX, rho=1.5), None),
         ({"kind": ["fit_curve"], "parameters": {}}, None),
     ], ids=["seed_str", "seed_1e400", "d_str", "grid_nodes_str", "grid_str",
             "trig_poly_no_terms", "family_k_str", "r_list_str_entry", "mode_unknown",
             "trials_fractional", "dist_k_str", "L_bool", "seed_negative",
-            "ell_over_d", "rho_over_1", "kind_list"])
+            "ell_over_d", "r_list_repeated_width", "rho_over_1", "kind_list"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, doc, text):
         for code, err in _both_commands(tmp_path, capsys, doc, text):
             assert code == 2
@@ -653,12 +654,6 @@ class TestConfigSchema:
         # the coefficients CSV was written before the norm overflowed: no file at all
         assert not list((tmp_path / "o").iterdir())
 
-    def test_an_output_written_twice_is_moved_into_place_once(self, tmp_path):
-        code, result, out_dir = _run(tmp_path, _with(_LBP, r_list=[1, 1]))
-        assert code == 0
-        assert sorted(p.name for p in out_dir.iterdir()) == [
-            "lb_projection_r1_residuals.csv", "lb_projection_result.json"]
-
     def test_a_failed_move_leaves_no_output(self, tmp_path, capsys, monkeypatch):
         """Two CSVs and the result document are moved into place; when the second move
         fails, the CSV already moved goes too, with every staged file."""
@@ -705,7 +700,6 @@ class TestConfigSchema:
     def test_valid_cap_setting(self, monkeypatch):
         monkeypatch.setenv("WIDTHLAB_CAP", "12")
         assert active_cap() == 12
-        assert active_cap(5) == 5
 
     def test_validate_accepts_what_run_runs(self, tmp_path, capsys):
         (validated, _), (ran, _) = _both_commands(tmp_path, capsys, _with(_FIT, d=1.0))

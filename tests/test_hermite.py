@@ -271,9 +271,10 @@ class TestHermiteTruncate:
         with pytest.raises(DegreeCap):
             hermite_truncate(lambda X: X[:, 0], 20.0, 1.0, gauss_grid_1d)
 
-    def test_simplex_cap(self, gauss_grid_3d):
+    def test_simplex_cap(self, gauss_grid_3d, monkeypatch):
+        monkeypatch.setenv("WIDTHLAB_CAP", "10")
         with pytest.raises(CapExceeded):
-            hermite_truncate(lambda X: X[:, 0], 3.0, 1.0, gauss_grid_3d, cap=10)
+            hermite_truncate(lambda X: X[:, 0], 3.0, 1.0, gauss_grid_3d)
 
     @pytest.mark.parametrize("grid", [_MC_GRID_3D, _FEW_NODES_3D],
                              ids=["monte_carlo", "tensor_fewer_nodes_than_degrees"])

@@ -5,16 +5,22 @@ import numpy as np
 import pytest
 
 from widthlab import (
+    UNIFORM_CUBE,
     CapExceeded,
+    DkDistribution,
     IndexClass,
     ParameterOutOfRange,
     classify,
     count_ball,
     enumerate_ball,
     exponent_envelope,
+    hard_family_ball,
     l2_norm_sq,
     negate,
     radius_sq_bound,
+    sobolev_lb_parameters,
+    tensor_gauss_grid,
+    truncate_sobolev,
 )
 from widthlab.lattice import check_ball_cap
 
@@ -94,9 +100,10 @@ class TestEnumerateBall:
         members = enumerate_ball(2, 2)
         assert members == sorted(members)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setenv("WIDTHLAB_CAP", "1000")
         with pytest.raises(CapExceeded):
-            enumerate_ball(5, 6, cap=1000)
+            enumerate_ball(5, 6)
 
     def test_far_over_cap_fails_before_exact_count(self):
         # the exact count alone (0.04 s at k = 400, d = 3) grows about as k^3
@@ -112,11 +119,28 @@ class TestEnumerateBall:
                 check_ball_cap(k, d)
         assert time.perf_counter() - start < 1.0
 
-    def test_check_ball_cap_is_exact(self):
+    def test_check_ball_cap_is_exact(self, monkeypatch):
         # 13 points: the inscribed 3x3 cube passes, the exact count decides
-        check_ball_cap(2, 2, cap=13)
+        monkeypatch.setenv("WIDTHLAB_CAP", "13")
+        check_ball_cap(2, 2)
+        monkeypatch.setenv("WIDTHLAB_CAP", "12")
         with pytest.raises(CapExceeded):
-            check_ball_cap(2, 2, cap=12)
+            check_ball_cap(2, 2)
+
+    # Each builds a d = 2 ball of 13 or more indices: k = 2 for the first three,
+    # k = 40 / (4 pi sqrt(2)) = 2.25 (21 indices) for the Sobolev hard instance.
+    @pytest.mark.parametrize("build", [
+        lambda: truncate_sobolev(lambda X: X[:, 0], 1, 4.0, 1.0,
+                                 tensor_gauss_grid(UNIFORM_CUBE, 2, 3)),
+        lambda: hard_family_ball(2, 2),
+        lambda: sobolev_lb_parameters(40.0, 1.0, 1, 2),
+        lambda: DkDistribution(k=2, dimension=2),
+    ], ids=["truncate_sobolev", "hard_family_ball", "sobolev_lb_parameters", "DkDistribution"])
+    def test_ball_builders_obey_the_cap_from_the_environment(self, monkeypatch, build):
+        build()
+        monkeypatch.setenv("WIDTHLAB_CAP", "10")
+        with pytest.raises(CapExceeded, match="holds more than the cap of 10 indices"):
+            build()
 
     def test_thousands_of_dimensions(self):
         ball = enumerate_ball(1, 1500)

@@ -265,7 +265,7 @@ class TestHardFamilies:
     def test_ball_family_size_and_flags(self):
         fam = hard_family_ball(1, 2)
         assert len(fam) == 5
-        assert fam.declared_orthonormal and fam.coherence == 0.0
+        assert fam.coherence == 0.0
         assert fam.labels == enumerate_ball(1, 2)
 
     def test_ball_family_members_are_basis(self, cube_grid_2d):

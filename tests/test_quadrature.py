@@ -95,9 +95,10 @@ class TestTensorGauss:
         with pytest.raises(ValueError):
             g.nodes[0, 0] = 0.0
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setenv("WIDTHLAB_CAP", "1000")
         with pytest.raises(CapExceeded):
-            tensor_gauss_grid(UNIFORM_CUBE, 6, 24, cap=1000)
+            tensor_gauss_grid(UNIFORM_CUBE, 6, 24)
 
     def test_unknown_measure(self):
         with pytest.raises(UnsupportedCombination):
