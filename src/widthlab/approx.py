@@ -35,8 +35,8 @@ from .lattice import (
     negate,
     radius_sq_bound,
 )
-from .quadrature import UNIFORM_CUBE, Grid, along_axes, evaluate_on, significant
-from .trig import SQRT2, TrigPolynomial, eval_T
+from .quadrature import UNIFORM_CUBE, Grid, along_axes, evaluate_on, keep_and_sum, significant
+from .trig import SQRT2, TrigPolynomial, _axis_tables, _box, _lead, eval_T
 
 
 @dataclass(frozen=True)
@@ -57,39 +57,6 @@ class TruncationReport:
             "max_coefficient": self.max_coefficient,
             "orthant": list(self.orthant) if self.orthant is not None else None,
         }
-
-
-def _residual(f_vals: np.ndarray, approx: np.ndarray, grid: Grid) -> float:
-    """``||f - approx||_mu`` on the grid, as :func:`l2_error` forms it."""
-    diff = f_vals - approx
-    return float(np.sqrt(np.sum(grid.weights * diff * diff)))
-
-
-def _lead(index: np.ndarray) -> np.ndarray:
-    """The sign of each index row's first nonzero coordinate: its sin/cos class."""
-    return index[np.arange(len(index)), np.argmax(index != 0, axis=1)]
-
-
-def _box(index: np.ndarray, beta: np.ndarray, top: int) -> np.ndarray:
-    """The box ``|K_j| <= top`` of ``-i sqrt(2) beta_K`` at sin-class ``K``,
-    ``sqrt(2) beta_K`` at cos-class ``K`` and ``beta_0`` at zero, so that
-    ``sum_K box_K exp(i pi <K, y>)`` has the real part ``sum_K beta_K T_K(y)``."""
-    lead = _lead(index)
-    box = np.zeros((2 * top + 1,) * index.shape[1], dtype=complex)
-    box[tuple((index + top).T)] = np.where(lead > 0, -1j * SQRT2 * beta,
-                                           np.where(lead < 0, SQRT2 * beta, beta))
-    return box
-
-
-def _axis_tables(axes, top: int) -> list[np.ndarray]:
-    """``exp(i pi K_j x_ja)`` at every node ``x_ja`` of each axis ``j``, for every order
-    ``|K_j| <= top``: table ``j`` has shape ``(2 top + 1, m_j)``, order ``K_j`` in row
-    ``K_j + top``.  So ``exp(i pi <K, x>)`` at the product nodes is the outer
-    product of rows ``K_j + top``, whose imaginary part times ``sqrt(2)`` is
-    ``T_K`` at a sin-class ``K`` and whose real part is at a cos-class one
-    (times ``sqrt(2)``) and at zero."""
-    orders = np.arange(-top, top + 1, dtype=float)
-    return [np.exp(1j * math.pi * np.multiply.outer(orders, axis)) for axis in axes]
 
 
 def _truncate_on_axes(fw: np.ndarray, ball: list[MultiIndex], top: int,
@@ -118,42 +85,15 @@ def _truncate_on_axes(fw: np.ndarray, ball: list[MultiIndex], top: int,
     return dict(zip(ball, beta.tolist())), approx.reshape(-1)
 
 
-def _truncate_by_loop(fw: np.ndarray, ball: list[MultiIndex],
-                      grid: Grid) -> tuple[dict[MultiIndex, float], np.ndarray]:
-    """Ball coefficients and the truncation, one basis column per index.
-
-    Each coefficient is ``sum(w f T_K)`` as :func:`trig_coefficient` forms it,
-    kept if :func:`significant` against ``sum |w f T_K|``, and the truncation
-    sums the kept terms in ball order as ``TrigPolynomial.evaluate`` sums
-    them, so both agree bit for bit with the per-index route.
-    """
-    terms = {}
-    approx = np.zeros(grid.nodes.shape[0])
-    for K in ball:
-        t = eval_T(K, grid.nodes)
-        products = fw * t
-        beta = float(np.sum(products))
-        if significant(beta, float(np.sum(np.abs(products))), grid):
-            terms[K] = beta
-            approx += beta * t
-    return terms, approx
-
-
-def _wide_axes(grid: Grid, top: int):
-    """``grid.axes`` if each has at least ``2 top + 1`` nodes, so that no table of
-    orders ``|K_j| <= top`` is larger than its axis and no box than the grid; else None."""
-    axes = grid.axes
-    return axes if axes is not None and all(axis.size > 2 * top for axis in axes) else None
-
-
-def _truncate_on_ball(f, k: float, grid: Grid) -> tuple[TrigPolynomial, float]:
+def _truncate_on_ball(f, k: float, grid: Grid) -> TruncationReport:
     """Coefficients of ``f`` on the radius-``k`` ball and the measured residual.
 
     One evaluation of ``f`` serves every coefficient and the residual.  On a
-    grid with :func:`_wide_axes` (``top`` the largest ``|K_j|`` in the ball)
-    they come from contractions one axis at a time; on any other grid from
-    one pass over the ball.  Either way a coefficient within the rounding of
-    its sum (:func:`significant`) is 0, out of the polynomial and residual.
+    grid whose axes have the ``2 top + 1`` nodes of a table (:meth:`Grid.wide_axes`,
+    ``top`` the largest ``|K_j|`` in the ball) they come from contractions one
+    axis at a time; on any other grid from :func:`keep_and_sum` over the ball's
+    ``eval_T`` columns, bit for bit as :func:`trig_coefficient` and
+    ``TrigPolynomial.evaluate`` form them.
     """
     if grid.spec.measure != UNIFORM_CUBE:
         raise WrongMeasure("trig coefficients require the uniform cube measure")
@@ -161,12 +101,12 @@ def _truncate_on_ball(f, k: float, grid: Grid) -> tuple[TrigPolynomial, float]:
     f_vals = evaluate_on(f, grid.nodes)
     fw = grid.weights * f_vals
     top = math.isqrt(radius_sq_bound(k))
-    if _wide_axes(grid, top) is not None:
+    if grid.wide_axes(2 * top + 1) is not None:
         terms, approx = _truncate_on_axes(fw, ball, top, grid)
     else:
-        terms, approx = _truncate_by_loop(fw, ball, grid)
+        terms, approx = keep_and_sum(fw, ((K, eval_T(K, grid.nodes)) for K in ball), grid)
     poly = TrigPolynomial(terms, scale=1.0, dimension=grid.dimension)
-    return poly, _residual(f_vals, approx, grid)
+    return TruncationReport(poly, k, grid.norm(f_vals - approx), poly.max_coefficient())
 
 
 def truncate_periodic(f, lipschitz: float, epsilon: float, grid: Grid) -> TruncationReport:
@@ -183,9 +123,7 @@ def truncate_periodic(f, lipschitz: float, epsilon: float, grid: Grid) -> Trunca
         raise ParameterOutOfRange(
             f"periodic truncation needs L/eps >= 2, got {lipschitz / epsilon}"
         )
-    k = lipschitz / (2.0 * epsilon)
-    poly, residual = _truncate_on_ball(f, k, grid)
-    return TruncationReport(poly, k, residual, poly.max_coefficient())
+    return _truncate_on_ball(f, lipschitz / (2.0 * epsilon), grid)
 
 
 # Effect of a quarter-period phase shift on sin/cos, by shift count mod 4:
@@ -272,7 +210,7 @@ def reflect_and_truncate(f, lipschitz: float, epsilon: float, grid: Grid) -> Tru
     4. choose the orthant ``nu`` minimizing the L2 error of the truncation
        against ``fbar`` (the analysis guarantees one good orthant exists; we
        scan all ``2^d`` and take the argmin, each scored by one contraction on
-       a grid with :func:`_wide_axes`, and refuse a scan past the cap);
+       a grid with :meth:`Grid.wide_axes`, and refuse a scan past the cap);
     5. shift/rescale back, yielding a polynomial at scale ``rho = 1/2``.
 
     The caller asserts ``f`` is ``lipschitz``-Lipschitz with ``|E f| <= lipschitz``.
@@ -297,7 +235,7 @@ def reflect_and_truncate(f, lipschitz: float, epsilon: float, grid: Grid) -> Tru
 
     # Orthant chosen by measured error of ptilde(nu * (x+1)/2) against f on the grid.
     f_vals = evaluate_on(f, grid.nodes)
-    axes = _wide_axes(grid, math.isqrt(radius_sq_bound(inner.degree_radius)))
+    axes = grid.wide_axes(2 * math.isqrt(radius_sq_bound(inner.degree_radius)) + 1)
     shifted = _shifted_on_axes(ptilde, axes) if axes is not None else (
         lambda nu: ptilde.evaluate(np.asarray(nu, dtype=float) * (grid.nodes + 1.0) / 2.0))
     best_nu, best_err = None, math.inf
@@ -307,7 +245,7 @@ def reflect_and_truncate(f, lipschitz: float, epsilon: float, grid: Grid) -> Tru
             best_nu, best_err = nu, err
 
     poly = shift_polynomial_to_half_scale(ptilde, best_nu)
-    residual = _residual(f_vals, poly.evaluate(grid.nodes), grid)
+    residual = grid.norm(f_vals - poly.evaluate(grid.nodes))
     return TruncationReport(poly, inner.degree_radius, residual,
                             poly.max_coefficient(), orthant=best_nu)
 
@@ -327,9 +265,7 @@ def truncate_sobolev(f, s: int, gamma: float, epsilon: float, grid: Grid) -> Tru
         raise ParameterOutOfRange(f"Sobolev order must be a positive integer, got {s}")
     if gamma <= 0 or epsilon <= 0:
         raise ParameterOutOfRange("gamma and epsilon must be positive")
-    k = _sobolev_radius(s, gamma, epsilon)
-    poly, residual = _truncate_on_ball(f, k, grid)
-    return TruncationReport(poly, k, residual, poly.max_coefficient())
+    return _truncate_on_ball(f, _sobolev_radius(s, gamma, epsilon), grid)
 
 
 def c_ks(K: MultiIndex, s: int) -> float:

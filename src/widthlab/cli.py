@@ -73,6 +73,7 @@ from .quadrature import (
     TENSOR_GAUSS,
     UNIFORM_CUBE,
     QuadratureSpec,
+    check_grid_cap,
     make_grid,
 )
 from .relu import DkDistribution, mixture_expectation, phi_K
@@ -265,17 +266,16 @@ def _grid(raw, key, p, params, measure=UNIFORM_CUBE) -> QuadratureSpec:
     if scheme == MONTE_CARLO:
         if g.seed is None and p.seed is None:
             raise ConfigError("monte_carlo grid needs a seed")
-        _cap(f"monte_carlo grid of {g.sample_count} samples", g.sample_count)
         # a derived seed stays disjoint from the trial seeds
-        seed = (p.seed, 10007) if g.seed is None else g.seed
-        return QuadratureSpec(measure, MONTE_CARLO, p.d, sample_count=g.sample_count,
-                              seed=seed)
-    nodes = g.nodes_per_dim or _DEFAULT_NODES[measure].get(p.d)
-    if nodes is None:
-        raise ConfigError(f"no default tensor grid for dimension {p.d}; supply a grid spec")
-    # nodes >= 2 gives nodes^e > cap once e reaches the cap's bit length
-    _cap(f"tensor grid {nodes}^{p.d}", nodes ** min(p.d, active_cap().bit_length()))
-    return QuadratureSpec(measure, TENSOR_GAUSS, p.d, nodes_per_dim=nodes)
+        spec = QuadratureSpec(measure, MONTE_CARLO, p.d, sample_count=g.sample_count,
+                              seed=(p.seed, 10007) if g.seed is None else g.seed)
+    else:
+        nodes = g.nodes_per_dim or _DEFAULT_NODES[measure].get(p.d)
+        if nodes is None:
+            raise ConfigError(f"no default tensor grid for dimension {p.d}; supply a grid spec")
+        spec = QuadratureSpec(measure, TENSOR_GAUSS, p.d, nodes_per_dim=nodes)
+    check_grid_cap(spec)
+    return spec
 
 
 _FAMILIES = {
@@ -321,6 +321,9 @@ def _node_count(p) -> int:
 
 
 def _check_sampling(p) -> None:
+    """Distinct widths; the trials' draws and the design matrix at the widest width."""
+    if hasattr(p, "r") and len(set(p.r)) < len(p.r):
+        raise ConfigError(f"parameter 'r_list' must not repeat a width, got {p.r}")
     widest = p.r_max if hasattr(p, "r_max") else max(p.r)
     _cap(f"trials x max(r) = {p.trials} x {widest}", p.trials * widest, p.trials)
     nodes = _node_count(p)
@@ -328,10 +331,7 @@ def _check_sampling(p) -> None:
 
 
 def _check_projection(p) -> None:
-    """Distinct widths, each with its own CSV; the family's values on the grid, and one
-    residual per trial, width and member."""
-    if len(set(p.r)) < len(p.r):
-        raise ConfigError(f"parameter 'r_list' must not repeat a width, got {p.r}")
+    """The family's values on the grid, and one residual per trial, width and member."""
     _check_sampling(p)
     family = p.family
     if family["type"] == "symmetric":  # _family capped C(d, ell) itself

@@ -27,7 +27,7 @@ from .errors import (
     WrongMeasure,
 )
 from .lattice import MultiIndex
-from .quadrature import GAUSSIAN, Grid, along_axes, evaluate_on, significant
+from .quadrature import GAUSSIAN, Grid, along_axes, evaluate_on, keep_and_sum, significant
 from .trig import DerivedTerm
 
 MAX_DEGREE = 200
@@ -149,10 +149,10 @@ class HermitePolynomial:
         }
 
     @classmethod
-    def from_json_dict(cls, doc: dict, dimension: int | None = None) -> "HermitePolynomial":
+    def from_json_dict(cls, doc: dict) -> "HermitePolynomial":
         if doc.get("basis") != "hermite":
             raise ParameterOutOfRange(f"not a hermite polynomial document: {doc.get('basis')!r}")
-        return cls({tuple(t["K"]): t["beta"] for t in doc["terms"]}, dimension=dimension)
+        return cls({tuple(t["K"]): t["beta"] for t in doc["terms"]})
 
 
 def term_by_term_coeffs(alpha: HermitePolynomial, i: int) -> HermitePolynomial:
@@ -214,21 +214,17 @@ def _truncate_on_axes(weighted: np.ndarray, k: int,
     return terms, approx.reshape(-1)
 
 
-def _truncate_by_walk(weighted: np.ndarray, k: int,
-                      grid: Grid) -> tuple[dict[MultiIndex, float], np.ndarray]:
-    """Simplex coefficients and the truncation from per-dimension value tables.
+def _simplex_columns(k: int, grid: Grid):
+    """``(K, H_K)`` at the grid's nodes for every ``|K|_1 <= k`` in lexicographic order.
 
-    Depth-first over prefixes in lexicographic order, smallest next degree on
-    top; an entry holds the product of every factor but its last coordinate's,
-    which siblings share.  A spent budget completes its prefix with zeros at
-    once: ``h_0 = 1``, so the skipped factors leave the product as it is.
-    Only :func:`significant` sums enter the terms and the truncation.
+    Depth-first over prefixes, smallest next degree on top; an entry holds the
+    product of every factor but its last coordinate's, which siblings share.
+    A spent budget completes its prefix with zeros at once: ``h_0 = 1``, so
+    the skipped factors leave the product as it is.
     """
     nodes = grid.nodes
     n, d = nodes.shape
     tables = [_univariate_table(k, nodes[:, j]) for j in range(d)]
-    terms: dict[MultiIndex, float] = {}
-    approx = np.zeros(n)
     zeros = (0,) * d
     stack: list[tuple[MultiIndex, int, np.ndarray]] = [((), k, np.ones(n))]
     while stack:
@@ -236,14 +232,9 @@ def _truncate_by_walk(weighted: np.ndarray, k: int,
         if prefix:
             prod = prod * tables[len(prefix) - 1][prefix[-1]]
         if left == 0 or len(prefix) == d:
-            products = weighted * prod
-            alpha = float(np.sum(products))
-            if significant(alpha, float(np.sum(np.abs(products))), grid):
-                terms[prefix + zeros[len(prefix):]] = alpha
-                np.add(approx, alpha * prod, out=approx)
-            continue
-        stack.extend((prefix + (deg,), left - deg, prod) for deg in range(left, -1, -1))
-    return terms, approx
+            yield prefix + zeros[len(prefix):], prod
+        else:
+            stack.extend((prefix + (deg,), left - deg, prod) for deg in range(left, -1, -1))
 
 
 def _degree_budget(lipschitz: float, epsilon: float, d: int) -> int:
@@ -264,11 +255,12 @@ def hermite_truncate(f, lipschitz: float, epsilon: float, grid: Grid) -> Hermite
     ``|E f| <= lipschitz``, the dropped tail is at most ``epsilon`` and every
     coefficient is at most ``lipschitz`` in magnitude (both measured, not
     assumed).  Coefficients come from quadrature on the supplied Gaussian
-    grid: on a grid with :attr:`Grid.axes` of more than ``k`` nodes each,
-    from contractions one axis at a time, agreeing with the per-index sums
-    to rounding; elsewhere from per-dimension value tables and one walk over
-    the index simplex.  Either way a coefficient within the rounding of its
-    sum (:func:`significant`) is 0, out of the polynomial and residual.
+    grid: on a grid whose axes have the ``k + 1`` nodes of a table
+    (:meth:`Grid.wide_axes`), from contractions one axis at a time, agreeing with
+    the per-index sums to rounding; elsewhere from :func:`keep_and_sum` over
+    the columns of one walk over the index simplex.  Either way a coefficient
+    within the rounding of its sum (:func:`significant`) is 0, out of the
+    polynomial and residual.
     """
     if grid.spec.measure != GAUSSIAN:
         raise WrongMeasure("Hermite truncation needs a Gaussian-measure grid")
@@ -278,13 +270,11 @@ def hermite_truncate(f, lipschitz: float, epsilon: float, grid: Grid) -> Hermite
     k = _degree_budget(lipschitz, epsilon, d)
     f_vals = evaluate_on(f, grid.nodes)
     weighted = grid.weights * f_vals
-    axes = grid.axes
-    if axes is not None and all(axis.size > k for axis in axes):
+    if grid.wide_axes(k + 1) is not None:
         terms, approx = _truncate_on_axes(weighted, k, grid)
     else:
-        terms, approx = _truncate_by_walk(weighted, k, grid)
-    residual = math.sqrt(max(float(np.sum(grid.weights * (f_vals - approx) ** 2)), 0.0))
+        terms, approx = keep_and_sum(weighted, _simplex_columns(k, grid), grid)
     poly = HermitePolynomial(terms, dimension=d)
     return HermiteTruncationReport(polynomial=poly, degree_budget=k,
-                                   residual_estimate=residual,
+                                   residual_estimate=grid.norm(f_vals - approx),
                                    max_coefficient=poly.max_coefficient())

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -26,12 +25,12 @@ from .errors import (
     ParameterOutOfRange,
     WrongMeasure,
 )
-from .approx import _axis_tables, _lead, c_ks
+from .approx import c_ks
 from .fitter import _weighted_lstsq
 from .lattice import MultiIndex, enumerate_ball
 from .quadrature import GAUSSIAN, TENSOR_GAUSS, Grid, evaluate_on
 from .relu import _design_matrix  # noqa: F401  the benchmark's tracer test reads it here
-from .trig import SQRT2, eval_T
+from .trig import SQRT2, _basis_on_axes, eval_T
 
 
 @dataclass(frozen=True)
@@ -65,40 +64,30 @@ def _value_matrix(family: FunctionFamily, grid: Grid) -> np.ndarray:
     ``(n, N)`` array.
 
     On a tensor grid a family with ``indices`` is built from per-axis tables
-    (:func:`approx._axis_tables`): member ``T_K`` is ``sqrt(2) Im``,
-    ``sqrt(2) Re`` or ``Re`` of the outer product of rows ``K_j``, one complex
-    product per node where ``eval_T`` takes a sine of ``<K, x>``, so it agrees
-    with ``eval_T`` to rounding.  That array is column-major, so the solves
-    read each member's values contiguously.  Every other family or grid gets
-    ``evaluate_on``'s values in a row-major array: the BLAS sums over a
-    column depend on its stride, so its projections keep their bits.
+    (:func:`trig._basis_on_axes`), agreeing with ``eval_T`` to rounding, in a
+    column-major array, so the solves read each member's values contiguously.
+    Every other family or grid gets ``evaluate_on``'s values in a row-major
+    array: the BLAS sums over a column depend on its stride, so its
+    projections keep their bits.
     """
-    shape = (grid.nodes.shape[0], len(family))
     axes = grid.axes if grid.spec.scheme == TENSOR_GAUSS else None
-    if family.indices is None or axes is None:
-        out = np.empty(shape)
-        for i, member in enumerate(family.members):
-            out[:, i] = evaluate_on(member, grid.nodes)
-        return out
-    out = np.empty(shape, order="F")
-    index = np.array(family.indices, dtype=int).reshape(len(family), len(axes))
-    top = int(np.max(np.abs(index), initial=0))
-    tables = _axis_tables(axes, top)
-    for column, K, lead in zip(out.T, index + top, _lead(index)):
-        rows = [table[row] for table, row in zip(tables, K)]
-        phase = reduce(np.multiply.outer, rows).reshape(-1)
-        if lead > 0:
-            np.multiply(phase.imag, SQRT2, out=column)
-        elif lead < 0:
-            np.multiply(phase.real, SQRT2, out=column)
-        else:
-            column[:] = phase.real
+    if family.indices is not None and axes is not None:
+        index = np.array(family.indices, dtype=int).reshape(len(family), len(axes))
+        return _basis_on_axes(index, axes)
+    out = np.empty((grid.nodes.shape[0], len(family)))
+    for i, member in enumerate(family.members):
+        out[:, i] = evaluate_on(member, grid.nodes)
     return out
 
 
-def _gram(family: FunctionFamily, grid: Grid) -> np.ndarray:
-    vals = _value_matrix(family, grid)
+def _gram(vals: np.ndarray, grid: Grid) -> np.ndarray:
+    """The Gram matrix on the grid of the members' values ``vals``."""
     return vals.T @ (grid.weights[:, None] * vals)
+
+
+def _off_diagonal_norm(gram: np.ndarray) -> float:
+    off = gram - np.diag(np.diag(gram))
+    return float(np.sqrt(np.sum(off**2)))
 
 
 def coherence(family: FunctionFamily, grid: Grid) -> float:
@@ -106,11 +95,10 @@ def coherence(family: FunctionFamily, grid: Grid) -> float:
 
     Zero for orthogonal families; requires unit-norm members (within 1e-6).
     """
-    gram = _gram(family, grid)
+    gram = _gram(_value_matrix(family, grid), grid)
     if not np.max(np.abs(np.diag(gram) - 1.0)) <= 1e-6:  # NaN fails too
         raise NotUnitNorm("family members must have unit grid norm for coherence")
-    off = gram - np.diag(np.diag(gram))
-    return float(np.sqrt(np.sum(off**2)))
+    return _off_diagonal_norm(gram)
 
 
 def randict_bound(r: int, N: int, kappa: float) -> float:
@@ -177,9 +165,8 @@ def check_boas_bellman(g, family: FunctionFamily, grid: Grid) -> tuple[float, fl
     g_vals = evaluate_on(g, grid.nodes)
     inner = vals.T @ (grid.weights * g_vals)
     lhs = float(np.sum(inner**2))
-    gram = vals.T @ (grid.weights[:, None] * vals)
-    off = gram - np.diag(np.diag(gram))
-    kappa = float(np.sqrt(np.sum(off**2)))
+    gram = _gram(vals, grid)
+    kappa = _off_diagonal_norm(gram)
     g_norm_sq = float(np.sum(grid.weights * g_vals**2))
     rhs = g_norm_sq * (float(np.max(np.diag(gram))) + kappa)
     return lhs, rhs

@@ -100,6 +100,17 @@ class Grid:
             before *= size
         return tuple(axes)
 
+    def wide_axes(self, rows: int) -> tuple[np.ndarray, ...] | None:
+        """:attr:`axes` if each has at least ``rows`` nodes, else None: the route rule of
+        the truncations, whose per-axis tables have ``rows`` rows, so that no table
+        is larger than its axis and no coefficient box than the grid."""
+        axes = self.axes
+        return axes if axes is not None and all(axis.size >= rows for axis in axes) else None
+
+    def norm(self, values: np.ndarray) -> float:
+        """``sqrt(sum(w v v))``: the L2(mu) norm of the function with ``values`` at the nodes."""
+        return float(np.sqrt(np.sum(self.weights * values * values)))
+
 
 def along_axes(values: np.ndarray, tables) -> np.ndarray:
     """Apply ``tables[j]``, shape ``(rows_j, m_j)``, along axis ``j`` of ``values``.
@@ -128,6 +139,22 @@ def significant(sums, abs_sums, grid: Grid):
     return np.abs(sums) > chain * np.finfo(float).eps * abs_sums
 
 
+def keep_and_sum(fw: np.ndarray, columns, grid: Grid) -> tuple[dict, np.ndarray]:
+    """The kept coefficients and the truncation, one basis column at a time: for each
+    ``(K, B_K)`` of ``columns``, ``B_K`` at the grid's nodes, ``beta_K = sum(fw B_K)``
+    is kept if :func:`significant` against ``sum |fw B_K|``, and the truncation
+    sums the kept ``beta_K B_K`` in the order of ``columns``."""
+    terms = {}
+    approx = np.zeros(grid.nodes.shape[0])
+    for K, column in columns:
+        products = fw * column
+        beta = float(np.sum(products))
+        if significant(beta, float(np.sum(np.abs(products))), grid):
+            terms[K] = beta
+            approx += beta * column
+    return terms, approx
+
+
 # Grids of a few sizes recur in every experiment; building a rule takes about 1 ms.
 @lru_cache(maxsize=32)
 def _gauss_1d(measure: str, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -142,6 +169,25 @@ def _gauss_1d(measure: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+# make_grid lays a tensor grid out as an (n,) * d + (d,) array; numpy 1.24 allows 32 axes.
+_MAX_TENSOR_DIM = 31
+
+
+def check_grid_cap(spec: QuadratureSpec) -> None:
+    """Raise :class:`CapExceeded` for a node array of ``n`` nodes x ``d`` coordinates
+    past the cap, or a tensor grid of more than ``_MAX_TENSOR_DIM`` axes."""
+    limit, d = active_cap(), spec.dimension
+    if spec.scheme == MONTE_CARLO:
+        nodes, what = spec.sample_count, f"monte_carlo grid of {spec.sample_count} samples"
+    else:  # n >= 2 gives n^e > cap once e reaches the cap's bit length
+        n = spec.nodes_per_dim
+        nodes, what = n ** min(d, limit.bit_length()), f"tensor grid {n}^{d}"
+    if nodes * d > limit:
+        raise CapExceeded(f"{what} x {d} coordinates exceeds the cap {limit}")
+    if spec.scheme == TENSOR_GAUSS and d > _MAX_TENSOR_DIM:
+        raise CapExceeded(f"tensor grid of {d} axes exceeds the d <= {_MAX_TENSOR_DIM} cap")
+
+
 def make_grid(spec: QuadratureSpec) -> Grid:
     """Materialize the nodes and weights for ``spec``.
 
@@ -150,7 +196,7 @@ def make_grid(spec: QuadratureSpec) -> Grid:
     UnsupportedCombination
         Unknown measure/scheme names or missing scheme parameters.
     CapExceeded
-        Tensor grids with ``nodes_per_dim^d`` beyond the active cap.
+        Grids past :func:`check_grid_cap`.
     WeightsNotNormalized
         The realized weights do not sum to 1 within ``1e-12``.
     """
@@ -164,8 +210,7 @@ def make_grid(spec: QuadratureSpec) -> Grid:
         n = spec.nodes_per_dim
         if n is None or n < 1:
             raise UnsupportedCombination("tensor_gauss requires nodes_per_dim >= 1")
-        if n**d > active_cap():
-            raise CapExceeded(f"tensor grid {n}^{d} exceeds cap {active_cap()}")
+        check_grid_cap(spec)
         x1, w1 = _gauss_1d(spec.measure, n)
         # the ij product, last axis fastest: coordinate j of node (a_0, ..., a_{d-1})
         # is x1[a_j], and its weight w1[a_0] * ... * w1[a_{d-1}], multiplied in that order
@@ -179,8 +224,7 @@ def make_grid(spec: QuadratureSpec) -> Grid:
             raise UnsupportedCombination("monte_carlo requires sample_count >= 1")
         if spec.seed is None:
             raise UnsupportedCombination("monte_carlo requires an explicit seed")
-        if spec.sample_count > active_cap():
-            raise CapExceeded(f"sample count {spec.sample_count} exceeds cap")
+        check_grid_cap(spec)
         rng = np.random.default_rng(spec.seed)
         if spec.measure == UNIFORM_CUBE:
             nodes = rng.uniform(-1.0, 1.0, size=(spec.sample_count, d))
@@ -229,16 +273,12 @@ def inner_product(f, g, grid: Grid) -> float:
 
 
 def l2_norm(f, grid: Grid) -> float:
-    fv = evaluate_on(f, grid.nodes)
-    return float(np.sqrt(np.sum(grid.weights * fv * fv)))
+    return grid.norm(evaluate_on(f, grid.nodes))
 
 
 def l2_error(f, g, grid: Grid) -> float:
     """``||f - g||_mu`` on the grid."""
-    fv = evaluate_on(f, grid.nodes)
-    gv = evaluate_on(g, grid.nodes)
-    diff = fv - gv
-    return float(np.sqrt(np.sum(grid.weights * diff * diff)))
+    return grid.norm(evaluate_on(f, grid.nodes) - evaluate_on(g, grid.nodes))
 
 
 def trig_coefficient(f, K: MultiIndex, grid: Grid) -> float:

@@ -18,7 +18,7 @@ single argument scale ``rho`` (1/2 after the reflection construction,
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -57,6 +57,52 @@ def eval_T(K: MultiIndex, x) -> np.ndarray | float:
         phase = math.pi * (x @ np.asarray(K, dtype=float))
         out = SQRT2 * (np.sin(phase) if kind is IndexClass.SIN else np.cos(phase))
     return float(out) if out.ndim == 0 else out
+
+
+def _lead(index: np.ndarray) -> np.ndarray:
+    """The sign of each index row's first nonzero coordinate: its sin/cos class."""
+    return index[np.arange(len(index)), np.argmax(index != 0, axis=1)]
+
+
+def _box(index: np.ndarray, beta: np.ndarray, top: int) -> np.ndarray:
+    """The box ``|K_j| <= top`` of ``-i sqrt(2) beta_K`` at sin-class ``K``,
+    ``sqrt(2) beta_K`` at cos-class ``K`` and ``beta_0`` at zero, so that
+    ``sum_K box_K exp(i pi <K, y>)`` has the real part ``sum_K beta_K T_K(y)``."""
+    lead = _lead(index)
+    box = np.zeros((2 * top + 1,) * index.shape[1], dtype=complex)
+    box[tuple((index + top).T)] = np.where(lead > 0, -1j * SQRT2 * beta,
+                                           np.where(lead < 0, SQRT2 * beta, beta))
+    return box
+
+
+def _axis_tables(axes, top: int) -> list[np.ndarray]:
+    """``exp(i pi K_j x_ja)`` at every node ``x_ja`` of each axis ``j``, order ``K_j`` in
+    row ``K_j + top`` of table ``j`` for every ``|K_j| <= top``.  The outer product of
+    rows ``K_j + top`` is ``exp(i pi <K, x>)`` at the product nodes: ``T_K`` is its
+    imaginary part times ``sqrt(2)`` at a sin-class ``K``, else its real part
+    (times ``sqrt(2)`` at a cos-class one)."""
+    orders = np.arange(-top, top + 1, dtype=float)
+    return [np.exp(1j * math.pi * np.multiply.outer(orders, axis)) for axis in axes]
+
+
+def _basis_on_axes(index: np.ndarray, axes) -> np.ndarray:
+    """``T_K`` at the product nodes of ``axes`` for each row ``K`` of ``index``, one
+    column of a column-major array each: ``sqrt(2) Im``, ``sqrt(2) Re`` or ``Re`` of
+    the outer product of rows ``K_j`` of the :func:`_axis_tables`, one complex
+    product per node where :func:`eval_T` takes a sine, so they agree to rounding."""
+    out = np.empty((math.prod(axis.size for axis in axes), len(index)), order="F")
+    top = int(np.max(np.abs(index), initial=0))
+    tables = _axis_tables(axes, top)
+    for column, K, lead in zip(out.T, index + top, _lead(index)):
+        rows = [table[row] for table, row in zip(tables, K)]
+        phase = reduce(np.multiply.outer, rows).reshape(-1)
+        if lead > 0:
+            np.multiply(phase.imag, SQRT2, out=column)
+        elif lead < 0:
+            np.multiply(phase.real, SQRT2, out=column)
+        else:
+            column[:] = phase.real
+    return out
 
 
 def lipschitz_bound(K: MultiIndex) -> float:
@@ -197,9 +243,9 @@ class TrigPolynomial:
         }
 
     @classmethod
-    def from_json_dict(cls, doc: dict, dimension: int | None = None) -> "TrigPolynomial":
+    def from_json_dict(cls, doc: dict) -> "TrigPolynomial":
         terms = {tuple(item["K"]): float(item["beta"]) for item in doc["terms"]}
-        return cls(terms, scale=float(doc.get("scale", 1.0)), dimension=dimension)
+        return cls(terms, scale=float(doc.get("scale", 1.0)))
 
 
 def parseval_norm(P: TrigPolynomial) -> float:

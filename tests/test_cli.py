@@ -500,12 +500,15 @@ class TestConfigSchema:
         (_with(_FIT, seed=-1), None),
         (_with(_LBP, ell=3), None),
         (_with(_LBP, r_list=[1, 0, 1]), None),
+        (_with(_FIT, r_list=[2, 2]), None),
+        (_with(_EXPLICIT, d=2, ell=1, r_list=[1, 1]), None),
         (_with(_MIX, rho=1.5), None),
         ({"kind": ["fit_curve"], "parameters": {}}, None),
     ], ids=["seed_str", "seed_1e400", "d_str", "grid_nodes_str", "grid_str",
             "trig_poly_no_terms", "family_k_str", "r_list_str_entry", "mode_unknown",
             "trials_fractional", "dist_k_str", "L_bool", "seed_negative",
-            "ell_over_d", "r_list_repeated_width", "rho_over_1", "kind_list"])
+            "ell_over_d", "r_list_repeated_width", "fit_curve_repeated_width",
+            "lb_explicit_repeated_width", "rho_over_1", "kind_list"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, doc, text):
         for code, err in _both_commands(tmp_path, capsys, doc, text):
             assert code == 2
@@ -532,6 +535,11 @@ class TestConfigSchema:
         (_with(_FIT, d=3, dist={"k": 4000}), None, "ball"),
         (_with(_MIX, k=10, z_count=5), 10, "ball"),
         (_with(_TRIG, d=3, grid={"nodes_per_dim": 100}), 1000, "tensor grid"),
+        # one node per axis, but an array of 71 dimensions
+        (_with(_TRIG, d=70, epsilon=0.5, mode="periodic", grid={"nodes_per_dim": 1}), None,
+         "tensor grid of 70 axes exceeds the d <= 31 cap\n"),
+        (_with(_FIT, d=600, dist={"k": 1}, grid={"scheme": "monte_carlo", "sample_count": 20000}),
+         None, "monte_carlo grid of 20000 samples x 600 coordinates exceeds the cap 10000000\n"),
         (_with(_FIT, d=5000, dist={"k": 1}, grid={"scheme": "monte_carlo", "sample_count": 1}),
          None, "10001 indices x 5000 coordinates"),
         (_with(_TRIG, d=16, L=1, epsilon=1,
@@ -546,7 +554,8 @@ class TestConfigSchema:
          "orthant scan over 2^21 orthants exceeds the d <= 20 cap\n"),
     ], ids=["z_count", "trials_x_r", "design", "design_default_cap", "minwidth_r_max",
             "symmetric_family", "ball_family", "dist_ball", "mixture_ball", "grid",
-            "dist_direction_table", "orthant_scan", "orthant_scan_small_cap", "orthant_dim"])
+            "tensor_grid_axes", "monte_carlo_grid_coordinates", "dist_direction_table",
+            "orthant_scan", "orthant_scan_small_cap", "orthant_dim"])
     def test_size_caps_exit_3(self, tmp_path, capsys, monkeypatch, doc, cap, fragment):
         if cap is not None:
             monkeypatch.setenv("WIDTHLAB_CAP", str(cap))
@@ -566,8 +575,9 @@ class TestConfigSchema:
          "gaussian family pool"),
         (_with(_LBP, family={"type": "gaussian", "L": 2.0, "N": 100}), 1000,
          "gaussian family pool"),
-        (_with(_LBP, family={"type": "gaussian", "L": 2.0, "N": 2},
-               grid={"nodes_per_dim": 12}), 200, "value matrix of 2 members x 144"),
+        # the grid's 144 nodes x 2 coordinates and the pool's 96 x 3 directions fit this cap
+        (_with(_LBP, family={"type": "gaussian", "L": 2.0, "N": 3},
+               grid={"nodes_per_dim": 12}), 300, "value matrix of 3 members x 144"),
         (_with(_LBP, family={"type": "ball", "k": 12}, d=3), None,
          "value matrix of 7153 members x 13824 grid nodes"),
         (_with(_LBP, r_list=[0], trials=10**9), None,

@@ -51,7 +51,7 @@ REQUIRED = {
     "mixture_check": [("d",), ("k",)],
 }
 # Size-like parameters, whose huge values must hit a cap.
-SIZES = {"trials", "r_list", "r", "r_max", "z_count", "k"}
+SIZES = {"trials", "r_list", "r", "r_max", "z_count", "k", "d", "d_list"}
 
 _OTHER_VALUES = {
     "number": st.one_of(st.integers(-5, 5), st.floats(-1e3, 1e3)),

@@ -129,9 +129,11 @@ class TestEnumerateBall:
 
     # Each builds a d = 2 ball of 13 or more indices: k = 2 for the first three,
     # k = 40 / (4 pi sqrt(2)) = 2.25 (21 indices) for the Sobolev hard instance.
+    # The truncation's grid is built under the default cap: its 9 nodes x 2
+    # coordinates are past a cap of 10 themselves.
     @pytest.mark.parametrize("build", [
-        lambda: truncate_sobolev(lambda X: X[:, 0], 1, 4.0, 1.0,
-                                 tensor_gauss_grid(UNIFORM_CUBE, 2, 3)),
+        lambda grid=tensor_gauss_grid(UNIFORM_CUBE, 2, 3): truncate_sobolev(
+            lambda X: X[:, 0], 1, 4.0, 1.0, grid),
         lambda: hard_family_ball(2, 2),
         lambda: sobolev_lb_parameters(40.0, 1.0, 1, 2),
         lambda: DkDistribution(k=2, dimension=2),

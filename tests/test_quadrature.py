@@ -100,6 +100,20 @@ class TestTensorGauss:
         with pytest.raises(CapExceeded):
             tensor_gauss_grid(UNIFORM_CUBE, 6, 24)
 
+    def test_cap_counts_every_coordinate(self, monkeypatch):
+        monkeypatch.setenv("WIDTHLAB_CAP", "18")  # 3^2 nodes x 2 coordinates
+        tensor_gauss_grid(UNIFORM_CUBE, 2, 3)
+        monkeypatch.setenv("WIDTHLAB_CAP", "17")
+        with pytest.raises(CapExceeded, match=r"tensor grid 3\^2 x 2 coordinates"):
+            tensor_gauss_grid(UNIFORM_CUBE, 2, 3)
+
+    def test_at_most_31_axes(self):
+        """The nodes are laid out as an array of ``d + 1`` dimensions, and numpy
+        1.24 allows 32."""
+        assert tensor_gauss_grid(GAUSSIAN, 31, 1).nodes.shape == (1, 31)
+        with pytest.raises(CapExceeded, match="tensor grid of 32 axes exceeds the d <= 31"):
+            tensor_gauss_grid(GAUSSIAN, 32, 1)
+
     def test_unknown_measure(self):
         with pytest.raises(UnsupportedCombination):
             make_grid(QuadratureSpec(measure="lebesgue", scheme=TENSOR_GAUSS,
@@ -227,6 +241,12 @@ class TestMonteCarlo:
                               dimension=2, sample_count=100)
         with pytest.raises(UnsupportedCombination):
             make_grid(spec)
+
+    def test_cap_counts_every_coordinate(self, monkeypatch):
+        monkeypatch.setenv("WIDTHLAB_CAP", "1000")
+        make_grid(QuadratureSpec(UNIFORM_CUBE, MONTE_CARLO, 10, sample_count=100, seed=0))
+        with pytest.raises(CapExceeded, match="100 samples x 11 coordinates"):
+            make_grid(QuadratureSpec(UNIFORM_CUBE, MONTE_CARLO, 11, sample_count=100, seed=0))
 
     def test_reproducible(self):
         spec = QuadratureSpec(measure=UNIFORM_CUBE, scheme=MONTE_CARLO,
