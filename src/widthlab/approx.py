@@ -215,7 +215,9 @@ def reflect_and_truncate(f, lipschitz: float, epsilon: float, grid: Grid) -> Tru
 
     The caller asserts ``f`` is ``lipschitz``-Lipschitz with ``|E f| <= lipschitz``.
     Under that contract the residual is at most ``epsilon`` plus quadrature
-    error, and coefficients are bounded by ``lipschitz``.
+    error, and coefficients are bounded by ``lipschitz``.  When no orthant's
+    error is finite, as for a target whose values overflow, raises
+    ``FloatingPointError``.
     """
     if lipschitz <= 0 or epsilon <= 0:
         raise ParameterOutOfRange("lipschitz and epsilon must be positive")
@@ -239,10 +241,13 @@ def reflect_and_truncate(f, lipschitz: float, epsilon: float, grid: Grid) -> Tru
     shifted = _shifted_on_axes(ptilde, axes) if axes is not None else (
         lambda nu: ptilde.evaluate(np.asarray(nu, dtype=float) * (grid.nodes + 1.0) / 2.0))
     best_nu, best_err = None, math.inf
-    for nu in itertools.product((-1, 1), repeat=d):
-        err = float(np.sum(grid.weights * (shifted(nu) - f_vals) ** 2))
-        if err < best_err:
-            best_nu, best_err = nu, err
+    with np.errstate(over="ignore", invalid="ignore"):  # only a finite error is kept
+        for nu in itertools.product((-1, 1), repeat=d):
+            err = float(np.sum(grid.weights * (shifted(nu) - f_vals) ** 2))
+            if err < best_err:
+                best_nu, best_err = nu, err
+    if best_nu is None:
+        raise FloatingPointError("no orthant's truncation has a finite error on the grid")
 
     poly = shift_polynomial_to_half_scale(ptilde, best_nu)
     residual = grid.norm(f_vals - poly.evaluate(grid.nodes))

@@ -28,7 +28,8 @@ each a prefix of every wider draw; ``live(draws, nodes)`` maps draws stacked
 by trial to a ``(trials, r)`` mask of the columns to factor, each column
 left out lying in the span of kept ones drawn before it; and
 ``columns(draw, nodes, out)`` writes feature ``i``'s values at the nodes
-into row ``out[i]``, which the engine then weights.
+into row ``out[i]``, which the engine then weights.  The engine passes both
+the grid's nodes ``(n, d)`` column-major, as ``Grid.column_major_nodes``.
 """
 
 from __future__ import annotations
@@ -270,7 +271,7 @@ def _weighted_lstsq(W: np.ndarray, b: np.ndarray, grid: Grid,
     """
     _check_features(W, b, grid.nodes.shape[1])
     root_w, rhs, norm_sq = _weighted(targets, grid.weights)
-    factors = _Factors(ReluParamDist, [(W, b)], grid.nodes, root_w, rhs, norm_sq)
+    factors = _Factors(ReluParamDist, [(W, b)], grid.column_major_nodes, root_w, rhs, norm_sq)
     w = int(factors.live[0, -1])
     coeffs, norms = np.zeros((len(W), rhs.shape[1])), factors.target_norms
     if w:
@@ -351,8 +352,8 @@ def _factored(rhs: np.ndarray, root_w: np.ndarray, norm_sq: np.ndarray, grid: Gr
     per_batch = max(1, _BATCH_BYTES // per_trial)
     for start in range(0, len(trials) if w else 0, per_batch):
         ids = trials[start:start + per_batch]
-        yield ids, _Factors(dist, [_draw(dist, w, seed, t) for t in ids], grid.nodes, root_w,
-                            rhs, norm_sq)
+        yield ids, _Factors(dist, [_draw(dist, w, seed, t) for t in ids],
+                            grid.column_major_nodes, root_w, rhs, norm_sq)
 
 
 def width_residuals(targets: np.ndarray, grid: Grid, dist, widths, seed,

@@ -239,8 +239,16 @@ def _simplex_columns(k: int, grid: Grid):
 
 def _degree_budget(lipschitz: float, epsilon: float, d: int) -> int:
     """The degree budget ``ceil(L^2/eps^2)``, within ``MAX_DEGREE`` and with an index
-    simplex within the cap; raises :class:`DegreeCap` or :class:`CapExceeded`."""
-    k = math.ceil(lipschitz**2 / epsilon**2)
+    simplex within the cap; raises :class:`DegreeCap` or :class:`CapExceeded`.
+
+    It is the square of the ratio ``L / eps``: ``eps^2`` underflows to 0 below
+    about ``1e-162``, and a square past the float range is past the cap too.
+    """
+    ratio_sq = (lipschitz / epsilon) * (lipschitz / epsilon)
+    if not math.isfinite(ratio_sq):
+        raise DegreeCap(f"degree budget (L/eps)^2 = ({lipschitz / epsilon})^2 exceeds the "
+                        f"stability cap {MAX_DEGREE}")
+    k = math.ceil(ratio_sq)
     if k > MAX_DEGREE:
         raise DegreeCap(f"degree budget {k} exceeds the stability cap {MAX_DEGREE}")
     if _simplex_count(k, d) > active_cap():

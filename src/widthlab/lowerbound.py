@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
+    CapExceeded,
     NotUnitNorm,
     PackingFailed,
     ParameterOutOfRange,
@@ -28,7 +29,7 @@ from .errors import (
 from .approx import c_ks
 from .fitter import _weighted_lstsq
 from .lattice import MultiIndex, enumerate_ball
-from .quadrature import GAUSSIAN, TENSOR_GAUSS, Grid, evaluate_on
+from .quadrature import GAUSSIAN, TENSOR_GAUSS, Grid, evaluate_on, memoized
 from .relu import _design_matrix  # noqa: F401  the benchmark's tracer test reads it here
 from .trig import SQRT2, _basis_on_axes, eval_T
 
@@ -66,14 +67,24 @@ def _value_matrix(family: FunctionFamily, grid: Grid) -> np.ndarray:
     On a tensor grid a family with ``indices`` is built from per-axis tables
     (:func:`trig._basis_on_axes`), agreeing with ``eval_T`` to rounding, in a
     column-major array, so the solves read each member's values contiguously.
-    Every other family or grid gets ``evaluate_on``'s values in a row-major
-    array: the BLAS sums over a column depend on its stride, so its
-    projections keep their bits.
+    That array is read-only and kept in the process memo
+    (:func:`quadrature.memoized`), keyed by the indices and the axes, all it
+    is built from, so the runs of one study build it once.  Every other
+    family or grid gets ``evaluate_on``'s values in a row-major array: the
+    BLAS sums over a column depend on its stride, so its projections keep
+    their bits.
     """
     axes = grid.axes if grid.spec.scheme == TENSOR_GAUSS else None
     if family.indices is not None and axes is not None:
         index = np.array(family.indices, dtype=int).reshape(len(family), len(axes))
-        return _basis_on_axes(index, axes)
+
+        def build() -> np.ndarray:
+            values = _basis_on_axes(index, axes)
+            values.setflags(write=False)
+            return values
+
+        key = ("values", index.shape, index.tobytes(), *(axis.tobytes() for axis in axes))
+        return memoized(key, build, lambda values: values.nbytes)
     out = np.empty((grid.nodes.shape[0], len(family)))
     for i, member in enumerate(family.members):
         out[:, i] = evaluate_on(member, grid.nodes)
@@ -250,13 +261,19 @@ def lb_parameters(lipschitz: float, epsilon: float, d: int) -> LbParameters:
 
     ``ell = min(ceil(d/2), floor(L^2 / (32 pi^2 eps^2)))`` and
     ``k = L / (18 eps)``; ``ell = 0`` flags a degenerate (too-easy) regime
-    rather than raising.
+    rather than raising.  ``L^2 / eps^2`` is the square of the ratio ``L / eps``,
+    as ``eps^2`` underflows to 0 below about ``1e-162``; a square past the
+    float range raises :class:`CapExceeded`.
     """
     if lipschitz <= 0 or epsilon <= 0:
         raise ParameterOutOfRange("lipschitz and epsilon must be positive")
     if d < 1:
         raise ParameterOutOfRange(f"dimension must be >= 1, got {d}")
-    ell = min(math.ceil(d / 2), math.floor(lipschitz**2 / (32.0 * math.pi**2 * epsilon**2)))
+    ratio_sq = (lipschitz / epsilon) * (lipschitz / epsilon)
+    if not math.isfinite(ratio_sq):
+        raise CapExceeded(f"hard-instance size (L/eps)^2 = ({lipschitz / epsilon})^2 exceeds "
+                          "the float range")
+    ell = min(math.ceil(d / 2), math.floor(ratio_sq / (32.0 * math.pi**2)))
     return LbParameters(ell=ell, k_nonexplicit=lipschitz / (18.0 * epsilon),
                         degenerate=ell == 0)
 

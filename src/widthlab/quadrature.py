@@ -14,6 +14,8 @@ rows transparently.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
@@ -65,6 +67,15 @@ class Grid:
     @property
     def dimension(self) -> int:
         return self.spec.dimension
+
+    @cached_property
+    def column_major_nodes(self) -> np.ndarray:
+        """The nodes ``(n, d)`` in a read-only column-major copy, so that each coordinate
+        is contiguous: the layout the trial engine passes the features (see
+        ``relu.ReluParamDist``), and the one ``relu._design_matrix`` reads."""
+        nodes = np.asfortranarray(self.nodes).view()  # no copy at d = 1, its own flags
+        nodes.setflags(write=False)
+        return nodes
 
     @cached_property
     def axes(self) -> tuple[np.ndarray, ...] | None:
@@ -188,8 +199,72 @@ def check_grid_cap(spec: QuadratureSpec) -> None:
         raise CapExceeded(f"tensor grid of {d} axes exceeds the d <= {_MAX_TENSOR_DIM} cap")
 
 
+# Bytes of grids and hard-family values a process keeps for reuse (see :func:`memoized`).
+_MEMO_BYTES = 16 * 2**20
+
+
+class _Memo:
+    """Values kept by key, least recently used first out, with at most ``budget``
+    bytes of them; a value past the budget on its own is not kept."""
+
+    def __init__(self, budget: int):
+        self.budget, self.used = budget, 0
+        self.entries: OrderedDict = OrderedDict()  # key: (value, bytes)
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        with self._lock:
+            entry = self.entries.get(key)
+            if entry is None:
+                return None
+            self.entries.move_to_end(key)
+            return entry[0]
+
+    def put(self, key, value, size: int) -> None:
+        with self._lock:
+            if size > self.budget or key in self.entries:
+                return
+            while self.used + size > self.budget:
+                self.used -= self.entries.popitem(last=False)[1][1]
+            self.entries[key] = (value, size)
+            self.used += size
+
+
+_MEMO = _Memo(_MEMO_BYTES)
+
+
+def memoized(key, build, size):
+    """The value kept under ``key``, else ``build()``, kept if its ``size(value)`` bytes
+    fit the process memo of ``_MEMO_BYTES``.
+
+    Grids and hard-family values recur across the runs of one study, and a
+    rebuild costs more than its arithmetic: freed multi-MB buffers go back to
+    the operating system and are faulted in again.  A key holds everything
+    its value is built from, and every array a kept value holds is
+    read-only, so a value served is the one a build would return.
+    """
+    value = _MEMO.get(key)
+    if value is None:
+        value = build()
+        _MEMO.put(key, value, size(value))
+    return value
+
+
+def _grid_bytes(grid: Grid) -> int:
+    """What a grid holds at most: nodes, weights, :attr:`Grid.column_major_nodes` and the
+    axes, whose sizes multiply to ``n`` and so sum to at most ``n + d``."""
+    n, d = grid.nodes.shape
+    return 2 * grid.nodes.nbytes + grid.weights.nbytes + 8 * (n + d)
+
+
 def make_grid(spec: QuadratureSpec) -> Grid:
     """Materialize the nodes and weights for ``spec``.
+
+    The spec and the cap are checked on every call; then an equal spec is
+    served the grid built before while the process memo keeps it
+    (:func:`memoized`), one ``Grid`` whose arrays are read-only.  A tensor
+    grid is keyed by its Gauss rule too, so a call is served only a grid
+    built from the rule it would build from.
 
     Raises
     ------
@@ -204,14 +279,31 @@ def make_grid(spec: QuadratureSpec) -> Grid:
         raise UnsupportedCombination(f"unknown measure {spec.measure!r}")
     if spec.dimension < 1:
         raise ParameterOutOfRange(f"dimension must be >= 1, got {spec.dimension}")
-    d = spec.dimension
-
     if spec.scheme == TENSOR_GAUSS:
-        n = spec.nodes_per_dim
-        if n is None or n < 1:
+        if spec.nodes_per_dim is None or spec.nodes_per_dim < 1:
             raise UnsupportedCombination("tensor_gauss requires nodes_per_dim >= 1")
         check_grid_cap(spec)
-        x1, w1 = _gauss_1d(spec.measure, n)
+        rule = _gauss_1d(spec.measure, spec.nodes_per_dim)
+        key = ("grid", spec, *(part.tobytes() for part in rule))
+    elif spec.scheme == MONTE_CARLO:
+        if spec.sample_count is None or spec.sample_count < 1:
+            raise UnsupportedCombination("monte_carlo requires sample_count >= 1")
+        if spec.seed is None:
+            raise UnsupportedCombination("monte_carlo requires an explicit seed")
+        check_grid_cap(spec)
+        rule, key = None, ("grid", spec)
+    else:
+        raise UnsupportedCombination(f"unknown scheme {spec.scheme!r}")
+    return memoized(key, lambda: _build_grid(spec, rule), _grid_bytes)
+
+
+def _build_grid(spec: QuadratureSpec, rule) -> Grid:
+    """The grid of a checked ``spec``: the tensor product of the 1-D ``rule``, or
+    Monte Carlo samples if ``rule`` is None."""
+    d = spec.dimension
+    if rule is not None:
+        x1, w1 = rule
+        n = spec.nodes_per_dim
         # the ij product, last axis fastest: coordinate j of node (a_0, ..., a_{d-1})
         # is x1[a_j], and its weight w1[a_0] * ... * w1[a_{d-1}], multiplied in that order
         nodes = np.empty((n**d, d))
@@ -219,20 +311,13 @@ def make_grid(spec: QuadratureSpec) -> Grid:
         for j in range(d):
             product[..., j] = x1.reshape((n,) + (1,) * (d - 1 - j))
         weights = reduce(np.multiply.outer, [w1] * d).reshape(-1)
-    elif spec.scheme == MONTE_CARLO:
-        if spec.sample_count is None or spec.sample_count < 1:
-            raise UnsupportedCombination("monte_carlo requires sample_count >= 1")
-        if spec.seed is None:
-            raise UnsupportedCombination("monte_carlo requires an explicit seed")
-        check_grid_cap(spec)
+    else:
         rng = np.random.default_rng(spec.seed)
         if spec.measure == UNIFORM_CUBE:
             nodes = rng.uniform(-1.0, 1.0, size=(spec.sample_count, d))
         else:
             nodes = rng.standard_normal(size=(spec.sample_count, d))
         weights = np.full(spec.sample_count, 1.0 / spec.sample_count)
-    else:
-        raise UnsupportedCombination(f"unknown scheme {spec.scheme!r}")
 
     if not abs(weights.sum() - 1.0) <= 1e-12:
         raise WeightsNotNormalized(f"{spec.label()} weights sum to {weights.sum()!r}, not 1")

@@ -61,7 +61,8 @@ def _check_features(W: np.ndarray, b: np.ndarray, d: int) -> None:
 
 def _relu(a: np.ndarray, c: np.ndarray, bias: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``max(a @ c - bias, 0)`` into ``out``, the one ReLU formula: ``X W^T`` gives one
-    column per feature and ``W X^T``, with ``X^T`` a view, the same bits as rows."""
+    column per feature and ``W X^T``, with ``X^T`` a view, the same bits as rows, when
+    both read ``X`` in one layout."""
     np.matmul(a, c, out=out)
     out -= bias
     np.maximum(out, 0.0, out=out)
@@ -69,12 +70,18 @@ def _relu(a: np.ndarray, c: np.ndarray, bias: np.ndarray, out: np.ndarray) -> np
 
 
 def _design_matrix(W: np.ndarray, b: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """``relu(<w_i, x> - b_i)`` at every node, one column per feature, in one buffer."""
-    return _relu(nodes, W.T, b, np.empty((len(nodes), len(b))))
+    """``relu(<w_i, x> - b_i)`` at every node, one column per feature, in one buffer.
+
+    The nodes are read column-major (copied unless they are, as
+    ``Grid.column_major_nodes`` is), the layout the trial engine passes
+    :meth:`ReluParamDist.columns`, so its rows have these columns' bits.
+    """
+    return _relu(np.asfortranarray(nodes), W.T, b, np.empty((len(nodes), len(b))))
 
 
 def _reach(nodes: np.ndarray) -> np.ndarray:
-    """The largest ``|x_j|`` over the nodes, per coordinate ``j``."""
+    """The largest ``|x_j|`` over the nodes, per coordinate ``j``: on column-major nodes
+    each coordinate is reduced over contiguous memory."""
     return np.max(np.abs(nodes), axis=0)
 
 
@@ -332,13 +339,19 @@ class ReluParamDist:
     @staticmethod
     def live(draws: tuple, nodes: np.ndarray) -> np.ndarray:
         """The mask ``(trials, r)`` of the columns a solve factors (:func:`_live`), for
-        draws ``(W (trials, r, d), b (trials, r))`` stacked by trial."""
+        draws ``(W (trials, r, d), b (trials, r))`` stacked by trial, at ``nodes``
+        ``(n, d)``; the engine passes them column-major (``Grid.column_major_nodes``)."""
         return _live(*draws, _reach(nodes))
 
     @staticmethod
     def columns(draw: tuple, nodes: np.ndarray, out: np.ndarray) -> None:
-        """Write feature ``i`` of ``draw = (W, b)`` at every node into row ``out[i]``,
-        the bits of :func:`_design_matrix`'s column ``i``."""
+        """Write feature ``i`` of ``draw = (W, b)`` at every node into row ``out[i]``.
+
+        The engine passes ``nodes`` ``(n, d)`` column-major
+        (``Grid.column_major_nodes``), so ``nodes.T`` has contiguous rows, and
+        the rows have the bits of :func:`_design_matrix`'s columns, which
+        reads the same layout.
+        """
         W, b = draw
         _relu(W, nodes.T, b[:, None], out)
 

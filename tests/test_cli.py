@@ -24,7 +24,7 @@ from widthlab import (
     projection_residuals,
     tensor_gauss_grid,
 )
-from widthlab import cli, fitter, lowerbound, relu
+from widthlab import approx, cli, fitter, lowerbound, quadrature, relu
 from widthlab.cli import emit_curve, main, read_curve, run_config, validate_config
 
 
@@ -417,6 +417,44 @@ class TestTrialEngine:
         assert code == 0
         assert calls == [3]
 
+    def test_a_memo_hit_keeps_the_bits_of_a_miss_and_of_a_fresh_process(self, tmp_path,
+                                                                        monkeypatch):
+        """A second run in one process is served the grid and the family's values the
+        first built; its CSVs and results, the wall time aside, are the first run's and
+        those of a run in a new process."""
+        monkeypatch.setattr(quadrature, "_MEMO", quadrature._Memo(quadrature._MEMO_BYTES))
+        builds = []
+
+        def counted(name, build):
+            def counting(*args):
+                builds.append(name)
+                return build(*args)
+            return counting
+
+        for module, name in ((quadrature, "_build_grid"), (lowerbound, "_basis_on_axes")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        doc = {"kind": "lb_projection",
+               "parameters": {"d": 3, "family": {"type": "ball", "k": 2}, "r_list": [1, 4],
+                              "trials": 3, "seed": 5, "grid": {"nodes_per_dim": 8}},
+               "output_path": "p"}
+        runs = [_run(tmp_path, doc, out=f"out{i}") for i in range(2)]
+        assert builds == ["_build_grid", "_basis_on_axes"]
+        cfg = _write_config(tmp_path, doc, name="fresh.json")
+        src = str(Path(widthlab.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "widthlab.cli", "run", "--config", cfg,
+                               "--out-dir", str(tmp_path / "fresh")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        fresh = json.loads((tmp_path / "fresh" / "p_result.json").read_text())
+        for code, result, out_dir in runs:
+            assert code == 0
+            assert result["results"] == fresh["results"]
+            assert result["csv_files"] == fresh["csv_files"]
+            for name in fresh["csv_files"]:
+                assert (out_dir / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
 
 class TestExitCodes:
     def test_unknown_kind(self, tmp_path):
@@ -649,6 +687,40 @@ class TestConfigSchema:
         assert ("grid norm nan" in err) == (doc["kind"] == "lb_projection")
         assert not list((tmp_path / "o").glob("*.csv"))
         assert not [w for w in caught if w.filename == fitter.__file__]
+
+    def test_reflect_mode_with_no_finite_orthant_exits_4(self, tmp_path, capsys):
+        """A target that overflows on the grid leaves every orthant's error NaN: exit 4
+        with one line, no CSV, and no warning from the orthant scan."""
+        doc = _with(_TRIG, mode="reflect", target={"type": "trig_poly", "polynomial": {
+            "terms": [{"K": [1], "beta": 1e308}, {"K": [-1], "beta": 1e308}]}})
+        cfg = _write_config(tmp_path, doc)
+        assert main(["validate", "--config", cfg]) == 0
+        capsys.readouterr()
+        # numpy warns while evaluating the target; the scan itself must not
+        with pytest.warns(RuntimeWarning, match="overflow|invalid") as caught:
+            code = main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")])
+        assert code == 4
+        err = capsys.readouterr().err
+        _assert_one_line(err, "numerical failure: no orthant's truncation has a finite error")
+        assert not list((tmp_path / "o").glob("*.csv"))
+        assert not [w for w in caught if w.filename == approx.__file__]
+
+    @pytest.mark.parametrize("doc, fragment", [
+        ({"kind": "lb_explicit", "parameters": {"d": 4, "L": 18, "epsilon": 1e-308,
+                                                "trials": 2, "seed": 1}},
+         "hard-instance size (L/eps)^2 = (inf)^2 exceeds the float range"),
+        ({"kind": "hermite_check", "parameters": {"d": 1, "L": 1, "epsilon": 1e-308,
+                                                  "target": "abs"}},
+         "degree budget (L/eps)^2 = (1e+308)^2 exceeds the stability cap 200"),
+    ], ids=["lb_explicit", "hermite_check"])
+    def test_a_tiny_epsilon_is_a_size_past_the_cap(self, tmp_path, capsys, doc, fragment):
+        """``epsilon^2`` underflows to 0 at 1e-308; the sizes square ``L / epsilon``, and a
+        square past the float range exits 3 from both commands."""
+        for code, err in _both_commands(tmp_path, capsys, doc):
+            assert code == 3
+            _assert_one_line(err, "cap exceeded: ")
+            assert fragment in err
+        assert not (tmp_path / "o").exists()
 
     def test_non_finite_result_exits_4(self, tmp_path, capsys):
         """A kept Sobolev norm that overflows to infinity is not JSON: exit 4, one line,

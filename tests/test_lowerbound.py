@@ -10,6 +10,7 @@ from widthlab import (
     UNIFORM_CUBE,
     DkDistribution,
     FunctionFamily,
+    Grid,
     NotUnitNorm,
     PackingFailed,
     ParameterOutOfRange,
@@ -36,6 +37,7 @@ from widthlab import (
     tensor_gauss_grid,
 )
 from widthlab.fitter import width_residuals
+from widthlab import quadrature
 from widthlab.lowerbound import _value_matrix
 from widthlab.relu import ReluParamDist
 
@@ -410,6 +412,20 @@ class TestValueMatrix:
             assert values.shape == (grid.nodes.shape[0], len(family))
             for K, column in zip(family.indices, values.T):
                 assert np.max(np.abs(column - eval_T(K, grid.nodes))) <= 1e-14, K
+
+    def test_values_are_kept_read_only_and_keyed_by_the_axes(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MEMO", quadrature._Memo(quadrature._MEMO_BYTES))
+        grid = tensor_gauss_grid(UNIFORM_CUBE, 2, 6)
+        family = hard_family_ball(2, 2)
+        values = _value_matrix(family, grid)
+        assert not values.flags.writeable
+        assert _value_matrix(hard_family_ball(2, 2), grid) is values
+        assert _value_matrix(hard_family_symmetric(1, 2), grid) is not values
+        # a hand-built grid with the spec of another but its own nodes gets its own values
+        moved = Grid(spec=grid.spec, nodes=grid.nodes / 2.0, weights=grid.weights)
+        other = _value_matrix(family, moved)
+        for K, column in zip(family.indices, other.T):
+            assert np.max(np.abs(column - eval_T(K, moved.nodes))) <= 1e-14, K
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_monte_carlo_grids_keep_the_bits_of_evaluate_on(self, d):

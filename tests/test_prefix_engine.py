@@ -242,6 +242,27 @@ def test_one_builder_gives_the_bits_of_every_entry_point(d, w, monkeypatch):
     assert np.array_equal(factored[0][:w].T, design)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_engine_rows_have_the_bits_of_the_design_matrix_columns(d):
+    """The engine writes each feature's row from the grid's column-major nodes and
+    ``_design_matrix`` reads the same layout, so at every width, the BLAS
+    matrix-vector edge w = 1 included, the rows are its columns bit for bit.
+    Every feature is live (``|b_i| <= 1/2 <= |w_i|_1``), so no row is zero."""
+    grid = tensor_gauss_grid(UNIFORM_CUBE, d, {1: 24, 2: 24, 3: 24, 4: 12}[d])
+    nodes = grid.column_major_nodes
+    assert nodes.flags.f_contiguous and np.array_equal(nodes, grid.nodes)
+    rng = np.random.default_rng(d)
+    for w in range(1, 9):
+        W = rng.normal(size=(w, d))  # every coordinate in every sum
+        W /= np.linalg.norm(W, axis=1, keepdims=True)
+        b = rng.uniform(-0.5, 0.5, size=w)
+        rows = np.empty((w, len(nodes)))
+        ReluParamDist.columns((W, b), nodes, rows)
+        assert np.all(np.any(rows > 0.0, axis=1))
+        design = fitter._design_matrix(W, b, grid.nodes)
+        assert np.array_equal(rows.view(np.uint64), design.T.view(np.uint64)), w
+
+
 def _unit(v):
     return v / np.linalg.norm(v)
 

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,7 @@ from widthlab import (
     tensor_gauss_grid,
     trig_coefficient,
 )
+from widthlab import quadrature
 from widthlab.quadrature import _gauss_1d, along_axes, significant
 
 from oracles import product_grid, sum_rounding
@@ -207,6 +210,127 @@ class TestGaussRules:
             assert np.array_equal(again.weights, grid.weights)
         for measure in (UNIFORM_CUBE, GAUSSIAN):
             assert not any(a.flags.writeable for a in _gauss_1d(measure, 13))
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """A fresh process memo of the default budget, so no earlier build is served."""
+    fresh = quadrature._Memo(quadrature._MEMO_BYTES)
+    monkeypatch.setattr(quadrature, "_MEMO", fresh)
+    return fresh
+
+
+class TestGridMemo:
+    """Equal specs share one read-only grid while the byte-bounded process memo keeps it;
+    the checks of every call come first."""
+
+    @pytest.mark.parametrize("spec", [
+        QuadratureSpec(UNIFORM_CUBE, TENSOR_GAUSS, 3, nodes_per_dim=6),
+        QuadratureSpec(GAUSSIAN, MONTE_CARLO, 2, sample_count=50, seed=(4, 10007)),
+        QuadratureSpec(GAUSSIAN, MONTE_CARLO, 1, sample_count=50, seed=3),
+    ], ids=["tensor", "monte_carlo", "monte_carlo_1d"])
+    def test_equal_specs_share_one_read_only_grid(self, memo, spec):
+        grid = make_grid(spec)
+        assert make_grid(dataclasses.replace(spec)) is grid
+        columns = grid.column_major_nodes
+        assert columns.flags.f_contiguous and np.array_equal(columns, grid.nodes)
+        assert grid.column_major_nodes is columns
+        for array in (grid.nodes, grid.weights, columns, *(grid.axes or ())):
+            assert not array.flags.writeable
+        assert list(memo.entries) == [("grid", spec, *(part.tobytes() for part in (
+            _gauss_1d(spec.measure, spec.nodes_per_dim) if spec.nodes_per_dim else ())))]
+        assert memo.used == quadrature._grid_bytes(grid) <= memo.budget
+
+    def test_column_major_nodes_leave_a_hand_built_grid_writable(self):
+        nodes = np.linspace(-1.0, 1.0, 5)[:, None]
+        grid = Grid(spec=QuadratureSpec(UNIFORM_CUBE, MONTE_CARLO, 1, sample_count=5, seed=0),
+                    nodes=nodes, weights=np.full(5, 0.2))
+        assert not grid.column_major_nodes.flags.writeable
+        assert nodes.flags.writeable
+
+    def test_a_grid_past_the_budget_is_not_kept(self, monkeypatch):
+        spec = QuadratureSpec(UNIFORM_CUBE, TENSOR_GAUSS, 2, nodes_per_dim=12)
+        grid = make_grid(spec)
+        held = 2 * grid.nodes.nbytes + grid.weights.nbytes  # with the column-major copy
+        small = quadrature._Memo(held - 1)
+        monkeypatch.setattr(quadrature, "_MEMO", small)
+        first = make_grid(spec)
+        assert np.array_equal(first.nodes, grid.nodes)
+        assert make_grid(spec) is not first
+        assert small.used == 0 and not small.entries
+
+    def test_the_least_recently_used_grid_goes_first(self, monkeypatch):
+        """Three grids of 144 nodes in 2-D hold equal bytes, and the budget keeps two."""
+        a, b, c = (QuadratureSpec(UNIFORM_CUBE, TENSOR_GAUSS, 2, nodes_per_dim=12),
+                   QuadratureSpec(GAUSSIAN, TENSOR_GAUSS, 2, nodes_per_dim=12),
+                   QuadratureSpec(UNIFORM_CUBE, MONTE_CARLO, 2, sample_count=144, seed=1))
+        size = quadrature._grid_bytes(make_grid(a))
+        memo = quadrature._Memo(2 * size)
+        monkeypatch.setattr(quadrature, "_MEMO", memo)
+        kept_a, kept_b = make_grid(a), make_grid(b)
+        assert make_grid(a) is kept_a  # a is now the more recent
+        kept_c = make_grid(c)
+        assert memo.used == 2 * size
+        assert make_grid(a) is kept_a and make_grid(c) is kept_c
+        assert make_grid(b) is not kept_b
+
+    def test_threads_keep_the_byte_count(self):
+        """Gets and puts from more threads than cores, switching often: the bytes counted
+        are those of the entries kept, and never past the budget."""
+        memo = quadrature._Memo(1000)
+
+        def work(seed):
+            for key in np.random.default_rng(seed).integers(50, size=2000).tolist():
+                if memo.get(key) is None:
+                    memo.put(key, str(key), 10 + 7 * key)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert memo.used == sum(size for _, size in memo.entries.values()) <= memo.budget
+        assert all(value == str(key) for key, (value, _) in memo.entries.items())
+
+    def test_a_lowered_cap_still_refuses_a_kept_grid(self, memo, monkeypatch):
+        specs = [QuadratureSpec(UNIFORM_CUBE, TENSOR_GAUSS, 2, nodes_per_dim=3),
+                 QuadratureSpec(UNIFORM_CUBE, MONTE_CARLO, 2, sample_count=9, seed=1)]
+        monkeypatch.setenv("WIDTHLAB_CAP", "18")  # 9 nodes x 2 coordinates
+        grids = [make_grid(spec) for spec in specs]
+        monkeypatch.setenv("WIDTHLAB_CAP", "17")
+        for spec in specs:
+            with pytest.raises(CapExceeded, match="x 2 coordinates exceeds the cap 17"):
+                make_grid(spec)
+        monkeypatch.setenv("WIDTHLAB_CAP", "18")
+        assert [make_grid(spec) for spec in specs] == grids
+
+    def test_a_patched_rule_is_never_served_a_kept_grid(self, memo, monkeypatch):
+        """A tensor grid is keyed by its Gauss rule, so a call that builds from another
+        rule builds its own grid."""
+        spec = QuadratureSpec(UNIFORM_CUBE, TENSOR_GAUSS, 2, nodes_per_dim=5)
+        grid = make_grid(spec)
+
+        def skewed(measure, n):
+            x, w = _gauss_1d(measure, n)
+            return x, w * 1.01
+
+        def halved(measure, n):
+            x, w = _gauss_1d(measure, n)
+            return x / 2.0, w
+
+        monkeypatch.setattr(quadrature, "_gauss_1d", skewed)
+        with pytest.raises(WeightsNotNormalized):
+            make_grid(spec)
+        monkeypatch.setattr(quadrature, "_gauss_1d", halved)
+        assert np.array_equal(make_grid(spec).nodes, grid.nodes / 2.0)
+        monkeypatch.setattr(quadrature, "_gauss_1d", _gauss_1d)
+        assert make_grid(spec) is grid
 
 
 class TestSignificant:
