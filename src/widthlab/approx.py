@@ -35,7 +35,15 @@ from .lattice import (
     negate,
     radius_sq_bound,
 )
-from .quadrature import UNIFORM_CUBE, Grid, along_axes, evaluate_on, keep_and_sum, significant
+from .quadrature import (
+    UNIFORM_CUBE,
+    Grid,
+    along_axes,
+    checked_values,
+    evaluate_on,
+    keep_and_sum,
+    significant,
+)
 from .trig import SQRT2, TrigPolynomial, _axis_tables, _box, _lead, eval_T
 
 
@@ -85,21 +93,26 @@ def _truncate_on_axes(fw: np.ndarray, ball: list[MultiIndex], top: int,
     return dict(zip(ball, beta.tolist())), approx.reshape(-1)
 
 
-def _truncate_on_ball(f, k: float, grid: Grid) -> TruncationReport:
-    """Coefficients of ``f`` on the radius-``k`` ball and the measured residual.
+def _check_cube(grid: Grid) -> None:
+    """Raise :class:`WrongMeasure` unless ``grid`` is on the uniform cube; called before the
+    target is evaluated, so that a wrong grid costs no evaluation."""
+    if grid.spec.measure != UNIFORM_CUBE:
+        raise WrongMeasure("trig coefficients require the uniform cube measure")
 
-    One evaluation of ``f`` serves every coefficient and the residual.  On a
+
+def _truncate_on_ball(f_vals: np.ndarray, fw: np.ndarray, k: float,
+                      grid: Grid) -> TruncationReport:
+    """Coefficients on the radius-``k`` ball of the target with values ``f_vals`` at the
+    nodes of a cube grid, ``fw`` those times the weights, and the measured residual.
+
+    One evaluation of the target serves every coefficient and the residual.  On a
     grid whose axes have the ``2 top + 1`` nodes of a table (:meth:`Grid.wide_axes`,
     ``top`` the largest ``|K_j|`` in the ball) they come from contractions one
     axis at a time; on any other grid from :func:`keep_and_sum` over the ball's
     ``eval_T`` columns, bit for bit as :func:`trig_coefficient` and
     ``TrigPolynomial.evaluate`` form them.
     """
-    if grid.spec.measure != UNIFORM_CUBE:
-        raise WrongMeasure("trig coefficients require the uniform cube measure")
     ball = enumerate_ball(k, grid.dimension)
-    f_vals = evaluate_on(f, grid.nodes)
-    fw = grid.weights * f_vals
     top = math.isqrt(radius_sq_bound(k))
     if grid.wide_axes(2 * top + 1) is not None:
         terms, approx = _truncate_on_axes(fw, ball, top, grid)
@@ -115,7 +128,9 @@ def truncate_periodic(f, lipschitz: float, epsilon: float, grid: Grid) -> Trunca
     The caller asserts that ``f`` is ``lipschitz``-Lipschitz with periodic
     boundary conditions and ``|E f| <= lipschitz / 2``; under that contract
     the residual is at most ``epsilon`` (plus quadrature error) and every
-    coefficient is at most ``lipschitz / 2`` in magnitude.
+    coefficient is at most ``lipschitz / 2`` in magnitude.  A target whose
+    values on the grid, or their weighted squared norm, are not finite raises
+    ``FloatingPointError`` (:func:`checked_values`).
     """
     if lipschitz <= 0 or epsilon <= 0:
         raise ParameterOutOfRange("lipschitz and epsilon must be positive")
@@ -123,7 +138,8 @@ def truncate_periodic(f, lipschitz: float, epsilon: float, grid: Grid) -> Trunca
         raise ParameterOutOfRange(
             f"periodic truncation needs L/eps >= 2, got {lipschitz / epsilon}"
         )
-    return _truncate_on_ball(f, lipschitz / (2.0 * epsilon), grid)
+    _check_cube(grid)
+    return _truncate_on_ball(*checked_values(f, grid), lipschitz / (2.0 * epsilon), grid)
 
 
 # Effect of a quarter-period phase shift on sin/cos, by shift count mod 4:
@@ -225,13 +241,14 @@ def reflect_and_truncate(f, lipschitz: float, epsilon: float, grid: Grid) -> Tru
         raise ParameterOutOfRange(
             f"reflection truncation needs L/eps >= 1, got {lipschitz / epsilon}"
         )
+    _check_cube(grid)
     d = grid.dimension
-
-    def ftilde(nodes):
-        folded = 2.0 * np.abs(np.asarray(nodes, dtype=float)) - 1.0
-        return evaluate_on(f, folded)
-
-    inner = truncate_periodic(ftilde, 2.0 * lipschitz, epsilon, grid)
+    # ftilde at the nodes, truncated at the periodic radius of its Lipschitz
+    # constant 2L; not checked, so that a target with no finite value reaches
+    # the orthant scan, which reports it
+    ftilde = evaluate_on(f, 2.0 * np.abs(grid.nodes) - 1.0)
+    inner = _truncate_on_ball(ftilde, grid.weights * ftilde, (2.0 * lipschitz) / (2.0 * epsilon),
+                              grid)
     _check_orthant_scan(d, count_ball(inner.degree_radius, d), grid.nodes.shape[0])
     ptilde = inner.polynomial
 
@@ -264,13 +281,17 @@ def truncate_sobolev(f, s: int, gamma: float, epsilon: float, grid: Grid) -> Tru
     """Truncate a function of ``s``-order Sobolev norm at most ``gamma``.
 
     Keeps the ball of radius ``k = sqrt(s) gamma^(1/s) / (2 eps)^(1/s)``;
-    under the asserted norm bound the dropped tail is at most ``epsilon``.
+    under the asserted norm bound the dropped tail is at most ``epsilon``.  A
+    target that is not finite on the grid raises ``FloatingPointError``, as in
+    :func:`truncate_periodic`.
     """
     if s < 1 or int(s) != s:
         raise ParameterOutOfRange(f"Sobolev order must be a positive integer, got {s}")
     if gamma <= 0 or epsilon <= 0:
         raise ParameterOutOfRange("gamma and epsilon must be positive")
-    return _truncate_on_ball(f, _sobolev_radius(s, gamma, epsilon), grid)
+    _check_cube(grid)
+    return _truncate_on_ball(*checked_values(f, grid), _sobolev_radius(s, gamma, epsilon),
+                             grid)
 
 
 def c_ks(K: MultiIndex, s: int) -> float:

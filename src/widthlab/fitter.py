@@ -21,6 +21,13 @@ residuals never rise per trial while no width loses a singular value to the
 rank cut.  So one factorization per trial, at the widest width a run asks
 for, gives the residual at every narrower width.
 
+Every trial loop runs over :func:`_factored`.  Residuals are read through
+:meth:`_Factors.norms` (:func:`width_residuals`); success decisions, all
+that the success probability and the width search need, through
+:meth:`_Factors.passes`, which gives the decision of ``norms`` but solves
+only the blocks whose part outside the span is within ``epsilon``: the
+others fail whatever the solve adds.
+
 The engine knows features only through three methods of the distribution,
 which ``relu.ReluParamDist`` implements for ReLU features:
 ``sample_batch(rng, r)`` draws a tuple of arrays with one row per feature,
@@ -46,7 +53,7 @@ from .relu import FittedSpan, ReluParamDist, _check_features
 from .relu import _design_matrix  # noqa: F401  the benchmark's tracer patches it here
 
 
-# Bytes of stacked weighted designs that ``width_residuals`` factors at once.
+# Bytes of stacked weighted designs that ``_Factors`` factors at once.
 _CHUNK_BYTES = 2 * 2**20
 
 # Bytes of draws and factors kept at once: the trials of a batch this size
@@ -259,6 +266,22 @@ class _Factors:
                        else _solve_block(*self.block(ids[at], int(count))))
         return out
 
+    def passes(self, ids: np.ndarray, counts: np.ndarray, epsilon: float) -> np.ndarray:
+        """Whether each trial's residual is at most ``epsilon``: ``norms(ids,
+        counts)[:, 0] <= epsilon``, solving only the trials where that could hold.
+
+        :func:`_solve_block` returns ``sqrt(tail + S)`` with ``S`` a sum of
+        squares, and IEEE addition and ``sqrt`` are monotone, so it is never
+        below ``sqrt(tail)``: a trial whose part outside its block already
+        exceeds ``epsilon`` fails without a solve.  The others, and every count
+        of 0, are decided by :meth:`norms`.
+        """
+        k = np.minimum(counts, self.R.shape[1])
+        open_ = (counts == 0) | (np.sqrt(self.tails[ids, k, 0]) <= epsilon)
+        out = np.zeros(len(ids), dtype=bool)
+        out[open_] = self.norms(ids[open_], counts[open_])[:, 0] <= epsilon
+        return out
+
 
 def _weighted_lstsq(W: np.ndarray, b: np.ndarray, grid: Grid,
                     targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -388,24 +411,31 @@ def success_probability(f, epsilon: float, dist, r, trials: int,
     """Fraction of independent trials whose fitted span reaches error <= eps.
 
     ``r`` is one width, giving one :class:`SuccessEstimate`, or a list of
-    widths, giving one estimate per width from one factorization per trial
-    (:func:`width_residuals`).
+    widths, giving one estimate per width.  Each trial is drawn and factored
+    once, at the widest width, as in :func:`width_residuals`, and each width
+    decides its trials through :meth:`_Factors.passes`, which solves only the
+    blocks whose part outside the span leaves the decision open.
     """
     single = np.ndim(r) == 0
-    widths = [r] if single else list(r)
+    widths = [int(v) for v in ([r] if single else r)]
     if trials < 1:
         raise ParameterOutOfRange(f"trials must be >= 1, got {trials}")
     if not widths or min(widths) < 1:
         raise ParameterOutOfRange(f"widths must be >= 1, got {r}")
     if epsilon <= 0:
         raise ParameterOutOfRange(f"epsilon must be positive, got {epsilon}")
-    residuals = width_residuals(evaluate_on(f, grid.nodes), grid, dist, widths, seed, trials)
+    root_w, rhs, norm_sq = _weighted(evaluate_on(f, grid.nodes), grid.weights)
+    counts = np.zeros(len(widths), dtype=np.intp)
+    for ids, factors in _factored(rhs, root_w, norm_sq, grid, dist, max(widths), seed,
+                                  np.arange(trials)):
+        every = np.arange(len(ids))
+        for j, width in enumerate(widths):
+            counts[j] += np.count_nonzero(factors.passes(every, factors.live[:, width], epsilon))
     estimates = []
-    for width, passed in zip(widths, (residuals <= epsilon).T):
-        successes = int(np.count_nonzero(passed))
+    for width, successes in zip(widths, counts.tolist()):
         lo, hi = wilson_interval(successes, trials)
         estimates.append(SuccessEstimate(probability=successes / trials, ci_lo=lo, ci_hi=hi,
-                                         trials=trials, r=int(width), epsilon=epsilon))
+                                         trials=trials, r=width, epsilon=epsilon))
     return estimates[0] if single else estimates
 
 
@@ -438,13 +468,15 @@ def _first_passing(factors: _Factors, sel: np.ndarray, lo: int, hi: int,
     live count and never rises with it, so bisection on the live counts
     between ``factors.live[:, lo]`` and ``factors.live[:, hi]`` finds the first passing
     count, and the width is the first at which the trial reaches it.
-    Trials at the same count share one stacked solve.
+    Each step decides through :meth:`_Factors.passes`, so trials at the same
+    count share one stacked solve, and those whose part outside the block
+    exceeds ``epsilon`` none.
     """
     lo_count, hi_count = factors.live[sel, lo], factors.live[sel, hi]
     while np.any(open_ := hi_count - lo_count > 1):
         at = np.flatnonzero(open_)
         mid = (lo_count[at] + hi_count[at]) // 2
-        passed = factors.norms(sel[at], mid)[:, 0] <= epsilon
+        passed = factors.passes(sel[at], mid, epsilon)
         hi_count[at[passed]] = mid[passed]
         lo_count[at[~passed]] = mid[~passed]
     return np.maximum(np.count_nonzero(factors.live[sel] < hi_count[:, None], axis=1), lo + 1)
@@ -487,8 +519,8 @@ def estimate_minwidth(f, epsilon: float, delta: float, dist,
     while True:
         for ids, factors in _factored(rhs, root_w, norm_sq, grid, dist, r, seed,
                                       np.flatnonzero(first == 0)):
-            widest = factors.norms(np.arange(len(ids)), factors.live[:, r])[:, 0]
-            passed = np.flatnonzero(widest <= epsilon)
+            passed = np.flatnonzero(factors.passes(np.arange(len(ids)), factors.live[:, r],
+                                                   epsilon))
             first[ids[passed]] = _first_passing(factors, passed, last_fail, r, epsilon)
         prob = probe(r)
         if prob >= threshold:

@@ -27,7 +27,7 @@ from .errors import (
     WrongMeasure,
 )
 from .lattice import MultiIndex
-from .quadrature import GAUSSIAN, Grid, along_axes, evaluate_on, keep_and_sum, significant
+from .quadrature import GAUSSIAN, Grid, along_axes, checked_values, keep_and_sum, significant
 from .trig import DerivedTerm
 
 MAX_DEGREE = 200
@@ -268,7 +268,9 @@ def hermite_truncate(f, lipschitz: float, epsilon: float, grid: Grid) -> Hermite
     the per-index sums to rounding; elsewhere from :func:`keep_and_sum` over
     the columns of one walk over the index simplex.  Either way a coefficient
     within the rounding of its sum (:func:`significant`) is 0, out of the
-    polynomial and residual.
+    polynomial and residual.  A target whose values on the grid, or their
+    weighted squared norm, are not finite raises ``FloatingPointError``
+    (:func:`checked_values`).
     """
     if grid.spec.measure != GAUSSIAN:
         raise WrongMeasure("Hermite truncation needs a Gaussian-measure grid")
@@ -276,8 +278,7 @@ def hermite_truncate(f, lipschitz: float, epsilon: float, grid: Grid) -> Hermite
         raise ParameterOutOfRange("lipschitz and epsilon must be positive")
     d = grid.dimension
     k = _degree_budget(lipschitz, epsilon, d)
-    f_vals = evaluate_on(f, grid.nodes)
-    weighted = grid.weights * f_vals
+    f_vals, weighted = checked_values(f, grid)
     if grid.wide_axes(k + 1) is not None:
         terms, approx = _truncate_on_axes(weighted, k, grid)
     else:

@@ -293,21 +293,28 @@ def sobolev_lb_parameters(gamma: float, epsilon: float, s: int, d: int) -> Sobol
     Requires ``gamma^2 / eps^2 >= 16 (s+1)``.  Also certifies on the spot
     that every candidate ``f = 4 eps T_K`` with ``|K| <= k`` satisfies
     ``|f|_{H^s}^2 = 16 eps^2 c_{K,s} <= gamma^2``, i.e. the hard functions
-    really lie in the Sobolev ball.
+    really lie in the Sobolev ball.  ``gamma^2 / eps^2`` is the square of the
+    ratio ``gamma / eps``, and ``ell`` a power of that square, as ``eps^2``
+    underflows to 0 below about ``1e-162``; a square past the float range
+    raises :class:`CapExceeded`.
     """
     if s < 1 or int(s) != s:
         raise ParameterOutOfRange(f"Sobolev order must be a positive integer, got {s}")
     if gamma <= 0 or epsilon <= 0 or d < 1:
         raise ParameterOutOfRange("gamma, epsilon must be positive and d >= 1")
-    if gamma**2 / epsilon**2 < 16.0 * (s + 1):
+    ratio_sq = (gamma / epsilon) * (gamma / epsilon)
+    if not math.isfinite(ratio_sq):
+        raise CapExceeded(f"hard-instance size (gamma/eps)^2 = ({gamma / epsilon})^2 exceeds "
+                          "the float range")
+    if ratio_sq < 16.0 * (s + 1):
         raise ParameterOutOfRange(
-            f"need gamma^2/eps^2 >= 16(s+1) = {16 * (s + 1)}, got {gamma**2 / epsilon**2}"
+            f"need gamma^2/eps^2 >= 16(s+1) = {16 * (s + 1)}, got {ratio_sq}"
         )
     k = gamma ** (1.0 / s) / (math.pi * 4.0 ** (1.0 / s) * epsilon ** (1.0 / s)
                               * (s + 1.0) ** (1.0 / (2.0 * s)))
     ell = min(math.ceil(d / 2),
-              math.floor(gamma ** (2.0 / s) / (math.pi**2 * 16.0 ** (1.0 / s)
-                                               * epsilon ** (2.0 / s) * (s + 1.0) ** (1.0 / s))))
+              math.floor(ratio_sq ** (1.0 / s) / (math.pi**2 * 16.0 ** (1.0 / s)
+                                                  * (s + 1.0) ** (1.0 / s))))
     worst = max(16.0 * epsilon**2 * c_ks(K, s) for K in enumerate_ball(k, d))
     if worst > gamma**2 * (1.0 + 1e-12):
         raise ParameterOutOfRange(

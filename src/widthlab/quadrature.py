@@ -350,6 +350,27 @@ def evaluate_on(f, nodes: np.ndarray) -> np.ndarray:
     return np.array([float(f(p)) for p in nodes], dtype=float)
 
 
+def checked_values(f, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """``f`` at the grid's nodes, and those values times the weights, checked once where
+    a truncation starts: raises ``FloatingPointError`` unless the weighted squared
+    norm ``sum(w v v)``, the dot of the two, is finite, which a sum of squares is
+    only if every value is.
+
+    numpy's overflow, invalid-value and division warnings are silenced while
+    ``f`` is evaluated and checked, since the check reports the values they
+    would, and a target that fails it stops before any arithmetic of the
+    truncation.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        values = evaluate_on(f, grid.nodes)
+        weighted = grid.weights * values
+        norm_sq = weighted @ values
+    if not np.isfinite(norm_sq):
+        raise FloatingPointError("the target's values on the grid, or their weighted squared "
+                                 "norm, are not finite")
+    return values, weighted
+
+
 def inner_product(f, g, grid: Grid) -> float:
     """``<f, g>_mu = E[f g]`` approximated on the grid."""
     fv = evaluate_on(f, grid.nodes)

@@ -27,6 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
+    CapExceeded,
     DimensionMismatch,
     NotUnitNorm,
     OutOfSupport,
@@ -532,7 +533,10 @@ def width_bound(beta_bar: float, d: int, k: float, Q: int, epsilon: float, delta
 
     ``ceil(360^2 d^2 beta_bar^2 k^4 Q^2 (1 + sqrt(2 ln(1/delta)))^2 / epsilon^2)``,
     never below 1 (width counts at least one unit even for the zero
-    polynomial).
+    polynomial).  ``beta_bar^2 / epsilon^2`` is the square of the ratio
+    ``beta_bar / epsilon``, as ``epsilon^2`` underflows to 0 below about
+    ``1e-162``, and the squares are products, which overflow to infinity where
+    ``**`` would raise; a bound past the float range raises :class:`CapExceeded`.
     """
     if d < 1 or k <= 0 or Q < 1 or epsilon <= 0:
         raise ParameterOutOfRange("d, k, Q, epsilon must be positive")
@@ -541,7 +545,11 @@ def width_bound(beta_bar: float, d: int, k: float, Q: int, epsilon: float, delta
     if not 0.0 < delta <= 0.5:
         raise ParameterOutOfRange(f"failure probability must be in (0, 1/2], got {delta}")
     amp = (1.0 + math.sqrt(2.0 * math.log(1.0 / delta))) ** 2
-    raw = 360.0**2 * d**2 * beta_bar**2 * k**4 * Q**2 * amp / epsilon**2
+    ratio = beta_bar / epsilon
+    raw = 360.0**2 * d**2 * (ratio * ratio) * (k * k) * (k * k) * Q**2 * amp
+    if not math.isfinite(raw):
+        raise CapExceeded(f"width bound with beta_bar/eps = {ratio} and k = {k} exceeds the "
+                          "float range")
     return max(1, math.ceil(raw))
 
 

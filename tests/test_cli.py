@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -704,6 +705,33 @@ class TestConfigSchema:
         _assert_one_line(err, "numerical failure: no orthant's truncation has a finite error")
         assert not list((tmp_path / "o").glob("*.csv"))
         assert not [w for w in caught if w.filename == approx.__file__]
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "approx_sobolev",
+         "parameters": {"d": 1, "s": 1, "gamma": 8.0, "epsilon": 1.0, "target": {
+             "type": "trig_poly",
+             "polynomial": {"scale": 1.0, "terms": [{"K": [1], "beta": 1e308}]}}}},
+        {"kind": "hermite_check",
+         "parameters": {"d": 1, "L": 2.0, "epsilon": 1.0, "target": {
+             "type": "hermite_poly",
+             "polynomial": {"basis": "hermite", "terms": [{"K": [2], "beta": 1e308}]}}}},
+        _with(_TRIG, mode="periodic", target={"type": "trig_poly", "polynomial": {
+            "scale": 1.0, "terms": [{"K": [1], "beta": 1e308}]}}),
+    ], ids=["approx_sobolev", "hermite_check", "approx_trig_periodic"])
+    def test_a_truncation_of_a_non_finite_target_exits_4_with_one_line(self, tmp_path, capsys,
+                                                                      doc):
+        """A target whose weighted squared norm overflows stops each truncation where it
+        starts: exit 4, one stderr line, no warning and no output."""
+        cfg = _write_config(tmp_path, doc)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")])
+        assert code == 4
+        _assert_one_line(capsys.readouterr().err,
+                         "numerical failure: the target's values on the grid, or their weighted "
+                         "squared norm, are not finite")
+        assert not caught, [str(w.message) for w in caught]
+        assert not (tmp_path / "o").exists() or not list((tmp_path / "o").iterdir())
 
     @pytest.mark.parametrize("doc, fragment", [
         ({"kind": "lb_explicit", "parameters": {"d": 4, "L": 18, "epsilon": 1e-308,

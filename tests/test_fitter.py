@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from widthlab import (
+    UNIFORM_CUBE,
     CapExceeded,
     DimensionMismatch,
     DkDistribution,
@@ -10,18 +11,22 @@ from widthlab import (
     FittedSpan,
     NotUnitNorm,
     ParameterOutOfRange,
+    SuccessEstimate,
     TrigPolynomial,
     estimate_minwidth,
+    evaluate_on,
     fit_span,
+    hard_family_ball,
     l2_norm,
     success_probability,
+    tensor_gauss_grid,
     wilson_interval,
 )
 from widthlab import fitter
 from widthlab.fitter import width_residuals
 from widthlab.relu import _design_matrix
 
-from oracles import relu_columns
+from oracles import MemberDistribution, relu_columns
 
 
 def _features(rng, n, d):
@@ -339,3 +344,123 @@ class TestEstimateMinwidth:
         doc = est.to_json_dict()
         assert isinstance(doc["search_trace"], list)
         assert doc["r_hat"] == 1
+
+
+def _success_from_residuals(f, epsilon, dist, widths, trials, grid, seed):
+    """:func:`success_probability` with each trial decided by ``width_residuals <= epsilon``."""
+    residuals = width_residuals(evaluate_on(f, grid.nodes), grid, dist, widths, seed, trials)
+    estimates = []
+    for width, passed in zip(widths, (residuals <= epsilon).T):
+        successes = int(np.count_nonzero(passed))
+        lo, hi = wilson_interval(successes, trials)
+        estimates.append(SuccessEstimate(successes / trials, lo, hi, trials, width, epsilon))
+    return estimates
+
+
+def _minwidth_from_residuals(f, epsilon, delta, dist, grid, trials, r_max, seed):
+    """``(r_hat, search_trace)`` of :func:`estimate_minwidth`, replayed from every trial's
+    first width whose ``width_residuals`` is within ``epsilon``."""
+    widths = range(1, r_max + 1)
+    passed = width_residuals(evaluate_on(f, grid.nodes), grid, dist, widths, seed,
+                             trials) <= epsilon
+    # the search takes a trial that passes at a width to pass at every wider one
+    assert np.all(passed[:, :-1] <= passed[:, 1:])
+    first = np.where(passed[:, -1], np.argmax(passed, axis=1) + 1, r_max + 1)
+    threshold, trace = 1.0 - delta, []
+
+    def probe(r):
+        trace.append((r, int(np.count_nonzero(first <= r)) / trials))
+        return trace[-1][1]
+
+    r, last_fail = 1, 0
+    while probe(r) < threshold:
+        assert r < r_max
+        last_fail, r = r, min(2 * r, r_max)
+    lo, hi = last_fail, r
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if probe(mid) >= threshold:
+            hi = mid
+        else:
+            lo = mid
+    return hi, trace
+
+
+def _member_case():
+    grid = tensor_gauss_grid(UNIFORM_CUBE, 2, 24)
+    family = hard_family_ball(2, 2)
+    N = len(family)
+    return (family.members[5], 0.5, MemberDistribution(family), grid, [1, 5, N, 3 * N],
+            0.3, 8 * N)
+
+
+# (target, epsilon, dist, grid, widths, delta, r_max): D_k at d = 1 on 8 nodes, so that
+# widths past 8 cut rank in their blocks, D_k at d = 2, and the members of an
+# orthonormal family as features.
+_CASES = {
+    "dk_d1_past_the_nodes": lambda: (
+        TrigPolynomial({(1,): 0.7, (3,): 0.3}).evaluate, 0.1, DkDistribution(k=1, dimension=1),
+        tensor_gauss_grid(UNIFORM_CUBE, 1, 8), list(range(1, 25)), 0.25, 32),
+    "dk_d2": lambda: (
+        TrigPolynomial({(1, 0): 0.7, (1, 1): 0.3}).evaluate, 0.3,
+        DkDistribution(k=1, dimension=2), tensor_gauss_grid(UNIFORM_CUBE, 2, 12),
+        [1, 3, 8, 20, 40], 0.5, 64),
+    "members": _member_case,
+}
+_TRIALS, _SEED = 16, 3
+
+
+def _mismatches(case):
+    """What :func:`success_probability` and :func:`estimate_minwidth` report differently
+    from deciding every trial by ``width_residuals <= epsilon``."""
+    f, epsilon, dist, grid, widths, delta, r_max = _CASES[case]()
+    out = []
+    got = success_probability(f, epsilon, dist, widths, _TRIALS, grid, _SEED)
+    want = _success_from_residuals(f, epsilon, dist, widths, _TRIALS, grid, _SEED)
+    out += [(g, w) for g, w in zip(got, want) if g != w]
+    est = estimate_minwidth(f, epsilon, delta, dist, grid, _TRIALS, r_max, _SEED)
+    r_hat, trace = _minwidth_from_residuals(f, epsilon, delta, dist, grid, _TRIALS, r_max,
+                                            _SEED)
+    if (est.r_hat, est.search_trace) != (r_hat, trace):
+        out.append(((est.r_hat, est.search_trace), (r_hat, trace)))
+    return out
+
+
+class TestPasses:
+    """``_Factors.passes`` decides ``norms <= epsilon`` and solves only the open blocks."""
+
+    @pytest.mark.parametrize("case", list(_CASES))
+    def test_same_decisions_as_the_residuals(self, case):
+        assert _mismatches(case) == []
+
+    @pytest.mark.parametrize("case", list(_CASES))
+    def test_a_block_whose_part_outside_exceeds_epsilon_is_not_solved(self, case,
+                                                                       monkeypatch):
+        """Every block that reaches the solve could pass: its part outside, the
+        ``tail`` the solve adds its sum of squares to, is within ``epsilon``."""
+        f, epsilon, dist, grid, widths, delta, r_max = _CASES[case]()
+        tails = []
+        solve = fitter._solve_block
+
+        def recording(R, head, tail, *args, **kwargs):
+            tails.append(tail[:, 0].copy())
+            return solve(R, head, tail, *args, **kwargs)
+
+        monkeypatch.setattr(fitter, "_solve_block", recording)
+        success_probability(f, epsilon, dist, widths, _TRIALS, grid, _SEED)
+        estimate_minwidth(f, epsilon, delta, dist, grid, _TRIALS, r_max, _SEED)
+        solved = np.concatenate(tails)
+        assert solved.size and np.all(np.sqrt(solved) <= epsilon)
+
+    def test_a_pass_taken_from_the_bound_alone_is_caught(self, monkeypatch):
+        """On 8 nodes, wider blocks cut rank: the solve rejects trials whose part outside
+        is within ``epsilon``, so a ``passes`` that trusts that part alone gives other
+        estimates than the residuals."""
+
+        def trusting(self, ids, counts, epsilon):
+            k = np.minimum(counts, self.R.shape[1])
+            return np.where(counts == 0, self.target_norms[0] <= epsilon,
+                            np.sqrt(self.tails[ids, k, 0]) <= epsilon)
+
+        monkeypatch.setattr(fitter._Factors, "passes", trusting)
+        assert _mismatches("dk_d1_past_the_nodes")

@@ -8,6 +8,7 @@ from widthlab import (
     GAUSSIAN,
     MONTE_CARLO,
     UNIFORM_CUBE,
+    CapExceeded,
     DkDistribution,
     FunctionFamily,
     Grid,
@@ -378,6 +379,17 @@ class TestLbParameters:
         sobolev_lb_parameters(math.sqrt(32.0), 1.0, 1, 2)  # accepted
         with pytest.raises(ParameterOutOfRange):
             sobolev_lb_parameters(math.sqrt(31.0), 1.0, 1, 2)
+
+    def test_sobolev_tiny_epsilon_is_a_size_past_the_float_range(self):
+        """``epsilon^2`` underflows to 0 at 1e-308; the sizes square ``gamma / epsilon``,
+        and a square past the float range is past the cap."""
+        with pytest.raises(CapExceeded, match=r"\(gamma/eps\)\^2 = \(1e\+308\)\^2"):
+            sobolev_lb_parameters(1.0, 1e-308, 1, 2)
+        # a ratio inside the range keeps its sizes when epsilon^2 alone underflows
+        tiny = sobolev_lb_parameters(1e-200 * 100.0, 1e-200, 1, 2)
+        plain = sobolev_lb_parameters(100.0, 1.0, 1, 2)
+        assert tiny.ell == plain.ell
+        assert_allclose(tiny.k, plain.k, rtol=1e-14)
 
     def test_sobolev_certification_covers_ball(self):
         """Larger budgets put lattice indices inside the certified ball."""

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from scipy import integrate, stats
 
 from widthlab import (
+    CapExceeded,
     CustomDistribution,
     DimensionMismatch,
     DkDistribution,
@@ -574,6 +575,16 @@ class TestWidthBound:
             width_bound(1.0, 1, 1.0, 3, 0.5, 0.6)
         with pytest.raises(ParameterOutOfRange):
             width_bound(-1.0, 1, 1.0, 3, 0.5, 0.5)
+
+    def test_a_tiny_epsilon_is_a_bound_past_the_float_range(self):
+        """``epsilon^2`` underflows to 0 at 1e-308; the bound squares ``beta_bar / epsilon``,
+        and a bound past the float range is past the cap."""
+        with pytest.raises(CapExceeded, match="exceeds the float range"):
+            width_bound(1.0, 2, 2.0, 13, 1e-308, 0.1)
+        # a ratio inside the range keeps its bound when epsilon^2 alone underflows
+        amp = (1.0 + math.sqrt(2.0 * math.log(2.0))) ** 2
+        assert_allclose(float(width_bound(1e-150, 1, 1.0, 3, 1e-200, 0.5)),
+                        360.0**2 * 9 * amp * 1e100, rtol=1e-12)
 
 
 def _assert_network_within_rounding(got, W, b, c, nodes):
