@@ -61,7 +61,6 @@ from .lattice import (
     classify,
     count_ball,
     enumerate_ball,
-    exponent_envelope,
     l2_norm_sq,
     negate,
     radius_sq_bound,
@@ -71,8 +70,6 @@ from .lowerbound import (
     HardFunction,
     LbParameters,
     ProjectionReport,
-    SobolevLbParameters,
-    check_boas_bellman,
     coherence,
     explicit_hard_function,
     gaussian_hard_family,
@@ -81,7 +78,6 @@ from .lowerbound import (
     lb_parameters,
     projection_residuals,
     randict_bound,
-    sobolev_lb_parameters,
 )
 from .quadrature import (
     GAUSSIAN,
@@ -91,15 +87,12 @@ from .quadrature import (
     Grid,
     QuadratureSpec,
     evaluate_on,
-    inner_product,
     l2_error,
-    l2_norm,
     make_grid,
     tensor_gauss_grid,
     trig_coefficient,
 )
 from .relu import (
-    CustomDistribution,
     DkDistribution,
     ReluParamDist,
     RidgeProfile,
@@ -117,9 +110,6 @@ from .relu import (
 from .trig import (
     DerivedTerm,
     TrigPolynomial,
-    deriv_inner_product,
     eval_T,
-    lipschitz_bound,
-    parseval_norm,
     partial_derivative,
 )

@@ -40,7 +40,6 @@ from .quadrature import (
     Grid,
     along_axes,
     checked_values,
-    evaluate_on,
     keep_and_sum,
     significant,
 )
@@ -231,9 +230,11 @@ def reflect_and_truncate(f, lipschitz: float, epsilon: float, grid: Grid) -> Tru
 
     The caller asserts ``f`` is ``lipschitz``-Lipschitz with ``|E f| <= lipschitz``.
     Under that contract the residual is at most ``epsilon`` plus quadrature
-    error, and coefficients are bounded by ``lipschitz``.  When no orthant's
-    error is finite, as for a target whose values overflow, raises
-    ``FloatingPointError``.
+    error, and coefficients are bounded by ``lipschitz``.  A target whose values
+    at the nodes or at the folded nodes ``2|x| - 1``, or their weighted squared
+    norms, are not finite raises ``FloatingPointError`` before any truncation
+    (:func:`checked_values`); so does a scan in which no orthant's error is
+    finite.
     """
     if lipschitz <= 0 or epsilon <= 0:
         raise ParameterOutOfRange("lipschitz and epsilon must be positive")
@@ -243,17 +244,14 @@ def reflect_and_truncate(f, lipschitz: float, epsilon: float, grid: Grid) -> Tru
         )
     _check_cube(grid)
     d = grid.dimension
-    # ftilde at the nodes, truncated at the periodic radius of its Lipschitz
-    # constant 2L; not checked, so that a target with no finite value reaches
-    # the orthant scan, which reports it
-    ftilde = evaluate_on(f, 2.0 * np.abs(grid.nodes) - 1.0)
-    inner = _truncate_on_ball(ftilde, grid.weights * ftilde, (2.0 * lipschitz) / (2.0 * epsilon),
-                              grid)
+    # ftilde at the nodes, truncated at the periodic radius of its Lipschitz constant 2L
+    ftilde, weighted = checked_values(f, grid, 2.0 * np.abs(grid.nodes) - 1.0)
+    f_vals, _ = checked_values(f, grid)
+    inner = _truncate_on_ball(ftilde, weighted, (2.0 * lipschitz) / (2.0 * epsilon), grid)
     _check_orthant_scan(d, count_ball(inner.degree_radius, d), grid.nodes.shape[0])
     ptilde = inner.polynomial
 
     # Orthant chosen by measured error of ptilde(nu * (x+1)/2) against f on the grid.
-    f_vals = evaluate_on(f, grid.nodes)
     axes = grid.wide_axes(2 * math.isqrt(radius_sq_bound(inner.degree_radius)) + 1)
     shifted = _shifted_on_axes(ptilde, axes) if axes is not None else (
         lambda nu: ptilde.evaluate(np.asarray(nu, dtype=float) * (grid.nodes + 1.0) / 2.0))

@@ -3,8 +3,11 @@
 Every experiment is one JSON document with a ``kind``, a ``parameters`` map,
 and an optional ``output_path`` prefix.  Runs are deterministic given the
 config and seed — per-trial seeds derive from ``(seed, trial)`` and trials
-run in order on one thread, so rerunning a config rewrites byte-identical CSV
-files.
+run in order on one thread, so rerunning a config at the same BLAS thread
+count rewrites byte-identical CSV files.  The BLAS splits its sums by thread,
+so the last bits of some results (``lb_projection``'s residuals, for one)
+change with that count; nothing here pins it, while CI and ``bench/run.py``
+pin 1 thread.
 
 Each kind declares its parameters in one table (``_KINDS``); ``validate`` and
 ``run`` both check a config against it with :func:`_parse` before any work.
@@ -123,15 +126,6 @@ def emit_curve(points, path: str) -> None:
     for x, y, lo, hi in points:
         lines.append(",".join(_fmt(v) for v in (x, y, lo, hi)))
     _write_lines(path, lines)
-
-
-def read_curve(path: str) -> list[tuple[float, float, float, float]]:
-    """Parse a curve CSV back into float tuples (round-trip of emit_curve)."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
-    if not lines or lines[0] != "x,y,ci_lo,ci_hi":
-        raise ParameterOutOfRange(f"{path} is not a curve file")
-    return [tuple(float(tok) for tok in ln.split(",")) for ln in lines[1:]]
 
 
 _RANGES = {

@@ -133,10 +133,6 @@ class HermitePolynomial:
 
     __call__ = evaluate
 
-    def norm(self) -> float:
-        """Gaussian L2 norm, ``sqrt(sum alpha_K^2)`` by orthonormality."""
-        return math.sqrt(sum(a * a for a in self.terms.values()))
-
     def max_coefficient(self) -> float:
         return max((abs(a) for a in self.terms.values()), default=0.0)
 

@@ -150,17 +150,3 @@ def enumerate_ball(k: float, d: int) -> list[MultiIndex]:
         r = math.isqrt(left)
         stack.extend((prefix + (c,), left - c * c) for c in range(r, -r - 1, -1))
     return out
-
-
-def exponent_envelope(k: float, d: int) -> float:
-    """The growth envelope ``min(d log(k^2/d + 2), k^2 log(d/k^2 + 2))``.
-
-    Reporting aid: ``log Q_{k,d}`` is Theta of this quantity, and acceptance
-    checks only use its growth direction, never the hidden constants.
-    """
-    if k < 1:
-        raise ParameterOutOfRange(f"envelope defined for k >= 1, got {k}")
-    if d < 1:
-        raise ParameterOutOfRange(f"dimension must be >= 1, got {d}")
-    k2 = float(k) * float(k)
-    return min(d * math.log(k2 / d + 2.0), k2 * math.log(d / k2 + 2.0))

@@ -26,7 +26,6 @@ from .errors import (
     ParameterOutOfRange,
     WrongMeasure,
 )
-from .approx import c_ks
 from .fitter import _weighted_lstsq
 from .lattice import MultiIndex, enumerate_ball
 from .quadrature import GAUSSIAN, TENSOR_GAUSS, Grid, evaluate_on, memoized
@@ -91,25 +90,17 @@ def _value_matrix(family: FunctionFamily, grid: Grid) -> np.ndarray:
     return out
 
 
-def _gram(vals: np.ndarray, grid: Grid) -> np.ndarray:
-    """The Gram matrix on the grid of the members' values ``vals``."""
-    return vals.T @ (grid.weights[:, None] * vals)
-
-
-def _off_diagonal_norm(gram: np.ndarray) -> float:
-    off = gram - np.diag(np.diag(gram))
-    return float(np.sqrt(np.sum(off**2)))
-
-
 def coherence(family: FunctionFamily, grid: Grid) -> float:
     """Root of the sum of squared off-diagonal Gram entries, on the grid.
 
     Zero for orthogonal families; requires unit-norm members (within 1e-6).
     """
-    gram = _gram(_value_matrix(family, grid), grid)
+    vals = _value_matrix(family, grid)
+    gram = vals.T @ (grid.weights[:, None] * vals)
     if not np.max(np.abs(np.diag(gram) - 1.0)) <= 1e-6:  # NaN fails too
         raise NotUnitNorm("family members must have unit grid norm for coherence")
-    return _off_diagonal_norm(gram)
+    off = gram - np.diag(np.diag(gram))
+    return float(np.sqrt(np.sum(off**2)))
 
 
 def randict_bound(r: int, N: int, kappa: float) -> float:
@@ -132,14 +123,6 @@ class ProjectionReport:
     r: int
     N: int
     bound: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "labels": [list(l) if isinstance(l, tuple) else l for l in self.labels],
-            "residuals": [float(v) for v in self.residuals],
-            "mean_residual": self.mean_residual,
-            "r": self.r, "N": self.N, "bound": self.bound,
-        }
 
 
 def projection_residuals(W: np.ndarray, b: np.ndarray, family: FunctionFamily,
@@ -164,23 +147,6 @@ def projection_residuals(W: np.ndarray, b: np.ndarray, family: FunctionFamily,
         mean_residual=float(np.mean(residuals)), r=len(b), N=len(family),
         bound=randict_bound(len(b), len(family), kappa),
     )
-
-
-def check_boas_bellman(g, family: FunctionFamily, grid: Grid) -> tuple[float, float]:
-    """Measured (lhs, rhs) of ``sum_i <g, phi_i>^2 <= |g|^2 (max |phi_i|^2 + kappa)``.
-
-    Works for non-unit members: norms and off-diagonal coherence are taken
-    from the measured Gram matrix.
-    """
-    vals = _value_matrix(family, grid)
-    g_vals = evaluate_on(g, grid.nodes)
-    inner = vals.T @ (grid.weights * g_vals)
-    lhs = float(np.sum(inner**2))
-    gram = _gram(vals, grid)
-    kappa = _off_diagonal_norm(gram)
-    g_norm_sq = float(np.sum(grid.weights * g_vals**2))
-    rhs = g_norm_sq * (float(np.max(np.diag(gram))) + kappa)
-    return lhs, rhs
 
 
 def _basis_member(K: MultiIndex) -> Callable:
@@ -276,51 +242,6 @@ def lb_parameters(lipschitz: float, epsilon: float, d: int) -> LbParameters:
     ell = min(math.ceil(d / 2), math.floor(ratio_sq / (32.0 * math.pi**2)))
     return LbParameters(ell=ell, k_nonexplicit=lipschitz / (18.0 * epsilon),
                         degenerate=ell == 0)
-
-
-@dataclass(frozen=True)
-class SobolevLbParameters:
-    """Hard-instance sizes for targets with H^s norm at most gamma."""
-
-    k: float
-    ell: int
-    max_scaled_norm_sq: float  # max over the ball of |4 eps T_K|_{H^s}^2
-
-
-def sobolev_lb_parameters(gamma: float, epsilon: float, s: int, d: int) -> SobolevLbParameters:
-    """Ball radius and sine-family size for Sobolev-ball hard instances.
-
-    Requires ``gamma^2 / eps^2 >= 16 (s+1)``.  Also certifies on the spot
-    that every candidate ``f = 4 eps T_K`` with ``|K| <= k`` satisfies
-    ``|f|_{H^s}^2 = 16 eps^2 c_{K,s} <= gamma^2``, i.e. the hard functions
-    really lie in the Sobolev ball.  ``gamma^2 / eps^2`` is the square of the
-    ratio ``gamma / eps``, and ``ell`` a power of that square, as ``eps^2``
-    underflows to 0 below about ``1e-162``; a square past the float range
-    raises :class:`CapExceeded`.
-    """
-    if s < 1 or int(s) != s:
-        raise ParameterOutOfRange(f"Sobolev order must be a positive integer, got {s}")
-    if gamma <= 0 or epsilon <= 0 or d < 1:
-        raise ParameterOutOfRange("gamma, epsilon must be positive and d >= 1")
-    ratio_sq = (gamma / epsilon) * (gamma / epsilon)
-    if not math.isfinite(ratio_sq):
-        raise CapExceeded(f"hard-instance size (gamma/eps)^2 = ({gamma / epsilon})^2 exceeds "
-                          "the float range")
-    if ratio_sq < 16.0 * (s + 1):
-        raise ParameterOutOfRange(
-            f"need gamma^2/eps^2 >= 16(s+1) = {16 * (s + 1)}, got {ratio_sq}"
-        )
-    k = gamma ** (1.0 / s) / (math.pi * 4.0 ** (1.0 / s) * epsilon ** (1.0 / s)
-                              * (s + 1.0) ** (1.0 / (2.0 * s)))
-    ell = min(math.ceil(d / 2),
-              math.floor(ratio_sq ** (1.0 / s) / (math.pi**2 * 16.0 ** (1.0 / s)
-                                                  * (s + 1.0) ** (1.0 / s))))
-    worst = max(16.0 * epsilon**2 * c_ks(K, s) for K in enumerate_ball(k, d))
-    if worst > gamma**2 * (1.0 + 1e-12):
-        raise ParameterOutOfRange(
-            f"certification failed: max |4 eps T_K|_{{H^s}}^2 = {worst} > gamma^2 = {gamma**2}"
-        )
-    return SobolevLbParameters(k=k, ell=ell, max_scaled_norm_sq=worst)
 
 
 # The packing gives up once the farthest pool direction lies closer than this

@@ -3,8 +3,9 @@
 Supported measures are the uniform distribution on ``[-1,1]^d`` and the
 standard Gaussian on ``R^d``; schemes are tensor-product Gauss rules
 (Legendre for the cube, Hermite for the Gaussian) and seeded Monte Carlo.
-All weights sum to 1 so that ``inner_product`` is literally an expectation,
-matching the analysis this package verifies (no stray ``2^d`` factors).
+All weights sum to 1 so that a weighted sum over the nodes is literally an
+expectation, matching the analysis this package verifies (no stray ``2^d``
+factors).
 
 Function handles are deterministic callables mapping points to reals.  They
 may be vectorized (``(n, d) -> (n,)``); scalar-only callables are looped over
@@ -350,11 +351,12 @@ def evaluate_on(f, nodes: np.ndarray) -> np.ndarray:
     return np.array([float(f(p)) for p in nodes], dtype=float)
 
 
-def checked_values(f, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """``f`` at the grid's nodes, and those values times the weights, checked once where
-    a truncation starts: raises ``FloatingPointError`` unless the weighted squared
-    norm ``sum(w v v)``, the dot of the two, is finite, which a sum of squares is
-    only if every value is.
+def checked_values(f, grid: Grid, points: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """``f`` at the grid's nodes, or at ``points`` ``(n, d)`` paired with them, and those
+    values times the weights, checked once where a truncation starts: raises
+    ``FloatingPointError`` unless the weighted squared norm ``sum(w v v)``, the
+    dot of the two, is finite, which a sum of squares is only if every value is.
 
     numpy's overflow, invalid-value and division warnings are silenced while
     ``f`` is evaluated and checked, since the check reports the values they
@@ -362,24 +364,13 @@ def checked_values(f, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     truncation.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        values = evaluate_on(f, grid.nodes)
+        values = evaluate_on(f, grid.nodes if points is None else points)
         weighted = grid.weights * values
         norm_sq = weighted @ values
     if not np.isfinite(norm_sq):
         raise FloatingPointError("the target's values on the grid, or their weighted squared "
                                  "norm, are not finite")
     return values, weighted
-
-
-def inner_product(f, g, grid: Grid) -> float:
-    """``<f, g>_mu = E[f g]`` approximated on the grid."""
-    fv = evaluate_on(f, grid.nodes)
-    gv = evaluate_on(g, grid.nodes)
-    return float(np.sum(grid.weights * fv * gv))
-
-
-def l2_norm(f, grid: Grid) -> float:
-    return grid.norm(evaluate_on(f, grid.nodes))
 
 
 def l2_error(f, g, grid: Grid) -> float:

@@ -156,15 +156,6 @@ class FittedSpan:
         vals = _design_matrix(self.W, self.b, pts) @ self.coefficients
         return float(vals[0]) if single else vals
 
-    def to_json_dict(self) -> dict:
-        return {
-            "features": [{"bias": bias, "weight": w}
-                         for bias, w in zip(self.b.tolist(), self.W.tolist())],
-            "coefficients": [float(c) for c in self.coefficients],
-            "l2_error": self.l2_error,
-            "grid_id": self.grid_id,
-        }
-
 
 @dataclass(frozen=True)
 class RidgeProfile:
@@ -439,30 +430,6 @@ class DkDistribution(ReluParamDist):
             out[sel] = len(self._ball) / len(members) * _ray_sum(members, P, self.dimension,
                                                                  b[sel])
         return out
-
-
-@dataclass
-class CustomDistribution(ReluParamDist):
-    """User-supplied samplers; the weight marginal must be permutation-invariant.
-
-    That symmetry is a contract the caller declares, not something checked
-    here — the lower-bound statements quantify only over symmetric feature
-    distributions.
-    """
-
-    dimension: int
-    bias_sampler: Callable[[np.random.Generator], float]
-    weight_sampler: Callable[[np.random.Generator], np.ndarray]
-
-    def sample_batch(self, rng: np.random.Generator, r: int) -> tuple[np.ndarray, np.ndarray]:
-        """``r`` features as ``(W (r, d), b (r,))``, each drawing its bias, then its weight."""
-        b, rows = np.empty(r), []
-        for i in range(r):
-            b[i] = self.bias_sampler(rng)
-            rows.append(self.weight_sampler(rng))
-        W = np.array(rows, dtype=float) if r else np.empty((0, self.dimension))
-        _check_features(W, b, self.dimension)
-        return W, b
 
 
 # A multiple of a ray's direction counts as a ball index when every coordinate

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParameterOutOfRange, ScaleNotUnit
+from .errors import DimensionMismatch, ParameterOutOfRange
 from .lattice import IndexClass, MultiIndex, classify, l2_norm_sq, negate
 
 SQRT2 = math.sqrt(2.0)
@@ -105,11 +105,6 @@ def _basis_on_axes(index: np.ndarray, axes) -> np.ndarray:
     return out
 
 
-def lipschitz_bound(K: MultiIndex) -> float:
-    """Upper bound ``sqrt(2) pi ||K||_2`` on the Lipschitz constant of ``T_K``."""
-    return SQRT2 * math.pi * math.sqrt(l2_norm_sq(K))
-
-
 def _monomial_power(K: MultiIndex, M: MultiIndex) -> int:
     """Exact integer ``K^M = prod K_i^{M_i}`` with the ``0^0 = 1`` convention."""
     p = 1
@@ -144,21 +139,6 @@ def partial_derivative(K: MultiIndex, M: MultiIndex) -> DerivedTerm:
     coeff = sign * math.pi**order * power
     index = K if order % 2 == 0 else negate(K)
     return DerivedTerm(coeff, index)
-
-
-def deriv_inner_product(K: MultiIndex, Kp: MultiIndex, M: MultiIndex) -> float:
-    """``<D^M T_K, D^M T_K'>`` on the uniform cube, in closed form.
-
-    Equals ``pi^(2|M|) K^(2M)`` when ``K == K'`` and 0 otherwise: derivatives
-    of distinct basis elements stay orthogonal because they remain (signed)
-    basis elements with matching index flips.
-    """
-    if len(K) != len(Kp) or len(M) != len(K):
-        raise DimensionMismatch("K, K', M must share one dimension")
-    if K != Kp:
-        return 0.0
-    order = sum(M)
-    return math.pi ** (2 * order) * _monomial_power(K, tuple(2 * m for m in M))
 
 
 class TrigPolynomial:
@@ -220,20 +200,6 @@ class TrigPolynomial:
         """Largest ``||K||_2^2`` over stored terms (0 for the zero polynomial)."""
         return max((l2_norm_sq(K) for K in self.terms), default=0)
 
-    def support_radius(self) -> float:
-        """Largest ``||K||_2`` over stored terms."""
-        return math.sqrt(self.max_norm_sq)
-
-    def parseval_norm(self) -> float:
-        """L2 norm ``sqrt(sum beta_K^2)`` via Parseval; requires unit scale.
-
-        At ``rho != 1`` the scaled functions ``T_K(rho x)`` are no longer an
-        orthonormal system on the cube, so the identity would be false.
-        """
-        if self.scale != 1.0:
-            raise ScaleNotUnit(f"Parseval norm needs scale 1, got {self.scale}")
-        return math.sqrt(sum(b * b for b in self.terms.values()))
-
     def to_json_dict(self) -> dict:
         return {
             "scale": self.scale,
@@ -246,8 +212,3 @@ class TrigPolynomial:
     def from_json_dict(cls, doc: dict) -> "TrigPolynomial":
         terms = {tuple(item["K"]): float(item["beta"]) for item in doc["terms"]}
         return cls(terms, scale=float(doc.get("scale", 1.0)))
-
-
-def parseval_norm(P: TrigPolynomial) -> float:
-    """Uniform-cube L2 norm of a unit-scale polynomial, from coefficients."""
-    return P.parseval_norm()

@@ -15,7 +15,8 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate
 
-from widthlab import MONTE_CARLO, UNIFORM_CUBE, Grid, QuadratureSpec
+from widthlab import MONTE_CARLO, UNIFORM_CUBE, Grid, QuadratureSpec, ReluParamDist
+from widthlab.relu import _check_features
 
 
 def brute_counts(kmax: int, dmax: int) -> dict[tuple[int, int], int]:
@@ -175,6 +176,30 @@ def product_grid(axes) -> Grid:
     n = nodes.shape[0]
     spec = QuadratureSpec(UNIFORM_CUBE, MONTE_CARLO, len(axes), sample_count=n, seed=0)
     return Grid(spec=spec, nodes=nodes, weights=np.full(n, 1.0 / n))
+
+
+class CustomDistribution(ReluParamDist):
+    """ReLU features from caller-supplied samplers: each feature draws its bias with
+    ``bias_sampler(rng)``, then its unit weight ``(d,)`` with ``weight_sampler(rng)``.
+
+    A second feature distribution beside ``DkDistribution``, for dead, repeated
+    or hand-placed features; its draws are checked as every feature array
+    entering the package is.
+    """
+
+    def __init__(self, dimension, bias_sampler, weight_sampler):
+        self.dimension = dimension
+        self.bias_sampler = bias_sampler
+        self.weight_sampler = weight_sampler
+
+    def sample_batch(self, rng, r):
+        b, rows = np.empty(r), []
+        for i in range(r):
+            b[i] = self.bias_sampler(rng)
+            rows.append(self.weight_sampler(rng))
+        W = np.array(rows, dtype=float) if r else np.empty((0, self.dimension))
+        _check_features(W, b, self.dimension)
+        return W, b
 
 
 class MemberDistribution:

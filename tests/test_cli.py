@@ -25,8 +25,15 @@ from widthlab import (
     projection_residuals,
     tensor_gauss_grid,
 )
-from widthlab import approx, cli, fitter, lowerbound, quadrature, relu
-from widthlab.cli import emit_curve, main, read_curve, run_config, validate_config
+from widthlab import cli, fitter, lowerbound, quadrature, relu
+from widthlab.cli import emit_curve, main, run_config, validate_config
+
+
+def read_curve(path):
+    """The ``(x, y, ci_lo, ci_hi)`` rows of a curve CSV that ``emit_curve`` wrote."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "x,y,ci_lo,ci_hi", lines[:1]
+    return [tuple(float(tok) for tok in line.split(",")) for line in lines[1:]]
 
 
 def _write_config(tmp_path, doc, name="config.json"):
@@ -87,12 +94,6 @@ class TestCurveFiles:
     def test_non_finite_rejected(self, tmp_path):
         with pytest.raises(FloatingPointError):
             emit_curve([(1.0, math.nan, 0.0, 1.0)], str(tmp_path / "c.csv"))
-
-    def test_read_rejects_foreign_files(self, tmp_path):
-        bad = tmp_path / "not_curve.csv"
-        bad.write_text("a,b\n1,2\n", encoding="utf-8")
-        with pytest.raises(ParameterOutOfRange):
-            read_curve(str(bad))
 
 
 class TestCountLattice:
@@ -689,23 +690,6 @@ class TestConfigSchema:
         assert not list((tmp_path / "o").glob("*.csv"))
         assert not [w for w in caught if w.filename == fitter.__file__]
 
-    def test_reflect_mode_with_no_finite_orthant_exits_4(self, tmp_path, capsys):
-        """A target that overflows on the grid leaves every orthant's error NaN: exit 4
-        with one line, no CSV, and no warning from the orthant scan."""
-        doc = _with(_TRIG, mode="reflect", target={"type": "trig_poly", "polynomial": {
-            "terms": [{"K": [1], "beta": 1e308}, {"K": [-1], "beta": 1e308}]}})
-        cfg = _write_config(tmp_path, doc)
-        assert main(["validate", "--config", cfg]) == 0
-        capsys.readouterr()
-        # numpy warns while evaluating the target; the scan itself must not
-        with pytest.warns(RuntimeWarning, match="overflow|invalid") as caught:
-            code = main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")])
-        assert code == 4
-        err = capsys.readouterr().err
-        _assert_one_line(err, "numerical failure: no orthant's truncation has a finite error")
-        assert not list((tmp_path / "o").glob("*.csv"))
-        assert not [w for w in caught if w.filename == approx.__file__]
-
     @pytest.mark.parametrize("doc", [
         {"kind": "approx_sobolev",
          "parameters": {"d": 1, "s": 1, "gamma": 8.0, "epsilon": 1.0, "target": {
@@ -717,12 +701,17 @@ class TestConfigSchema:
              "polynomial": {"basis": "hermite", "terms": [{"K": [2], "beta": 1e308}]}}}},
         _with(_TRIG, mode="periodic", target={"type": "trig_poly", "polynomial": {
             "scale": 1.0, "terms": [{"K": [1], "beta": 1e308}]}}),
-    ], ids=["approx_sobolev", "hermite_check", "approx_trig_periodic"])
+        _with(_TRIG, mode="reflect", target={"type": "trig_poly", "polynomial": {
+            "terms": [{"K": [1], "beta": 1e308}, {"K": [-1], "beta": 1e308}]}}),
+    ], ids=["approx_sobolev", "hermite_check", "approx_trig_periodic", "approx_trig_reflect"])
     def test_a_truncation_of_a_non_finite_target_exits_4_with_one_line(self, tmp_path, capsys,
                                                                       doc):
         """A target whose weighted squared norm overflows stops each truncation where it
-        starts: exit 4, one stderr line, no warning and no output."""
+        starts, though ``validate`` passes it: exit 4, one stderr line, no warning and
+        no output."""
         cfg = _write_config(tmp_path, doc)
+        assert main(["validate", "--config", cfg]) == 0
+        capsys.readouterr()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")])

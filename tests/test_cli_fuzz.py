@@ -5,6 +5,10 @@ one place: it drops a parameter the kind cannot run without, gives a value
 the wrong JSON type, puts a number below its range, or makes a size-like
 number huge.  Both commands must then refuse it with the same exit code and
 exactly one line on stderr, never a traceback.
+
+A magnitude sweep sets each real parameter of the same examples, one at a
+time, to the float extremes: both commands, with warnings raised as errors,
+must end in exit 0 with nothing on stderr or in exit 2, 3 or 4 with one line.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import io
 import json
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -153,3 +158,43 @@ def test_malformed_configs_exit_2_or_3_everywhere(doc):
         assert err.count("\n") == 1 and err.endswith("\n"), err
         assert "Traceback" not in err
     assert validated[0] == ran[0], (doc, validated, ran)
+
+
+# Real parameters by name, the polynomials' scale and coefficients included, and
+# the float extremes each is set to.
+REALS = {"L", "epsilon", "gamma", "delta", "rho", "k", "k_list", "scale", "beta"}
+MAGNITUDES = (1e308, -1e308, 1e-308)
+_ONE_TERM = {"type": "trig_poly",
+             "polynomial": {"scale": 1.0, "terms": [{"K": [1], "beta": 1.0}]}}
+SWEPT = EXAMPLES + [
+    {"kind": "approx_trig",
+     "parameters": {"d": 1, "L": 1.0, "epsilon": 0.25, "mode": mode, "target": _ONE_TERM}}
+    for mode in ("reflect", "periodic")]
+
+
+def _magnitude_cases():
+    for doc in SWEPT:
+        params = doc["parameters"]
+        name = "-".join(filter(None, (doc["kind"], params.get("mode"))))
+        for path in _paths(params):
+            key = next(k for k in reversed(path) if isinstance(k, str))
+            if key in REALS and _json_type(_parent(params, path)[path[-1]]) == "number":
+                for value in MAGNITUDES:
+                    changed = copy.deepcopy(doc)
+                    _parent(changed["parameters"], path)[path[-1]] = value
+                    yield pytest.param(changed, id=f"{name}-{'.'.join(map(str, path))}={value!r}")
+
+
+@pytest.mark.parametrize("doc", list(_magnitude_cases()))
+def test_extreme_magnitudes_exit_cleanly(tmp_path, doc):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        validated = _command(["validate", "--config", str(cfg)])
+        ran = _command(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    for code, err in (validated, ran):
+        assert code in (0, 2, 3, 4), err
+        assert err == "" if code == 0 else (err.count("\n") == 1 and err.endswith("\n")), err
+    # validate makes every check run makes before its work
+    assert ran[0] == validated[0] or (validated[0], ran[0]) == (0, 4), (validated, ran)

@@ -17,7 +17,6 @@ from widthlab import (
     evaluate_on,
     fit_span,
     hard_family_ball,
-    l2_norm,
     success_probability,
     tensor_gauss_grid,
     wilson_interval,
@@ -50,7 +49,7 @@ class TestFitSpan:
         W, b = _features(rng, 3, 1)
         f = lambda X: np.sin(2.0 * X[:, 0])
         span = fit_span(W, b, f, cube_grid_1d)
-        assert span.l2_error <= l2_norm(f, cube_grid_1d) + 1e-12
+        assert span.l2_error <= cube_grid_1d.norm(evaluate_on(f, cube_grid_1d.nodes)) + 1e-12
 
     def test_pythagoras(self, cube_grid_1d):
         """||f||^2 = ||fit||^2 + residual^2 for an L2 projection."""
@@ -58,9 +57,10 @@ class TestFitSpan:
         W, b = _features(rng, 4, 1)
         f = lambda X: np.cos(X[:, 0])
         span = fit_span(W, b, f, cube_grid_1d)
-        fit_norm = l2_norm(lambda X: span.evaluate(X), cube_grid_1d)
+        nodes = cube_grid_1d.nodes
+        fit_norm = cube_grid_1d.norm(span.evaluate(nodes))
         assert_allclose(fit_norm**2 + span.l2_error**2,
-                        l2_norm(f, cube_grid_1d) ** 2, rtol=1e-10)
+                        cube_grid_1d.norm(evaluate_on(f, nodes)) ** 2, rtol=1e-10)
 
     def test_residual_invariant_to_order_and_duplicates(self, cube_grid_1d):
         rng = np.random.default_rng(42)
@@ -125,16 +125,6 @@ class TestFitSpan:
         columns = relu_columns(W, b, X)
         assert_allclose(span.evaluate(X), columns @ span.coefficients, rtol=0.0, atol=1e-14)
         assert span.evaluate(X[3]) == span.evaluate(X)[3]
-
-    def test_json_round_trippable_fields(self, cube_grid_1d):
-        rng = np.random.default_rng(42)
-        W, b = _features(rng, 2, 1)
-        span = fit_span(W, b, lambda X: X[:, 0], cube_grid_1d)
-        doc = span.to_json_dict()
-        assert doc["features"] == [{"bias": float(bias), "weight": w.tolist()}
-                                   for w, bias in zip(W, b)]
-        assert len(doc["coefficients"]) == 2
-        assert doc["grid_id"] == cube_grid_1d.spec.label()
 
 
 class TestWilsonInterval:

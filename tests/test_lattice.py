@@ -13,12 +13,10 @@ from widthlab import (
     classify,
     count_ball,
     enumerate_ball,
-    exponent_envelope,
     hard_family_ball,
     l2_norm_sq,
     negate,
     radius_sq_bound,
-    sobolev_lb_parameters,
     tensor_gauss_grid,
     truncate_sobolev,
 )
@@ -127,17 +125,15 @@ class TestEnumerateBall:
         with pytest.raises(CapExceeded):
             check_ball_cap(2, 2)
 
-    # Each builds a d = 2 ball of 13 or more indices: k = 2 for the first three,
-    # k = 40 / (4 pi sqrt(2)) = 2.25 (21 indices) for the Sobolev hard instance.
-    # The truncation's grid is built under the default cap: its 9 nodes x 2
-    # coordinates are past a cap of 10 themselves.
+    # Each builds the d = 2 ball of radius 2, 13 indices.  The truncation's grid
+    # is built under the default cap: its 9 nodes x 2 coordinates are past a cap
+    # of 10 themselves.
     @pytest.mark.parametrize("build", [
         lambda grid=tensor_gauss_grid(UNIFORM_CUBE, 2, 3): truncate_sobolev(
             lambda X: X[:, 0], 1, 4.0, 1.0, grid),
         lambda: hard_family_ball(2, 2),
-        lambda: sobolev_lb_parameters(40.0, 1.0, 1, 2),
         lambda: DkDistribution(k=2, dimension=2),
-    ], ids=["truncate_sobolev", "hard_family_ball", "sobolev_lb_parameters", "DkDistribution"])
+    ], ids=["truncate_sobolev", "hard_family_ball", "DkDistribution"])
     def test_ball_builders_obey_the_cap_from_the_environment(self, monkeypatch, build):
         build()
         monkeypatch.setenv("WIDTHLAB_CAP", "10")
@@ -186,7 +182,7 @@ class TestClassify:
 
 
 class TestHelpers:
-    """Norms, exact boundary bound, and the count envelope."""
+    """Norms and the exact boundary bound."""
 
     def test_l2_norm_sq(self):
         assert l2_norm_sq((3, -4)) == 25
@@ -195,23 +191,3 @@ class TestHelpers:
         assert radius_sq_bound(math.sqrt(2)) == 2
         assert radius_sq_bound(2) == 4
         assert radius_sq_bound(1.9999) == 3
-
-    def test_envelope_tracks_log_count(self):
-        """ln Q(k, d) stays within a constant factor of the envelope.
-
-        The envelope only pins the growth rate, not the constant, so we
-        check the ratio stays in a generous band over an affordable range.
-        """
-        for d in range(1, 7):
-            for k in range(1, 6):
-                ratio = math.log(count_ball(k, d)) / exponent_envelope(k, d)
-                assert 0.25 <= ratio <= 4.0, (k, d, ratio)
-
-    def test_envelope_examples(self):
-        assert exponent_envelope(1, 1) == pytest.approx(math.log(3.0), rel=1e-12)
-        assert exponent_envelope(2, 4) == pytest.approx(4 * math.log(3.0), rel=1e-12)
-        assert exponent_envelope(3, 4) > exponent_envelope(2, 4)
-
-    def test_envelope_rejects_small_radius(self):
-        with pytest.raises(ParameterOutOfRange):
-            exponent_envelope(0.5, 2)

@@ -8,7 +8,6 @@ from widthlab import (
     GAUSSIAN,
     MONTE_CARLO,
     UNIFORM_CUBE,
-    CapExceeded,
     DkDistribution,
     FunctionFamily,
     Grid,
@@ -17,7 +16,6 @@ from widthlab import (
     ParameterOutOfRange,
     QuadratureSpec,
     WrongMeasure,
-    check_boas_bellman,
     classify,
     coherence,
     count_ball,
@@ -29,12 +27,10 @@ from widthlab import (
     gaussian_hard_family,
     hard_family_ball,
     hard_family_symmetric,
-    l2_norm,
     lb_parameters,
     make_grid,
     projection_residuals,
     randict_bound,
-    sobolev_lb_parameters,
     tensor_gauss_grid,
 )
 from widthlab.fitter import width_residuals
@@ -149,13 +145,6 @@ class TestProjectionResiduals:
             ranks.append(rank)
         assert any(rank < r for rank, r in zip(ranks, widths))
 
-    def test_report_serializes(self, cube_grid_2d):
-        fam = hard_family_ball(1, 2)
-        doc = projection_residuals(np.empty((0, 2)), np.empty(0), fam,
-                                   cube_grid_2d).to_json_dict()
-        assert doc["N"] == 5 and doc["r"] == 0
-        assert isinstance(doc["labels"][0], list)
-
 
 class _Moved(ReluParamDist):
     """D_k features with every weight row moved by ``G``: ``W @ G``."""
@@ -224,44 +213,6 @@ class TestSignedPermutationSymmetry:
         assert mutant > 1e-2
 
 
-class TestBoasBellman:
-    """sum_i <g, phi_i>^2 <= |g|^2 (max_i |phi_i|^2 + kappa)."""
-
-    def test_member_near_equality(self, cube_grid_2d):
-        fam = hard_family_ball(2, 2)
-        lhs, rhs = check_boas_bellman(fam.members[0], fam, cube_grid_2d)
-        assert lhs <= rhs + 1e-12
-        assert_allclose(lhs, 1.0, atol=1e-10)
-        assert_allclose(rhs, 1.0, atol=1e-8)
-
-    def test_orthogonal_function(self, cube_grid_2d):
-        """A basis element outside the family has all zero inner products."""
-        fam = hard_family_ball(1, 2)
-        g = lambda nodes: np.asarray(eval_T((1, 1), nodes))
-        lhs, rhs = check_boas_bellman(g, fam, cube_grid_2d)
-        assert lhs <= 1e-12
-        assert rhs >= 1.0 - 1e-9
-
-    def test_holds_for_random_functions(self, cube_grid_2d):
-        rng = np.random.default_rng(42)
-        fam = hard_family_ball(2, 2)
-        W, b = _relu_features(rng, 5, 2)
-        for i in range(5):
-            lhs, rhs = check_boas_bellman(lambda n, _i=i: relu_columns(W, b, n)[:, _i],
-                                          fam, cube_grid_2d)
-            assert lhs <= rhs + 1e-12
-
-    def test_non_unit_members_allowed(self, cube_grid_1d):
-        """Norms enter through the measured Gram, not an assumption."""
-        fam = FunctionFamily(labels=[0], members=[
-            lambda nodes: 3.0 * np.asarray(eval_T((1,), nodes))
-        ], dimension=1)
-        lhs, rhs = check_boas_bellman(fam.members[0], fam, cube_grid_1d)
-        assert lhs <= rhs + 1e-9
-        assert_allclose(lhs, 81.0, rtol=1e-10)  # <3T, 3T>^2
-        assert_allclose(rhs, 81.0, rtol=1e-8)  # |3T|^2 * max|3T|^2
-
-
 class TestHardFamilies:
     """Cube-side hard instances."""
 
@@ -325,7 +276,7 @@ class TestExplicitHard:
 
     def test_norm_is_four_epsilon(self, cube_grid_2d):
         f = explicit_hard_function(0.3, 2, 2)
-        assert_allclose(l2_norm(f.evaluate, cube_grid_2d), 1.2, rtol=1e-10)
+        assert_allclose(cube_grid_2d.norm(f.evaluate(cube_grid_2d.nodes)), 1.2, rtol=1e-10)
 
     def test_is_scaled_family_member(self):
         rng = np.random.default_rng(42)
@@ -368,36 +319,6 @@ class TestLbParameters:
         base = lb_parameters(18.0, 1.0, 10**6).ell
         doubled = lb_parameters(36.0, 1.0, 10**6).ell
         assert doubled == 4 * base
-
-    def test_sobolev_radius_example(self):
-        """s=1, gamma=8, eps=1: k = 8 / (4 pi sqrt(2)) = sqrt(2)/pi."""
-        params = sobolev_lb_parameters(8.0, 1.0, 1, 4)
-        assert_allclose(params.k, SQRT2 / math.pi, rtol=1e-14)
-        assert params.max_scaled_norm_sq <= 64.0 * (1 + 1e-12)
-
-    def test_sobolev_precondition_boundary(self):
-        sobolev_lb_parameters(math.sqrt(32.0), 1.0, 1, 2)  # accepted
-        with pytest.raises(ParameterOutOfRange):
-            sobolev_lb_parameters(math.sqrt(31.0), 1.0, 1, 2)
-
-    def test_sobolev_tiny_epsilon_is_a_size_past_the_float_range(self):
-        """``epsilon^2`` underflows to 0 at 1e-308; the sizes square ``gamma / epsilon``,
-        and a square past the float range is past the cap."""
-        with pytest.raises(CapExceeded, match=r"\(gamma/eps\)\^2 = \(1e\+308\)\^2"):
-            sobolev_lb_parameters(1.0, 1e-308, 1, 2)
-        # a ratio inside the range keeps its sizes when epsilon^2 alone underflows
-        tiny = sobolev_lb_parameters(1e-200 * 100.0, 1e-200, 1, 2)
-        plain = sobolev_lb_parameters(100.0, 1.0, 1, 2)
-        assert tiny.ell == plain.ell
-        assert_allclose(tiny.k, plain.k, rtol=1e-14)
-
-    def test_sobolev_certification_covers_ball(self):
-        """Larger budgets put lattice indices inside the certified ball."""
-        params = sobolev_lb_parameters(100.0, 1.0, 1, 2)
-        assert params.k > 1.0
-        # worst-case H^s energy over the ball stays within gamma^2
-        assert params.max_scaled_norm_sq <= 100.0**2 * (1 + 1e-12)
-        assert params.max_scaled_norm_sq >= 16.0  # at least the K = 0 term
 
 
 # Per dimension, a tensor grid with fewer nodes per axis than the 2k + 1 rows of a
@@ -471,7 +392,8 @@ class TestGaussianFamily:
     def test_single_member(self, gauss_grid_2d):
         fam = gaussian_hard_family(2.0, 1, 2, seed=42, grid=gauss_grid_2d)
         assert len(fam) == 1 and fam.coherence == 0.0
-        assert_allclose(l2_norm(fam.members[0], gauss_grid_2d), 1.0, rtol=1e-9)
+        assert_allclose(gauss_grid_2d.norm(evaluate_on(fam.members[0], gauss_grid_2d.nodes)),
+                        1.0, rtol=1e-9)
 
     def test_members_normalized_and_kappa_measured(self, gauss_grid_2d):
         fam = gaussian_hard_family(2.0, 4, 2, seed=42, grid=gauss_grid_2d)

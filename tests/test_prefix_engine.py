@@ -20,7 +20,6 @@ from numpy.testing import assert_allclose
 from widthlab import (
     UNIFORM_CUBE,
     CapExceeded,
-    CustomDistribution,
     DkDistribution,
     TrigPolynomial,
     estimate_minwidth,
@@ -42,7 +41,7 @@ from widthlab.lowerbound import (
 from widthlab.quadrature import MONTE_CARLO, QuadratureSpec, evaluate_on, make_grid
 from widthlab.relu import ReluParamDist
 
-from oracles import factored_features
+from oracles import CustomDistribution, factored_features
 
 
 def _lstsq_residuals(W, b, grid, targets, r=None, rcond=1e-10):

@@ -24,9 +24,7 @@ from widthlab import (
     WrongMeasure,
     eval_T,
     evaluate_on,
-    inner_product,
     l2_error,
-    l2_norm,
     make_grid,
     tensor_gauss_grid,
     trig_coefficient,
@@ -426,14 +424,8 @@ class TestFunctionals:
         assert_allclose(vals, np.full(cube_grid_1d.nodes.shape[0], 3.0))
 
     def test_l2_norm_constant(self, cube_grid_2d):
-        assert_allclose(l2_norm(lambda X: np.full(X.shape[0], 2.0), cube_grid_2d), 2.0,
+        assert_allclose(cube_grid_2d.norm(np.full(cube_grid_2d.nodes.shape[0], 2.0)), 2.0,
                         rtol=1e-14)
-
-    def test_inner_product_symmetry(self, cube_grid_2d):
-        f = lambda X: np.sin(X[:, 0])
-        g = lambda X: X[:, 1] ** 3 - X[:, 0]
-        assert_allclose(inner_product(f, g, cube_grid_2d),
-                        inner_product(g, f, cube_grid_2d), rtol=1e-14)
 
     def test_l2_error_zero_on_identical(self, cube_grid_1d):
         f = lambda X: np.sin(X[:, 0])
@@ -443,8 +435,8 @@ class TestFunctionals:
         """||f - 0|| equals the norm of f."""
         f = lambda X: 1.0 + X[:, 0]
         zero = lambda X: np.zeros(X.shape[0])
-        assert_allclose(l2_error(f, zero, cube_grid_1d), l2_norm(f, cube_grid_1d),
-                        rtol=1e-14)
+        assert_allclose(l2_error(f, zero, cube_grid_1d),
+                        cube_grid_1d.norm(evaluate_on(f, cube_grid_1d.nodes)), rtol=1e-14)
 
     def test_trig_coefficient_of_identity(self, cube_grid_1d):
         """<x, T_1> = sqrt(2)/pi on [-1, 1]."""

@@ -12,7 +12,6 @@ from scipy import integrate, stats
 
 from widthlab import (
     CapExceeded,
-    CustomDistribution,
     DimensionMismatch,
     DkDistribution,
     NotUnitNorm,
@@ -45,7 +44,7 @@ from widthlab import relu
 from widthlab.relu import _design_matrix
 from widthlab.quadrature import l2_error
 
-from oracles import dk_expectation, mixture_quad
+from oracles import CustomDistribution, dk_expectation, mixture_quad
 
 SQRT2 = math.sqrt(2.0)
 

@@ -8,13 +8,10 @@ from widthlab import (
     DimensionMismatch,
     IndexClass,
     ParameterOutOfRange,
-    ScaleNotUnit,
     TrigPolynomial,
     classify,
-    deriv_inner_product,
     enumerate_ball,
     eval_T,
-    lipschitz_bound,
     partial_derivative,
 )
 
@@ -118,56 +115,6 @@ class TestPartialDerivative:
             partial_derivative((1, 0), (-1, 0))
 
 
-class TestDerivInnerProduct:
-    """<D^M T_K, D^M T_K'> in closed form vs quadrature."""
-
-    def test_distinct_indices_orthogonal(self):
-        assert deriv_inner_product((1, 0), (0, 1), (1, 0)) == 0.0
-
-    def test_diagonal_value(self):
-        assert_allclose(
-            deriv_inner_product((2, -1), (2, -1), (1, 1)),
-            math.pi**4 * 4 * 1,
-            rtol=1e-15,
-        )
-
-    def test_zero_component(self):
-        """0^0 = 1 when M_i = 0; K_i = 0 with M_i > 0 gives zero."""
-        assert deriv_inner_product((0, 2), (0, 2), (0, 0)) == 1.0
-        assert deriv_inner_product((0, 2), (0, 2), (1, 0)) == 0.0
-
-    def test_matches_quadrature(self, cube_grid_2d):
-        """Closed form equals the grid inner product of the derived terms."""
-        pairs = [((1, -1), (1, 0)), ((2, 0), (0, 1)), ((-1, 2), (1, 1))]
-        w = cube_grid_2d.weights
-        X = cube_grid_2d.nodes
-        for K, M in pairs:
-            c, Kp = partial_derivative(K, M)
-            vals = c * np.asarray(eval_T(Kp, X))
-            assert_allclose(
-                float(np.sum(w * vals * vals)),
-                deriv_inner_product(K, K, M),
-                rtol=1e-12, atol=1e-12,
-            )
-
-
-class TestLipschitzBound:
-    """sqrt(2) pi ||K|| dominates the measured slope."""
-
-    def test_value(self):
-        assert_allclose(lipschitz_bound((3, 4)), SQRT2 * math.pi * 5, rtol=1e-15)
-
-    def test_dominates_sampled_quotients(self):
-        rng = np.random.default_rng(42)
-        for K in [(1, 0), (-2, 1), (2, 2)]:
-            bound = lipschitz_bound(K)
-            a = rng.uniform(-1, 1, size=(200, 2))
-            b = rng.uniform(-1, 1, size=(200, 2))
-            num = np.abs(np.asarray(eval_T(K, a)) - np.asarray(eval_T(K, b)))
-            den = np.linalg.norm(a - b, axis=1)
-            assert np.max(num / den) <= bound + 1e-12
-
-
 class TestTrigPolynomial:
     """Container semantics: evaluation, norms, serialization."""
 
@@ -192,12 +139,8 @@ class TestTrigPolynomial:
         P = TrigPolynomial({K: rng.normal() for K in members})
         vals = np.asarray(P(cube_grid_2d.nodes))
         grid_norm = math.sqrt(float(np.sum(cube_grid_2d.weights * vals * vals)))
-        assert_allclose(P.parseval_norm(), grid_norm, rtol=1e-12)
-
-    def test_parseval_requires_unit_scale(self):
-        P = TrigPolynomial({(1,): 1.0}, scale=0.5)
-        with pytest.raises(ScaleNotUnit):
-            P.parseval_norm()
+        parseval = math.sqrt(sum(beta * beta for beta in P.terms.values()))
+        assert_allclose(parseval, grid_norm, rtol=1e-12)
 
     def test_json_round_trip(self):
         P = TrigPolynomial({(1, -2): 0.75, (0, 0): -1.5}, scale=0.5)
@@ -206,10 +149,10 @@ class TestTrigPolynomial:
         assert Q.scale == P.scale
         assert Q.dimension == P.dimension
 
-    def test_max_coefficient_and_support_radius(self):
+    def test_max_coefficient_and_max_norm_sq(self):
         P = TrigPolynomial({(1, 0): 0.5, (-2, 2): -3.0})
         assert P.max_coefficient() == 3.0
-        assert_allclose(P.support_radius(), math.sqrt(8))
+        assert P.max_norm_sq == 8
 
     def test_scale_out_of_range(self):
         with pytest.raises(ParameterOutOfRange):
