@@ -25,8 +25,10 @@ from .errors import (
     DimensionMismatch,
     EmptyFeatureList,
     InvalidCapSetting,
+    InvalidInput,
     NegativeIndex,
     NotUnitNorm,
+    NumericalFailure,
     OutOfSupport,
     PackingFailed,
     ParameterOutOfRange,

@@ -56,15 +56,6 @@ class TruncationReport:
     max_coefficient: float
     orthant: tuple[int, ...] | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "polynomial": self.polynomial.to_json_dict(),
-            "degree_radius": self.degree_radius,
-            "residual_estimate": self.residual_estimate,
-            "max_coefficient": self.max_coefficient,
-            "orthant": list(self.orthant) if self.orthant is not None else None,
-        }
-
 
 def _truncate_on_axes(fw: np.ndarray, ball: list[MultiIndex], top: int,
                       grid: Grid) -> tuple[dict[MultiIndex, float], np.ndarray]:

@@ -19,6 +19,7 @@ size/degree cap was hit; 4 numerical failure during an otherwise valid run.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -40,23 +41,7 @@ from .approx import (
     truncate_sobolev,
 )
 from .caps import active_cap
-from .errors import (
-    CapExceeded,
-    DegreeCap,
-    DimensionMismatch,
-    EmptyFeatureList,
-    InvalidCapSetting,
-    NegativeIndex,
-    NotUnitNorm,
-    OutOfSupport,
-    PackingFailed,
-    ParameterOutOfRange,
-    ScaleNotUnit,
-    UnsupportedCombination,
-    WeightNotInSupport,
-    WeightsNotNormalized,
-    WrongMeasure,
-)
+from .errors import CapExceeded, InvalidInput, NumericalFailure, ParameterOutOfRange
 from .fitter import estimate_minwidth, success_probability, width_residuals, wilson_interval
 from .hermite import HermitePolynomial, _degree_budget, _simplex_count, hermite_truncate
 from .lattice import check_ball_cap, count_ball, enumerate_ball, radius_sq_bound
@@ -83,17 +68,15 @@ from .relu import DkDistribution, mixture_expectation, phi_K
 from .trig import TrigPolynomial
 
 
-class ConfigError(Exception):
+class ConfigError(InvalidInput):
     """The configuration document is malformed or violates a precondition."""
 
 
 _EXITS = (  # (exit code, stderr label, the errors reported with them)
-    (2, "error", (ConfigError, ParameterOutOfRange, DimensionMismatch, WrongMeasure,
-                  UnsupportedCombination, ScaleNotUnit, NegativeIndex, InvalidCapSetting)),
-    (3, "cap exceeded", (CapExceeded, DegreeCap)),
-    (4, "numerical failure", (PackingFailed, OutOfSupport, WeightNotInSupport, NotUnitNorm,
-                              WeightsNotNormalized, EmptyFeatureList, np.linalg.LinAlgError,
-                              FloatingPointError, OverflowError, OSError)),
+    (2, "error", (InvalidInput,)),
+    (3, "cap exceeded", (CapExceeded,)),
+    (4, "numerical failure", (NumericalFailure, np.linalg.LinAlgError, FloatingPointError,
+                              OverflowError, OSError)),
 )
 _HANDLED = tuple(error for _, _, errors in _EXITS for error in errors)
 
@@ -107,6 +90,16 @@ def _fmt(value) -> str:
     if not math.isfinite(x):
         raise FloatingPointError("non-finite value in output")
     return "%.17g" % x
+
+
+def _jsonable(value):
+    """A result as JSON values: a dataclass is its fields in order, a tuple or list a
+    list, and a polynomial its own document."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [_jsonable(v) for v in value]
+    return value.to_json_dict() if hasattr(value, "to_json_dict") else value
 
 
 def _write_text(path: str, text: str) -> None:
@@ -140,11 +133,10 @@ class _P(NamedTuple):
 
     ``type`` is "int", "real" (read as a float), "num" (an int or float kept
     as written), a tuple of allowed strings, or, for a JSON object, a table or
-    a function ``(raw, key, p, params)`` given the parameters read so far and
-    the object the value came from.  ``default`` is ``...`` for a required
-    parameter and ``None`` for an optional one; ``many`` names the list form;
-    ``cap`` checks the value against the cap as a "size" or as the radius of
-    a lattice "ball" in ``d`` dimensions.
+    a function ``(raw, key, p)`` given the parameters read so far.  ``default``
+    is ``...`` for a required parameter and ``None`` for an optional one;
+    ``many`` names the list form; ``cap`` checks the value against the cap as
+    a "size" or as the radius of a lattice "ball" in ``d`` dimensions.
     """
 
     type: object
@@ -154,13 +146,13 @@ class _P(NamedTuple):
     cap: str | None = None
 
 
-def _convert(key: str, spec: _P, raw, p, params):
+def _convert(key: str, spec: _P, raw, p):
     if callable(spec.type) or isinstance(spec.type, dict):
         if not isinstance(raw, dict):
             raise ConfigError(f"parameter {key!r} must be an object, got {raw!r}")
         if isinstance(spec.type, dict):
             return _read(raw, spec.type, p, key + ".")
-        return spec.type(raw, key, p, params)
+        return spec.type(raw, key, p)
     if isinstance(spec.type, tuple):
         ok, want = isinstance(raw, str) and raw in spec.type, f"one of {list(spec.type)}"
     else:
@@ -189,18 +181,29 @@ def _value(params: dict, name: str, spec: _P, p, where: str = ""):
         key, raw = where + spec.many, params[spec.many]
         if not isinstance(raw, list) or not raw:
             raise ConfigError(f"parameter {key!r} must be a nonempty list, got {raw!r}")
-        return [_convert(key, spec, v, p, params) for v in raw]
+        return [_convert(key, spec, v, p) for v in raw]
     if name not in params and spec.default is ...:
         raise ConfigError(f"missing required parameter {where + name!r}")
     raw = params.get(name, spec.default)
     if raw is None and spec.default is None:
         return None
-    value = _convert(where + name, spec, raw, p, params)
+    value = _convert(where + name, spec, raw, p)
     return [value] if spec.many else value
 
 
-def _read(params: dict, table: dict, p=None, where: str = "") -> SimpleNamespace:
-    """Read every parameter of ``table`` from ``params``, in table order."""
+def _only(obj: dict, known: set, what: str, where: str = "") -> None:
+    """Refuse a key of ``obj`` that is not in ``known``."""
+    unknown = sorted(set(obj) - known)
+    if unknown:
+        raise ConfigError(f"unexpected {what} {where + unknown[0]!r}; "
+                          f"expected one of {sorted(known)}")
+
+
+def _read(params: dict, table: dict, p=None, where: str = "", read=()) -> SimpleNamespace:
+    """Read every parameter of ``table`` from ``params``, in table order, after refusing
+    a key that neither the table nor ``read`` (the keys read already) names."""
+    _only(params, {*read, *table, *(spec.many for spec in table.values() if spec.many)},
+          "parameter", where)
     out = SimpleNamespace()
     for name, spec in table.items():
         setattr(out, name, _value(params, name, spec, out if p is None else p, where))
@@ -225,13 +228,10 @@ _TARGETS = {
 }
 
 
-def _target(raw, key, p, params):
+def _target(raw, key, p):
     """Resolve the target to ``(callable, description)``."""
-    # explicit_hard reads epsilon and ell from the outer parameters by default
-    spec = {n: params[n] for n in ("epsilon", "ell") if n in params}
-    spec.update(raw)
-    kind = _value(spec, "type", _P(tuple(_TARGETS)), p, key + ".")
-    t = _read(spec, _TARGETS[kind], p, key + ".")
+    kind = _value(raw, "type", _P(tuple(_TARGETS)), p, key + ".")
+    t = _read(raw, _TARGETS[kind], p, key + ".", read=("type",))
     if kind == "abs":
         return (lambda nodes: np.abs(np.asarray(nodes, dtype=float)[:, 0])), {"type": "abs"}
     if kind == "explicit_hard":
@@ -239,7 +239,7 @@ def _target(raw, key, p, params):
         return hard.evaluate, {"type": kind, "ell": t.ell, "epsilon": t.epsilon,
                                "lip_bound": hard.lip_bound}
     cls = TrigPolynomial if kind == "trig_poly" else HermitePolynomial
-    poly = cls.from_json_dict(spec["polynomial"])  # its types are checked above
+    poly = cls.from_json_dict(raw["polynomial"])  # its types are checked above
     if poly.dimension != p.d:
         raise ConfigError(f"target dimension {poly.dimension} != experiment dimension {p.d}")
     return poly.evaluate, {"type": kind, "terms": len(poly.terms)}
@@ -251,12 +251,12 @@ _GRIDS = {
 }
 
 
-def _grid(raw, key, p, params, measure=UNIFORM_CUBE) -> QuadratureSpec:
+def _grid(raw, key, p, measure=UNIFORM_CUBE) -> QuadratureSpec:
     """The grid's spec, checked against the cap; the runner builds the grid."""
     if measure is None:  # lb_projection: a gaussian family lives in Gaussian space
         measure = GAUSSIAN if p.family["type"] == "gaussian" else UNIFORM_CUBE
     scheme = _value(raw, "scheme", _P(tuple(_GRIDS), default=TENSOR_GAUSS), p, key + ".")
-    g = _read(raw, _GRIDS[scheme], p, key + ".")
+    g = _read(raw, _GRIDS[scheme], p, key + ".", read=("scheme",))
     if scheme == MONTE_CARLO:
         if g.seed is None and p.seed is None:
             raise ConfigError("monte_carlo grid needs a seed")
@@ -279,14 +279,11 @@ _FAMILIES = {
 }
 
 
-def _family(raw, key, p, params) -> dict:
+def _family(raw, key, p) -> dict:
     """The hard family's description: its type and size parameters."""
-    # the family's parameters may also be given beside it, as in {"ell": 2}
-    spec = {n: params[n] for n in ("ell", "k", "L", "N") if n in params}
-    spec.update(raw)
-    kind = _value(spec, "type", _P(tuple(_FAMILIES), default="symmetric" if "ell" in spec
-                                   else "ball"), p, key + ".")
-    f = _read(spec, _FAMILIES[kind], p, key + ".")
+    kind = _value(raw, "type", _P(tuple(_FAMILIES), default="symmetric" if "ell" in raw
+                                  else "ball"), p, key + ".")
+    f = _read(raw, _FAMILIES[kind], p, key + ".", read=("type",))
     if kind == "symmetric":
         if f.ell > p.d:
             raise ConfigError(f"need 1 <= ell <= d, got ell={f.ell}, d={p.d}")
@@ -400,12 +397,6 @@ def _check_explicit(p) -> None:
     _check_sampling(p)
 
 
-def _label_str(label) -> str:
-    if isinstance(label, tuple):
-        return " ".join(str(v) for v in label)
-    return str(label)
-
-
 class _Run:
     """Shared state for one experiment run: where its files go, and their names.
 
@@ -463,7 +454,7 @@ def _run_count_lattice(p, run: _Run) -> dict:
 
 def _coefficients(report, p, run: _Run) -> dict:
     """A truncation's result document; its coefficients go to a CSV, not into it."""
-    doc = report.to_json_dict()
+    doc = _jsonable(report)
     header = ",".join(f"k{i + 1}" for i in range(p.d)) + ",beta"
     rows = [",".join(str(c) for c in term["K"]) + "," + _fmt(term["beta"])
             for term in doc["polynomial"].pop("terms")]
@@ -503,7 +494,7 @@ def _success_curve(f, p, run: _Run) -> list[dict]:
     estimates = success_probability(f, p.epsilon, dist, p.r, p.trials, grid, p.seed)
     emit_curve([(est.r, est.probability, est.ci_lo, est.ci_hi) for est in estimates],
                run.path("curve.csv"))
-    return [est.to_json_dict() for est in estimates]
+    return _jsonable(estimates)
 
 
 def _run_fit_curve(p, run: _Run) -> dict:
@@ -519,7 +510,7 @@ def _run_minwidth(p, run: _Run) -> dict:
     points = [(r, prob, *wilson_interval(round(prob * p.trials), p.trials))
               for r, prob in est.search_trace]
     emit_curve(points, run.path("trace.csv"))
-    doc = est.to_json_dict()
+    doc = _jsonable(est)
     doc["target"] = p.target[1]
     doc["dist_k"] = p.dist.k
     return doc
@@ -540,7 +531,8 @@ def _run_lb_projection(p, run: _Run) -> dict:
     # One draw and one factor per trial, at the widest r, for every r; r = 0 reads the
     # member norms, as a trial with no live feature does.
     norms = width_residuals(values, grid, dist, p.r, p.seed, p.trials)
-    labels = [_label_str(label) for label in family.labels]
+    labels = [" ".join(map(str, label)) if isinstance(label, tuple) else str(label)
+              for label in family.labels]
     per_r = []
     for r, column in zip(p.r, np.moveaxis(norms, 1, 0)):
         stacked = np.maximum(column**2, 0.0)
@@ -646,24 +638,44 @@ def _load_config(path: str) -> tuple[str, dict]:
     return raw, cfg
 
 
+def _take_beside(params: dict, table: dict) -> set:
+    """Copy into ``target`` and ``family`` the fields of their type that they lack and
+    that sit beside them among the parameters (explicit_hard's ``epsilon`` and ``ell``;
+    a family's ``ell``, ``k``, ``L`` and ``N``); returns the names copied."""
+    taken = set()
+    for name, types in (("target", {"explicit_hard": _TARGETS["explicit_hard"]}),
+                        ("family", _FAMILIES)):
+        obj = params.get(name, {})
+        if name in table and isinstance(obj, dict):  # _convert refuses any other value
+            # a family's type defaults as in _family; a target's has no default
+            kind = obj.get("type", "symmetric" if "ell" in obj or "ell" in params else "ball")
+            fields = types.get(kind, ()) if isinstance(kind, str) else ()
+            beside = {f: params[f] for f in fields if f in params and f not in obj}
+            if beside:
+                params[name] = {**obj, **beside}
+                taken.update(beside)
+    return taken
+
+
 def _parse(cfg: dict, seed_override=None) -> SimpleNamespace:
     """Check a config against its kind's table; builds no grid, ball or family,
     so ``validate`` makes every check ``run`` makes before its work starts."""
     active_cap()  # a malformed WIDTHLAB_CAP fails every kind, capped or not
     if not isinstance(cfg.get("kind"), str) or cfg["kind"] not in _KINDS:
         raise ConfigError(f"unknown kind {cfg.get('kind')!r}; choose one of {sorted(_KINDS)}")
+    _only(cfg, {"kind", "parameters", "output_path"}, "config key")
     params = cfg.get("parameters", {})
     if not isinstance(params, dict):
         raise ConfigError("'parameters' must be a JSON object")
     params = dict(params)
-    if "f" in params:  # 'f' is an alias of 'target'
-        params.setdefault("target", params["f"])
+    if "f" in params and "target" not in params:  # 'f' is an alias of 'target'
+        params["target"] = params.pop("f")
     if isinstance(params.get("target"), str):  # a target type's name alone
         params["target"] = {"type": params["target"]}
     if seed_override is not None:
         params["seed"] = seed_override
     _, table, check = _KINDS[cfg["kind"]]
-    p = _read(params, table)
+    p = _read(params, table, read=_take_beside(params, table))
     if check is not None:
         check(p)
     return p

@@ -352,12 +352,6 @@ class SuccessEstimate:
     r: int
     epsilon: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "probability": self.probability, "ci_lo": self.ci_lo, "ci_hi": self.ci_hi,
-            "trials": self.trials, "r": self.r, "epsilon": self.epsilon,
-        }
-
 
 def _draw(dist, w: int, seed, trial: int) -> tuple:
     """Trial ``trial``'s first ``w`` features, from ``default_rng([seed, trial])``."""
@@ -449,14 +443,6 @@ class MinWidthEstimate:
     epsilon: float
     delta: float
     search_trace: list[tuple[int, float]] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "r_hat": self.r_hat,
-            "success_prob_at_r_hat": self.success_prob_at_r_hat,
-            "trials": self.trials, "epsilon": self.epsilon, "delta": self.delta,
-            "search_trace": [[r, p] for r, p in self.search_trace],
-        }
 
 
 def _first_passing(factors: _Factors, sel: np.ndarray, lo: int, hi: int,

@@ -137,12 +137,8 @@ class HermitePolynomial:
         return max((abs(a) for a in self.terms.values()), default=0.0)
 
     def to_json_dict(self) -> dict:
-        return {
-            "basis": "hermite",
-            "terms": [
-                {"K": list(K), "beta": self.terms[K]} for K in sorted(self.terms)
-            ],
-        }
+        return {"basis": "hermite",
+                "terms": [{"K": list(K), "beta": self.terms[K]} for K in sorted(self.terms)]}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "HermitePolynomial":
@@ -173,14 +169,6 @@ class HermiteTruncationReport:
     degree_budget: int
     residual_estimate: float
     max_coefficient: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "polynomial": self.polynomial.to_json_dict(),
-            "degree_budget": self.degree_budget,
-            "residual_estimate": self.residual_estimate,
-            "max_coefficient": self.max_coefficient,
-        }
 
 
 def _simplex_count(k: int, d: int) -> int:

@@ -285,7 +285,7 @@ def gaussian_hard_family(L: float, N: int, d: int, seed, grid: Grid) -> Function
     labels, members = [], []
     for i, v in enumerate(chosen):
         raw = lambda nodes, _v=v: np.sin(L * (np.asarray(nodes, dtype=float) @ _v))
-        norm = math.sqrt(float(np.sum(grid.weights * raw(grid.nodes) ** 2)))
+        norm = math.sqrt(float(np.sum(grid.weights * evaluate_on(raw, grid.nodes) ** 2)))
         if not norm > 1e-12:  # NaN fails too
             raise PackingFailed(f"member {i} has grid norm {norm}: degenerate or not finite")
         labels.append(i)

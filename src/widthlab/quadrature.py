@@ -338,17 +338,19 @@ def evaluate_on(f, nodes: np.ndarray) -> np.ndarray:
     Tries the vectorized calling convention first and falls back to a row
     loop for scalar-only callables (including constants).  Only the errors a
     scalar-only callable raises on a batch trigger the fallback; any other
-    error propagates from the first call.
+    error propagates from the first call.  numpy's floating-point warnings are
+    silenced: a value they would flag comes back not finite, for the caller to check.
     """
     nodes = np.asarray(nodes, dtype=float)
     n = nodes.shape[0]
-    try:
-        vals = np.asarray(f(nodes), dtype=float)
-    except (TypeError, ValueError, IndexError):
-        vals = None
-    if vals is not None and vals.shape == (n,):
-        return vals
-    return np.array([float(f(p)) for p in nodes], dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            vals = np.asarray(f(nodes), dtype=float)
+        except (TypeError, ValueError, IndexError):
+            vals = None
+        if vals is not None and vals.shape == (n,):
+            return vals
+        return np.array([float(f(p)) for p in nodes], dtype=float)
 
 
 def checked_values(f, grid: Grid, points: np.ndarray | None = None

@@ -201,12 +201,8 @@ class TrigPolynomial:
         return max((l2_norm_sq(K) for K in self.terms), default=0)
 
     def to_json_dict(self) -> dict:
-        return {
-            "scale": self.scale,
-            "terms": [
-                {"K": list(K), "beta": beta} for K, beta in sorted(self.terms.items())
-            ],
-        }
+        return {"scale": self.scale,
+                "terms": [{"K": list(K), "beta": beta} for K, beta in sorted(self.terms.items())]}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TrigPolynomial":

@@ -21,8 +21,10 @@ from widthlab import (
     InvalidCapSetting,
     ParameterOutOfRange,
     active_cap,
+    estimate_minwidth,
     hard_family_symmetric,
     projection_residuals,
+    reflect_and_truncate,
     tensor_gauss_grid,
 )
 from widthlab import cli, fitter, lowerbound, quadrature, relu
@@ -458,6 +460,32 @@ class TestTrialEngine:
                 assert (out_dir / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
 
 
+class TestResultDocuments:
+    """Results serialize from their fields: a dataclass is its fields in order, a
+    polynomial its own document and a tuple a list."""
+
+    def test_min_width_estimate_is_json_friendly(self, cube_grid_1d):
+        est = estimate_minwidth(lambda X: np.zeros(X.shape[0]), 0.1, 0.1,
+                                DkDistribution(k=1, dimension=1), cube_grid_1d,
+                                trials=5, r_max=8, seed=42)
+        doc = cli._jsonable(est)
+        assert list(doc) == ["r_hat", "success_prob_at_r_hat", "trials", "epsilon", "delta",
+                             "search_trace"]
+        assert doc["search_trace"] == [list(step) for step in est.search_trace]
+        assert all(isinstance(step, list) for step in doc["search_trace"])
+        assert doc["r_hat"] == 1
+        assert json.loads(json.dumps(doc)) == doc
+
+    def test_a_report_keeps_its_polynomial_document_and_lists_its_orthant(self, cube_grid_1d):
+        report = reflect_and_truncate(lambda X: np.abs(X[:, 0]), 1.0, 0.5, cube_grid_1d)
+        doc = cli._jsonable(report)
+        assert list(doc) == ["polynomial", "degree_radius", "residual_estimate",
+                             "max_coefficient", "orthant"]
+        assert doc["polynomial"] == report.polynomial.to_json_dict()
+        assert doc["orthant"] == list(report.orthant)
+        assert json.loads(json.dumps(doc)) == doc
+
+
 class TestExitCodes:
     def test_unknown_kind(self, tmp_path):
         code, result, _ = _run(tmp_path, {"kind": "words", "parameters": {}})
@@ -476,6 +504,36 @@ class TestExitCodes:
             "parameters": {"d": 2, "k": 2, "rho": 0.5, "z_count": 5},
         })
         assert code == 3 and result is None
+
+    def test_every_error_class_keeps_its_exit_code(self, capsys):
+        """Each library error, and ``ConfigError``, reaches ``_report`` through one of
+        three bases; a new class fails here until its code is pinned."""
+        pinned = {
+            "InvalidInput": (2, "error"), "ConfigError": (2, "error"),
+            "ParameterOutOfRange": (2, "error"), "DimensionMismatch": (2, "error"),
+            "WrongMeasure": (2, "error"), "UnsupportedCombination": (2, "error"),
+            "ScaleNotUnit": (2, "error"), "NegativeIndex": (2, "error"),
+            "InvalidCapSetting": (2, "error"),
+            "CapExceeded": (3, "cap exceeded"), "DegreeCap": (3, "cap exceeded"),
+            "NumericalFailure": (4, "numerical failure"),
+            "PackingFailed": (4, "numerical failure"), "OutOfSupport": (4, "numerical failure"),
+            "WeightNotInSupport": (4, "numerical failure"),
+            "NotUnitNorm": (4, "numerical failure"),
+            "WeightsNotNormalized": (4, "numerical failure"),
+            "EmptyFeatureList": (4, "numerical failure"),
+        }
+        walk, classes = [widthlab.WidthlabError], []
+        while walk:
+            subclasses = walk.pop().__subclasses__()
+            walk.extend(subclasses)
+            classes.extend(subclasses)
+        assert sorted(cls.__name__ for cls in classes) == sorted(pinned)
+        for cls in classes:
+            assert cli._report(cls("boom")) == pinned[cls.__name__][0], cls
+            assert capsys.readouterr().err == f"{pinned[cls.__name__][1]}: boom\n"
+        for cls in (np.linalg.LinAlgError, FloatingPointError, OverflowError, OSError):
+            assert cli._report(cls("boom")) == 4, cls
+            assert capsys.readouterr().err == "numerical failure: boom\n"
 
     def test_numerical_failure_is_exit_4(self, tmp_path):
         # a 1-dimensional sphere has one axial direction; packing 2 fails
@@ -500,8 +558,19 @@ _EXPLICIT = {"kind": "lb_explicit",  # sized so that only the family size matter
                             "grid": {"scheme": "monte_carlo", "sample_count": 2}}}
 
 
+# two trig terms of 1e308 each, whose sum overflows on the grid
+_OVERFLOWING = {"type": "trig_poly", "polynomial": {"scale": 1.0, "terms": [
+    {"K": [1], "beta": 1e308}, {"K": [-1], "beta": 1e308}]}}
+
+
 def _with(base, **changes):
     return dict(base, parameters=dict(base["parameters"], **changes))
+
+
+def _lbp_family(family, **changes):
+    """``_LBP`` with ``family`` in place of the ``ell`` beside it, which no table would read."""
+    params = {k: v for k, v in _LBP["parameters"].items() if k != "ell"}
+    return dict(_LBP, parameters=dict(params, family=family, **changes))
 
 
 def _both_commands(tmp_path, capsys, doc, text=None):
@@ -531,7 +600,7 @@ class TestConfigSchema:
         (_with(_TRIG, grid={"nodes_per_dim": "many"}), None),
         (_with(_TRIG, grid="x"), None),
         (_with(_TRIG, target={"type": "trig_poly", "polynomial": {"scale": 1.0}}), None),
-        (_with(_LBP, family={"type": "ball", "k": "x"}), None),
+        (_lbp_family({"type": "ball", "k": "x"}), None),
         (_with(_FIT, r_list=[1, "a"]), None),
         (_with(_TRIG, mode="zzz"), None),
         (_with(_FIT, trials=2.5), None),
@@ -571,7 +640,7 @@ class TestConfigSchema:
          "design matrix of 13824 grid nodes x 4096 features exceeds the cap 10000000; "
          "the widest width that fits is 723\n"),
         (_with(_LBP, d=12, ell=6), 100, "C(12, 6)"),
-        (_with(_LBP, family={"type": "ball", "k": 4000}, d=3), None, "ball"),
+        (_lbp_family({"type": "ball", "k": 4000}, d=3), None, "ball"),
         (_with(_FIT, d=3, dist={"k": 4000}), None, "ball"),
         (_with(_MIX, k=10, z_count=5), 10, "ball"),
         (_with(_TRIG, d=3, grid={"nodes_per_dim": 100}), 1000, "tensor grid"),
@@ -611,14 +680,14 @@ class TestConfigSchema:
         ({"kind": "count_lattice", "parameters": {"k_list": [1, 10], "d_list": [1, 2]}}, 1000,
          "count of ball k=10, d=2"),
         ({"kind": "count_lattice", "parameters": {"k": 400, "d": 3}}, None, "k=400, d=3"),
-        (_with(_LBP, family={"type": "gaussian", "L": 2.0, "N": 1e8}), 1000,
+        (_lbp_family({"type": "gaussian", "L": 2.0, "N": 1e8}), 1000,
          "gaussian family pool"),
-        (_with(_LBP, family={"type": "gaussian", "L": 2.0, "N": 100}), 1000,
+        (_lbp_family({"type": "gaussian", "L": 2.0, "N": 100}), 1000,
          "gaussian family pool"),
         # the grid's 144 nodes x 2 coordinates and the pool's 96 x 3 directions fit this cap
-        (_with(_LBP, family={"type": "gaussian", "L": 2.0, "N": 3},
+        (_lbp_family({"type": "gaussian", "L": 2.0, "N": 3},
                grid={"nodes_per_dim": 12}), 300, "value matrix of 3 members x 144"),
-        (_with(_LBP, family={"type": "ball", "k": 12}, d=3), None,
+        (_lbp_family({"type": "ball", "k": 12}, d=3), None,
          "value matrix of 7153 members x 13824 grid nodes"),
         (_with(_LBP, r_list=[0], trials=10**9), None,
          "residuals of 1000000000 trials x 1 widths x 2 members"),
@@ -669,18 +738,20 @@ class TestConfigSchema:
         assert result["results"]["quarter_family"] == math.comb(1029, 514) / 4.0
 
     @pytest.mark.parametrize("doc", [
-        _with(_FIT, trials=3, r_list=[2, 4], target={
-            "type": "trig_poly", "polynomial": {"scale": 1.0, "terms": [
-                {"K": [1], "beta": 1e308}, {"K": [-1], "beta": 1e308}]}}),
+        _with(_FIT, trials=3, r_list=[2, 4], target=_OVERFLOWING),
+        {"kind": "minwidth",
+         "parameters": {"d": 1, "epsilon": 0.25, "delta": 0.5, "trials": 3, "r_max": 4,
+                        "target": _OVERFLOWING, "seed": 1}},
         {"kind": "lb_projection",
          "parameters": {"d": 2, "family": {"type": "gaussian", "L": 1e308, "N": 2},
                         "r_list": [0, 2], "trials": 2, "seed": 3}},
-    ], ids=["fit_curve", "lb_projection"])
+    ], ids=["fit_curve", "minwidth", "lb_projection"])
     def test_non_finite_targets_exit_4(self, tmp_path, capsys, doc):
-        """Targets that overflow on the grid stop the solve: exit 4, one line, no CSV."""
+        """Targets that overflow on the grid stop the solve: exit 4, one stderr line, no
+        warning and no CSV."""
         cfg = _write_config(tmp_path, doc)
-        # numpy warns while evaluating the target; the solve itself must not
-        with pytest.warns(RuntimeWarning, match="overflow|invalid") as caught:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")])
         assert code == 4
         err = capsys.readouterr().err
@@ -688,7 +759,7 @@ class TestConfigSchema:
         assert "not finite" in err
         assert ("grid norm nan" in err) == (doc["kind"] == "lb_projection")
         assert not list((tmp_path / "o").glob("*.csv"))
-        assert not [w for w in caught if w.filename == fitter.__file__]
+        assert not caught, [str(w.message) for w in caught]
 
     @pytest.mark.parametrize("doc", [
         {"kind": "approx_sobolev",
@@ -824,6 +895,47 @@ class TestConfigSchema:
         assert code == 0
         assert result["results"]["target"]["ell"] == 2
         assert result["results"]["target"]["epsilon"] == 0.5
+
+    def test_family_fields_beside_it_and_a_list_beside_its_scalar(self, tmp_path):
+        """A family's fields may sit beside it, and ``r_list`` replaces ``r``."""
+        code, result, _ = _run(tmp_path, _with(_LBP, family={"type": "symmetric"},
+                                               r_list=[0, 2]))
+        assert code == 0
+        assert result["results"]["family"] == {"type": "symmetric", "ell": 1}
+        assert [row["r"] for row in result["results"]["per_r"]] == [0, 2]
+
+    @pytest.mark.parametrize("doc, fragment", [
+        (dict(_FIT, seed=3), "config key 'seed'; expected one of ['kind', 'output_path', "
+                             "'parameters']"),
+        (_with(_FIT, trails=3), "parameter 'trails'"),
+        (_with(_FIT, grid={"nodes_per_dimm": 4}), "parameter 'grid.nodes_per_dimm'; "
+                                                   "expected one of ['nodes_per_dim', 'scheme']"),
+        (_with(_FIT, grid={"scheme": "monte_carlo", "nodes_per_dim": 4}),
+         "parameter 'grid.nodes_per_dim'"),
+        (_with(_FIT, dist={"k": 1, "kinds": "dk"}), "parameter 'dist.kinds'"),
+        (_with(_TRIG, target={"type": "abs", "L": 2}), "parameter 'target.L'"),
+        (_with(_TRIG, target={"type": "trig_poly", "polynomial": {
+            "basis": "trig", "terms": [{"K": [1], "beta": 1.0}]}}),
+         "parameter 'target.polynomial.basis'"),
+        (_with(_TRIG, target={"type": "trig_poly", "polynomial": {
+            "terms": [{"K": [1], "beta": 1.0, "b": 2.0}]}}),
+         "parameter 'target.polynomial.terms.b'"),
+        (_lbp_family({"type": "ball", "k": 1, "ell": 1}), "parameter 'family.ell'"),
+        # beside a target or family that does not read them
+        (_with(_FIT, ell=1), "parameter 'ell'"),
+        (_lbp_family({"type": "ball", "k": 1}, ell=1), "parameter 'ell'"),
+        (_lbp_family({"type": "symmetric", "ell": 1}, ell=1), "parameter 'ell'"),
+        # 'f' is read only in place of 'target'
+        (_with(_FIT, f="abs"), "parameter 'f'"),
+    ], ids=["top_level", "parameters", "grid", "grid_other_scheme", "dist", "target",
+            "polynomial", "term", "family", "ell_beside_a_target", "ell_beside_a_ball_family",
+            "ell_beside_a_family_with_ell", "f_beside_target"])
+    def test_unread_keys_exit_2(self, tmp_path, capsys, doc, fragment):
+        for code, err in _both_commands(tmp_path, capsys, doc):
+            assert code == 2
+            _assert_one_line(err, "error: unexpected ")
+            assert fragment in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestEntryPoints:

@@ -327,14 +327,6 @@ class TestEstimateMinwidth:
                               DkDistribution(k=1, dimension=1), cube_grid_1d,
                               trials=5, r_max=8, seed=42)
 
-    def test_result_is_json_friendly(self, cube_grid_1d):
-        est = estimate_minwidth(lambda X: np.zeros(X.shape[0]), 0.1, 0.1,
-                                DkDistribution(k=1, dimension=1), cube_grid_1d,
-                                trials=5, r_max=8, seed=42)
-        doc = est.to_json_dict()
-        assert isinstance(doc["search_trace"], list)
-        assert doc["r_hat"] == 1
-
 
 def _success_from_residuals(f, epsilon, dist, widths, trials, grid, seed):
     """:func:`success_probability` with each trial decided by ``width_residuals <= epsilon``."""
