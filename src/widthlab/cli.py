@@ -1,7 +1,8 @@
 """Experiment runner: JSON configs in, CSV/JSON artifacts out.
 
 Every experiment is one JSON document with a ``kind``, a ``parameters`` map,
-and an optional ``output_path`` prefix.  Runs are deterministic given the
+and an optional ``output_path``: a file-name prefix, the kind by default, so
+every output lands in the output directory.  Runs are deterministic given the
 config and seed — per-trial seeds derive from ``(seed, trial)`` and trials
 run in order on one thread, so rerunning a config at the same BLAS thread
 count rewrites byte-identical CSV files.  The BLAS splits its sums by thread,
@@ -664,6 +665,11 @@ def _parse(cfg: dict, seed_override=None) -> SimpleNamespace:
     if not isinstance(cfg.get("kind"), str) or cfg["kind"] not in _KINDS:
         raise ConfigError(f"unknown kind {cfg.get('kind')!r}; choose one of {sorted(_KINDS)}")
     _only(cfg, {"kind", "parameters", "output_path"}, "config key")
+    prefix = cfg.get("output_path", cfg["kind"])
+    if (not isinstance(prefix, str) or prefix in ("", ".", "..")
+            or any(c in prefix for c in "/\\\0")):
+        raise ConfigError("'output_path' must be a file-name prefix: a nonempty string with "
+                          f"no path separator or NUL, not '.' or '..'; got {prefix!r}")
     params = cfg.get("parameters", {})
     if not isinstance(params, dict):
         raise ConfigError("'parameters' must be a JSON object")
@@ -696,8 +702,8 @@ def run_config(config_path: str, out_dir: str = ".",
     try:
         raw, cfg = _load_config(config_path)
         p = _parse(cfg, seed_override)
-        prefix = cfg.get("output_path") or cfg["kind"]
-        run = _Run(out_dir=out_dir, prefix=str(prefix))
+        prefix = cfg.get("output_path", cfg["kind"])
+        run = _Run(out_dir=out_dir, prefix=prefix)
         os.makedirs(out_dir, exist_ok=True)
         results = _KINDS[cfg["kind"]][0](p, run)
         doc = {

@@ -19,9 +19,16 @@ grouped, and feature draws are *coupled* across widths: trial ``t`` at width
 ``r+1`` extends the same draw used at width ``r`` by one more feature, so
 residuals never rise per trial while no width loses a singular value to the
 rank cut.  So one factorization per trial, at the widest width a run asks
-for, gives the residual at every narrower width.
+for, gives the residual at every narrower width.  The width search, which
+does not know its widest width in advance, draws each trial once per search
+and factors, at each doubling width, the prefix of that draw; each trial's
+bisection then opens at its tail-bound count, the first count whose part
+outside the span is within ``epsilon`` (:func:`_first_passing`).
 
-Every trial loop runs over :func:`_factored`.  Residuals are read through
+Every trial loop runs over :func:`_factored`, which factors the draws its
+caller supplies: a fresh draw per trial at the widest width for
+:func:`width_residuals` and :func:`success_probability`, a prefix of each
+held draw for :func:`estimate_minwidth`.  Residuals are read through
 :meth:`_Factors.norms` (:func:`width_residuals`); success decisions, all
 that the success probability and the width search need, through
 :meth:`_Factors.passes`, which gives the decision of ``norms`` but solves
@@ -43,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from numpy.linalg import lapack_lite
@@ -359,18 +367,18 @@ def _draw(dist, w: int, seed, trial: int) -> tuple:
 
 
 def _factored(rhs: np.ndarray, root_w: np.ndarray, norm_sq: np.ndarray, grid: Grid,
-              dist, w: int, seed, trials):
-    """Yield ``(ids, factors)`` (:class:`_Factors`) for the width-``w`` draws of ``trials``,
-    in batches whose draws (taken as ``d + 1`` numbers per feature) and factors take
-    about ``_BATCH_BYTES``; nothing for ``w = 0``."""
+              dist, w: int, trials, draw):
+    """Yield ``(ids, factors)`` (:class:`_Factors`) for the width-``w`` draws ``draw(t)``
+    of ``trials``, in batches whose draws (taken as ``d + 1`` numbers per feature) and
+    factors take about ``_BATCH_BYTES``; nothing for ``w = 0``."""
     n, m = rhs.shape
     rows = min(n, w)
     per_trial = 8 * (rows * w + 2 * (rows + m + 1) * m + w * (grid.nodes.shape[1] + 1))
     per_batch = max(1, _BATCH_BYTES // per_trial)
     for start in range(0, len(trials) if w else 0, per_batch):
         ids = trials[start:start + per_batch]
-        yield ids, _Factors(dist, [_draw(dist, w, seed, t) for t in ids],
-                            grid.column_major_nodes, root_w, rhs, norm_sq)
+        yield ids, _Factors(dist, [draw(t) for t in ids], grid.column_major_nodes, root_w,
+                            rhs, norm_sq)
 
 
 def width_residuals(targets: np.ndarray, grid: Grid, dist, widths, seed,
@@ -392,8 +400,9 @@ def width_residuals(targets: np.ndarray, grid: Grid, dist, widths, seed,
     root_w, rhs, norm_sq = _weighted(targets, grid.weights)
     out = np.empty((trials, len(widths), rhs.shape[1]))
     out[:] = np.sqrt(norm_sq)
-    for ids, factors in _factored(rhs, root_w, norm_sq, grid, dist, max(widths), seed,
-                                  np.arange(trials)):
+    w = max(widths)
+    for ids, factors in _factored(rhs, root_w, norm_sq, grid, dist, w, np.arange(trials),
+                                  partial(_draw, dist, w, seed)):
         every = np.arange(len(ids))
         for j, width in enumerate(widths):
             out[ids, j] = factors.norms(every, factors.live[:, width])
@@ -420,8 +429,9 @@ def success_probability(f, epsilon: float, dist, r, trials: int,
         raise ParameterOutOfRange(f"epsilon must be positive, got {epsilon}")
     root_w, rhs, norm_sq = _weighted(evaluate_on(f, grid.nodes), grid.weights)
     counts = np.zeros(len(widths), dtype=np.intp)
-    for ids, factors in _factored(rhs, root_w, norm_sq, grid, dist, max(widths), seed,
-                                  np.arange(trials)):
+    w = max(widths)
+    for ids, factors in _factored(rhs, root_w, norm_sq, grid, dist, w, np.arange(trials),
+                                  partial(_draw, dist, w, seed)):
         every = np.arange(len(ids))
         for j, width in enumerate(widths):
             counts[j] += np.count_nonzero(factors.passes(every, factors.live[:, width], epsilon))
@@ -457,8 +467,21 @@ def _first_passing(factors: _Factors, sel: np.ndarray, lo: int, hi: int,
     Each step decides through :meth:`_Factors.passes`, so trials at the same
     count share one stacked solve, and those whose part outside the block
     exceeds ``epsilon`` none.
+
+    The bisection opens at each trial's tail-bound count ``L0``, the first
+    count whose part outside the block is within ``epsilon``: every count
+    below it fails whatever the solve adds, so the lower end rises to
+    ``L0 - 1``, and ``L0`` is probed first.  A block with no rank cut adds
+    nothing to that part, so one solve settles such a trial.
     """
-    lo_count, hi_count = factors.live[sel, lo], factors.live[sel, hi]
+    rows = factors.R.shape[1]  # a count past it reads the tail at ``rows``
+    l0 = np.argmax(np.sqrt(factors.tails[sel, :rows + 1, 0]) <= epsilon, axis=1)
+    lo_count = np.maximum(factors.live[sel, lo], l0 - 1)
+    hi_count = factors.live[sel, hi]
+    at = np.flatnonzero((lo_count == l0 - 1) & (hi_count - lo_count > 1))
+    passed = factors.passes(sel[at], l0[at], epsilon)
+    hi_count[at[passed]] = l0[at[passed]]
+    lo_count[at[~passed]] = l0[at[~passed]]
     while np.any(open_ := hi_count - lo_count > 1):
         at = np.flatnonzero(open_)
         mid = (lo_count[at] + hi_count[at]) // 2
@@ -475,13 +498,19 @@ def estimate_minwidth(f, epsilon: float, delta: float, dist,
     Per-trial seeds depend only on (seed, trial), so the feature draws are
     nested across widths and each trial's residual never rises with the
     width: success at width ``r`` is ``#{t : r*_t <= r} / trials``, with
-    ``r*_t`` the first width at which trial ``t`` reaches ``epsilon``.  At
-    each doubling width the trials that have not yet passed are drawn and
-    factored once; those that pass find their ``r*_t`` by bisection over
-    live counts on leading blocks of that factor, which is then dropped.
-    The doubling and the bisection over success probabilities are replayed
-    from the ``r*_t`` alone, so ``search_trace`` lists the probes a search
-    solving every trial at every probed width makes.
+    ``r*_t`` the first width at which trial ``t`` reaches ``epsilon``.  Each
+    trial that has not yet passed holds one draw for the whole search, as
+    wide as ``r_max`` when the draws of all such trials fit in
+    ``_BATCH_BYTES``, and is drawn again only when the doubling goes past
+    that width.  At each doubling width ``r`` those trials factor the first
+    ``r`` features of their draws, the bits of a fresh width-``r`` draw
+    (``sample_batch``'s prefix property); those that pass find their
+    ``r*_t`` by bisection over live counts on leading blocks of that factor,
+    which is then dropped, opening at the first count whose part outside the
+    block is within ``epsilon`` (:func:`_first_passing`).  The doubling and
+    the bisection over success probabilities are replayed from the ``r*_t``
+    alone, so ``search_trace`` lists the probes a search solving every trial
+    at every probed width makes.
     """
     if not 0.0 < delta < 1.0:
         raise ParameterOutOfRange(f"delta must be in (0, 1), got {delta}")
@@ -501,10 +530,19 @@ def estimate_minwidth(f, epsilon: float, delta: float, dist,
         trace.append((r, prob))
         return prob
 
+    held, held_width = {}, 0  # each open trial's draw, ``held_width`` features wide
     r, last_fail = 1, 0
     while True:
-        for ids, factors in _factored(rhs, root_w, norm_sq, grid, dist, r, seed,
-                                      np.flatnonzero(first == 0)):
+        open_ = np.flatnonzero(first == 0)
+        if r > held_width:  # the widest draws of every open trial that fit the budget
+            fit = _BATCH_BYTES // (8 * (grid.nodes.shape[1] + 1) * len(open_))
+            held_width = max(r, min(r_max, fit))
+            held = {t: _draw(dist, held_width, seed, t) for t in open_.tolist()}
+
+        def prefix(t: int) -> tuple:
+            return tuple(part[:r] for part in held[t])
+
+        for ids, factors in _factored(rhs, root_w, norm_sq, grid, dist, r, open_, prefix):
             passed = np.flatnonzero(factors.passes(np.arange(len(ids)), factors.live[:, r],
                                                    epsilon))
             first[ids[passed]] = _first_passing(factors, passed, last_fail, r, epsilon)

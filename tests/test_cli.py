@@ -938,6 +938,55 @@ class TestConfigSchema:
         assert not (tmp_path / "o").exists()
 
 
+def _assert_prefix_refused(tmp_path, capsys, prefix):
+    """``output_path`` ``prefix`` exits 2 from ``validate`` and ``run`` with one line,
+    and the run writes nothing, inside ``--out-dir`` or beside it."""
+    for code, err in _both_commands(tmp_path, capsys, dict(_FIT, output_path=prefix)):
+        assert code == 2
+        _assert_one_line(err, "error: 'output_path' must be a file-name prefix")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["probe.json"]
+
+
+class TestOutputPrefix:
+    """``output_path`` is a plain file-name prefix, written inside ``--out-dir``."""
+
+    def test_a_separator_exits_2(self, tmp_path, capsys):
+        _assert_prefix_refused(tmp_path, capsys, "sub/x")
+
+    def test_a_prefix_leaving_the_out_dir_exits_2(self, tmp_path, capsys):
+        _assert_prefix_refused(tmp_path, capsys, "../esc")
+
+    def test_a_backslash_exits_2(self, tmp_path, capsys):
+        _assert_prefix_refused(tmp_path, capsys, "sub\\x")
+
+    def test_a_nul_character_exits_2(self, tmp_path, capsys):
+        _assert_prefix_refused(tmp_path, capsys, "x\0y")
+
+    def test_dot_exits_2(self, tmp_path, capsys):
+        _assert_prefix_refused(tmp_path, capsys, ".")
+
+    def test_dot_dot_exits_2(self, tmp_path, capsys):
+        _assert_prefix_refused(tmp_path, capsys, "..")
+
+    def test_the_empty_string_exits_2(self, tmp_path, capsys):
+        _assert_prefix_refused(tmp_path, capsys, "")
+
+    @pytest.mark.parametrize("prefix", [None, 7, ["fit"], {"name": "fit"}],
+                             ids=["null", "number", "list", "object"])
+    def test_a_value_that_is_not_a_string_exits_2(self, tmp_path, capsys, prefix):
+        _assert_prefix_refused(tmp_path, capsys, prefix)
+
+    @pytest.mark.parametrize("prefix, name", [("a.b c-..", "a.b c-.."), (None, "fit_curve")],
+                             ids=["dots_and_spaces", "absent"])
+    def test_a_plain_prefix_or_none_names_the_outputs(self, tmp_path, prefix, name):
+        doc = _FIT if prefix is None else dict(_FIT, output_path=prefix)
+        code, result, out_dir = _run(tmp_path, doc)
+        assert code == 0
+        assert result["csv_files"] == [f"{name}_curve.csv"]
+        assert sorted(p.name for p in out_dir.iterdir()) == [f"{name}_curve.csv",
+                                                              f"{name}_result.json"]
+
+
 class TestEntryPoints:
     def test_main_run_and_validate(self, tmp_path):
         cfg = _write_config(tmp_path, {"kind": "count_lattice",

@@ -10,6 +10,7 @@ first passing width.  These tests hold both to what a solve per width gives:
 
 from __future__ import annotations
 
+import collections
 import functools
 import json
 
@@ -438,6 +439,110 @@ def test_replayed_minwidth_equals_probe_by_probe_search(name, tmp_path):
     assert (tmp_path / "out" / "mw_trace.csv").read_bytes() == expected.read_bytes()
     if name == "two_dims":
         assert len(trace) > 8  # doubling to 64, then bisection inside (32, 64]
+
+
+class _Spy(ReluParamDist):
+    """D_k features, recording the width of every draw."""
+
+    def __init__(self, base: DkDistribution):
+        self.base, self.dimension, self.widths = base, base.dimension, []
+
+    def sample_batch(self, rng, r):
+        self.widths.append(r)
+        return self.base.sample_batch(rng, r)
+
+
+def _minwidth_args(name, dist=None):
+    p = _MINWIDTH[name]
+    f, base, grid = _problem(p)
+    return (f, p["epsilon"], p["delta"], base if dist is None else dist(base), grid,
+            p["trials"], p["r_max"], p["seed"])
+
+
+def test_minwidth_draws_each_trial_once():
+    """The search holds one draw per trial, ``r_max`` wide, and factors its prefixes:
+    20 draws for 20 trials, where a draw per trial and doubling width makes over 100."""
+    args = _minwidth_args("two_dims", _Spy)
+    spy, trials, r_max = args[3], args[5], args[6]
+    est = estimate_minwidth(*args)
+    assert spy.widths == [r_max] * trials
+    assert est == estimate_minwidth(*_minwidth_args("two_dims"))
+
+
+@pytest.mark.parametrize("name", ["bisects", "two_dims"])
+def test_widening_held_draws_keep_the_probe_by_probe_search(name, monkeypatch):
+    """With a budget of three features per open trial, the held draws are too narrow
+    for the doubling and are drawn again, wider as trials pass; the search is still
+    the probe-by-probe one."""
+    args = _minwidth_args(name, _Spy)
+    spy, grid, trials = args[3], args[4], args[5]
+    monkeypatch.setattr(fitter, "_BATCH_BYTES", 3 * 8 * (grid.nodes.shape[1] + 1) * trials)
+    est = estimate_minwidth(*args)
+    assert spy.widths[:trials] == [3] * trials
+    assert len(set(spy.widths)) > 2 and len(spy.widths) > trials
+    assert (est.r_hat, est.success_prob_at_r_hat, est.search_trace) == _probe_by_probe(*args)
+
+
+def test_bisection_with_no_rank_cut_solves_one_block_per_trial(monkeypatch):
+    """With no rank cut in any block, the first count whose part outside the block is
+    within ``epsilon`` passes, so each trial's bisection solves that block alone."""
+    args = _minwidth_args("bisects")
+    dist, grid, trials, seed = args[3], args[4], args[5], args[7]
+    widest = max(r for r, _ in estimate_minwidth(*args).search_trace)
+    for W, b in _draws(dist, widest, seed, trials):
+        kept = _factored(W, b, grid)
+        assert _uncut(W[kept], b[kept], grid)  # so every leading block is uncut too
+    bisecting, passing, solved = [False], [], collections.Counter()
+    first_passing, norms = fitter._first_passing, fitter._Factors.norms
+
+    def recording_bisection(factors, sel, *rest):
+        bisecting[0] = True
+        passing.extend((factors, t) for t in sel.tolist())
+        try:
+            return first_passing(factors, sel, *rest)
+        finally:
+            bisecting[0] = False
+
+    def recording_norms(factors, ids, counts):
+        if bisecting[0]:
+            solved.update((factors, t) for t in ids.tolist())
+        return norms(factors, ids, counts)
+
+    monkeypatch.setattr(fitter, "_first_passing", recording_bisection)
+    monkeypatch.setattr(fitter._Factors, "norms", recording_norms)
+    estimate_minwidth(*args)
+    assert solved and set(solved) <= set(passing) and max(solved.values()) == 1
+
+
+def test_first_passing_widths_are_those_of_the_residuals(monkeypatch):
+    """On 8 nodes, where wider blocks cut rank, each trial's ``r*_t`` is the first width
+    whose ``width_residuals`` is within ``epsilon``."""
+    from test_fitter import _CASES, _SEED, _TRIALS
+
+    f, epsilon, dist, grid, _, delta, r_max = _CASES["dk_d1_past_the_nodes"]()
+    batches, found = [], {}
+    factored, first_passing = fitter._factored, fitter._first_passing
+
+    def recording_factored(*args):
+        for ids, factors in factored(*args):
+            batches.append((factors, ids))
+            yield ids, factors
+
+    def recording_bisection(factors, sel, *rest):
+        got = first_passing(factors, sel, *rest)
+        ids = next(ids for held, ids in batches if held is factors)
+        found.update(zip(ids[sel].tolist(), got.tolist()))
+        return got
+
+    monkeypatch.setattr(fitter, "_factored", recording_factored)
+    monkeypatch.setattr(fitter, "_first_passing", recording_bisection)
+    est = estimate_minwidth(f, epsilon, delta, dist, grid, _TRIALS, r_max, _SEED)
+    widest = max(r for r, _ in est.search_trace)
+    assert widest > len(grid.nodes)
+    passed = width_residuals(evaluate_on(f, grid.nodes), grid, dist, range(1, widest + 1),
+                             _SEED, _TRIALS) <= epsilon
+    want = {t: int(np.argmax(row)) + 1 for t, row in enumerate(passed) if row.any()}
+    assert found == want
 
 
 hypothesis = pytest.importorskip("hypothesis")
