@@ -660,7 +660,8 @@ def _take_beside(params: dict, table: dict) -> set:
 
 def _parse(cfg: dict, seed_override=None) -> SimpleNamespace:
     """Check a config against its kind's table; builds no grid, ball or family,
-    so ``validate`` makes every check ``run`` makes before its work starts."""
+    so ``validate`` makes every check ``run`` makes before its work starts.  The
+    parameters come back with the checked ``output_path`` as ``prefix``."""
     active_cap()  # a malformed WIDTHLAB_CAP fails every kind, capped or not
     if not isinstance(cfg.get("kind"), str) or cfg["kind"] not in _KINDS:
         raise ConfigError(f"unknown kind {cfg.get('kind')!r}; choose one of {sorted(_KINDS)}")
@@ -684,6 +685,7 @@ def _parse(cfg: dict, seed_override=None) -> SimpleNamespace:
     p = _read(params, table, read=_take_beside(params, table))
     if check is not None:
         check(p)
+    p.prefix = prefix
     return p
 
 
@@ -702,8 +704,7 @@ def run_config(config_path: str, out_dir: str = ".",
     try:
         raw, cfg = _load_config(config_path)
         p = _parse(cfg, seed_override)
-        prefix = cfg.get("output_path", cfg["kind"])
-        run = _Run(out_dir=out_dir, prefix=prefix)
+        run = _Run(out_dir=out_dir, prefix=p.prefix)
         os.makedirs(out_dir, exist_ok=True)
         results = _KINDS[cfg["kind"]][0](p, run)
         doc = {
@@ -724,7 +725,7 @@ def run_config(config_path: str, out_dir: str = ".",
             text = json.dumps(doc, separators=(",", ":"), allow_nan=False)
         except ValueError:
             raise FloatingPointError("non-finite value in the result document") from None
-        result_name = f"{prefix}_result.json"
+        result_name = f"{p.prefix}_result.json"
         _write_text(run.stage(result_name), text + "\n")
         run.commit()
     except _HANDLED as exc:

@@ -21,19 +21,20 @@ residuals never rise per trial while no width loses a singular value to the
 rank cut.  So one factorization per trial, at the widest width a run asks
 for, gives the residual at every narrower width.  The width search, which
 does not know its widest width in advance, draws each trial once per search
-and factors, at each doubling width, the prefix of that draw; each trial's
+while the draws fit ``_BATCH_BYTES`` and factors, at each doubling width, the
+prefix of that draw; each trial's
 bisection then opens at its tail-bound count, the first count whose part
 outside the span is within ``epsilon`` (:func:`_first_passing`).
 
 Every trial loop runs over :func:`_factored`, which factors the draws its
 caller supplies: a fresh draw per trial at the widest width for
 :func:`width_residuals` and :func:`success_probability`, a prefix of each
-held draw for :func:`estimate_minwidth`.  Residuals are read through
-:meth:`_Factors.norms` (:func:`width_residuals`); success decisions, all
-that the success probability and the width search need, through
-:meth:`_Factors.passes`, which gives the decision of ``norms`` but solves
-only the blocks whose part outside the span is within ``epsilon``: the
-others fail whatever the solve adds.
+held draw, or a fresh draw past the budget, for :func:`estimate_minwidth`.
+Residuals are read through :meth:`_Factors.norms` (:func:`width_residuals`);
+success decisions, all that the success probability and the width search
+need, through :meth:`_Factors.passes`, which gives the decision of ``norms``
+but solves only the blocks whose part outside the span is within
+``epsilon``: the others fail whatever the solve adds.
 
 The engine knows features only through three methods of the distribution,
 which ``relu.ReluParamDist`` implements for ReLU features:
@@ -499,12 +500,14 @@ def estimate_minwidth(f, epsilon: float, delta: float, dist,
     nested across widths and each trial's residual never rises with the
     width: success at width ``r`` is ``#{t : r*_t <= r} / trials``, with
     ``r*_t`` the first width at which trial ``t`` reaches ``epsilon``.  Each
-    trial that has not yet passed holds one draw for the whole search, as
-    wide as ``r_max`` when the draws of all such trials fit in
-    ``_BATCH_BYTES``, and is drawn again only when the doubling goes past
-    that width.  At each doubling width ``r`` those trials factor the first
-    ``r`` features of their draws, the bits of a fresh width-``r`` draw
-    (``sample_batch``'s prefix property); those that pass find their
+    trial that has not yet passed holds one draw, as wide as ``r_max`` or as
+    the draws of all such trials fit in ``_BATCH_BYTES``, until it passes or
+    the doubling goes past that width; then it is drawn again as wide as the
+    budget allows, or, where the budget holds no width-``r`` draw per open
+    trial, drawn at width ``r`` one batch at a time as it is factored.  At
+    each doubling width ``r`` those trials factor the first ``r`` features of
+    their draws, the bits of a fresh width-``r`` draw (``sample_batch``'s
+    prefix property); those that pass find their
     ``r*_t`` by bisection over live counts on leading blocks of that factor,
     which is then dropped, opening at the first count whose part outside the
     block is within ``epsilon`` (:func:`_first_passing`).  The doubling and
@@ -536,16 +539,18 @@ def estimate_minwidth(f, epsilon: float, delta: float, dist,
         open_ = np.flatnonzero(first == 0)
         if r > held_width:  # the widest draws of every open trial that fit the budget
             fit = _BATCH_BYTES // (8 * (grid.nodes.shape[1] + 1) * len(open_))
-            held_width = max(r, min(r_max, fit))
-            held = {t: _draw(dist, held_width, seed, t) for t in open_.tolist()}
-
-        def prefix(t: int) -> tuple:
-            return tuple(part[:r] for part in held[t])
-
-        for ids, factors in _factored(rhs, root_w, norm_sq, grid, dist, r, open_, prefix):
+            held_width = min(r_max, fit) if fit >= r else 0
+            held = ({t: _draw(dist, held_width, seed, t) for t in open_.tolist()}
+                    if held_width else {})
+        # past the budget each batch is drawn as it is factored
+        draw = ((lambda t: tuple(part[:r] for part in held[t])) if held_width
+                else partial(_draw, dist, r, seed))
+        for ids, factors in _factored(rhs, root_w, norm_sq, grid, dist, r, open_, draw):
             passed = np.flatnonzero(factors.passes(np.arange(len(ids)), factors.live[:, r],
                                                    epsilon))
             first[ids[passed]] = _first_passing(factors, passed, last_fail, r, epsilon)
+            for t in ids[passed].tolist():
+                held.pop(t, None)
         prob = probe(r)
         if prob >= threshold:
             break

@@ -470,16 +470,32 @@ def test_minwidth_draws_each_trial_once():
 
 
 @pytest.mark.parametrize("name", ["bisects", "two_dims"])
-def test_widening_held_draws_keep_the_probe_by_probe_search(name, monkeypatch):
-    """With a budget of three features per open trial, the held draws are too narrow
-    for the doubling and are drawn again, wider as trials pass; the search is still
-    the probe-by-probe one."""
+def test_draws_past_the_budget_are_made_batch_by_batch(name, monkeypatch):
+    """With a budget of three features per open trial, the search holds width-3 draws
+    for the doubling widths 1 and 2.  From width 4 the budget holds no width-``r`` draw
+    per open trial, so each batch is drawn as it is factored: the draws made before a
+    batch are that batch's, never more.  The search is still the probe-by-probe one."""
     args = _minwidth_args(name, _Spy)
     spy, grid, trials = args[3], args[4], args[5]
     monkeypatch.setattr(fitter, "_BATCH_BYTES", 3 * 8 * (grid.nodes.shape[1] + 1) * trials)
+    batches = []  # (draws made so far, the batch's size, its width) as each is factored
+
+    class Recording(fitter._Factors):
+        def __init__(self, dist, draws, *rest):
+            batches.append((len(spy.widths), len(draws), len(draws[0][1])))
+            super().__init__(dist, draws, *rest)
+
+    monkeypatch.setattr(fitter, "_Factors", Recording)
     est = estimate_minwidth(*args)
-    assert spy.widths[:trials] == [3] * trials
-    assert len(set(spy.widths)) > 2 and len(spy.widths) > trials
+    widths, batches = list(spy.widths), list(batches)
+    assert widths[:trials] == [3] * trials
+    assert {width for _, _, width in batches} >= {1, 2, 4, 8}
+    made = trials
+    for before, size, width in batches:
+        if width > 3:
+            assert before - made == size and widths[made:before] == [width] * size
+            made = before
+    assert made == len(widths)
     assert (est.r_hat, est.success_prob_at_r_hat, est.search_trace) == _probe_by_probe(*args)
 
 
