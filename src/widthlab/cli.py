@@ -48,7 +48,8 @@ from .hermite import HermitePolynomial, _degree_budget, _simplex_count, hermite_
 from .lattice import check_ball_cap, count_ball, enumerate_ball, radius_sq_bound
 from .lowerbound import (
     _pool_size,
-    _value_matrix,
+    _weighted_family,
+    _weighted_hard,
     explicit_hard_function,
     gaussian_hard_family,
     hard_family_ball,
@@ -86,11 +87,12 @@ _DEFAULT_NODES = {UNIFORM_CUBE: {1: 24, 2: 24, 3: 24, 4: 12, 5: 8, 6: 6},
                   GAUSSIAN: {1: 40, 2: 40, 3: 24, 4: 12, 5: 8, 6: 6}}
 
 
-def _fmt(value) -> str:
-    x = float(value)
-    if not math.isfinite(x):
+def _fmt(values) -> list[str]:
+    """Each of ``values``, in C order, as ``%.17g``, after one check that all are finite."""
+    array = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(array)):
         raise FloatingPointError("non-finite value in output")
-    return "%.17g" % x
+    return list(map("%.17g".__mod__, array.ravel().tolist()))
 
 
 def _jsonable(value):
@@ -116,10 +118,9 @@ def emit_curve(points, path: str) -> None:
     """Write (x, y, ci_lo, ci_hi) rows as CSV, preserving input order."""
     if not points:
         raise ParameterOutOfRange("cannot emit an empty curve")
-    lines = ["x,y,ci_lo,ci_hi"]
-    for x, y, lo, hi in points:
-        lines.append(",".join(_fmt(v) for v in (x, y, lo, hi)))
-    _write_lines(path, lines)
+    cells = _fmt(points)
+    _write_lines(path, ["x,y,ci_lo,ci_hi"] + [",".join(cells[i:i + 4])
+                                               for i in range(0, len(cells), 4)])
 
 
 _RANGES = {
@@ -447,7 +448,7 @@ def _run_count_lattice(p, run: _Run) -> dict:
     for k in p.k:
         for d in p.d:
             q = count_ball(k, d)
-            rows.append(f"{_fmt(k) if isinstance(k, float) else k},{d},{q}")
+            rows.append(f"{_fmt(k)[0] if isinstance(k, float) else k},{d},{q}")
             counts.append({"k": k, "d": d, "count": q})
     _write_lines(run.path("counts.csv"), ["k,d,count"] + rows)
     return {"counts": counts}
@@ -457,8 +458,9 @@ def _coefficients(report, p, run: _Run) -> dict:
     """A truncation's result document; its coefficients go to a CSV, not into it."""
     doc = _jsonable(report)
     header = ",".join(f"k{i + 1}" for i in range(p.d)) + ",beta"
-    rows = [",".join(str(c) for c in term["K"]) + "," + _fmt(term["beta"])
-            for term in doc["polynomial"].pop("terms")]
+    terms = doc["polynomial"].pop("terms")
+    rows = [",".join(str(c) for c in term["K"]) + "," + beta
+            for term, beta in zip(terms, _fmt([term["beta"] for term in terms]))]
     _write_lines(run.path("coefficients.csv"), [header] + rows)
     doc["target"] = p.target[1]
     return doc
@@ -487,11 +489,10 @@ def _run_hermite_check(p, run: _Run) -> dict:
                          p, run)
 
 
-def _success_curve(f, p, run: _Run) -> list[dict]:
-    """Success probability at each width of ``p.r``, from one factorization per
-    trial at the widest; writes the curve CSV."""
+def _success_curve(f, grid, p, run: _Run) -> list[dict]:
+    """Success probability of the target ``f`` on ``grid`` at each width of ``p.r``,
+    from one factorization per trial at the widest; writes the curve CSV."""
     dist = DkDistribution(k=p.dist.k, dimension=p.d)
-    grid = make_grid(p.grid)
     estimates = success_probability(f, p.epsilon, dist, p.r, p.trials, grid, p.seed)
     emit_curve([(est.r, est.probability, est.ci_lo, est.ci_hi) for est in estimates],
                run.path("curve.csv"))
@@ -499,7 +500,7 @@ def _success_curve(f, p, run: _Run) -> list[dict]:
 
 
 def _run_fit_curve(p, run: _Run) -> dict:
-    curve = _success_curve(p.target[0], p, run)
+    curve = _success_curve(p.target[0], make_grid(p.grid), p, run)
     return {"target": p.target[1], "epsilon": p.epsilon, "trials": p.trials,
             "dist_k": p.dist.k, "curve": curve}
 
@@ -528,32 +529,34 @@ def _run_lb_projection(p, run: _Run) -> dict:
         family = gaussian_hard_family(family_desc["L"], family_desc["N"], p.d, p.seed, grid)
         family_desc = {**family_desc, "kappa": family.coherence}
     dist = DkDistribution(k=p.dist.k, dimension=p.d)
-    values = _value_matrix(family, grid)
     # One draw and one factor per trial, at the widest r, for every r; r = 0 reads the
     # member norms, as a trial with no live feature does.
-    norms = width_residuals(values, grid, dist, p.r, p.seed, p.trials)
+    norms = width_residuals(_weighted_family(family, grid), grid, dist, p.r, p.seed, p.trials)
+    squared = np.maximum(norms**2, 0.0)  # (trial, r, member)
+    cells = _fmt(np.moveaxis(squared, 1, 0))  # r by r, each trial by trial
+    # each member's squares over the trials in one contiguous row: the bits of its
+    # column's mean
+    member_means = np.mean(np.ascontiguousarray(squared.transpose(1, 2, 0)), axis=2)
     labels = [" ".join(map(str, label)) if isinstance(label, tuple) else str(label)
               for label in family.labels]
+    prefixes = [f"{t},{label}," for t in range(p.trials) for label in labels]
     per_r = []
-    for r, column in zip(p.r, np.moveaxis(norms, 1, 0)):
-        stacked = np.maximum(column**2, 0.0)
-        rows = ["trial,member,residual"]
-        for t, residuals in enumerate(stacked):
-            rows.extend(f"{t},{label},{_fmt(res)}" for label, res in zip(labels, residuals))
-        _write_lines(run.path(f"r{r}_residuals.csv"), rows)
+    for j, r in enumerate(p.r):
+        rows = map(str.__add__, prefixes, cells[j * len(prefixes):(j + 1) * len(prefixes)])
+        _write_lines(run.path(f"r{r}_residuals.csv"), ["trial,member,residual", *rows])
         per_r.append({
             "r": r,
             "bound": randict_bound(r, len(family), family.coherence),
-            "mean_residual": float(np.mean(stacked)),
-            "member_means": {label: float(np.mean(stacked[:, i]))
-                             for i, label in enumerate(labels)},
+            "mean_residual": float(np.mean(np.ascontiguousarray(squared[:, j]))),
+            "member_means": dict(zip(labels, member_means[j].tolist())),
         })
     return {"family": family_desc, "N": len(family), "trials": p.trials,
             "dist_k": p.dist.k, "per_r": per_r}
 
 
 def _run_lb_explicit(p, run: _Run) -> dict:
-    curve = _success_curve(p.hard.evaluate, p, run)
+    grid = make_grid(p.grid)
+    curve = _success_curve(_weighted_hard(p.hard, grid), grid, p, run)
     family_size = math.comb(p.d, p.ell)
     doc = {"ell": p.ell, "epsilon": p.epsilon, "lip_bound": p.hard.lip_bound,
            "family_size": family_size, "quarter_family": family_size / 4.0,
@@ -567,13 +570,15 @@ def _run_mixture_check(p, run: _Run) -> dict:
     root = math.sqrt(p.d)
     zs = np.linspace(-root, root, p.z_count)
     header = ",".join(f"k{i + 1}" for i in range(p.d)) + ",max_err"
-    rows, worst, worst_K = [header], -1.0, None
-    for K in enumerate_ball(p.k, p.d):
+    ball, errors, worst, worst_K = enumerate_ball(p.k, p.d), [], -1.0, None
+    for K in ball:
         err = float(np.max(np.abs(mixture_expectation(K, p.rho, p.d, zs) - phi_K(K, p.rho, zs))))
-        rows.append(",".join(str(c) for c in K) + "," + _fmt(err))
+        errors.append(err)
         if err > worst:
             worst, worst_K = err, K
-    _write_lines(run.path("mixture_errors.csv"), rows)
+    _write_lines(run.path("mixture_errors.csv"),
+                 [header] + [",".join(str(c) for c in K) + "," + err
+                             for K, err in zip(ball, _fmt(errors))])
     return {"rho": p.rho, "k": p.k, "d": p.d, "max_error": worst, "worst_K": list(worst_K)}
 
 

@@ -21,7 +21,7 @@ residuals never rise per trial while no width loses a singular value to the
 rank cut.  So one factorization per trial, at the widest width a run asks
 for, gives the residual at every narrower width.  The width search, which
 does not know its widest width in advance, draws each trial once per search
-while the draws fit ``_BATCH_BYTES`` and factors, at each doubling width, the
+while the draws fit ``_HELD_BYTES`` and factors, at each doubling width, the
 prefix of that draw; each trial's
 bisection then opens at its tail-bound count, the first count whose part
 outside the span is within ``epsilon`` (:func:`_first_passing`).
@@ -42,16 +42,19 @@ which ``relu.ReluParamDist`` implements for ReLU features:
 each a prefix of every wider draw; ``live(draws, nodes)`` maps draws stacked
 by trial to a ``(trials, r)`` mask of the columns to factor, each column
 left out lying in the span of kept ones drawn before it; and
-``columns(draw, nodes, out)`` writes feature ``i``'s values at the nodes
-into row ``out[i]``, which the engine then weights.  The engine passes both
-the grid's nodes ``(n, d)`` column-major, as ``Grid.column_major_nodes``.
+``columns(draws, nodes, out)`` writes, for draws stacked by trial, feature
+``i`` of trial ``t`` at the nodes into row ``out[t, i]``, which the engine
+then weights: one call per chunk of trials factored together.  The engine
+passes both the grid's nodes ``(n, d)`` column-major, as
+``Grid.column_major_nodes``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import lapack_lite
@@ -69,6 +72,12 @@ _CHUNK_BYTES = 2 * 2**20
 # are grouped by live count for every stacked QR and SVD.
 _BATCH_BYTES = 16 * 2**20
 
+# Bytes of draws the width search holds across its doubling widths, beside its
+# batches.  At the CLI's defaults (200 trials, ``r_max`` 4096) that is 655
+# features per trial at d = 1 and 436 at d = 2, past the width 64 by which the
+# README's d = 1 search and a d = 2 search of the benchmark's kind stop.
+_HELD_BYTES = 2 * 2**20
+
 # Rank cut of every solve: singular values at most ``_RCOND`` times the
 # largest count as zero, the cut ``np.linalg.lstsq`` makes given this cutoff.
 _RCOND = 1e-10
@@ -83,10 +92,20 @@ _DOWNDATE = 1 / 16
 _Z95 = 1.96
 
 
-def _weighted(targets: np.ndarray,
-              weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The square roots of the weights, the targets scaled by them as ``(n, m)``, and
-    the squared norms ``(m,)`` of those columns.
+class _Weighted(NamedTuple):
+    """Targets as every solve takes them: the square roots ``(n,)`` of the grid's
+    weights, the targets scaled by them ``(n, m)``, and the squared norms ``(m,)`` of
+    those columns.  :func:`width_residuals` and :func:`success_probability` take this
+    form in place of the targets, so a caller can keep it across runs
+    (``lowerbound._weighted_family``)."""
+
+    root_w: np.ndarray
+    rhs: np.ndarray
+    norm_sq: np.ndarray
+
+
+def _weighted(targets: np.ndarray, weights: np.ndarray) -> _Weighted:
+    """The targets ``(n,)`` or ``(n, m)`` weighted for the solves (:class:`_Weighted`).
 
     Every solve enters here, so non-finite targets stop here: a sum of squares
     is finite only if each term is, so one check on the squared norms covers
@@ -99,7 +118,7 @@ def _weighted(targets: np.ndarray,
     if not np.all(np.isfinite(norm_sq)):
         raise FloatingPointError("the weighted targets on the grid, or their squared norms, "
                                  "are not finite")
-    return root_w, rhs, norm_sq
+    return _Weighted(root_w, rhs, norm_sq)
 
 
 def _lapack(routine: str, *args) -> None:
@@ -110,18 +129,26 @@ def _lapack(routine: str, *args) -> None:
         raise np.linalg.LinAlgError(f"LAPACK {routine} returned info = {info}")
 
 
-def _work(*calls) -> np.ndarray:
-    """One work array for the LAPACK ``calls``, each ``(routine, *args)`` up to ``work``.
+@lru_cache(maxsize=64)
+def _lwork(n: int, cols: int, form_q: bool) -> int:
+    """The workspace :func:`_qr_in_place` takes for ``n x cols`` slots: the larger of
+    what ``dgeqrf`` and, with ``form_q``, ``dorgqr`` ask for.
 
-    Each call's ``lwork = -1`` query sizes it, as ``np.linalg.qr`` sizes its
-    own.  LAPACK cuts its block size only when ``lwork`` falls short of the
-    query, so the blocking, and with it the bits, are ``np.linalg.qr``'s.
+    Each routine's ``lwork = -1`` query sizes it, as ``np.linalg.qr`` sizes its
+    own.  A query reads the shape alone, never the matrix, so each shape is
+    queried once.  LAPACK cuts its block size only when ``lwork`` falls short of
+    the query, so the blocking, and with it the bits, are ``np.linalg.qr``'s.
     """
-    size, lwork = np.ones(1), 1
+    k = min(n, cols)
+    a, tau, size = np.empty(1), np.empty(1), np.ones(1)
+    calls = [("dgeqrf", n, cols, a, n, tau)]
+    if form_q:
+        calls.append(("dorgqr", n, k, k, a, n, tau))
+    lwork = 1
     for routine, *args in calls:
         _lapack(routine, *args, size, -1)
         lwork = max(lwork, int(size[0]))
-    return np.empty(lwork)
+    return lwork
 
 
 def _qr_in_place(stack: np.ndarray, form_q: bool) -> np.ndarray:
@@ -139,10 +166,7 @@ def _qr_in_place(stack: np.ndarray, form_q: bool) -> np.ndarray:
     count, cols, n = stack.shape
     k = min(n, cols)
     tau = np.empty((count, k))
-    calls = [("dgeqrf", n, cols, stack[0], n, tau[0])]
-    if form_q:
-        calls.append(("dorgqr", n, k, k, stack[0], n, tau[0]))
-    work = _work(*calls)
+    work = np.empty(_lwork(n, cols, form_q))
     for slot, scalars in zip(stack, tau):
         _lapack("dgeqrf", n, cols, slot, n, scalars, work, len(work))
     R = np.triu(np.swapaxes(stack, -1, -2)[:, :k])
@@ -152,13 +176,14 @@ def _qr_in_place(stack: np.ndarray, form_q: bool) -> np.ndarray:
     return R
 
 
-def _factor(columns, draws, count: int, w: int, nodes: np.ndarray, root_w: np.ndarray,
-            rhs: np.ndarray, norm_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One Householder QR per design ``A`` of the ``count`` draws ``draws``, ``w``
-    features each, at ``nodes``.
+def _factor(columns, draws: tuple, count: int, w: int, nodes: np.ndarray,
+            root_w: np.ndarray, rhs: np.ndarray,
+            norm_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One Householder QR per design ``A`` of the ``count`` draws ``draws``, stacked by
+    trial, ``w`` features each, at ``nodes``.
 
-    ``columns(draw, nodes, out)`` writes each design, one row per column,
-    into its slot of one stack of ``n``-long rows, the layout
+    One call ``columns(draws, nodes, out)`` writes every design, one row per
+    column, into its slot of one stack of ``n``-long rows, the layout
     :func:`_qr_in_place` factors in place, and the rows are weighted there.
     Returns ``R`` of shape ``(count, min(n, w), w)`` with ``A = Q R``, and
     ``C`` of shape ``(count, q, m)``: its first ``min(n, w)`` rows are
@@ -176,9 +201,9 @@ def _factor(columns, draws, count: int, w: int, nodes: np.ndarray, root_w: np.nd
     n, m = rhs.shape
     joined = m < w
     stack = np.empty((count, w + m if joined else w, n))
-    for rows, draw in zip(stack[:, :w], draws):
-        columns(draw, nodes, rows)
-        rows *= root_w
+    designs = stack[:, :w]
+    columns(draws, nodes, designs)
+    designs *= root_w
     if joined:
         stack[:, w:] = rhs.T
         full = _qr_in_place(stack, form_q=False)
@@ -226,13 +251,15 @@ class _Factors:
 
     ``mask`` is ``dist.live`` of the draws stacked by trial, and ``live[t, r]``
     counts its columns among trial ``t``'s first ``r``.  Trials with one live
-    count are factored (:func:`_factor`) in stacks whose designs, with the
-    targets beside them, take about ``_CHUNK_BYTES``.  Trial ``t``'s design
-    (``L`` columns) has its ``R`` in the top-left ``min(n, L) x L`` corner of
-    ``R[t]`` and its ``C`` in the top rows of ``C[t]``; the rest is zero, and
-    ``tails[t, k]`` holds the squared norms of ``C[t, k:]``.  So trials of any
-    live count stack into one solve at a common smaller count, and a count of
-    0 reads the targets' norms.
+    count are factored (:func:`_factor`) in stacks of about ``_CHUNK_BYTES``,
+    counted as the stack holds them: the designs with the targets beside them
+    where fewer targets than columns join the QR, the designs alone otherwise.
+    Each chunk's live draws are picked and its designs written in one call
+    each.  Trial ``t``'s design (``L`` columns) has its ``R`` in the top-left
+    ``min(n, L) x L`` corner of ``R[t]`` and its ``C`` in the top rows of
+    ``C[t]``; the rest is zero, and ``tails[t, k]`` holds the squared norms of
+    ``C[t, k:]``.  So trials of any live count stack into one solve at a
+    common smaller count, and a count of 0 reads the targets' norms.
     """
 
     def __init__(self, dist, draws: list, nodes: np.ndarray, root_w: np.ndarray,
@@ -248,10 +275,13 @@ class _Factors:
         self.target_norms = np.sqrt(norm_sq)
         for count in np.flatnonzero(np.bincount(self.live[:, w])[1:]) + 1:
             group = np.flatnonzero(self.live[:, w] == count)
-            per_chunk = max(1, _CHUNK_BYTES // (8 * n * (count + m)))
+            rows = count + m if m < count else count  # the rows of one slot of the stack
+            per_chunk = max(1, _CHUNK_BYTES // (8 * n * rows))
             for first in range(0, len(group), per_chunk):
                 sel = group[first:first + per_chunk]
-                live_draws = (tuple(part[i, self.mask[i]] for part in stacked) for i in sel)
+                keep = self.mask[sel]
+                live_draws = tuple(part[sel][keep].reshape(len(sel), count, *part.shape[2:])
+                                   for part in stacked)
                 R, C = _factor(dist.columns, live_draws, len(sel), count, nodes, root_w, rhs,
                                norm_sq)
                 self.R[sel, :R.shape[1], :count] = R
@@ -395,10 +425,12 @@ def width_residuals(targets: np.ndarray, grid: Grid, dist, widths, seed,
     the targets' norms, the bits of a trial with no live feature, and a run
     of only such widths draws nothing.  Returns shape
     ``(trials, len(widths))`` for targets of shape ``(n,)`` and
-    ``(trials, len(widths), m)`` for targets of shape ``(n, m)``.
+    ``(trials, len(widths), m)`` for targets of shape ``(n, m)`` or for
+    targets given weighted (:class:`_Weighted`), as a study keeps them.
     """
     widths = [int(v) for v in widths]
-    root_w, rhs, norm_sq = _weighted(targets, grid.weights)
+    kept = isinstance(targets, _Weighted)
+    root_w, rhs, norm_sq = targets if kept else _weighted(targets, grid.weights)
     out = np.empty((trials, len(widths), rhs.shape[1]))
     out[:] = np.sqrt(norm_sq)
     w = max(widths)
@@ -407,15 +439,17 @@ def width_residuals(targets: np.ndarray, grid: Grid, dist, widths, seed,
         every = np.arange(len(ids))
         for j, width in enumerate(widths):
             out[ids, j] = factors.norms(every, factors.live[:, width])
-    return out if targets.ndim == 2 else out[..., 0]
+    return out if kept or targets.ndim == 2 else out[..., 0]
 
 
 def success_probability(f, epsilon: float, dist, r, trials: int,
                         grid: Grid, seed):
     """Fraction of independent trials whose fitted span reaches error <= eps.
 
-    ``r`` is one width, giving one :class:`SuccessEstimate`, or a list of
-    widths, giving one estimate per width.  Each trial is drawn and factored
+    ``f`` is the target, a callable evaluated at the grid's nodes, or its values
+    there weighted (:class:`_Weighted`), as a study keeps them.  ``r`` is one
+    width, giving one :class:`SuccessEstimate`, or a list of widths, giving one
+    estimate per width.  Each trial is drawn and factored
     once, at the widest width, as in :func:`width_residuals`, and each width
     decides its trials through :meth:`_Factors.passes`, which solves only the
     blocks whose part outside the span leaves the decision open.
@@ -428,7 +462,8 @@ def success_probability(f, epsilon: float, dist, r, trials: int,
         raise ParameterOutOfRange(f"widths must be >= 1, got {r}")
     if epsilon <= 0:
         raise ParameterOutOfRange(f"epsilon must be positive, got {epsilon}")
-    root_w, rhs, norm_sq = _weighted(evaluate_on(f, grid.nodes), grid.weights)
+    root_w, rhs, norm_sq = (f if isinstance(f, _Weighted)
+                            else _weighted(evaluate_on(f, grid.nodes), grid.weights))
     counts = np.zeros(len(widths), dtype=np.intp)
     w = max(widths)
     for ids, factors in _factored(rhs, root_w, norm_sq, grid, dist, w, np.arange(trials),
@@ -501,7 +536,7 @@ def estimate_minwidth(f, epsilon: float, delta: float, dist,
     width: success at width ``r`` is ``#{t : r*_t <= r} / trials``, with
     ``r*_t`` the first width at which trial ``t`` reaches ``epsilon``.  Each
     trial that has not yet passed holds one draw, as wide as ``r_max`` or as
-    the draws of all such trials fit in ``_BATCH_BYTES``, until it passes or
+    the draws of all such trials fit in ``_HELD_BYTES``, until it passes or
     the doubling goes past that width; then it is drawn again as wide as the
     budget allows, or, where the budget holds no width-``r`` draw per open
     trial, drawn at width ``r`` one batch at a time as it is factored.  At
@@ -538,7 +573,7 @@ def estimate_minwidth(f, epsilon: float, delta: float, dist,
     while True:
         open_ = np.flatnonzero(first == 0)
         if r > held_width:  # the widest draws of every open trial that fit the budget
-            fit = _BATCH_BYTES // (8 * (grid.nodes.shape[1] + 1) * len(open_))
+            fit = _HELD_BYTES // (8 * (grid.nodes.shape[1] + 1) * len(open_))
             held_width = min(r_max, fit) if fit >= r else 0
             held = ({t: _draw(dist, held_width, seed, t) for t in open_.tolist()}
                     if held_width else {})

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -26,7 +27,7 @@ from .errors import (
     ParameterOutOfRange,
     WrongMeasure,
 )
-from .fitter import _weighted_lstsq
+from .fitter import _Weighted, _weighted, _weighted_lstsq
 from .lattice import MultiIndex, enumerate_ball
 from .quadrature import GAUSSIAN, TENSOR_GAUSS, Grid, evaluate_on, memoized
 from .relu import _design_matrix  # noqa: F401  the benchmark's tracer test reads it here
@@ -88,6 +89,39 @@ def _value_matrix(family: FunctionFamily, grid: Grid) -> np.ndarray:
     for i, member in enumerate(family.members):
         out[:, i] = evaluate_on(member, grid.nodes)
     return out
+
+
+def _kept_weighted(key: tuple, values: Callable[[], np.ndarray], grid: Grid) -> _Weighted:
+    """``values()``, targets on the grid, weighted for the solves (``fitter._weighted``).
+
+    On a grid :func:`quadrature.make_grid` built, the weighted targets are
+    read-only and kept in the process memo (:func:`quadrature.memoized`) under
+    ``key``, which names the targets, and the grid's own key, so together all
+    they are built from, and the runs of one study weight them once.  A grid
+    built by hand has no key, and its targets are weighted on every call.
+    """
+    if grid.key is None:
+        return _weighted(values(), grid.weights)
+
+    def build() -> _Weighted:
+        weighted = _weighted(values(), grid.weights)
+        for part in weighted:
+            part.setflags(write=False)
+        return weighted
+
+    return memoized(("weighted", key, grid.key), build,
+                    lambda weighted: sum(part.nbytes for part in weighted))
+
+
+def _weighted_family(family: FunctionFamily, grid: Grid) -> _Weighted:
+    """The members' values on the grid (:func:`_value_matrix`), weighted as
+    ``fitter.width_residuals`` takes them; a family with ``indices`` is kept under
+    them (:func:`_kept_weighted`), the others weighted on every call."""
+    values = partial(_value_matrix, family, grid)
+    if family.indices is None:
+        return _weighted(values(), grid.weights)
+    index = np.array(family.indices, dtype=int)
+    return _kept_weighted(("family", index.shape, index.tobytes()), values, grid)
 
 
 def coherence(family: FunctionFamily, grid: Grid) -> float:
@@ -196,6 +230,13 @@ class HardFunction:
         return float(vals[0]) if single else vals
 
     __call__ = evaluate
+
+
+def _weighted_hard(hard: HardFunction, grid: Grid) -> _Weighted:
+    """The hard function's values on the grid, weighted as
+    ``fitter.success_probability`` takes them, and kept under its parameters
+    (:func:`_kept_weighted`)."""
+    return _kept_weighted(("hard", hard), lambda: evaluate_on(hard.evaluate, grid.nodes), grid)
 
 
 def explicit_hard_function(epsilon: float, ell: int, d: int) -> HardFunction:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
@@ -64,6 +64,10 @@ class Grid:
     spec: QuadratureSpec
     nodes: np.ndarray  # (n, d)
     weights: np.ndarray  # (n,), sums to 1
+    # The process-memo key :func:`make_grid` built the grid under, which holds all it
+    # is built from, so values derived from the grid can be kept under it too; None
+    # for a grid built by hand.
+    key: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def dimension(self) -> int:
@@ -295,12 +299,12 @@ def make_grid(spec: QuadratureSpec) -> Grid:
         rule, key = None, ("grid", spec)
     else:
         raise UnsupportedCombination(f"unknown scheme {spec.scheme!r}")
-    return memoized(key, lambda: _build_grid(spec, rule), _grid_bytes)
+    return memoized(key, lambda: _build_grid(spec, rule, key), _grid_bytes)
 
 
-def _build_grid(spec: QuadratureSpec, rule) -> Grid:
-    """The grid of a checked ``spec``: the tensor product of the 1-D ``rule``, or
-    Monte Carlo samples if ``rule`` is None."""
+def _build_grid(spec: QuadratureSpec, rule, key: tuple) -> Grid:
+    """The grid of a checked ``spec``, kept under ``key``: the tensor product of the
+    1-D ``rule``, or Monte Carlo samples if ``rule`` is None."""
     d = spec.dimension
     if rule is not None:
         x1, w1 = rule
@@ -324,7 +328,7 @@ def _build_grid(spec: QuadratureSpec, rule) -> Grid:
         raise WeightsNotNormalized(f"{spec.label()} weights sum to {weights.sum()!r}, not 1")
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return Grid(spec=spec, nodes=nodes, weights=weights)
+    return Grid(spec=spec, nodes=nodes, weights=weights, key=key)
 
 
 def tensor_gauss_grid(measure: str, d: int, nodes_per_dim: int) -> Grid:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from typing import Callable
 
 import numpy as np
@@ -38,13 +38,14 @@ from .errors import (
 from .lattice import (
     IndexClass,
     MultiIndex,
+    check_ball_cap,
     classify,
     count_ball,
     enumerate_ball,
     l2_norm_sq,
     radius_sq_bound,
 )
-from .quadrature import Grid, l2_error
+from .quadrature import Grid, l2_error, memoized
 from .trig import SQRT2, TrigPolynomial
 
 
@@ -336,16 +337,70 @@ class ReluParamDist:
         return _live(*draws, _reach(nodes))
 
     @staticmethod
-    def columns(draw: tuple, nodes: np.ndarray, out: np.ndarray) -> None:
-        """Write feature ``i`` of ``draw = (W, b)`` at every node into row ``out[i]``.
+    def columns(draws: tuple, nodes: np.ndarray, out: np.ndarray) -> None:
+        """Write feature ``i`` of trial ``t`` of ``draws = (W (trials, r, d), b (trials, r))``,
+        stacked by trial, at every node into row ``out[t, i]``.
 
         The engine passes ``nodes`` ``(n, d)`` column-major
         (``Grid.column_major_nodes``), so ``nodes.T`` has contiguous rows, and
-        the rows have the bits of :func:`_design_matrix`'s columns, which
-        reads the same layout.
+        each slot's rows have the bits of :func:`_design_matrix`'s columns,
+        which reads the same layout: the one stacked product makes, slot by
+        slot, the product of one draw.
         """
-        W, b = draw
-        _relu(W, nodes.T, b[:, None], out)
+        W, b = draws
+        _relu(W, nodes.T, b[..., None], out)
+
+
+def _ball_tables(k: float, d: int) -> tuple[tuple[MultiIndex, ...], np.ndarray]:
+    """The radius-``k`` ball in ``d`` dimensions, in :func:`enumerate_ball`'s order, and
+    the direction of each index, one read-only row each."""
+    ball = tuple(enumerate_ball(k, d))
+    # :func:`unit_direction` of every row at once: the squared norms are sums of
+    # squared integers, exact, so each row has the bits of its own call
+    array = np.array(ball, dtype=float)
+    norms = np.sqrt(np.sum(array * array, axis=1, keepdims=True))
+    diagonal = np.full_like(array, 1.0 / math.sqrt(d))
+    directions = np.divide(array, norms, out=diagonal, where=norms > 0.0)
+    directions.setflags(write=False)
+    return ball, directions
+
+
+def _ball_bytes(tables: tuple) -> int:
+    """About what :func:`_ball_tables` holds: per index a tuple of ``d`` ints (at most
+    ``40 + 36 d`` bytes) and a reference to it, and the directions."""
+    ball, directions = tables
+    return len(ball) * (48 + 36 * directions.shape[1]) + directions.nbytes
+
+
+def _ball_rays(ball: tuple[MultiIndex, ...],
+               d: int) -> tuple[np.ndarray, tuple[tuple[MultiIndex, ...], ...]]:
+    """The ray of every index of ``ball`` (read-only), and each ray's members as
+    :func:`ray_members` lists them.
+
+    A ray is keyed by its primitive lattice vector ``K / gcd(K)``; the zero
+    index joins the diagonal ray, first, and the other members follow in
+    increasing multiple.
+    """
+    ids: dict[MultiIndex, int] = {}
+    ray_of = np.empty(len(ball), dtype=np.intp)
+    rays: list[list[tuple[int, MultiIndex]]] = []
+    for q, K in enumerate(ball):
+        g = math.gcd(*K)
+        key = tuple(c // g for c in K) if g else (1,) * d
+        ray = ids.setdefault(key, len(rays))
+        if ray == len(rays):
+            rays.append([])
+        rays[ray].append((g, K))
+        ray_of[q] = ray
+    ray_of.setflags(write=False)
+    return ray_of, tuple(tuple(K for _, K in sorted(members)) for members in rays)
+
+
+def _rays_bytes(rays: tuple) -> int:
+    """About what :func:`_ball_rays` holds: per index a reference from its ray's
+    tuple, whose header is at most one more per index, and its entry of the array."""
+    ray_of, _ = rays
+    return 64 * len(ray_of) + ray_of.nbytes
 
 
 @dataclass
@@ -355,12 +410,17 @@ class DkDistribution(ReluParamDist):
     The weight is ``K/|K|`` for ``K`` drawn index-uniformly from the lattice
     ball of radius ``k`` (the zero index mapping to the diagonal direction).
     The distribution is permutation-symmetric because the ball is.
-    ``directions`` holds the direction of every ball index, one row each.
+    ``directions`` holds the direction of every ball index, one row each.  The
+    ball and its directions, and its rays (:attr:`rays`) once read, are kept in
+    the process memo (:func:`quadrature.memoized`), keyed by ``d`` and the
+    squared radius that bounds the ball, all they are built from, so the
+    distributions of one study enumerate the ball once; the ball's cap is
+    checked on every construction.
     """
 
     k: float
     dimension: int
-    _ball: list[MultiIndex] = field(init=False, repr=False)
+    _ball: tuple[MultiIndex, ...] = field(init=False, repr=False)
     directions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -368,14 +428,10 @@ class DkDistribution(ReluParamDist):
             raise ParameterOutOfRange(f"ball radius must be nonnegative, got {self.k}")
         if self.dimension < 1:
             raise ParameterOutOfRange(f"dimension must be >= 1, got {self.dimension}")
-        self._ball = enumerate_ball(self.k, self.dimension)
-        # :func:`unit_direction` of every row at once: the squared norms are sums of
-        # squared integers, exact, so each row has the bits of its own call
-        ball = np.array(self._ball, dtype=float)
-        norms = np.sqrt(np.sum(ball * ball, axis=1, keepdims=True))
-        diagonal = np.full_like(ball, 1.0 / math.sqrt(self.dimension))
-        self.directions = np.divide(ball, norms, out=diagonal, where=norms > 0.0)
-        self.directions.setflags(write=False)
+        check_ball_cap(self.k, self.dimension)
+        self._ball, self.directions = memoized(
+            ("ball", radius_sq_bound(self.k), self.dimension),
+            partial(_ball_tables, self.k, self.dimension), _ball_bytes)
 
     def sample_indices(self, rng: np.random.Generator, r: int) -> tuple[np.ndarray, np.ndarray]:
         """Ball indices (rows of ``directions``) and biases of ``r`` features.
@@ -397,25 +453,11 @@ class DkDistribution(ReluParamDist):
         return W[0], float(b[0])
 
     @cached_property
-    def rays(self) -> tuple[np.ndarray, list[list[MultiIndex]]]:
-        """The ray of every ball index, and each ray's members as :func:`ray_members` lists them.
-
-        A ray is keyed by its primitive lattice vector ``K / gcd(K)``; the zero
-        index joins the diagonal ray, first, and the other members follow in
-        increasing multiple.
-        """
-        ids: dict[MultiIndex, int] = {}
-        ray_of = np.empty(len(self._ball), dtype=np.intp)
-        rays: list[list[tuple[int, MultiIndex]]] = []
-        for q, K in enumerate(self._ball):
-            g = math.gcd(*K)
-            key = tuple(c // g for c in K) if g else (1,) * self.dimension
-            ray = ids.setdefault(key, len(rays))
-            if ray == len(rays):
-                rays.append([])
-            rays[ray].append((g, K))
-            ray_of[q] = ray
-        return ray_of, [[K for _, K in sorted(members)] for members in rays]
+    def rays(self) -> tuple[np.ndarray, tuple[tuple[MultiIndex, ...], ...]]:
+        """The ray of every ball index, and each ray's members (:func:`_ball_rays`),
+        built on first read: only importance weights read them."""
+        return memoized(("rays", radius_sq_bound(self.k), self.dimension),
+                        partial(_ball_rays, self._ball, self.dimension), _rays_bytes)
 
     def importance_weights(self, P: TrigPolynomial, idx: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``h(b_i, w_i)`` of features given by ball index and bias, as :func:`h_weight`

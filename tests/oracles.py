@@ -208,9 +208,10 @@ class MemberDistribution:
     A feature distribution with no ReLU in it, through the three methods the
     trial engine asks for: ``sample_batch`` draws member indices as a draw
     ``(idx,)``, ``live`` keeps the first draw of each member (a repeat adds
-    the same column again), and ``columns`` writes the members' values.  On a
-    grid where the family is orthonormal, a trial's span holds exactly the
-    members it drew, so each member's residual is 0 if drawn and 1 if not.
+    the same column again), and ``columns`` writes the members' values, for
+    draws stacked by trial.  On a grid where the family is orthonormal, a
+    trial's span holds exactly the members it drew, so each member's residual
+    is 0 if drawn and 1 if not.
     ``written`` records the member indices of every design the engine builds.
     """
 
@@ -228,8 +229,9 @@ class MemberDistribution:
             keep[np.unique(row, return_index=True)[1]] = True
         return mask
 
-    def columns(self, draw, nodes, out):
-        (idx,) = draw
-        self.written.append(idx.tolist())
-        for row, i in zip(out, idx):
-            row[:] = self.family.members[i](nodes)
+    def columns(self, draws, nodes, out):
+        (idx,) = draws
+        for slot, draw in zip(out, idx):
+            self.written.append(draw.tolist())
+            for row, i in zip(slot, draw):
+                row[:] = self.family.members[i](nodes)

@@ -408,6 +408,8 @@ class TestTrialEngine:
         assert draws == []
 
     def test_family_is_evaluated_once_per_run(self, tmp_path, monkeypatch):
+        """With nothing kept yet, a run evaluates its family once."""
+        monkeypatch.setattr(quadrature, "_MEMO", quadrature._Memo(quadrature._MEMO_BYTES))
         calls = []
         original = lowerbound._value_matrix
 
@@ -415,18 +417,52 @@ class TestTrialEngine:
             calls.append(len(family))
             return original(family, grid)
 
-        monkeypatch.setattr(cli, "_value_matrix", counting)
         monkeypatch.setattr(lowerbound, "_value_matrix", counting)
         code, _, _ = _run(tmp_path, self._DOC)
         assert code == 0
         assert calls == [3]
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_a_non_finite_residual_exits_4_and_writes_nothing(self, tmp_path, monkeypatch,
+                                                               capsys, value):
+        """The residual CSVs are checked in one pass before any is written, so one
+        non-finite residual anywhere exits 4 with one line and leaves no file."""
+        original = cli.width_residuals
+
+        def poisoned(*args):
+            norms = original(*args)
+            norms[2, -1, 1] = value  # the last trial, the last width
+            return norms
+
+        monkeypatch.setattr(cli, "width_residuals", poisoned)
+        code, result, out_dir = _run(tmp_path, self._DOC)
+        assert (code, result) == (4, None)
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical failure: non-finite value in output"]
+        assert list(out_dir.iterdir()) == []
+
+    _MEMO_DOCS = {
+        "p": {"kind": "lb_projection",
+              "parameters": {"d": 3, "family": {"type": "ball", "k": 2}, "r_list": [1, 4],
+                             "trials": 3, "seed": 5, "grid": {"nodes_per_dim": 8}},
+              "output_path": "p"},
+        "e": {"kind": "lb_explicit",
+              "parameters": {"d": 3, "ell": 2, "epsilon": 0.1, "r_list": [1, 2], "trials": 4,
+                             "seed": 5, "dist": {"k": 1}, "grid": {"nodes_per_dim": 8}},
+              "output_path": "e"},
+    }
+
+    @pytest.mark.parametrize("budget", ["default", "none"])
     def test_a_memo_hit_keeps_the_bits_of_a_miss_and_of_a_fresh_process(self, tmp_path,
-                                                                        monkeypatch):
-        """A second run in one process is served the grid and the family's values the
-        first built; its CSVs and results, the wall time aside, are the first run's and
-        those of a run in a new process."""
-        monkeypatch.setattr(quadrature, "_MEMO", quadrature._Memo(quadrature._MEMO_BYTES))
+                                                                        monkeypatch, budget):
+        """A second ``lb_projection`` and a second ``lb_explicit`` run in one process are
+        served what the first built: the grid, the family's values and their weighted
+        form, the hard function's weighted values and each D_k ball.  So they weight
+        no target, evaluate none and enumerate no ball.  Their CSVs and results, the
+        wall time aside, are the first runs' and those of runs in a new process, and
+        so are those of runs whose memo keeps nothing."""
+        size = quadrature._MEMO_BYTES if budget == "default" else 0
+        monkeypatch.setattr(quadrature, "_MEMO", quadrature._Memo(size))
         builds = []
 
         def counted(name, build):
@@ -435,29 +471,36 @@ class TestTrialEngine:
                 return build(*args)
             return counting
 
-        for module, name in ((quadrature, "_build_grid"), (lowerbound, "_basis_on_axes")):
+        for module, name in ((quadrature, "_build_grid"), (lowerbound, "_basis_on_axes"),
+                             (relu, "enumerate_ball"), (fitter, "_weighted"),
+                             (lowerbound, "_weighted"), (lowerbound.HardFunction, "evaluate")):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-        doc = {"kind": "lb_projection",
-               "parameters": {"d": 3, "family": {"type": "ball", "k": 2}, "r_list": [1, 4],
-                              "trials": 3, "seed": 5, "grid": {"nodes_per_dim": 8}},
-               "output_path": "p"}
-        runs = [_run(tmp_path, doc, out=f"out{i}") for i in range(2)]
-        assert builds == ["_build_grid", "_basis_on_axes"]
-        cfg = _write_config(tmp_path, doc, name="fresh.json")
+        runs = {}
+        for prefix, doc in self._MEMO_DOCS.items():
+            runs[prefix] = [_run(tmp_path, doc, out=f"{prefix}{i}") for i in range(2)]
+        projection = ["_build_grid", "enumerate_ball", "_basis_on_axes", "_weighted"]
+        explicit = ["evaluate", "_weighted", "enumerate_ball"]  # on the grid kept above
+        if budget == "default":
+            assert builds == projection + explicit
+        else:  # every run builds all it reads
+            assert builds == projection * 2 + (["_build_grid"] + explicit) * 2
         src = str(Path(widthlab.__file__).resolve().parents[1])
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-m", "widthlab.cli", "run", "--config", cfg,
-                               "--out-dir", str(tmp_path / "fresh")],
-                              capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        fresh = json.loads((tmp_path / "fresh" / "p_result.json").read_text())
-        for code, result, out_dir in runs:
-            assert code == 0
-            assert result["results"] == fresh["results"]
-            assert result["csv_files"] == fresh["csv_files"]
-            for name in fresh["csv_files"]:
-                assert (out_dir / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+        for prefix, doc in self._MEMO_DOCS.items():
+            cfg = _write_config(tmp_path, doc, name=f"fresh_{prefix}.json")
+            fresh_dir = tmp_path / f"fresh_{prefix}"
+            proc = subprocess.run([sys.executable, "-m", "widthlab.cli", "run", "--config", cfg,
+                                   "--out-dir", str(fresh_dir)],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            fresh = json.loads((fresh_dir / f"{prefix}_result.json").read_text())
+            for code, result, out_dir in runs[prefix]:
+                assert code == 0
+                assert result["results"] == fresh["results"]
+                assert result["csv_files"] == fresh["csv_files"]
+                for name in fresh["csv_files"]:
+                    assert (out_dir / name).read_bytes() == (fresh_dir / name).read_bytes()
 
 
 class TestResultDocuments:

@@ -33,9 +33,9 @@ from widthlab import (
     randict_bound,
     tensor_gauss_grid,
 )
-from widthlab.fitter import width_residuals
+from widthlab.fitter import _weighted, width_residuals
 from widthlab import quadrature
-from widthlab.lowerbound import _value_matrix
+from widthlab.lowerbound import _value_matrix, _weighted_family, _weighted_hard
 from widthlab.relu import ReluParamDist
 
 from oracles import relu_columns
@@ -359,6 +359,26 @@ class TestValueMatrix:
         other = _value_matrix(family, moved)
         for K, column in zip(family.indices, other.T):
             assert np.max(np.abs(column - eval_T(K, moved.nodes))) <= 1e-14, K
+
+    def test_weighted_targets_are_kept_on_built_grids_only(self, monkeypatch):
+        """The weighted family and hard function are kept read-only under what they are
+        built from, with the bits of weighting them afresh; a hand-built grid has no
+        memo key, so nothing is kept for it."""
+        monkeypatch.setattr(quadrature, "_MEMO", quadrature._Memo(quadrature._MEMO_BYTES))
+        grid = tensor_gauss_grid(UNIFORM_CUBE, 2, 6)
+        hand = Grid(spec=grid.spec, nodes=grid.nodes, weights=grid.weights)
+        family, hard = hard_family_ball(2, 2), explicit_hard_function(0.1, 1, 2)
+        cases = [(_weighted_family, family, hard_family_ball(2, 2), hard_family_ball(1, 2),
+                  _value_matrix(family, grid)),
+                 (_weighted_hard, hard, explicit_hard_function(0.1, 1, 2),
+                  explicit_hard_function(0.2, 1, 2), hard(grid.nodes))]
+        for weigh, target, equal, other, values in cases:
+            kept = weigh(target, grid)
+            assert weigh(equal, grid) is kept and weigh(other, grid) is not kept
+            assert not any(part.flags.writeable for part in kept)
+            for got, want in zip(kept, _weighted(values, grid.weights)):
+                assert np.array_equal(_bits(got), _bits(want))
+            assert weigh(target, hand) is not weigh(target, hand)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_monte_carlo_grids_keep_the_bits_of_evaluate_on(self, d):

@@ -247,20 +247,30 @@ def test_engine_rows_have_the_bits_of_the_design_matrix_columns(d):
     """The engine writes each feature's row from the grid's column-major nodes and
     ``_design_matrix`` reads the same layout, so at every width, the BLAS
     matrix-vector edge w = 1 included, the rows are its columns bit for bit.
+    Draws stacked by trial are written in one call, and each slot, contiguous or
+    strided as in the joined route's stack, keeps the bits of its one draw.
     Every feature is live (``|b_i| <= 1/2 <= |w_i|_1``), so no row is zero."""
     grid = tensor_gauss_grid(UNIFORM_CUBE, d, {1: 24, 2: 24, 3: 24, 4: 12}[d])
     nodes = grid.column_major_nodes
     assert nodes.flags.f_contiguous and np.array_equal(nodes, grid.nodes)
     rng = np.random.default_rng(d)
     for w in range(1, 9):
-        W = rng.normal(size=(w, d))  # every coordinate in every sum
-        W /= np.linalg.norm(W, axis=1, keepdims=True)
-        b = rng.uniform(-0.5, 0.5, size=w)
-        rows = np.empty((w, len(nodes)))
-        ReluParamDist.columns((W, b), nodes, rows)
-        assert np.all(np.any(rows > 0.0, axis=1))
-        design = fitter._design_matrix(W, b, grid.nodes)
-        assert np.array_equal(rows.view(np.uint64), design.T.view(np.uint64)), w
+        W = rng.normal(size=(3, w, d))  # every coordinate in every sum
+        W /= np.linalg.norm(W, axis=2, keepdims=True)
+        b = rng.uniform(-0.5, 0.5, size=(3, w))
+        # Three draws in one call: into a stack of their own, and into the design
+        # rows of the joined route's stack, slots strided past two target rows.
+        alone = np.empty((3, w, len(nodes)))
+        joined = np.empty((3, w + 2, len(nodes)))
+        ReluParamDist.columns((W, b), nodes, alone)
+        ReluParamDist.columns((W, b), nodes, joined[:, :w])
+        for t in range(3):
+            rows = np.empty((w, len(nodes)))
+            ReluParamDist.columns((W[t:t + 1], b[t:t + 1]), nodes, rows[None])
+            assert np.all(np.any(rows > 0.0, axis=1))
+            design = fitter._design_matrix(W[t], b[t], grid.nodes)
+            for got in (rows, alone[t], joined[t, :w]):
+                assert np.array_equal(got.view(np.uint64), design.T.view(np.uint64)), (w, t)
 
 
 def _unit(v):
@@ -469,6 +479,35 @@ def test_minwidth_draws_each_trial_once():
     assert est == estimate_minwidth(*_minwidth_args("two_dims"))
 
 
+@pytest.mark.parametrize("name", ["readme", "two_dims"])
+def test_held_draws_stay_within_their_budget_at_the_cli_defaults(name, monkeypatch):
+    """At the CLI's defaults (200 trials, ``r_max`` 4096) each open trial holds a draw
+    only as wide as ``_HELD_BYTES`` allows, not ``r_max`` wide: the draws made before
+    the first batch is factored take at most that budget.  Both searches stop by
+    width 64, inside the held width, so each trial is still drawn once, and a budget
+    that holds ``r_max``-wide draws gives the same estimate."""
+    args = list(_minwidth_args(name, _Spy))
+    args[5:7] = 200, 4096
+    spy, grid = args[3], args[4]
+    held = []
+
+    class Recording(fitter._Factors):
+        def __init__(self, *rest):
+            if not held:  # the first batch: every draw so far is held
+                held.extend(spy.widths)
+            super().__init__(*rest)
+
+    monkeypatch.setattr(fitter, "_Factors", Recording)
+    est = estimate_minwidth(*args)
+    assert len(held) == 200 and spy.widths == held
+    assert 8 * (grid.nodes.shape[1] + 1) * sum(held) <= fitter._HELD_BYTES
+    assert max(r for r, _ in est.search_trace) <= 64 < held[0]
+    monkeypatch.setattr(fitter, "_HELD_BYTES", 8 * (grid.nodes.shape[1] + 1) * 200 * 4096)
+    spy.widths.clear()
+    assert estimate_minwidth(*args) == est
+    assert spy.widths == [4096] * 200
+
+
 @pytest.mark.parametrize("name", ["bisects", "two_dims"])
 def test_draws_past_the_budget_are_made_batch_by_batch(name, monkeypatch):
     """With a budget of three features per open trial, the search holds width-3 draws
@@ -477,7 +516,7 @@ def test_draws_past_the_budget_are_made_batch_by_batch(name, monkeypatch):
     batch are that batch's, never more.  The search is still the probe-by-probe one."""
     args = _minwidth_args(name, _Spy)
     spy, grid, trials = args[3], args[4], args[5]
-    monkeypatch.setattr(fitter, "_BATCH_BYTES", 3 * 8 * (grid.nodes.shape[1] + 1) * trials)
+    monkeypatch.setattr(fitter, "_HELD_BYTES", 3 * 8 * (grid.nodes.shape[1] + 1) * trials)
     batches = []  # (draws made so far, the batch's size, its width) as each is factored
 
     class Recording(fitter._Factors):
@@ -659,6 +698,35 @@ def test_surplus_affine_columns_are_dropped_exactly(d, k, monte_carlo, seed):
                                 _lstsq_residuals(W[:r][alive[:r]], b[:r][alive[:r]], grid,
                                                  targets),
                                 rtol=0.0, atol=1e-12, err_msg=str(r))
+
+
+def test_chunks_hold_as_many_trials_as_their_stack_allows(tmp_path, monkeypatch):
+    """A chunk is sized by the stack it holds: with at least as many targets as
+    columns the targets are not stacked beside the designs, so it holds
+    ``_CHUNK_BYTES // (8 n count)`` trials.  On the benchmark's symmetric family
+    (d = 4, ell = 2: six members on the 12^4 grid) at widths up to 3 that is four
+    trials or more, where counting the targets too gave one."""
+    chunks = collections.defaultdict(list)  # live count: trials of each chunk
+    factor = fitter._factor
+
+    def spying(columns, draws, count, w, *rest):
+        chunks[w].append(count)
+        return factor(columns, draws, count, w, *rest)
+
+    monkeypatch.setattr(fitter, "_factor", spying)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "lb_projection", "output_path": "lb", "parameters": {
+        "d": 4, "family": {"type": "symmetric", "ell": 2}, "r_list": [1, 2, 3], "trials": 20,
+        "dist": {"kind": "dk", "k": 2}, "seed": 3}}))
+    code, _ = run_config(str(cfg), out_dir=str(tmp_path / "out"))
+    assert code == 0
+    n = 12**4
+    for count, sizes in chunks.items():
+        per_chunk = fitter._CHUNK_BYTES // (8 * n * int(count))
+        assert per_chunk >= 4
+        full, left = divmod(sum(sizes), per_chunk)
+        assert sizes == [per_chunk] * full + [left] * (left > 0), count
+    assert sum(map(sum, chunks.values())) == 20 and max(map(max, chunks.values())) >= 4
 
 
 def test_chunks_change_no_bit(monkeypatch):

@@ -40,7 +40,7 @@ from widthlab import (
     unit_direction,
     width_bound,
 )
-from widthlab import relu
+from widthlab import quadrature, relu
 from widthlab.relu import _design_matrix
 from widthlab.quadrature import l2_error
 
@@ -282,6 +282,25 @@ class TestDkDistribution:
         assert_allclose(w, np.full(4, 0.5))
         assert -4.0 <= bias <= 4.0
 
+    def test_the_ball_is_kept_read_only_and_its_cap_checked_every_time(self, monkeypatch):
+        """Distributions whose balls bound the same squared radius share one kept ball,
+        its directions and its rays, read-only; a lowered cap still refuses it."""
+        monkeypatch.setattr(quadrature, "_MEMO", quadrature._Memo(quadrature._MEMO_BYTES))
+        calls = []
+        monkeypatch.setattr(relu, "enumerate_ball",
+                            lambda k, d: calls.append((k, d)) or enumerate_ball(k, d))
+        first = DkDistribution(k=2, dimension=3)
+        for k in (2, 2.0, 2.1):  # floor(k^2) = 4 for each
+            again = DkDistribution(k=k, dimension=3)
+            assert again.directions is first.directions and again.rays is first.rays
+        assert calls == [(2, 3)]
+        assert list(first._ball) == enumerate_ball(2, 3)
+        assert not first.directions.flags.writeable and not first.rays[0].flags.writeable
+        assert DkDistribution(k=2, dimension=2).directions.shape == (13, 2)
+        monkeypatch.setenv("WIDTHLAB_CAP", "10")
+        with pytest.raises(CapExceeded):
+            DkDistribution(k=2, dimension=3)
+
     def test_bias_range(self):
         rng = np.random.default_rng(42)
         dist = DkDistribution(k=2, dimension=2)
@@ -467,12 +486,14 @@ class TestRayMembers:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("k", [1, 2, 2.5, 4])
     def test_compiled_rays_equal_ray_members(self, k, d):
+        """The rays a distribution keeps list each ray's members as ``ray_members``
+        does, in tuples, since one memoized copy serves every distribution."""
         dist = DkDistribution(k=k, dimension=d)
         ray_of, rays = dist.rays
         assert sum(len(members) for members in rays) == count_ball(k, d)
         for K, w, ray in zip(enumerate_ball(k, d), dist.directions, ray_of):
             assert K in rays[ray]
-            assert rays[ray] == ray_members(w, k, d)
+            assert list(rays[ray]) == ray_members(w, k, d)
 
 
 class TestHWeight:
