@@ -60,6 +60,27 @@ class FunctionFamily:
         return len(self.members)
 
 
+def _tensor_index(family: FunctionFamily, grid: Grid) -> np.ndarray | None:
+    """The family's indices as an ``(N, d)`` array when its values are built from
+    per-axis tables, on a tensor grid, else ``None``."""
+    if family.indices is None or grid.spec.scheme != TENSOR_GAUSS:
+        return None
+    return np.array(family.indices, dtype=int).reshape(len(family), len(grid.axes))
+
+
+def _built_values(family: FunctionFamily, grid: Grid) -> np.ndarray:
+    """:func:`_value_matrix`'s values, built afresh and not kept."""
+    index = _tensor_index(family, grid)
+    if index is not None:
+        values = _basis_on_axes(index, grid.axes)
+        values.setflags(write=False)
+        return values
+    out = np.empty((grid.nodes.shape[0], len(family)))
+    for i, member in enumerate(family.members):
+        out[:, i] = evaluate_on(member, grid.nodes)
+    return out
+
+
 def _value_matrix(family: FunctionFamily, grid: Grid) -> np.ndarray:
     """The members' values at the grid nodes, member ``i`` in column ``i`` of one
     ``(n, N)`` array.
@@ -74,21 +95,11 @@ def _value_matrix(family: FunctionFamily, grid: Grid) -> np.ndarray:
     BLAS sums over a column depend on its stride, so its projections keep
     their bits.
     """
-    axes = grid.axes if grid.spec.scheme == TENSOR_GAUSS else None
-    if family.indices is not None and axes is not None:
-        index = np.array(family.indices, dtype=int).reshape(len(family), len(axes))
-
-        def build() -> np.ndarray:
-            values = _basis_on_axes(index, axes)
-            values.setflags(write=False)
-            return values
-
-        key = ("values", index.shape, index.tobytes(), *(axis.tobytes() for axis in axes))
-        return memoized(key, build, lambda values: values.nbytes)
-    out = np.empty((grid.nodes.shape[0], len(family)))
-    for i, member in enumerate(family.members):
-        out[:, i] = evaluate_on(member, grid.nodes)
-    return out
+    index = _tensor_index(family, grid)
+    if index is None:
+        return _built_values(family, grid)
+    key = ("values", index.shape, index.tobytes(), *(axis.tobytes() for axis in grid.axes))
+    return memoized(key, partial(_built_values, family, grid), lambda values: values.nbytes)
 
 
 def _kept_weighted(key: tuple, values: Callable[[], np.ndarray], grid: Grid) -> _Weighted:
@@ -116,8 +127,9 @@ def _kept_weighted(key: tuple, values: Callable[[], np.ndarray], grid: Grid) -> 
 def _weighted_family(family: FunctionFamily, grid: Grid) -> _Weighted:
     """The members' values on the grid (:func:`_value_matrix`), weighted as
     ``fitter.width_residuals`` takes them; a family with ``indices`` is kept under
-    them (:func:`_kept_weighted`), the others weighted on every call."""
-    values = partial(_value_matrix, family, grid)
+    them (:func:`_kept_weighted`), the others weighted on every call.  The values
+    are built for the weighting and not kept: the memo holds one copy of a family."""
+    values = partial(_built_values, family, grid)
     if family.indices is None:
         return _weighted(values(), grid.weights)
     index = np.array(family.indices, dtype=int)

@@ -20,12 +20,14 @@ that leave dead and surplus affine columns out of a solve (:func:`_live`).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial, reduce
 from typing import Callable
 
 import numpy as np
 
+from .caps import active_cap
 from .errors import (
     CapExceeded,
     DimensionMismatch,
@@ -461,13 +463,16 @@ class DkDistribution(ReluParamDist):
 
     def importance_weights(self, P: TrigPolynomial, idx: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``h(b_i, w_i)`` of features given by ball index and bias, as :func:`h_weight`
-        computes it; the rays, ``Q`` and the check of ``P`` serve every feature.
+        computes it; the rays, ``Q`` and the check of ``P`` serve every feature, and
+        only the rays that hold a term of ``P`` are visited.
         """
         _check_terms(P, self.k, self.dimension)
         ray_of, rays = self.rays
         ray_ids = ray_of[idx]
-        out = np.empty(len(b))
-        for ray in np.flatnonzero(np.bincount(ray_ids)):  # each ray present, in order
+        # A ray with no term of P weighs Q/|ray| * 0.0 = +0.0; the ball is in
+        # lexicographic order, so bisection finds the ray of each term.
+        out = np.zeros(len(b))
+        for ray in {ray_of[bisect_left(self._ball, K)] for K in P.terms}:
             members, sel = rays[ray], ray_ids == ray
             out[sel] = len(self._ball) / len(members) * _ray_sum(members, P, self.dimension,
                                                                  b[sel])
@@ -567,7 +572,11 @@ def _network_values(directions: np.ndarray, idx: np.ndarray, b: np.ndarray,
     """``sum_i c_i relu(<w_i, x> - b_i)`` at every node, ``w_i = directions[idx_i]``, in
     ``O(n + r)`` memory: the features of one ball index share ``t = <w, x>``, those
     active at ``t`` (``b_i < t``) are a prefix of their sorted biases, and their sum
-    is ``t C - B`` from the prefix sums ``C`` of ``c_i`` and ``B`` of ``c_i b_i``."""
+    is ``t C - B`` from the prefix sums ``C`` of ``c_i`` and ``B`` of ``c_i b_i``.  Only
+    features with ``c_i != 0`` are summed: a zero term changes no nonzero sum, only
+    the sign of a zero one."""
+    keep = np.flatnonzero(coefficients)
+    idx, b, coefficients = idx[keep], b[keep], coefficients[keep]
     order = np.lexsort((b, idx))  # by ball index, then bias
     counts = np.bincount(idx, minlength=len(directions))
     ends = np.cumsum(counts)
@@ -591,12 +600,18 @@ def sample_average_network(P: TrigPolynomial, r: int, dist: DkDistribution,
     the importance weight of each divided by ``r``, and returns the span with
     its measured L2 error against ``P`` on the grid.  Error decays like
     ``1/sqrt(r)``.  The network is evaluated one drawn ball index at a time
-    (:func:`_network_values`), with no ``(n, r)`` design matrix.
+    (:func:`_network_values`), with no ``(n, r)`` design matrix, over the features
+    whose weight is not 0.  A draw of more than the active cap's numbers, ``d + 1``
+    per feature as the fitter counts them, raises :class:`CapExceeded` before it
+    is made.
     """
     if not isinstance(dist, DkDistribution):
         raise UnsupportedCombination("sample-average networks require a D_k distribution")
     if r < 1:
         raise ParameterOutOfRange(f"width must be a positive integer, got {r}")
+    draw, cap = r * (dist.dimension + 1), active_cap()
+    if draw > cap:
+        raise CapExceeded(f"a width-{r} network draws {draw} numbers, past the cap {cap}")
     idx, b = dist.sample_indices(np.random.default_rng(seed), r)
     coeffs = dist.importance_weights(P, idx, b) / r
     approx = _network_values(dist.directions, idx, b, coeffs, grid.nodes)

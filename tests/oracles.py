@@ -16,7 +16,7 @@ import numpy as np
 from scipy import integrate
 
 from widthlab import MONTE_CARLO, UNIFORM_CUBE, Grid, QuadratureSpec, ReluParamDist
-from widthlab.relu import _check_features
+from widthlab.relu import _check_features, _ray_sum
 
 
 def brute_counts(kmax: int, dmax: int) -> dict[tuple[int, int], int]:
@@ -129,6 +129,39 @@ def relu_columns(W, b, X) -> np.ndarray:
     computed feature by feature."""
     X = np.asarray(X, dtype=float)
     return np.column_stack([np.maximum(X @ w - bias, 0.0) for w, bias in zip(W, b)])
+
+
+def network_values_every_feature(directions, idx, b, coefficients, nodes) -> np.ndarray:
+    """``sum_i c_i relu(<w_i, x> - b_i)``, ``w_i = directions[idx_i]``, at every node, over
+    every feature, those of coefficient 0 too: per drawn ball index, the prefix sums
+    of ``c_i`` and ``c_i b_i`` over the biases in order, read where ``b_i < t``."""
+    order = np.lexsort((b, idx))
+    counts = np.bincount(idx, minlength=len(directions))
+    ends = np.cumsum(counts)
+    values = np.zeros(len(nodes))
+    for q in np.flatnonzero(counts):
+        group = order[ends[q] - counts[q]:ends[q]]
+        bias, c = b[group], coefficients[group]
+        t = nodes @ directions[q]
+        active = np.searchsorted(bias, t)
+        C = np.concatenate(([0.0], np.cumsum(c)))
+        B = np.concatenate(([0.0], np.cumsum(c * bias)))
+        values += t * C[active] - B[active]
+    return values
+
+
+def importance_weights_every_ray(dist, P, idx, b) -> np.ndarray:
+    """``dist.importance_weights(P, idx, b)`` from a visit to every ray the features
+    fall on, those holding no term of ``P`` too, each ray's weights set as
+    ``Q / |ray|`` times ``relu._ray_sum`` of its members."""
+    ray_of, rays = dist.rays
+    ray_ids = ray_of[idx]
+    out = np.empty(len(b))
+    for ray in np.flatnonzero(np.bincount(ray_ids)):
+        members, sel = rays[ray], ray_ids == ray
+        out[sel] = len(dist.directions) / len(members) * _ray_sum(members, P, dist.dimension,
+                                                                  b[sel])
+    return out
 
 
 def factored_features(W, b, reach, tau) -> np.ndarray:

@@ -408,19 +408,28 @@ class TestTrialEngine:
         assert draws == []
 
     def test_family_is_evaluated_once_per_run(self, tmp_path, monkeypatch):
-        """With nothing kept yet, a run evaluates its family once."""
-        monkeypatch.setattr(quadrature, "_MEMO", quadrature._Memo(quadrature._MEMO_BYTES))
+        """With nothing kept yet, a run evaluates its family once, for its weighted
+        form, and keeps only that form: no ``("values", ...)`` entry, whose
+        weighted bits the kept form has."""
+        memo = quadrature._Memo(quadrature._MEMO_BYTES)
+        monkeypatch.setattr(quadrature, "_MEMO", memo)
         calls = []
-        original = lowerbound._value_matrix
+        original = lowerbound._built_values
 
         def counting(family, grid):
             calls.append(len(family))
             return original(family, grid)
 
-        monkeypatch.setattr(lowerbound, "_value_matrix", counting)
+        monkeypatch.setattr(lowerbound, "_built_values", counting)
         code, _, _ = _run(tmp_path, self._DOC)
         assert code == 0
         assert calls == [3]
+        kept = {key[0]: value for key, (value, _) in memo.entries.items()}
+        assert sorted(kept) == ["ball", "grid", "weighted"]
+        grid = kept["grid"]
+        values = lowerbound._value_matrix(lowerbound.hard_family_symmetric(2, 3), grid)
+        for got, want in zip(kept["weighted"], fitter._weighted(values, grid.weights)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_a_non_finite_residual_exits_4_and_writes_nothing(self, tmp_path, monkeypatch,

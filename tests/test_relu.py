@@ -34,6 +34,7 @@ from widthlab import (
     psi,
     psi_K,
     ray_members,
+    reflect_and_truncate,
     ridge_profile_of_index,
     sample_average_network,
     tensor_gauss_grid,
@@ -44,7 +45,13 @@ from widthlab import quadrature, relu
 from widthlab.relu import _design_matrix
 from widthlab.quadrature import l2_error
 
-from oracles import CustomDistribution, dk_expectation, mixture_quad
+from oracles import (
+    CustomDistribution,
+    dk_expectation,
+    importance_weights_every_ray,
+    mixture_quad,
+    network_values_every_feature,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -715,6 +722,87 @@ class TestSampleAverageNetwork:
         _assert_network_within_rounding(got, dist.directions[idx], b, c, nodes)
         alone = relu._network_values(dist.directions, idx[:1], b[:1], c[:1], nodes)
         assert alone[3] == 0.0 and np.all(alone[:4] == 0.0) and np.all(alone[4:] > 0.0)
+
+    @staticmethod
+    def _polynomial(case: str, dist: DkDistribution) -> TrigPolynomial:
+        if case == "reflected_abs":  # the benchmark's network samples this one: 3 of 32 rays
+            grid = tensor_gauss_grid(UNIFORM_CUBE, 2, 24)
+            return reflect_and_truncate(lambda X: np.abs(X[:, 0]), 1.0, 0.25, grid).polynomial
+        if case == "every_ray":
+            _, rays = dist.rays
+            return TrigPolynomial({members[-1]: (-1.0) ** j / (j + 1)
+                                   for j, members in enumerate(rays)})
+        return TrigPolynomial({}, dimension=2)
+
+    @pytest.mark.parametrize("case", ["reflected_abs", "every_ray", "zero"])
+    def test_network_keeps_the_bits_of_every_feature(self, case):
+        """Summing only the features of nonzero weight, and weighting only those on
+        a ray with a term of P, keeps the coefficients' bits and the values and
+        error of the sum over every feature (a zero may change sign, which the
+        squared error drops)."""
+        grid = tensor_gauss_grid(UNIFORM_CUBE, 2, 24)
+        dist = DkDistribution(k=4, dimension=2)
+        P = self._polynomial(case, dist)
+        r = 4096
+        span = sample_average_network(P, r, dist, seed=11, grid=grid)
+        idx, b = dist.sample_indices(np.random.default_rng(11), r)
+        want = importance_weights_every_ray(dist, P, idx, b) / r
+        assert np.array_equal(span.coefficients.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(span.W, dist.directions[idx]) and np.array_equal(span.b, b)
+        values = network_values_every_feature(dist.directions, idx, b, want, grid.nodes)
+        got = relu._network_values(dist.directions, idx, b, span.coefficients, grid.nodes)
+        assert np.array_equal(got, values)
+        assert span.l2_error == l2_error(P.evaluate, lambda nodes: values, grid)
+
+    def test_a_ball_index_with_zero_and_nonzero_weights(self):
+        """Biases past sqrt(d), where psi = 0, weigh 0 beside weighted features of the
+        same ball index; the sum over the weighted ones has the values of the sum
+        over all of them."""
+        grid = tensor_gauss_grid(UNIFORM_CUBE, 2, 24)
+        dist = DkDistribution(k=4, dimension=2)
+        P = TrigPolynomial({(1, 0): 0.6, (3, 0): -0.4, (0, 1): 0.3})
+        root = math.sqrt(2)
+        b = root * np.array([1.9, -0.2, 1.2, -1.7, 0.3, 1.5, -1.2, 1.0, 1.0001])
+        idx = np.full(len(b), enumerate_ball(4, 2).index((2, 0)))
+        c = dist.importance_weights(P, idx, b) / len(b)
+        assert np.array_equal(c == 0.0, b > root)
+        got = relu._network_values(dist.directions, idx, b, c, grid.nodes)
+        want = network_values_every_feature(dist.directions, idx, b, c, grid.nodes)
+        assert np.array_equal(got, want) and np.any(got != 0.0)
+
+    def test_weights_off_the_term_rays_are_positive_zeros(self):
+        """A feature on a ray with no term of P weighs +0.0, as ``Q/|ray| * 0.0`` does;
+        those on the term rays keep the bits of weighting every ray."""
+        dist = DkDistribution(k=4, dimension=2)
+        P = self._polynomial("reflected_abs", dist)
+        idx, b = dist.sample_indices(np.random.default_rng(11), 4096)
+        got = dist.importance_weights(P, idx, b)
+        ray_of, _ = dist.rays
+        ball = enumerate_ball(4, 2)
+        on = np.isin(ray_of[idx], [ray_of[ball.index(K)] for K in P.terms])
+        assert 0 < np.count_nonzero(on) < len(on)
+        assert np.all(got[~on] == 0.0) and not np.any(np.signbit(got[~on]))
+        want = importance_weights_every_ray(dist, P, idx, b)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_a_draw_past_the_cap_is_refused_before_it_is_made(self, monkeypatch,
+                                                               cube_grid_1d):
+        """A width-r network draws d + 1 numbers per feature; past the active cap it
+        raises before drawing."""
+        P = TrigPolynomial({(1,): 0.7})
+        dist = DkDistribution(k=1, dimension=1)
+        monkeypatch.setenv("WIDTHLAB_CAP", "64")
+        sample_average_network(P, 32, dist, seed=3, grid=cube_grid_1d)
+
+        def refuse(*args):
+            raise AssertionError("drawn past the cap")
+
+        monkeypatch.setattr(dist, "sample_indices", refuse)
+        with pytest.raises(CapExceeded, match="width-33 network draws 66 numbers"):
+            sample_average_network(P, 33, dist, seed=3, grid=cube_grid_1d)
+        monkeypatch.delenv("WIDTHLAB_CAP")
+        with pytest.raises(CapExceeded):
+            sample_average_network(P, 10**10, dist, seed=3, grid=cube_grid_1d)
 
     def test_traced_peak_stays_small(self, cube_grid_2d):
         """At r = 4096 on a 24^2 grid one design buffer alone would take 18.9 MB;
