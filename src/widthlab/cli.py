@@ -43,7 +43,8 @@ from .approx import (
 )
 from .caps import active_cap
 from .errors import CapExceeded, InvalidInput, NumericalFailure, ParameterOutOfRange
-from .fitter import estimate_minwidth, success_probability, width_residuals, wilson_interval
+from .fitter import check_sampling_cap, estimate_minwidth, success_probability
+from .fitter import width_residuals, wilson_interval
 from .hermite import HermitePolynomial, _degree_budget, _simplex_count, hermite_truncate
 from .lattice import check_ball_cap, count_ball, enumerate_ball, radius_sq_bound
 from .lowerbound import (
@@ -212,13 +213,11 @@ def _read(params: dict, table: dict, p=None, where: str = "", read=()) -> Simple
     return out
 
 
-def _cap(what: str, size: int, per_width: int | None = None) -> None:
-    """Refuse ``size`` past the active cap; a size of ``per_width`` times a width
-    names the widest width that fits."""
+def _cap(what: str, size: int) -> None:
+    """Refuse ``size`` past the active cap."""
     limit = active_cap()
     if size > limit:
-        fits = "" if per_width is None else f"; the widest width that fits is {limit // per_width}"
-        raise CapExceeded(f"{what} exceeds the cap {limit}{fits}")
+        raise CapExceeded(f"{what} exceeds the cap {limit}")
 
 
 _TERMS = _P({"K": _P("int", many="K"), "beta": _P("real")}, many="terms")
@@ -314,13 +313,11 @@ def _node_count(p) -> int:
 
 
 def _check_sampling(p) -> None:
-    """Distinct widths; the trials' draws and the design matrix at the widest width."""
+    """Distinct widths; the trials' draws and the design matrix at the widest width
+    (:func:`fitter.check_sampling_cap`)."""
     if hasattr(p, "r") and len(set(p.r)) < len(p.r):
         raise ConfigError(f"parameter 'r_list' must not repeat a width, got {p.r}")
-    widest = p.r_max if hasattr(p, "r_max") else max(p.r)
-    _cap(f"trials x max(r) = {p.trials} x {widest}", p.trials * widest, p.trials)
-    nodes = _node_count(p)
-    _cap(f"design matrix of {nodes} grid nodes x {widest} features", nodes * widest, nodes)
+    check_sampling_cap(p.trials, p.r_max if hasattr(p, "r_max") else max(p.r), _node_count(p))
 
 
 def _check_projection(p) -> None:

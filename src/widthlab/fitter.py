@@ -59,6 +59,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import lapack_lite
 
+from .caps import active_cap
 from .errors import CapExceeded, EmptyFeatureList, ParameterOutOfRange
 from .quadrature import Grid, evaluate_on
 from .relu import FittedSpan, ReluParamDist, _check_features
@@ -96,8 +97,8 @@ class _Weighted(NamedTuple):
     """Targets as every solve takes them: the square roots ``(n,)`` of the grid's
     weights, the targets scaled by them ``(n, m)``, and the squared norms ``(m,)`` of
     those columns.  :func:`width_residuals` and :func:`success_probability` take this
-    form in place of the targets, so a caller can keep it across runs
-    (``lowerbound._weighted_family``)."""
+    form in place of the targets, and :func:`_weighted_lstsq` only this form, so a
+    caller can keep it across runs (``lowerbound._weighted_family``)."""
 
     root_w: np.ndarray
     rhs: np.ndarray
@@ -119,6 +120,19 @@ def _weighted(targets: np.ndarray, weights: np.ndarray) -> _Weighted:
         raise FloatingPointError("the weighted targets on the grid, or their squared norms, "
                                  "are not finite")
     return _Weighted(root_w, rhs, norm_sq)
+
+
+def check_sampling_cap(trials: int, widest: int, nodes: int) -> None:
+    """Raise :class:`CapExceeded` when the draws of ``trials`` trials ``widest``
+    features wide, or one design matrix of ``nodes`` grid nodes by ``widest``
+    features, pass the active cap; the message names the widest width that fits.
+    The trial entries check it before they draw, the CLI before it builds a grid."""
+    limit = active_cap()
+    for what, per_width in ((f"trials x max(r) = {trials} x {widest}", trials),
+                            (f"design matrix of {nodes} grid nodes x {widest} features", nodes)):
+        if per_width * widest > limit:
+            raise CapExceeded(f"{what} exceeds the cap {limit}; "
+                              f"the widest width that fits is {limit // per_width}")
 
 
 def _lapack(routine: str, *args) -> None:
@@ -323,16 +337,17 @@ class _Factors:
 
 
 def _weighted_lstsq(W: np.ndarray, b: np.ndarray, grid: Grid,
-                    targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Project ``targets`` ``(n,)`` or ``(n, m)`` onto the span of the features ``(W, b)``
-    in the grid's weighted L2 norm; returns (coefficients, residual norms).
+                    targets: _Weighted) -> tuple[np.ndarray, np.ndarray]:
+    """Project the weighted targets (:class:`_Weighted`, ``m`` of them) onto the span of
+    the features ``(W, b)`` in the grid's weighted L2 norm; returns the coefficients
+    ``(r, m)`` and the residual norms ``(m,)``.
 
     ``(W, b)``, checked against the grid, is factored as a batch of one trial
     (:class:`_Factors`), so it gives the bits a trial with the same draw gives.
     Features ``ReluParamDist.live`` leaves out get coefficient 0.
     """
     _check_features(W, b, grid.nodes.shape[1])
-    root_w, rhs, norm_sq = _weighted(targets, grid.weights)
+    root_w, rhs, norm_sq = targets
     factors = _Factors(ReluParamDist, [(W, b)], grid.column_major_nodes, root_w, rhs, norm_sq)
     w = int(factors.live[0, -1])
     coeffs, norms = np.zeros((len(W), rhs.shape[1])), factors.target_norms
@@ -340,9 +355,7 @@ def _weighted_lstsq(W: np.ndarray, b: np.ndarray, grid: Grid,
         norms, solved = _solve_block(*factors.block(np.zeros(1, dtype=np.intp), w),
                                      coefficients=True)
         norms, coeffs[factors.mask[0]] = norms[0], solved[0]
-    if targets.ndim == 2:
-        return coeffs, norms
-    return coeffs[:, 0], norms[0]
+    return coeffs, norms
 
 
 def fit_span(W: np.ndarray, b: np.ndarray, f, grid: Grid) -> FittedSpan:
@@ -361,8 +374,9 @@ def fit_span(W: np.ndarray, b: np.ndarray, f, grid: Grid) -> FittedSpan:
     if not len(b):
         raise EmptyFeatureList("cannot fit over an empty feature list")
     W, b = np.asarray(W, dtype=float), np.asarray(b, dtype=float)
-    coeffs, residual = _weighted_lstsq(W, b, grid, evaluate_on(f, grid.nodes))
-    return FittedSpan(W=W, b=b, coefficients=coeffs, l2_error=float(residual),
+    targets = _weighted(evaluate_on(f, grid.nodes), grid.weights)
+    coeffs, norms = _weighted_lstsq(W, b, grid, targets)
+    return FittedSpan(W=W, b=b, coefficients=coeffs[:, 0], l2_error=float(norms[0]),
                       grid_id=grid.spec.label())
 
 
@@ -429,6 +443,7 @@ def width_residuals(targets: np.ndarray, grid: Grid, dist, widths, seed,
     targets given weighted (:class:`_Weighted`), as a study keeps them.
     """
     widths = [int(v) for v in widths]
+    check_sampling_cap(trials, max(widths), grid.nodes.shape[0])
     kept = isinstance(targets, _Weighted)
     root_w, rhs, norm_sq = targets if kept else _weighted(targets, grid.weights)
     out = np.empty((trials, len(widths), rhs.shape[1]))
@@ -462,6 +477,7 @@ def success_probability(f, epsilon: float, dist, r, trials: int,
         raise ParameterOutOfRange(f"widths must be >= 1, got {r}")
     if epsilon <= 0:
         raise ParameterOutOfRange(f"epsilon must be positive, got {epsilon}")
+    check_sampling_cap(trials, max(widths), grid.nodes.shape[0])
     root_w, rhs, norm_sq = (f if isinstance(f, _Weighted)
                             else _weighted(evaluate_on(f, grid.nodes), grid.weights))
     counts = np.zeros(len(widths), dtype=np.intp)
@@ -558,6 +574,7 @@ def estimate_minwidth(f, epsilon: float, delta: float, dist,
         raise ParameterOutOfRange(f"trials must be >= 1, got {trials}")
     if epsilon <= 0:
         raise ParameterOutOfRange(f"epsilon must be positive, got {epsilon}")
+    check_sampling_cap(trials, r_max, grid.nodes.shape[0])
     threshold = 1.0 - delta
     root_w, rhs, norm_sq = _weighted(evaluate_on(f, grid.nodes), grid.weights)
     first = np.zeros(trials, dtype=np.intp)  # r*_t, or 0 while trial t has not passed

@@ -60,46 +60,25 @@ class FunctionFamily:
         return len(self.members)
 
 
-def _tensor_index(family: FunctionFamily, grid: Grid) -> np.ndarray | None:
-    """The family's indices as an ``(N, d)`` array when its values are built from
-    per-axis tables, on a tensor grid, else ``None``."""
-    if family.indices is None or grid.spec.scheme != TENSOR_GAUSS:
-        return None
-    return np.array(family.indices, dtype=int).reshape(len(family), len(grid.axes))
+def _value_matrix(family: FunctionFamily, grid: Grid) -> np.ndarray:
+    """The members' values at the grid nodes, member ``i`` in column ``i`` of one
+    ``(n, N)`` array, built afresh and not kept.
 
-
-def _built_values(family: FunctionFamily, grid: Grid) -> np.ndarray:
-    """:func:`_value_matrix`'s values, built afresh and not kept."""
-    index = _tensor_index(family, grid)
-    if index is not None:
-        values = _basis_on_axes(index, grid.axes)
-        values.setflags(write=False)
-        return values
+    On a tensor grid whose nodes are the product of its axes (``grid.axes``), a
+    family with ``indices`` is built from per-axis tables
+    (:func:`trig._basis_on_axes`), agreeing with ``eval_T`` to rounding, in a
+    column-major array, so the solves read each member's values contiguously.
+    Every other family or grid gets ``evaluate_on``'s values in a row-major
+    array: the BLAS sums over a column depend on its stride, so its
+    projections keep their bits.
+    """
+    if family.indices is not None and grid.spec.scheme == TENSOR_GAUSS and grid.axes is not None:
+        index = np.array(family.indices, dtype=int).reshape(len(family), len(grid.axes))
+        return _basis_on_axes(index, grid.axes)
     out = np.empty((grid.nodes.shape[0], len(family)))
     for i, member in enumerate(family.members):
         out[:, i] = evaluate_on(member, grid.nodes)
     return out
-
-
-def _value_matrix(family: FunctionFamily, grid: Grid) -> np.ndarray:
-    """The members' values at the grid nodes, member ``i`` in column ``i`` of one
-    ``(n, N)`` array.
-
-    On a tensor grid a family with ``indices`` is built from per-axis tables
-    (:func:`trig._basis_on_axes`), agreeing with ``eval_T`` to rounding, in a
-    column-major array, so the solves read each member's values contiguously.
-    That array is read-only and kept in the process memo
-    (:func:`quadrature.memoized`), keyed by the indices and the axes, all it
-    is built from, so the runs of one study build it once.  Every other
-    family or grid gets ``evaluate_on``'s values in a row-major array: the
-    BLAS sums over a column depend on its stride, so its projections keep
-    their bits.
-    """
-    index = _tensor_index(family, grid)
-    if index is None:
-        return _built_values(family, grid)
-    key = ("values", index.shape, index.tobytes(), *(axis.tobytes() for axis in grid.axes))
-    return memoized(key, partial(_built_values, family, grid), lambda values: values.nbytes)
 
 
 def _kept_weighted(key: tuple, values: Callable[[], np.ndarray], grid: Grid) -> _Weighted:
@@ -129,7 +108,7 @@ def _weighted_family(family: FunctionFamily, grid: Grid) -> _Weighted:
     ``fitter.width_residuals`` takes them; a family with ``indices`` is kept under
     them (:func:`_kept_weighted`), the others weighted on every call.  The values
     are built for the weighting and not kept: the memo holds one copy of a family."""
-    values = partial(_built_values, family, grid)
+    values = partial(_value_matrix, family, grid)
     if family.indices is None:
         return _weighted(values(), grid.weights)
     index = np.array(family.indices, dtype=int)
@@ -180,10 +159,11 @@ def projection_residuals(W: np.ndarray, b: np.ndarray, family: FunctionFamily,
     feature design matrix gives exactly the per-member ``fit_span``
     residuals; tiny negative values from grid noise are clipped to zero.
     ``r = 0`` (``W`` of shape ``(0, d)``), like a span of features dead on the
-    grid, returns the squared member norms.
+    grid, returns the squared member norms.  The members are read weighted
+    (:func:`_weighted_family`), kept across calls on a built grid.
     """
     W, b = np.asarray(W, dtype=float), np.asarray(b, dtype=float)
-    _, norms = _weighted_lstsq(W, b, grid, _value_matrix(family, grid))
+    _, norms = _weighted_lstsq(W, b, grid, _weighted_family(family, grid))
     residuals = np.maximum(norms**2, 0.0)
     kappa = family.coherence
     if kappa is None:

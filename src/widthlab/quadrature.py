@@ -204,7 +204,7 @@ def check_grid_cap(spec: QuadratureSpec) -> None:
         raise CapExceeded(f"tensor grid of {d} axes exceeds the d <= {_MAX_TENSOR_DIM} cap")
 
 
-# Bytes of grids and hard-family values a process keeps for reuse (see :func:`memoized`).
+# Bytes of grids, weighted targets and balls a process keeps for reuse (see :func:`memoized`).
 _MEMO_BYTES = 16 * 2**20
 
 

@@ -52,15 +52,19 @@ from .trig import SQRT2, TrigPolynomial
 
 
 def _check_features(W: np.ndarray, b: np.ndarray, d: int) -> None:
-    """Raise :class:`DimensionMismatch` unless ``W`` has shape ``(len(b), d)``, and
-    :class:`NotUnitNorm` unless each of its rows has norm 1 within 1e-12."""
+    """Raise :class:`DimensionMismatch` unless ``W`` has shape ``(len(b), d)``,
+    :class:`NotUnitNorm` unless each of its rows has norm 1 within 1e-12 (a NaN
+    row has none), and :class:`ParameterOutOfRange` unless each bias is finite."""
     if np.shape(W) != (len(b), d):
         raise DimensionMismatch(f"feature weights have shape {np.shape(W)}, "
                                 f"expected ({len(b)}, {d})")
     norms = np.linalg.norm(W, axis=1)
-    off = np.flatnonzero(np.abs(norms - 1.0) > 1e-12)
+    off = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-12))
     if len(off):
         raise NotUnitNorm(f"feature weight has norm {norms[off[0]]!r}, expected 1")
+    bad = np.asarray(b)[~np.isfinite(b)]
+    if len(bad):
+        raise ParameterOutOfRange(f"feature bias {bad[0]!r} is not finite")
 
 
 def _relu(a: np.ndarray, c: np.ndarray, bias: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -16,13 +16,19 @@ from numpy.testing import assert_allclose
 
 import widthlab
 from widthlab import (
+    GAUSSIAN,
+    TENSOR_GAUSS,
     UNIFORM_CUBE,
     DkDistribution,
     InvalidCapSetting,
     ParameterOutOfRange,
+    QuadratureSpec,
     active_cap,
+    coherence,
     estimate_minwidth,
+    gaussian_hard_family,
     hard_family_symmetric,
+    make_grid,
     projection_residuals,
     reflect_and_truncate,
     tensor_gauss_grid,
@@ -310,6 +316,31 @@ class TestStochasticKinds:
         assert lines[0] == "trial,member,residual"
         assert len(lines) == 1 + 4 * 2  # trials x members
 
+    def test_lb_projection_of_a_gaussian_family(self, tmp_path):
+        """The packed ridge sines on the default Gaussian grid: the reported kappa is the
+        family's coherence, the members have unit norm, no mean falls below its bound,
+        and a rerun writes the same CSVs byte for byte."""
+        doc = {"kind": "lb_projection",
+               "parameters": {"d": 2, "family": {"type": "gaussian", "L": 2, "N": 5},
+                              "r_list": [0, 2, 4], "trials": 3, "seed": 7},
+               "output_path": "g"}
+        runs = [_run(tmp_path, doc, out=f"out{i}") for i in range(2)]
+        for code, _, _ in runs:
+            assert code == 0
+        results = runs[0][1]["results"]
+        grid = make_grid(QuadratureSpec(GAUSSIAN, TENSOR_GAUSS, 2,
+                                        nodes_per_dim=cli._DEFAULT_NODES[GAUSSIAN][2]))
+        family = gaussian_hard_family(2.0, 5, 2, 7, grid)
+        assert results["family"]["kappa"] == coherence(family, grid)
+        out_dir = runs[0][2]
+        r0 = (out_dir / "g_r0_residuals.csv").read_text().splitlines()[1:]
+        assert len(r0) == 3 * 5
+        assert_allclose([float(row.split(",")[2]) for row in r0], 1.0, rtol=0, atol=1e-12)
+        for entry in results["per_r"]:
+            assert entry["mean_residual"] >= entry["bound"] - 1e-12, entry["r"]
+        for name in runs[0][1]["csv_files"]:
+            assert (runs[1][2] / name).read_bytes() == (out_dir / name).read_bytes()
+
     def test_lb_explicit_from_lipschitz_budget(self, tmp_path):
         code, result, _ = _run(tmp_path, {
             "kind": "lb_explicit",
@@ -409,25 +440,24 @@ class TestTrialEngine:
 
     def test_family_is_evaluated_once_per_run(self, tmp_path, monkeypatch):
         """With nothing kept yet, a run evaluates its family once, for its weighted
-        form, and keeps only that form: no ``("values", ...)`` entry, whose
-        weighted bits the kept form has."""
+        form, and keeps only that form, with the bits of weighting its values."""
         memo = quadrature._Memo(quadrature._MEMO_BYTES)
         monkeypatch.setattr(quadrature, "_MEMO", memo)
         calls = []
-        original = lowerbound._built_values
+        original = lowerbound._value_matrix
 
         def counting(family, grid):
             calls.append(len(family))
             return original(family, grid)
 
-        monkeypatch.setattr(lowerbound, "_built_values", counting)
+        monkeypatch.setattr(lowerbound, "_value_matrix", counting)
         code, _, _ = _run(tmp_path, self._DOC)
         assert code == 0
         assert calls == [3]
         kept = {key[0]: value for key, (value, _) in memo.entries.items()}
         assert sorted(kept) == ["ball", "grid", "weighted"]
         grid = kept["grid"]
-        values = lowerbound._value_matrix(lowerbound.hard_family_symmetric(2, 3), grid)
+        values = original(lowerbound.hard_family_symmetric(2, 3), grid)
         for got, want in zip(kept["weighted"], fitter._weighted(values, grid.weights)):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 

@@ -17,6 +17,7 @@ from widthlab import (
     evaluate_on,
     fit_span,
     hard_family_ball,
+    projection_residuals,
     success_probability,
     tensor_gauss_grid,
     wilson_interval,
@@ -97,6 +98,24 @@ class TestFitSpan:
             width_residuals(f(cube_grid_1d.nodes), cube_grid_1d, dist, [2], 1, trials=2)
         with pytest.raises(FloatingPointError, match="not finite"):
             estimate_minwidth(f, 0.1, 0.5, dist, cube_grid_1d, trials=2, r_max=4, seed=1)
+
+    @pytest.mark.parametrize("entry", [
+        lambda W, b, grid: fit_span(W, b, lambda X: np.cos(X[:, 0]), grid),
+        lambda W, b, grid: projection_residuals(W, b, hard_family_ball(1, 1), grid),
+        lambda W, b, grid: FittedSpan(W=W, b=b, coefficients=np.zeros(len(b)), l2_error=0.0,
+                                      grid_id="g"),
+    ], ids=["fit_span", "projection_residuals", "FittedSpan"])
+    @pytest.mark.parametrize("weight, bias, error", [
+        (np.nan, 0.5, NotUnitNorm),
+        (1.0, np.nan, ParameterOutOfRange),
+        (1.0, np.inf, ParameterOutOfRange),
+        (1.0, -np.inf, ParameterOutOfRange),
+    ], ids=["nan_row", "nan_bias", "inf_bias", "minus_inf_bias"])
+    def test_non_finite_features_are_refused(self, entry, weight, bias, error, cube_grid_1d):
+        """A NaN weight row has no unit norm, and a bias must be finite."""
+        W, b = np.array([[1.0], [weight]]), np.array([0.25, bias])
+        with pytest.raises(error):
+            entry(W, b, cube_grid_1d)
 
     def test_coefficient_count_enforced(self):
         """``W``, ``b`` and the coefficients must have one entry per feature."""
@@ -326,6 +345,41 @@ class TestEstimateMinwidth:
             estimate_minwidth(lambda X: X[:, 0], 0.1, 0.0,
                               DkDistribution(k=1, dimension=1), cube_grid_1d,
                               trials=5, r_max=8, seed=42)
+
+
+class TestSamplingCap:
+    """``fitter.check_sampling_cap``, the CLI's rule, in every trial entry."""
+
+    @pytest.mark.parametrize("trials, widest, message", [
+        (2, 100, "design matrix of 24 grid nodes x 100 features exceeds the cap 1000; "
+                  "the widest width that fits is 41"),
+        (100, 20, "trials x max(r) = 100 x 20 exceeds the cap 1000; "
+                  "the widest width that fits is 10"),
+    ], ids=["design", "draws"])
+    @pytest.mark.parametrize("entry", ["success_probability", "width_residuals",
+                                       "estimate_minwidth"])
+    def test_sampling_past_the_cap_is_refused_before_a_draw(self, monkeypatch, entry, trials,
+                                                            widest, message):
+        """The trial entries refuse what the CLI refuses (``fitter.check_sampling_cap``),
+        with its message, before they draw."""
+        grid = tensor_gauss_grid(UNIFORM_CUBE, 1, 24)
+        dist = DkDistribution(k=2, dimension=1)
+        f = lambda X: np.abs(X[:, 0])
+        draws = []
+        monkeypatch.setattr(fitter, "_draw", lambda *args: draws.append(args))
+        monkeypatch.setenv("WIDTHLAB_CAP", "1000")
+        calls = {
+            "success_probability": lambda: success_probability(f, 0.1, dist, widest, trials,
+                                                               grid, 1),
+            "width_residuals": lambda: width_residuals(f(grid.nodes), grid, dist, [widest], 1,
+                                                       trials),
+            "estimate_minwidth": lambda: estimate_minwidth(f, 0.1, 0.5, dist, grid, trials,
+                                                           widest, 1),
+        }
+        with pytest.raises(CapExceeded) as raised:
+            calls[entry]()
+        assert str(raised.value) == message
+        assert draws == []
 
 
 def _success_from_residuals(f, epsilon, dist, widths, trials, grid, seed):

@@ -34,7 +34,7 @@ from widthlab import (
     tensor_gauss_grid,
 )
 from widthlab.fitter import _weighted, width_residuals
-from widthlab import quadrature
+from widthlab import lowerbound, quadrature
 from widthlab.lowerbound import _value_matrix, _weighted_family, _weighted_hard
 from widthlab.relu import ReluParamDist
 
@@ -346,19 +346,47 @@ class TestValueMatrix:
             for K, column in zip(family.indices, values.T):
                 assert np.max(np.abs(column - eval_T(K, grid.nodes))) <= 1e-14, K
 
-    def test_values_are_kept_read_only_and_keyed_by_the_axes(self, monkeypatch):
-        monkeypatch.setattr(quadrature, "_MEMO", quadrature._Memo(quadrature._MEMO_BYTES))
+    def test_a_hand_built_grid_gets_its_own_values(self):
+        """A hand-built grid with the spec of another but its own nodes is evaluated
+        at its own nodes."""
         grid = tensor_gauss_grid(UNIFORM_CUBE, 2, 6)
         family = hard_family_ball(2, 2)
-        values = _value_matrix(family, grid)
-        assert not values.flags.writeable
-        assert _value_matrix(hard_family_ball(2, 2), grid) is values
-        assert _value_matrix(hard_family_symmetric(1, 2), grid) is not values
-        # a hand-built grid with the spec of another but its own nodes gets its own values
         moved = Grid(spec=grid.spec, nodes=grid.nodes / 2.0, weights=grid.weights)
         other = _value_matrix(family, moved)
         for K, column in zip(family.indices, other.T):
             assert np.max(np.abs(column - eval_T(K, moved.nodes))) <= 1e-14, K
+
+    def test_a_permuted_tensor_grid_gets_the_values_of_its_nodes(self):
+        """Nodes that are not the product of axes are evaluated member by member, and
+        give the product grid's coherence and residuals to rounding."""
+        grid = tensor_gauss_grid(UNIFORM_CUBE, 2, 12)
+        order = np.random.default_rng(0).permutation(len(grid.nodes))
+        permuted = Grid(spec=grid.spec, nodes=grid.nodes[order], weights=grid.weights[order])
+        assert permuted.axes is None
+        W, b = _relu_features(np.random.default_rng(1), 6, 2)
+        for family in (hard_family_ball(1, 2), hard_family_symmetric(1, 2)):
+            assert_allclose(coherence(family, permuted), coherence(family, grid),
+                            rtol=0, atol=1e-12)
+            assert_allclose(projection_residuals(W, b, family, permuted).residuals,
+                            projection_residuals(W, b, family, grid).residuals,
+                            rtol=0, atol=1e-12)
+
+    def test_projections_reuse_the_kept_weighted_family(self, monkeypatch):
+        """A second projection of a family on a built grid reads the weighted form the
+        first kept, and the memo holds no other copy of the family."""
+        memo = quadrature._Memo(quadrature._MEMO_BYTES)
+        monkeypatch.setattr(quadrature, "_MEMO", memo)
+        grid = tensor_gauss_grid(UNIFORM_CUBE, 2, 6)
+        calls = []
+        original = lowerbound._value_matrix
+        monkeypatch.setattr(lowerbound, "_value_matrix",
+                            lambda family, grid: calls.append(1) or original(family, grid))
+        W, b = _relu_features(np.random.default_rng(3), 4, 2)
+        first = projection_residuals(W, b, hard_family_ball(2, 2), grid)
+        second = projection_residuals(W, b, hard_family_ball(2, 2), grid)
+        assert calls == [1]
+        assert np.array_equal(_bits(first.residuals), _bits(second.residuals))
+        assert sorted(key[0] for key in memo.entries) == ["ball", "grid", "weighted"]
 
     def test_weighted_targets_are_kept_on_built_grids_only(self, monkeypatch):
         """The weighted family and hard function are kept read-only under what they are
