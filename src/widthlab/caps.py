@@ -7,7 +7,7 @@ the ``WIDTHLAB_CAP`` environment variable, else 10^7 entries.
 
 import os
 
-from .errors import InvalidCapSetting
+from .errors import CapExceeded, InvalidCapSetting
 
 DEFAULT_CAP = 10_000_000
 
@@ -22,3 +22,10 @@ def active_cap() -> int:
     if cap < 1:
         raise InvalidCapSetting(f"WIDTHLAB_CAP must be a positive integer, got {env!r}")
     return cap
+
+
+def _cap(what: str, size: int) -> None:
+    """Refuse ``size`` past the active cap with :class:`CapExceeded` naming ``what``."""
+    limit = active_cap()
+    if size > limit:
+        raise CapExceeded(f"{what} exceeds the cap {limit}")

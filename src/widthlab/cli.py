@@ -41,14 +41,16 @@ from .approx import (
     truncate_periodic,
     truncate_sobolev,
 )
-from .caps import active_cap
+from .caps import _cap, active_cap
 from .errors import CapExceeded, InvalidInput, NumericalFailure, ParameterOutOfRange
 from .fitter import check_sampling_cap, estimate_minwidth, success_probability
 from .fitter import width_residuals, wilson_interval
 from .hermite import HermitePolynomial, _degree_budget, _simplex_count, hermite_truncate
-from .lattice import check_ball_cap, count_ball, enumerate_ball, radius_sq_bound
+from .lattice import _check_ball_table, check_ball_cap, count_ball, enumerate_ball, radius_sq_bound
 from .lowerbound import (
-    _pool_size,
+    _check_pool,
+    _check_symmetric,
+    _check_values,
     _weighted_family,
     _weighted_hard,
     explicit_hard_function,
@@ -170,10 +172,8 @@ def _convert(key: str, spec: _P, raw, p):
     value = int(raw) if spec.type == "int" else float(raw) if spec.type == "real" else raw
     if spec.range and not _RANGES[spec.range](value):
         raise ConfigError(f"parameter {key!r} must be {spec.range}, got {value}")
-    if spec.cap == "ball":  # its indices, and a distribution's directions, hold Q d entries
-        check_ball_cap(value, p.d)
-        q = count_ball(value, p.d)
-        _cap(f"ball k={value}, d={p.d} of {q} indices x {p.d} coordinates", q * p.d)
+    if spec.cap == "ball":
+        _check_ball_table(value, p.d)
     elif spec.cap:
         _cap(f"{key} = {value}", value)
     return value
@@ -211,13 +211,6 @@ def _read(params: dict, table: dict, p=None, where: str = "", read=()) -> Simple
     for name, spec in table.items():
         setattr(out, name, _value(params, name, spec, out if p is None else p, where))
     return out
-
-
-def _cap(what: str, size: int) -> None:
-    """Refuse ``size`` past the active cap."""
-    limit = active_cap()
-    if size > limit:
-        raise CapExceeded(f"{what} exceeds the cap {limit}")
 
 
 _TERMS = _P({"K": _P("int", many="K"), "beta": _P("real")}, many="terms")
@@ -288,14 +281,9 @@ def _family(raw, key, p) -> dict:
     if kind == "symmetric":
         if f.ell > p.d:
             raise ConfigError(f"need 1 <= ell <= d, got ell={f.ell}, d={p.d}")
-        # C(d, m) >= 2^m for m <= d/2, which passes the cap once m reaches its bit length
-        m = min(f.ell, p.d - f.ell, active_cap().bit_length())
-        _cap(f"symmetric family C({p.d}, {f.ell})", math.comb(p.d, m))
+        _check_symmetric(f.ell, p.d)
     elif kind == "gaussian":
-        # the packing holds a pool of directions in R^d and their separations from all N chosen
-        pool = _pool_size(f.N)
-        _cap(f"gaussian family pool of {pool} directions x max(N, d) = {max(f.N, p.d)}",
-             pool * max(f.N, p.d))
+        _check_pool(f.N, p.d)
     return {"type": kind, **vars(f)}
 
 
@@ -330,8 +318,7 @@ def _check_projection(p) -> None:
         members = count_ball(family["k"], p.d)
     else:
         members = family["N"]
-    nodes = _node_count(p)
-    _cap(f"value matrix of {members} members x {nodes} grid nodes", members * nodes)
+    _check_values(members, _node_count(p))
     _cap(f"residuals of {p.trials} trials x {len(p.r)} widths x {members} members",
          p.trials * len(p.r) * members)
 
@@ -529,7 +516,7 @@ def _run_lb_projection(p, run: _Run) -> dict:
     # One draw and one factor per trial, at the widest r, for every r; r = 0 reads the
     # member norms, as a trial with no live feature does.
     norms = width_residuals(_weighted_family(family, grid), grid, dist, p.r, p.seed, p.trials)
-    squared = np.maximum(norms**2, 0.0)  # (trial, r, member)
+    squared = norms**2  # (trial, r, member)
     cells = _fmt(np.moveaxis(squared, 1, 0))  # r by r, each trial by trial
     # each member's squares over the trials in one contiguous row: the bits of its
     # column's mean

@@ -26,10 +26,12 @@ prefix of that draw; each trial's
 bisection then opens at its tail-bound count, the first count whose part
 outside the span is within ``epsilon`` (:func:`_first_passing`).
 
-Every trial loop runs over :func:`_factored`, which factors the draws its
-caller supplies: a fresh draw per trial at the widest width for
-:func:`width_residuals` and :func:`success_probability`, a prefix of each
-held draw, or a fresh draw past the budget, for :func:`estimate_minwidth`.
+The trial entries share one argument check (:func:`_check_entry`).  Every
+trial loop runs over :func:`_factored`, which factors the draws its caller
+supplies: one per trial at the widest width in the one width loop
+(:func:`_at_widths`) of :func:`width_residuals` and :func:`success_probability`;
+a prefix of each held draw, or a fresh draw past the budget, for
+:func:`estimate_minwidth`.
 Residuals are read through :meth:`_Factors.norms` (:func:`width_residuals`);
 success decisions, all that the success probability and the width search
 need, through :meth:`_Factors.passes`, which gives the decision of ``norms``
@@ -135,6 +137,20 @@ def check_sampling_cap(trials: int, widest: int, nodes: int) -> None:
                               f"the widest width that fits is {limit // per_width}")
 
 
+def _check_entry(trials: int, widths: list[int], least: int, name: str, given,
+                 nodes: int, epsilon: float | None = None) -> None:
+    """The trial entries' one check before any draw: at least one trial, a width, each
+    at least ``least`` (the caller's parameter ``name``, given as ``given``), a positive
+    ``epsilon`` where one is given, and the sampling cap (:func:`check_sampling_cap`)."""
+    if trials < 1:
+        raise ParameterOutOfRange(f"trials must be >= 1, got {trials}")
+    if not widths or min(widths) < least:
+        raise ParameterOutOfRange(f"{name} must be >= {least}, got {given}")
+    if epsilon is not None and epsilon <= 0:
+        raise ParameterOutOfRange(f"epsilon must be positive, got {epsilon}")
+    check_sampling_cap(trials, max(widths), nodes)
+
+
 def _lapack(routine: str, *args) -> None:
     """Call the ``lapack_lite`` binding named ``routine`` with ``info`` appended; a
     nonzero ``info`` raises ``LinAlgError``."""
@@ -191,10 +207,9 @@ def _qr_in_place(stack: np.ndarray, form_q: bool) -> np.ndarray:
 
 
 def _factor(columns, draws: tuple, count: int, w: int, nodes: np.ndarray,
-            root_w: np.ndarray, rhs: np.ndarray,
-            norm_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            targets: _Weighted) -> tuple[np.ndarray, np.ndarray]:
     """One Householder QR per design ``A`` of the ``count`` draws ``draws``, stacked by
-    trial, ``w`` features each, at ``nodes``.
+    trial, ``w`` features each, at ``nodes``, against the weighted ``targets``.
 
     One call ``columns(draws, nodes, out)`` writes every design, one row per
     column, into its slot of one stack of ``n``-long rows, the layout
@@ -212,6 +227,7 @@ def _factor(columns, draws: tuple, count: int, w: int, nodes: np.ndarray,
     ``_DOWNDATE`` times ``norm_sq`` it is recomputed as ``|rhs - Q Q^T rhs|^2``
     for that trial and target.
     """
+    root_w, rhs, norm_sq = targets
     n, m = rhs.shape
     joined = m < w
     stack = np.empty((count, w + m if joined else w, n))
@@ -276,17 +292,16 @@ class _Factors:
     common smaller count, and a count of 0 reads the targets' norms.
     """
 
-    def __init__(self, dist, draws: list, nodes: np.ndarray, root_w: np.ndarray,
-                 rhs: np.ndarray, norm_sq: np.ndarray):
+    def __init__(self, dist, draws: list, nodes: np.ndarray, targets: _Weighted):
         stacked = tuple(map(np.stack, zip(*draws)))
         self.mask = dist.live(stacked, nodes)
-        (trials, w), (n, m) = self.mask.shape, rhs.shape
+        (trials, w), (n, m) = self.mask.shape, targets.rhs.shape
         self.live = np.zeros((trials, w + 1), dtype=np.intp)
         np.cumsum(self.mask, axis=1, out=self.live[:, 1:])
         self.R = np.zeros((trials, min(n, w), w))
         self.C = np.zeros((trials, min(n, w) + m + 1, m))
         self.tails = np.zeros_like(self.C)
-        self.target_norms = np.sqrt(norm_sq)
+        self.target_norms = np.sqrt(targets.norm_sq)
         for count in np.flatnonzero(np.bincount(self.live[:, w])[1:]) + 1:
             group = np.flatnonzero(self.live[:, w] == count)
             rows = count + m if m < count else count  # the rows of one slot of the stack
@@ -296,8 +311,7 @@ class _Factors:
                 keep = self.mask[sel]
                 live_draws = tuple(part[sel][keep].reshape(len(sel), count, *part.shape[2:])
                                    for part in stacked)
-                R, C = _factor(dist.columns, live_draws, len(sel), count, nodes, root_w, rhs,
-                               norm_sq)
+                R, C = _factor(dist.columns, live_draws, len(sel), count, nodes, targets)
                 self.R[sel, :R.shape[1], :count] = R
                 self.C[sel, :C.shape[1]] = C
                 self.tails[sel, :C.shape[1]] = np.cumsum((C**2)[:, ::-1], axis=1)[:, ::-1]
@@ -347,10 +361,9 @@ def _weighted_lstsq(W: np.ndarray, b: np.ndarray, grid: Grid,
     Features ``ReluParamDist.live`` leaves out get coefficient 0.
     """
     _check_features(W, b, grid.nodes.shape[1])
-    root_w, rhs, norm_sq = targets
-    factors = _Factors(ReluParamDist, [(W, b)], grid.column_major_nodes, root_w, rhs, norm_sq)
+    factors = _Factors(ReluParamDist, [(W, b)], grid.column_major_nodes, targets)
     w = int(factors.live[0, -1])
-    coeffs, norms = np.zeros((len(W), rhs.shape[1])), factors.target_norms
+    coeffs, norms = np.zeros((len(W), targets.rhs.shape[1])), factors.target_norms
     if w:
         norms, solved = _solve_block(*factors.block(np.zeros(1, dtype=np.intp), w),
                                      coefficients=True)
@@ -411,19 +424,29 @@ def _draw(dist, w: int, seed, trial: int) -> tuple:
     return dist.sample_batch(np.random.default_rng([*np.atleast_1d(seed).tolist(), trial]), w)
 
 
-def _factored(rhs: np.ndarray, root_w: np.ndarray, norm_sq: np.ndarray, grid: Grid,
-              dist, w: int, trials, draw):
+def _factored(targets: _Weighted, grid: Grid, dist, w: int, trials, draw):
     """Yield ``(ids, factors)`` (:class:`_Factors`) for the width-``w`` draws ``draw(t)``
     of ``trials``, in batches whose draws (taken as ``d + 1`` numbers per feature) and
     factors take about ``_BATCH_BYTES``; nothing for ``w = 0``."""
-    n, m = rhs.shape
+    n, m = targets.rhs.shape
     rows = min(n, w)
     per_trial = 8 * (rows * w + 2 * (rows + m + 1) * m + w * (grid.nodes.shape[1] + 1))
     per_batch = max(1, _BATCH_BYTES // per_trial)
     for start in range(0, len(trials) if w else 0, per_batch):
         ids = trials[start:start + per_batch]
-        yield ids, _Factors(dist, [draw(t) for t in ids], grid.column_major_nodes, root_w,
-                            rhs, norm_sq)
+        yield ids, _Factors(dist, [draw(t) for t in ids], grid.column_major_nodes, targets)
+
+
+def _at_widths(targets: _Weighted, grid: Grid, dist, widths: list[int], seed, trials: int):
+    """Yield ``(ids, j, factors, live)`` per batch of trials ``ids``, each drawn and
+    factored once at the widest width (:func:`_factored`), and per width ``widths[j]``:
+    ``live`` are the live counts of the batch's trials among their first ``widths[j]``
+    features, as :meth:`_Factors.norms` and :meth:`_Factors.passes` read them."""
+    w = max(widths)
+    for ids, factors in _factored(targets, grid, dist, w, np.arange(trials),
+                                  partial(_draw, dist, w, seed)):
+        for j, width in enumerate(widths):
+            yield ids, j, factors, factors.live[:, width]
 
 
 def width_residuals(targets: np.ndarray, grid: Grid, dist, widths, seed,
@@ -435,25 +458,21 @@ def width_residuals(targets: np.ndarray, grid: Grid, dist, widths, seed,
     are coupled, so each trial is drawn and factored once, at the widest
     width, on its live columns only, and every width reads its residual from
     a leading block of that factor: its live count among its first ``r``
-    features gives the block (:meth:`_Factors.norms`).  A width of 0 gives
-    the targets' norms, the bits of a trial with no live feature, and a run
-    of only such widths draws nothing.  Returns shape
+    features gives the block (:func:`_at_widths`, :meth:`_Factors.norms`).
+    A width of 0 gives the targets' norms, the bits of a trial with no live
+    feature, and a run of only such widths draws nothing.  Returns shape
     ``(trials, len(widths))`` for targets of shape ``(n,)`` and
     ``(trials, len(widths), m)`` for targets of shape ``(n, m)`` or for
     targets given weighted (:class:`_Weighted`), as a study keeps them.
     """
     widths = [int(v) for v in widths]
-    check_sampling_cap(trials, max(widths), grid.nodes.shape[0])
+    _check_entry(trials, widths, 0, "widths", widths, grid.nodes.shape[0])
     kept = isinstance(targets, _Weighted)
-    root_w, rhs, norm_sq = targets if kept else _weighted(targets, grid.weights)
-    out = np.empty((trials, len(widths), rhs.shape[1]))
-    out[:] = np.sqrt(norm_sq)
-    w = max(widths)
-    for ids, factors in _factored(rhs, root_w, norm_sq, grid, dist, w, np.arange(trials),
-                                  partial(_draw, dist, w, seed)):
-        every = np.arange(len(ids))
-        for j, width in enumerate(widths):
-            out[ids, j] = factors.norms(every, factors.live[:, width])
+    weighted = targets if kept else _weighted(targets, grid.weights)
+    out = np.empty((trials, len(widths), weighted.rhs.shape[1]))
+    out[:] = np.sqrt(weighted.norm_sq)
+    for ids, j, factors, live in _at_widths(weighted, grid, dist, widths, seed, trials):
+        out[ids, j] = factors.norms(np.arange(len(ids)), live)
     return out if kept or targets.ndim == 2 else out[..., 0]
 
 
@@ -464,29 +483,19 @@ def success_probability(f, epsilon: float, dist, r, trials: int,
     ``f`` is the target, a callable evaluated at the grid's nodes, or its values
     there weighted (:class:`_Weighted`), as a study keeps them.  ``r`` is one
     width, giving one :class:`SuccessEstimate`, or a list of widths, giving one
-    estimate per width.  Each trial is drawn and factored
-    once, at the widest width, as in :func:`width_residuals`, and each width
-    decides its trials through :meth:`_Factors.passes`, which solves only the
-    blocks whose part outside the span leaves the decision open.
+    estimate per width.  Each trial is drawn and factored once, at the widest
+    width, as in :func:`width_residuals`, and each width decides its trials
+    through :meth:`_Factors.passes`, which solves only the blocks whose part
+    outside the span leaves the decision open.
     """
     single = np.ndim(r) == 0
     widths = [int(v) for v in ([r] if single else r)]
-    if trials < 1:
-        raise ParameterOutOfRange(f"trials must be >= 1, got {trials}")
-    if not widths or min(widths) < 1:
-        raise ParameterOutOfRange(f"widths must be >= 1, got {r}")
-    if epsilon <= 0:
-        raise ParameterOutOfRange(f"epsilon must be positive, got {epsilon}")
-    check_sampling_cap(trials, max(widths), grid.nodes.shape[0])
-    root_w, rhs, norm_sq = (f if isinstance(f, _Weighted)
-                            else _weighted(evaluate_on(f, grid.nodes), grid.weights))
+    _check_entry(trials, widths, 1, "r", r, grid.nodes.shape[0], epsilon)
+    targets = f if isinstance(f, _Weighted) else _weighted(evaluate_on(f, grid.nodes),
+                                                           grid.weights)
     counts = np.zeros(len(widths), dtype=np.intp)
-    w = max(widths)
-    for ids, factors in _factored(rhs, root_w, norm_sq, grid, dist, w, np.arange(trials),
-                                  partial(_draw, dist, w, seed)):
-        every = np.arange(len(ids))
-        for j, width in enumerate(widths):
-            counts[j] += np.count_nonzero(factors.passes(every, factors.live[:, width], epsilon))
+    for ids, j, factors, live in _at_widths(targets, grid, dist, widths, seed, trials):
+        counts[j] += np.count_nonzero(factors.passes(np.arange(len(ids)), live, epsilon))
     estimates = []
     for width, successes in zip(widths, counts.tolist()):
         lo, hi = wilson_interval(successes, trials)
@@ -513,30 +522,27 @@ def _first_passing(factors: _Factors, sel: np.ndarray, lo: int, hi: int,
 
     Every trial's residual passes at ``hi`` and fails at ``lo`` (``lo = 0``
     fails by definition).  A residual depends on the width only through the
-    live count and never rises with it, so bisection on the live counts
-    between ``factors.live[:, lo]`` and ``factors.live[:, hi]`` finds the first passing
-    count, and the width is the first at which the trial reaches it.
-    Each step decides through :meth:`_Factors.passes`, so trials at the same
-    count share one stacked solve, and those whose part outside the block
-    exceeds ``epsilon`` none.
+    live count and never rises with it, so bisection on the live counts between
+    ``factors.live[:, lo]`` and ``factors.live[:, hi]`` finds the first passing count,
+    and the width is the first at which the trial reaches it.  Each step
+    decides through :meth:`_Factors.passes`, so trials at the same count share
+    one stacked solve, and those whose part outside the block exceeds
+    ``epsilon`` none.
 
     The bisection opens at each trial's tail-bound count ``L0``, the first
     count whose part outside the block is within ``epsilon``: every count
     below it fails whatever the solve adds, so the lower end rises to
-    ``L0 - 1``, and ``L0`` is probed first.  A block with no rank cut adds
-    nothing to that part, so one solve settles such a trial.
+    ``L0 - 1``, and a trial whose lower end is ``L0 - 1`` probes ``L0`` as its
+    first midpoint.  A block with no rank cut adds nothing to that part, so
+    one solve settles such a trial.
     """
     rows = factors.R.shape[1]  # a count past it reads the tail at ``rows``
     l0 = np.argmax(np.sqrt(factors.tails[sel, :rows + 1, 0]) <= epsilon, axis=1)
     lo_count = np.maximum(factors.live[sel, lo], l0 - 1)
     hi_count = factors.live[sel, hi]
-    at = np.flatnonzero((lo_count == l0 - 1) & (hi_count - lo_count > 1))
-    passed = factors.passes(sel[at], l0[at], epsilon)
-    hi_count[at[passed]] = l0[at[passed]]
-    lo_count[at[~passed]] = l0[at[~passed]]
     while np.any(open_ := hi_count - lo_count > 1):
         at = np.flatnonzero(open_)
-        mid = (lo_count[at] + hi_count[at]) // 2
+        mid = np.where(lo_count[at] == l0[at] - 1, l0[at], (lo_count[at] + hi_count[at]) // 2)
         passed = factors.passes(sel[at], mid, epsilon)
         hi_count[at[passed]] = mid[passed]
         lo_count[at[~passed]] = mid[~passed]
@@ -568,15 +574,9 @@ def estimate_minwidth(f, epsilon: float, delta: float, dist,
     """
     if not 0.0 < delta < 1.0:
         raise ParameterOutOfRange(f"delta must be in (0, 1), got {delta}")
-    if r_max < 1:
-        raise ParameterOutOfRange(f"r_max must be >= 1, got {r_max}")
-    if trials < 1:
-        raise ParameterOutOfRange(f"trials must be >= 1, got {trials}")
-    if epsilon <= 0:
-        raise ParameterOutOfRange(f"epsilon must be positive, got {epsilon}")
-    check_sampling_cap(trials, r_max, grid.nodes.shape[0])
+    _check_entry(trials, [r_max], 1, "r_max", r_max, grid.nodes.shape[0], epsilon)
     threshold = 1.0 - delta
-    root_w, rhs, norm_sq = _weighted(evaluate_on(f, grid.nodes), grid.weights)
+    targets = _weighted(evaluate_on(f, grid.nodes), grid.weights)
     first = np.zeros(trials, dtype=np.intp)  # r*_t, or 0 while trial t has not passed
     trace: list[tuple[int, float]] = []
 
@@ -597,7 +597,7 @@ def estimate_minwidth(f, epsilon: float, delta: float, dist,
         # past the budget each batch is drawn as it is factored
         draw = ((lambda t: tuple(part[:r] for part in held[t])) if held_width
                 else partial(_draw, dist, r, seed))
-        for ids, factors in _factored(rhs, root_w, norm_sq, grid, dist, r, open_, draw):
+        for ids, factors in _factored(targets, grid, dist, r, open_, draw):
             passed = np.flatnonzero(factors.passes(np.arange(len(ids)), factors.live[:, r],
                                                    epsilon))
             first[ids[passed]] = _first_passing(factors, passed, last_fail, r, epsilon)
@@ -607,9 +607,7 @@ def estimate_minwidth(f, epsilon: float, delta: float, dist,
         if prob >= threshold:
             break
         if r >= r_max:
-            raise CapExceeded(
-                f"no width <= {r_max} reached success probability {threshold}"
-            )
+            raise CapExceeded(f"no width <= {r_max} reached success probability {threshold}")
         last_fail = r
         r = min(2 * r, r_max)
 

@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .caps import active_cap
+from .caps import _cap, active_cap
 from .errors import CapExceeded, ParameterOutOfRange
 
 MultiIndex = tuple[int, ...]
@@ -125,6 +125,15 @@ def check_ball_cap(k: float, d: int) -> None:
     if (side ** min(d, bits) > limit or 2**ones * math.comb(d, ones) > limit
             or _ball_count(bound, d) > limit):
         raise CapExceeded(f"ball k={k}, d={d} holds more than the cap of {limit} indices")
+
+
+def _check_ball_table(k: float, d: int) -> None:
+    """:func:`check_ball_cap`, then refuse a table of the ball's ``Q_{k,d}`` indices x
+    ``d`` coordinates past the cap, the entries of the ball's indices and of a ``D_k``
+    distribution's directions."""
+    check_ball_cap(k, d)
+    q = count_ball(k, d)
+    _cap(f"ball k={k}, d={d} of {q} indices x {d} coordinates", q * d)
 
 
 def enumerate_ball(k: float, d: int) -> list[MultiIndex]:

@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from .caps import _cap, active_cap
 from .errors import (
     CapExceeded,
     NotUnitNorm,
@@ -28,7 +29,7 @@ from .errors import (
     WrongMeasure,
 )
 from .fitter import _Weighted, _weighted, _weighted_lstsq
-from .lattice import MultiIndex, enumerate_ball
+from .lattice import MultiIndex, _check_ball_table, enumerate_ball
 from .quadrature import GAUSSIAN, TENSOR_GAUSS, Grid, evaluate_on, memoized
 from .relu import _design_matrix  # noqa: F401  the benchmark's tracer test reads it here
 from .trig import SQRT2, _basis_on_axes, eval_T
@@ -60,6 +61,11 @@ class FunctionFamily:
         return len(self.members)
 
 
+def _check_values(members: int, nodes: int) -> None:
+    """Refuse a value matrix of ``members`` members x ``nodes`` grid nodes past the cap."""
+    _cap(f"value matrix of {members} members x {nodes} grid nodes", members * nodes)
+
+
 def _value_matrix(family: FunctionFamily, grid: Grid) -> np.ndarray:
     """The members' values at the grid nodes, member ``i`` in column ``i`` of one
     ``(n, N)`` array, built afresh and not kept.
@@ -70,7 +76,8 @@ def _value_matrix(family: FunctionFamily, grid: Grid) -> np.ndarray:
     column-major array, so the solves read each member's values contiguously.
     Every other family or grid gets ``evaluate_on``'s values in a row-major
     array: the BLAS sums over a column depend on its stride, so its
-    projections keep their bits.
+    projections keep their bits.  Its callers refuse a matrix past the cap
+    first (:func:`_check_values`), whether or not they keep it.
     """
     if family.indices is not None and grid.spec.scheme == TENSOR_GAUSS and grid.axes is not None:
         index = np.array(family.indices, dtype=int).reshape(len(family), len(grid.axes))
@@ -107,7 +114,9 @@ def _weighted_family(family: FunctionFamily, grid: Grid) -> _Weighted:
     """The members' values on the grid (:func:`_value_matrix`), weighted as
     ``fitter.width_residuals`` takes them; a family with ``indices`` is kept under
     them (:func:`_kept_weighted`), the others weighted on every call.  The values
-    are built for the weighting and not kept: the memo holds one copy of a family."""
+    are built for the weighting and not kept: the memo holds one copy of a family.
+    Values past the cap are refused, kept or not (:func:`_check_values`)."""
+    _check_values(len(family), grid.nodes.shape[0])
     values = partial(_value_matrix, family, grid)
     if family.indices is None:
         return _weighted(values(), grid.weights)
@@ -119,7 +128,9 @@ def coherence(family: FunctionFamily, grid: Grid) -> float:
     """Root of the sum of squared off-diagonal Gram entries, on the grid.
 
     Zero for orthogonal families; requires unit-norm members (within 1e-6).
+    Values past the cap are refused before they are built (:func:`_check_values`).
     """
+    _check_values(len(family), grid.nodes.shape[0])
     vals = _value_matrix(family, grid)
     gram = vals.T @ (grid.weights[:, None] * vals)
     if not np.max(np.abs(np.diag(gram) - 1.0)) <= 1e-6:  # NaN fails too
@@ -157,14 +168,13 @@ def projection_residuals(W: np.ndarray, b: np.ndarray, family: FunctionFamily,
 
     One multi-right-hand-side least squares against the live columns of the
     feature design matrix gives exactly the per-member ``fit_span``
-    residuals; tiny negative values from grid noise are clipped to zero.
-    ``r = 0`` (``W`` of shape ``(0, d)``), like a span of features dead on the
-    grid, returns the squared member norms.  The members are read weighted
+    residuals.  ``r = 0`` (``W`` of shape ``(0, d)``), like a span of features
+    dead on the grid, returns the squared member norms.  The members are read weighted
     (:func:`_weighted_family`), kept across calls on a built grid.
     """
     W, b = np.asarray(W, dtype=float), np.asarray(b, dtype=float)
     _, norms = _weighted_lstsq(W, b, grid, _weighted_family(family, grid))
-    residuals = np.maximum(norms**2, 0.0)
+    residuals = norms**2
     kappa = family.coherence
     if kappa is None:
         kappa = coherence(family, grid)
@@ -180,10 +190,19 @@ def _basis_member(K: MultiIndex) -> Callable:
 
 
 def hard_family_ball(k: float, d: int) -> FunctionFamily:
-    """The orthonormal basis slice ``{T_K : |K| <= k}``; N = Q_{k,d}, kappa = 0."""
+    """The orthonormal basis slice ``{T_K : |K| <= k}``; N = Q_{k,d}, kappa = 0.  Its
+    indices are capped as the CLI caps a ball (``lattice._check_ball_table``)."""
+    _check_ball_table(k, d)
     ball = enumerate_ball(k, d)
     return FunctionFamily(labels=list(ball), members=[_basis_member(K) for K in ball],
                           dimension=d, coherence=0.0, indices=ball)
+
+
+def _check_symmetric(ell: int, d: int) -> None:
+    """Refuse a symmetric family of ``C(d, ell)`` members past the cap."""
+    # C(d, m) >= 2^m for m <= d/2, which passes the cap once m reaches its bit length
+    m = min(ell, d - ell, active_cap().bit_length())
+    _cap(f"symmetric family C({d}, {ell})", math.comb(d, m))
 
 
 def hard_family_symmetric(ell: int, d: int) -> FunctionFamily:
@@ -191,10 +210,12 @@ def hard_family_symmetric(ell: int, d: int) -> FunctionFamily:
 
     Each member is the basis function of the 0/1 indicator index of S, so the
     family is orthonormal with N = C(d, ell), and coordinate permutations
-    act on it by relabeling subsets.
+    act on it by relabeling subsets.  A family past the cap is refused before
+    it is built (:func:`_check_symmetric`).
     """
     if not 1 <= ell <= d:
         raise ParameterOutOfRange(f"need 1 <= ell <= d, got ell={ell}, d={d}")
+    _check_symmetric(ell, d)
     labels, indices = [], []
     for S in itertools.combinations(range(d), ell):
         labels.append(S)
@@ -287,6 +308,14 @@ def _pool_size(N: int) -> int:
     return max(32 * N, 64)
 
 
+def _check_pool(N: int, d: int) -> None:
+    """Refuse the packing of ``N`` directions past the cap: it holds a pool of
+    directions in ``R^d`` and their separations from all ``N`` chosen."""
+    pool = _pool_size(N)
+    _cap(f"gaussian family pool of {pool} directions x max(N, d) = {max(N, d)}",
+         pool * max(N, d))
+
+
 def gaussian_hard_family(L: float, N: int, d: int, seed, grid: Grid) -> FunctionFamily:
     """Greedily packed ridge sines ``sin(L <v, x>)`` in Gaussian space.
 
@@ -294,12 +323,14 @@ def gaussian_hard_family(L: float, N: int, d: int, seed, grid: Grid) -> Function
     a time by farthest-point selection under the axial metric
     ``1 - |<u, v>|`` (``v`` and ``-v`` give the same span, so antipodes count
     as coincident).  Members are normalized by their measured grid norm and
-    the family carries its measured coherence.
+    the family carries its measured coherence.  A pool past the cap is refused
+    before it is drawn (:func:`_check_pool`).
     """
     if grid.spec.measure != GAUSSIAN:
         raise WrongMeasure("gaussian_hard_family needs a Gaussian-measure grid")
     if N < 1 or d < 1 or L <= 0:
         raise ParameterOutOfRange("need N >= 1, d >= 1, L > 0")
+    _check_pool(N, d)
     rng = np.random.default_rng(seed)
     pool = rng.standard_normal((_pool_size(N), d))
     pool /= np.linalg.norm(pool, axis=1, keepdims=True)

@@ -40,7 +40,7 @@ from .errors import (
 from .lattice import (
     IndexClass,
     MultiIndex,
-    check_ball_cap,
+    _check_ball_table,
     classify,
     count_ball,
     enumerate_ball,
@@ -420,8 +420,9 @@ class DkDistribution(ReluParamDist):
     ball and its directions, and its rays (:attr:`rays`) once read, are kept in
     the process memo (:func:`quadrature.memoized`), keyed by ``d`` and the
     squared radius that bounds the ball, all they are built from, so the
-    distributions of one study enumerate the ball once; the ball's cap is
-    checked on every construction.
+    distributions of one study enumerate the ball once; the caps on the ball
+    and on its direction table (``lattice._check_ball_table``) are checked on
+    every construction.
     """
 
     k: float
@@ -434,7 +435,7 @@ class DkDistribution(ReluParamDist):
             raise ParameterOutOfRange(f"ball radius must be nonnegative, got {self.k}")
         if self.dimension < 1:
             raise ParameterOutOfRange(f"dimension must be >= 1, got {self.dimension}")
-        check_ball_cap(self.k, self.dimension)
+        _check_ball_table(self.k, self.dimension)
         self._ball, self.directions = memoized(
             ("ball", radius_sq_bound(self.k), self.dimension),
             partial(_ball_tables, self.k, self.dimension), _ball_bytes)

@@ -19,6 +19,7 @@ from widthlab import (
     GAUSSIAN,
     TENSOR_GAUSS,
     UNIFORM_CUBE,
+    CapExceeded,
     DkDistribution,
     InvalidCapSetting,
     ParameterOutOfRange,
@@ -27,6 +28,7 @@ from widthlab import (
     coherence,
     estimate_minwidth,
     gaussian_hard_family,
+    hard_family_ball,
     hard_family_symmetric,
     make_grid,
     projection_residuals,
@@ -809,6 +811,38 @@ class TestConfigSchema:
             _assert_one_line(err, "cap exceeded: ")
             assert fragment in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("doc, cap, builds", [
+        (_with(_FIT, d=4, dist={"k": 2}), 100,
+         [lambda: DkDistribution(k=2.0, dimension=4)]),
+        (_lbp_family({"type": "ball", "k": 2}, d=4), 100, [lambda: hard_family_ball(2, 4)]),
+        (_with(_LBP, d=14, ell=6), 1000, [lambda: hard_family_symmetric(6, 14)]),
+        (_lbp_family({"type": "gaussian", "L": 1.0, "N": 200}, d=3), 20000,
+         [lambda grid=tensor_gauss_grid(GAUSSIAN, 3, 4):
+          gaussian_hard_family(1.0, 200, 3, 0, grid)]),
+        (_lbp_family({"type": "ball", "k": 5}, grid={"nodes_per_dim": 30}), 5000, [
+            lambda grid=tensor_gauss_grid(UNIFORM_CUBE, 2, 30):
+                coherence(hard_family_ball(5, 2), grid),
+            lambda grid=tensor_gauss_grid(UNIFORM_CUBE, 2, 30):
+                projection_residuals([[1.0, 0.0]], [0.0], hard_family_ball(5, 2), grid),
+            lambda grid=tensor_gauss_grid(UNIFORM_CUBE, 2, 30): fitter.width_residuals(
+                lowerbound._weighted_family(hard_family_ball(5, 2), grid), grid,
+                DkDistribution(k=2, dimension=2), [1], 1, 2),
+        ]),
+    ], ids=["dist_direction_table", "ball_family_indices", "symmetric_family", "gaussian_pool",
+            "value_matrix"])
+    def test_the_library_refuses_what_validate_refuses(self, tmp_path, capsys, monkeypatch,
+                                                       doc, cap, builds):
+        """Under one cap, ``validate`` and ``run`` exit 3, and each library call that
+        builds the same thing raises ``CapExceeded`` with the same message."""
+        monkeypatch.setenv("WIDTHLAB_CAP", str(cap))
+        for code, err in _both_commands(tmp_path, capsys, doc):
+            assert code == 3
+            _assert_one_line(err, "cap exceeded: ")
+        for build in builds:
+            with pytest.raises(CapExceeded) as raised:
+                build()
+            assert err == f"cap exceeded: {raised.value}\n"
 
     def test_explicit_family_just_inside_float_runs(self, tmp_path, capsys):
         doc = _with(_EXPLICIT, d=1029, ell=514)

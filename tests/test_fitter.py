@@ -382,6 +382,42 @@ class TestSamplingCap:
         assert draws == []
 
 
+_BAD_ARGUMENTS = {  # (widths, trials, epsilon)
+    "a_negative_width_beside_a_positive_one": ([2, -3], 4, 0.1),
+    "one_negative_width": ([-1], 4, 0.1), "no_width": ([], 4, 0.1),
+    "negative_trials": ([2], -1, 0.1), "no_trial": ([2], 0, 0.1), "zero_epsilon": ([2], 4, 0.0),
+}
+
+
+@pytest.mark.parametrize("entry, case", [
+    (entry, case) for entry in ("success_probability", "width_residuals", "estimate_minwidth")
+    for case in _BAD_ARGUMENTS if (entry, case) != ("width_residuals", "zero_epsilon")])
+def test_the_trial_entries_share_one_argument_check(monkeypatch, entry, case):
+    """Each trial entry refuses a width below its least (0 for ``width_residuals``, 1
+    for the others; the search's ``r_max`` stands for its widths), no width, fewer
+    than one trial and a nonpositive ``epsilon`` before it draws; ``width_residuals``
+    takes no ``epsilon``."""
+    widths, trials, epsilon = _BAD_ARGUMENTS[case]
+    grid = tensor_gauss_grid(UNIFORM_CUBE, 1, 24)
+    dist = DkDistribution(k=2, dimension=1)
+    f = lambda X: np.abs(X[:, 0])
+
+    def refuse(*args):
+        raise AssertionError("drawn before the arguments were checked")
+
+    monkeypatch.setattr(fitter, "_draw", refuse)
+    calls = {
+        "success_probability": lambda: success_probability(f, epsilon, dist, widths, trials,
+                                                           grid, 1),
+        "width_residuals": lambda: width_residuals(f(grid.nodes), grid, dist, widths, 1,
+                                                   trials),
+        "estimate_minwidth": lambda: estimate_minwidth(f, epsilon, 0.5, dist, grid, trials,
+                                                       min(widths, default=0), 1),
+    }
+    with pytest.raises(ParameterOutOfRange):
+        calls[entry]()
+
+
 def _success_from_residuals(f, epsilon, dist, widths, trials, grid, seed):
     """:func:`success_probability` with each trial decided by ``width_residuals <= epsilon``."""
     residuals = width_residuals(evaluate_on(f, grid.nodes), grid, dist, widths, seed, trials)
