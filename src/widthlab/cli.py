@@ -43,8 +43,8 @@ from .approx import (
 )
 from .caps import _cap, active_cap
 from .errors import CapExceeded, InvalidInput, NumericalFailure, ParameterOutOfRange
-from .fitter import check_sampling_cap, estimate_minwidth, success_probability
-from .fitter import width_residuals, wilson_interval
+from .fitter import check_residuals_cap, check_sampling_cap, estimate_minwidth
+from .fitter import success_probability, width_residuals, wilson_interval
 from .hermite import HermitePolynomial, _degree_budget, _simplex_count, hermite_truncate
 from .lattice import _check_ball_table, check_ball_cap, count_ball, enumerate_ball, radius_sq_bound
 from .lowerbound import (
@@ -319,8 +319,7 @@ def _check_projection(p) -> None:
     else:
         members = family["N"]
     _check_values(members, _node_count(p))
-    _cap(f"residuals of {p.trials} trials x {len(p.r)} widths x {members} members",
-         p.trials * len(p.r) * members)
+    check_residuals_cap(p.trials, len(p.r), members)
 
 
 def _check_indices(indices: int, kind: str, p) -> None:

@@ -8,10 +8,15 @@ largest count as zero).  The QR runs in place through LAPACK
 (:func:`_qr_in_place`), on the buffer the design is written into, with the
 bits of ``np.linalg.qr``.  The targets' part outside the span is read off the
 QR of ``[A | rhs]`` or, for many targets, downdated from their norms with
-``Q^T rhs``, ``Q^T`` being left in that buffer.  On top of that sit Monte
-Carlo estimates of the success probability ``P[inf-over-span error <= eps]``
-and a doubling-plus-bisection search for the smallest width reaching a
-target success rate.
+``Q^T rhs``, ``Q^T`` being left in that buffer.  That product, and each long
+squared norm (:func:`_squared_norm`), is summed over row blocks of at most
+``_SUM_ROWS`` grid nodes, so each block of targets stays in cache while every
+trial reads it, and no sum the engine hands the BLAS is long enough for
+OpenBLAS to split it by thread: with OpenBLAS the residuals do not depend on
+the BLAS thread count.  On top of that sit Monte Carlo estimates of the
+success probability ``P[inf-over-span error <= eps]`` and a
+doubling-plus-bisection search for the smallest width reaching a target
+success rate.
 
 All randomness flows through ``numpy`` generators seeded per trial as
 ``default_rng([seed, trial])``, so results do not depend on how trials are
@@ -61,7 +66,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import lapack_lite
 
-from .caps import active_cap
+from .caps import _cap, active_cap
 from .errors import CapExceeded, EmptyFeatureList, ParameterOutOfRange
 from .quadrature import Grid, evaluate_on
 from .relu import FittedSpan, ReluParamDist, _check_features
@@ -80,6 +85,12 @@ _BATCH_BYTES = 16 * 2**20
 # features per trial at d = 1 and 436 at d = 2, past the width 64 by which the
 # README's d = 1 search and a d = 2 search of the benchmark's kind stop.
 _HELD_BYTES = 2 * 2**20
+
+# The longest sum the engine hands the BLAS in one call: OpenBLAS splits a dot
+# product of more than 10,000 entries by thread, so longer sums, and the product
+# ``C = Q^T rhs``, are taken in blocks of at most this many rows, and their bits
+# do not read the thread count.
+_SUM_ROWS = 4096
 
 # Rank cut of every solve: singular values at most ``_RCOND`` times the
 # largest count as zero, the cut ``np.linalg.lstsq`` makes given this cutoff.
@@ -117,11 +128,21 @@ def _weighted(targets: np.ndarray, weights: np.ndarray) -> _Weighted:
     root_w = np.sqrt(weights)
     rhs = targets.reshape(len(targets), -1) * root_w[:, None]
     with np.errstate(over="ignore"):  # an overflow is reported by the check below
-        norm_sq = np.array([col @ col for col in rhs.T])
+        norm_sq = np.array([_squared_norm(col) for col in rhs.T])
     if not np.all(np.isfinite(norm_sq)):
         raise FloatingPointError("the weighted targets on the grid, or their squared norms, "
                                  "are not finite")
     return _Weighted(root_w, rhs, norm_sq)
+
+
+def _squared_norm(v: np.ndarray) -> float:
+    """``v @ v``, summed over blocks of at most ``_SUM_ROWS`` entries: the bits of
+    ``v @ v`` for a vector of one block, and at any BLAS thread count."""
+    total = 0.0
+    for s in range(0, len(v), _SUM_ROWS):
+        block = v[s:s + _SUM_ROWS]
+        total += block @ block
+    return total
 
 
 def check_sampling_cap(trials: int, widest: int, nodes: int) -> None:
@@ -137,11 +158,20 @@ def check_sampling_cap(trials: int, widest: int, nodes: int) -> None:
                               f"the widest width that fits is {limit // per_width}")
 
 
+def check_residuals_cap(trials: int, widths: int, members: int) -> None:
+    """Raise :class:`CapExceeded` when one residual per trial, width and member passes
+    the active cap.  :func:`width_residuals` checks it before it draws, the CLI before
+    it builds an ``lb_projection``'s grid."""
+    _cap(f"residuals of {trials} trials x {widths} widths x {members} members",
+         trials * widths * members)
+
+
 def _check_entry(trials: int, widths: list[int], least: int, name: str, given,
-                 nodes: int, epsilon: float | None = None) -> None:
+                 nodes: int, epsilon: float | None = None, members: int | None = None) -> None:
     """The trial entries' one check before any draw: at least one trial, a width, each
     at least ``least`` (the caller's parameter ``name``, given as ``given``), a positive
-    ``epsilon`` where one is given, and the sampling cap (:func:`check_sampling_cap`)."""
+    ``epsilon`` where one is given, the sampling cap (:func:`check_sampling_cap`) and,
+    where ``members`` targets are given, the residuals cap (:func:`check_residuals_cap`)."""
     if trials < 1:
         raise ParameterOutOfRange(f"trials must be >= 1, got {trials}")
     if not widths or min(widths) < least:
@@ -149,6 +179,8 @@ def _check_entry(trials: int, widths: list[int], least: int, name: str, given,
     if epsilon is not None and epsilon <= 0:
         raise ParameterOutOfRange(f"epsilon must be positive, got {epsilon}")
     check_sampling_cap(trials, max(widths), nodes)
+    if members is not None:
+        check_residuals_cap(trials, len(widths), members)
 
 
 def _lapack(routine: str, *args) -> None:
@@ -220,12 +252,16 @@ def _factor(columns, draws: tuple, count: int, w: int, nodes: np.ndarray,
     column of ``Q``, so the part of ``rhs`` outside the span of ``Q``'s first
     ``k`` columns has the norm of ``C[:, k:]``.  With fewer targets than
     columns the targets join the factorization as ``[A | rhs]`` and ``C`` is
-    read off its ``R``.  Otherwise each slot then holds ``Q^T``, ``C`` is one
-    stacked product with ``rhs``, and the part outside is downdated from the
+    read off its ``R``.  Otherwise each slot then holds ``Q^T``, and ``C`` is
+    summed over row blocks of ``rhs`` of at most ``_SUM_ROWS`` rows, so the
+    block stays in cache for every slot.  Each block's product is stacked, one
+    gemm per slot, so a trial's bits never depend on how many trials share its
+    chunk; on a grid of one block ``C`` is one stacked product, bit for bit.
+    The part outside is downdated from the
     targets' squared norms ``norm_sq`` as ``norm_sq - |Q^T rhs|^2``, the
     column-norm downdate of LAPACK's xGEQP3; where that falls below
     ``_DOWNDATE`` times ``norm_sq`` it is recomputed as ``|rhs - Q Q^T rhs|^2``
-    for that trial and target.
+    (:func:`_squared_norm`) for that trial and target.
     """
     root_w, rhs, norm_sq = targets
     n, m = rhs.shape
@@ -240,12 +276,14 @@ def _factor(columns, draws: tuple, count: int, w: int, nodes: np.ndarray,
         return full[:, :min(n, w), :w], full[:, :, w:]
     R = _qr_in_place(stack, form_q=True)
     Qt = stack[:, :R.shape[1]]
-    C = Qt @ rhs
+    C = Qt[:, :, :_SUM_ROWS] @ rhs[:_SUM_ROWS]
+    for s in range(_SUM_ROWS, n, _SUM_ROWS):
+        C += Qt[:, :, s:s + _SUM_ROWS] @ rhs[s:s + _SUM_ROWS]
     # not einsum: its one-target sum varies with ``count``
     outside = norm_sq - np.sum(C * C, axis=1)
     for t, j in zip(*np.nonzero(outside < _DOWNDATE * norm_sq)):
         gap = rhs[:, j] - C[t, :, j] @ Qt[t]
-        outside[t, j] = gap @ gap
+        outside[t, j] = _squared_norm(gap)
     return R, np.concatenate([C, np.sqrt(outside)[:, None]], axis=1)
 
 
@@ -299,7 +337,9 @@ class _Factors:
         self.live = np.zeros((trials, w + 1), dtype=np.intp)
         np.cumsum(self.mask, axis=1, out=self.live[:, 1:])
         self.R = np.zeros((trials, min(n, w), w))
-        self.C = np.zeros((trials, min(n, w) + m + 1, m))
+        # a chunk's ``C`` has the joined QR's ``min(n, count + m)`` rows where ``m <
+        # count``, else ``min(n, count) + 1``: never ``m`` rows for many targets
+        self.C = np.zeros((trials, min(n, w + m if m < w else w) + 1, m))
         self.tails = np.zeros_like(self.C)
         self.target_norms = np.sqrt(targets.norm_sq)
         for count in np.flatnonzero(np.bincount(self.live[:, w])[1:]) + 1:
@@ -466,8 +506,9 @@ def width_residuals(targets: np.ndarray, grid: Grid, dist, widths, seed,
     targets given weighted (:class:`_Weighted`), as a study keeps them.
     """
     widths = [int(v) for v in widths]
-    _check_entry(trials, widths, 0, "widths", widths, grid.nodes.shape[0])
     kept = isinstance(targets, _Weighted)
+    members = (targets.rhs if kept else targets.reshape(len(targets), -1)).shape[1]
+    _check_entry(trials, widths, 0, "widths", widths, grid.nodes.shape[0], members=members)
     weighted = targets if kept else _weighted(targets, grid.weights)
     out = np.empty((trials, len(widths), weighted.rhs.shape[1]))
     out[:] = np.sqrt(weighted.norm_sq)

@@ -1,4 +1,6 @@
+import contextlib
 import importlib.metadata
+import io
 import itertools
 import json
 import math
@@ -37,6 +39,8 @@ from widthlab import (
 )
 from widthlab import cli, fitter, lowerbound, quadrature, relu
 from widthlab.cli import emit_curve, main, run_config, validate_config
+
+from readme_blocks import README, blocks
 
 
 def read_curve(path):
@@ -543,6 +547,55 @@ class TestTrialEngine:
                 for name in fresh["csv_files"]:
                     assert (out_dir / name).read_bytes() == (fresh_dir / name).read_bytes()
 
+    # The README's lb_projection example and the benchmark's two lb_projection configs
+    # (fewer trials), each past one row block of fitter._SUM_ROWS grid nodes.
+    _THREAD_DOCS = [
+        *[doc for doc in map(json.loads, blocks("json")) if doc["kind"] == "lb_projection"],
+        {"kind": "lb_projection",
+         "parameters": {"d": 4, "family": {"type": "symmetric", "ell": 2}, "r_list": [1, 2, 3],
+                        "trials": 4, "dist": {"k": 2}, "seed": 7}},
+        {"kind": "lb_projection",
+         "parameters": {"d": 3, "family": {"type": "ball", "k": 2}, "r_list": [4, 8],
+                        "trials": 4, "dist": {"k": 2}, "seed": 7}},
+    ]
+
+    # ``widthlab run --config C --out-dir D`` for each pair ``C D`` of the arguments
+    _RUN_EACH = ("import sys; from widthlab.cli import main; args = sys.argv[1:]; "
+                 "sys.exit(max(main(['run', '--config', c, '--out-dir', d]) "
+                 "for c, d in zip(args[::2], args[1::2])))")
+
+    def test_projection_csvs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        """Every sum the engine hands the BLAS is at most ``fitter._SUM_ROWS`` long, so
+        OpenBLAS, which splits only longer sums by thread, does not split it: each
+        config's CSVs, run by ``run`` in a new process at 1 and at 2 BLAS threads, are
+        the same bytes.  Other BLAS builds split their sums by other rules."""
+        config = io.StringIO()
+        with contextlib.redirect_stdout(config):
+            np.show_config()
+        if "openblas" not in config.getvalue().lower():
+            pytest.skip("numpy is not built against OpenBLAS")
+        if not README.is_file():
+            pytest.skip(f"no README.md beside the tests: {README}")
+        assert len(self._THREAD_DOCS) == 3  # the README's example among them
+        src = str(Path(widthlab.__file__).resolve().parents[1])
+        outputs = {}
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "MKL_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src,
+                                                               os.environ.get("PYTHONPATH")]))}
+            runs = [(_write_config(tmp_path, doc, name=f"threads_{i}.json"),
+                     str(tmp_path / f"threads{threads}_{i}"))
+                    for i, doc in enumerate(self._THREAD_DOCS)]
+            proc = subprocess.run([sys.executable, "-c", self._RUN_EACH, *itertools.chain(*runs)],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            for i, (_, out_dir) in enumerate(runs):
+                outputs[threads, i] = sorted((p.name, p.read_bytes())
+                                             for p in Path(out_dir).glob("*.csv"))
+        for i in range(len(self._THREAD_DOCS)):
+            assert outputs["1", i] and outputs["1", i] == outputs["2", i], i
+
 
 class TestResultDocuments:
     """Results serialize from their fields: a dataclass is its fields in order, a
@@ -829,8 +882,15 @@ class TestConfigSchema:
                 lowerbound._weighted_family(hard_family_ball(5, 2), grid), grid,
                 DkDistribution(k=2, dimension=2), [1], 1, 2),
         ]),
+        ({"kind": "lb_projection",
+          "parameters": {"d": 2, "family": {"type": "ball", "k": 2}, "r_list": [1, 2, 3],
+                         "trials": 60, "seed": 0, "dist": {"k": 2},
+                         "grid": {"nodes_per_dim": 6}}}, 2000,
+         [lambda grid=tensor_gauss_grid(UNIFORM_CUBE, 2, 6): fitter.width_residuals(
+             lowerbound._weighted_family(hard_family_ball(2, 2), grid), grid,
+             DkDistribution(k=2, dimension=2), [1, 2, 3], 0, 60)]),
     ], ids=["dist_direction_table", "ball_family_indices", "symmetric_family", "gaussian_pool",
-            "value_matrix"])
+            "value_matrix", "projection_residuals"])
     def test_the_library_refuses_what_validate_refuses(self, tmp_path, capsys, monkeypatch,
                                                        doc, cap, builds):
         """Under one cap, ``validate`` and ``run`` exit 3, and each library call that

@@ -17,7 +17,6 @@ import contextlib
 import copy
 import io
 import json
-import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -29,10 +28,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from widthlab.cli import main  # noqa: E402
 
-README = Path(__file__).resolve().parents[1] / "README.md"
-EXAMPLES = ([json.loads(block) for block in
-             re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)]
-            if README.is_file() else [])
+from readme_blocks import README, blocks  # noqa: E402
+
+EXAMPLES = [json.loads(block) for block in blocks("json")]
 
 _POLY = ("target", "polynomial")
 _TERM = (*_POLY, "terms", 0)

@@ -729,17 +729,30 @@ def test_chunks_hold_as_many_trials_as_their_stack_allows(tmp_path, monkeypatch)
     assert sum(map(sum, chunks.values())) == 20 and max(map(max, chunks.values())) >= 4
 
 
+def _past_one_block():
+    """The d = 3 ball family (33 members) on 24^3 nodes, with its grid: longer than
+    ``fitter._SUM_ROWS``, so its squared norms and ``C = Q^T rhs`` take several row
+    blocks."""
+    grid = tensor_gauss_grid(UNIFORM_CUBE, 3, 24)
+    assert len(grid.nodes) > fitter._SUM_ROWS
+    return grid, _value_matrix(hard_family_ball(2.0, 3), grid)
+
+
 def test_chunks_change_no_bit(monkeypatch):
     """Trials stacked in one chunk and one batch give the bits of one trial per chunk
     and per batch: with the targets joined to the designs, and with at least as
     many targets as columns, where the part outside the span is downdated or,
-    below ``_DOWNDATE``, recomputed (a threshold of 1 recomputes every target).
-    The surplus affine rule drops columns in these draws, so its mask, made once
-    per batch, does not depend on how many draws share the batch."""
+    below ``_DOWNDATE``, recomputed (a threshold of 1 recomputes every target), on
+    one row block and past one.  The surplus affine rule drops columns in these
+    draws, so its mask, made once per batch, does not depend on how many draws
+    share the batch."""
     grid = tensor_gauss_grid(UNIFORM_CUBE, 2, 24)
     dist = DkDistribution(k=2, dimension=2)
     few, many = _targets(grid.nodes, 2), _targets(grid.nodes, 6)
     assert fitter._CHUNK_BYTES // (8 * len(many) * (6 + 6)) > 1  # several trials per chunk
+    ball_grid, ball = _past_one_block()
+    ball_dist = DkDistribution(k=2, dimension=3)
+    assert fitter._CHUNK_BYTES // (8 * len(ball) * 8) > 1  # and at 8 live columns
     assert any(np.any(_factored(W, b, grid, tau=np.inf) & ~_factored(W, b, grid))
                for W, b in _draws(dist, 64, 9, 40))
     f, mw_dist, mw_grid = _problem(_MINWIDTH["two_dims"])
@@ -751,6 +764,9 @@ def test_chunks_change_no_bit(monkeypatch):
         for downdate in downdates:
             monkeypatch.setattr(fitter, "_DOWNDATE", downdate)
             out.append(width_residuals(many, grid, dist, [1, 3, 6], 9, trials=40))
+            # chunks of 1-2 live columns per trial are where a gemm's bits read its row count
+            for widths, trials in (([1, 2], 20), ([4, 8], 6)):
+                out.append(width_residuals(ball, ball_grid, ball_dist, widths, 9, trials))
         return out
 
     stacked, stacked_mw = residuals(), estimate_minwidth(*mw_args)
@@ -759,6 +775,48 @@ def test_chunks_change_no_bit(monkeypatch):
     for got, want in zip(residuals(), stacked):
         assert np.array_equal(got, want)
     assert estimate_minwidth(*mw_args) == stacked_mw
+
+
+def test_row_blocks_match_lstsq():
+    """Past one row block, the residuals of many targets, read off ``C = Q^T rhs``
+    summed block by block, match lstsq's to 1e-13."""
+    grid, values = _past_one_block()
+    dist = DkDistribution(k=2, dimension=3)
+    widths = [4, 8]
+    got = width_residuals(values, grid, dist, widths, 3, trials=3)
+    for t, (W, b) in enumerate(_draws(dist, max(widths), 3, 3)):
+        for j, r in enumerate(widths):
+            assert_allclose(got[t, j], _lstsq_residuals(W, b, grid, values, r),
+                            rtol=0.0, atol=1e-13, err_msg=f"trial {t}, width {r}")
+
+
+def test_many_targets_on_a_small_grid_match_lstsq():
+    """Row blocks count grid nodes, whatever the number of targets: 70,000 targets
+    on 10 nodes are one block, and their residuals match lstsq's to 1e-13."""
+    grid = tensor_gauss_grid(UNIFORM_CUBE, 1, 10)
+    dist = DkDistribution(k=2, dimension=1)
+    values = np.random.default_rng(0).standard_normal((10, 70_000))
+    got = width_residuals(values, grid, dist, [1], 4, trials=2)
+    for t, (W, b) in enumerate(_draws(dist, 1, 4, 2)):
+        assert_allclose(got[t, 0], _lstsq_residuals(W, b, grid, values),
+                        rtol=0.0, atol=1e-13, err_msg=f"trial {t}")
+
+
+def test_one_row_block_gives_the_bits_of_one_product(monkeypatch):
+    """On a grid of one row block, ``_factor``'s ``C`` is ``Q^T rhs`` as one stacked
+    product, bit for bit."""
+    grid = tensor_gauss_grid(UNIFORM_CUBE, 2, 24)
+    targets = fitter._weighted(_targets(grid.nodes, 6), grid.weights)
+    dist = DkDistribution(k=2, dimension=2)
+    stacks = []
+    qr = fitter._qr_in_place
+    monkeypatch.setattr(fitter, "_qr_in_place",
+                        lambda stack, form_q: stacks.append(stack) or qr(stack, form_q))
+    draws = tuple(map(np.stack, zip(*_draws(dist, 4, 9, 5))))
+    R, C = fitter._factor(dist.columns, draws, 5, 4, grid.column_major_nodes, targets)
+    k = R.shape[1]
+    assert C.shape == (5, k + 1, 6)
+    assert np.array_equal(C[:, :k], stacks[0][:, :k] @ targets.rhs)
 
 
 class _Fixed(ReluParamDist):

@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import re
-from pathlib import Path
-
 import pytest
 
-README = Path(__file__).resolve().parents[1] / "README.md"
-SESSIONS = (re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
-            if README.is_file() else [])
+from readme_blocks import README, blocks
+
+SESSIONS = blocks("python")
 
 
 @pytest.mark.skipif(not README.is_file(), reason=f"no README.md beside the tests: {README}")
