@@ -8,12 +8,17 @@ largest count as zero).  The QR runs in place through LAPACK
 (:func:`_qr_in_place`), on the buffer the design is written into, with the
 bits of ``np.linalg.qr``.  The targets' part outside the span is read off the
 QR of ``[A | rhs]`` or, for many targets, downdated from their norms with
-``Q^T rhs``, ``Q^T`` being left in that buffer.  That product, and each long
-squared norm (:func:`_squared_norm`), is summed over row blocks of at most
-``_SUM_ROWS`` grid nodes, so each block of targets stays in cache while every
-trial reads it, and no sum the engine hands the BLAS is long enough for
-OpenBLAS to split it by thread: with OpenBLAS the residuals do not depend on
-the BLAS thread count.  On top of that sit Monte Carlo estimates of the
+``Q^T rhs``, ``Q^T`` being left in that buffer.  The joined QR takes the grid's
+nodes in interleaved row blocks of at most ``_SUM_ROWS`` nodes
+(``Grid.node_blocks``), each stacked under the ``R`` of the blocks before it
+(one level of TSQR), so a success trial stops at the first block after which
+its target's part outside the span already exceeds ``epsilon``: adding rows
+never shrinks that part.  The product ``Q^T rhs``, and each long squared norm
+(:func:`_squared_norm`), is summed over row blocks of as many grid nodes, so
+each block of targets stays in cache while every trial reads it, and no sum
+the engine hands the BLAS is long enough for OpenBLAS to split it by thread:
+with OpenBLAS the residuals do not depend on the BLAS thread count.  On top of
+that sit Monte Carlo estimates of the
 success probability ``P[inf-over-span error <= eps]`` and a
 doubling-plus-bisection search for the smallest width reaching a target
 success rate.
@@ -41,7 +46,9 @@ Residuals are read through :meth:`_Factors.norms` (:func:`width_residuals`);
 success decisions, all that the success probability and the width search
 need, through :meth:`_Factors.passes`, which gives the decision of ``norms``
 but solves only the blocks whose part outside the span is within
-``epsilon``: the others fail whatever the solve adds.
+``epsilon``: the others fail whatever the solve adds.  Those two entries pass
+their ``epsilon`` down to the factorization, which stops the trials that
+already fail it.
 
 The engine knows features only through three methods of the distribution,
 which ``relu.ReluParamDist`` implements for ReLU features:
@@ -51,9 +58,10 @@ by trial to a ``(trials, r)`` mask of the columns to factor, each column
 left out lying in the span of kept ones drawn before it; and
 ``columns(draws, nodes, out)`` writes, for draws stacked by trial, feature
 ``i`` of trial ``t`` at the nodes into row ``out[t, i]``, which the engine
-then weights: one call per chunk of trials factored together.  The engine
-passes both the grid's nodes ``(n, d)`` column-major, as
-``Grid.column_major_nodes``.
+then weights: one call per chunk of trials factored together, or, where
+the targets join the QR, per chunk and row block.  The engine passes both
+the nodes ``(n, d)`` column-major: the grid's, as ``Grid.column_major_nodes``,
+or one row block's, as ``Grid.node_blocks``.
 """
 
 from __future__ import annotations
@@ -68,7 +76,7 @@ from numpy.linalg import lapack_lite
 
 from .caps import _cap, active_cap
 from .errors import CapExceeded, EmptyFeatureList, ParameterOutOfRange
-from .quadrature import Grid, evaluate_on
+from .quadrature import _SUM_ROWS, Grid, evaluate_on
 from .relu import FittedSpan, ReluParamDist, _check_features
 from .relu import _design_matrix  # noqa: F401  the benchmark's tracer patches it here
 
@@ -86,11 +94,18 @@ _BATCH_BYTES = 16 * 2**20
 # README's d = 1 search and a d = 2 search of the benchmark's kind stop.
 _HELD_BYTES = 2 * 2**20
 
-# The longest sum the engine hands the BLAS in one call: OpenBLAS splits a dot
-# product of more than 10,000 entries by thread, so longer sums, and the product
-# ``C = Q^T rhs``, are taken in blocks of at most this many rows, and their bits
-# do not read the thread count.
-_SUM_ROWS = 4096
+# ``_SUM_ROWS`` (4,096, from ``quadrature``) is the longest sum the engine hands the
+# BLAS in one call: OpenBLAS splits a dot product of more than 10,000 entries by
+# thread, so longer sums, and the product ``C = Q^T rhs``, are taken in blocks of
+# at most this many rows, and their bits do not read the thread count.  A joined
+# QR of a grid of more nodes is factored over the grid's row blocks
+# (``Grid.node_blocks``) of at most as many nodes.
+
+# A success trial stops after a row block once the part of its target outside the
+# span over the rows factored so far exceeds ``epsilon`` by this share: that part
+# never falls as rows are added, and the margin covers the rounding of the norms
+# that read it (``dnrm2``, ``dlapy2``, then ``sqrt`` of a sum of squares).
+_STOP_MARGIN = 2.0**-40
 
 # Rank cut of every solve: singular values at most ``_RCOND`` times the
 # largest count as zero, the cut ``np.linalg.lstsq`` makes given this cutoff.
@@ -238,21 +253,38 @@ def _qr_in_place(stack: np.ndarray, form_q: bool) -> np.ndarray:
     return R
 
 
-def _factor(columns, draws: tuple, count: int, w: int, nodes: np.ndarray,
-            targets: _Weighted) -> tuple[np.ndarray, np.ndarray]:
+def _factor(columns, draws: tuple, count: int, w: int, grid: Grid, targets: _Weighted,
+            epsilon: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One Householder QR per design ``A`` of the ``count`` draws ``draws``, stacked by
-    trial, ``w`` features each, at ``nodes``, against the weighted ``targets``.
+    trial, ``w`` features each, on ``grid``, against the weighted ``targets``.
 
-    One call ``columns(draws, nodes, out)`` writes every design, one row per
-    column, into its slot of one stack of ``n``-long rows, the layout
-    :func:`_qr_in_place` factors in place, and the rows are weighted there.
-    Returns ``R`` of shape ``(count, min(n, w), w)`` with ``A = Q R``, and
-    ``C`` of shape ``(count, q, m)``: its first ``min(n, w)`` rows are
-    ``Q^T rhs`` and the rest hold the targets' part orthogonal to every
-    column of ``Q``, so the part of ``rhs`` outside the span of ``Q``'s first
-    ``k`` columns has the norm of ``C[:, k:]``.  With fewer targets than
-    columns the targets join the factorization as ``[A | rhs]`` and ``C`` is
-    read off its ``R``.  Otherwise each slot then holds ``Q^T``, and ``C`` is
+    ``columns(draws, nodes, out)`` writes every design, one row per column, into
+    its slot of one stack of rows, the layout :func:`_qr_in_place` factors in
+    place, and the rows are weighted there.  Returns ``R`` of shape
+    ``(count, min(n, w), w)`` with ``A = Q R``, and ``C`` of shape
+    ``(count, q, m)``: its first ``min(n, w)`` rows are ``Q^T rhs`` and the rest
+    hold the targets' part orthogonal to every column of ``Q``, so the part of
+    ``rhs`` outside the span of ``Q``'s first ``k`` columns has the norm of
+    ``C[:, k:]``.
+
+    With fewer targets than columns the targets join the factorization as
+    ``[A | rhs]``, ``C`` is read off its ``R``, and the rows are taken in the
+    grid's row blocks (``Grid.node_blocks``; block ``j`` of ``nb`` holds nodes
+    ``j::nb``), one ``columns`` call each: each block is stacked under the
+    running ``R`` of the blocks before it and the stack is factored, one level
+    of TSQR.  A grid of one block is one QR of ``[A | rhs]``.  Given
+    ``epsilon``, a trial stops after any block but the last once the first
+    target's part outside the span over the rows so far, ``|R[w, w]|``, exceeds
+    ``epsilon * (1 + _STOP_MARGIN)``.  Row ``w`` of the running ``R`` is zero in
+    every design column, so the Householder vectors of later blocks are exactly
+    zero there, but for column ``w``'s own, whose ``dlapy2`` can only grow
+    ``|R[w, w]|``: the final part outside, and the part outside at every
+    smaller count, is at least the running one.  The trial then keeps that
+    value as the one nonzero entry of its ``R`` and ``C``, at ``C[w, 0]``, so
+    :meth:`_Factors.passes` fails it at every count without a solve; only
+    decisions read factors made with ``epsilon``.
+
+    Otherwise each slot, one QR of the whole grid, then holds ``Q^T``, and ``C`` is
     summed over row blocks of ``rhs`` of at most ``_SUM_ROWS`` rows, so the
     block stays in cache for every slot.  Each block's product is stacked, one
     gemm per slot, so a trial's bits never depend on how many trials share its
@@ -265,15 +297,31 @@ def _factor(columns, draws: tuple, count: int, w: int, nodes: np.ndarray,
     """
     root_w, rhs, norm_sq = targets
     n, m = rhs.shape
-    joined = m < w
-    stack = np.empty((count, w + m if joined else w, n))
-    designs = stack[:, :w]
-    columns(draws, nodes, designs)
-    designs *= root_w
-    if joined:
-        stack[:, w:] = rhs.T
-        full = _qr_in_place(stack, form_q=False)
+    if m < w:
+        q, blocks = w + m, grid.node_blocks
+        nb = len(blocks)
+        full = np.zeros((count, min(n, q), q))
+        R, open_ = np.empty((count, 0, q)), np.arange(count)  # of the trials still open
+        for j, nodes in enumerate(blocks):
+            top = R.shape[1]
+            stack = np.empty((len(open_), q, top + len(nodes)))
+            stack[:, :, :top] = np.swapaxes(R, -1, -2)
+            designs = stack[:, :w, top:]
+            columns(tuple(part[open_] for part in draws), nodes, designs)
+            designs *= root_w[j::nb]
+            stack[:, w:, top:] = rhs[j::nb].T
+            R = _qr_in_place(stack, form_q=False)
+            if epsilon is not None and j < nb - 1 and R.shape[1] > w:  # R has a row w
+                stop = np.abs(R[:, w, w]) > epsilon * (1 + _STOP_MARGIN)
+                full[open_[stop], w, w] = R[stop, w, w]
+                open_, R = open_[~stop], R[~stop]
+                if not len(open_):
+                    break
+        full[open_, :R.shape[1]] = R  # none open after a stop, or all of the final R
         return full[:, :min(n, w), :w], full[:, :, w:]
+    stack = np.empty((count, w, n))
+    columns(draws, grid.column_major_nodes, stack)
+    stack *= root_w
     R = _qr_in_place(stack, form_q=True)
     Qt = stack[:, :R.shape[1]]
     C = Qt[:, :, :_SUM_ROWS] @ rhs[:_SUM_ROWS]
@@ -281,9 +329,12 @@ def _factor(columns, draws: tuple, count: int, w: int, nodes: np.ndarray,
         C += Qt[:, :, s:s + _SUM_ROWS] @ rhs[s:s + _SUM_ROWS]
     # not einsum: its one-target sum varies with ``count``
     outside = norm_sq - np.sum(C * C, axis=1)
+    kept = {}  # each recomputed target's column of ``rhs``, copied once to contiguous memory
     for t, j in zip(*np.nonzero(outside < _DOWNDATE * norm_sq)):
-        gap = rhs[:, j] - C[t, :, j] @ Qt[t]
-        outside[t, j] = _squared_norm(gap)
+        if j not in kept:
+            kept[j] = rhs[:, j].copy()
+        gap = C[t, :, j] @ Qt[t]
+        outside[t, j] = _squared_norm(np.subtract(kept[j], gap, out=gap))
     return R, np.concatenate([C, np.sqrt(outside)[:, None]], axis=1)
 
 
@@ -320,19 +371,23 @@ class _Factors:
     ``mask`` is ``dist.live`` of the draws stacked by trial, and ``live[t, r]``
     counts its columns among trial ``t``'s first ``r``.  Trials with one live
     count are factored (:func:`_factor`) in stacks of about ``_CHUNK_BYTES``,
-    counted as the stack holds them: the designs with the targets beside them
-    where fewer targets than columns join the QR, the designs alone otherwise.
-    Each chunk's live draws are picked and its designs written in one call
-    each.  Trial ``t``'s design (``L`` columns) has its ``R`` in the top-left
+    counted as the stack holds them: where fewer targets than columns join the
+    QR, one row block of the designs with the targets beside them, under the
+    running ``R``; otherwise the designs alone, at every node.
+    Each chunk's live draws are picked in one call, and its designs written in
+    one call per row block.  Trial ``t``'s design (``L`` columns) has its ``R`` in the top-left
     ``min(n, L) x L`` corner of ``R[t]`` and its ``C`` in the top rows of
     ``C[t]``; the rest is zero, and ``tails[t, k]`` holds the squared norms of
     ``C[t, k:]``.  So trials of any live count stack into one solve at a
-    common smaller count, and a count of 0 reads the targets' norms.
+    common smaller count, and a count of 0 reads the targets' norms.  Given
+    ``epsilon``, a joined factorization stops a trial that already fails
+    (:func:`_factor`), so only :meth:`passes` reads such factors.
     """
 
-    def __init__(self, dist, draws: list, nodes: np.ndarray, targets: _Weighted):
+    def __init__(self, dist, draws: list, grid: Grid, targets: _Weighted,
+                 epsilon: float | None = None):
         stacked = tuple(map(np.stack, zip(*draws)))
-        self.mask = dist.live(stacked, nodes)
+        self.mask = dist.live(stacked, grid.column_major_nodes)
         (trials, w), (n, m) = self.mask.shape, targets.rhs.shape
         self.live = np.zeros((trials, w + 1), dtype=np.intp)
         np.cumsum(self.mask, axis=1, out=self.live[:, 1:])
@@ -342,16 +397,20 @@ class _Factors:
         self.C = np.zeros((trials, min(n, w + m if m < w else w) + 1, m))
         self.tails = np.zeros_like(self.C)
         self.target_norms = np.sqrt(targets.norm_sq)
+        blocks = grid.node_blocks
         for count in np.flatnonzero(np.bincount(self.live[:, w])[1:]) + 1:
             group = np.flatnonzero(self.live[:, w] == count)
-            rows = count + m if m < count else count  # the rows of one slot of the stack
-            per_chunk = max(1, _CHUNK_BYTES // (8 * n * rows))
+            cols = count + m if m < count else count  # the columns of one slot of the stack
+            # its rows: where the targets join, a row block under the running R, else n
+            rows = len(blocks[0]) + cols if m < count and len(blocks) > 1 else n
+            per_chunk = max(1, _CHUNK_BYTES // (8 * rows * cols))
             for first in range(0, len(group), per_chunk):
                 sel = group[first:first + per_chunk]
                 keep = self.mask[sel]
                 live_draws = tuple(part[sel][keep].reshape(len(sel), count, *part.shape[2:])
                                    for part in stacked)
-                R, C = _factor(dist.columns, live_draws, len(sel), count, nodes, targets)
+                R, C = _factor(dist.columns, live_draws, len(sel), count, grid, targets,
+                               epsilon)
                 self.R[sel, :R.shape[1], :count] = R
                 self.C[sel, :C.shape[1]] = C
                 self.tails[sel, :C.shape[1]] = np.cumsum((C**2)[:, ::-1], axis=1)[:, ::-1]
@@ -401,7 +460,7 @@ def _weighted_lstsq(W: np.ndarray, b: np.ndarray, grid: Grid,
     Features ``ReluParamDist.live`` leaves out get coefficient 0.
     """
     _check_features(W, b, grid.nodes.shape[1])
-    factors = _Factors(ReluParamDist, [(W, b)], grid.column_major_nodes, targets)
+    factors = _Factors(ReluParamDist, [(W, b)], grid, targets)
     w = int(factors.live[0, -1])
     coeffs, norms = np.zeros((len(W), targets.rhs.shape[1])), factors.target_norms
     if w:
@@ -464,27 +523,31 @@ def _draw(dist, w: int, seed, trial: int) -> tuple:
     return dist.sample_batch(np.random.default_rng([*np.atleast_1d(seed).tolist(), trial]), w)
 
 
-def _factored(targets: _Weighted, grid: Grid, dist, w: int, trials, draw):
-    """Yield ``(ids, factors)`` (:class:`_Factors`) for the width-``w`` draws ``draw(t)``
-    of ``trials``, in batches whose draws (taken as ``d + 1`` numbers per feature) and
-    factors take about ``_BATCH_BYTES``; nothing for ``w = 0``."""
+def _factored(targets: _Weighted, grid: Grid, dist, w: int, trials, draw,
+              epsilon: float | None = None):
+    """Yield ``(ids, factors)`` (:class:`_Factors`, stopping the trials that already fail
+    ``epsilon`` where one is given) for the width-``w`` draws ``draw(t)`` of ``trials``,
+    in batches whose draws (taken as ``d + 1`` numbers per feature) and factors take
+    about ``_BATCH_BYTES``; nothing for ``w = 0``."""
     n, m = targets.rhs.shape
     rows = min(n, w)
     per_trial = 8 * (rows * w + 2 * (rows + m + 1) * m + w * (grid.nodes.shape[1] + 1))
     per_batch = max(1, _BATCH_BYTES // per_trial)
     for start in range(0, len(trials) if w else 0, per_batch):
         ids = trials[start:start + per_batch]
-        yield ids, _Factors(dist, [draw(t) for t in ids], grid.column_major_nodes, targets)
+        yield ids, _Factors(dist, [draw(t) for t in ids], grid, targets, epsilon)
 
 
-def _at_widths(targets: _Weighted, grid: Grid, dist, widths: list[int], seed, trials: int):
+def _at_widths(targets: _Weighted, grid: Grid, dist, widths: list[int], seed, trials: int,
+               epsilon: float | None = None):
     """Yield ``(ids, j, factors, live)`` per batch of trials ``ids``, each drawn and
     factored once at the widest width (:func:`_factored`), and per width ``widths[j]``:
     ``live`` are the live counts of the batch's trials among their first ``widths[j]``
-    features, as :meth:`_Factors.norms` and :meth:`_Factors.passes` read them."""
+    features, as :meth:`_Factors.norms` (no ``epsilon``) and :meth:`_Factors.passes`
+    read them."""
     w = max(widths)
     for ids, factors in _factored(targets, grid, dist, w, np.arange(trials),
-                                  partial(_draw, dist, w, seed)):
+                                  partial(_draw, dist, w, seed), epsilon):
         for j, width in enumerate(widths):
             yield ids, j, factors, factors.live[:, width]
 
@@ -535,7 +598,8 @@ def success_probability(f, epsilon: float, dist, r, trials: int,
     targets = f if isinstance(f, _Weighted) else _weighted(evaluate_on(f, grid.nodes),
                                                            grid.weights)
     counts = np.zeros(len(widths), dtype=np.intp)
-    for ids, j, factors, live in _at_widths(targets, grid, dist, widths, seed, trials):
+    for ids, j, factors, live in _at_widths(targets, grid, dist, widths, seed, trials,
+                                            epsilon):
         counts[j] += np.count_nonzero(factors.passes(np.arange(len(ids)), live, epsilon))
     estimates = []
     for width, successes in zip(widths, counts.tolist()):
@@ -638,7 +702,7 @@ def estimate_minwidth(f, epsilon: float, delta: float, dist,
         # past the budget each batch is drawn as it is factored
         draw = ((lambda t: tuple(part[:r] for part in held[t])) if held_width
                 else partial(_draw, dist, r, seed))
-        for ids, factors in _factored(targets, grid, dist, r, open_, draw):
+        for ids, factors in _factored(targets, grid, dist, r, open_, draw, epsilon):
             passed = np.flatnonzero(factors.passes(np.arange(len(ids)), factors.live[:, r],
                                                    epsilon))
             first[ids[passed]] = _first_passing(factors, passed, last_fail, r, epsilon)

@@ -39,6 +39,12 @@ GAUSSIAN = "gaussian"
 TENSOR_GAUSS = "tensor_gauss"
 MONTE_CARLO = "monte_carlo"
 
+# Grid nodes per row block: a grid of more nodes is split into ``ceil(n / _SUM_ROWS)``
+# interleaved blocks (:attr:`Grid.node_blocks`), which the trial engine factors one
+# at a time, and the engine takes its long sums over blocks of as many rows
+# (``widthlab.fitter``).
+_SUM_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -81,6 +87,21 @@ class Grid:
         nodes = np.asfortranarray(self.nodes).view()  # no copy at d = 1, its own flags
         nodes.setflags(write=False)
         return nodes
+
+    @cached_property
+    def node_blocks(self) -> tuple[np.ndarray, ...]:
+        """The nodes in ``nb = ceil(n / _SUM_ROWS)`` interleaved row blocks, block ``j``
+        holding nodes ``j::nb``, so that each block samples the whole domain; each is a
+        read-only column-major copy, as :attr:`column_major_nodes` is, and a grid of at
+        most ``_SUM_ROWS`` nodes has that one block.  The trial engine writes and factors
+        the joined solve block by block (``fitter._factor``)."""
+        nb = -(-len(self.nodes) // _SUM_ROWS)
+        if nb <= 1:
+            return (self.column_major_nodes,)
+        blocks = tuple(np.asfortranarray(self.nodes[j::nb]) for j in range(nb))
+        for block in blocks:
+            block.setflags(write=False)
+        return blocks
 
     @cached_property
     def axes(self) -> tuple[np.ndarray, ...] | None:
@@ -256,10 +277,12 @@ def memoized(key, build, size):
 
 
 def _grid_bytes(grid: Grid) -> int:
-    """What a grid holds at most: nodes, weights, :attr:`Grid.column_major_nodes` and the
-    axes, whose sizes multiply to ``n`` and so sum to at most ``n + d``."""
+    """What a grid holds at most: nodes, weights, :attr:`Grid.column_major_nodes`, past
+    ``_SUM_ROWS`` nodes the copy in :attr:`Grid.node_blocks`, and the axes, whose sizes
+    multiply to ``n`` and so sum to at most ``n + d``."""
     n, d = grid.nodes.shape
-    return 2 * grid.nodes.nbytes + grid.weights.nbytes + 8 * (n + d)
+    copies = 3 if n > _SUM_ROWS else 2
+    return copies * grid.nodes.nbytes + grid.weights.nbytes + 8 * (n + d)
 
 
 def make_grid(spec: QuadratureSpec) -> Grid:

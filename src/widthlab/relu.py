@@ -347,11 +347,13 @@ class ReluParamDist:
         """Write feature ``i`` of trial ``t`` of ``draws = (W (trials, r, d), b (trials, r))``,
         stacked by trial, at every node into row ``out[t, i]``.
 
-        The engine passes ``nodes`` ``(n, d)`` column-major
-        (``Grid.column_major_nodes``), so ``nodes.T`` has contiguous rows, and
-        each slot's rows have the bits of :func:`_design_matrix`'s columns,
-        which reads the same layout: the one stacked product makes, slot by
-        slot, the product of one draw.
+        The engine passes ``nodes`` ``(n, d)`` column-major: the whole grid's
+        (``Grid.column_major_nodes``) or, where the targets join the QR, one
+        row block's (``Grid.node_blocks``), with ``out`` then the block's rows
+        of a strided stack.  So ``nodes.T`` has contiguous rows, and each
+        slot's rows have the bits of :func:`_design_matrix`'s columns at those
+        nodes, which reads the same layout: the one stacked product makes,
+        slot by slot, the product of one draw.
         """
         W, b = draws
         _relu(W, nodes.T, b[..., None], out)

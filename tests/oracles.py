@@ -245,7 +245,8 @@ class MemberDistribution:
     draws stacked by trial.  On a grid where the family is orthonormal, a
     trial's span holds exactly the members it drew, so each member's residual
     is 0 if drawn and 1 if not.
-    ``written`` records the member indices of every design the engine builds.
+    ``written`` records the member indices of every design the engine writes,
+    with the nodes it is written at: the whole grid, or one of its row blocks.
     """
 
     def __init__(self, family):
@@ -265,6 +266,6 @@ class MemberDistribution:
     def columns(self, draws, nodes, out):
         (idx,) = draws
         for slot, draw in zip(out, idx):
-            self.written.append(draw.tolist())
+            self.written.append((draw.tolist(), nodes))
             for row, i in zip(slot, draw):
                 row[:] = self.family.members[i](nodes)

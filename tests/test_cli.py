@@ -548,7 +548,10 @@ class TestTrialEngine:
                     assert (out_dir / name).read_bytes() == (fresh_dir / name).read_bytes()
 
     # The README's lb_projection example and the benchmark's two lb_projection configs
-    # (fewer trials), each past one row block of fitter._SUM_ROWS grid nodes.
+    # (fewer trials), each past one row block of fitter._SUM_ROWS grid nodes; then an
+    # lb_projection with more features than members (N = 3), whose joined QR runs
+    # over four row blocks, and the benchmark's lb_explicit, which stops its trials
+    # after their first block.
     _THREAD_DOCS = [
         *[doc for doc in map(json.loads, blocks("json")) if doc["kind"] == "lb_projection"],
         {"kind": "lb_projection",
@@ -557,6 +560,12 @@ class TestTrialEngine:
         {"kind": "lb_projection",
          "parameters": {"d": 3, "family": {"type": "ball", "k": 2}, "r_list": [4, 8],
                         "trials": 4, "dist": {"k": 2}, "seed": 7}},
+        {"kind": "lb_projection",
+         "parameters": {"d": 3, "family": {"type": "symmetric", "ell": 1}, "r_list": [4, 8],
+                        "trials": 4, "dist": {"k": 2}, "seed": 7}},
+        {"kind": "lb_explicit",
+         "parameters": {"d": 4, "ell": 2, "epsilon": 0.1, "r_list": [1, 2, 4], "trials": 40,
+                        "dist": {"k": 2}, "seed": 7}},
     ]
 
     # ``widthlab run --config C --out-dir D`` for each pair ``C D`` of the arguments
@@ -565,10 +574,11 @@ class TestTrialEngine:
                  "for c, d in zip(args[::2], args[1::2])))")
 
     def test_projection_csvs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
-        """Every sum the engine hands the BLAS is at most ``fitter._SUM_ROWS`` long, so
-        OpenBLAS, which splits only longer sums by thread, does not split it: each
-        config's CSVs, run by ``run`` in a new process at 1 and at 2 BLAS threads, are
-        the same bytes.  Other BLAS builds split their sums by other rules."""
+        """Every sum the engine hands the BLAS is at most ``fitter._SUM_ROWS`` long, and
+        each joined QR factors row blocks of at most as many nodes, so OpenBLAS, which
+        splits only longer sums by thread, does not split it: each config's CSVs, run by
+        ``run`` in a new process at 1 and at 2 BLAS threads, are the same bytes.  Other
+        BLAS builds split their sums by other rules."""
         config = io.StringIO()
         with contextlib.redirect_stdout(config):
             np.show_config()
@@ -576,7 +586,7 @@ class TestTrialEngine:
             pytest.skip("numpy is not built against OpenBLAS")
         if not README.is_file():
             pytest.skip(f"no README.md beside the tests: {README}")
-        assert len(self._THREAD_DOCS) == 3  # the README's example among them
+        assert len(self._THREAD_DOCS) == 5  # the README's example among them
         src = str(Path(widthlab.__file__).resolve().parents[1])
         outputs = {}
         for threads in ("1", "2"):

@@ -11,6 +11,8 @@ one member within ``epsilon < 1`` from the width at which it first draws it.
 
 from __future__ import annotations
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,36 @@ def _distinct_in_order(idx):
     return list(dict.fromkeys(idx.tolist()))
 
 
+def _check_written(dist, grid, draws, whole=()):
+    """Each trial's design holds its distinct members once, in the order drawn.  A
+    design of one member, which the target does not join, is written at every node
+    at once; the others once per row block of the grid (``Grid.node_blocks``, block
+    ``j`` of ``nb`` holding nodes ``j::nb``), in block order, so that every node is
+    written once.  A trial may stop after any block but the last, except the trials
+    ``whole``, whose residual is 0."""
+    blocks = grid.node_blocks
+    assert sum(map(len, blocks)) == len(grid.nodes)
+    for j, nodes in enumerate(blocks):
+        assert np.array_equal(nodes, grid.nodes[j::len(blocks)])
+    at = collections.defaultdict(list)  # member indices: the blocks written, in order
+    for members, nodes in dist.written:
+        at[tuple(members)].append(next(j for j, block in enumerate(blocks) if nodes is block)
+                                  if len(members) > 1 else nodes)
+    trials = collections.Counter(tuple(_distinct_in_order(idx)) for idx in draws)
+    assert set(at) == set(trials)
+    for members, written in at.items():
+        if len(members) == 1:
+            assert len(written) == trials[members]
+            assert all(nodes is grid.column_major_nodes for nodes in written)
+            continue
+        if trials[members] == 1:
+            assert written == list(range(len(written)))
+        per_block = [written.count(j) for j in range(len(blocks))]
+        assert per_block[0] == trials[members] and sorted(per_block, reverse=True) == per_block
+        assert per_block[-1] >= sum(tuple(_distinct_in_order(draws[t])) == members
+                                    for t in whole)
+
+
 @pytest.mark.parametrize("d, trials", [(2, 12), (3, 4)])
 def test_mean_residual_is_one_minus_the_share_of_members_drawn(d, trials):
     grid, family, dist = _setup(d)
@@ -54,8 +86,11 @@ def test_mean_residual_is_one_minus_the_share_of_members_drawn(d, trials):
         for j, r in enumerate(widths):
             expected = 1.0 - len(set(idx[:r].tolist())) / N
             assert abs(np.mean(got[t, j] ** 2) - expected) <= 1e-12, (t, r)
-    # Each trial's design holds its distinct members once, in the order drawn.
-    assert sorted(dist.written) == sorted(_distinct_in_order(idx) for idx in draws)
+    # Each trial's design holds its distinct members once, in the order drawn: with
+    # as many targets as members, one design per trial at every node.
+    assert sorted(members for members, _ in dist.written) == sorted(
+        _distinct_in_order(idx) for idx in draws)
+    assert all(nodes is grid.column_major_nodes for _, nodes in dist.written)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -69,7 +104,8 @@ def test_success_is_the_share_of_trials_that_drew_the_member(d):
     for r, estimate in zip(widths, estimates):
         drew = sum(member in idx[:r] for idx in draws)
         assert abs(estimate.probability - drew / trials) <= 1e-12, r
-    assert sorted(dist.written) == sorted(_distinct_in_order(idx) for idx in draws)
+    # one target joins each design of more members, row block by row block
+    _check_written(dist, grid, draws, whole=[t for t, idx in enumerate(draws) if member in idx])
 
 
 def _replay(first, delta, r_max):

@@ -227,7 +227,9 @@ def test_one_builder_gives_the_bits_of_every_entry_point(d, w, monkeypatch):
     # The factored columns are the bits of _design_matrix, weighted: the
     # products that FittedSpan.evaluate and the sampled network make.  The
     # slot LAPACK factors in place is the column-major design, so its rows
-    # are the design's columns.
+    # are the design's columns: at every node at once where the one target
+    # does not join (w = 1), else one row block of the grid per call, under
+    # the running R of the blocks before it.
     factored, geqrf = [], fitter.lapack_lite.dgeqrf
 
     def capture(m, n, a, *args):
@@ -239,7 +241,10 @@ def test_one_builder_gives_the_bits_of_every_entry_point(d, w, monkeypatch):
     W, b = draws[0]
     fit_span(W, b, family.members[0], grid)
     design = fitter._design_matrix(W, b, grid.nodes) * np.sqrt(grid.weights)[:, None]
-    assert np.array_equal(factored[0][:w].T, design)
+    blocks = grid.node_blocks if w > 1 else (grid.column_major_nodes,)
+    assert len(factored) == len(blocks) == (1 if w == 1 else -(-len(grid.nodes) // 4096))
+    for j, (slot, nodes) in enumerate(zip(factored, blocks)):
+        assert np.array_equal(slot[:w, -len(nodes):].T, design[j::len(blocks)]), j
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -740,8 +745,8 @@ def _past_one_block():
 
 def test_chunks_change_no_bit(monkeypatch):
     """Trials stacked in one chunk and one batch give the bits of one trial per chunk
-    and per batch: with the targets joined to the designs, and with at least as
-    many targets as columns, where the part outside the span is downdated or,
+    and per batch: with the targets joined to the designs, on one row block and past
+    one, and with at least as many targets as columns, where the part outside the span is downdated or,
     below ``_DOWNDATE``, recomputed (a threshold of 1 recomputes every target), on
     one row block and past one.  The surplus affine rule drops columns in these
     draws, so its mask, made once per batch, does not depend on how many draws
@@ -760,7 +765,9 @@ def test_chunks_change_no_bit(monkeypatch):
     downdates = (fitter._DOWNDATE, 1.0)
 
     def residuals():
-        out = [width_residuals(few, grid, dist, [4, 16, 64], 9, trials=40)]
+        out = [width_residuals(few, grid, dist, [4, 16, 64], 9, trials=40),
+               # two targets joined to 4-8 live columns, over four row blocks
+               width_residuals(ball[:, :2], ball_grid, ball_dist, [4, 8], 9, trials=6)]
         for downdate in downdates:
             monkeypatch.setattr(fitter, "_DOWNDATE", downdate)
             out.append(width_residuals(many, grid, dist, [1, 3, 6], 9, trials=40))
@@ -813,7 +820,7 @@ def test_one_row_block_gives_the_bits_of_one_product(monkeypatch):
     monkeypatch.setattr(fitter, "_qr_in_place",
                         lambda stack, form_q: stacks.append(stack) or qr(stack, form_q))
     draws = tuple(map(np.stack, zip(*_draws(dist, 4, 9, 5))))
-    R, C = fitter._factor(dist.columns, draws, 5, 4, grid.column_major_nodes, targets)
+    R, C = fitter._factor(dist.columns, draws, 5, 4, grid, targets)
     k = R.shape[1]
     assert C.shape == (5, k + 1, 6)
     assert np.array_equal(C[:, :k], stacks[0][:, :k] @ targets.rhs)
