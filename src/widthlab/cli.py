@@ -4,11 +4,12 @@ Every experiment is one JSON document with a ``kind``, a ``parameters`` map,
 and an optional ``output_path``: a file-name prefix, the kind by default, so
 every output lands in the output directory.  Runs are deterministic given the
 config and seed — per-trial seeds derive from ``(seed, trial)`` and trials
-run in order on one thread, so rerunning a config at the same BLAS thread
-count rewrites byte-identical CSV files.  The BLAS splits its sums by thread,
-so the last bits of some results (``lb_projection``'s residuals, for one)
-change with that count; nothing here pins it, while CI and ``bench/run.py``
-pin 1 thread.
+run in order on one thread, so rerunning a config rewrites byte-identical CSV
+files.  The trial engine hands the BLAS no sum longer than OpenBLAS keeps on
+one thread (``widthlab.fitter``), so with a numpy built on OpenBLAS the CSVs
+are the same bytes at 1 and 2 BLAS threads; other BLAS builds split sums by
+their own rules, and no such claim is made for them.  Nothing here pins the
+thread count, while CI and ``bench/run.py`` pin 1 thread.
 
 Each kind declares its parameters in one table (``_KINDS``); ``validate`` and
 ``run`` both check a config against it with :func:`_parse` before any work.
@@ -472,11 +473,15 @@ def _run_hermite_check(p, run: _Run) -> dict:
                          p, run)
 
 
+def _dist(p) -> DkDistribution:
+    """The run's feature distribution: ``D_k`` at ``p.dist.k`` in ``p.d`` dimensions."""
+    return DkDistribution(k=p.dist.k, dimension=p.d)
+
+
 def _success_curve(f, grid, p, run: _Run) -> list[dict]:
     """Success probability of the target ``f`` on ``grid`` at each width of ``p.r``,
     from one factorization per trial at the widest; writes the curve CSV."""
-    dist = DkDistribution(k=p.dist.k, dimension=p.d)
-    estimates = success_probability(f, p.epsilon, dist, p.r, p.trials, grid, p.seed)
+    estimates = success_probability(f, p.epsilon, _dist(p), p.r, p.trials, grid, p.seed)
     emit_curve([(est.r, est.probability, est.ci_lo, est.ci_hi) for est in estimates],
                run.path("curve.csv"))
     return _jsonable(estimates)
@@ -489,8 +494,7 @@ def _run_fit_curve(p, run: _Run) -> dict:
 
 
 def _run_minwidth(p, run: _Run) -> dict:
-    dist = DkDistribution(k=p.dist.k, dimension=p.d)
-    est = estimate_minwidth(p.target[0], p.epsilon, p.delta, dist, make_grid(p.grid),
+    est = estimate_minwidth(p.target[0], p.epsilon, p.delta, _dist(p), make_grid(p.grid),
                             p.trials, p.r_max, p.seed)
     points = [(r, prob, *wilson_interval(round(prob * p.trials), p.trials))
               for r, prob in est.search_trace]
@@ -511,7 +515,7 @@ def _run_lb_projection(p, run: _Run) -> dict:
     else:
         family = gaussian_hard_family(family_desc["L"], family_desc["N"], p.d, p.seed, grid)
         family_desc = {**family_desc, "kappa": family.coherence}
-    dist = DkDistribution(k=p.dist.k, dimension=p.d)
+    dist = _dist(p)
     # One draw and one factor per trial, at the widest r, for every r; r = 0 reads the
     # member norms, as a trial with no live feature does.
     norms = width_residuals(_weighted_family(family, grid), grid, dist, p.r, p.seed, p.trials)

@@ -6,19 +6,21 @@ of the weighted design, then the SVD of a leading block of ``R`` with the
 rank cut of ``np.linalg.lstsq`` (singular values at most ``_RCOND`` times the
 largest count as zero).  The QR runs in place through LAPACK
 (:func:`_qr_in_place`), on the buffer the design is written into, with the
-bits of ``np.linalg.qr``.  The targets' part outside the span is read off the
-QR of ``[A | rhs]`` or, for many targets, downdated from their norms with
-``Q^T rhs``, ``Q^T`` being left in that buffer.  The joined QR takes the grid's
-nodes in interleaved row blocks of at most ``_SUM_ROWS`` nodes
-(``Grid.node_blocks``), each stacked under the ``R`` of the blocks before it
-(one level of TSQR), so a success trial stops at the first block after which
-its target's part outside the span already exceeds ``epsilon``: adding rows
-never shrinks that part.  The product ``Q^T rhs``, and each long squared norm
-(:func:`_squared_norm`), is summed over row blocks of as many grid nodes, so
-each block of targets stays in cache while every trial reads it, and no sum
-the engine hands the BLAS is long enough for OpenBLAS to split it by thread:
-with OpenBLAS the residuals do not depend on the BLAS thread count.  On top of
-that sit Monte Carlo estimates of the
+bits of ``np.linalg.qr``.  One loop over row blocks (:func:`_factor`) factors
+every design, each block stacked under the ``R`` of the blocks before it (one
+level of TSQR), and it alone picks the route.  With fewer targets than
+columns the targets join the QR as ``[A | rhs]``, their part outside the span
+is read off its ``R``, and the blocks are the grid's interleaved ones of at
+most ``_SUM_ROWS`` nodes (``Grid.node_blocks``), so a success trial stops at
+the first block after which its target's part outside the span already
+exceeds ``epsilon``: adding rows never shrinks that part.  Otherwise the
+whole grid is one block, ``Q^T`` is left in the buffer, and the part outside
+is downdated from the targets' norms with ``Q^T rhs``.  That product, and
+each long squared norm (:func:`_squared_norm`), is summed over row blocks of
+``_SUM_ROWS`` grid nodes, so each block of targets stays in cache while every
+trial reads it, and no sum the engine hands the BLAS is long enough for
+OpenBLAS to split it by thread: with OpenBLAS the residuals do not depend on
+the BLAS thread count.  On top of that sit Monte Carlo estimates of the
 success probability ``P[inf-over-span error <= eps]`` and a
 doubling-plus-bisection search for the smallest width reaching a target
 success rate.
@@ -48,7 +50,8 @@ need, through :meth:`_Factors.passes`, which gives the decision of ``norms``
 but solves only the blocks whose part outside the span is within
 ``epsilon``: the others fail whatever the solve adds.  Those two entries pass
 their ``epsilon`` down to the factorization, which stops the trials that
-already fail it.
+already fail it, and the factors keep it: ``passes`` and the bisection
+decide at the ``epsilon`` the stop used, and take none of their own.
 
 The engine knows features only through three methods of the distribution,
 which ``relu.ReluParamDist`` implements for ReLU features:
@@ -58,10 +61,10 @@ by trial to a ``(trials, r)`` mask of the columns to factor, each column
 left out lying in the span of kept ones drawn before it; and
 ``columns(draws, nodes, out)`` writes, for draws stacked by trial, feature
 ``i`` of trial ``t`` at the nodes into row ``out[t, i]``, which the engine
-then weights: one call per chunk of trials factored together, or, where
-the targets join the QR, per chunk and row block.  The engine passes both
-the nodes ``(n, d)`` column-major: the grid's, as ``Grid.column_major_nodes``,
-or one row block's, as ``Grid.node_blocks``.
+then weights: one call per chunk of trials factored together and row block.
+The engine passes both the nodes ``(n, d)`` column-major: the grid's, as
+``Grid.column_major_nodes``, or, where the targets join the QR, one row
+block's, as ``Grid.node_blocks``.
 """
 
 from __future__ import annotations
@@ -253,64 +256,71 @@ def _qr_in_place(stack: np.ndarray, form_q: bool) -> np.ndarray:
     return R
 
 
-def _factor(columns, draws: tuple, count: int, w: int, grid: Grid, targets: _Weighted,
-            epsilon: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """One Householder QR per design ``A`` of the ``count`` draws ``draws``, stacked by
-    trial, ``w`` features each, on ``grid``, against the weighted ``targets``.
+def _factor(columns, draws: tuple, w: int, grid: Grid, targets: _Weighted,
+            epsilon: float | None = None):
+    """Householder QR factors of the designs ``A`` of ``draws``, stacked by trial,
+    ``w`` features each, on ``grid``, against the weighted ``targets``: yields
+    ``(first, R, C)`` for each chunk of trials, the trials from ``first`` on.
 
-    ``columns(draws, nodes, out)`` writes every design, one row per column, into
-    its slot of one stack of rows, the layout :func:`_qr_in_place` factors in
-    place, and the rows are weighted there.  Returns ``R`` of shape
-    ``(count, min(n, w), w)`` with ``A = Q R``, and ``C`` of shape
-    ``(count, q, m)``: its first ``min(n, w)`` rows are ``Q^T rhs`` and the rest
-    hold the targets' part orthogonal to every column of ``Q``, so the part of
+    ``R`` has shape ``(c, min(n, w), w)`` with ``A = Q R``, and ``C`` shape
+    ``(c, q, m)``: its first ``min(n, w)`` rows are ``Q^T rhs`` and the rest hold
+    the targets' part orthogonal to every column of ``Q``, so the part of
     ``rhs`` outside the span of ``Q``'s first ``k`` columns has the norm of
-    ``C[:, k:]``.
+    ``C[:, k:]``.  A chunk holds about ``_CHUNK_BYTES`` of stacked rows.
 
-    With fewer targets than columns the targets join the factorization as
-    ``[A | rhs]``, ``C`` is read off its ``R``, and the rows are taken in the
-    grid's row blocks (``Grid.node_blocks``; block ``j`` of ``nb`` holds nodes
-    ``j::nb``), one ``columns`` call each: each block is stacked under the
-    running ``R`` of the blocks before it and the stack is factored, one level
-    of TSQR.  A grid of one block is one QR of ``[A | rhs]``.  Given
-    ``epsilon``, a trial stops after any block but the last once the first
-    target's part outside the span over the rows so far, ``|R[w, w]|``, exceeds
-    ``epsilon * (1 + _STOP_MARGIN)``.  Row ``w`` of the running ``R`` is zero in
-    every design column, so the Householder vectors of later blocks are exactly
-    zero there, but for column ``w``'s own, whose ``dlapy2`` can only grow
-    ``|R[w, w]|``: the final part outside, and the part outside at every
-    smaller count, is at least the running one.  The trial then keeps that
-    value as the one nonzero entry of its ``R`` and ``C``, at ``C[w, 0]``, so
-    :meth:`_Factors.passes` fails it at every count without a solve; only
-    decisions read factors made with ``epsilon``.
+    One loop factors every chunk over row blocks of the grid.  Each block's
+    designs are written by one ``columns(draws, nodes, out)`` call into their
+    slots of one stack of rows, the layout :func:`_qr_in_place` factors in
+    place, weighted there, and stacked under the running ``R`` of the blocks
+    before it: one level of TSQR.  The route is decided here, once.  With
+    fewer targets than columns the targets join the factorization as
+    ``[A | rhs]``, their rows written beside each block's, ``C`` is read off
+    the final ``R``, and the blocks are the grid's (``Grid.node_blocks``; block
+    ``j`` of ``nb`` holds nodes ``j::nb``), so a grid of one block is one QR of
+    ``[A | rhs]``.  Given ``epsilon``, a trial stops after any block but the
+    last once the first target's part outside the span over the rows so far,
+    ``|R[w, w]|``, exceeds ``epsilon * (1 + _STOP_MARGIN)``.  Row ``w`` of the
+    running ``R`` is zero in every design column, so the Householder vectors
+    of later blocks are exactly zero there, but for column ``w``'s own, whose
+    ``dlapy2`` can only grow ``|R[w, w]|``: the final part outside, and the
+    part outside at every smaller count, is at least the running one.  The
+    trial then keeps that value as the one nonzero entry of its ``R`` and
+    ``C``, at ``C[w, 0]``, so :meth:`_Factors.passes` fails it at every count
+    without a solve; only decisions read factors made with ``epsilon``.
 
-    Otherwise each slot, one QR of the whole grid, then holds ``Q^T``, and ``C`` is
-    summed over row blocks of ``rhs`` of at most ``_SUM_ROWS`` rows, so the
-    block stays in cache for every slot.  Each block's product is stacked, one
-    gemm per slot, so a trial's bits never depend on how many trials share its
-    chunk; on a grid of one block ``C`` is one stacked product, bit for bit.
-    The part outside is downdated from the
-    targets' squared norms ``norm_sq`` as ``norm_sq - |Q^T rhs|^2``, the
-    column-norm downdate of LAPACK's xGEQP3; where that falls below
-    ``_DOWNDATE`` times ``norm_sq`` it is recomputed as ``|rhs - Q Q^T rhs|^2``
+    Otherwise the whole grid is the one block, each slot then holds ``Q^T``,
+    and ``C`` is summed over row blocks of ``rhs`` of at most ``_SUM_ROWS``
+    rows, so the block stays in cache for every slot.  Each block's product is
+    stacked, one gemm per slot, so a trial's bits never depend on how many
+    trials share its chunk; on a grid of one block ``C`` is one stacked
+    product, bit for bit.  The part outside is downdated from the targets'
+    squared norms ``norm_sq`` as ``norm_sq - |Q^T rhs|^2``, the column-norm
+    downdate of LAPACK's xGEQP3; where that falls below ``_DOWNDATE`` times
+    ``norm_sq`` it is recomputed as ``|rhs - Q Q^T rhs|^2``
     (:func:`_squared_norm`) for that trial and target.
     """
     root_w, rhs, norm_sq = targets
     n, m = rhs.shape
-    if m < w:
-        q, blocks = w + m, grid.node_blocks
-        nb = len(blocks)
-        full = np.zeros((count, min(n, q), q))
-        R, open_ = np.empty((count, 0, q)), np.arange(count)  # of the trials still open
+    joined = m < w  # the route: the targets join the QR, over the grid's row blocks
+    q, blocks = (w + m, grid.node_blocks) if joined else (w, (grid.column_major_nodes,))
+    nb = len(blocks)
+    rows = len(blocks[0]) + q if nb > 1 else n  # a slot's: a block under the running R
+    per_chunk = max(1, _CHUNK_BYTES // (8 * rows * q))
+    for first in range(0, len(draws[0]), per_chunk):
+        kept = {}  # each recomputed target's column of ``rhs``, copied once to contiguous memory
+        full = np.zeros((min(per_chunk, len(draws[0]) - first), min(n, q), q))
+        R, open_ = full[:, :0], np.arange(len(full))  # of the chunk's trials still open
         for j, nodes in enumerate(blocks):
+            stack = designs = Qt = None  # the last block's or chunk's: not kept beside this one
             top = R.shape[1]
             stack = np.empty((len(open_), q, top + len(nodes)))
             stack[:, :, :top] = np.swapaxes(R, -1, -2)
             designs = stack[:, :w, top:]
-            columns(tuple(part[open_] for part in draws), nodes, designs)
+            columns(tuple(part[first + open_] for part in draws), nodes, designs)
             designs *= root_w[j::nb]
-            stack[:, w:, top:] = rhs[j::nb].T
-            R = _qr_in_place(stack, form_q=False)
+            if joined:
+                stack[:, w:, top:] = rhs[j::nb].T
+            R = _qr_in_place(stack, form_q=not joined)
             if epsilon is not None and j < nb - 1 and R.shape[1] > w:  # R has a row w
                 stop = np.abs(R[:, w, w]) > epsilon * (1 + _STOP_MARGIN)
                 full[open_[stop], w, w] = R[stop, w, w]
@@ -318,24 +328,22 @@ def _factor(columns, draws: tuple, count: int, w: int, grid: Grid, targets: _Wei
                 if not len(open_):
                     break
         full[open_, :R.shape[1]] = R  # none open after a stop, or all of the final R
-        return full[:, :min(n, w), :w], full[:, :, w:]
-    stack = np.empty((count, w, n))
-    columns(draws, grid.column_major_nodes, stack)
-    stack *= root_w
-    R = _qr_in_place(stack, form_q=True)
-    Qt = stack[:, :R.shape[1]]
-    C = Qt[:, :, :_SUM_ROWS] @ rhs[:_SUM_ROWS]
-    for s in range(_SUM_ROWS, n, _SUM_ROWS):
-        C += Qt[:, :, s:s + _SUM_ROWS] @ rhs[s:s + _SUM_ROWS]
-    # not einsum: its one-target sum varies with ``count``
-    outside = norm_sq - np.sum(C * C, axis=1)
-    kept = {}  # each recomputed target's column of ``rhs``, copied once to contiguous memory
-    for t, j in zip(*np.nonzero(outside < _DOWNDATE * norm_sq)):
-        if j not in kept:
-            kept[j] = rhs[:, j].copy()
-        gap = C[t, :, j] @ Qt[t]
-        outside[t, j] = _squared_norm(np.subtract(kept[j], gap, out=gap))
-    return R, np.concatenate([C, np.sqrt(outside)[:, None]], axis=1)
+        if joined:
+            C = full[:, :, w:]
+        else:
+            Qt = stack[:, :R.shape[1]]
+            C = Qt[:, :, :_SUM_ROWS] @ rhs[:_SUM_ROWS]
+            for s in range(_SUM_ROWS, n, _SUM_ROWS):
+                C += Qt[:, :, s:s + _SUM_ROWS] @ rhs[s:s + _SUM_ROWS]
+            # not einsum: its one-target sum varies with the chunk's size
+            outside = norm_sq - np.sum(C * C, axis=1)
+            for t, col in zip(*np.nonzero(outside < _DOWNDATE * norm_sq)):
+                if col not in kept:
+                    kept[col] = rhs[:, col].copy()
+                gap = C[t, :, col] @ Qt[t]
+                outside[t, col] = _squared_norm(np.subtract(kept[col], gap, out=gap))
+            C = np.concatenate([C, np.sqrt(outside)[:, None]], axis=1)
+        yield first, full[:, :min(n, w), :w], C
 
 
 def _solve_block(R: np.ndarray, head: np.ndarray, tail: np.ndarray,
@@ -366,22 +374,20 @@ def _solve_block(R: np.ndarray, head: np.ndarray, tail: np.ndarray,
 
 class _Factors:
     """QR factors of the live design columns of ``draws``, one draw of ``dist`` per
-    trial, read at any live count.
+    trial, read at any live count, and the ``epsilon`` they were made with.
 
     ``mask`` is ``dist.live`` of the draws stacked by trial, and ``live[t, r]``
-    counts its columns among trial ``t``'s first ``r``.  Trials with one live
-    count are factored (:func:`_factor`) in stacks of about ``_CHUNK_BYTES``,
-    counted as the stack holds them: where fewer targets than columns join the
-    QR, one row block of the designs with the targets beside them, under the
-    running ``R``; otherwise the designs alone, at every node.
-    Each chunk's live draws are picked in one call, and its designs written in
-    one call per row block.  Trial ``t``'s design (``L`` columns) has its ``R`` in the top-left
-    ``min(n, L) x L`` corner of ``R[t]`` and its ``C`` in the top rows of
-    ``C[t]``; the rest is zero, and ``tails[t, k]`` holds the squared norms of
-    ``C[t, k:]``.  So trials of any live count stack into one solve at a
-    common smaller count, and a count of 0 reads the targets' norms.  Given
-    ``epsilon``, a joined factorization stops a trial that already fails
-    (:func:`_factor`), so only :meth:`passes` reads such factors.
+    counts its columns among trial ``t``'s first ``r``.  The live draws of the
+    trials with one live count are picked in one call and factored by
+    :func:`_factor`, which chunks them.  Trial ``t``'s design (``L`` columns)
+    has its ``R`` in the top-left ``min(n, L) x L`` corner of ``R[t]`` and the
+    first ``min(n, L)`` rows of its ``C`` in the top rows of ``C[t]``; the rest
+    is zero, and ``tails[t, k]`` holds the squared norms of its ``C[k:]``, for
+    ``k`` up to ``min(n, L)``.  So trials of any live count stack into one
+    solve at a common smaller count, and a count of 0 reads the targets'
+    norms.  Given ``epsilon``, :func:`_factor` stops a trial that already
+    fails it and keeps its part outside the span in ``tails`` alone, so only
+    :meth:`passes`, which decides at that ``epsilon``, reads such factors.
     """
 
     def __init__(self, dist, draws: list, grid: Grid, targets: _Weighted,
@@ -392,28 +398,22 @@ class _Factors:
         self.live = np.zeros((trials, w + 1), dtype=np.intp)
         np.cumsum(self.mask, axis=1, out=self.live[:, 1:])
         self.R = np.zeros((trials, min(n, w), w))
-        # a chunk's ``C`` has the joined QR's ``min(n, count + m)`` rows where ``m <
-        # count``, else ``min(n, count) + 1``: never ``m`` rows for many targets
-        self.C = np.zeros((trials, min(n, w + m if m < w else w) + 1, m))
-        self.tails = np.zeros_like(self.C)
+        self.C = np.zeros((trials, min(n, w), m))
+        self.tails = np.zeros((trials, min(n, w) + 1, m))
         self.target_norms = np.sqrt(targets.norm_sq)
-        blocks = grid.node_blocks
+        self.epsilon = epsilon
         for count in np.flatnonzero(np.bincount(self.live[:, w])[1:]) + 1:
             group = np.flatnonzero(self.live[:, w] == count)
-            cols = count + m if m < count else count  # the columns of one slot of the stack
-            # its rows: where the targets join, a row block under the running R, else n
-            rows = len(blocks[0]) + cols if m < count and len(blocks) > 1 else n
-            per_chunk = max(1, _CHUNK_BYTES // (8 * rows * cols))
-            for first in range(0, len(group), per_chunk):
-                sel = group[first:first + per_chunk]
-                keep = self.mask[sel]
-                live_draws = tuple(part[sel][keep].reshape(len(sel), count, *part.shape[2:])
-                                   for part in stacked)
-                R, C = _factor(dist.columns, live_draws, len(sel), count, grid, targets,
-                               epsilon)
-                self.R[sel, :R.shape[1], :count] = R
-                self.C[sel, :C.shape[1]] = C
-                self.tails[sel, :C.shape[1]] = np.cumsum((C**2)[:, ::-1], axis=1)[:, ::-1]
+            keep, k = self.mask[group], min(n, count)
+            live_draws = tuple(part[group][keep].reshape(len(group), count, *part.shape[2:])
+                               for part in stacked)
+            for first, R, C in _factor(dist.columns, live_draws, count, grid, targets,
+                                       epsilon):
+                sel = group[first:first + len(R)]
+                tails = np.cumsum((C**2)[:, ::-1], axis=1)[:, ::-1][:, :k + 1]
+                self.R[sel, :k, :count] = R
+                self.C[sel, :k] = C[:, :k]
+                self.tails[sel, :tails.shape[1]] = tails
 
     def block(self, ids: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The arguments of :func:`_solve_block` for trials ``ids`` at ``count`` live columns."""
@@ -432,8 +432,8 @@ class _Factors:
                        else _solve_block(*self.block(ids[at], int(count))))
         return out
 
-    def passes(self, ids: np.ndarray, counts: np.ndarray, epsilon: float) -> np.ndarray:
-        """Whether each trial's residual is at most ``epsilon``: ``norms(ids,
+    def passes(self, ids: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Whether each trial's residual is at most the factors' ``epsilon``: ``norms(ids,
         counts)[:, 0] <= epsilon``, solving only the trials where that could hold.
 
         :func:`_solve_block` returns ``sqrt(tail + S)`` with ``S`` a sum of
@@ -442,7 +442,7 @@ class _Factors:
         exceeds ``epsilon`` fails without a solve.  The others, and every count
         of 0, are decided by :meth:`norms`.
         """
-        k = np.minimum(counts, self.R.shape[1])
+        epsilon, k = self.epsilon, np.minimum(counts, self.R.shape[1])
         open_ = (counts == 0) | (np.sqrt(self.tails[ids, k, 0]) <= epsilon)
         out = np.zeros(len(ids), dtype=bool)
         out[open_] = self.norms(ids[open_], counts[open_])[:, 0] <= epsilon
@@ -531,7 +531,7 @@ def _factored(targets: _Weighted, grid: Grid, dist, w: int, trials, draw,
     about ``_BATCH_BYTES``; nothing for ``w = 0``."""
     n, m = targets.rhs.shape
     rows = min(n, w)
-    per_trial = 8 * (rows * w + 2 * (rows + m + 1) * m + w * (grid.nodes.shape[1] + 1))
+    per_trial = 8 * (rows * w + (2 * rows + 1) * m + w * (grid.nodes.shape[1] + 1))
     per_batch = max(1, _BATCH_BYTES // per_trial)
     for start in range(0, len(trials) if w else 0, per_batch):
         ids = trials[start:start + per_batch]
@@ -544,7 +544,7 @@ def _at_widths(targets: _Weighted, grid: Grid, dist, widths: list[int], seed, tr
     factored once at the widest width (:func:`_factored`), and per width ``widths[j]``:
     ``live`` are the live counts of the batch's trials among their first ``widths[j]``
     features, as :meth:`_Factors.norms` (no ``epsilon``) and :meth:`_Factors.passes`
-    read them."""
+    (at the ``epsilon`` the factors keep) read them."""
     w = max(widths)
     for ids, factors in _factored(targets, grid, dist, w, np.arange(trials),
                                   partial(_draw, dist, w, seed), epsilon):
@@ -600,7 +600,7 @@ def success_probability(f, epsilon: float, dist, r, trials: int,
     counts = np.zeros(len(widths), dtype=np.intp)
     for ids, j, factors, live in _at_widths(targets, grid, dist, widths, seed, trials,
                                             epsilon):
-        counts[j] += np.count_nonzero(factors.passes(np.arange(len(ids)), live, epsilon))
+        counts[j] += np.count_nonzero(factors.passes(np.arange(len(ids)), live))
     estimates = []
     for width, successes in zip(widths, counts.tolist()):
         lo, hi = wilson_interval(successes, trials)
@@ -621,9 +621,9 @@ class MinWidthEstimate:
     search_trace: list[tuple[int, float]] = field(default_factory=list)
 
 
-def _first_passing(factors: _Factors, sel: np.ndarray, lo: int, hi: int,
-                   epsilon: float) -> np.ndarray:
-    """Per trial of ``sel``, the first width in ``(lo, hi]`` whose residual is <= ``epsilon``.
+def _first_passing(factors: _Factors, sel: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Per trial of ``sel``, the first width in ``(lo, hi]`` whose residual is within the
+    factors' ``epsilon``.
 
     Every trial's residual passes at ``hi`` and fails at ``lo`` (``lo = 0``
     fails by definition).  A residual depends on the width only through the
@@ -641,14 +641,14 @@ def _first_passing(factors: _Factors, sel: np.ndarray, lo: int, hi: int,
     first midpoint.  A block with no rank cut adds nothing to that part, so
     one solve settles such a trial.
     """
-    rows = factors.R.shape[1]  # a count past it reads the tail at ``rows``
+    rows, epsilon = factors.R.shape[1], factors.epsilon  # a count past ``rows`` reads its tail
     l0 = np.argmax(np.sqrt(factors.tails[sel, :rows + 1, 0]) <= epsilon, axis=1)
     lo_count = np.maximum(factors.live[sel, lo], l0 - 1)
     hi_count = factors.live[sel, hi]
     while np.any(open_ := hi_count - lo_count > 1):
         at = np.flatnonzero(open_)
         mid = np.where(lo_count[at] == l0[at] - 1, l0[at], (lo_count[at] + hi_count[at]) // 2)
-        passed = factors.passes(sel[at], mid, epsilon)
+        passed = factors.passes(sel[at], mid)
         hi_count[at[passed]] = mid[passed]
         lo_count[at[~passed]] = mid[~passed]
     return np.maximum(np.count_nonzero(factors.live[sel] < hi_count[:, None], axis=1), lo + 1)
@@ -703,9 +703,8 @@ def estimate_minwidth(f, epsilon: float, delta: float, dist,
         draw = ((lambda t: tuple(part[:r] for part in held[t])) if held_width
                 else partial(_draw, dist, r, seed))
         for ids, factors in _factored(targets, grid, dist, r, open_, draw, epsilon):
-            passed = np.flatnonzero(factors.passes(np.arange(len(ids)), factors.live[:, r],
-                                                   epsilon))
-            first[ids[passed]] = _first_passing(factors, passed, last_fail, r, epsilon)
+            passed = np.flatnonzero(factors.passes(np.arange(len(ids)), factors.live[:, r]))
+            first[ids[passed]] = _first_passing(factors, passed, last_fail, r)
             for t in ids[passed].tolist():
                 held.pop(t, None)
         prob = probe(r)

@@ -369,6 +369,14 @@ class TestStochasticKinds:
         assert code == 2 and result is None
 
 
+def _unit_trig(terms: dict) -> dict:
+    """A ``trig_poly`` target of the coefficients ``terms``, scaled to unit norm, its
+    terms sorted by index."""
+    norm = math.sqrt(sum(beta * beta for beta in terms.values()))
+    return {"type": "trig_poly", "polynomial": {"scale": 1.0, "terms": [
+        {"K": list(K), "beta": beta / norm} for K, beta in sorted(terms.items())]}}
+
+
 class TestTrialEngine:
     """``lb_projection`` draws and solves every trial through ``fitter.width_residuals``."""
 
@@ -548,10 +556,12 @@ class TestTrialEngine:
                     assert (out_dir / name).read_bytes() == (fresh_dir / name).read_bytes()
 
     # The README's lb_projection example and the benchmark's two lb_projection configs
-    # (fewer trials), each past one row block of fitter._SUM_ROWS grid nodes; then an
+    # (fewer trials), each past one row block of fitter._SUM_ROWS grid nodes; an
     # lb_projection with more features than members (N = 3), whose joined QR runs
-    # over four row blocks, and the benchmark's lb_explicit, which stops its trials
-    # after their first block.
+    # over four row blocks; the benchmark's lb_explicit, which stops its trials after
+    # their first block; the benchmark's d = 2 fit_curve and its d = 1 and d = 2
+    # minwidth; a d = 3 fit_curve on 24^3 nodes, whose joined QR spans four blocks;
+    # and one config of each truncation kind and of mixture_check.
     _THREAD_DOCS = [
         *[doc for doc in map(json.loads, blocks("json")) if doc["kind"] == "lb_projection"],
         {"kind": "lb_projection",
@@ -566,6 +576,34 @@ class TestTrialEngine:
         {"kind": "lb_explicit",
          "parameters": {"d": 4, "ell": 2, "epsilon": 0.1, "r_list": [1, 2, 4], "trials": 40,
                         "dist": {"k": 2}, "seed": 7}},
+        {"kind": "fit_curve",
+         "parameters": {"d": 2, "epsilon": 0.4, "trials": 40, "r_list": [4, 16, 64],
+                        "target": _unit_trig({(1, 0): 0.8, (0, -1): -0.5, (1, 1): 0.3,
+                                              (-1, 1): 0.4}),
+                        "dist": {"k": 2}, "seed": 7}},
+        {"kind": "minwidth",
+         "parameters": {"d": 1, "epsilon": 0.1, "delta": 0.2, "trials": 20, "r_max": 1024,
+                        "target": _unit_trig({(1,): 0.8, (-1,): -0.5, (2,): 0.3}),
+                        "dist": {"k": 2}, "seed": 7}},
+        {"kind": "minwidth",
+         "parameters": {"d": 2, "epsilon": 0.4, "delta": 0.2, "trials": 20, "r_max": 1024,
+                        "target": _unit_trig({(1, 0): 0.8, (0, -1): -0.5, (1, 1): 0.3,
+                                              (-1, 1): 0.4}),
+                        "dist": {"k": 2}, "seed": 7}},
+        {"kind": "fit_curve",
+         "parameters": {"d": 3, "epsilon": 0.5, "trials": 6, "r_list": [16, 64, 128],
+                        "target": _unit_trig({(1, 0, 0): 0.7, (0, 1, -1): -0.5,
+                                              (-1, 1, 1): 0.4, (0, 0, 2): 0.3}),
+                        "dist": {"k": 2}, "seed": 5, "grid": {"nodes_per_dim": 24}}},
+        {"kind": "approx_trig",
+         "parameters": {"d": 2, "L": 1.0, "epsilon": 0.25, "target": "abs", "mode": "reflect"}},
+        {"kind": "approx_sobolev",
+         "parameters": {"d": 3, "s": 1, "gamma": 4.5, "epsilon": 0.75,
+                        "target": _unit_trig({(1, 0, 0): 0.7, (0, 1, -1): -0.5,
+                                              (-1, 1, 1): 0.4, (0, 0, 2): 0.3})}},
+        {"kind": "hermite_check",
+         "parameters": {"d": 3, "L": 1.0, "epsilon": 0.35, "target": "abs"}},
+        {"kind": "mixture_check", "parameters": {"d": 2, "k": 2, "rho": 0.5, "z_count": 9}},
     ]
 
     # ``widthlab run --config C --out-dir D`` for each pair ``C D`` of the arguments
@@ -573,12 +611,13 @@ class TestTrialEngine:
                  "sys.exit(max(main(['run', '--config', c, '--out-dir', d]) "
                  "for c, d in zip(args[::2], args[1::2])))")
 
-    def test_projection_csvs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+    def test_csvs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         """Every sum the engine hands the BLAS is at most ``fitter._SUM_ROWS`` long, and
         each joined QR factors row blocks of at most as many nodes, so OpenBLAS, which
-        splits only longer sums by thread, does not split it: each config's CSVs, run by
-        ``run`` in a new process at 1 and at 2 BLAS threads, are the same bytes.  Other
-        BLAS builds split their sums by other rules."""
+        splits only longer sums by thread, does not split it: each config's CSVs, one
+        config or more per kind that reads the BLAS, run by ``run`` in a new process at
+        1 and at 2 BLAS threads, are the same bytes.  Other BLAS builds split their sums
+        by other rules."""
         config = io.StringIO()
         with contextlib.redirect_stdout(config):
             np.show_config()
@@ -586,7 +625,7 @@ class TestTrialEngine:
             pytest.skip("numpy is not built against OpenBLAS")
         if not README.is_file():
             pytest.skip(f"no README.md beside the tests: {README}")
-        assert len(self._THREAD_DOCS) == 5  # the README's example among them
+        assert len(self._THREAD_DOCS) == 13  # the README's lb_projection example among them
         src = str(Path(widthlab.__file__).resolve().parents[1])
         outputs = {}
         for threads in ("1", "2"):

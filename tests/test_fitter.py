@@ -529,10 +529,10 @@ class TestPasses:
         is within ``epsilon``, so a ``passes`` that trusts that part alone gives other
         estimates than the residuals."""
 
-        def trusting(self, ids, counts, epsilon):
+        def trusting(self, ids, counts):
             k = np.minimum(counts, self.R.shape[1])
-            return np.where(counts == 0, self.target_norms[0] <= epsilon,
-                            np.sqrt(self.tails[ids, k, 0]) <= epsilon)
+            return np.where(counts == 0, self.target_norms[0] <= self.epsilon,
+                            np.sqrt(self.tails[ids, k, 0]) <= self.epsilon)
 
         monkeypatch.setattr(fitter._Factors, "passes", trusting)
         assert _mismatches("dk_d1_past_the_nodes")

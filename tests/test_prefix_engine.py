@@ -714,9 +714,10 @@ def test_chunks_hold_as_many_trials_as_their_stack_allows(tmp_path, monkeypatch)
     chunks = collections.defaultdict(list)  # live count: trials of each chunk
     factor = fitter._factor
 
-    def spying(columns, draws, count, w, *rest):
-        chunks[w].append(count)
-        return factor(columns, draws, count, w, *rest)
+    def spying(columns, draws, w, *rest):
+        for first, R, C in factor(columns, draws, w, *rest):
+            chunks[w].append(len(R))
+            yield first, R, C
 
     monkeypatch.setattr(fitter, "_factor", spying)
     cfg = tmp_path / "cfg.json"
@@ -820,7 +821,7 @@ def test_one_row_block_gives_the_bits_of_one_product(monkeypatch):
     monkeypatch.setattr(fitter, "_qr_in_place",
                         lambda stack, form_q: stacks.append(stack) or qr(stack, form_q))
     draws = tuple(map(np.stack, zip(*_draws(dist, 4, 9, 5))))
-    R, C = fitter._factor(dist.columns, draws, 5, 4, grid, targets)
+    [(_, R, C)] = fitter._factor(dist.columns, draws, 4, grid, targets)
     k = R.shape[1]
     assert C.shape == (5, k + 1, 6)
     assert np.array_equal(C[:, :k], stacks[0][:, :k] @ targets.rhs)

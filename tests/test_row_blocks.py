@@ -1,14 +1,16 @@
 """The joined solve in row blocks, and the early stop of a success trial.
 
-With fewer targets than live columns, ``fitter._factor`` factors ``[A | rhs]``
-over the grid's interleaved row blocks (``Grid.node_blocks``): each block is
-written by one ``columns`` call on its own nodes, stacked under the running
-``R`` and factored in place.  Given ``epsilon``, a trial stops after any block
-but the last once its running part outside the span exceeds ``epsilon`` by
-``fitter._STOP_MARGIN``.  These tests pin the layout, and hold the stop to a
-decision-by-decision oracle: the same factorization with no ``epsilon``, and
-the running part outside recomputed by ``np.linalg.qr`` on the rows of each
-prefix of blocks.
+``fitter._factor`` factors every design in one loop over row blocks.  With
+fewer targets than live columns the blocks are the grid's interleaved ones
+(``Grid.node_blocks``) and the targets join the QR as ``[A | rhs]``: each
+block is written by one ``columns`` call on its own nodes, stacked under the
+running ``R`` and factored in place.  Given ``epsilon``, a trial stops after
+any block but the last once its running part outside the span exceeds
+``epsilon`` by ``fitter._STOP_MARGIN``, and the factors keep that
+``epsilon`` for their decisions.  These tests pin the layout, and hold the
+stop to a decision-by-decision oracle: the residuals of the same
+factorization with no ``epsilon``, and the running part outside recomputed
+by ``np.linalg.qr`` on the rows of each prefix of blocks.
 """
 
 from __future__ import annotations
@@ -59,13 +61,13 @@ def _running_outside(design, rhs, blocks):
 @pytest.mark.parametrize("config", [_lb_explicit, _fit_curve],
                          ids=["lb_explicit", "fit_curve"])
 def test_the_stop_never_changes_a_decision(config):
-    """The factors with ``epsilon`` give every decision the factors without it give,
-    at every width.  A trial that is not stopped keeps their bits.  A stopped trial
-    keeps one nonzero entry, its running part outside, which exceeds ``epsilon``
-    with the margin and is at most its part outside over the whole grid with the
-    margin; it stops at the first block whose running part outside exceeds that,
-    as ``np.linalg.qr`` on the rows so far gives it, and no trial that goes on past
-    a block but the last exceeds it there."""
+    """The factors with ``epsilon`` decide every trial at every width as the residuals
+    of the factors without it do.  A trial that is not stopped keeps their bits.  A
+    stopped trial keeps no nonzero ``R`` or ``C`` entry, and its tails hold its running
+    part outside, which exceeds ``epsilon`` with the margin and is at most its part
+    outside over the whole grid with the margin; it stops at the first block whose
+    running part outside exceeds that, as ``np.linalg.qr`` on the rows so far gives
+    it, and no trial that goes on past a block but the last exceeds it there."""
     targets, grid, dist, epsilon, widths, trials, seed = config()
     w = max(widths)
     draws = [fitter._draw(dist, w, seed, t) for t in range(trials)]
@@ -73,9 +75,10 @@ def test_the_stop_never_changes_a_decision(config):
     early = fitter._Factors(dist, draws, grid, targets, epsilon)
     ids = np.arange(trials)
     decisions = []
+    assert (early.epsilon, full.epsilon) == (epsilon, None)
     for r in widths:
-        want = full.passes(ids, full.live[:, r], epsilon)
-        assert np.array_equal(early.passes(ids, early.live[:, r], epsilon), want), r
+        want = full.norms(ids, full.live[:, r])[:, 0] <= epsilon
+        assert np.array_equal(early.passes(ids, early.live[:, r]), want), r
         decisions.extend(want.tolist())
     if config is _fit_curve:
         assert True in decisions and False in decisions
@@ -95,17 +98,20 @@ def test_the_stop_never_changes_a_decision(config):
         before_last = [(j, value) for j, value in running if j < len(blocks) - 1]
         assert all(abs(value - threshold) > 1e-9 * threshold for _, value in before_last)
         stop = next((j for j, value in before_last if value > threshold), None)
-        if np.array_equal(early.C[t], full.C[t]):
+        if np.array_equal(early.tails[t], full.tails[t]):
             assert stop is None, t
-            assert np.array_equal(early.R[t], full.R[t]) and np.array_equal(early.tails[t],
-                                                                             full.tails[t])
+            assert np.array_equal(early.R[t], full.R[t]) and np.array_equal(early.C[t],
+                                                                            full.C[t])
             continue
         stops.append(stop)
         assert stop is not None, t
-        kept = early.C[t, count, 0]
-        assert np.count_nonzero(early.C[t]) == 1 and not np.any(early.R[t])
-        assert threshold < abs(kept) <= abs(full.C[t, count, 0]) * (1 + fitter._STOP_MARGIN)
-        assert_allclose(abs(kept), dict(running)[stop], rtol=1e-10, atol=0.0)
+        # the kept value squared, in column 0 of each tail up to the live count
+        kept = np.sqrt(early.tails[t, count, 0])
+        assert not np.any(early.R[t]) and not np.any(early.C[t])
+        assert np.count_nonzero(early.tails[t]) == count + 1
+        assert np.all(early.tails[t, :count + 1, 0] == early.tails[t, count, 0])
+        assert threshold < kept <= np.sqrt(full.tails[t, count, 0]) * (1 + fitter._STOP_MARGIN)
+        assert_allclose(kept, dict(running)[stop], rtol=1e-10, atol=0.0)
     if config is _lb_explicit:  # the explicit function fails each joined trial at block 0
         assert stops == [0] * np.count_nonzero(full.live[:, w] > 1) and len(stops) > trials // 2
     else:  # and some trials of the curve only at a later one
@@ -131,7 +137,8 @@ def test_one_block_is_one_qr_of_the_whole_stack(d, nodes, w, m):
     stack[:, w:] = targets.rhs.T
     whole = fitter._qr_in_place(stack, form_q=False)
     for epsilon in (None, 1e-3):
-        R, C = fitter._factor(dist.columns, draws, 5, w, grid, targets, epsilon)
+        [(first, R, C)] = fitter._factor(dist.columns, draws, w, grid, targets, epsilon)
+        assert first == 0
         assert np.array_equal(R, whole[:, :min(len(x), w), :w])
         assert np.array_equal(C, whole[:, :, w:])
 
@@ -159,7 +166,7 @@ def test_each_block_holds_its_rows_of_the_weighted_design(d, nodes, monkeypatch)
     for w in (2, 3, 5, 8, 16, 33, 64):
         W, b = fitter._draw(dist, w, 9, 0)
         stacks.clear()
-        R, C = fitter._factor(dist.columns, (W[None], b[None]), 1, w, grid, targets)
+        [(_, R, C)] = fitter._factor(dist.columns, (W[None], b[None]), w, grid, targets)
         design = fitter._design_matrix(W, b, grid.nodes) * targets.root_w[:, None]
         assert len(stacks) == nb
         running = np.zeros((0, w + 1))
